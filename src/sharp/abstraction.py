@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (EmptyRegion, InCollision, NotNeighbors, TooFewRegions,
                      UnassignedCell)
-from .regions import NEIGHBORS4, CriticalRegion, connected_components
+from .regions import NEIGHBORS4, CriticalRegion
 from .world import Configuration, OccupancyWorld, collision
 
 NO_STATE = -1

@@ -14,38 +14,24 @@ import argparse
 import json
 import os
 import sys
-
-import numpy as np
+from dataclasses import replace
 
 from . import artifacts
-from .abstraction import build_region_voronoi, render_assignment
+from .abstraction import render_assignment
 from .errors import SharpError
-from .experiment import (AbstractionParams, desk_train_config,
-                         emit_plot_data, load_experiment_config,
-                         load_or_build_library, rows_to_csv, run_experiment,
-                         select_regions, smoke_train_config, spec_for_bundled,
-                         write_rows, CSV_HEADER, ResultRow)
-from .learn import TrainConfig
-from .motion import RrtParams, execute_with_replan
-from .planner import PolicyCache, SolveConfig, execute_composed, sharp_solve
+from .experiment import (CSV_HEADER, STAGE_LIMIT, TRAIN_PROFILES, AbstractionParams,
+                         ResultRow, emit_plot_data, evaluate_composed,
+                         evaluate_rrt_replan, load_experiment_config,
+                         load_or_build_library, load_world, monolithic_baseline,
+                         recipe_params, rows_to_csv, run_experiment,
+                         select_regions, spec_for_bundled, write_rows)
+from .motion import RrtParams
+from .planner import PolicyCache, SolveConfig, sharp_solve
 from .regions import collect_solution_density
 from .seeding import derive_rng
-from .world import (Configuration, Kinematics, parse_sidecar, world_from_text,
-                    world_hash, world_to_text, sidecar_to_text)
+from .world import (Configuration, Kinematics, world_hash, world_to_text,
+                    sidecar_to_text)
 from .worlds import RECIPES, bundled_names
-
-
-def _load_world(ref: str):
-    if ref in RECIPES:
-        return RECIPES[ref].build(), ref
-    with open(ref) as fh:
-        text = fh.read()
-    overrides = {}
-    if os.path.exists(ref + ".cfg"):
-        with open(ref + ".cfg") as fh:
-            overrides = parse_sidecar(fh.read())
-    name = os.path.splitext(os.path.basename(ref))[0]
-    return world_from_text(text, **overrides), name
 
 
 def _abstraction_params(args, name: str) -> AbstractionParams:
@@ -56,14 +42,7 @@ def _abstraction_params(args, name: str) -> AbstractionParams:
         ("min_cells", getattr(args, "min_cells", None)),
         ("max_regions", getattr(args, "max_regions", None)),
     ) if v is not None}
-    if name in RECIPES:
-        rec = RECIPES[name]
-        base = dict(n_goals=rec.density_goals, inits_per_goal=rec.density_inits,
-                    percentile=rec.density_percentile, max_regions=rec.max_regions,
-                    region_threshold=rec.region_threshold)
-        base.update(overrides)
-        return AbstractionParams(seed=args.seed, **base)
-    return AbstractionParams(seed=args.seed, **overrides)
+    return AbstractionParams(seed=args.seed, **{**recipe_params(name), **overrides})
 
 
 def _cache_dir(args) -> str | None:
@@ -98,7 +77,7 @@ def cmd_worlds(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    world, name = _load_world(args.world)
+    world, name = load_world(args.world)
     params = _abstraction_params(args, name)
     rng = derive_rng("abstraction", world_hash(world), params.seed)
     density = collect_solution_density(world, params.n_goals,
@@ -116,7 +95,7 @@ def cmd_regions(args) -> int:
 
 
 def cmd_abstract(args) -> int:
-    world, name = _load_world(args.world)
+    world, name = load_world(args.world)
     params = _abstraction_params(args, name)
     _, library = load_or_build_library(world, args.kind, params, _cache_dir(args))
     rbvd = library.rbvd
@@ -132,7 +111,7 @@ def cmd_abstract(args) -> int:
 
 
 def cmd_options(args) -> int:
-    world, name = _load_world(args.world)
+    world, name = load_world(args.world)
     params = _abstraction_params(args, name)
     _, library = load_or_build_library(world, args.kind, params, _cache_dir(args))
     print(f"{len(library.options)} {args.kind} options:")
@@ -147,15 +126,14 @@ def cmd_options(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    world, name = _load_world(args.world)
+    world, name = load_world(args.world)
     params = _abstraction_params(args, name)
     cache_dir = _cache_dir(args)
     _, library = load_or_build_library(world, args.kind, params, cache_dir)
     theta = 0.0 if world.kinematics is Kinematics.UNICYCLE else None
     x_i = _parse_xy(args.start, theta)
     x_g = _parse_xy(args.goal)
-    train = smoke_train_config() if args.profile == "smoke" else (
-        TrainConfig() if args.profile == "default" else desk_train_config())
+    train = TRAIN_PROFILES[args.profile]()
     cache = PolicyCache()
     whash = world_hash(world)
     if cache_dir is not None:
@@ -163,63 +141,38 @@ def cmd_solve(args) -> int:
     composed, stats = sharp_solve(world, x_i, x_g, library, cache,
                                   SolveConfig(train=train),
                                   derive_rng("solve", name, args.seed))
-    wins = 0
-    steps = []
-    for ep in range(args.episodes):
-        trace = execute_composed(world, composed, args.stage_limit,
-                                 derive_rng("exec", name, args.seed, ep))
-        wins += trace.outcome == "reached_goal"
-        steps.append(trace.total_steps)
+    success, mean_steps = evaluate_composed(world, composed, args.episodes,
+                                            args.stage_limit, (name, args.seed))
     if cache_dir is not None:
         artifacts.save_cache(cache_dir, whash, cache)
     result = {"plan": stats.plan_option_ids,
               "options_trained": stats.options_trained,
               "options_reused": stats.options_reused,
               "training_steps": stats.training_steps,
-              "success_rate": wins / args.episodes,
-              "mean_steps": float(np.mean(steps))}
+              "success_rate": success,
+              "mean_steps": mean_steps}
     print(json.dumps(result, indent=2, sort_keys=True))
     return 0
 
 
 def cmd_baseline(args) -> int:
-    world, name = _load_world(args.world)
+    world, name = load_world(args.world)
     theta = 0.0 if world.kinematics is Kinematics.UNICYCLE else None
     x_i = _parse_xy(args.start, theta)
     x_g = _parse_xy(args.goal)
     if args.method == "rrt_replan":
-        wins = 0
-        steps = []
-        for ep in range(args.episodes):
-            res = execute_with_replan(world, x_i, x_g, RrtParams(),
-                                      budget=args.budget,
-                                      rng=derive_rng("rrt", name, args.seed, ep))
-            wins += res.success
-            steps.append(res.steps)
-        print(json.dumps({"method": "rrt_replan",
-                          "success_rate": wins / args.episodes,
-                          "mean_steps": float(np.mean(steps))},
-                         indent=2, sort_keys=True))
+        success, mean_steps = evaluate_rrt_replan(world, x_i, x_g, RrtParams(),
+                                                  args.budget, args.episodes,
+                                                  (name, args.seed))
+        print(json.dumps({"method": "rrt_replan", "success_rate": success,
+                          "mean_steps": mean_steps}, indent=2, sort_keys=True))
         return 0
-    from .learn import train_monolithic_policy
-    from .world import step as world_step
-    train = smoke_train_config() if args.profile == "smoke" else desk_train_config()
-    from dataclasses import replace as dc_replace
-    train = dc_replace(train, max_steps=args.budget)
-    policy, stats = train_monolithic_policy(world, x_i, x_g, train,
-                                            derive_rng("mono", name, args.seed))
-    rng = derive_rng("monoeval", name, args.seed)
-    wins = 0
-    for ep in range(args.episodes):
-        c = x_i
-        n = 0
-        while c.distance_to(x_g) > world.cell_size and n < 4 * 400:
-            c = world_step(world, c, policy.act(world, c), rng)
-            n += 1
-        wins += c.distance_to(x_g) <= world.cell_size
-    print(json.dumps({"method": "monolithic", "training_steps": stats.steps,
-                      "success_rate": wins / args.episodes},
-                     indent=2, sort_keys=True))
+    train = replace(TRAIN_PROFILES[args.profile](), max_steps=args.budget)
+    success, _, steps = monolithic_baseline(
+        world, x_i, x_g, train, None, args.episodes, STAGE_LIMIT,
+        derive_rng("mono", name, args.seed), derive_rng("monoeval", name, args.seed))
+    print(json.dumps({"method": "monolithic", "training_steps": steps,
+                      "success_rate": success}, indent=2, sort_keys=True))
     return 0
 
 
@@ -233,7 +186,7 @@ def cmd_experiment(args) -> int:
             raise SharpError("without --config, --world must name a bundled map")
         seeds = ([int(s) for s in args.seed_list.split(",")]
                  if args.seed_list else [0])
-        train = smoke_train_config() if args.profile == "smoke" else desk_train_config()
+        train = TRAIN_PROFILES[args.profile]()
         spec = spec_for_bundled(args.world, kind=args.kind or "centroid",
                                 seeds=seeds, train=train)
     rows = run_experiment(spec, cache_dir=_cache_dir(args))
@@ -311,9 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", required=True, help="x,y[,theta] meters")
     p.add_argument("--goal", required=True, help="x,y meters")
     p.add_argument("--episodes", type=int, default=20)
-    p.add_argument("--stage-limit", type=int, default=400)
-    p.add_argument("--profile", choices=["desk", "smoke", "default"],
-                   default="desk")
+    p.add_argument("--stage-limit", type=int, default=STAGE_LIMIT)
+    p.add_argument("--profile", choices=list(TRAIN_PROFILES), default="desk")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("baseline", help="run a baseline on one problem")
@@ -323,8 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", required=True)
     p.add_argument("--goal", required=True)
     p.add_argument("--episodes", type=int, default=20)
-    p.add_argument("--budget", type=int, default=1600)
-    p.add_argument("--profile", choices=["desk", "smoke"], default="desk")
+    p.add_argument("--budget", type=int, default=1600,
+                   help="rrt_replan step budget, or monolithic training steps")
+    p.add_argument("--profile", choices=list(TRAIN_PROFILES), default="desk")
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("experiment", help="run a full experiment spec")
@@ -333,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["centroid", "interface"], default=None)
     p.add_argument("--seeds", dest="seed_list", default=None,
                    help="comma-separated seed list")
-    p.add_argument("--profile", choices=["desk", "smoke"], default="desk")
+    p.add_argument("--profile", choices=list(TRAIN_PROFILES), default="desk")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("plotdata", help="aggregate result rows into figure CSVs")

@@ -49,6 +49,10 @@ class NoAbstractPath(SharpError):
     """The option graph does not connect the start state to the goal state."""
 
 
+class OptionsDoNotChain(SharpError):
+    """Consecutive options of a plan do not share a handoff region."""
+
+
 class EmptyLibrary(SharpError):
     """An abstract graph cannot be built from zero options."""
 

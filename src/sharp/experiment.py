@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import hashlib
 import io
 import logging
 import os
@@ -19,9 +20,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import artifacts
-from .abstraction import RegionVoronoi, build_region_voronoi, geodesic_distances
+from .abstraction import build_region_voronoi, geodesic_distances
 from .errors import NoRegions, ParseError, SharpError
-from .learn import TrainConfig, train_monolithic_policy
+from .learn import GoalEnv, TrainConfig, run_episodes, train_monolithic_policy
 from .motion import RrtParams, execute_with_replan
 from .options import synth_options
 from .planner import (ComposedPolicy, OptionLibrary, PolicyCache, SolveConfig,
@@ -31,12 +32,14 @@ from .regions import (DEFAULT_PERCENTILE, CriticalRegion, collect_solution_densi
 from .seeding import derive_rng
 from .world import (Configuration, Kinematics, OccupancyWorld, parse_sidecar,
                     world_from_text, world_hash)
-from .worlds import RECIPES, WorldRecipe
+from .worlds import RECIPES
 
 log = logging.getLogger(__name__)
 
 CSV_HEADER = ["env", "problem", "method", "seed", "success_rate", "mean_steps",
               "training_steps", "options_trained", "options_reused", "error"]
+
+STAGE_LIMIT = 400   # default step limit of one composed-policy stage
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,37 @@ def smoke_train_config() -> TrainConfig:
     return TrainConfig(learner="cem", max_steps=2_000, eval_every=1_000,
                        eval_episodes=5, episode_limit=60, cem_population=6,
                        cem_iters=2, cem_episodes=1, cem_hidden=(8, 8))
+
+
+# training profile name -> TrainConfig factory, for config files and the CLI
+TRAIN_PROFILES = {"desk": desk_train_config, "smoke": smoke_train_config,
+                  "default": TrainConfig}
+
+
+def load_world(ref: str) -> tuple[OccupancyWorld, str]:
+    """A bundled world by name, or a world text file (its sidecar
+    `<file>.cfg` applies when present) named after the file's stem."""
+    if ref in RECIPES:
+        return RECIPES[ref].build(), ref
+    with open(ref) as fh:
+        text = fh.read()
+    overrides = {}
+    if os.path.exists(ref + ".cfg"):
+        with open(ref + ".cfg") as fh:
+            overrides = parse_sidecar(fh.read())
+    name = os.path.splitext(os.path.basename(ref))[0]
+    return world_from_text(text, **overrides), name
+
+
+def recipe_params(name: str) -> dict:
+    """The AbstractionParams fields a bundled world's recipe sets; empty for
+    any other name."""
+    rec = RECIPES.get(name)
+    if rec is None:
+        return {}
+    return dict(n_goals=rec.density_goals, inits_per_goal=rec.density_inits,
+                percentile=rec.density_percentile, max_regions=rec.max_regions,
+                region_threshold=rec.region_threshold)
 
 
 def select_regions(world: OccupancyWorld, density: np.ndarray,
@@ -139,25 +173,33 @@ def build_library(world: OccupancyWorld, kind: str,
     return density, library
 
 
+def library_cache_path(cache_dir: str, whash: str, kind: str,
+                       params: AbstractionParams) -> str:
+    """`library_<kind>_<digest>.json` in the world's cache directory; the
+    digest covers every AbstractionParams field, so changed settings miss."""
+    digest = hashlib.sha256(repr(params).encode()).hexdigest()[:12]
+    return os.path.join(artifacts.cache_dir_for(cache_dir, whash),
+                        f"library_{kind}_{digest}.json")
+
+
 def load_or_build_library(world: OccupancyWorld, kind: str,
                           params: AbstractionParams,
                           cache_dir: str | None) -> tuple[np.ndarray | None, OptionLibrary]:
-    """Abstraction construction is cached per (world, kind) when possible."""
+    """Abstraction construction is cached per (world, kind, params) when possible."""
     whash = world_hash(world)
+    path = None
     if cache_dir is not None:
-        path = os.path.join(artifacts.cache_dir_for(cache_dir, whash),
-                            f"library_{kind}.json")
+        path = library_cache_path(cache_dir, whash, kind, params)
         if os.path.exists(path):
             payload = artifacts.load_artifact(path, "option-library", whash)
             return None, artifacts.library_from_payload(payload, world)
     density, library = build_library(world, kind, params)
-    if cache_dir is not None:
-        base = artifacts.cache_dir_for(cache_dir, whash)
+    if path is not None:
+        base = os.path.dirname(path)
         os.makedirs(base, exist_ok=True)
         artifacts.save_artifact(os.path.join(base, "density.json"), "density-grid",
                                 whash, artifacts.density_payload(density))
-        artifacts.save_artifact(os.path.join(base, f"library_{kind}.json"),
-                                "option-library", whash,
+        artifacts.save_artifact(path, "option-library", whash,
                                 artifacts.library_payload(library))
     return density, library
 
@@ -174,7 +216,7 @@ class ExperimentSpec:
     seeds: list = field(default_factory=lambda: [0])
     abstraction: AbstractionParams = field(default_factory=AbstractionParams)
     train: TrainConfig = field(default_factory=desk_train_config)
-    stage_limit: int = 400
+    stage_limit: int = STAGE_LIMIT
     eval_episodes: int = 20
     goal_tol: float | None = None
     rrt: RrtParams = field(default_factory=RrtParams)
@@ -193,11 +235,7 @@ def spec_for_bundled(name: str, kind: str = "centroid",
     return ExperimentSpec(
         name=name, world=rec.build(), kind=kind,
         problems=rec.problem_configurations(), seeds=list(seeds),
-        abstraction=AbstractionParams(n_goals=rec.density_goals,
-                                      inits_per_goal=rec.density_inits,
-                                      percentile=rec.density_percentile,
-                                      max_regions=rec.max_regions,
-                                      region_threshold=rec.region_threshold),
+        abstraction=AbstractionParams(**recipe_params(name)),
         train=train if train is not None else desk_train_config())
 
 
@@ -241,8 +279,10 @@ def write_rows(rows, path: str) -> None:
 # -- the protocol ----------------------------------------------------------------------
 
 
-def _evaluate_composed(world, composed: ComposedPolicy, episodes: int,
-                       stage_limit: int, seed_key) -> tuple[float, float]:
+def evaluate_composed(world, composed: ComposedPolicy, episodes: int,
+                      stage_limit: int, seed_key) -> tuple[float, float]:
+    """Success rate and mean steps of the composed policy; episode ep runs on
+    derive_rng("exec", *seed_key, ep)."""
     wins = 0
     steps = []
     for ep in range(episodes):
@@ -251,6 +291,30 @@ def _evaluate_composed(world, composed: ComposedPolicy, episodes: int,
         wins += trace.outcome == "reached_goal"
         steps.append(trace.total_steps)
     return wins / episodes, float(np.mean(steps))
+
+
+def evaluate_rrt_replan(world, x_i, x_g, params: RrtParams, budget: int,
+                        episodes: int, seed_key) -> tuple[float, float]:
+    """Success rate and mean steps of replanning RRT execution; episode ep
+    runs on derive_rng("rrt", *seed_key, ep)."""
+    results = [execute_with_replan(world, x_i, x_g, params, budget,
+                                   derive_rng("rrt", *seed_key, ep))
+               for ep in range(episodes)]
+    return (sum(r.success for r in results) / episodes,
+            float(np.mean([r.steps for r in results])))
+
+
+def monolithic_baseline(world, x_i, x_g, train: TrainConfig, goal_tol,
+                        episodes: int, stage_limit: int, train_rng,
+                        eval_rng) -> tuple[float, float, int]:
+    """Train the flat policy, then roll it out greedily for at most
+    4 * stage_limit steps an episode; returns (success_rate, mean_steps,
+    training_steps)."""
+    policy, stats = train_monolithic_policy(world, x_i, x_g, train, train_rng,
+                                            goal_tol=goal_tol)
+    env = GoalEnv(world, x_i, x_g, 4 * stage_limit, goal_tol)
+    _, successes, steps = run_episodes(env, policy, episodes, eval_rng)
+    return sum(successes) / episodes, float(np.mean(steps)), stats.steps
 
 
 def run_experiment(spec: ExperimentSpec, cache_dir: str | None = None) -> list:
@@ -270,7 +334,7 @@ def run_experiment(spec: ExperimentSpec, cache_dir: str | None = None) -> list:
                 composed, stats = sharp_solve(world, x_i, x_g, library, cache,
                                               solve_cfg, derive_rng(
                                                   "solve", spec.name, seed, pi))
-                success, mean_steps = _evaluate_composed(
+                success, mean_steps = evaluate_composed(
                     world, composed, spec.eval_episodes, spec.stage_limit,
                     (spec.name, seed, pi))
                 budget = spec.stage_limit * len(composed.stages)
@@ -287,17 +351,11 @@ def run_experiment(spec: ExperimentSpec, cache_dir: str | None = None) -> list:
             if budget is None:
                 budget = spec.stage_limit * 4
             if spec.run_rrt_replan:
-                wins = 0
-                steps = []
-                for ep in range(spec.eval_episodes):
-                    res = execute_with_replan(world, x_i, x_g, spec.rrt, budget,
-                                              derive_rng("rrt", spec.name, seed,
-                                                         pi, ep))
-                    wins += res.success
-                    steps.append(res.steps)
-                rows.append(ResultRow(spec.name, pi, "rrt_replan", seed,
-                                      wins / spec.eval_episodes,
-                                      float(np.mean(steps)), 0, 0, 0))
+                success, mean_steps = evaluate_rrt_replan(
+                    world, x_i, x_g, spec.rrt, budget, spec.eval_episodes,
+                    (spec.name, seed, pi))
+                rows.append(ResultRow(spec.name, pi, "rrt_replan", seed, success,
+                                      mean_steps, 0, 0, 0))
             if spec.run_monolithic and (spec.monolithic_all_seeds
                                         or seed == spec.seeds[0]):
                 rows.append(_monolithic_row(spec, x_i, x_g, pi, seed,
@@ -313,26 +371,12 @@ def _monolithic_row(spec: ExperimentSpec, x_i, x_g, pi: int, seed: int,
     the hierarchical solve spent on this problem."""
     cfg = replace(spec.train, max_steps=max(budget_steps, spec.train.eval_every))
     try:
-        policy, stats = train_monolithic_policy(
-            spec.world, x_i, x_g, cfg,
-            derive_rng("monolithic", spec.name, seed, pi), goal_tol=spec.goal_tol)
-        rng = derive_rng("monoeval", spec.name, seed, pi)
-        goal_tol = spec.goal_tol if spec.goal_tol is not None else spec.world.cell_size
-        wins = 0
-        steps = []
-        from .world import step as world_step
-        limit = spec.stage_limit * 4
-        for ep in range(spec.eval_episodes):
-            c = x_i
-            n = 0
-            while c.distance_to(x_g) > goal_tol and n < limit:
-                c = world_step(spec.world, c, policy.act(spec.world, c), rng)
-                n += 1
-            wins += c.distance_to(x_g) <= goal_tol
-            steps.append(n)
-        return ResultRow(spec.name, pi, "monolithic", seed,
-                         wins / spec.eval_episodes, float(np.mean(steps)),
-                         stats.steps, 0, 0)
+        success, mean_steps, steps = monolithic_baseline(
+            spec.world, x_i, x_g, cfg, spec.goal_tol, spec.eval_episodes,
+            spec.stage_limit, derive_rng("monolithic", spec.name, seed, pi),
+            derive_rng("monoeval", spec.name, seed, pi))
+        return ResultRow(spec.name, pi, "monolithic", seed, success, mean_steps,
+                         steps, 0, 0)
     except SharpError as e:
         return ResultRow(spec.name, pi, "monolithic", seed, 0.0, 0.0, 0, 0, 0,
                          error=type(e).__name__)
@@ -415,21 +459,8 @@ def load_experiment_config(path: str, kind: str | None = None,
     world_ref = pop("world")
     if world_ref is None:
         raise ParseError("config must set world=<bundled name or file>")
-    recipe: WorldRecipe | None = None
-    if world_ref in RECIPES:
-        recipe = RECIPES[world_ref]
-        world = recipe.build()
-        name = world_ref
-    else:
-        with open(world_ref) as fh:
-            text = fh.read()
-        overrides = {}
-        sidecar = world_ref + ".cfg"
-        if os.path.exists(sidecar):
-            with open(sidecar) as fh:
-                overrides = parse_sidecar(fh.read())
-        world = world_from_text(text, **overrides)
-        name = os.path.splitext(os.path.basename(world_ref))[0]
+    world, name = load_world(world_ref)
+    recipe = RECIPES.get(world_ref)
 
     kind = kind or pop("kind", "centroid")
     if kind not in ("centroid", "interface"):
@@ -447,31 +478,17 @@ def load_experiment_config(path: str, kind: str | None = None,
     else:
         raise ParseError("non-bundled worlds need problem.N entries")
 
-    ab = AbstractionParams(
-        n_goals=int(pop("abstraction.n_goals",
-                        recipe.density_goals if recipe else 30)),
-        inits_per_goal=int(pop("abstraction.inits_per_goal",
-                               recipe.density_inits if recipe else 10)),
-        percentile=float(pop("abstraction.percentile",
-                             recipe.density_percentile if recipe else 96.0)),
-        min_cells=int(pop("abstraction.min_cells", 3)),
-        max_regions=(lambda v: None if v in (None, "none") else int(v))(
-            pop("abstraction.max_regions",
-                recipe.max_regions if recipe else None)),
-        region_threshold=(lambda v: None if v is None else float(v))(
-            pop("abstraction.region_threshold",
-                recipe.region_threshold if recipe else None)),
-        seed=int(pop("abstraction.seed", 0)))
+    parsers = {"n_goals": int, "inits_per_goal": int, "percentile": float,
+               "min_cells": int, "region_threshold": float, "seed": int,
+               "max_regions": lambda v: None if v == "none" else int(v)}
+    ab_over = {f: parse(v) for f, parse in parsers.items()
+               if (v := pop(f"abstraction.{f}")) is not None}
+    ab = AbstractionParams(**{**recipe_params(world_ref), **ab_over})
 
     profile = pop("train.profile", "desk")
-    if profile == "desk":
-        train = desk_train_config()
-    elif profile == "smoke":
-        train = smoke_train_config()
-    elif profile == "default":
-        train = TrainConfig()
-    else:
+    if profile not in TRAIN_PROFILES:
         raise ParseError(f"unknown train.profile {profile!r}")
+    train = TRAIN_PROFILES[profile]()
     train_over = {}
     for key in list(entries):
         if key.startswith("train."):
@@ -503,7 +520,7 @@ def load_experiment_config(path: str, kind: str | None = None,
     spec = ExperimentSpec(
         name=pop("name", name), world=world, kind=kind, problems=prob_list,
         seeds=list(seeds), abstraction=ab, train=train,
-        stage_limit=int(pop("stage_limit", 400)),
+        stage_limit=int(pop("stage_limit", STAGE_LIMIT)),
         eval_episodes=int(pop("eval_episodes", 20)),
         goal_tol=(lambda v: None if v is None else float(v))(pop("goal_tol")),
         run_rrt_replan="rrt_replan" in enabled,

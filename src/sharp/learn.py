@@ -10,7 +10,7 @@ interface for cheap smoke runs. Policies emit a waypoint displacement in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,9 +84,7 @@ def build_observation(world: OccupancyWorld, guide: OptionGuide,
     ex, ey = world.extent
     hx, hy = ex / 2.0, ey / 2.0
     xy = guide.point_array()
-    d2 = (xy[:, 0] - c.x) ** 2 + (xy[:, 1] - c.y) ** 2
-    i = int(np.argmin(d2))
-    px, py = xy[i]
+    px, py = xy[guide.nearest(c)[0]]
     gx, gy = xy[-1]
     parts = [c.x / hx - 1.0, c.y / hy - 1.0]
     if world.kinematics is Kinematics.UNICYCLE:
@@ -147,24 +145,6 @@ class Policy:
         u = (self.greedy_displacement(obs) if greedy
              else self.sample_displacement(obs, rng))
         return action_from_displacement(world, c, u, self.act_scale)
-
-
-class ScriptedPolicy:
-    """Oracle policy that tracks a fixed waypoint list; used as a test double."""
-
-    def __init__(self, waypoints, tol=0.5):
-        self.waypoints = list(waypoints)
-        self.tol = tol
-        self._next = 0
-
-    def reset(self):
-        self._next = 0
-
-    def act(self, world, c, greedy=True, rng=None):
-        while (self._next < len(self.waypoints) - 1
-               and c.distance_to(self.waypoints[self._next]) <= self.tol):
-            self._next += 1
-        return steer_toward(world, c, self.waypoints[self._next].xy)
 
 
 # -- environments -----------------------------------------------------------------
@@ -404,50 +384,51 @@ def _make_policy(world: OccupancyWorld, actor: Mlp, guide: OptionGuide) -> Polic
                   act_scale=displacement_scale(world))
 
 
-def _greedy_eval(env, policy: Policy, episodes: int, rng: np.random.Generator):
-    """Greedy rollouts; returns (mean_return, success_rate, success_steps)."""
-    returns = []
-    successes = 0
-    success_steps = []
+def run_episodes(env, policy: Policy, episodes: int, rng: np.random.Generator):
+    """Greedy rollouts of policy in env; returns per-episode lists
+    (returns, successes, steps). An episode whose start is already terminal
+    takes 0 steps and returns the guide's terminal reward if it succeeded."""
+    returns, successes, steps = [], [], []
     for _ in range(episodes):
-        obs, done, succ = env.reset(rng)
-        if done:
-            returns.append(env.guide.terminal_reward if succ else 0.0)
-            successes += succ
-            if succ:
-                success_steps.append(0)
-            continue
-        total = 0.0
-        steps = 0
-        while True:
+        obs, done, success = env.reset(rng)
+        total = env.guide.terminal_reward if success else 0.0
+        n = 0
+        truncated = False
+        while not (done or truncated):
             u = policy.greedy_displacement(obs)
-            obs, r, done, truncated, succ = env.step(u, rng)
+            obs, r, done, truncated, success = env.step(u, rng)
             total += r
-            steps += 1
-            if done or truncated:
-                break
+            n += 1
         returns.append(total)
-        if succ:
-            successes += 1
-            success_steps.append(steps)
-    return float(np.mean(returns)), successes / episodes, success_steps
+        successes.append(success)
+        steps.append(n)
+    return returns, successes, steps
+
+
+def _record_eval(env, policy: Policy, cfg: TrainConfig, stats: TrainStats,
+                 step_count: int, rng: np.random.Generator) -> float:
+    """Greedy evaluation logged into stats; returns the mean return."""
+    returns, successes, steps = run_episodes(env, policy, cfg.eval_episodes, rng)
+    mean_ret = float(np.mean(returns))
+    success = sum(successes) / cfg.eval_episodes
+    stats.evals.append((step_count, mean_ret, success))
+    stats.final_eval_return = mean_ret
+    stats.success_fraction = success
+    stats.final_success_steps = [n for n, ok in zip(steps, successes) if ok]
+    return mean_ret
 
 
 def _train_sac(env, cfg: TrainConfig, rng: np.random.Generator):
     world = env.world
     obs_dim = observation_dim(world)
     learner = SacLearner(obs_dim, 2, cfg, spawn(rng))
-    buffer = ReplayBuffer(cfg.replay_capacity, obs_dim, 2)
+    # one add per step, so a buffer of max_steps rows never wraps
+    buffer = ReplayBuffer(min(cfg.replay_capacity, cfg.max_steps), obs_dim, 2)
     policy = _make_policy(world, learner.actor, env.guide)
     stats = TrainStats()
 
     def gate(step_count: int) -> bool:
-        mean_ret, succ, succ_steps = _greedy_eval(env, policy, cfg.eval_episodes,
-                                                  spawn(rng))
-        stats.evals.append((step_count, mean_ret, succ))
-        stats.final_eval_return = mean_ret
-        stats.success_fraction = succ
-        stats.final_success_steps = succ_steps
+        mean_ret = _record_eval(env, policy, cfg, stats, step_count, spawn(rng))
         return mean_ret >= cfg.stop_avg_reward
 
     if gate(0):
@@ -503,22 +484,9 @@ def _train_cem(env, cfg: TrainConfig, rng: np.random.Generator):
     def run_candidate(vec) -> tuple[float, int]:
         net = template.copy()
         net.set_flat(vec)
-        cand = _make_policy(world, net, env.guide)
-        total = 0.0
-        used = 0
-        for _ in range(cfg.cem_episodes):
-            obs, done, succ = env.reset(rng)
-            if done:
-                total += env.guide.terminal_reward if succ else 0.0
-                continue
-            while True:
-                u = cand.greedy_displacement(obs)
-                obs, r, done, truncated, _ = env.step(u, rng)
-                total += r
-                used += 1
-                if done or truncated:
-                    break
-        return total / cfg.cem_episodes, used
+        returns, _, steps = run_episodes(env, _make_policy(world, net, env.guide),
+                                         cfg.cem_episodes, rng)
+        return sum(returns) / cfg.cem_episodes, sum(steps)
 
     for _ in range(cfg.cem_iters):
         if steps >= cfg.max_steps:
@@ -535,12 +503,7 @@ def _train_cem(env, cfg: TrainConfig, rng: np.random.Generator):
 
     template.set_flat(mean)
     stats.steps = steps
-    mean_ret, succ, succ_steps = _greedy_eval(env, policy, cfg.eval_episodes,
-                                              spawn(rng))
-    stats.evals.append((steps, mean_ret, succ))
-    stats.final_eval_return = mean_ret
-    stats.success_fraction = succ
-    stats.final_success_steps = succ_steps
+    mean_ret = _record_eval(env, policy, cfg, stats, steps, spawn(rng))
     stats.stopped_early = mean_ret >= cfg.stop_avg_reward
     return policy, stats
 
@@ -570,31 +533,3 @@ def train_monolithic_policy(world: OccupancyWorld, x_i: Configuration,
         raise ValueError("endpoints must be collision-free")
     env = GoalEnv(world, x_i, x_g, cfg.episode_limit, goal_tol=goal_tol)
     return _train(env, cfg, rng)
-
-
-def evaluate_policy(world: OccupancyWorld, policy, start, stop_predicate,
-                    episodes: int, step_limit: int, rng: np.random.Generator):
-    """Greedy rollouts from a Region or fixed Configuration until the stop
-    predicate holds; returns {"success_rate", "mean_steps"}."""
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
-    successes = 0
-    steps_taken = []
-    for _ in range(episodes):
-        if isinstance(start, Region):
-            c = _sample_in_region(world, start, rng)
-        else:
-            c = start
-        if hasattr(policy, "reset"):
-            policy.reset()
-        steps = 0
-        ok = stop_predicate(c)
-        while not ok and steps < step_limit:
-            a = policy.act(world, c, greedy=True)
-            c = step(world, c, a, rng)
-            steps += 1
-            ok = stop_predicate(c)
-        successes += ok
-        steps_taken.append(steps)
-    return {"success_rate": successes / episodes,
-            "mean_steps": float(np.mean(steps_taken))}

@@ -24,7 +24,6 @@ import numpy as np
 from .abstraction import Region, RegionVoronoi, centroid_region, interface_region
 from .errors import EmptyRegion, GuideUnreachable, InCollision, Unreachable
 from .motion import RrtParams, resample_polyline, rrt_plan, shortcut
-from .regions import CriticalRegion
 from .seeding import spawn
 from .world import Configuration, OccupancyWorld, collision
 
@@ -166,12 +165,18 @@ class OptionGuide:
             self._end_dist = np.hypot(xy[:, 0] - xy[-1, 0], xy[:, 1] - xy[-1, 1])
         return self._end_dist
 
+    def nearest(self, c: Configuration) -> tuple[int, float]:
+        """Index of the guide point closest to c (the lowest index on ties)
+        and its squared distance."""
+        xy = self.point_array()
+        d2 = (xy[:, 0] - c.x) ** 2 + (xy[:, 1] - c.y) ** 2
+        idx = int(np.argmin(d2))
+        return idx, float(d2[idx])
+
 
 def nearest_guide_point(guide: OptionGuide, c: Configuration) -> tuple[Configuration, int]:
     """Closest guide point by Euclidean distance; ties pick the lowest index."""
-    xy = guide.point_array()
-    d2 = (xy[:, 0] - c.x) ** 2 + (xy[:, 1] - c.y) ** 2
-    idx = int(np.argmin(d2))
+    idx, _ = guide.nearest(c)
     return guide.points[idx], idx
 
 
@@ -192,10 +197,8 @@ def pseudo_reward(guide: OptionGuide, rbvd: RegionVoronoi, c: Configuration) -> 
         return guide.terminal_reward
     if rbvd.state_id_of_cell(cell) not in guide.allowed_states:
         return guide.penalty_reward
-    xy = guide.point_array()
-    d2 = (xy[:, 0] - c.x) ** 2 + (xy[:, 1] - c.y) ** 2
-    idx = int(np.argmin(d2))
-    return -(math.sqrt(float(d2[idx])) + float(guide.end_distances()[idx]))
+    idx, d2 = guide.nearest(c)
+    return -(math.sqrt(d2) + float(guide.end_distances()[idx]))
 
 
 def _mask_of(rbvd: RegionVoronoi, allowed_states) -> set:

@@ -18,13 +18,13 @@ import numpy as np
 
 from .abstraction import Region, RegionVoronoi, centroid_region, interface_region
 from .errors import (DivergedTraining, EmptyLibrary, GuideUnreachable,
-                     NoAbstractPath, NoSuccessfulRollouts)
+                     NoAbstractPath, NoSuccessfulRollouts, OptionsDoNotChain)
 from .learn import TrainConfig, train_option_policy
 from .motion import RrtParams
 from .options import (OptionGuide, OptionKind, OptionSpec, build_guide,
                       compute_guide_path)
 from .seeding import derive_rng, spawn
-from .world import Configuration, OccupancyWorld, collision, step, world_hash
+from .world import Configuration, OccupancyWorld, step, world_hash
 
 ENTRY = "__entry__"
 EXIT = "__exit__"
@@ -134,12 +134,6 @@ def astar(edges, start, goal, heuristic):
                 counter += 1
                 heapq.heappush(open_heap, (cand + heuristic(dst), counter, dst))
     return None
-
-
-def dijkstra_cost(edges, start, goal):
-    """Oracle shortest-path cost with zero heuristic."""
-    res = astar(edges, start, goal, lambda n: 0.0)
-    return None if res is None else res[0]
 
 
 def _query_edges(graph: AbstractGraph, s_start: int, s_goal: int,
@@ -352,14 +346,6 @@ class SolveStats:
     reused_ids: list = field(default_factory=list)
 
 
-def _src_span(option: OptionSpec) -> tuple:
-    return option.states[:2] if option.kind == OptionKind.INTERFACE else option.states[:1]
-
-
-def _dst_span(option: OptionSpec) -> tuple:
-    return option.states[1:] if option.kind == OptionKind.INTERFACE else option.states[1:2]
-
-
 def _goal_region(world: OccupancyWorld, x_g: Configuration, tol: float) -> Region:
     cells = frozenset(c for c in map(tuple, world.free_cells())
                       if x_g.distance_to(world.cell_center(c)) < tol)
@@ -413,7 +399,7 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
     if plan:
         first = plan[0]
         entry_target = first.initiation
-        entry_allowed = frozenset({s_start} | set(_src_span(first)))
+        entry_allowed = frozenset({s_start} | set(first.src_states))
     else:
         middle = _middle_region(rbvd, library, s_start, s_goal)
         entry_target = middle
@@ -433,7 +419,7 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
 
     for i, option in enumerate(plan):
         if i > 0 and plan[i - 1].termination.cells != option.initiation.cells:
-            raise AssertionError(
+            raise OptionsDoNotChain(
                 f"options {plan[i-1].id} -> {option.id} do not chain")
         guide_rng = derive_rng("guide", whash, library.guide_seed, option.id)
         try:
@@ -470,7 +456,7 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
     # exit bridge from the last handoff region to the goal ball
     if plan:
         exit_start_region = plan[-1].termination
-        exit_allowed = frozenset({s_goal} | set(_dst_span(plan[-1])))
+        exit_allowed = frozenset({s_goal} | set(plan[-1].dst_states))
     else:
         exit_start_region = entry_target
         exit_allowed = entry_allowed

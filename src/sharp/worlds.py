@@ -10,7 +10,7 @@ later problems revisit earlier corridors).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,14 +177,6 @@ _register(WorldRecipe(
               ((3.25, 26.25), (26.25, 3.25)),
               ((2.75, 2.25), (26.25, 27.25))),
 ))
-
-
-def recipe(name: str) -> WorldRecipe:
-    try:
-        return RECIPES[name]
-    except KeyError:
-        raise KeyError(f"unknown bundled world {name!r}; "
-                       f"have {sorted(RECIPES)}") from None
 
 
 def bundled_names() -> list:

@@ -89,6 +89,30 @@ class TestPipelineCommands:
         assert result["success_rate"] > 0
 
 
+    def test_baseline_monolithic(self, tiny_world_file, capsys):
+        argv = ["baseline", "--world", tiny_world_file, "--method", "monolithic",
+                "--start", "1.5,1.5", "--goal", "8.5,1.5", "--profile", "smoke",
+                "--episodes", "3", "--budget", "600"]
+        outs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        result = json.loads(outs[0])
+        assert set(result) == {"method", "training_steps", "success_rate"}
+        assert result["method"] == "monolithic"
+        assert result["training_steps"] > 0
+        assert 0.0 <= result["success_rate"] <= 1.0
+
+    def test_library_cache_keyed_on_params(self, tmp_path, capsys):
+        cache = str(tmp_path / "cache")
+        printed = []
+        for n in ("2", "3", "2"):
+            assert main(["abstract", "--world", "env_a", "--max-regions", n,
+                         "--cache-dir", cache]) == 0
+            printed.append(capsys.readouterr().out.split(" abstract states")[0])
+        assert printed == ["2", "3", "2"]
+
 class TestExperimentCommand:
     def test_experiment_with_config(self, tiny_world_file, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from sharp.errors import ParseError
+from sharp import planner
 from sharp.experiment import (AbstractionParams, CSV_HEADER, ExperimentSpec,
                               ResultRow, build_library, emit_plot_data,
-                              load_experiment_config, rows_to_csv, run_experiment,
+                              library_cache_path, load_experiment_config,
+                              rows_to_csv, run_experiment,
                               select_regions, smoke_train_config, spec_for_bundled,
                               write_rows)
 from sharp.regions import collect_solution_density, extract_critical_regions
@@ -69,9 +71,23 @@ class TestRunExperiment:
         assert rows_to_csv(rows1) == rows_to_csv(rows2)
         from sharp.world import world_hash
         base = tmp_path / world_hash(spec.world)
-        assert (base / "library_centroid.json").exists()
+        path = library_cache_path(str(tmp_path), world_hash(spec.world),
+                                  "centroid", spec.abstraction)
+        assert os.path.dirname(path) == str(base)
+        assert os.path.basename(path).startswith("library_centroid_")
+        assert os.path.exists(path)
         assert (base / "cache_index.json").exists()
 
+
+    def test_non_chaining_plan_becomes_error_row(self, monkeypatch):
+        def broken_plan(graph, s_start, s_goal, goal_cfg):
+            option = graph.edges[s_start][0][1]
+            return [option, option]   # its termination is not its initiation
+
+        monkeypatch.setattr(planner, "plan_abstract", broken_plan)
+        rows = run_experiment(tiny_spec(run_monolithic=False))
+        assert [(r.method, r.error) for r in rows] == [
+            ("sharp", "OptionsDoNotChain"), ("rrt_replan", "")]
 
 class TestPlotData:
     def make_rows(self):

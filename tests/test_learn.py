@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from sharp import learn
 from sharp.abstraction import Region, build_region_voronoi
 from sharp.errors import DivergedTraining
-from sharp.learn import (GoalEnv, OptionEnv, Policy, ReplayBuffer, ScriptedPolicy,
-                         TrainConfig, build_observation, displacement_scale,
-                         evaluate_policy, observation_dim, train_monolithic_policy,
-                         train_option_policy)
+from sharp.learn import (GoalEnv, OptionEnv, Policy, ReplayBuffer, TrainConfig,
+                         build_observation, displacement_scale, observation_dim,
+                         run_episodes, train_monolithic_policy, train_option_policy)
 from sharp.mlp import init_mlp
 from sharp.motion import rrt_plan, shortcut
 from sharp.options import OptionGuide, compute_guide_path, synth_centroid_options
@@ -16,6 +16,7 @@ from sharp.world import (Configuration, HolonomicAction, Kinematics, UnicycleAct
                          collision, with_params)
 
 from conftest import grid_from_rows, open_world
+from helpers import ScriptedPolicy, evaluate_policy
 from test_abstraction import point_region
 
 
@@ -146,6 +147,32 @@ class TestReplayBuffer:
         assert set(rew) <= {5.0, 6.0, 7.0, 8.0}
 
 
+def immobile_policy(w, guide, rng):
+    actor = init_mlp(observation_dim(w), (4, 4), 4, rng)
+    for p in actor.parameters():
+        p[...] = 0.0
+    return Policy(actor=actor, guide=guide, extent=w.extent, unicycle=False,
+                  act_scale=displacement_scale(w))
+
+
+class TestRunEpisodes:
+    def test_terminal_start_takes_no_steps(self, rng):
+        w = open_world(10, 10)
+        env = GoalEnv(w, Configuration(5.2, 5.2), Configuration(5.4, 5.4),
+                      episode_limit=10)
+        policy = immobile_policy(w, env.guide, rng)
+        assert run_episodes(env, policy, 2, rng) == ([1000.0] * 2, [True] * 2,
+                                                     [0] * 2)
+
+    def test_stops_at_episode_limit(self, rng):
+        w = open_world(10, 10)
+        env = GoalEnv(w, Configuration(1.5, 1.5), Configuration(8.5, 8.5),
+                      episode_limit=7)
+        policy = immobile_policy(w, env.guide, rng)
+        assert run_episodes(env, policy, 3, rng) == ([-7.0] * 3, [False] * 3,
+                                                     [7] * 3)
+
+
 class TestTraining:
     def test_trivial_option_stops_at_first_gate(self, rng):
         w, rbvd, option, guide = two_state_setup()
@@ -189,6 +216,23 @@ class TestTraining:
         policy, stats = train_option_policy(w, guide, rbvd, TrainConfig(),
                                             np.random.default_rng(1))
         assert stats.success_fraction >= 0.8
+
+    def test_sac_buffer_has_at_most_max_steps_rows(self, monkeypatch):
+        rows = []
+
+        class Recording(ReplayBuffer):
+            def __init__(self, capacity, obs_dim, act_dim):
+                super().__init__(capacity, obs_dim, act_dim)
+                rows.append(len(self.obs))
+
+        monkeypatch.setattr(learn, "ReplayBuffer", Recording)
+        w, rbvd, option, guide = two_state_setup()
+        cfg = TrainConfig(max_steps=300, eval_every=300, eval_episodes=1,
+                          hidden=(8, 8), batch_size=16, start_steps=100,
+                          episode_limit=50)
+        assert cfg.replay_capacity > cfg.max_steps
+        train_option_policy(w, guide, rbvd, cfg, np.random.default_rng(0))
+        assert rows == [cfg.max_steps]
 
     def test_monolithic_degenerate_immediate(self):
         w = open_world(10, 10)

@@ -5,17 +5,18 @@ import pytest
 
 from sharp.abstraction import Region, build_region_voronoi
 from sharp.errors import (EmptyLibrary, NoAbstractPath, NoSuccessfulRollouts)
-from sharp.learn import ScriptedPolicy, TrainConfig
+from sharp.learn import TrainConfig
 from sharp.options import (OptionKind, OptionSpec, synth_centroid_options,
                            synth_interface_options)
 from sharp.planner import (AbstractGraph, CacheEntry, ComposedPolicy, OptionLibrary,
                            PolicyCache, SolveConfig, Stage, astar,
-                           build_abstract_graph, dijkstra_cost, execute_composed,
+                           build_abstract_graph, execute_composed,
                            guide_fingerprint, plan_abstract, sharp_solve,
                            update_option_cost)
 from sharp.world import Configuration
 
 from conftest import grid_from_rows, open_world
+from helpers import ScriptedPolicy, dijkstra_cost
 from test_abstraction import point_region
 from test_options import line_world_rbvd, triangle_rbvd
 
