@@ -9,6 +9,7 @@ and never leaves partial state behind.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -170,8 +171,6 @@ def _guide_from_payload(p: dict) -> OptionGuide:
 def save_policy(path: str, policy: Policy, world_hash: str) -> None:
     meta = {"world_hash": world_hash,
             "layers": list(policy.actor.layer_sizes),
-            "extent": list(policy.extent),
-            "unicycle": policy.unicycle,
             "act_scale": policy.act_scale,
             "guide": _guide_payload(policy.guide)}
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
@@ -216,7 +215,6 @@ def load_policy(path: str, world_hash: str | None = None) -> Policy:
                 raise ParseError(f"{path}: truncated parameter block")
             biases.append(np.frombuffer(bb, dtype="<f8").copy())
     return Policy(actor=Mlp(weights, biases), guide=_guide_from_payload(meta["guide"]),
-                  extent=tuple(meta["extent"]), unicycle=bool(meta["unicycle"]),
                   act_scale=float(meta["act_scale"]))
 
 
@@ -228,19 +226,16 @@ def cache_dir_for(root: str, world_hash: str) -> str:
 
 
 def save_cache(root: str, world_hash: str, cache: PolicyCache) -> None:
-    """Write every cache entry as a policy file plus a JSON index."""
+    """Write every cache entry as a policy file plus a JSON index that maps
+    each opaque key to its file; the file is named by the key's digest."""
     base = cache_dir_for(root, world_hash)
     os.makedirs(os.path.join(base, "policies"), exist_ok=True)
     index = {}
-    for (whash, option_id, guide_hash), entry in sorted(cache.items(),
-                                                        key=lambda kv: kv[0]):
-        if whash != world_hash:
-            continue
-        fname = f"{option_id.replace('/', '_')}_{guide_hash}.pol"
+    for key, entry in cache.items():
+        fname = hashlib.sha256(key.encode()).hexdigest()[:16] + ".pol"
         save_policy(os.path.join(base, "policies", fname), entry.policy, world_hash)
-        index[f"{option_id}|{guide_hash}"] = {
-            "file": fname, "cost": entry.cost,
-            "training_steps": entry.training_steps}
+        index[key] = {"file": fname, "cost": entry.cost,
+                      "training_steps": entry.training_steps}
     save_artifact(os.path.join(base, "cache_index.json"), "policy-cache",
                   world_hash, {"entries": index})
 
@@ -254,9 +249,7 @@ def load_cache(root: str, world_hash: str) -> PolicyCache:
         return cache
     payload = load_artifact(index_path, "policy-cache", world_hash)
     for key, item in payload["entries"].items():
-        option_id, guide_hash = key.split("|")
         policy = load_policy(os.path.join(base, "policies", item["file"]), world_hash)
-        cache.put((world_hash, option_id, guide_hash),
-                  CacheEntry(policy=policy, cost=float(item["cost"]),
-                             training_steps=int(item["training_steps"])))
+        cache.put(key, CacheEntry(policy=policy, cost=float(item["cost"]),
+                                  training_steps=int(item["training_steps"])))
     return cache

@@ -14,11 +14,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
-from . import artifacts
+from . import artifacts, settings
 from .abstraction import render_assignment
-from .errors import SharpError
+from .errors import ParseError, SharpError
 from .experiment import (CSV_HEADER, STAGE_LIMIT, TRAIN_PROFILES, AbstractionParams,
                          ResultRow, emit_plot_data, evaluate_composed,
                          evaluate_rrt_replan, load_experiment_config,
@@ -34,15 +34,21 @@ from .world import (Configuration, Kinematics, world_hash, world_to_text,
 from .worlds import RECIPES, bundled_names
 
 
+# AbstractionParams fields with a --<field> flag; the seed comes from --seed
+ABSTRACTION_FLAGS = [f.name for f in fields(AbstractionParams) if f.name != "seed"]
+
+
+def _flag(fieldname: str) -> str:
+    return "--" + fieldname.replace("_", "-")
+
+
 def _abstraction_params(args, name: str) -> AbstractionParams:
-    overrides = {k: v for k, v in (
-        ("n_goals", getattr(args, "n_goals", None)),
-        ("inits_per_goal", getattr(args, "inits_per_goal", None)),
-        ("percentile", getattr(args, "percentile", None)),
-        ("min_cells", getattr(args, "min_cells", None)),
-        ("max_regions", getattr(args, "max_regions", None)),
-    ) if v is not None}
-    return AbstractionParams(seed=args.seed, **{**recipe_params(name), **overrides})
+    params = AbstractionParams(seed=args.seed, **recipe_params(name))
+    for fieldname in ABSTRACTION_FLAGS:
+        text = getattr(args, fieldname)
+        if text is not None:
+            params = settings.override(params, fieldname, text, _flag(fieldname))
+    return params
 
 
 def _cache_dir(args) -> str | None:
@@ -52,12 +58,13 @@ def _cache_dir(args) -> str | None:
 
 
 def _parse_xy(text: str, theta: float | None = None) -> Configuration:
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) == 2:
-        return Configuration(parts[0], parts[1], theta)
-    if len(parts) == 3:
-        return Configuration(parts[0], parts[1], parts[2])
-    raise ValueError(f"expected x,y or x,y,theta, got {text!r}")
+    try:
+        parts = [float(v) for v in text.split(",")]
+    except ValueError:
+        parts = None
+    if parts is None or len(parts) not in (2, 3):
+        raise ParseError(f"expected x,y or x,y,theta, got {text!r}")
+    return Configuration(parts[0], parts[1], parts[2] if len(parts) == 3 else theta)
 
 
 def cmd_worlds(args) -> int:
@@ -127,12 +134,12 @@ def cmd_options(args) -> int:
 
 def cmd_solve(args) -> int:
     world, name = load_world(args.world)
-    params = _abstraction_params(args, name)
-    cache_dir = _cache_dir(args)
-    _, library = load_or_build_library(world, args.kind, params, cache_dir)
     theta = 0.0 if world.kinematics is Kinematics.UNICYCLE else None
     x_i = _parse_xy(args.start, theta)
     x_g = _parse_xy(args.goal)
+    params = _abstraction_params(args, name)
+    cache_dir = _cache_dir(args)
+    _, library = load_or_build_library(world, args.kind, params, cache_dir)
     train = TRAIN_PROFILES[args.profile]()
     cache = PolicyCache()
     whash = world_hash(world)
@@ -178,17 +185,15 @@ def cmd_baseline(args) -> int:
 
 def cmd_experiment(args) -> int:
     if args.config:
-        spec = load_experiment_config(args.config, kind=args.kind,
-                                      seeds=[int(s) for s in args.seed_list.split(",")]
-                                      if args.seed_list else None)
+        spec = load_experiment_config(args.config)
+    elif args.world in RECIPES:
+        spec = spec_for_bundled(args.world, train=TRAIN_PROFILES[args.profile]())
     else:
-        if args.world not in RECIPES:
-            raise SharpError("without --config, --world must name a bundled map")
-        seeds = ([int(s) for s in args.seed_list.split(",")]
-                 if args.seed_list else [0])
-        train = TRAIN_PROFILES[args.profile]()
-        spec = spec_for_bundled(args.world, kind=args.kind or "centroid",
-                                seeds=seeds, train=train)
+        raise SharpError("without --config, --world must name a bundled map")
+    if args.kind:
+        spec.kind = args.kind
+    if args.seed_list:
+        spec = settings.override(spec, "seeds", args.seed_list, "--seeds")
     rows = run_experiment(spec, cache_dir=_cache_dir(args))
     if args.out:
         write_rows(rows, args.out)
@@ -233,11 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-dir", default=None,
                        help="artifact cache (default $SHARP_CACHE_DIR)")
         if abstraction:
-            p.add_argument("--n-goals", type=int, default=None)
-            p.add_argument("--inits-per-goal", type=int, default=None)
-            p.add_argument("--percentile", type=float, default=None)
-            p.add_argument("--min-cells", type=int, default=None)
-            p.add_argument("--max-regions", type=int, default=None)
+            for fieldname in ABSTRACTION_FLAGS:
+                p.add_argument(_flag(fieldname), default=None,
+                               help=f"AbstractionParams.{fieldname}")
 
     p = sub.add_parser("worlds", help="list or export the bundled worlds")
     p.add_argument("--export", default=None, help="write .txt/.cfg files here")

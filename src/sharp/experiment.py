@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import hashlib
 import io
 import logging
 import os
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import artifacts
+from . import artifacts, settings
 from .abstraction import build_region_voronoi, geodesic_distances
 from .errors import NoRegions, ParseError, SharpError
 from .learn import GoalEnv, TrainConfig, run_episodes, train_monolithic_policy
@@ -59,7 +58,6 @@ class AbstractionParams:
     min_cells: int = 3
     max_regions: int | None = None
     region_threshold: float | None = None  # endpoint ball radius; default 2 cells
-    guide_spacing: float | None = None     # default 1 cell
     seed: int = 0
 
 
@@ -84,30 +82,32 @@ TRAIN_PROFILES = {"desk": desk_train_config, "smoke": smoke_train_config,
                   "default": TrainConfig}
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as e:
+        raise SharpError(f"cannot read {path}: {e.strerror}") from None
+
+
 def load_world(ref: str) -> tuple[OccupancyWorld, str]:
     """A bundled world by name, or a world text file (its sidecar
     `<file>.cfg` applies when present) named after the file's stem."""
     if ref in RECIPES:
         return RECIPES[ref].build(), ref
-    with open(ref) as fh:
-        text = fh.read()
+    text = _read_text(ref)
     overrides = {}
     if os.path.exists(ref + ".cfg"):
-        with open(ref + ".cfg") as fh:
-            overrides = parse_sidecar(fh.read())
+        overrides = parse_sidecar(_read_text(ref + ".cfg"))
     name = os.path.splitext(os.path.basename(ref))[0]
     return world_from_text(text, **overrides), name
 
 
 def recipe_params(name: str) -> dict:
-    """The AbstractionParams fields a bundled world's recipe sets; empty for
+    """The AbstractionParams overrides of a bundled world's recipe; empty for
     any other name."""
     rec = RECIPES.get(name)
-    if rec is None:
-        return {}
-    return dict(n_goals=rec.density_goals, inits_per_goal=rec.density_inits,
-                percentile=rec.density_percentile, max_regions=rec.max_regions,
-                region_threshold=rec.region_threshold)
+    return dict(rec.abstraction) if rec is not None else {}
 
 
 def select_regions(world: OccupancyWorld, density: np.ndarray,
@@ -164,11 +164,8 @@ def build_library(world: OccupancyWorld, kind: str,
     t = params.region_threshold
     if t is None:
         t = 2.0 * world.cell_size
-    spacing = params.guide_spacing
-    if spacing is None:
-        spacing = world.cell_size
     options = synth_options(rbvd, kind, t)
-    library = OptionLibrary(kind=kind, threshold=t, guide_spacing=spacing,
+    library = OptionLibrary(kind=kind, threshold=t, guide_spacing=world.cell_size,
                             guide_seed=params.seed, options=options, rbvd=rbvd)
     return density, library
 
@@ -177,9 +174,8 @@ def library_cache_path(cache_dir: str, whash: str, kind: str,
                        params: AbstractionParams) -> str:
     """`library_<kind>_<digest>.json` in the world's cache directory; the
     digest covers every AbstractionParams field, so changed settings miss."""
-    digest = hashlib.sha256(repr(params).encode()).hexdigest()[:12]
     return os.path.join(artifacts.cache_dir_for(cache_dir, whash),
-                        f"library_{kind}_{digest}.json")
+                        f"library_{kind}_{settings.digest(params)}.json")
 
 
 def load_or_build_library(world: OccupancyWorld, kind: str,
@@ -195,10 +191,7 @@ def load_or_build_library(world: OccupancyWorld, kind: str,
             return None, artifacts.library_from_payload(payload, world)
     density, library = build_library(world, kind, params)
     if path is not None:
-        base = os.path.dirname(path)
-        os.makedirs(base, exist_ok=True)
-        artifacts.save_artifact(os.path.join(base, "density.json"), "density-grid",
-                                whash, artifacts.density_payload(density))
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         artifacts.save_artifact(path, "option-library", whash,
                                 artifacts.library_payload(library))
     return density, library
@@ -213,7 +206,7 @@ class ExperimentSpec:
     world: OccupancyWorld
     kind: str
     problems: list                      # (Configuration, Configuration) pairs
-    seeds: list = field(default_factory=lambda: [0])
+    seeds: list[int] = field(default_factory=lambda: [0])
     abstraction: AbstractionParams = field(default_factory=AbstractionParams)
     train: TrainConfig = field(default_factory=desk_train_config)
     stage_limit: int = STAGE_LIMIT
@@ -227,6 +220,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.problems:
             raise ValueError("an experiment needs at least one problem")
+        if self.kind not in ("centroid", "interface"):
+            raise ValueError(f"kind must be centroid or interface, got {self.kind!r}")
 
 
 def spec_for_bundled(name: str, kind: str = "centroid",
@@ -425,31 +420,38 @@ def _parse_pair(value: str):
     return (x1, y1), (x2, y2)
 
 
-def load_experiment_config(path: str, kind: str | None = None,
-                           seeds=None) -> ExperimentSpec:
+# top-level config keys, each setting the ExperimentSpec field of that name
+SPEC_KEYS = ("name", "kind", "seeds", "stage_limit", "eval_episodes", "goal_tol",
+             "monolithic_all_seeds")
+
+
+def load_experiment_config(path: str) -> ExperimentSpec:
     """Build an ExperimentSpec from a flat key=value file.
 
     `world` names a bundled map or a world text file (sidecar `<file>.cfg`
-    applies when present); bundled maps supply default problems and
-    abstraction settings which later keys may override.
+    applies when present); bundled maps supply default problems and their
+    recipe's abstraction settings. `problem.<n> = x1,y1 -> x2,y2` adds a
+    problem, `train.profile` names the base TrainConfig in TRAIN_PROFILES and
+    `baselines` lists the enabled baselines. Every other key sets one field,
+    parsed by its type (optional fields accept `none`): `abstraction.<field>`
+    of AbstractionParams, `train.<field>` of TrainConfig, or a SPEC_KEYS field.
     """
     entries: dict = {}
     problems: dict = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected key=value, got {line!r}", line=lineno)
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key.startswith("problem."):
-                try:
-                    problems[int(key.split(".", 1)[1])] = _parse_pair(value)
-                except ValueError as e:
-                    raise ParseError(str(e), line=lineno) from None
-            else:
-                entries[key] = (value, lineno)
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"expected key=value, got {line!r}", line=lineno)
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key.startswith("problem."):
+            try:
+                problems[int(key.split(".", 1)[1])] = _parse_pair(value)
+            except ValueError as e:
+                raise ParseError(str(e), line=lineno) from None
+        else:
+            entries[key] = (value, lineno)
 
     def pop(key, default=None):
         if key in entries:
@@ -462,12 +464,6 @@ def load_experiment_config(path: str, kind: str | None = None,
     world, name = load_world(world_ref)
     recipe = RECIPES.get(world_ref)
 
-    kind = kind or pop("kind", "centroid")
-    if kind not in ("centroid", "interface"):
-        raise ParseError(f"kind must be centroid or interface, got {kind!r}")
-    if seeds is None:
-        seeds = [int(s) for s in pop("seeds", "0").split(",")]
-
     if problems:
         theta = 0.0 if world.kinematics is Kinematics.UNICYCLE else None
         prob_list = [(Configuration(*problems[k][0], theta),
@@ -478,38 +474,9 @@ def load_experiment_config(path: str, kind: str | None = None,
     else:
         raise ParseError("non-bundled worlds need problem.N entries")
 
-    parsers = {"n_goals": int, "inits_per_goal": int, "percentile": float,
-               "min_cells": int, "region_threshold": float, "seed": int,
-               "max_regions": lambda v: None if v == "none" else int(v)}
-    ab_over = {f: parse(v) for f, parse in parsers.items()
-               if (v := pop(f"abstraction.{f}")) is not None}
-    ab = AbstractionParams(**{**recipe_params(world_ref), **ab_over})
-
     profile = pop("train.profile", "desk")
     if profile not in TRAIN_PROFILES:
         raise ParseError(f"unknown train.profile {profile!r}")
-    train = TRAIN_PROFILES[profile]()
-    train_over = {}
-    for key in list(entries):
-        if key.startswith("train."):
-            fieldname = key.split(".", 1)[1]
-            value, lineno = entries.pop(key)
-            if fieldname in ("hidden", "cem_hidden"):
-                train_over[fieldname] = tuple(int(v) for v in value.split(","))
-            elif fieldname in ("learner",):
-                train_over[fieldname] = value
-            elif fieldname in ("max_steps", "eval_every", "eval_episodes",
-                               "batch_size", "replay_capacity", "episode_limit",
-                               "start_steps", "update_every", "updates_per_round",
-                               "cem_population", "cem_iters", "cem_episodes"):
-                train_over[fieldname] = int(value)
-            else:
-                try:
-                    train_over[fieldname] = float(value)
-                except ValueError:
-                    raise ParseError(f"bad train key {key}", line=lineno) from None
-    if train_over:
-        train = replace(train, **train_over)
 
     baselines = pop("baselines", "rrt_replan,monolithic")
     enabled = {b.strip() for b in baselines.split(",") if b.strip()}
@@ -518,15 +485,18 @@ def load_experiment_config(path: str, kind: str | None = None,
         raise ParseError(f"unknown baselines {sorted(unknown)}")
 
     spec = ExperimentSpec(
-        name=pop("name", name), world=world, kind=kind, problems=prob_list,
-        seeds=list(seeds), abstraction=ab, train=train,
-        stage_limit=int(pop("stage_limit", STAGE_LIMIT)),
-        eval_episodes=int(pop("eval_episodes", 20)),
-        goal_tol=(lambda v: None if v is None else float(v))(pop("goal_tol")),
+        name=name, world=world, kind="centroid", problems=prob_list,
+        abstraction=AbstractionParams(**recipe_params(world_ref)),
+        train=TRAIN_PROFILES[profile](),
         run_rrt_replan="rrt_replan" in enabled,
-        run_monolithic="monolithic" in enabled,
-        monolithic_all_seeds=pop("monolithic_all_seeds", "false") == "true")
-    if entries:
-        key, (_, lineno) = next(iter(entries.items()))
-        raise ParseError(f"unknown config key {key!r}", line=lineno)
+        run_monolithic="monolithic" in enabled)
+    for key, (value, lineno) in entries.items():
+        group, _, fieldname = key.rpartition(".")
+        if group in ("abstraction", "train"):
+            setattr(spec, group, settings.override(getattr(spec, group),
+                                                   fieldname, value, key, lineno))
+        elif key in SPEC_KEYS:
+            spec = settings.override(spec, key, value, key, lineno)
+        else:
+            raise ParseError(f"unknown config key {key!r}", line=lineno)
     return spec

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .abstraction import Region, RegionVoronoi
-from .errors import DivergedTraining
+from .errors import DivergedTraining, InCollision
 from .mlp import Adam, Mlp, init_mlp, mlp_backward, mlp_forward, mlp_forward_cached
 from .options import OptionGuide, pseudo_reward
 from .seeding import spawn
@@ -61,6 +61,10 @@ class TrainConfig:
                      "replay_capacity", "episode_limit"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.learner not in ("sac", "cem"):
+            raise ValueError(f"unknown learner {self.learner!r}")
+        if len(self.hidden) != 2 or len(self.cem_hidden) != 2:
+            raise ValueError("hidden and cem_hidden must give two layer sizes")
 
 
 @dataclass
@@ -121,8 +125,6 @@ class Policy:
 
     actor: Mlp
     guide: OptionGuide
-    extent: tuple
-    unicycle: bool
     act_scale: float
 
     def _heads(self, obs: np.ndarray):
@@ -379,9 +381,7 @@ class SacLearner:
 
 
 def _make_policy(world: OccupancyWorld, actor: Mlp, guide: OptionGuide) -> Policy:
-    return Policy(actor=actor, guide=guide, extent=world.extent,
-                  unicycle=world.kinematics is Kinematics.UNICYCLE,
-                  act_scale=displacement_scale(world))
+    return Policy(actor=actor, guide=guide, act_scale=displacement_scale(world))
 
 
 def run_episodes(env, policy: Policy, episodes: int, rng: np.random.Generator):
@@ -511,9 +511,7 @@ def _train_cem(env, cfg: TrainConfig, rng: np.random.Generator):
 def _train(env, cfg: TrainConfig, rng: np.random.Generator):
     if cfg.learner == "sac":
         return _train_sac(env, cfg, rng)
-    if cfg.learner == "cem":
-        return _train_cem(env, cfg, rng)
-    raise ValueError(f"unknown learner {cfg.learner!r}")
+    return _train_cem(env, cfg, rng)
 
 
 def train_option_policy(world: OccupancyWorld, guide: OptionGuide,
@@ -530,6 +528,6 @@ def train_monolithic_policy(world: OccupancyWorld, x_i: Configuration,
                             goal_tol: float | None = None):
     """Flat baseline: one policy from x_i to x_g with terminal +1000, step -1."""
     if collision(world, x_i) or collision(world, x_g):
-        raise ValueError("endpoints must be collision-free")
+        raise InCollision("endpoints must be collision-free")
     env = GoalEnv(world, x_i, x_g, cfg.episode_limit, goal_tol=goal_tol)
     return _train(env, cfg, rng)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import settings
 from .abstraction import Region, RegionVoronoi, centroid_region, interface_region
 from .errors import (DivergedTraining, EmptyLibrary, GuideUnreachable,
                      NoAbstractPath, NoSuccessfulRollouts, OptionsDoNotChain)
@@ -46,12 +47,6 @@ class OptionLibrary:
     options: list
     rbvd: RegionVoronoi
 
-    def by_id(self, option_id: str) -> OptionSpec:
-        for o in self.options:
-            if o.id == option_id:
-                return o
-        raise KeyError(option_id)
-
 
 def guide_fingerprint(guide: OptionGuide) -> str:
     h = hashlib.sha256()
@@ -78,9 +73,6 @@ class AbstractGraph:
     edges: dict            # node -> list of (dst_node, OptionSpec)
     positions: dict        # node -> (x, y) used by the heuristic
     state_positions: dict  # state id -> anchor centroid (x, y)
-
-    def nodes(self):
-        return sorted(self.edges.keys(), key=str)
 
 
 def build_abstract_graph(rbvd: RegionVoronoi, options: list) -> AbstractGraph:
@@ -228,8 +220,10 @@ class CacheEntry:
 
 
 class PolicyCache:
-    """Keyed by (world hash, option id, guide fingerprint); in-memory store
-    with optional persistence handled by the artifacts module."""
+    """In-memory store of one world's trained policies, with optional
+    persistence handled by the artifacts module. Keys are opaque strings
+    built by sharp_solve from the world hash, the option id, the guide
+    fingerprint and the TrainConfig digest."""
 
     def __init__(self):
         self._store: dict = {}
@@ -273,7 +267,6 @@ class ComposedPolicy:
 
 @dataclass
 class ExecutionTrace:
-    configurations: list
     stage_steps: list
     outcome: str                 # "reached_goal" | "stage_timeout" | "budget"
     timeout_stage: int | None = None
@@ -292,7 +285,6 @@ def execute_composed(world: OccupancyWorld, composed: ComposedPolicy,
     initiation region; the final bridge runs until the goal tolerance is met.
     """
     c = composed.x_start
-    configs = [c]
     stage_steps = []
     total = 0
     for idx, stage in enumerate(composed.stages):
@@ -309,17 +301,16 @@ def execute_composed(world: OccupancyWorld, composed: ComposedPolicy,
         while not done():
             if used >= per_stage_limit:
                 stage_steps.append(used)
-                return ExecutionTrace(configs, stage_steps, "stage_timeout", idx)
+                return ExecutionTrace(stage_steps, "stage_timeout", idx)
             if total_budget is not None and total >= total_budget:
                 stage_steps.append(used)
-                return ExecutionTrace(configs, stage_steps, "budget", idx)
+                return ExecutionTrace(stage_steps, "budget", idx)
             a = stage.policy.act(world, c, greedy=True)
             c = step(world, c, a, rng)
-            configs.append(c)
             used += 1
             total += 1
         stage_steps.append(used)
-    return ExecutionTrace(configs, stage_steps, "reached_goal")
+    return ExecutionTrace(stage_steps, "reached_goal")
 
 
 # -- solve ---------------------------------------------------------------------------
@@ -341,9 +332,6 @@ class SolveStats:
     options_trained: int = 0
     options_reused: int = 0
     training_steps: int = 0          # new environment steps spent training
-    bridge_steps: int = 0
-    trained_ids: list = field(default_factory=list)
-    reused_ids: list = field(default_factory=list)
 
 
 def _goal_region(world: OccupancyWorld, x_g: Configuration, tol: float) -> Region:
@@ -376,9 +364,9 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
 
     The entry bridge takes the robot from x_i into the first initiation set;
     each option policy is fetched from the cache when its (world, option,
-    guide) key matches, otherwise trained and its cost replaced by the mean
-    successful rollout length; the exit bridge runs from the last termination
-    set to the goal tolerance ball.
+    guide, TrainConfig) key matches, otherwise trained and its cost replaced
+    by the mean successful rollout length; the exit bridge runs from the last
+    termination set to the goal tolerance ball.
     """
     rbvd = library.rbvd
     whash = world_hash(world)
@@ -411,7 +399,6 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
                               entry_target, entry_allowed, library.guide_spacing,
                               bridge_rng, cfg.guide_params)
     entry_policy, entry_stats = _train_guide(world, rbvd, entry_guide, cfg, spawn(rng))
-    stats.bridge_steps += entry_stats.steps
     stats.training_steps += entry_stats.steps
 
     stages = [Stage(label="bridge_in", policy=entry_policy,
@@ -427,14 +414,14 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
                                        guide_rng, cfg.guide_params)
         except GuideUnreachable as e:
             raise GuideUnreachable(f"option {option.id}: {e}") from e
-        key = (whash, option.id, guide_fingerprint(guide))
+        key = (f"{whash}/{option.id}/{guide_fingerprint(guide)}/"
+               f"{settings.digest(cfg.train)}")
         entry = cache.get(key)
         if entry is not None:
             option.policy = entry.policy
             option.cost = entry.cost
             option.cost_updated = True
             stats.options_reused += 1
-            stats.reused_ids.append(option.id)
         else:
             try:
                 policy, tstats = _train_guide(world, rbvd, guide, cfg, spawn(rng))
@@ -442,7 +429,6 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
                 raise DivergedTraining(f"option {option.id}: {e}") from e
             option.policy = policy
             stats.options_trained += 1
-            stats.trained_ids.append(option.id)
             stats.training_steps += tstats.steps
             if tstats.final_success_steps:
                 update_option_cost(option, tstats.final_success_steps)
@@ -466,7 +452,6 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
                              goal_region, exit_allowed, library.guide_spacing,
                              spawn(rng), cfg.guide_params)
     exit_policy, exit_stats = _train_guide(world, rbvd, exit_guide, cfg, spawn(rng))
-    stats.bridge_steps += exit_stats.steps
     stats.training_steps += exit_stats.steps
     stages.append(Stage(label="bridge_out", policy=exit_policy,
                         advance_cells=goal_region.cells))

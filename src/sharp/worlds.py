@@ -3,14 +3,14 @@
 Four 30x30 maps (rooms and corridors at 0.5 m cells, 15 m across) and one
 60x60 map exercise the pipeline at two scales. Geometry is built
 programmatically so the text exports are bit-exact; each world carries a
-per-world recipe (density percentile, region cap, bundled problems chosen so
-later problems revisit earlier corridors).
+per-world recipe (AbstractionParams overrides such as the region cap, and
+bundled problems chosen so later problems revisit earlier corridors).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,11 +101,7 @@ class WorldRecipe:
     max_step: float = 0.5
     v_max: float = 0.5
     omega_max: float = math.pi / 4.0
-    density_goals: int = 30
-    density_inits: int = 10
-    density_percentile: float = 96.0
-    max_regions: int | None = 4
-    region_threshold: float = 1.0     # endpoint ball radius, meters
+    abstraction: dict = field(default_factory=dict)  # AbstractionParams overrides
     problems: tuple = ()              # ((x_i, y_i), (x_g, y_g)) pairs, meters
 
     def build(self) -> OccupancyWorld:
@@ -133,6 +129,7 @@ def _register(recipe: WorldRecipe) -> None:
 
 _register(WorldRecipe(
     name="env_a", builder=_env_a,
+    abstraction=dict(max_regions=4, region_threshold=1.0),
     problems=(((1.25, 1.25), (13.75, 13.75)),
               ((2.25, 1.25), (13.25, 12.25)),
               ((1.25, 13.75), (13.75, 1.25)),
@@ -142,6 +139,7 @@ _register(WorldRecipe(
 
 _register(WorldRecipe(
     name="env_b", builder=_env_b,
+    abstraction=dict(max_regions=4, region_threshold=1.0),
     problems=(((2.25, 2.25), (13.25, 2.25)),
               ((1.75, 4.25), (12.75, 3.25)),
               ((2.25, 13.25), (13.25, 2.75)),
@@ -151,6 +149,7 @@ _register(WorldRecipe(
 
 _register(WorldRecipe(
     name="env_c", builder=_env_c,
+    abstraction=dict(max_regions=4, region_threshold=1.0),
     problems=(((1.25, 1.25), (13.75, 13.75)),
               ((2.75, 1.75), (12.25, 12.75)),
               ((1.25, 13.75), (13.75, 1.25)),
@@ -160,7 +159,7 @@ _register(WorldRecipe(
 
 _register(WorldRecipe(
     name="env_d", builder=_env_d, kinematics=Kinematics.UNICYCLE,
-    max_regions=3,
+    abstraction=dict(max_regions=3, region_threshold=1.0),
     problems=(((1.25, 1.25), (13.75, 13.75)),
               ((3.25, 2.25), (12.25, 13.25)),
               ((1.75, 3.25), (13.25, 12.25)),
@@ -169,8 +168,8 @@ _register(WorldRecipe(
 ))
 
 _register(WorldRecipe(
-    name="env_e", builder=_env_e, max_regions=12,
-    density_goals=40, density_inits=10,
+    name="env_e", builder=_env_e,
+    abstraction=dict(n_goals=40, max_regions=12, region_threshold=1.0),
     problems=(((2.25, 2.25), (27.75, 27.75)),
               ((3.75, 2.75), (26.75, 26.25)),
               ((2.25, 27.75), (27.75, 2.25)),

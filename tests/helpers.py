@@ -1,5 +1,7 @@
 """Test doubles and oracles shared by the test modules."""
 
+import typing
+
 import numpy as np
 
 from sharp.abstraction import Region
@@ -57,3 +59,17 @@ def dijkstra_cost(edges, start, goal):
     """Oracle shortest-path cost with zero heuristic."""
     res = astar(edges, start, goal, lambda n: 0.0)
     return None if res is None else res[0]
+
+
+def sample_setting(cls, f):
+    """(text, value): a config text for field f of settings dataclass cls
+    that the dataclass accepts, and the value it parses to; the value differs
+    from the field's default."""
+    if f.name == "learner":
+        return "cem", "cem"
+    tp = typing.get_type_hints(cls)[f.name]
+    base = next(a for a in typing.get_args(tp) or (tp,) if a is not type(None))
+    if base is tuple:
+        return "3,5", (3, 5)
+    value = base((f.default or 0) + 3)
+    return str(value), value

@@ -1,4 +1,6 @@
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -102,8 +104,7 @@ def make_policy(w, rng):
     guide.initiation = Region(frozenset([(2, 2)]), Configuration(1.25, 1.25))
     guide.termination = Region(frozenset([(9, 9)]), Configuration(4.75, 4.75))
     actor = init_mlp(observation_dim(w), (6, 6), 4, rng)
-    return Policy(actor=actor, guide=guide, extent=w.extent, unicycle=False,
-                  act_scale=displacement_scale(w))
+    return Policy(actor=actor, guide=guide, act_scale=displacement_scale(w))
 
 
 class TestPolicyFile:
@@ -117,6 +118,27 @@ class TestPolicyFile:
             assert np.array_equal(a, b)
         assert loaded.guide.points == policy.guide.points
         assert loaded.guide.allowed_states == policy.guide.allowed_states
+        assert loaded.act_scale == policy.act_scale
+
+    def test_earlier_metadata_keys_ignored(self, setup, rng):
+        # policy files of earlier versions also carry "extent" and "unicycle"
+        w, rbvd, library, tmp = setup
+        policy = make_policy(w, rng)
+        path = str(tmp / "p.pol")
+        artifacts.save_policy(path, policy, world_hash(w))
+        with open(path, "rb") as fh:
+            data = fh.read()
+        head = len(artifacts.POLICY_MAGIC)
+        version, meta_len = struct.unpack("<II", data[head:head + 8])
+        meta = json.loads(data[head + 8:head + 8 + meta_len])
+        meta.update(extent=list(w.extent), unicycle=False)
+        blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+        with open(path, "wb") as fh:
+            fh.write(data[:head] + struct.pack("<II", version, len(blob)) + blob
+                     + data[head + 8 + meta_len:])
+        loaded = artifacts.load_policy(path, world_hash(w))
+        for a, b in zip(loaded.actor.parameters(), policy.actor.parameters()):
+            assert np.array_equal(a, b)
         assert loaded.act_scale == policy.act_scale
 
     def test_wrong_magic(self, setup, tmp_path):
@@ -154,7 +176,7 @@ class TestCachePersistence:
         whash = world_hash(w)
         cache = PolicyCache()
         policy = make_policy(w, rng)
-        key = (whash, "c0-1", "a" * 16)
+        key = f"{whash}/c0-1/{'a' * 16}"
         cache.put(key, CacheEntry(policy=policy, cost=12.5, training_steps=4000))
         artifacts.save_cache(str(tmp), whash, cache)
         loaded = artifacts.load_cache(str(tmp), whash)

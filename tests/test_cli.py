@@ -1,12 +1,16 @@
 import json
 import os
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from sharp import artifacts
-from sharp.cli import main
+from sharp.cli import _abstraction_params, build_parser, main
+from sharp.experiment import AbstractionParams
 from sharp.world import world_from_text, parse_sidecar
+
+from helpers import sample_setting
 
 
 @pytest.fixture
@@ -159,3 +163,35 @@ def test_error_reporting(tmp_path, capsys):
     rc = main(["regions", "--world", str(bad)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("f", fields(AbstractionParams),
+                         ids=[f.name for f in fields(AbstractionParams)])
+def test_abstraction_flag_sets_one_field(f):
+    text, value = sample_setting(AbstractionParams, f)
+    flag = "--" + f.name.replace("_", "-")
+    parser = build_parser()
+    base = _abstraction_params(parser.parse_args(["regions", "--world", "env_a"]),
+                               "env_a")
+    args = parser.parse_args(["regions", "--world", "env_a", flag, text])
+    assert _abstraction_params(args, "env_a") == \
+        replace(base, **{f.name: value}) != base
+
+
+@pytest.mark.parametrize("argv", [
+    ["regions", "--world", "{tmp}/missing.txt"],
+    ["experiment", "--config", "{tmp}/missing.cfg"],
+    ["baseline", "--world", "env_a", "--method", "rrt_replan",
+     "--start", "1,2,3,4", "--goal", "13.75,13.75"],
+    ["baseline", "--world", "env_a", "--method", "rrt_replan",
+     "--start", "1.25,1.25", "--goal", "13.75"],
+    ["experiment", "--world", "env_a", "--seeds", "a"],
+    ["baseline", "--world", "env_a", "--method", "monolithic", "--profile",
+     "smoke", "--start", "0.25,0.25", "--goal", "13.75,13.75"],
+    ["regions", "--world", "env_a", "--n-goals", "abc"],
+], ids=["missing-world", "missing-config", "start-4-values", "goal-1-value",
+        "bad-seeds", "start-in-wall", "bad-flag-value"])
+def test_user_input_fault_is_an_error_line(tmp_path, capsys, argv):
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -1,4 +1,5 @@
 import os
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,14 +9,16 @@ from sharp import planner
 from sharp.experiment import (AbstractionParams, CSV_HEADER, ExperimentSpec,
                               ResultRow, build_library, emit_plot_data,
                               library_cache_path, load_experiment_config,
-                              rows_to_csv, run_experiment,
+                              load_or_build_library, rows_to_csv, run_experiment,
                               select_regions, smoke_train_config, spec_for_bundled,
                               write_rows)
 from sharp.regions import collect_solution_density, extract_critical_regions
-from sharp.world import Configuration
+from sharp.learn import TrainConfig
+from sharp.world import Configuration, world_hash
 from sharp.worlds import RECIPES
 
 from conftest import grid_from_rows, open_world
+from helpers import sample_setting
 
 # two rooms joined by a single door one cell wide, at cell (5, 3)
 TWO_ROOMS = grid_from_rows(["##########",
@@ -78,6 +81,14 @@ class TestRunExperiment:
         assert os.path.exists(path)
         assert (base / "cache_index.json").exists()
 
+
+    def test_cached_build_writes_only_the_library(self, tmp_path):
+        spec = tiny_spec()
+        load_or_build_library(spec.world, "centroid", spec.abstraction,
+                              str(tmp_path))
+        path = library_cache_path(str(tmp_path), world_hash(spec.world),
+                                  "centroid", spec.abstraction)
+        assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
 
     def test_non_chaining_plan_becomes_error_row(self, monkeypatch):
         def broken_plan(graph, s_start, s_goal, goal_cfg):
@@ -145,7 +156,8 @@ class TestConfigParsing:
         assert spec.name == "env_a" and spec.kind == "interface"
         assert spec.seeds == [0, 1]
         assert len(spec.problems) == 5
-        assert spec.abstraction.percentile == RECIPES["env_a"].density_percentile
+        assert spec.abstraction.percentile == \
+            AbstractionParams(**RECIPES["env_a"].abstraction).percentile
 
     def test_world_file_with_problems(self, tmp_path):
         from sharp.world import world_to_text
@@ -188,6 +200,50 @@ class TestConfigParsing:
         cfg.write_text("world = env_a\nproblem.1 = 1,2,3\n")
         with pytest.raises(ParseError):
             load_experiment_config(str(cfg))
+
+
+SETTINGS_FIELDS = ([("abstraction", AbstractionParams, f)
+                    for f in fields(AbstractionParams)]
+                   + [("train", TrainConfig, f) for f in fields(TrainConfig)])
+
+
+class TestSettingsSchema:
+    BASE = "world = env_a\ntrain.profile = default\n"
+
+    @pytest.mark.parametrize("group,cls,f", SETTINGS_FIELDS,
+                             ids=[f"{g}.{f.name}" for g, _, f in SETTINGS_FIELDS])
+    def test_config_line_sets_one_field(self, tmp_path, group, cls, f):
+        text, value = sample_setting(cls, f)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.BASE)
+        base = load_experiment_config(str(cfg))
+        cfg.write_text(self.BASE + f"{group}.{f.name} = {text}\n")
+        spec = load_experiment_config(str(cfg))
+        expected = replace(getattr(base, group), **{f.name: value})
+        assert getattr(spec, group) == expected != getattr(base, group)
+        other = "train" if group == "abstraction" else "abstraction"
+        assert getattr(spec, other) == getattr(base, other)
+
+    @pytest.mark.parametrize("line", [
+        "train.bogus = 1", "abstraction.n_goals = abc", "stage_limit = abc",
+        "goal_tol = x", "train.learner = foo", "train.hidden = 64",
+        "train.max_steps = 0", "abstraction.max_regions = 2.5",
+        "monolithic_all_seeds = yes", "kind = hexagonal", "seeds = 0,a"])
+    def test_bad_value_names_its_line(self, tmp_path, line):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"world = env_a\n# the next line is bad\n{line}\n")
+        with pytest.raises(ParseError) as err:
+            load_experiment_config(str(cfg))
+        assert err.value.line == 3
+        assert line.split(" =")[0] in str(err.value)
+
+    def test_optional_field_accepts_none(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("world = env_a\nabstraction.max_regions = none\n"
+                       "goal_tol = 0.75\nmonolithic_all_seeds = true\n")
+        spec = load_experiment_config(str(cfg))
+        assert spec.abstraction.max_regions is None
+        assert spec.goal_tol == 0.75 and spec.monolithic_all_seeds is True
 
 
 def test_build_library_deterministic():

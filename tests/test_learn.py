@@ -5,7 +5,7 @@ import pytest
 
 from sharp import learn
 from sharp.abstraction import Region, build_region_voronoi
-from sharp.errors import DivergedTraining
+from sharp.errors import DivergedTraining, InCollision
 from sharp.learn import (GoalEnv, OptionEnv, Policy, ReplayBuffer, TrainConfig,
                          build_observation, displacement_scale, observation_dim,
                          run_episodes, train_monolithic_policy, train_option_policy)
@@ -65,9 +65,7 @@ class TestPolicyActions:
         actor = init_mlp(observation_dim(w), (8, 8), 4, rng)
         for p in actor.parameters():
             p *= 40.0  # drive tanh into saturation to probe the bounds
-        return Policy(actor=actor, guide=guide, extent=w.extent,
-                      unicycle=w.kinematics is Kinematics.UNICYCLE,
-                      act_scale=displacement_scale(w))
+        return Policy(actor=actor, guide=guide, act_scale=displacement_scale(w))
 
     def test_holonomic_actions_within_bounds(self, rng):
         w, rbvd, option, guide = two_state_setup()
@@ -151,8 +149,7 @@ def immobile_policy(w, guide, rng):
     actor = init_mlp(observation_dim(w), (4, 4), 4, rng)
     for p in actor.parameters():
         p[...] = 0.0
-    return Policy(actor=actor, guide=guide, extent=w.extent, unicycle=False,
-                  act_scale=displacement_scale(w))
+    return Policy(actor=actor, guide=guide, act_scale=displacement_scale(w))
 
 
 class TestRunEpisodes:
@@ -244,7 +241,7 @@ class TestTraining:
 
     def test_monolithic_rejects_colliding_endpoints(self):
         w = grid_from_rows(["..", ".#"])
-        with pytest.raises(ValueError):
+        with pytest.raises(InCollision):
             train_monolithic_policy(w, Configuration(0.5, 0.5),
                                     Configuration(1.5, 0.5), smoke_cfg(),
                                     np.random.default_rng(0))
@@ -256,8 +253,7 @@ class TestEvaluatePolicy:
         actor = init_mlp(observation_dim(w), (4, 4), 4, rng)
         for p in actor.parameters():
             p[...] = 0.0
-        policy = Policy(actor=actor, guide=guide, extent=w.extent, unicycle=False,
-                        act_scale=displacement_scale(w))
+        policy = Policy(actor=actor, guide=guide, act_scale=displacement_scale(w))
         goal = guide.termination.representative
         out = evaluate_policy(w, policy, Configuration(2.0, 2.0),
                               lambda c: c.distance_to(goal) < 1.0,
@@ -280,8 +276,7 @@ class TestEvaluatePolicy:
     def test_evaluation_deterministic(self, rng):
         w, rbvd, option, guide = two_state_setup(noise=0.1)
         actor = init_mlp(observation_dim(w), (6, 6), 4, np.random.default_rng(4))
-        policy = Policy(actor=actor, guide=guide, extent=w.extent, unicycle=False,
-                        act_scale=displacement_scale(w))
+        policy = Policy(actor=actor, guide=guide, act_scale=displacement_scale(w))
         goal = guide.termination.representative
         runs = [evaluate_policy(w, policy, guide.initiation,
                                 lambda c: c.distance_to(goal) < 1.0, episodes=10,

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from sharp.abstraction import Region, build_region_voronoi
 from sharp.errors import (EmptyLibrary, NoAbstractPath, NoSuccessfulRollouts)
+from sharp.experiment import AbstractionParams, build_library
 from sharp.learn import TrainConfig
 from sharp.options import (OptionKind, OptionSpec, synth_centroid_options,
                            synth_interface_options)
@@ -18,6 +20,7 @@ from sharp.world import Configuration
 from conftest import grid_from_rows, open_world
 from helpers import ScriptedPolicy, dijkstra_cost
 from test_abstraction import point_region
+from test_experiment import TWO_ROOMS
 from test_options import line_world_rbvd, triangle_rbvd
 
 
@@ -236,6 +239,28 @@ class TestSharpSolve:
         assert second.options_reused == len(second.plan_option_ids)
         assert second.options_trained == 0
         assert second.training_steps < first.training_steps
+
+    def test_cache_keyed_on_train_config(self):
+        _, library = build_library(TWO_ROOMS, "centroid", AbstractionParams())
+        cache = PolicyCache()
+
+        def solve(hidden):
+            cfg = SolveConfig(train=TrainConfig(
+                learner="cem", max_steps=200, eval_every=200, eval_episodes=2,
+                episode_limit=20, cem_population=2, cem_iters=1,
+                cem_hidden=hidden))
+            return sharp_solve(TWO_ROOMS, Configuration(1.5, 1.5),
+                               Configuration(8.5, 1.5), copy.deepcopy(library),
+                               cache, cfg, np.random.default_rng(0))
+
+        _, first = solve((8, 8))
+        assert first.options_trained >= 1
+        composed, second = solve((4, 4))
+        assert second.options_reused == 0
+        assert [s.policy.actor.layer_sizes[1:3] for s in composed.option_stages()] \
+            == [(4, 4)] * len(second.plan_option_ids)
+        _, third = solve((4, 4))
+        assert third.options_reused == len(third.plan_option_ids)
 
     def test_same_state_bridges_only(self):
         w, library, cfg = solve_setup()
