@@ -1,34 +1,32 @@
 """Serialization for every pipeline artifact.
 
-Structured artifacts (density grids, partitions, option libraries) are JSON
-envelopes carrying a format version and the world hash they were built from;
-policies are binary files: a magic header, a JSON metadata block, then raw
-row-major float64 parameter blocks. Loading verifies version and world hash
-and never leaves partial state behind.
+Every artifact (density grid, partition, option library, policy cache) is
+one JSON envelope carrying a format version, its kind and the hash of the
+world it was built from; there are no binary files. Loading verifies all
+three and never leaves partial state behind. Policy-cache entries store only
+what the cache key cannot rebuild (actor weights, cost, training steps), and
+a malformed entry raises ParseError.
 """
 
 from __future__ import annotations
 
-import hashlib
+import base64
 import json
 import os
-import struct
 
 import numpy as np
 
 from .abstraction import Region, RegionVoronoi
 from .errors import ParseError, VersionMismatch
-from .learn import Policy
 from .mlp import Mlp
-from .options import OptionGuide, OptionSpec
-from .planner import CacheEntry, OptionLibrary, PolicyCache
+from .options import OptionSpec
+from .planner import CacheEntry, OptionLibrary
 from .regions import CriticalRegion
 from .world import Configuration, OccupancyWorld
 
 ARTIFACT_FORMAT = "sharp-artifact"
 ARTIFACT_VERSION = 1
-POLICY_MAGIC = b"SHARPPOL"
-POLICY_VERSION = 1
+POLICY_CACHE_FILE = "policy_cache.json"
 
 
 def save_artifact(path: str, kind: str, world_hash: str, payload: dict) -> None:
@@ -66,10 +64,6 @@ def load_artifact(path: str, kind: str, world_hash: str | None = None) -> dict:
 
 def density_payload(density: np.ndarray) -> dict:
     return {"grid": [[float(v) for v in row] for row in density]}
-
-
-def density_from_payload(payload: dict) -> np.ndarray:
-    return np.array(payload["grid"], dtype=np.float64)
 
 
 def _region_payload(region: CriticalRegion) -> dict:
@@ -120,7 +114,6 @@ def rbvd_from_payload(payload: dict, world: OccupancyWorld) -> RegionVoronoi:
 def library_payload(library: OptionLibrary) -> dict:
     return {"kind": library.kind,
             "threshold": library.threshold,
-            "guide_spacing": library.guide_spacing,
             "guide_seed": library.guide_seed,
             "rbvd": rbvd_payload(library.rbvd),
             "options": [{
@@ -140,116 +133,65 @@ def library_from_payload(payload: dict, world: OccupancyWorld) -> OptionLibrary:
                           cost_updated=bool(p["cost_updated"]))
                for p in payload["options"]]
     return OptionLibrary(kind=payload["kind"], threshold=payload["threshold"],
-                         guide_spacing=payload["guide_spacing"],
                          guide_seed=payload["guide_seed"], options=options,
                          rbvd=rbvd)
 
 
-# -- policies -----------------------------------------------------------------------
-
-
-def _guide_payload(guide: OptionGuide) -> dict:
-    return {"option_id": guide.option_id,
-            "points": [[p.x, p.y] for p in guide.points],
-            "allowed_states": sorted(guide.allowed_states),
-            "terminal_reward": guide.terminal_reward,
-            "penalty_reward": guide.penalty_reward,
-            "initiation": _endpoint_payload(guide.initiation),
-            "termination": _endpoint_payload(guide.termination)}
-
-
-def _guide_from_payload(p: dict) -> OptionGuide:
-    return OptionGuide(option_id=p["option_id"],
-                       initiation=_endpoint_from_payload(p["initiation"]),
-                       termination=_endpoint_from_payload(p["termination"]),
-                       points=[Configuration(x, y) for x, y in p["points"]],
-                       allowed_states=frozenset(p["allowed_states"]),
-                       terminal_reward=float(p["terminal_reward"]),
-                       penalty_reward=float(p["penalty_reward"]))
-
-
-def save_policy(path: str, policy: Policy, world_hash: str) -> None:
-    meta = {"world_hash": world_hash,
-            "layers": list(policy.actor.layer_sizes),
-            "act_scale": policy.act_scale,
-            "guide": _guide_payload(policy.guide)}
-    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(POLICY_MAGIC)
-        fh.write(struct.pack("<II", POLICY_VERSION, len(blob)))
-        fh.write(blob)
-        for p in policy.actor.parameters():
-            fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
-    os.replace(tmp, path)
-
-
-def load_policy(path: str, world_hash: str | None = None) -> Policy:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(POLICY_MAGIC))
-        if magic != POLICY_MAGIC:
-            raise VersionMismatch(f"{path}: not a policy file")
-        header = fh.read(8)
-        if len(header) != 8:
-            raise ParseError(f"{path}: truncated policy header")
-        version, meta_len = struct.unpack("<II", header)
-        if version != POLICY_VERSION:
-            raise VersionMismatch(f"{path}: policy version {version} != "
-                                  f"{POLICY_VERSION}")
-        try:
-            meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            raise ParseError(f"{path}: malformed policy metadata") from None
-        if world_hash is not None and meta["world_hash"] != world_hash:
-            raise VersionMismatch(f"{path}: policy for world {meta['world_hash']}, "
-                                  f"expected {world_hash}")
-        sizes = meta["layers"]
-        weights, biases = [], []
-        for a, b in zip(sizes, sizes[1:]):
-            w = fh.read(a * b * 8)
-            if len(w) != a * b * 8:
-                raise ParseError(f"{path}: truncated parameter block")
-            weights.append(np.frombuffer(w, dtype="<f8").reshape(a, b).copy())
-            bb = fh.read(b * 8)
-            if len(bb) != b * 8:
-                raise ParseError(f"{path}: truncated parameter block")
-            biases.append(np.frombuffer(bb, dtype="<f8").copy())
-    return Policy(actor=Mlp(weights, biases), guide=_guide_from_payload(meta["guide"]),
-                  act_scale=float(meta["act_scale"]))
-
-
-# -- cache persistence ---------------------------------------------------------------
+# -- policy cache -------------------------------------------------------------------
 
 
 def cache_dir_for(root: str, world_hash: str) -> str:
     return os.path.join(root, world_hash)
 
 
-def save_cache(root: str, world_hash: str, cache: PolicyCache) -> None:
-    """Write every cache entry as a policy file plus a JSON index that maps
-    each opaque key to its file; the file is named by the key's digest."""
-    base = cache_dir_for(root, world_hash)
-    os.makedirs(os.path.join(base, "policies"), exist_ok=True)
-    index = {}
-    for key, entry in cache.items():
-        fname = hashlib.sha256(key.encode()).hexdigest()[:16] + ".pol"
-        save_policy(os.path.join(base, "policies", fname), entry.policy, world_hash)
-        index[key] = {"file": fname, "cost": entry.cost,
-                      "training_steps": entry.training_steps}
-    save_artifact(os.path.join(base, "cache_index.json"), "policy-cache",
-                  world_hash, {"entries": index})
+def _actor_payload(actor: Mlp) -> dict:
+    """Layer sizes plus the base64 of the little-endian float64 parameters."""
+    raw = actor.flat().astype("<f8").tobytes()
+    return {"layers": list(actor.layer_sizes),
+            "params": base64.b64encode(raw).decode("ascii")}
 
 
-def load_cache(root: str, world_hash: str) -> PolicyCache:
-    """Rehydrate the policy cache; missing directory gives an empty cache."""
-    cache = PolicyCache()
+def _actor_from_payload(p: dict, where: str) -> Mlp:
+    layers = p["layers"]
+    if not (isinstance(layers, list) and len(layers) == 4
+            and all(type(n) is int and n > 0 for n in layers)):
+        raise ParseError(f"{where}: layers must be in, h1, h2, out; got {layers!r}")
+    raw = base64.b64decode(p["params"], validate=True)
+    actor = Mlp([np.empty((a, b)) for a, b in zip(layers, layers[1:])],
+                [np.empty(b) for b in layers[1:]])
+    n = sum(q.size for q in actor.parameters())
+    if len(raw) != 8 * n:
+        raise ParseError(f"{where}: {len(raw)} parameter bytes, layers {layers} "
+                         f"need {8 * n}")
+    actor.set_flat(np.frombuffer(raw, dtype="<f8"))
+    return actor
+
+
+def save_cache(root: str, world_hash: str, cache: dict[str, CacheEntry]) -> None:
+    """Write one world's policy cache as a single policy-cache artifact."""
     base = cache_dir_for(root, world_hash)
-    index_path = os.path.join(base, "cache_index.json")
-    if not os.path.exists(index_path):
-        return cache
-    payload = load_artifact(index_path, "policy-cache", world_hash)
-    for key, item in payload["entries"].items():
-        policy = load_policy(os.path.join(base, "policies", item["file"]), world_hash)
-        cache.put(key, CacheEntry(policy=policy, cost=float(item["cost"]),
-                                  training_steps=int(item["training_steps"])))
+    os.makedirs(base, exist_ok=True)
+    entries = {key: {"cost": e.cost, "training_steps": e.training_steps,
+                     "actor": _actor_payload(e.actor)}
+               for key, e in cache.items()}
+    save_artifact(os.path.join(base, POLICY_CACHE_FILE), "policy-cache",
+                  world_hash, {"entries": entries})
+
+
+def load_cache(root: str, world_hash: str) -> dict[str, CacheEntry]:
+    """Rehydrate one world's policy cache; a missing file gives an empty one."""
+    path = os.path.join(cache_dir_for(root, world_hash), POLICY_CACHE_FILE)
+    if not os.path.exists(path):
+        return {}
+    cache = {}
+    for key, item in load_artifact(path, "policy-cache", world_hash)["entries"].items():
+        where = f"{path}: entry {key!r}"
+        try:
+            cache[key] = CacheEntry(actor=_actor_from_payload(item["actor"], where),
+                                    cost=float(item["cost"]),
+                                    training_steps=int(item["training_steps"]))
+        except KeyError as e:
+            raise ParseError(f"{where} lacks {e}") from None
+        except (TypeError, ValueError) as e:
+            raise ParseError(f"{where} is malformed: {e}") from None
     return cache

@@ -26,7 +26,7 @@ from .experiment import (CSV_HEADER, STAGE_LIMIT, TRAIN_PROFILES, AbstractionPar
                          recipe_params, rows_to_csv, run_experiment,
                          select_regions, spec_for_bundled, write_rows)
 from .motion import RrtParams
-from .planner import PolicyCache, SolveConfig, sharp_solve
+from .planner import SolveConfig, sharp_solve
 from .regions import collect_solution_density
 from .seeding import derive_rng
 from .world import (Configuration, Kinematics, world_hash, world_to_text,
@@ -141,10 +141,8 @@ def cmd_solve(args) -> int:
     cache_dir = _cache_dir(args)
     _, library = load_or_build_library(world, args.kind, params, cache_dir)
     train = TRAIN_PROFILES[args.profile]()
-    cache = PolicyCache()
     whash = world_hash(world)
-    if cache_dir is not None:
-        cache = artifacts.load_cache(cache_dir, whash)
+    cache = artifacts.load_cache(cache_dir, whash) if cache_dir is not None else {}
     composed, stats = sharp_solve(world, x_i, x_g, library, cache,
                                   SolveConfig(train=train),
                                   derive_rng("solve", name, args.seed))
@@ -228,13 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "spatial abstractions and reusable option policies.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, world=True, abstraction=False):
+    def common(p, world=True, abstraction=False, out=False):
         if world:
             p.add_argument("--world", required=True,
                            help="bundled world name or world file path")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--config", default=None, help="experiment config file")
-        p.add_argument("--out", default=None, help="output file or directory")
+        if out:
+            p.add_argument("--out", default=None, help="output file")
         p.add_argument("--cache-dir", default=None,
                        help="artifact cache (default $SHARP_CACHE_DIR)")
         if abstraction:
@@ -247,17 +245,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_worlds)
 
     p = sub.add_parser("regions", help="collect density and extract regions")
-    common(p, abstraction=True)
+    common(p, abstraction=True, out=True)
     p.set_defaults(func=cmd_regions)
 
     p = sub.add_parser("abstract", help="build the abstract-state partition")
-    common(p, abstraction=True)
+    common(p, abstraction=True, out=True)
     p.add_argument("--kind", choices=["centroid", "interface"], default="centroid")
     p.add_argument("--grid", action="store_true", help="print the partition grid")
     p.set_defaults(func=cmd_abstract)
 
     p = sub.add_parser("options", help="synthesize the option library")
-    common(p, abstraction=True)
+    common(p, abstraction=True, out=True)
     p.add_argument("--kind", choices=["centroid", "interface"], default="centroid")
     p.set_defaults(func=cmd_options)
 
@@ -284,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("experiment", help="run a full experiment spec")
-    common(p, world=False)
+    common(p, world=False, out=True)
+    p.add_argument("--config", default=None, help="experiment config file")
     p.add_argument("--world", default=None, help="bundled world (without --config)")
     p.add_argument("--kind", choices=["centroid", "interface"], default=None)
     p.add_argument("--seeds", dest="seed_list", default=None,

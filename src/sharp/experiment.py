@@ -24,8 +24,8 @@ from .errors import NoRegions, ParseError, SharpError
 from .learn import GoalEnv, TrainConfig, run_episodes, train_monolithic_policy
 from .motion import RrtParams, execute_with_replan
 from .options import synth_options
-from .planner import (ComposedPolicy, OptionLibrary, PolicyCache, SolveConfig,
-                      execute_composed, sharp_solve)
+from .planner import (ComposedPolicy, OptionLibrary, SolveConfig, execute_composed,
+                      sharp_solve)
 from .regions import (DEFAULT_PERCENTILE, CriticalRegion, collect_solution_density,
                       extract_critical_regions, percentile_threshold)
 from .seeding import derive_rng
@@ -165,8 +165,8 @@ def build_library(world: OccupancyWorld, kind: str,
     if t is None:
         t = 2.0 * world.cell_size
     options = synth_options(rbvd, kind, t)
-    library = OptionLibrary(kind=kind, threshold=t, guide_spacing=world.cell_size,
-                            guide_seed=params.seed, options=options, rbvd=rbvd)
+    library = OptionLibrary(kind=kind, threshold=t, guide_seed=params.seed,
+                            options=options, rbvd=rbvd)
     return density, library
 
 
@@ -212,7 +212,6 @@ class ExperimentSpec:
     stage_limit: int = STAGE_LIMIT
     eval_episodes: int = 20
     goal_tol: float | None = None
-    rrt: RrtParams = field(default_factory=RrtParams)
     run_rrt_replan: bool = True
     run_monolithic: bool = True
     monolithic_all_seeds: bool = False  # default: flat baseline on first seed only
@@ -321,7 +320,7 @@ def run_experiment(spec: ExperimentSpec, cache_dir: str | None = None) -> list:
     rows = []
     for seed in spec.seeds:
         library = copy.deepcopy(library0)   # learned costs stay seed-local
-        cache = PolicyCache()
+        cache = {}
         solve_cfg = SolveConfig(train=spec.train, goal_tol=spec.goal_tol)
         for pi, (x_i, x_g) in enumerate(spec.problems, start=1):
             budget = None
@@ -347,7 +346,7 @@ def run_experiment(spec: ExperimentSpec, cache_dir: str | None = None) -> list:
                 budget = spec.stage_limit * 4
             if spec.run_rrt_replan:
                 success, mean_steps = evaluate_rrt_replan(
-                    world, x_i, x_g, spec.rrt, budget, spec.eval_episodes,
+                    world, x_i, x_g, RrtParams(), budget, spec.eval_episodes,
                     (spec.name, seed, pi))
                 rows.append(ResultRow(spec.name, pi, "rrt_replan", seed, success,
                                       mean_steps, 0, 0, 0))

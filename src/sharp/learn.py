@@ -25,6 +25,7 @@ from .world import (Configuration, Kinematics, OccupancyWorld, collision,
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
 LOG_2PI = math.log(2.0 * math.pi)
+STEP_REWARD = -1.0   # GoalEnv reward for a step that does not reach the goal
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,6 @@ class Policy:
 
     actor: Mlp
     guide: OptionGuide
-    act_scale: float
 
     def _heads(self, obs: np.ndarray):
         out = mlp_forward(self.actor, obs)
@@ -146,7 +146,8 @@ class Policy:
         obs = build_observation(world, self.guide, c)
         u = (self.greedy_displacement(obs) if greedy
              else self.sample_displacement(obs, rng))
-        return action_from_displacement(world, c, u, self.act_scale)
+        return action_from_displacement(world, c, u,
+                                        displacement_scale(world))
 
 
 # -- environments -----------------------------------------------------------------
@@ -206,17 +207,15 @@ class OptionEnv:
 
 
 class GoalEnv:
-    """Flat single-task environment: fixed start, terminal bonus at the goal."""
+    """Flat single-task environment: fixed start, the guide's terminal reward
+    at the goal and STEP_REWARD for every other step."""
 
     def __init__(self, world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
-                 episode_limit: int, goal_tol: float | None = None,
-                 terminal_reward: float = 1000.0, step_reward: float = -1.0):
+                 episode_limit: int, goal_tol: float | None = None):
         self.world = world
         self.x_i = x_i
         self.x_g = x_g
         self.goal_tol = goal_tol if goal_tol is not None else world.cell_size
-        self.terminal_reward = terminal_reward
-        self.step_reward = step_reward
         self.episode_limit = episode_limit
         self.scale = displacement_scale(world)
         goal_cells = frozenset(
@@ -242,7 +241,7 @@ class GoalEnv:
         self.c = step(self.world, self.c, a, rng)
         self.t += 1
         success = self.c.distance_to(self.x_g) <= self.goal_tol
-        r = self.terminal_reward if success else self.step_reward
+        r = self.guide.terminal_reward if success else STEP_REWARD
         done = success
         truncated = not done and self.t >= self.episode_limit
         obs = build_observation(self.world, self.guide, self.c)
@@ -380,10 +379,6 @@ class SacLearner:
                 pd += cfg.tau * ps
 
 
-def _make_policy(world: OccupancyWorld, actor: Mlp, guide: OptionGuide) -> Policy:
-    return Policy(actor=actor, guide=guide, act_scale=displacement_scale(world))
-
-
 def run_episodes(env, policy: Policy, episodes: int, rng: np.random.Generator):
     """Greedy rollouts of policy in env; returns per-episode lists
     (returns, successes, steps). An episode whose start is already terminal
@@ -419,12 +414,11 @@ def _record_eval(env, policy: Policy, cfg: TrainConfig, stats: TrainStats,
 
 
 def _train_sac(env, cfg: TrainConfig, rng: np.random.Generator):
-    world = env.world
-    obs_dim = observation_dim(world)
+    obs_dim = observation_dim(env.world)
     learner = SacLearner(obs_dim, 2, cfg, spawn(rng))
     # one add per step, so a buffer of max_steps rows never wraps
     buffer = ReplayBuffer(min(cfg.replay_capacity, cfg.max_steps), obs_dim, 2)
-    policy = _make_policy(world, learner.actor, env.guide)
+    policy = Policy(actor=learner.actor, guide=env.guide)
     stats = TrainStats()
 
     def gate(step_count: int) -> bool:
@@ -471,20 +465,19 @@ def _train_sac(env, cfg: TrainConfig, rng: np.random.Generator):
 
 def _train_cem(env, cfg: TrainConfig, rng: np.random.Generator):
     """Cross-entropy search over actor parameters; smoke-test fallback."""
-    world = env.world
-    obs_dim = observation_dim(world)
+    obs_dim = observation_dim(env.world)
     template = init_mlp(obs_dim, cfg.cem_hidden, 4, spawn(rng))
     mean = template.flat()
     sigma = np.full(mean.shape, cfg.cem_sigma)
     stats = TrainStats()
-    policy = _make_policy(world, template, env.guide)
+    policy = Policy(actor=template, guide=env.guide)
     steps = 0
     n_elite = max(1, int(cfg.cem_population * cfg.cem_elite_frac))
 
     def run_candidate(vec) -> tuple[float, int]:
         net = template.copy()
         net.set_flat(vec)
-        returns, _, steps = run_episodes(env, _make_policy(world, net, env.guide),
+        returns, _, steps = run_episodes(env, Policy(actor=net, guide=env.guide),
                                          cfg.cem_episodes, rng)
         return sum(returns) / cfg.cem_episodes, sum(steps)
 

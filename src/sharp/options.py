@@ -31,6 +31,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_TERMINAL_REWARD = 1000.0
 DEFAULT_PENALTY_REWARD = -100.0
+GUIDE_ATTEMPTS = 5   # masked plans tried before build_guide gives up
 
 
 class OptionKind:
@@ -174,12 +175,6 @@ class OptionGuide:
         return idx, float(d2[idx])
 
 
-def nearest_guide_point(guide: OptionGuide, c: Configuration) -> tuple[Configuration, int]:
-    """Closest guide point by Euclidean distance; ties pick the lowest index."""
-    idx, _ = guide.nearest(c)
-    return guide.points[idx], idx
-
-
 def pseudo_reward(guide: OptionGuide, rbvd: RegionVoronoi, c: Configuration) -> float:
     """Dense shaped reward for a free configuration.
 
@@ -211,25 +206,21 @@ def _mask_of(rbvd: RegionVoronoi, allowed_states) -> set:
 def build_guide(world: OccupancyWorld, rbvd: RegionVoronoi, option_id: str,
                 start: Configuration, initiation: Region, termination: Region,
                 allowed_states, t_spacing: float,
-                rng: np.random.Generator,
-                params: RrtParams | None = None,
-                terminal_reward: float = DEFAULT_TERMINAL_REWARD,
-                penalty_reward: float = DEFAULT_PENALTY_REWARD,
-                attempts: int = 5) -> OptionGuide:
+                rng: np.random.Generator) -> OptionGuide:
     """Masked plan from ``start`` to the termination representative.
 
     The plan is shortcut, extended to end exactly at the representative, and
     resampled below t_spacing; the result is validated (endpoint identity,
     spacing, state containment) and re-planned on a fresh substream if a
     noisy corner case slips through. Raises GuideUnreachable when the masked
-    planner cannot connect.
+    planner cannot connect in GUIDE_ATTEMPTS tries.
     """
     allowed = frozenset(allowed_states)
     mask = _mask_of(rbvd, allowed)
     goal = termination.representative
-    plan_params = params or RrtParams(goal_tol=0.5 * world.cell_size)
+    plan_params = RrtParams(goal_tol=0.5 * world.cell_size)
     last_error: Exception | None = None
-    for _ in range(attempts):
+    for _ in range(GUIDE_ATTEMPTS):
         try:
             plan = rrt_plan(world, start, goal, plan_params, spawn(rng), mask=mask)
         except Unreachable as e:
@@ -242,14 +233,13 @@ def build_guide(world: OccupancyWorld, rbvd: RegionVoronoi, option_id: str,
         pts = resample_polyline(pts, t_spacing)
         guide = OptionGuide(option_id=option_id, initiation=initiation,
                             termination=termination, points=pts,
-                            allowed_states=allowed,
-                            terminal_reward=terminal_reward,
-                            penalty_reward=penalty_reward)
+                            allowed_states=allowed)
         if _guide_valid(world, rbvd, guide, t_spacing):
             return guide
         last_error = GuideUnreachable(f"guide validation failed for {option_id}")
     raise GuideUnreachable(
-        f"no valid guide for {option_id} after {attempts} attempts: {last_error}")
+        f"no valid guide for {option_id} after {GUIDE_ATTEMPTS} attempts: "
+        f"{last_error}")
 
 
 def _guide_valid(world: OccupancyWorld, rbvd: RegionVoronoi, guide: OptionGuide,
@@ -267,18 +257,13 @@ def _guide_valid(world: OccupancyWorld, rbvd: RegionVoronoi, guide: OptionGuide,
 
 
 def compute_guide_path(world: OccupancyWorld, rbvd: RegionVoronoi, option: OptionSpec,
-                       t_spacing: float, rng: np.random.Generator,
-                       params: RrtParams | None = None,
-                       terminal_reward: float = DEFAULT_TERMINAL_REWARD,
-                       penalty_reward: float = DEFAULT_PENALTY_REWARD) -> OptionGuide:
+                       t_spacing: float, rng: np.random.Generator) -> OptionGuide:
     """Guide for an option: endpoint representatives joined inside its states."""
     start = option.initiation.representative
     if start.distance_to(option.termination.representative) < 1e-12:
         return OptionGuide(option_id=option.id, initiation=option.initiation,
                            termination=option.termination, points=[start],
-                           allowed_states=frozenset(option.states),
-                           terminal_reward=terminal_reward,
-                           penalty_reward=penalty_reward)
+                           allowed_states=frozenset(option.states))
     return build_guide(world, rbvd, option.id, start, option.initiation,
                        option.termination, frozenset(option.states), t_spacing,
-                       rng, params, terminal_reward, penalty_reward)
+                       rng)

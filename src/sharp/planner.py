@@ -20,8 +20,8 @@ from . import settings
 from .abstraction import Region, RegionVoronoi, centroid_region, interface_region
 from .errors import (DivergedTraining, EmptyLibrary, GuideUnreachable,
                      NoAbstractPath, NoSuccessfulRollouts, OptionsDoNotChain)
-from .learn import TrainConfig, train_option_policy
-from .motion import RrtParams
+from .learn import Policy, TrainConfig, train_option_policy
+from .mlp import Mlp
 from .options import (OptionGuide, OptionKind, OptionSpec, build_guide,
                       compute_guide_path)
 from .seeding import derive_rng, spawn
@@ -37,12 +37,11 @@ class OptionLibrary:
 
     guide_seed pins the guide construction stream per option, so a guide (and
     its fingerprint, which keys the policy cache) is identical every time it
-    is recomputed for this library.
+    is recomputed for this library. Guides are spaced below one cell.
     """
 
     kind: str
     threshold: float
-    guide_spacing: float
     guide_seed: int
     options: list
     rbvd: RegionVoronoi
@@ -214,31 +213,12 @@ def update_option_cost(option: OptionSpec, traces) -> float:
 
 @dataclass
 class CacheEntry:
-    policy: object
+    """A trained option policy's actor and what training measured; the guide
+    it reads is rebuilt from the library on every solve."""
+
+    actor: Mlp
     cost: float
     training_steps: int
-
-
-class PolicyCache:
-    """In-memory store of one world's trained policies, with optional
-    persistence handled by the artifacts module. Keys are opaque strings
-    built by sharp_solve from the world hash, the option id, the guide
-    fingerprint and the TrainConfig digest."""
-
-    def __init__(self):
-        self._store: dict = {}
-
-    def get(self, key):
-        return self._store.get(key)
-
-    def put(self, key, entry: CacheEntry):
-        self._store[key] = entry
-
-    def __len__(self):
-        return len(self._store)
-
-    def items(self):
-        return self._store.items()
 
 
 # -- composed policy -----------------------------------------------------------------
@@ -261,14 +241,11 @@ class ComposedPolicy:
     x_goal: Configuration
     goal_tol: float
 
-    def option_stages(self):
-        return [s for s in self.stages if s.option is not None]
-
 
 @dataclass
 class ExecutionTrace:
     stage_steps: list
-    outcome: str                 # "reached_goal" | "stage_timeout" | "budget"
+    outcome: str                 # "reached_goal" | "stage_timeout"
     timeout_stage: int | None = None
 
     @property
@@ -277,8 +254,7 @@ class ExecutionTrace:
 
 
 def execute_composed(world: OccupancyWorld, composed: ComposedPolicy,
-                     per_stage_limit: int, rng: np.random.Generator,
-                     total_budget: int | None = None) -> ExecutionTrace:
+                     per_stage_limit: int, rng: np.random.Generator) -> ExecutionTrace:
     """Run the stage automaton; the index only ever advances.
 
     Every stage except the last hands over on cell membership of the next
@@ -286,7 +262,6 @@ def execute_composed(world: OccupancyWorld, composed: ComposedPolicy,
     """
     c = composed.x_start
     stage_steps = []
-    total = 0
     for idx, stage in enumerate(composed.stages):
         last = idx == len(composed.stages) - 1
         if hasattr(stage.policy, "reset"):
@@ -302,13 +277,9 @@ def execute_composed(world: OccupancyWorld, composed: ComposedPolicy,
             if used >= per_stage_limit:
                 stage_steps.append(used)
                 return ExecutionTrace(stage_steps, "stage_timeout", idx)
-            if total_budget is not None and total >= total_budget:
-                stage_steps.append(used)
-                return ExecutionTrace(stage_steps, "budget", idx)
             a = stage.policy.act(world, c, greedy=True)
             c = step(world, c, a, rng)
             used += 1
-            total += 1
         stage_steps.append(used)
     return ExecutionTrace(stage_steps, "reached_goal")
 
@@ -320,7 +291,6 @@ def execute_composed(world: OccupancyWorld, composed: ComposedPolicy,
 class SolveConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     goal_tol: float | None = None        # default: 1 cell
-    guide_params: RrtParams | None = None
 
     def resolved_goal_tol(self, world: OccupancyWorld) -> float:
         return self.goal_tol if self.goal_tol is not None else world.cell_size
@@ -358,15 +328,20 @@ def _train_guide(world, rbvd, guide, cfg: SolveConfig, rng):
 
 
 def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
-                library: OptionLibrary, cache: PolicyCache, cfg: SolveConfig,
+                library: OptionLibrary, cache: dict[str, CacheEntry],
+                cfg: SolveConfig,
                 rng: np.random.Generator) -> tuple[ComposedPolicy, SolveStats]:
     """Plan at the abstract level, train or reuse option policies, compose.
 
     The entry bridge takes the robot from x_i into the first initiation set;
-    each option policy is fetched from the cache when its (world, option,
-    guide, TrainConfig) key matches, otherwise trained and its cost replaced
-    by the mean successful rollout length; the exit bridge runs from the last
-    termination set to the goal tolerance ball.
+    each option policy is fetched from the cache when its key matches,
+    otherwise trained and its cost replaced by the mean successful rollout
+    length; the exit bridge runs from the last termination set to the goal
+    tolerance ball.
+
+    cache maps `<world hash>/<option id>/<guide fingerprint>/<TrainConfig
+    digest>` to a CacheEntry; a hit pairs the cached actor with the guide
+    recomputed here, whose fingerprint the key carries.
     """
     rbvd = library.rbvd
     whash = world_hash(world)
@@ -396,8 +371,8 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
                           representative=x_i)
     bridge_rng = spawn(rng)
     entry_guide = build_guide(world, rbvd, "bridge-in", x_i, start_region,
-                              entry_target, entry_allowed, library.guide_spacing,
-                              bridge_rng, cfg.guide_params)
+                              entry_target, entry_allowed, world.cell_size,
+                              bridge_rng)
     entry_policy, entry_stats = _train_guide(world, rbvd, entry_guide, cfg, spawn(rng))
     stats.training_steps += entry_stats.steps
 
@@ -410,15 +385,15 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
                 f"options {plan[i-1].id} -> {option.id} do not chain")
         guide_rng = derive_rng("guide", whash, library.guide_seed, option.id)
         try:
-            guide = compute_guide_path(world, rbvd, option, library.guide_spacing,
-                                       guide_rng, cfg.guide_params)
+            guide = compute_guide_path(world, rbvd, option, world.cell_size,
+                                       guide_rng)
         except GuideUnreachable as e:
             raise GuideUnreachable(f"option {option.id}: {e}") from e
         key = (f"{whash}/{option.id}/{guide_fingerprint(guide)}/"
                f"{settings.digest(cfg.train)}")
         entry = cache.get(key)
         if entry is not None:
-            option.policy = entry.policy
+            option.policy = Policy(actor=entry.actor, guide=guide)
             option.cost = entry.cost
             option.cost_updated = True
             stats.options_reused += 1
@@ -432,8 +407,8 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
             stats.training_steps += tstats.steps
             if tstats.final_success_steps:
                 update_option_cost(option, tstats.final_success_steps)
-            cache.put(key, CacheEntry(policy=policy, cost=option.cost,
-                                      training_steps=tstats.steps))
+            cache[key] = CacheEntry(actor=policy.actor, cost=option.cost,
+                                    training_steps=tstats.steps)
         next_cells = (plan[i + 1].initiation.cells if i + 1 < len(plan)
                       else option.termination.cells)
         stages.append(Stage(label=option.id, policy=option.policy,
@@ -449,8 +424,8 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
     goal_region = _goal_region(world, x_g, goal_tol)
     exit_guide = build_guide(world, rbvd, "bridge-out",
                              exit_start_region.representative, exit_start_region,
-                             goal_region, exit_allowed, library.guide_spacing,
-                             spawn(rng), cfg.guide_params)
+                             goal_region, exit_allowed, world.cell_size,
+                             spawn(rng))
     exit_policy, exit_stats = _train_guide(world, rbvd, exit_guide, cfg, spawn(rng))
     stats.training_steps += exit_stats.steps
     stages.append(Stage(label="bridge_out", policy=exit_policy,

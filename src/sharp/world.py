@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -357,11 +357,6 @@ def sidecar_to_text(world: OccupancyWorld) -> str:
             f"max_step={world.max_step:g}\n"
             f"v_max={world.v_max:g}\n"
             f"omega_max={world.omega_max!r}\n")
-
-
-def with_params(world: OccupancyWorld, **overrides) -> OccupancyWorld:
-    """Copy of the world with different kinematics/noise/bounds."""
-    return replace(world, _free_cells=None, **overrides)
 
 
 def world_hash(world: OccupancyWorld) -> str:

@@ -1,13 +1,15 @@
 """Test doubles and oracles shared by the test modules."""
 
 import typing
+from dataclasses import replace
 
 import numpy as np
 
 from sharp.abstraction import Region
 from sharp.learn import _sample_in_region
-from sharp.planner import astar
-from sharp.world import step, steer_toward
+from sharp.options import OptionGuide
+from sharp.planner import ComposedPolicy, astar
+from sharp.world import Configuration, OccupancyWorld, step, steer_toward
 
 
 class ScriptedPolicy:
@@ -73,3 +75,22 @@ def sample_setting(cls, f):
         return "3,5", (3, 5)
     value = base((f.default or 0) + 3)
     return str(value), value
+
+
+def with_params(world: OccupancyWorld, **overrides) -> OccupancyWorld:
+    """Copy of the world with different kinematics/noise/bounds."""
+    return replace(world, _free_cells=None, **overrides)
+
+
+def density_from_payload(payload: dict) -> np.ndarray:
+    return np.array(payload["grid"], dtype=np.float64)
+
+
+def nearest_guide_point(guide: OptionGuide, c: Configuration) -> tuple[Configuration, int]:
+    """Closest guide point by Euclidean distance; ties pick the lowest index."""
+    idx, _ = guide.nearest(c)
+    return guide.points[idx], idx
+
+
+def option_stages(composed: ComposedPolicy):
+    return [s for s in composed.stages if s.option is not None]

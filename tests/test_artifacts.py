@@ -1,6 +1,7 @@
+import base64
 import json
+import math
 import os
-import struct
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ import pytest
 from sharp import artifacts
 from sharp.abstraction import build_region_voronoi
 from sharp.errors import ParseError, VersionMismatch
-from sharp.learn import Policy, displacement_scale, observation_dim
+from sharp.learn import Policy, observation_dim
 from sharp.mlp import init_mlp
 from sharp.options import OptionGuide, synth_centroid_options
-from sharp.planner import CacheEntry, OptionLibrary, PolicyCache
+from sharp.planner import CacheEntry, OptionLibrary
 from sharp.world import Configuration, world_hash
 
 from conftest import open_world
+from helpers import density_from_payload
 from test_abstraction import point_region
 
 
@@ -24,8 +26,8 @@ def setup(tmp_path):
     regions = [point_region(w, (2, 2)), point_region(w, (9, 9))]
     rbvd = build_region_voronoi(w, regions)
     options = synth_centroid_options(rbvd, t=1.5)
-    library = OptionLibrary(kind="centroid", threshold=1.5, guide_spacing=0.5,
-                            guide_seed=3, options=options, rbvd=rbvd)
+    library = OptionLibrary(kind="centroid", threshold=1.5, guide_seed=3,
+                            options=options, rbvd=rbvd)
     return w, rbvd, library, tmp_path
 
 
@@ -36,7 +38,7 @@ class TestEnvelope:
         path = str(tmp / "density.json")
         artifacts.save_artifact(path, "density-grid", world_hash(w),
                                 artifacts.density_payload(density))
-        loaded = artifacts.density_from_payload(
+        loaded = density_from_payload(
             artifacts.load_artifact(path, "density-grid", world_hash(w)))
         assert np.allclose(loaded, density)
 
@@ -66,6 +68,18 @@ class TestEnvelope:
             assert a.initiation.cells == b.initiation.cells
             assert a.termination.representative == b.termination.representative
             assert a.cost == b.cost
+
+    def test_library_guide_spacing_key_ignored(self, setup):
+        # library files of earlier versions also carry "guide_spacing"
+        w, rbvd, library, tmp = setup
+        path = str(tmp / "library.json")
+        payload = artifacts.library_payload(library)
+        artifacts.save_artifact(path, "option-library", world_hash(w),
+                                dict(payload, guide_spacing=0.5))
+        loaded = artifacts.library_from_payload(
+            artifacts.load_artifact(path, "option-library", world_hash(w)), w)
+        assert json.dumps(artifacts.library_payload(loaded), sort_keys=True) \
+            == json.dumps(payload, sort_keys=True)
 
     def test_truncated_file_parse_error(self, setup):
         w, rbvd, library, tmp = setup
@@ -104,90 +118,139 @@ def make_policy(w, rng):
     guide.initiation = Region(frozenset([(2, 2)]), Configuration(1.25, 1.25))
     guide.termination = Region(frozenset([(9, 9)]), Configuration(4.75, 4.75))
     actor = init_mlp(observation_dim(w), (6, 6), 4, rng)
-    return Policy(actor=actor, guide=guide, act_scale=displacement_scale(w))
-
-
-class TestPolicyFile:
-    def test_bit_exact_round_trip(self, setup, rng):
-        w, rbvd, library, tmp = setup
-        policy = make_policy(w, rng)
-        path = str(tmp / "p.pol")
-        artifacts.save_policy(path, policy, world_hash(w))
-        loaded = artifacts.load_policy(path, world_hash(w))
-        for a, b in zip(loaded.actor.parameters(), policy.actor.parameters()):
-            assert np.array_equal(a, b)
-        assert loaded.guide.points == policy.guide.points
-        assert loaded.guide.allowed_states == policy.guide.allowed_states
-        assert loaded.act_scale == policy.act_scale
-
-    def test_earlier_metadata_keys_ignored(self, setup, rng):
-        # policy files of earlier versions also carry "extent" and "unicycle"
-        w, rbvd, library, tmp = setup
-        policy = make_policy(w, rng)
-        path = str(tmp / "p.pol")
-        artifacts.save_policy(path, policy, world_hash(w))
-        with open(path, "rb") as fh:
-            data = fh.read()
-        head = len(artifacts.POLICY_MAGIC)
-        version, meta_len = struct.unpack("<II", data[head:head + 8])
-        meta = json.loads(data[head + 8:head + 8 + meta_len])
-        meta.update(extent=list(w.extent), unicycle=False)
-        blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(data[:head] + struct.pack("<II", version, len(blob)) + blob
-                     + data[head + 8 + meta_len:])
-        loaded = artifacts.load_policy(path, world_hash(w))
-        for a, b in zip(loaded.actor.parameters(), policy.actor.parameters()):
-            assert np.array_equal(a, b)
-        assert loaded.act_scale == policy.act_scale
-
-    def test_wrong_magic(self, setup, tmp_path):
-        path = str(tmp_path / "bad.pol")
-        with open(path, "wb") as fh:
-            fh.write(b"NOTAPOL!" + b"\x00" * 16)
-        with pytest.raises(VersionMismatch):
-            artifacts.load_policy(path)
-
-    def test_truncated_parameters(self, setup, rng):
-        w, rbvd, library, tmp = setup
-        policy = make_policy(w, rng)
-        path = str(tmp / "p.pol")
-        artifacts.save_policy(path, policy, world_hash(w))
-        size = os.path.getsize(path)
-        with open(path, "rb") as fh:
-            data = fh.read(size - 64)
-        with open(path, "wb") as fh:
-            fh.write(data)
-        with pytest.raises(ParseError):
-            artifacts.load_policy(path, world_hash(w))
-
-    def test_world_hash_mismatch(self, setup, rng):
-        w, rbvd, library, tmp = setup
-        policy = make_policy(w, rng)
-        path = str(tmp / "p.pol")
-        artifacts.save_policy(path, policy, world_hash(w))
-        with pytest.raises(VersionMismatch):
-            artifacts.load_policy(path, "0123456789abcdef")
+    return Policy(actor=actor, guide=guide)
 
 
 class TestCachePersistence:
     def test_save_load_cycle(self, setup, rng):
         w, rbvd, library, tmp = setup
         whash = world_hash(w)
-        cache = PolicyCache()
+        cache = {}
         policy = make_policy(w, rng)
         key = f"{whash}/c0-1/{'a' * 16}"
-        cache.put(key, CacheEntry(policy=policy, cost=12.5, training_steps=4000))
+        cache[key] = CacheEntry(actor=policy.actor, cost=12.5, training_steps=4000)
         artifacts.save_cache(str(tmp), whash, cache)
         loaded = artifacts.load_cache(str(tmp), whash)
         assert len(loaded) == 1
         entry = loaded.get(key)
         assert entry is not None
         assert entry.cost == 12.5 and entry.training_steps == 4000
-        for a, b in zip(entry.policy.actor.parameters(),
-                        policy.actor.parameters()):
+        for a, b in zip(entry.actor.parameters(), policy.actor.parameters()):
             assert np.array_equal(a, b)
 
     def test_missing_dir_empty_cache(self, tmp_path):
         cache = artifacts.load_cache(str(tmp_path), "f" * 16)
         assert len(cache) == 0
+
+    def test_round_trip_is_bit_exact(self, setup, rng):
+        # values a decimal rendering would round: signed zero, a subnormal,
+        # the extremes of float64, and random values over 600 decades
+        w, rbvd, library, tmp = setup
+        whash = world_hash(w)
+        special = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308,
+                   1.7976931348623157e308, 1.0 / 3.0, math.nextafter(1.0, 2.0)]
+        cache = {}
+        for i, hidden in enumerate([(6, 6), (3, 5), (64, 64)]):
+            actor = init_mlp(observation_dim(w), hidden, 4, rng)
+            n = actor.flat().size
+            vec = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+            vec[:len(special)] = special
+            actor.set_flat(vec)
+            cache[f"{whash}/c0-{i}"] = CacheEntry(
+                actor=actor, cost=[0.1 + 0.2, 1e-6, math.pi * 1e10][i],
+                training_steps=[0, 4000, 2 ** 53 + 1][i])
+        artifacts.save_cache(str(tmp), whash, cache)
+        loaded = artifacts.load_cache(str(tmp), whash)
+        assert sorted(loaded) == sorted(cache)
+        for key, entry in cache.items():
+            got = loaded[key]
+            assert got.actor.layer_sizes == entry.actor.layer_sizes
+            for a, b in zip(got.actor.parameters(), entry.actor.parameters()):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            assert got.cost.hex() == entry.cost.hex()
+            assert got.training_steps == entry.training_steps
+
+    def test_other_world_rejected(self, setup, rng):
+        w, rbvd, library, tmp = setup
+        whash = world_hash(w)
+        cache = {"k": CacheEntry(actor=make_policy(w, rng).actor, cost=1.0,
+                                 training_steps=1)}
+        artifacts.save_cache(str(tmp), whash, cache)
+        os.rename(tmp / whash, tmp / ("0" * 16))
+        with pytest.raises(VersionMismatch):
+            artifacts.load_cache(str(tmp), "0" * 16)
+
+    def test_earlier_layout_loads_empty(self, setup):
+        # earlier versions kept cache_index.json plus one binary file per policy
+        w, rbvd, library, tmp = setup
+        whash = world_hash(w)
+        base = tmp / whash
+        os.makedirs(base / "policies")
+        (base / "policies" / "0123456789abcdef.pol").write_bytes(
+            b"SHARPPOL" + b"\x00" * 64)
+        artifacts.save_artifact(
+            str(base / "cache_index.json"), "policy-cache", whash,
+            {"entries": {f"{whash}/c0-1/{'a' * 16}": {
+                "file": "0123456789abcdef.pol", "cost": 3.0,
+                "training_steps": 10}}})
+        assert artifacts.load_cache(str(tmp), whash) == {}
+
+
+def _drop(*path):
+    def mutate(entry):
+        for k in path[:-1]:
+            entry = entry[k]
+        del entry[path[-1]]
+    return mutate
+
+
+def _set_actor(field, value):
+    def mutate(entry):
+        entry["actor"][field] = value(entry["actor"]) if callable(value) else value
+    return mutate
+
+
+def _params_bytes(edit):
+    def value(actor):
+        raw = base64.b64decode(actor["params"])
+        return base64.b64encode(edit(raw)).decode("ascii")
+    return value
+
+
+MALFORMED_ENTRIES = {
+    "no-cost": _drop("cost"),
+    "text-cost": lambda entry: entry.update(cost="twelve"),
+    "no-training_steps": _drop("training_steps"),
+    "no-actor": _drop("actor"),
+    "no-layers": _drop("actor", "layers"),
+    "no-params": _drop("actor", "params"),
+    "params-not-base64": _set_actor("params", "not base64!"),
+    "params-bad-padding": _set_actor("params", "QUJ"),
+    "params-not-text": _set_actor("params", 12),
+    "three-layer-sizes": _set_actor("layers", [6, 6, 4]),
+    "five-layer-sizes": _set_actor("layers", [6, 6, 6, 6, 4]),
+    "zero-layer-size": _set_actor("layers", [6, 0, 6, 4]),
+    "text-layer-size": _set_actor("layers", ["6", 6, 6, 4]),
+    "layers-not-a-list": _set_actor("layers", 4),
+    "layers-larger-than-params": _set_actor("layers", [6, 6, 7, 4]),
+    "one-parameter-short": _set_actor("params", _params_bytes(lambda b: b[:-8])),
+    "one-parameter-over": _set_actor("params", _params_bytes(lambda b: b + b[:8])),
+    "partial-parameter": _set_actor("params", _params_bytes(lambda b: b[:-3])),
+}
+
+
+@pytest.mark.parametrize("mutate", MALFORMED_ENTRIES.values(),
+                         ids=MALFORMED_ENTRIES.keys())
+def test_malformed_cache_entry_parse_error(setup, rng, mutate):
+    w, rbvd, library, tmp = setup
+    whash = world_hash(w)
+    actor = init_mlp(observation_dim(w), (6, 6), 4, rng)
+    artifacts.save_cache(str(tmp), whash, {
+        "k": CacheEntry(actor=actor, cost=1.0, training_steps=1)})
+    path = tmp / whash / "policy_cache.json"
+    envelope = json.loads(path.read_text())
+    mutate(envelope["payload"]["entries"]["k"])
+    path.write_text(json.dumps(envelope))
+    with pytest.raises(ParseError):
+        artifacts.load_cache(str(tmp), whash)

@@ -10,7 +10,7 @@ from sharp.cli import _abstraction_params, build_parser, main
 from sharp.experiment import AbstractionParams
 from sharp.world import world_from_text, parse_sidecar
 
-from helpers import sample_setting
+from helpers import density_from_payload, sample_setting
 
 
 @pytest.fixture
@@ -57,7 +57,7 @@ class TestPipelineCommands:
         assert main(["regions", "--world", tiny_world_file, "--percentile", "90",
                      "--out", out_path]) == 0
         out = capsys.readouterr().out
-        density = artifacts.density_from_payload(
+        density = density_from_payload(
             artifacts.load_artifact(out_path, "density-grid"))
         threshold = np.percentile(density[density > 0], 90)
         assert f"(threshold {threshold:.4f})" in out
@@ -195,3 +195,27 @@ def test_user_input_fault_is_an_error_line(tmp_path, capsys, argv):
     assert main([a.format(tmp=tmp_path) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+SOLVE = ["solve", "--world", "{world}", "--start", "1.5,1.5", "--goal", "8.5,1.5",
+         "--profile", "smoke", "--episodes", "1"]
+BASELINE = ["baseline", "--world", "{world}", "--method", "rrt_replan",
+            "--start", "1.5,1.5", "--goal", "8.5,1.5", "--episodes", "1"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (SOLVE, "--out"), (BASELINE, "--out"),
+    (["regions", "--world", "{world}"], "--config"),
+    (["abstract", "--world", "{world}"], "--config"),
+    (["options", "--world", "{world}"], "--config"),
+    (SOLVE, "--config"), (BASELINE, "--config"),
+], ids=["solve-out", "baseline-out", "regions-config", "abstract-config",
+        "options-config", "solve-config", "baseline-config"])
+def test_unread_flag_is_a_usage_error(tiny_world_file, tmp_path, capsys, argv,
+                                      flag):
+    # a subcommand registers only the flags it reads
+    argv = [a.format(world=tiny_world_file) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

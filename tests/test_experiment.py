@@ -79,8 +79,15 @@ class TestRunExperiment:
         assert os.path.dirname(path) == str(base)
         assert os.path.basename(path).startswith("library_centroid_")
         assert os.path.exists(path)
-        assert (base / "cache_index.json").exists()
+        assert (base / "policy_cache.json").exists()
 
+    def test_cache_dir_holds_library_and_policy_cache(self, tmp_path):
+        spec = tiny_spec(run_monolithic=False)
+        run_experiment(spec, cache_dir=str(tmp_path))
+        path = library_cache_path(str(tmp_path), world_hash(spec.world),
+                                  "centroid", spec.abstraction)
+        assert sorted(os.listdir(os.path.dirname(path))) == [
+            os.path.basename(path), "policy_cache.json"]
 
     def test_cached_build_writes_only_the_library(self, tmp_path):
         spec = tiny_spec()

@@ -7,13 +7,13 @@ from sharp import learn
 from sharp.abstraction import Region, build_region_voronoi
 from sharp.errors import DivergedTraining, InCollision
 from sharp.learn import (GoalEnv, OptionEnv, Policy, ReplayBuffer, TrainConfig,
-                         build_observation, displacement_scale, observation_dim,
+                         build_observation, observation_dim,
                          run_episodes, train_monolithic_policy, train_option_policy)
 from sharp.mlp import init_mlp
 from sharp.motion import rrt_plan, shortcut
 from sharp.options import OptionGuide, compute_guide_path, synth_centroid_options
 from sharp.world import (Configuration, HolonomicAction, Kinematics, UnicycleAction,
-                         collision, with_params)
+                         collision)
 
 from conftest import grid_from_rows, open_world
 from helpers import ScriptedPolicy, evaluate_policy
@@ -65,7 +65,7 @@ class TestPolicyActions:
         actor = init_mlp(observation_dim(w), (8, 8), 4, rng)
         for p in actor.parameters():
             p *= 40.0  # drive tanh into saturation to probe the bounds
-        return Policy(actor=actor, guide=guide, act_scale=displacement_scale(w))
+        return Policy(actor=actor, guide=guide)
 
     def test_holonomic_actions_within_bounds(self, rng):
         w, rbvd, option, guide = two_state_setup()
@@ -149,7 +149,7 @@ def immobile_policy(w, guide, rng):
     actor = init_mlp(observation_dim(w), (4, 4), 4, rng)
     for p in actor.parameters():
         p[...] = 0.0
-    return Policy(actor=actor, guide=guide, act_scale=displacement_scale(w))
+    return Policy(actor=actor, guide=guide)
 
 
 class TestRunEpisodes:
@@ -253,7 +253,7 @@ class TestEvaluatePolicy:
         actor = init_mlp(observation_dim(w), (4, 4), 4, rng)
         for p in actor.parameters():
             p[...] = 0.0
-        policy = Policy(actor=actor, guide=guide, act_scale=displacement_scale(w))
+        policy = Policy(actor=actor, guide=guide)
         goal = guide.termination.representative
         out = evaluate_policy(w, policy, Configuration(2.0, 2.0),
                               lambda c: c.distance_to(goal) < 1.0,
@@ -276,7 +276,7 @@ class TestEvaluatePolicy:
     def test_evaluation_deterministic(self, rng):
         w, rbvd, option, guide = two_state_setup(noise=0.1)
         actor = init_mlp(observation_dim(w), (6, 6), 4, np.random.default_rng(4))
-        policy = Policy(actor=actor, guide=guide, act_scale=displacement_scale(w))
+        policy = Policy(actor=actor, guide=guide)
         goal = guide.termination.representative
         runs = [evaluate_policy(w, policy, guide.initiation,
                                 lambda c: c.distance_to(goal) < 1.0, episodes=10,

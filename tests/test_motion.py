@@ -4,7 +4,7 @@ import pytest
 from sharp.errors import Unreachable
 from sharp.motion import (ExecutionResult, MotionPlan, RrtParams, execute_with_replan,
                           resample_polyline, rrt_plan, shortcut)
-from sharp.world import Configuration, collision, with_params
+from sharp.world import Configuration, collision
 
 from conftest import grid_from_rows, open_world, random_world
 

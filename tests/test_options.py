@@ -6,12 +6,13 @@ import pytest
 from sharp.abstraction import build_region_voronoi
 from sharp.errors import GuideUnreachable, InCollision
 from sharp.options import (OptionGuide, OptionKind, compute_guide_path,
-                           nearest_guide_point, pseudo_reward,
-                           synth_centroid_options, synth_interface_options)
+                           pseudo_reward, synth_centroid_options,
+                           synth_interface_options)
 from sharp.regions import CriticalRegion
 from sharp.world import Configuration
 
 from conftest import grid_from_rows, open_world
+from helpers import nearest_guide_point
 
 from test_abstraction import point_region
 

@@ -11,14 +11,14 @@ from sharp.learn import TrainConfig
 from sharp.options import (OptionKind, OptionSpec, synth_centroid_options,
                            synth_interface_options)
 from sharp.planner import (AbstractGraph, CacheEntry, ComposedPolicy, OptionLibrary,
-                           PolicyCache, SolveConfig, Stage, astar,
+                           SolveConfig, Stage, astar,
                            build_abstract_graph, execute_composed,
                            guide_fingerprint, plan_abstract, sharp_solve,
                            update_option_cost)
 from sharp.world import Configuration
 
 from conftest import grid_from_rows, open_world
-from helpers import ScriptedPolicy, dijkstra_cost
+from helpers import ScriptedPolicy, dijkstra_cost, option_stages
 from test_abstraction import point_region
 from test_experiment import TWO_ROOMS
 from test_options import line_world_rbvd, triangle_rbvd
@@ -203,8 +203,8 @@ def solve_setup(kind="centroid", smoke=True):
         options = synth_centroid_options(rbvd, t=2.0)
     else:
         options = synth_interface_options(rbvd, t=2.0)
-    library = OptionLibrary(kind=kind, threshold=2.0, guide_spacing=1.0,
-                            guide_seed=0, options=options, rbvd=rbvd)
+    library = OptionLibrary(kind=kind, threshold=2.0, guide_seed=0,
+                            options=options, rbvd=rbvd)
     cfg = SolveConfig(train=TrainConfig(
         learner="cem", max_steps=1200, eval_every=600, eval_episodes=4,
         episode_limit=40, cem_population=4, cem_iters=1, cem_hidden=(4, 4)))
@@ -214,11 +214,11 @@ def solve_setup(kind="centroid", smoke=True):
 class TestSharpSolve:
     def test_composed_policy_chains(self):
         w, library, cfg = solve_setup()
-        cache = PolicyCache()
+        cache = {}
         composed, stats = sharp_solve(w, Configuration(1.5, 1.5),
                                       Configuration(18.5, 18.5), library, cache,
                                       cfg, np.random.default_rng(0))
-        opts = composed.option_stages()
+        opts = option_stages(composed)
         assert [o.option.id for o in opts] == stats.plan_option_ids
         for a, b in zip(opts, opts[1:]):
             assert a.option.termination.cells == b.option.initiation.cells
@@ -227,7 +227,7 @@ class TestSharpSolve:
 
     def test_cache_reuse_and_cheaper_resolve(self):
         w, library, cfg = solve_setup()
-        cache = PolicyCache()
+        cache = {}
         _, first = sharp_solve(w, Configuration(1.5, 1.5),
                                Configuration(18.5, 18.5), library, cache, cfg,
                                np.random.default_rng(1))
@@ -242,7 +242,7 @@ class TestSharpSolve:
 
     def test_cache_keyed_on_train_config(self):
         _, library = build_library(TWO_ROOMS, "centroid", AbstractionParams())
-        cache = PolicyCache()
+        cache = {}
 
         def solve(hidden):
             cfg = SolveConfig(train=TrainConfig(
@@ -257,7 +257,7 @@ class TestSharpSolve:
         assert first.options_trained >= 1
         composed, second = solve((4, 4))
         assert second.options_reused == 0
-        assert [s.policy.actor.layer_sizes[1:3] for s in composed.option_stages()] \
+        assert [s.policy.actor.layer_sizes[1:3] for s in option_stages(composed)] \
             == [(4, 4)] * len(second.plan_option_ids)
         _, third = solve((4, 4))
         assert third.options_reused == len(third.plan_option_ids)
@@ -266,7 +266,7 @@ class TestSharpSolve:
         w, library, cfg = solve_setup()
         composed, stats = sharp_solve(w, Configuration(2.0, 2.0),
                                       Configuration(4.0, 4.0), library,
-                                      PolicyCache(), cfg, np.random.default_rng(3))
+                                      {}, cfg, np.random.default_rng(3))
         assert stats.plan_option_ids == []
         assert [s.label for s in composed.stages] == ["bridge_in", "bridge_out"]
 
@@ -282,15 +282,15 @@ class TestSharpSolve:
                    point_region(w, (7, 2))]
         rbvd = build_region_voronoi(w, regions)
         options = synth_centroid_options(rbvd, t=1.5)
-        library = OptionLibrary(kind="centroid", threshold=1.5, guide_spacing=0.5,
-                                guide_seed=0, options=options, rbvd=rbvd)
+        library = OptionLibrary(kind="centroid", threshold=1.5, guide_seed=0,
+                                options=options, rbvd=rbvd)
         cfg = SolveConfig(train=TrainConfig(learner="cem", max_steps=400,
                                             eval_every=400, eval_episodes=2,
                                             episode_limit=20, cem_population=3,
                                             cem_iters=1, cem_hidden=(4, 4)))
         with pytest.raises(NoAbstractPath):
             sharp_solve(w, Configuration(0.5, 0.5), Configuration(8.5, 0.5),
-                        library, PolicyCache(), cfg, np.random.default_rng(4))
+                        library, {}, cfg, np.random.default_rng(4))
 
     def test_guide_fingerprint_stability(self):
         w, library, cfg = solve_setup()
@@ -339,13 +339,6 @@ class TestExecuteComposed:
         trace = execute_composed(w, composed, per_stage_limit=30,
                                  rng=np.random.default_rng(6))
         assert trace.outcome == "stage_timeout" and trace.timeout_stage == 0
-
-    def test_total_budget_outcome(self):
-        w = open_world(12, 12)
-        composed = self.make_scripted_composed(w, (6.5, 6.5), (10.5, 10.5))
-        trace = execute_composed(w, composed, per_stage_limit=200,
-                                 rng=np.random.default_rng(7), total_budget=3)
-        assert trace.outcome == "budget"
 
     def test_composability_over_random_worlds(self, rng):
         # every abstract plan's consecutive options share endpoint cell sets

@@ -6,9 +6,10 @@ import pytest
 from sharp.errors import NoFreeSpace, ParseError
 from sharp.world import (Configuration, HolonomicAction, Kinematics, UnicycleAction,
                          collision, sample_free, sidecar_to_text, parse_sidecar, step,
-                         with_params, world_from_text, world_hash, world_to_text)
+                         world_from_text, world_hash, world_to_text)
 
 from conftest import grid_from_rows, open_world
+from helpers import with_params
 
 
 class TestCollision:
