@@ -13,6 +13,7 @@ from __future__ import annotations
 import base64
 import json
 import os
+import shutil
 
 import numpy as np
 
@@ -157,9 +158,8 @@ def _actor_from_payload(p: dict, where: str) -> Mlp:
             and all(type(n) is int and n > 0 for n in layers)):
         raise ParseError(f"{where}: layers must be in, h1, h2, out; got {layers!r}")
     raw = base64.b64decode(p["params"], validate=True)
-    actor = Mlp([np.empty((a, b)) for a, b in zip(layers, layers[1:])],
-                [np.empty(b) for b in layers[1:]])
-    n = sum(q.size for q in actor.parameters())
+    actor = Mlp(layers)
+    n = actor.params.size
     if len(raw) != 8 * n:
         raise ParseError(f"{where}: {len(raw)} parameter bytes, layers {layers} "
                          f"need {8 * n}")
@@ -168,7 +168,8 @@ def _actor_from_payload(p: dict, where: str) -> Mlp:
 
 
 def save_cache(root: str, world_hash: str, cache: dict[str, CacheEntry]) -> None:
-    """Write one world's policy cache as a single policy-cache artifact."""
+    """Write one world's policy cache as a single policy-cache artifact, and
+    delete the files an earlier layout left in the world's directory."""
     base = cache_dir_for(root, world_hash)
     os.makedirs(base, exist_ok=True)
     entries = {key: {"cost": e.cost, "training_steps": e.training_steps,
@@ -176,6 +177,12 @@ def save_cache(root: str, world_hash: str, cache: dict[str, CacheEntry]) -> None
                for key, e in cache.items()}
     save_artifact(os.path.join(base, POLICY_CACHE_FILE), "policy-cache",
                   world_hash, {"entries": entries})
+    # earlier versions kept an index plus one binary file per policy
+    index, policies = os.path.join(base, "cache_index.json"), os.path.join(base, "policies")
+    if os.path.isfile(index):
+        os.remove(index)
+    if os.path.isdir(policies):
+        shutil.rmtree(policies)
 
 
 def load_cache(root: str, world_hash: str) -> dict[str, CacheEntry]:

@@ -16,7 +16,8 @@ import numpy as np
 
 from .abstraction import Region, RegionVoronoi
 from .errors import DivergedTraining, InCollision
-from .mlp import Adam, Mlp, init_mlp, mlp_backward, mlp_forward, mlp_forward_cached
+from .mlp import (Adam, Mlp, init_mlp, mlp_backward, mlp_forward, mlp_forward_cached,
+                  mlp_input_grad)
 from .options import OptionGuide, pseudo_reward
 from .seeding import spawn
 from .world import (Configuration, Kinematics, OccupancyWorld, collision,
@@ -252,33 +253,33 @@ class GoalEnv:
 
 
 class ReplayBuffer:
+    """Ring buffer of transitions, each one row [obs, act, rew, obs2, done]
+    of a single float64 array."""
+
     def __init__(self, capacity: int, obs_dim: int, act_dim: int):
         self.capacity = capacity
-        self.obs = np.zeros((capacity, obs_dim))
-        self.act = np.zeros((capacity, act_dim))
-        self.rew = np.zeros(capacity)
-        self.obs2 = np.zeros((capacity, obs_dim))
-        self.done = np.zeros(capacity)
+        self.obs_dim = obs_dim
+        self.act_dim = act_dim
+        self.rows = np.zeros((capacity, 2 * obs_dim + act_dim + 2))
+        self.obs = self.rows[:, :obs_dim]
         self.size = 0
         self.ptr = 0
 
     def add(self, obs, act, rew, obs2, done):
-        fields = (obs, act, (rew,), obs2, (float(done),))
-        if not all(np.all(np.isfinite(f)) for f in fields):
+        row = np.concatenate((obs, act, (rew,), obs2, (float(done),)))
+        if not np.isfinite(row).all():
             raise DivergedTraining("non-finite transition")
-        i = self.ptr
-        self.obs[i] = obs
-        self.act[i] = act
-        self.rew[i] = rew
-        self.obs2[i] = obs2
-        self.done[i] = float(done)
-        self.ptr = (i + 1) % self.capacity
+        self.rows[self.ptr] = row
+        self.ptr = (self.ptr + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
     def sample(self, batch: int, rng: np.random.Generator):
+        """(obs, act, rew, obs2, done) of batch rows drawn with replacement."""
         idx = rng.integers(0, self.size, size=batch)
-        return (self.obs[idx], self.act[idx], self.rew[idx], self.obs2[idx],
-                self.done[idx])
+        rows = self.rows[idx]
+        o, a = self.obs_dim, self.act_dim
+        return (rows[:, :o], rows[:, o:o + a], rows[:, o + a],
+                rows[:, o + a + 1:-1], rows[:, -1])
 
 
 # -- actor-critic learner ------------------------------------------------------------
@@ -312,12 +313,6 @@ class SacLearner:
                       - np.log(1.0 - t * t + 1e-6), axis=1)
         return mu, tanh_raw, log_std, std, u, t, logp
 
-    def sample_action(self, obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        out = mlp_forward(self.actor, obs[None, :])
-        eps = rng.standard_normal((1, self.act_dim))
-        *_, t, _ = self._policy_terms(out, eps)
-        return t[0]
-
     def update(self, buffer: ReplayBuffer, rng: np.random.Generator) -> None:
         cfg = self.cfg
         obs, act, rew, obs2, done = buffer.sample(cfg.batch_size, rng)
@@ -325,10 +320,11 @@ class SacLearner:
         alpha = cfg.entropy_coef
         rew = rew * cfg.reward_scale
 
-        # critic targets from the current actor on the next state
-        out2 = mlp_forward(self.actor, obs2)
+        # the actor changes only at the end of the update, so one pass serves
+        # the critic targets (rows :B, next states) and the actor loss (rows B:)
+        out_all, cache_all = mlp_forward_cached(self.actor, np.concatenate([obs2, obs]))
         eps2 = rng.standard_normal((B, self.act_dim))
-        *_, a2, logp2 = self._policy_terms(out2, eps2)
+        *_, a2, logp2 = self._policy_terms(out_all[:B], eps2)
         xin2 = np.concatenate([obs2, a2], axis=1)
         qt = np.minimum(mlp_forward(self.t1, xin2)[:, 0],
                         mlp_forward(self.t2, xin2)[:, 0])
@@ -345,9 +341,8 @@ class SacLearner:
             opt.step(net, grads)
 
         # actor: minimize alpha*logp - min(Q1, Q2) under reparameterized actions
-        out, cache_a = mlp_forward_cached(self.actor, obs)
         eps = rng.standard_normal((B, self.act_dim))
-        mu, tanh_raw, log_std, std, u, t, logp = self._policy_terms(out, eps)
+        mu, tanh_raw, log_std, std, u, t, logp = self._policy_terms(out_all[B:], eps)
         xa = np.concatenate([obs, t], axis=1)
         q1v, cache1 = mlp_forward_cached(self.q1, xa)
         q2v, cache2 = mlp_forward_cached(self.q2, xa)
@@ -358,8 +353,8 @@ class SacLearner:
             raise DivergedTraining("actor loss is not finite")
         up1 = np.where(use1, -1.0 / B, 0.0)[:, None]
         up2 = np.where(use1, 0.0, -1.0 / B)[:, None]
-        _, din1 = mlp_backward(self.q1, cache1, up1)
-        _, din2 = mlp_backward(self.q2, cache2, up2)
+        din1 = mlp_input_grad(self.q1, cache1, up1)
+        din2 = mlp_input_grad(self.q2, cache2, up2)
         dl_da = din1[:, obs.shape[1]:] + din2[:, obs.shape[1]:]
 
         one_m_t2 = 1.0 - t * t
@@ -368,15 +363,14 @@ class SacLearner:
         dl_dmu = dl_du
         dl_dlogstd = dl_du * (u - mu) - (alpha / B)
         dl_draw = dl_dlogstd * 0.5 * (LOG_STD_MAX - LOG_STD_MIN) * (1.0 - tanh_raw ** 2)
-        grads_a, _ = mlp_backward(self.actor, cache_a,
+        grads_a, _ = mlp_backward(self.actor, tuple(c[B:] for c in cache_all),
                                   np.concatenate([dl_dmu, dl_draw], axis=1))
         self.opt_actor.step(self.actor, grads_a)
 
         # polyak-averaged target networks
         for src, dst in ((self.q1, self.t1), (self.q2, self.t2)):
-            for ps, pd in zip(src.parameters(), dst.parameters()):
-                pd *= 1.0 - cfg.tau
-                pd += cfg.tau * ps
+            dst.params *= 1.0 - cfg.tau
+            dst.params += cfg.tau * src.params
 
 
 def run_episodes(env, policy: Policy, episodes: int, rng: np.random.Generator):
@@ -438,7 +432,7 @@ def _train_sac(env, cfg: TrainConfig, rng: np.random.Generator):
             if steps < cfg.start_steps:
                 u = rng.uniform(-1.0, 1.0, size=2)
             else:
-                u = learner.sample_action(obs, rng)
+                u = policy.sample_displacement(obs, rng)
             obs2, r, done, truncated, _ = env.step(u, rng)
             buffer.add(obs, u, r, obs2, done)
             steps += 1

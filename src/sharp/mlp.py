@@ -1,51 +1,61 @@
 """Small dense network with exact reverse-mode gradients, plus Adam.
 
 Architecture is fixed at two tanh hidden layers and a linear output layer
-(which may hold several heads side by side). Everything is float64 numpy;
-batched inputs are (B, n_in) and gradients are summed over the batch.
+(which may hold several heads side by side). Each net keeps all of its
+parameters in one contiguous float64 vector, `params`, laid out as W1, b1,
+W2, b2, W3, b3; `weights` and `biases` are views into it, so writing through
+either changes the other. Optimizer steps and target-network averaging run
+once over the whole vector. Batched inputs are (B, n_in) and gradients are
+summed over the batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeMismatch
 
 
-@dataclass
 class Mlp:
-    """Parameters W1, b1, W2, b2, W3, b3 for in -> h1 -> h2 -> out."""
+    """Parameters W1, b1, W2, b2, W3, b3 for in -> h1 -> h2 -> out, held as
+    views into one flat buffer; a new net is all zeros."""
 
-    weights: list  # [W1, W2, W3], each (n_prev, n_next)
-    biases: list   # [b1, b2, b3]
+    def __init__(self, layer_sizes):
+        sizes = tuple(int(n) for n in layer_sizes)
+        params = np.zeros(sum(a * b + b for a, b in zip(sizes, sizes[1:])))
+        self.layer_sizes = sizes
+        self.params = params
+        self.weights: list = []  # [W1, W2, W3], each (n_prev, n_next)
+        self.biases: list = []   # [b1, b2, b3]
+        i = 0
+        for a, b in zip(sizes, sizes[1:]):
+            self.weights.append(params[i:i + a * b].reshape(a, b))
+            self.biases.append(params[i + a * b:i + a * b + b])
+            i += a * b + b
 
     @property
     def n_in(self) -> int:
-        return self.weights[0].shape[0]
+        return self.layer_sizes[0]
 
     @property
     def n_out(self) -> int:
-        return self.weights[-1].shape[1]
-
-    @property
-    def layer_sizes(self) -> tuple:
-        return (self.n_in,) + tuple(w.shape[1] for w in self.weights)
+        return self.layer_sizes[-1]
 
     def copy(self) -> "Mlp":
-        return Mlp([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        twin = Mlp(self.layer_sizes)
+        twin.params[...] = self.params
+        return twin
 
     def flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.parameters()])
+        return self.params.copy()
 
     def set_flat(self, vec: np.ndarray) -> None:
-        i = 0
-        for p in self.parameters():
-            p[...] = vec[i:i + p.size].reshape(p.shape)
-            i += p.size
-        if i != vec.size:
-            raise ShapeMismatch(f"flat vector has {vec.size} entries, net needs {i}")
+        if np.shape(vec) != self.params.shape:
+            raise ShapeMismatch(f"flat vector has shape {np.shape(vec)}, "
+                                f"net needs {self.params.shape}")
+        self.params[...] = vec
 
     def parameters(self) -> list:
         out = []
@@ -56,16 +66,14 @@ class Mlp:
 
 def init_mlp(n_in: int, hidden: tuple, n_out: int, rng: np.random.Generator) -> Mlp:
     """Xavier-scaled initialization; output layer starts small."""
-    sizes = (n_in, *hidden, n_out)
     if len(hidden) != 2:
         raise ShapeMismatch("expected exactly two hidden layers")
-    weights, biases = [], []
-    for a, b in zip(sizes, sizes[1:]):
-        scale = np.sqrt(2.0 / (a + b))
-        weights.append(rng.normal(0.0, scale, size=(a, b)))
-        biases.append(np.zeros(b))
-    weights[-1] *= 0.01
-    return Mlp(weights, biases)
+    net = Mlp((n_in, *hidden, n_out))
+    for w in net.weights:
+        a, b = w.shape
+        w[...] = rng.normal(0.0, np.sqrt(2.0 / (a + b)), size=(a, b))
+    net.weights[-1] *= 0.01
+    return net
 
 
 def mlp_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
@@ -82,11 +90,42 @@ def mlp_forward_cached(net: Mlp, x: np.ndarray):
         x = x[None, :]
     if x.shape[1] != net.n_in:
         raise ShapeMismatch(f"input width {x.shape[1]} != {net.n_in}")
-    h1 = np.tanh(x @ net.weights[0] + net.biases[0])
-    h2 = np.tanh(h1 @ net.weights[1] + net.biases[1])
-    y = h2 @ net.weights[2] + net.biases[2]
+    (w1, w2, w3), (b1, b2, b3) = net.weights, net.biases
+    h1 = x @ w1
+    h1 += b1
+    np.tanh(h1, out=h1)
+    h2 = h1 @ w2
+    h2 += b2
+    np.tanh(h2, out=h2)
+    y = h2 @ w3
+    y += b3
     cache = (x, h1, h2)
     return (y[0] if squeeze else y), cache
+
+
+def _upstream(net: Mlp, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    g = np.asarray(upstream, dtype=np.float64)
+    if g.ndim == 1:
+        g = g[None, :]
+    if g.shape != (x.shape[0], net.n_out):
+        raise ShapeMismatch(f"upstream shape {g.shape} != ({x.shape[0]}, {net.n_out})")
+    return g
+
+
+def _through_tanh(dh: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """dh * (1 - h*h) in place: the gradient through a tanh whose output is h."""
+    slope = h * h
+    np.subtract(1.0, slope, out=slope)
+    dh *= slope
+    return dh
+
+
+def _hidden_grads(net: Mlp, cache, g: np.ndarray):
+    """Gradients at the two hidden layers' pre-activations, (dh1, dh2)."""
+    _, h1, h2 = cache
+    dh2 = _through_tanh(g @ net.weights[2].T, h2)
+    dh1 = _through_tanh(dh2 @ net.weights[1].T, h1)
+    return dh1, dh2
 
 
 def mlp_backward(net: Mlp, cache, upstream: np.ndarray):
@@ -96,46 +135,57 @@ def mlp_backward(net: Mlp, cache, upstream: np.ndarray):
     where grads matches net.parameters() order and is summed over the batch.
     """
     x, h1, h2 = cache
-    g = np.asarray(upstream, dtype=np.float64)
-    if g.ndim == 1:
-        g = g[None, :]
-    if g.shape != (x.shape[0], net.n_out):
-        raise ShapeMismatch(f"upstream shape {g.shape} != ({x.shape[0]}, {net.n_out})")
-    dw3 = h2.T @ g
-    db3 = g.sum(axis=0)
-    dh2 = (g @ net.weights[2].T) * (1.0 - h2 * h2)
-    dw2 = h1.T @ dh2
-    db2 = dh2.sum(axis=0)
-    dh1 = (dh2 @ net.weights[1].T) * (1.0 - h1 * h1)
-    dw1 = x.T @ dh1
-    db1 = dh1.sum(axis=0)
-    d_input = dh1 @ net.weights[0].T
-    return [dw1, db1, dw2, db2, dw3, db3], d_input
+    g = _upstream(net, x, upstream)
+    dh1, dh2 = _hidden_grads(net, cache, g)
+    grads = [x.T @ dh1, dh1.sum(axis=0), h1.T @ dh2, dh2.sum(axis=0),
+             h2.T @ g, g.sum(axis=0)]
+    return grads, dh1 @ net.weights[0].T
+
+
+def mlp_input_grad(net: Mlp, cache, upstream: np.ndarray) -> np.ndarray:
+    """d_input of mlp_backward, bit for bit, without the parameter gradients."""
+    x = cache[0]
+    dh1, _ = _hidden_grads(net, cache, _upstream(net, x, upstream))
+    return dh1 @ net.weights[0].T
 
 
 @dataclass
 class Adam:
-    """Standard Adam over one Mlp's parameter list."""
+    """Standard Adam over one Mlp's flat parameter buffer."""
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     t: int = 0
 
     def step(self, net: Mlp, grads: list) -> None:
-        params = net.parameters()
-        if not self.m:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
+        """One update from grads in net.parameters() order."""
+        g = np.concatenate([gi.ravel() for gi in grads])
+        if self.m is None:
+            self.m = np.zeros_like(net.params)
+            self.v = np.zeros_like(net.params)
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        m, v = self.m, self.v
+        # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+        # params -= lr * (m/b1c) / (sqrt(v/b2c) + eps)
+        # with the same operations and operands (a product's operand order
+        # does not change it), in two vectors: g is reused once v is updated
+        m *= self.beta1
+        step = g * (1.0 - self.beta1)
+        m += step
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=step)
+        step *= g
+        v += step
+        np.divide(m, b1c, out=step)
+        step *= self.lr
+        np.divide(v, b2c, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        step /= g
+        net.params -= step

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 
 from sharp.abstraction import Region
-from sharp.learn import _sample_in_region
+from sharp.learn import LOG_2PI, LOG_STD_MAX, LOG_STD_MIN, _sample_in_region
 from sharp.options import OptionGuide
 from sharp.planner import ComposedPolicy, astar
 from sharp.world import Configuration, OccupancyWorld, step, steer_toward
@@ -94,3 +94,133 @@ def nearest_guide_point(guide: OptionGuide, c: Configuration) -> tuple[Configura
 
 def option_stages(composed: ComposedPolicy):
     return [s for s in composed.stages if s.option is not None]
+
+
+# -- reference SAC update ------------------------------------------------------------
+# SacLearner.update as it was written on one array per layer: two actor
+# forward passes, full backward passes for the critics' input gradients, and
+# Adam and Polyak loops over each net's six arrays. test_learn holds the
+# learner to it bit for bit.
+
+
+def ref_forward(params, x):
+    w1, b1, w2, b2, w3, b3 = params
+    h1 = np.tanh(x @ w1 + b1)
+    h2 = np.tanh(h1 @ w2 + b2)
+    return h2 @ w3 + b3, (x, h1, h2)
+
+
+def ref_backward(params, cache, g):
+    w1, _, w2, _, w3, _ = params
+    x, h1, h2 = cache
+    dw3 = h2.T @ g
+    db3 = g.sum(axis=0)
+    dh2 = (g @ w3.T) * (1.0 - h2 * h2)
+    dw2 = h1.T @ dh2
+    db2 = dh2.sum(axis=0)
+    dh1 = (dh2 @ w2.T) * (1.0 - h1 * h1)
+    dw1 = x.T @ dh1
+    db1 = dh1.sum(axis=0)
+    d_input = dh1 @ w1.T
+    return [dw1, db1, dw2, db2, dw3, db3], d_input
+
+
+class RefAdam:
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.m, self.v, self.t = [], [], 0
+
+    def step(self, params, grads):
+        if not self.m:
+            self.m = [np.zeros_like(p) for p in params]
+            self.v = [np.zeros_like(p) for p in params]
+        self.t += 1
+        b1c = 1.0 - self.beta1 ** self.t
+        b2c = 1.0 - self.beta2 ** self.t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+
+
+class ReferenceSac:
+    """Starts from a SacLearner's weights; nets are lists [W1, b1, ..., b3]."""
+
+    NETS = ("actor", "q1", "q2", "t1", "t2")
+
+    def __init__(self, learner):
+        self.cfg = learner.cfg
+        self.act_dim = learner.act_dim
+        for name in self.NETS:
+            setattr(self, name, [p.copy() for p in getattr(learner, name).parameters()])
+        self.opt_actor = RefAdam(self.cfg.actor_lr)
+        self.opt_q1 = RefAdam(self.cfg.critic_lr)
+        self.opt_q2 = RefAdam(self.cfg.critic_lr)
+
+    def _policy_terms(self, out, eps):
+        a = self.act_dim
+        mu, raw = out[:, :a], out[:, a:]
+        tanh_raw = np.tanh(raw)
+        log_std = LOG_STD_MIN + 0.5 * (LOG_STD_MAX - LOG_STD_MIN) * (tanh_raw + 1.0)
+        std = np.exp(log_std)
+        u = mu + std * eps
+        t = np.tanh(u)
+        logp = np.sum(-0.5 * eps * eps - log_std - 0.5 * LOG_2PI
+                      - np.log(1.0 - t * t + 1e-6), axis=1)
+        return mu, tanh_raw, log_std, std, u, t, logp
+
+    def update(self, transitions, rng):
+        """transitions: (obs, act, rew, obs2, done) arrays, sampled with
+        replacement as ReplayBuffer.sample draws its rows."""
+        cfg = self.cfg
+        idx = rng.integers(0, len(transitions[0]), size=cfg.batch_size)
+        obs, act, rew, obs2, done = (f[idx] for f in transitions)
+        B = len(obs)
+        alpha = cfg.entropy_coef
+        rew = rew * cfg.reward_scale
+
+        out2, _ = ref_forward(self.actor, obs2)
+        eps2 = rng.standard_normal((B, self.act_dim))
+        *_, a2, logp2 = self._policy_terms(out2, eps2)
+        xin2 = np.concatenate([obs2, a2], axis=1)
+        qt = np.minimum(ref_forward(self.t1, xin2)[0][:, 0],
+                        ref_forward(self.t2, xin2)[0][:, 0])
+        y = rew + cfg.discount * (1.0 - done) * (qt - alpha * logp2)
+
+        xin = np.concatenate([obs, act], axis=1)
+        for net, opt in ((self.q1, self.opt_q1), (self.q2, self.opt_q2)):
+            q, cache = ref_forward(net, xin)
+            diff = q[:, 0] - y
+            grads, _ = ref_backward(net, cache, (2.0 * diff / B)[:, None])
+            opt.step(net, grads)
+
+        out, cache_a = ref_forward(self.actor, obs)
+        eps = rng.standard_normal((B, self.act_dim))
+        mu, tanh_raw, log_std, std, u, t, logp = self._policy_terms(out, eps)
+        xa = np.concatenate([obs, t], axis=1)
+        q1v, cache1 = ref_forward(self.q1, xa)
+        q2v, cache2 = ref_forward(self.q2, xa)
+        q1v, q2v = q1v[:, 0], q2v[:, 0]
+        use1 = q1v <= q2v
+        up1 = np.where(use1, -1.0 / B, 0.0)[:, None]
+        up2 = np.where(use1, 0.0, -1.0 / B)[:, None]
+        _, din1 = ref_backward(self.q1, cache1, up1)
+        _, din2 = ref_backward(self.q2, cache2, up2)
+        dl_da = din1[:, obs.shape[1]:] + din2[:, obs.shape[1]:]
+
+        one_m_t2 = 1.0 - t * t
+        dlogp_du = 2.0 * t * one_m_t2 / (one_m_t2 + 1e-6)
+        dl_du = (alpha / B) * dlogp_du + dl_da * one_m_t2
+        dl_dmu = dl_du
+        dl_dlogstd = dl_du * (u - mu) - (alpha / B)
+        dl_draw = dl_dlogstd * 0.5 * (LOG_STD_MAX - LOG_STD_MIN) * (1.0 - tanh_raw ** 2)
+        grads_a, _ = ref_backward(self.actor, cache_a,
+                                  np.concatenate([dl_dmu, dl_draw], axis=1))
+        self.opt_actor.step(self.actor, grads_a)
+
+        for src, dst in ((self.q1, self.t1), (self.q2, self.t2)):
+            for ps, pd in zip(src, dst):
+                pd *= 1.0 - cfg.tau
+                pd += cfg.tau * ps

@@ -196,6 +196,19 @@ class TestCachePersistence:
                 "training_steps": 10}}})
         assert artifacts.load_cache(str(tmp), whash) == {}
 
+    def test_save_removes_earlier_layout(self, setup, rng):
+        w, rbvd, library, tmp = setup
+        whash = world_hash(w)
+        base = tmp / whash
+        os.makedirs(base / "policies")
+        (base / "policies" / "0123456789abcdef.pol").write_bytes(b"SHARPPOL")
+        (base / "cache_index.json").write_text("{}")
+        key = f"{whash}/c0-1/{'a' * 16}"
+        artifacts.save_cache(str(tmp), whash, {key: CacheEntry(
+            actor=make_policy(w, rng).actor, cost=2.0, training_steps=5)})
+        assert os.listdir(base) == ["policy_cache.json"]
+        assert list(artifacts.load_cache(str(tmp), whash)) == [key]
+
 
 def _drop(*path):
     def mutate(entry):

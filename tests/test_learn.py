@@ -6,8 +6,8 @@ import pytest
 from sharp import learn
 from sharp.abstraction import Region, build_region_voronoi
 from sharp.errors import DivergedTraining, InCollision
-from sharp.learn import (GoalEnv, OptionEnv, Policy, ReplayBuffer, TrainConfig,
-                         build_observation, observation_dim,
+from sharp.learn import (GoalEnv, OptionEnv, Policy, ReplayBuffer, SacLearner,
+                         TrainConfig, build_observation, observation_dim,
                          run_episodes, train_monolithic_policy, train_option_policy)
 from sharp.mlp import init_mlp
 from sharp.motion import rrt_plan, shortcut
@@ -16,7 +16,7 @@ from sharp.world import (Configuration, HolonomicAction, Kinematics, UnicycleAct
                          collision)
 
 from conftest import grid_from_rows, open_world
-from helpers import ScriptedPolicy, evaluate_policy
+from helpers import ReferenceSac, ScriptedPolicy, evaluate_policy
 from test_abstraction import point_region
 
 
@@ -168,6 +168,31 @@ class TestRunEpisodes:
         policy = immobile_policy(w, env.guide, rng)
         assert run_episodes(env, policy, 3, rng) == ([-7.0] * 3, [False] * 3,
                                                      [7] * 3)
+
+
+def test_sac_update_matches_reference_bitwise():
+    # desk-profile shapes: 6 observation inputs, H=64, batch 128
+    cfg = TrainConfig(hidden=(64, 64), batch_size=128, actor_lr=2e-3, critic_lr=2e-3,
+                      entropy_coef=0.1)
+    data_rng = np.random.default_rng(0)
+    n = 600
+    transitions = (data_rng.uniform(-1, 1, (n, 6)), data_rng.uniform(-1, 1, (n, 2)),
+                   data_rng.normal(size=n) * 10.0, data_rng.uniform(-1, 1, (n, 6)),
+                   (data_rng.uniform(size=n) < 0.1).astype(float))
+    buffer = ReplayBuffer(n, 6, 2)
+    for row in zip(*transitions):
+        buffer.add(*row)
+    learner = SacLearner(6, 2, cfg, np.random.default_rng(1))
+    reference = ReferenceSac(learner)
+    rng_new, rng_ref = np.random.default_rng(2), np.random.default_rng(2)
+    for _ in range(50):
+        learner.update(buffer, rng_new)
+        reference.update(transitions, rng_ref)
+    for name in ReferenceSac.NETS:
+        for got, want in zip(getattr(learner, name).parameters(),
+                             getattr(reference, name)):
+            assert np.array_equal(got, want), name
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
 class TestTraining:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sharp.errors import ShapeMismatch
-from sharp.mlp import Adam, Mlp, init_mlp, mlp_backward, mlp_forward, mlp_forward_cached
+from sharp.mlp import (Adam, Mlp, init_mlp, mlp_backward, mlp_forward, mlp_forward_cached,
+                       mlp_input_grad)
 
 
 def reference_forward(net, x):
@@ -139,6 +140,17 @@ class TestBackward:
                      - np.sum(up * mlp_forward(net, xm))) / (2 * h)
         assert np.allclose(d_in[0], fd, atol=1e-6)
 
+    def test_input_grad_is_backward_d_input_bitwise(self):
+        rng = np.random.default_rng(10)
+        for _ in range(6):
+            n_in, h1, h2, n_out = (int(k) for k in rng.integers(1, 40, size=4))
+            net = init_mlp(n_in, (h1, h2), n_out, rng)
+            x = rng.normal(size=(int(rng.integers(1, 200)), n_in))
+            upstream = rng.normal(size=(len(x), n_out))
+            _, cache = mlp_forward_cached(net, x)
+            _, d_in = mlp_backward(net, cache, upstream)
+            assert np.array_equal(mlp_input_grad(net, cache, upstream), d_in)
+
 
 class TestFlatAndAdam:
     def test_flat_round_trip(self):
@@ -167,3 +179,28 @@ class TestFlatAndAdam:
             opt.step(net, grads)
         final, _, _ = loss()
         assert final < first * 0.05
+
+    def test_adam_step_visible_through_weights(self):
+        rng = np.random.default_rng(11)
+        net = init_mlp(3, (4, 4), 2, rng)
+        before = [w.copy() for w in net.weights]
+        _, cache = mlp_forward_cached(net, rng.normal(size=(5, 3)))
+        grads, _ = mlp_backward(net, cache, rng.normal(size=(5, 2)))
+        Adam(lr=1e-2).step(net, grads)
+        assert all(not np.array_equal(w, b) for w, b in zip(net.weights, before))
+        assert np.array_equal(net.flat(), np.concatenate([p.ravel()
+                                                          for p in net.parameters()]))
+
+    def test_copy_shares_no_memory(self):
+        net = init_mlp(3, (4, 4), 2, np.random.default_rng(12))
+        twin = net.copy()
+        for a in [twin.params] + twin.parameters():
+            for b in [net.params] + net.parameters():
+                assert not np.shares_memory(a, b)
+        assert np.array_equal(twin.flat(), net.flat())
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_set_flat_wrong_length(self, delta):
+        net = init_mlp(3, (4, 4), 2, np.random.default_rng(13))
+        with pytest.raises(ShapeMismatch):
+            net.set_flat(np.zeros(net.flat().size + delta))
