@@ -175,7 +175,7 @@ def cmd_baseline(args) -> int:
     train = replace(TRAIN_PROFILES[args.profile](), max_steps=args.budget)
     success, _, steps = monolithic_baseline(
         world, x_i, x_g, train, None, args.episodes, STAGE_LIMIT,
-        derive_rng("mono", name, args.seed), derive_rng("monoeval", name, args.seed))
+        derive_rng("mono", name, args.seed), (name, args.seed))
     print(json.dumps({"method": "monolithic", "training_steps": steps,
                       "success_rate": success}, indent=2, sort_keys=True))
     return 0

@@ -21,13 +21,14 @@ import numpy as np
 from . import artifacts, settings
 from .abstraction import build_region_voronoi, geodesic_distances
 from .errors import NoRegions, ParseError, SharpError
-from .learn import GoalEnv, TrainConfig, run_episodes, train_monolithic_policy
+from .learn import TrainConfig, train_monolithic_policy
 from .motion import RrtParams, execute_with_replan
 from .options import synth_options
-from .planner import (ComposedPolicy, OptionLibrary, SolveConfig, execute_composed,
-                      sharp_solve)
+from .planner import (ComposedPolicy, OptionLibrary, SolveConfig, Stage,
+                      execute_composed, run_lanes, sharp_solve)
 from .regions import (DEFAULT_PERCENTILE, CriticalRegion, collect_solution_density,
-                      extract_critical_regions, percentile_threshold)
+                      connected_components, extract_critical_regions,
+                      percentile_threshold)
 from .seeding import derive_rng
 from .world import (Configuration, Kinematics, OccupancyWorld, parse_sidecar,
                     world_from_text, world_hash)
@@ -117,14 +118,19 @@ def select_regions(world: OccupancyWorld, density: np.ndarray,
     The threshold is params.threshold, else params.percentile of the nonzero
     density. If no component survives it, extraction is retried once at the
     80th percentile. The first max_regions regions are kept. If only one is
-    left, the free cell geodesically farthest from it (the lowest cell on
-    ties) is added as a second anchor, so that a world whose density has a
-    single peak, such as two rooms joined by one door, still partitions.
+    left, anchors are added so that a world whose density has a single peak
+    still partitions. When removing the region's cells splits the free
+    cells it reaches, as a door does between two rooms, each of the two
+    largest sides (the one with the lowest cell on ties) gets one anchor:
+    its cell geodesically farthest from the region. The region is then a
+    state of its own between the two sides. Otherwise the one free cell
+    farthest from the region is added. Farthest means the lowest cell on
+    ties.
 
     The paper does not say what the abstraction is when the density yields
-    fewer than two critical regions: the retry and the added anchor are this
-    codebase's choice. Worlds that yield two or more regions at the requested
-    threshold get exactly the regions of extract_critical_regions.
+    fewer than two critical regions: the retry and the added anchors are
+    this codebase's choice. Worlds that yield two or more regions at the
+    requested threshold get exactly the regions of extract_critical_regions.
     """
     threshold = params.threshold
     if threshold is None:
@@ -139,12 +145,19 @@ def select_regions(world: OccupancyWorld, density: np.ndarray,
     if params.max_regions is not None:
         regions = regions[:params.max_regions]
     if len(regions) == 1:
-        dist = geodesic_distances(world, set(regions[0].cells))
-        far = min(dist, key=lambda c: (-dist[c], c))
-        if far not in regions[0].cells:
-            regions = regions + [CriticalRegion(
-                cells=frozenset([far]), centroid=Configuration(*world.cell_center(far)),
-                score=float(density[far[1], far[0]]))]
+        lone = regions[0].cells
+        dist = geodesic_distances(world, set(lone))
+        sides = connected_components(set(dist) - lone)
+        if len(sides) < 2:   # no split: one anchor, farthest of all
+            sides = [set(dist)]
+        sides = sorted(sides, key=lambda side: (-len(side), min(side)))[:2]
+        for side in sides:
+            far = min(side, key=lambda c: (-dist[c], c))
+            if far not in lone:
+                regions = regions + [CriticalRegion(
+                    cells=frozenset([far]),
+                    centroid=Configuration(*world.cell_center(far)),
+                    score=float(density[far[1], far[0]]))]
     return regions, threshold
 
 
@@ -153,7 +166,7 @@ def build_library(world: OccupancyWorld, kind: str,
     """Density -> critical regions -> partition -> option endpoints.
 
     Regions come from select_regions, which on single-peak densities lowers
-    the threshold or adds a farthest-cell anchor (a fallback that is not from
+    the threshold or adds farthest-cell anchors (a fallback that is not from
     the paper) rather than fail.
     """
     rng = derive_rng("abstraction", world_hash(world), params.seed)
@@ -277,14 +290,14 @@ def evaluate_composed(world, composed: ComposedPolicy, episodes: int,
                       stage_limit: int, seed_key) -> tuple[float, float]:
     """Success rate and mean steps of the composed policy; episode ep runs on
     derive_rng("exec", *seed_key, ep)."""
-    wins = 0
-    steps = []
-    for ep in range(episodes):
-        trace = execute_composed(world, composed, stage_limit,
-                                 derive_rng("exec", *seed_key, ep))
-        wins += trace.outcome == "reached_goal"
-        steps.append(trace.total_steps)
-    return wins / episodes, float(np.mean(steps))
+    traces = execute_composed(world, composed, stage_limit,
+                              [derive_rng("exec", *seed_key, ep) for ep in range(episodes)])
+    return _success_and_steps(traces)
+
+
+def _success_and_steps(traces) -> tuple[float, float]:
+    wins = sum(t.outcome == "reached_goal" for t in traces)
+    return wins / len(traces), float(np.mean([t.total_steps for t in traces]))
 
 
 def evaluate_rrt_replan(world, x_i, x_g, params: RrtParams, budget: int,
@@ -300,15 +313,18 @@ def evaluate_rrt_replan(world, x_i, x_g, params: RrtParams, budget: int,
 
 def monolithic_baseline(world, x_i, x_g, train: TrainConfig, goal_tol,
                         episodes: int, stage_limit: int, train_rng,
-                        eval_rng) -> tuple[float, float, int]:
-    """Train the flat policy, then roll it out greedily for at most
-    4 * stage_limit steps an episode; returns (success_rate, mean_steps,
-    training_steps)."""
+                        seed_key) -> tuple[float, float, int]:
+    """Train the flat policy, then run it greedily as a one-stage controller
+    for at most 4 * stage_limit steps an episode, until the goal tolerance
+    (default one cell) is met; episode ep runs on derive_rng("monoeval",
+    *seed_key, ep). Returns (success_rate, mean_steps, training_steps)."""
     policy, stats = train_monolithic_policy(world, x_i, x_g, train, train_rng,
                                             goal_tol=goal_tol)
-    env = GoalEnv(world, x_i, x_g, 4 * stage_limit, goal_tol)
-    _, successes, steps = run_episodes(env, policy, episodes, eval_rng)
-    return sum(successes) / episodes, float(np.mean(steps)), stats.steps
+    tol = goal_tol if goal_tol is not None else world.cell_size
+    flat = ComposedPolicy([Stage("flat", policy, frozenset())], x_i, x_g, tol)
+    traces = run_lanes(world, flat, 4 * stage_limit,
+                       [derive_rng("monoeval", *seed_key, ep) for ep in range(episodes)])
+    return (*_success_and_steps(traces), stats.steps)
 
 
 def run_experiment(spec: ExperimentSpec, cache_dir: str | None = None) -> list:
@@ -368,7 +384,7 @@ def _monolithic_row(spec: ExperimentSpec, x_i, x_g, pi: int, seed: int,
         success, mean_steps, steps = monolithic_baseline(
             spec.world, x_i, x_g, cfg, spec.goal_tol, spec.eval_episodes,
             spec.stage_limit, derive_rng("monolithic", spec.name, seed, pi),
-            derive_rng("monoeval", spec.name, seed, pi))
+            (spec.name, seed, pi))
         return ResultRow(spec.name, pi, "monolithic", seed, success, mean_steps,
                          steps, 0, 0)
     except SharpError as e:

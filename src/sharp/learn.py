@@ -101,6 +101,24 @@ def build_observation(world: OccupancyWorld, guide: OptionGuide,
     return np.array(parts)
 
 
+def build_observations(world: OccupancyWorld, guide: OptionGuide, x: np.ndarray,
+                       y: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """build_observation for each lane (x[i], y[i], theta[i]), row for row
+    and bit for bit; theta is read only under unicycle kinematics."""
+    ex, ey = world.extent
+    hx, hy = ex / 2.0, ey / 2.0
+    xy = guide.point_array()
+    d2 = (xy[:, 0] - x[:, None]) ** 2 + (xy[:, 1] - y[:, None]) ** 2
+    px, py = xy[np.argmin(d2, axis=1)].T
+    gx, gy = xy[-1]
+    cols = [x / hx - 1.0, y / hy - 1.0]
+    if world.kinematics is Kinematics.UNICYCLE:
+        t = theta.tolist()
+        cols.extend([np.array(list(map(math.cos, t))), np.array(list(map(math.sin, t)))])
+    cols.extend([(px - x) / hx, (py - y) / hy, (gx - px) / hx, (gy - py) / hy])
+    return np.column_stack(cols)
+
+
 def observation_dim(world: OccupancyWorld) -> int:
     return 8 if world.kinematics is Kinematics.UNICYCLE else 6
 
@@ -142,13 +160,19 @@ class Policy:
         log_std = LOG_STD_MIN + 0.5 * (LOG_STD_MAX - LOG_STD_MIN) * (np.tanh(raw) + 1.0)
         return np.tanh(mu + np.exp(log_std) * rng.standard_normal(mu.shape))
 
-    def act(self, world: OccupancyWorld, c: Configuration, greedy: bool = True,
-            rng: np.random.Generator | None = None):
-        obs = build_observation(world, self.guide, c)
-        u = (self.greedy_displacement(obs) if greedy
-             else self.sample_displacement(obs, rng))
-        return action_from_displacement(world, c, u,
-                                        displacement_scale(world))
+    def targets(self, world: OccupancyWorld, x: np.ndarray, y: np.ndarray,
+                theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Greedy waypoints of lanes at (x, y, theta): the configuration plus
+        tanh(mu) times the displacement scale, as action_from_displacement
+        forms its target. The forward always takes at least two rows: a
+        lone row is repeated, because a one-row product rounds differently
+        from the same row inside a larger one, so a lane's waypoint does
+        not depend on how many lanes share the forward."""
+        obs = build_observations(world, self.guide, x, y, theta)
+        rows = obs if len(obs) > 1 else np.concatenate([obs, obs])
+        u = np.tanh(mlp_forward(self.actor, rows)[:len(obs), :self.actor.n_out // 2])
+        scale = displacement_scale(world)
+        return x + u[:, 0] * scale, y + u[:, 1] * scale
 
 
 # -- environments -----------------------------------------------------------------

@@ -25,7 +25,8 @@ from .mlp import Mlp
 from .options import (OptionGuide, OptionKind, OptionSpec, build_guide,
                       compute_guide_path)
 from .seeding import derive_rng, spawn
-from .world import Configuration, OccupancyWorld, step, world_hash
+from .world import (Configuration, OccupancyWorld, padded_cells, steer_toward_lanes,
+                    step_lanes, world_hash)
 
 ENTRY = "__entry__"
 EXIT = "__exit__"
@@ -226,6 +227,10 @@ class CacheEntry:
 
 @dataclass
 class Stage:
+    """One controller stage. policy is anything with the lane interface of
+    learn.Policy, targets(world, x, y, theta) -> (tx, ty): the waypoint each
+    lane heads for, as a memoryless function of its configuration."""
+
     label: str
     policy: object
     advance_cells: frozenset    # controller advances on entering these cells
@@ -246,6 +251,7 @@ class ComposedPolicy:
 class ExecutionTrace:
     stage_steps: list
     outcome: str                 # "reached_goal" | "stage_timeout"
+    end: tuple                   # (x, y) where the execution stopped
     timeout_stage: int | None = None
 
     @property
@@ -253,35 +259,99 @@ class ExecutionTrace:
         return sum(self.stage_steps)
 
 
-def execute_composed(world: OccupancyWorld, composed: ComposedPolicy,
-                     per_stage_limit: int, rng: np.random.Generator) -> ExecutionTrace:
-    """Run the stage automaton; the index only ever advances.
+NOISE_BLOCK = 32   # steps of noise a lane draws at a time
 
-    Every stage except the last hands over on cell membership of the next
-    initiation region; the final bridge runs until the goal tolerance is met.
+
+def run_lanes(world: OccupancyWorld, composed: ComposedPolicy,
+              per_stage_limit: int, rngs: list) -> list[ExecutionTrace]:
+    """Greedy executions of the stage automaton, one lane per generator,
+    all stepped in lockstep; returns one trace per lane.
+
+    A lane's stage index only ever advances. Every stage except the last
+    hands over on cell membership of its advance cells; the last runs until
+    the goal tolerance is met. A stage that has used per_stage_limit steps
+    and is not done times out. Each tick, every stage with live lanes makes
+    one batched forward, then every live lane takes one world step with two
+    standard normals of its own generator, drawn NOISE_BLOCK steps at a
+    time (the same values as one draw of two per step). A lane's trace
+    therefore does not depend on which other lanes run.
     """
-    c = composed.x_start
-    stage_steps = []
-    for idx, stage in enumerate(composed.stages):
-        last = idx == len(composed.stages) - 1
-        if hasattr(stage.policy, "reset"):
-            stage.policy.reset()
-        used = 0
+    last = len(composed.stages) - 1
+    advance = []   # per stage, its advance cells as a padded grid mask
+    for stage in composed.stages:
+        mask = np.zeros((world.height + 2, world.width + 2), dtype=bool)
+        for ix, iy in filter(world.in_bounds, stage.advance_cells):
+            mask[iy + 1, ix + 1] = True
+        advance.append(mask)
+    gx, gy = composed.x_goal.x, composed.x_goal.y
+    # rows of live lanes; ids[r] is the lane that row r holds
+    ids = np.arange(len(rngs))
+    x = np.full(len(ids), composed.x_start.x)
+    y = np.full(len(ids), composed.x_start.y)
+    theta = np.full(len(ids), composed.x_start.theta or 0.0)
+    stage = np.zeros(len(ids), dtype=np.int64)
+    used = np.zeros(len(ids), dtype=np.int64)
+    noise = np.empty((len(ids), NOISE_BLOCK, 2))
+    stage_steps = [[] for _ in ids]
+    traces: list = [None] * len(ids)
 
-        def done() -> bool:
-            if last:
-                return c.distance_to(composed.x_goal) <= composed.goal_tol
-            return world.cell_of(c.x, c.y) in stage.advance_cells
+    def done(rows: np.ndarray, s: int) -> np.ndarray:
+        if s == last:
+            d = map(math.hypot, (x[rows] - gx).tolist(), (y[rows] - gy).tolist())
+            return np.array(list(d)) <= composed.goal_tol
+        return advance[s][padded_cells(world, x[rows], y[rows])]
 
-        while not done():
-            if used >= per_stage_limit:
-                stage_steps.append(used)
-                return ExecutionTrace(stage_steps, "stage_timeout", idx)
-            a = stage.policy.act(world, c, greedy=True)
-            c = step(world, c, a, rng)
-            used += 1
-        stage_steps.append(used)
-    return ExecutionTrace(stage_steps, "reached_goal")
+    def finish(r: int, outcome: str, timeout_stage: int | None = None) -> None:
+        traces[ids[r]] = ExecutionTrace(stage_steps[ids[r]], outcome,
+                                        (float(x[r]), float(y[r])), timeout_stage)
+        ended[r] = True
+
+    tick = 0
+    while len(ids):
+        # hand over (as often as needed), finish or time out before stepping
+        ended = np.zeros(len(ids), dtype=bool)
+        for s in range(int(stage.min()), last + 1):
+            rows = np.flatnonzero(stage == s)
+            if len(rows) == 0:
+                continue
+            for r in rows[done(rows, s)]:
+                stage_steps[ids[r]].append(int(used[r]))
+                if s == last:
+                    finish(r, "reached_goal")
+                else:
+                    stage[r] += 1
+                    used[r] = 0
+            for r in rows[(stage[rows] == s) & ~ended[rows]
+                          & (used[rows] >= per_stage_limit)]:
+                stage_steps[ids[r]].append(int(used[r]))
+                finish(r, "stage_timeout", s)
+        if ended.any():
+            keep = ~ended
+            ids, x, y, theta = ids[keep], x[keep], y[keep], theta[keep]
+            stage, used, noise = stage[keep], used[keep], noise[keep]
+            if len(ids) == 0:
+                break
+        if tick % NOISE_BLOCK == 0:
+            for r, lane in enumerate(ids):
+                noise[r] = rngs[lane].standard_normal(2 * NOISE_BLOCK).reshape(-1, 2)
+        tx, ty = np.empty(len(ids)), np.empty(len(ids))
+        for s in range(int(stage.min()), int(stage.max()) + 1):
+            rows = stage == s
+            if rows.any():
+                tx[rows], ty[rows] = composed.stages[s].policy.targets(
+                    world, x[rows], y[rows], theta[rows])
+        a0, a1 = steer_toward_lanes(world, x, y, theta, tx, ty)
+        x, y, theta = step_lanes(world, x, y, theta, a0, a1, noise[:, tick % NOISE_BLOCK])
+        used += 1
+        tick += 1
+    return traces
+
+
+def execute_composed(world: OccupancyWorld, composed: ComposedPolicy,
+                     per_stage_limit: int, rngs: list) -> list[ExecutionTrace]:
+    """Greedy executions of a composed policy, one per generator, stepped
+    in lockstep by run_lanes."""
+    return run_lanes(world, composed, per_stage_limit, rngs)
 
 
 # -- solve ---------------------------------------------------------------------------

@@ -101,6 +101,8 @@ class OccupancyWorld:
     v_max: float = 1.0
     omega_max: float = math.pi / 4.0
     _free_cells: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # occupancy with a ring of occupied cells around it, for the lane sweep
+    _walled: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
@@ -114,6 +116,7 @@ class OccupancyWorld:
             raise ValueError(f"occupancy shape {occ.shape} != ({self.height}, {self.width})")
         occ.setflags(write=False)
         self.occupancy = occ
+        self._walled = np.pad(occ, 1, constant_values=True)
 
     # -- geometry -----------------------------------------------------------
 
@@ -272,6 +275,101 @@ def steer_toward(world: OccupancyWorld, c: Configuration,
         return clip_action(world, UnicycleAction(0.0, err))  # rotate in place
     v = min(world.v_max, dist) * math.cos(err)
     return clip_action(world, UnicycleAction(v, err))
+
+
+# -- lanes: the simulator over (N,) arrays, one element per episode -------------
+# Each function below repeats its scalar twin bit for bit. Arithmetic runs
+# on arrays; hypot, atan2, cos and sin run per element through `math`,
+# because numpy's versions can round differently, and `min`/`max` become
+# np.where on the same comparison so that ties and NaNs resolve alike.
+
+
+def _per_lane(fn, *arrays) -> np.ndarray:
+    return np.array(list(map(fn, *(a.tolist() for a in arrays))), dtype=np.float64)
+
+
+def _wrap_lanes(theta: np.ndarray) -> np.ndarray:
+    return (theta + math.pi) % TWO_PI - math.pi
+
+
+def _clip_lanes(world: OccupancyWorld, a0: np.ndarray, a1: np.ndarray):
+    """clip_action over lanes of (dx, dy) or (v, omega) commands."""
+    if world.kinematics is Kinematics.HOLONOMIC:
+        norm = _per_lane(math.hypot, a0, a1)
+        big = (norm > world.max_step) & (norm > 0)
+        s = world.max_step / np.where(big, norm, 1.0)
+        return np.where(big, a0 * s, a0), np.where(big, a1 * s, a1)
+    v = np.where(0.0 > a0, 0.0, a0)
+    v = np.where(world.v_max < v, world.v_max, v)
+    omega = np.where(-world.omega_max > a1, -world.omega_max, a1)
+    omega = np.where(world.omega_max < omega, world.omega_max, omega)
+    return v, omega
+
+
+def padded_cells(world: OccupancyWorld, x, y):
+    """(row, column) indices of the cells holding points (x, y) in a grid
+    with one cell of padding on every side; every point off the grid lands
+    in the padding."""
+    ix = np.clip(np.floor(x / world.cell_size), -1, world.width) + 1
+    iy = np.clip(np.floor(y / world.cell_size), -1, world.height) + 1
+    return iy.astype(np.int64), ix.astype(np.int64)
+
+
+def _truncate_lanes(world: OccupancyWorld, sx, sy, tx, ty):
+    """_truncate_to_free over lanes; raises ValueError on a non-finite target."""
+    dx, dy = tx - sx, ty - sy
+    dist = _per_lane(math.hypot, dx, dy)
+    if not np.isfinite(dist).all():
+        raise ValueError("non-finite configuration")
+    n = np.ceil(dist / (SWEEP_FRACTION * world.cell_size)).astype(np.int64)
+    np.maximum(n, 1, out=n)
+    # sub-samples 1..n of each lane, and one past its last as a stop marker
+    i = np.arange(1, int(n.max()) + 2)
+    t = i / n[:, None]
+    px = sx[:, None] + t * dx[:, None]
+    py = sy[:, None] + t * dy[:, None]
+    stop = world._walled[padded_cells(world, px, py)]
+    stop |= i > n[:, None]
+    kept = stop.argmax(axis=1)   # free sub-samples before the first stop
+    stay = (kept == 0) | (dist == 0.0)
+    rows = np.arange(len(sx))
+    last = np.maximum(kept - 1, 0)
+    return np.where(stay, sx, px[rows, last]), np.where(stay, sy, py[rows, last])
+
+
+def steer_toward_lanes(world: OccupancyWorld, x, y, theta, tx, ty):
+    """steer_toward for lanes at (x, y, theta) heading for (tx, ty); returns
+    the commands as two arrays, (dx, dy) or (v, omega)."""
+    dx = tx - x
+    dy = ty - y
+    if world.kinematics is Kinematics.HOLONOMIC:
+        return _clip_lanes(world, dx, dy)
+    dist = _per_lane(math.hypot, dx, dy)
+    err = _wrap_lanes(_per_lane(math.atan2, dy, dx) - theta)
+    turn = np.abs(err) > 0.5
+    v = np.where(dist < world.v_max, dist, world.v_max) * _per_lane(math.cos, err)
+    v, omega = _clip_lanes(world, np.where(turn, 0.0, v), err)
+    still = dist < 1e-12
+    return np.where(still, 0.0, v), np.where(still, 0.0, omega)
+
+
+def step_lanes(world: OccupancyWorld, x, y, theta, a0, a1, noise):
+    """step for lanes at (x, y, theta) under commands (a0, a1), with this
+    step's (N, 2) standard normals; returns the new (x, y, theta). theta is
+    carried unchanged under holonomic kinematics."""
+    a0, a1 = _clip_lanes(world, a0, a1)
+    if world.kinematics is Kinematics.HOLONOMIC:
+        sigma = world.noise_sigma * _per_lane(math.hypot, a0, a1)
+        nx, ny = _truncate_lanes(world, x, y, x + (a0 + sigma * noise[:, 0]),
+                                 y + (a1 + sigma * noise[:, 1]))
+        return nx, ny, theta
+    v = a0 + world.noise_sigma * np.abs(a0) * noise[:, 0]
+    omega = a1 + world.noise_sigma * np.abs(a1) * noise[:, 1]
+    nx, ny = _truncate_lanes(world, x, y, x + v * _per_lane(math.cos, theta),
+                             y + v * _per_lane(math.sin, theta))
+    # step's Configuration wraps the angle once more, which leaves any
+    # wrapped angle unchanged: its sum with pi is exact
+    return nx, ny, _wrap_lanes(theta + omega)
 
 
 # -- text format ---------------------------------------------------------------

@@ -6,28 +6,59 @@ from dataclasses import replace
 import numpy as np
 
 from sharp.abstraction import Region
-from sharp.learn import LOG_2PI, LOG_STD_MAX, LOG_STD_MIN, _sample_in_region
+from sharp.learn import (LOG_2PI, LOG_STD_MAX, LOG_STD_MIN, _sample_in_region,
+                         action_from_displacement, build_observation,
+                         displacement_scale)
 from sharp.options import OptionGuide
 from sharp.planner import ComposedPolicy, astar
 from sharp.world import Configuration, OccupancyWorld, step, steer_toward
 
 
 class ScriptedPolicy:
-    """Oracle policy that tracks a fixed waypoint list; used as a test double."""
+    """Oracle policy that tracks a fixed waypoint list; used as a test double.
+
+    Memoryless, as a stage policy must be: a lane heads for the end of the
+    waypoint segment nearest to it (the first on ties), or for the waypoint
+    after that once within tol of it."""
 
     def __init__(self, waypoints, tol=0.5):
         self.waypoints = list(waypoints)
         self.tol = tol
-        self._next = 0
 
-    def reset(self):
-        self._next = 0
+    def _target(self, c):
+        pts = self.waypoints
+        if len(pts) == 1:
+            return pts[0].xy
+        k = min(range(len(pts) - 1),
+                key=lambda j: _segment_distance(c, pts[j], pts[j + 1]))
+        nxt = k + 1
+        if nxt + 1 < len(pts) and c.distance_to(pts[nxt]) <= self.tol:
+            nxt += 1
+        return pts[nxt].xy
 
-    def act(self, world, c, greedy=True, rng=None):
-        while (self._next < len(self.waypoints) - 1
-               and c.distance_to(self.waypoints[self._next]) <= self.tol):
-            self._next += 1
-        return steer_toward(world, c, self.waypoints[self._next].xy)
+    def targets(self, world, x, y, theta):
+        tx, ty = zip(*(self._target(Configuration(a, b))
+                       for a, b in zip(x.tolist(), y.tolist())))
+        return np.array(tx), np.array(ty)
+
+
+def _segment_distance(c, a, b) -> float:
+    ax, ay, bx, by = a.x, a.y, b.x, b.y
+    L2 = (bx - ax) ** 2 + (by - ay) ** 2
+    t = 0.0 if L2 == 0 else min(1.0, max(0.0, ((c.x - ax) * (bx - ax)
+                                               + (c.y - ay) * (by - ay)) / L2))
+    return c.distance_to((ax + t * (bx - ax), ay + t * (by - ay)))
+
+
+def act(world, policy, c, greedy=True, rng=None):
+    """The action a stage policy takes at c: greedy through its lane
+    interface, or, for a learned Policy, sampled from its squashed Gaussian."""
+    if greedy:
+        tx, ty = policy.targets(world, np.array([c.x]), np.array([c.y]),
+                                np.array([c.theta or 0.0]))
+        return steer_toward(world, c, (float(tx[0]), float(ty[0])))
+    u = policy.sample_displacement(build_observation(world, policy.guide, c), rng)
+    return action_from_displacement(world, c, u, displacement_scale(world))
 
 
 def evaluate_policy(world, policy, start, stop_predicate, episodes, step_limit, rng):
@@ -42,13 +73,10 @@ def evaluate_policy(world, policy, start, stop_predicate, episodes, step_limit, 
             c = _sample_in_region(world, start, rng)
         else:
             c = start
-        if hasattr(policy, "reset"):
-            policy.reset()
         steps = 0
         ok = stop_predicate(c)
         while not ok and steps < step_limit:
-            a = policy.act(world, c, greedy=True)
-            c = step(world, c, a, rng)
+            c = step(world, c, act(world, policy, c), rng)
             steps += 1
             ok = stop_predicate(c)
         successes += ok

@@ -296,6 +296,27 @@ class TestSelectRegions:
                                             AbstractionParams(threshold=0.9))
         assert threshold == pytest.approx(0.1)
         assert regions[0].cells == {(4, 3), (5, 3), (6, 3)}
-        # (1, 1) and (1, 5) are both 5 cells away; the lower cell wins
-        assert len(regions) == 2 and regions[1].cells == {(1, 1)}
+        # removing it splits the rooms, so each room gets its farthest cell:
+        # (1, 1) and (1, 5) are both 5 cells away, (8, 1) and (8, 5) both 4;
+        # the lower cell wins
+        assert [r.cells for r in regions[1:]] == [{(1, 1)}, {(8, 1)}]
         assert regions[1].centroid == Configuration(1.5, 1.5)
+
+    def test_lone_region_without_split_gets_one_anchor(self, empty10):
+        d = np.zeros((10, 10))
+        d[4:6, 4:6] = 1.0
+        regions, _ = select_regions(empty10, d, AbstractionParams(threshold=0.5))
+        assert regions[0].cells == {(4, 4), (4, 5), (5, 4), (5, 5)}
+        # the four corners are all 8 cells away; the lowest wins
+        assert len(regions) == 2 and regions[1].cells == {(0, 0)}
+
+    def test_rooms_fall_in_different_states(self):
+        # the door region's own state reaches into both rooms; the states of
+        # the rooms' far ends lie on either side of it
+        _, library = build_library(TWO_ROOMS, "centroid", AbstractionParams())
+        rbvd = library.rbvd
+        left = rbvd.state_of(Configuration(1.5, 1.5))
+        right = rbvd.state_of(Configuration(8.5, 1.5))
+        assert left.id != right.id
+        assert all(ix < 5 for ix, _ in left.cells)
+        assert all(ix > 5 for ix, _ in right.cells)

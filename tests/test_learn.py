@@ -16,7 +16,7 @@ from sharp.world import (Configuration, HolonomicAction, Kinematics, UnicycleAct
                          collision)
 
 from conftest import grid_from_rows, open_world
-from helpers import ReferenceSac, ScriptedPolicy, evaluate_policy
+from helpers import ReferenceSac, ScriptedPolicy, act, evaluate_policy
 from test_abstraction import point_region
 
 
@@ -72,10 +72,10 @@ class TestPolicyActions:
         policy = self.make_policy(w, guide, rng)
         for _ in range(50):
             c = Configuration(*rng.uniform(1, 19, size=2))
-            a = policy.act(w, c)
+            a = act(w, policy, c)
             assert isinstance(a, HolonomicAction)
             assert math.hypot(a.dx, a.dy) <= w.max_step + 1e-9
-            a2 = policy.act(w, c, greedy=False, rng=rng)
+            a2 = act(w, policy, c, greedy=False, rng=rng)
             assert math.hypot(a2.dx, a2.dy) <= w.max_step + 1e-9
 
     def test_unicycle_actions_within_bounds(self, rng):
@@ -84,7 +84,7 @@ class TestPolicyActions:
         for _ in range(50):
             c = Configuration(*rng.uniform(1, 19, size=2),
                               float(rng.uniform(-math.pi, math.pi)))
-            a = policy.act(w, c)
+            a = act(w, policy, c)
             assert isinstance(a, UnicycleAction)
             assert 0.0 <= a.v <= w.v_max + 1e-9
             assert abs(a.omega) <= w.omega_max + 1e-9

@@ -1,0 +1,239 @@
+"""The lockstep engine: lane twins of the simulator and the observation
+builder, and whole executions, checked bit for bit against the scalar code."""
+
+import math
+
+import numpy as np
+import pytest
+
+from sharp import planner
+from sharp.abstraction import Region
+from sharp.learn import Policy, build_observation, build_observations, observation_dim
+from sharp.mlp import init_mlp, mlp_forward
+from sharp.options import OptionGuide
+from sharp.planner import ComposedPolicy, ExecutionTrace, Stage, execute_composed
+from sharp.world import (Configuration, HolonomicAction, Kinematics, UnicycleAction,
+                         steer_toward, steer_toward_lanes, step, step_lanes)
+
+from conftest import grid_from_rows
+from helpers import act
+
+ROWS = ["############",
+        "#..........#",
+        "#..........#",
+        "#...###....#",
+        "#...###....#",
+        "#..........#",
+        "#....#.....#",
+        "#....#.....#",
+        "############"]
+
+
+def walled_world(kinematics=Kinematics.HOLONOMIC, noise_sigma=0.2):
+    return grid_from_rows(ROWS, kinematics=kinematics, noise_sigma=noise_sigma,
+                          max_step=1.0, v_max=1.0)
+
+
+def free_configurations(world, rng, n):
+    cells = world.free_cells()
+    out = []
+    for ix, iy in cells[rng.integers(len(cells), size=n)]:
+        jx, jy = rng.uniform(0.0, 1.0, size=2)
+        theta = (float(rng.uniform(-math.pi, math.pi))
+                 if world.kinematics is Kinematics.UNICYCLE else None)
+        out.append(Configuration(ix + jx, iy + jy, theta))
+    return out
+
+
+def lanes_of(configs):
+    return (np.array([c.x for c in configs]), np.array([c.y for c in configs]),
+            np.array([c.theta or 0.0 for c in configs]))
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+def commands(world, rng, n):
+    """Random commands of every kind: in bounds, far out of bounds (into
+    walls and past the border), zero, and negative or over-fast unicycle
+    speeds and turn rates."""
+    a0 = rng.normal(0.0, 1.5, size=n)
+    a1 = rng.normal(0.0, 1.5, size=n)
+    a0[::7] = 0.0
+    a1[::7] = 0.0
+    a0[1::9] *= 40.0
+    a1[2::11] = 0.0
+    return a0, a1
+
+
+KINEMATICS = [Kinematics.HOLONOMIC, Kinematics.UNICYCLE]
+
+
+@pytest.mark.parametrize("kinematics", KINEMATICS)
+def test_step_lanes_equals_step(kinematics, rng):
+    w = walled_world(kinematics)
+    configs = free_configurations(w, rng, 400)
+    a0, a1 = commands(w, rng, len(configs))
+    seeds = rng.integers(2**32, size=len(configs))
+    make = HolonomicAction if kinematics is Kinematics.HOLONOMIC else UnicycleAction
+    scalar = [step(w, c, make(float(u), float(v)), np.random.default_rng(s))
+              for c, u, v, s in zip(configs, a0, a1, seeds)]
+    noise = np.array([np.random.default_rng(s).standard_normal(2) for s in seeds])
+    x, y, theta = step_lanes(w, *lanes_of(configs), a0, a1, noise)
+    assert same_bits(x, [c.x for c in scalar])
+    assert same_bits(y, [c.y for c in scalar])
+    if kinematics is Kinematics.UNICYCLE:
+        assert same_bits(theta, [c.theta for c in scalar])
+    # the cases the scalar step singles out all occur
+    moved = np.hypot(x - lanes_of(configs)[0], y - lanes_of(configs)[1])
+    assert (moved == 0).any() and (moved > 0).any()
+
+
+@pytest.mark.parametrize("kinematics", KINEMATICS)
+def test_step_lanes_rejects_non_finite_commands(kinematics):
+    w = walled_world(kinematics)
+    x, y, theta = lanes_of([Configuration(2.5, 2.5, 0.0), Configuration(3.5, 2.5, 0.0)])
+    with pytest.raises(ValueError):
+        step_lanes(w, x, y, theta, np.array([0.1, np.nan]), np.array([0.1, 0.1]),
+                   np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("kinematics", KINEMATICS)
+def test_steer_toward_lanes_equals_steer_toward(kinematics, rng):
+    w = walled_world(kinematics)
+    configs = free_configurations(w, rng, 400)
+    targets = [(c.x + dx, c.y + dy) for c, (dx, dy)
+               in zip(configs, rng.normal(0.0, 2.0, size=(len(configs), 2)))]
+    targets[::13] = [(c.x, c.y) for c in configs[::13]]  # already there
+    scalar = [steer_toward(w, c, t) for c, t in zip(configs, targets)]
+    tx, ty = np.array(targets).T
+    a0, a1 = steer_toward_lanes(w, *lanes_of(configs), tx, ty)
+    if kinematics is Kinematics.HOLONOMIC:
+        assert same_bits(a0, [a.dx for a in scalar])
+        assert same_bits(a1, [a.dy for a in scalar])
+    else:
+        assert same_bits(a0, [a.v for a in scalar])
+        assert same_bits(a1, [a.omega for a in scalar])
+
+
+def guide_through(points) -> OptionGuide:
+    start, end = points[0], points[-1]
+    return OptionGuide(option_id="g", initiation=Region(frozenset(), start),
+                       termination=Region(frozenset(), end), points=list(points),
+                       allowed_states=frozenset())
+
+
+@pytest.mark.parametrize("kinematics", KINEMATICS)
+def test_build_observations_equals_build_observation(kinematics, rng):
+    w = walled_world(kinematics)
+    guide = guide_through([Configuration(1.5, 1.5), Configuration(6.3, 1.7),
+                           Configuration(6.3, 5.2), Configuration(10.5, 6.5)])
+    configs = free_configurations(w, rng, 300)
+    batch = build_observations(w, guide, *lanes_of(configs))
+    assert batch.shape == (len(configs), observation_dim(w))
+    assert same_bits(batch, [build_observation(w, guide, c) for c in configs])
+
+
+@pytest.mark.parametrize("hidden", [(8, 8), (64, 64), (256, 256)])
+def test_forward_rows_do_not_depend_on_batch_size(hidden, rng):
+    # the engine forwards at least two rows so that this holds for every lane
+    net = init_mlp(8, hidden, 4, rng)
+    x = rng.normal(size=(160, 8))
+    full = mlp_forward(net, x)
+    for n in (2, 3, 5, 17, 64, 159):
+        assert same_bits(mlp_forward(net, x[:n]), full[:n])
+
+
+# -- whole executions ---------------------------------------------------------------
+
+
+def homing_policy(world, guide) -> Policy:
+    """An actor that heads along the guide: mu grows with the observation's
+    vectors to the nearest guide point and on to its end. Small random
+    weights fill the rest of the 8-unit layers, so that a one-row forward
+    rounds differently from a batched one."""
+    d = observation_dim(world)
+    off = d - 4
+    net = init_mlp(d, (8, 8), 4, np.random.default_rng(3))
+    net.params *= 0.05
+    w1, w2, w3 = net.weights
+    w1[off, 0] = w1[off + 2, 0] = w1[off + 1, 1] = w1[off + 3, 1] = 0.8
+    w2[0, 0] = w2[1, 1] = 1.5
+    w3[0, 0] = w3[1, 1] = 6.0
+    return Policy(actor=net, guide=guide)
+
+
+def two_stage(world) -> ComposedPolicy:
+    """Up the left wall, then along the top of the block to the right."""
+    start = Configuration(1.5, 1.5, 0.0 if world.kinematics is Kinematics.UNICYCLE
+                          else None)
+    corner = Configuration(1.5, 6.5)
+    goal = Configuration(10.5, 6.5)
+    handover = frozenset((ix, iy) for ix in (1, 2) for iy in (6, 7))
+    stages = [Stage("up", homing_policy(world, guide_through([start, corner])),
+                    handover),
+              Stage("across", homing_policy(world, guide_through([corner, goal])),
+                    frozenset([(10, 6)]))]
+    return ComposedPolicy(stages=stages, x_start=start, x_goal=goal, goal_tol=1.0)
+
+
+def scalar_execute(world, composed, per_stage_limit, rng) -> ExecutionTrace:
+    """The stage automaton one step at a time, through the scalar step."""
+    c = composed.x_start
+    stage_steps = []
+    for idx, stage in enumerate(composed.stages):
+        last = idx == len(composed.stages) - 1
+        used = 0
+
+        def done() -> bool:
+            if last:
+                return c.distance_to(composed.x_goal) <= composed.goal_tol
+            return world.cell_of(c.x, c.y) in stage.advance_cells
+
+        while not done():
+            if used >= per_stage_limit:
+                stage_steps.append(used)
+                return ExecutionTrace(stage_steps, "stage_timeout", c.xy, idx)
+            c = step(world, c, act(world, stage.policy, c), rng)
+            used += 1
+        stage_steps.append(used)
+    return ExecutionTrace(stage_steps, "reached_goal", c.xy)
+
+
+def lane_rngs(seeds):
+    return [np.random.default_rng([7, s]) for s in seeds]
+
+
+@pytest.mark.parametrize("block", [3, planner.NOISE_BLOCK])
+@pytest.mark.parametrize("kinematics", KINEMATICS)
+def test_lanes_match_scalar_automaton(kinematics, block, monkeypatch):
+    # a small noise block makes lanes draw their noise in many pieces
+    monkeypatch.setattr(planner, "NOISE_BLOCK", block)
+    w = walled_world(kinematics, noise_sigma=0.4)
+    composed = two_stage(w)
+    traces = execute_composed(w, composed, 11, lane_rngs(range(20)))
+    expected = [scalar_execute(w, composed, 11, rng) for rng in lane_rngs(range(20))]
+    assert traces == expected
+    # lanes hand over and finish at different ticks
+    assert len({t.total_steps for t in traces}) > 3
+    assert {t.outcome for t in traces} == {"reached_goal", "stage_timeout"}
+
+
+@pytest.mark.parametrize("kinematics", KINEMATICS)
+def test_lane_trace_does_not_depend_on_other_lanes(kinematics):
+    w = walled_world(kinematics, noise_sigma=0.4)
+    composed = two_stage(w)
+    many = execute_composed(w, composed, 11, lane_rngs(range(20)))
+    for k in (0, 5, 13):
+        alone = execute_composed(w, composed, 11, lane_rngs([k]))
+        paired = execute_composed(w, composed, 11, lane_rngs([k, (k + 1) % 20]))
+        assert alone[0] == paired[0] == many[k]
+
+
+def test_zero_step_stages_and_zero_limit():
+    w = walled_world()
+    composed = two_stage(w)
+    composed.stages[0].advance_cells = frozenset([w.cell_of(1.5, 1.5)])
+    (trace,) = execute_composed(w, composed, 0, lane_rngs([0]))
+    assert trace == ExecutionTrace([0, 0], "stage_timeout", (1.5, 1.5), 1)

@@ -323,7 +323,7 @@ class TestExecuteComposed:
         w = open_world(12, 12)
         composed = self.make_scripted_composed(w, (6.5, 6.5), (10.5, 10.5))
         trace = execute_composed(w, composed, per_stage_limit=200,
-                                 rng=np.random.default_rng(5))
+                                 rngs=[np.random.default_rng(5)])[0]
         assert trace.outcome == "reached_goal"
         assert len(trace.stage_steps) == 2
         assert all(s >= 0 for s in trace.stage_steps)
@@ -337,7 +337,7 @@ class TestExecuteComposed:
             policy=ScriptedPolicy([Configuration(1.5, 1.5)], tol=0.4),
             advance_cells=composed.stages[0].advance_cells)
         trace = execute_composed(w, composed, per_stage_limit=30,
-                                 rng=np.random.default_rng(6))
+                                 rngs=[np.random.default_rng(6)])[0]
         assert trace.outcome == "stage_timeout" and trace.timeout_stage == 0
 
     def test_composability_over_random_worlds(self, rng):
