@@ -199,6 +199,20 @@ def interface_region(rbvd: RegionVoronoi, i: int, j: int, t: float) -> Region:
     return Region(cells=cells, representative=p)
 
 
+def goal_tolerance(world: OccupancyWorld, goal_tol: float | None) -> float:
+    """Radius of the goal ball: goal_tol, or one cell when it is None."""
+    return world.cell_size if goal_tol is None else goal_tol
+
+
+def goal_region(world: OccupancyWorld, x_g: Configuration, tol: float) -> Region:
+    """Free cells whose centers lie within tol of x_g, or x_g's own cell when
+    none does; x_g is the representative."""
+    cells = frozenset(c for c in map(tuple, world.free_cells())
+                      if x_g.distance_to(world.cell_center(c)) < tol)
+    return Region(cells=cells or frozenset([world.cell_of(x_g.x, x_g.y)]),
+                  representative=x_g)
+
+
 def render_assignment(rbvd: RegionVoronoi) -> str:
     """Text grid of the partition (top row first): state ids, '#', '.'=unassigned."""
     digits = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"

@@ -26,7 +26,7 @@ from .experiment import (CSV_HEADER, STAGE_LIMIT, TRAIN_PROFILES, AbstractionPar
                          recipe_params, rows_to_csv, run_experiment,
                          select_regions, spec_for_bundled, write_rows)
 from .motion import RrtParams
-from .planner import SolveConfig, sharp_solve
+from .planner import sharp_solve
 from .regions import collect_solution_density
 from .seeding import derive_rng
 from .world import (Configuration, Kinematics, world_hash, world_to_text,
@@ -49,6 +49,12 @@ def _abstraction_params(args, name: str) -> AbstractionParams:
         if text is not None:
             params = settings.override(params, fieldname, text, _flag(fieldname))
     return params
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _cache_dir(args) -> str | None:
@@ -143,8 +149,7 @@ def cmd_solve(args) -> int:
     train = TRAIN_PROFILES[args.profile]()
     whash = world_hash(world)
     cache = artifacts.load_cache(cache_dir, whash) if cache_dir is not None else {}
-    composed, stats = sharp_solve(world, x_i, x_g, library, cache,
-                                  SolveConfig(train=train),
+    composed, stats = sharp_solve(world, x_i, x_g, library, cache, train,
                                   derive_rng("solve", name, args.seed))
     success, mean_steps = evaluate_composed(world, composed, args.episodes,
                                             args.stage_limit, (name, args.seed))
@@ -264,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["centroid", "interface"], default="centroid")
     p.add_argument("--start", required=True, help="x,y[,theta] meters")
     p.add_argument("--goal", required=True, help="x,y meters")
-    p.add_argument("--episodes", type=int, default=20)
+    p.add_argument("--episodes", type=_positive_int, default=20)
     p.add_argument("--stage-limit", type=int, default=STAGE_LIMIT)
     p.add_argument("--profile", choices=list(TRAIN_PROFILES), default="desk")
     p.set_defaults(func=cmd_solve)
@@ -275,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--start", required=True)
     p.add_argument("--goal", required=True)
-    p.add_argument("--episodes", type=int, default=20)
-    p.add_argument("--budget", type=int, default=1600,
+    p.add_argument("--episodes", type=_positive_int, default=20)
+    p.add_argument("--budget", type=_positive_int, default=1600,
                    help="rrt_replan step budget, or monolithic training steps")
     p.add_argument("--profile", choices=list(TRAIN_PROFILES), default="desk")
     p.set_defaults(func=cmd_baseline)

@@ -19,13 +19,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import artifacts, settings
-from .abstraction import build_region_voronoi, geodesic_distances
+from .abstraction import build_region_voronoi, geodesic_distances, goal_tolerance
 from .errors import NoRegions, ParseError, SharpError
 from .learn import TrainConfig, train_monolithic_policy
 from .motion import RrtParams, execute_with_replan
 from .options import synth_options
-from .planner import (ComposedPolicy, OptionLibrary, SolveConfig, Stage,
-                      execute_composed, run_lanes, sharp_solve)
+from .planner import (ComposedPolicy, OptionLibrary, Stage, execute_composed,
+                      run_lanes, sharp_solve)
 from .regions import (DEFAULT_PERCENTILE, CriticalRegion, collect_solution_density,
                       connected_components, extract_critical_regions,
                       percentile_threshold)
@@ -67,7 +67,6 @@ def desk_train_config() -> TrainConfig:
     return TrainConfig(max_steps=30_000, eval_every=2_000, stop_avg_reward=800.0,
                        hidden=(64, 64), batch_size=128, actor_lr=2e-3,
                        critic_lr=2e-3, entropy_coef=0.1, start_steps=1_000,
-                       update_every=2, updates_per_round=1, reward_scale=0.01,
                        episode_limit=150)
 
 
@@ -75,7 +74,7 @@ def smoke_train_config() -> TrainConfig:
     """Cross-entropy smoke settings: exercises the full pipeline cheaply."""
     return TrainConfig(learner="cem", max_steps=2_000, eval_every=1_000,
                        eval_episodes=5, episode_limit=60, cem_population=6,
-                       cem_iters=2, cem_episodes=1, cem_hidden=(8, 8))
+                       cem_iters=2, cem_hidden=(8, 8))
 
 
 # training profile name -> TrainConfig factory, for config files and the CLI
@@ -234,6 +233,8 @@ class ExperimentSpec:
             raise ValueError("an experiment needs at least one problem")
         if self.kind not in ("centroid", "interface"):
             raise ValueError(f"kind must be centroid or interface, got {self.kind!r}")
+        if self.eval_episodes < 1:
+            raise ValueError("eval_episodes must be positive")
 
 
 def spec_for_bundled(name: str, kind: str = "centroid",
@@ -318,9 +319,9 @@ def monolithic_baseline(world, x_i, x_g, train: TrainConfig, goal_tol,
     for at most 4 * stage_limit steps an episode, until the goal tolerance
     (default one cell) is met; episode ep runs on derive_rng("monoeval",
     *seed_key, ep). Returns (success_rate, mean_steps, training_steps)."""
+    tol = goal_tolerance(world, goal_tol)
     policy, stats = train_monolithic_policy(world, x_i, x_g, train, train_rng,
-                                            goal_tol=goal_tol)
-    tol = goal_tol if goal_tol is not None else world.cell_size
+                                            goal_tol=tol)
     flat = ComposedPolicy([Stage("flat", policy, frozenset())], x_i, x_g, tol)
     traces = run_lanes(world, flat, 4 * stage_limit,
                        [derive_rng("monoeval", *seed_key, ep) for ep in range(episodes)])
@@ -337,13 +338,12 @@ def run_experiment(spec: ExperimentSpec, cache_dir: str | None = None) -> list:
     for seed in spec.seeds:
         library = copy.deepcopy(library0)   # learned costs stay seed-local
         cache = {}
-        solve_cfg = SolveConfig(train=spec.train, goal_tol=spec.goal_tol)
         for pi, (x_i, x_g) in enumerate(spec.problems, start=1):
             budget = None
             try:
-                composed, stats = sharp_solve(world, x_i, x_g, library, cache,
-                                              solve_cfg, derive_rng(
-                                                  "solve", spec.name, seed, pi))
+                composed, stats = sharp_solve(
+                    world, x_i, x_g, library, cache, spec.train,
+                    derive_rng("solve", spec.name, seed, pi), spec.goal_tol)
                 success, mean_steps = evaluate_composed(
                     world, composed, spec.eval_episodes, spec.stage_limit,
                     (spec.name, seed, pi))

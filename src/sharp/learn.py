@@ -5,62 +5,73 @@ target networks, squashed-Gaussian actor, replay buffer) written directly on
 the package's Mlp; a cross-entropy-method learner exists behind the same
 interface for cheap smoke runs. Policies emit a waypoint displacement in
 [-1, 1]^2 which the kinematics adapter turns into a bounded world action.
+
+Both learners train in one EpisodeEnv, whose option task (option_env) and
+goal task (goal_env) differ only in their start and reward rules. Every
+training profile shares the protocol constants DISCOUNT 0.99, REWARD_SCALE
+0.01, TAU 0.01, REPLAY_CAPACITY 100,000, UPDATE_EVERY 2 (steps per SAC
+update), CEM_ELITE_FRAC 0.25, CEM_SIGMA 0.5 and CEM_EPISODES 1.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abstraction import Region, RegionVoronoi
+from .abstraction import Region, RegionVoronoi, goal_region, goal_tolerance
 from .errors import DivergedTraining, InCollision
 from .mlp import (Adam, Mlp, init_mlp, mlp_backward, mlp_forward, mlp_forward_cached,
                   mlp_input_grad)
 from .options import OptionGuide, pseudo_reward
 from .seeding import spawn
 from .world import (Configuration, Kinematics, OccupancyWorld, collision,
-                    steer_toward, step)
+                    sample_in_cells, steer_toward, step)
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
 LOG_2PI = math.log(2.0 * math.pi)
-STEP_REWARD = -1.0   # GoalEnv reward for a step that does not reach the goal
+STEP_REWARD = -1.0   # goal-task reward for a step that does not reach the goal
+
+# protocol constants shared by every training profile
+DISCOUNT = 0.99
+REWARD_SCALE = 0.01       # applied to rewards before the critic targets
+TAU = 0.01                # Polyak rate of the target critics
+REPLAY_CAPACITY = 100_000
+UPDATE_EVERY = 2          # environment steps per SAC update
+CEM_ELITE_FRAC = 0.25
+CEM_SIGMA = 0.5           # initial per-parameter standard deviation
+CEM_EPISODES = 1          # greedy episodes that score one candidate
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training protocol knobs; defaults mirror the reference protocol."""
+    """The training settings a profile varies; defaults mirror the reference
+    protocol. What no profile varies is a module constant: DISCOUNT 0.99,
+    REWARD_SCALE 0.01, TAU 0.01, REPLAY_CAPACITY 100,000, UPDATE_EVERY 2,
+    CEM_ELITE_FRAC 0.25, CEM_SIGMA 0.5 and CEM_EPISODES 1."""
 
     max_steps: int = 150_000
     eval_every: int = 10_000
     eval_episodes: int = 20
     stop_avg_reward: float = 500.0
-    discount: float = 0.99
     actor_lr: float = 1e-3
     critic_lr: float = 1e-3
     batch_size: int = 128
-    replay_capacity: int = 100_000
     entropy_coef: float = 0.05
     episode_limit: int = 200
     hidden: tuple = (256, 256)
-    reward_scale: float = 0.01
-    tau: float = 0.01
     start_steps: int = 500
-    update_every: int = 2
-    updates_per_round: int = 1  # gradient updates per round; 0 = match update_every
     learner: str = "sac"
     cem_population: int = 8
     cem_iters: int = 4
-    cem_elite_frac: float = 0.25
-    cem_episodes: int = 1
-    cem_sigma: float = 0.5
     cem_hidden: tuple = (8, 8)
 
     def __post_init__(self):
         for name in ("max_steps", "eval_every", "eval_episodes", "batch_size",
-                     "replay_capacity", "episode_limit"):
+                     "episode_limit"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.learner not in ("sac", "cem"):
@@ -175,102 +186,82 @@ class Policy:
         return x + u[:, 0] * scale, y + u[:, 1] * scale
 
 
-# -- environments -----------------------------------------------------------------
+# -- the training environment --------------------------------------------------------
 
 
-def _sample_in_region(world: OccupancyWorld, region: Region,
-                      rng: np.random.Generator) -> Configuration:
-    cells = sorted(region.cells)
-    ix, iy = cells[int(rng.integers(len(cells)))]
-    jx, jy = rng.uniform(0.0, 1.0, size=2)
-    theta = None
-    if world.kinematics is Kinematics.UNICYCLE:
-        theta = float(rng.uniform(-math.pi, math.pi))
-    return Configuration((ix + jx) * world.cell_size, (iy + jy) * world.cell_size, theta)
+@dataclass
+class EpisodeEnv:
+    """Rollout environment over one guide, for either training task.
 
-
-class OptionEnv:
-    """Rollout environment for one option guide with the dense pseudo-reward.
-
-    Episodes start uniformly inside the initiation region and terminate on
-    entering the termination region (success), leaving the allowed states
-    (failure), or at the step limit (truncation, not a terminal for
-    bootstrapping purposes).
+    start(rng) draws an episode's first configuration; reached(c) says
+    whether c is a success; payoff(c, success) gives the reward of arriving
+    at c and whether the episode ends there. A start that is a success ends
+    its episode before the first step. An episode also stops at
+    episode_limit steps: a truncation, not a terminal for bootstrapping.
     """
 
-    def __init__(self, world: OccupancyWorld, rbvd: RegionVoronoi,
-                 guide: OptionGuide, episode_limit: int):
-        self.world = world
-        self.rbvd = rbvd
-        self.guide = guide
-        self.episode_limit = episode_limit
-        self.scale = displacement_scale(world)
-        self.c: Configuration | None = None
-        self.t = 0
-
-    def _terminal(self, c: Configuration) -> bool:
-        return self.world.cell_of(c.x, c.y) in self.guide.termination.cells
+    world: OccupancyWorld
+    guide: OptionGuide
+    episode_limit: int
+    start: Callable
+    reached: Callable
+    payoff: Callable
+    c: Configuration | None = None
+    t: int = 0
 
     def reset(self, rng: np.random.Generator):
         """Returns (obs, done, success); done=True means the start is terminal."""
-        self.c = _sample_in_region(self.world, self.guide.initiation, rng)
+        self.c = self.start(rng)
         self.t = 0
-        done = self._terminal(self.c)
+        done = self.reached(self.c)
         return build_observation(self.world, self.guide, self.c), done, done
 
     def step(self, u: np.ndarray, rng: np.random.Generator):
-        a = action_from_displacement(self.world, self.c, u, self.scale)
+        a = action_from_displacement(self.world, self.c, u, displacement_scale(self.world))
         self.c = step(self.world, self.c, a, rng)
         self.t += 1
-        r = pseudo_reward(self.guide, self.rbvd, self.c)
-        success = self._terminal(self.c)
-        failed = (not success and r == self.guide.penalty_reward)
-        done = success or failed
+        success = self.reached(self.c)
+        r, done = self.payoff(self.c, success)
         truncated = not done and self.t >= self.episode_limit
         obs = build_observation(self.world, self.guide, self.c)
         return obs, r, done, truncated, success
 
 
-class GoalEnv:
-    """Flat single-task environment: fixed start, the guide's terminal reward
-    at the goal and STEP_REWARD for every other step."""
+def option_env(world: OccupancyWorld, rbvd: RegionVoronoi, guide: OptionGuide,
+               episode_limit: int) -> EpisodeEnv:
+    """The option task: a uniform start in the initiation region, the dense
+    pseudo-reward, success on entering the termination region and failure
+    on the penalty (leaving the allowed states)."""
+    cells = sorted(guide.initiation.cells)
 
-    def __init__(self, world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
-                 episode_limit: int, goal_tol: float | None = None):
-        self.world = world
-        self.x_i = x_i
-        self.x_g = x_g
-        self.goal_tol = goal_tol if goal_tol is not None else world.cell_size
-        self.episode_limit = episode_limit
-        self.scale = displacement_scale(world)
-        goal_cells = frozenset(
-            c for c in map(tuple, world.free_cells())
-            if x_g.distance_to(world.cell_center(c)) < self.goal_tol)
-        self.guide = OptionGuide(
-            option_id="goal", initiation=Region(frozenset([world.cell_of(x_i.x, x_i.y)]),
-                                                x_i),
-            termination=Region(goal_cells or frozenset([world.cell_of(x_g.x, x_g.y)]),
-                               x_g),
-            points=[x_g], allowed_states=frozenset())
-        self.c: Configuration | None = None
-        self.t = 0
+    def reached(c: Configuration) -> bool:
+        return world.cell_of(c.x, c.y) in guide.termination.cells
 
-    def reset(self, rng: np.random.Generator):
-        self.c = self.x_i
-        self.t = 0
-        done = self.c.distance_to(self.x_g) <= self.goal_tol
-        return build_observation(self.world, self.guide, self.c), done, done
+    def payoff(c: Configuration, success: bool):
+        r = pseudo_reward(guide, rbvd, c)
+        return r, success or r == guide.penalty_reward
 
-    def step(self, u: np.ndarray, rng: np.random.Generator):
-        a = action_from_displacement(self.world, self.c, u, self.scale)
-        self.c = step(self.world, self.c, a, rng)
-        self.t += 1
-        success = self.c.distance_to(self.x_g) <= self.goal_tol
-        r = self.guide.terminal_reward if success else STEP_REWARD
-        done = success
-        truncated = not done and self.t >= self.episode_limit
-        obs = build_observation(self.world, self.guide, self.c)
-        return obs, r, done, truncated, success
+    return EpisodeEnv(world, guide, episode_limit,
+                      lambda rng: sample_in_cells(world, cells, rng), reached, payoff)
+
+
+def goal_env(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
+             episode_limit: int, goal_tol: float) -> EpisodeEnv:
+    """The flat baseline's goal task: a fixed start, the guide's terminal
+    reward within goal_tol of x_g and STEP_REWARD for every other step."""
+    guide = OptionGuide(
+        option_id="goal",
+        initiation=Region(frozenset([world.cell_of(x_i.x, x_i.y)]), x_i),
+        termination=goal_region(world, x_g, goal_tol),
+        points=[x_g], allowed_states=frozenset())
+
+    def reached(c: Configuration) -> bool:
+        return c.distance_to(x_g) <= goal_tol
+
+    def payoff(c: Configuration, success: bool):
+        return (guide.terminal_reward if success else STEP_REWARD), success
+
+    return EpisodeEnv(world, guide, episode_limit, lambda rng: x_i, reached, payoff)
 
 
 # -- replay buffer -----------------------------------------------------------------
@@ -342,7 +333,7 @@ class SacLearner:
         obs, act, rew, obs2, done = buffer.sample(cfg.batch_size, rng)
         B = len(obs)
         alpha = cfg.entropy_coef
-        rew = rew * cfg.reward_scale
+        rew = rew * REWARD_SCALE
 
         # the actor changes only at the end of the update, so one pass serves
         # the critic targets (rows :B, next states) and the actor loss (rows B:)
@@ -352,7 +343,7 @@ class SacLearner:
         xin2 = np.concatenate([obs2, a2], axis=1)
         qt = np.minimum(mlp_forward(self.t1, xin2)[:, 0],
                         mlp_forward(self.t2, xin2)[:, 0])
-        y = rew + cfg.discount * (1.0 - done) * (qt - alpha * logp2)
+        y = rew + DISCOUNT * (1.0 - done) * (qt - alpha * logp2)
 
         xin = np.concatenate([obs, act], axis=1)
         for net, opt in ((self.q1, self.opt_q1), (self.q2, self.opt_q2)):
@@ -393,8 +384,8 @@ class SacLearner:
 
         # polyak-averaged target networks
         for src, dst in ((self.q1, self.t1), (self.q2, self.t2)):
-            dst.params *= 1.0 - cfg.tau
-            dst.params += cfg.tau * src.params
+            dst.params *= 1.0 - TAU
+            dst.params += TAU * src.params
 
 
 def run_episodes(env, policy: Policy, episodes: int, rng: np.random.Generator):
@@ -435,7 +426,7 @@ def _train_sac(env, cfg: TrainConfig, rng: np.random.Generator):
     obs_dim = observation_dim(env.world)
     learner = SacLearner(obs_dim, 2, cfg, spawn(rng))
     # one add per step, so a buffer of max_steps rows never wraps
-    buffer = ReplayBuffer(min(cfg.replay_capacity, cfg.max_steps), obs_dim, 2)
+    buffer = ReplayBuffer(min(REPLAY_CAPACITY, cfg.max_steps), obs_dim, 2)
     policy = Policy(actor=learner.actor, guide=env.guide)
     stats = TrainStats()
 
@@ -465,10 +456,8 @@ def _train_sac(env, cfg: TrainConfig, rng: np.random.Generator):
                 obs, done, _ = env.reset(rng)
                 while done:
                     obs, done, _ = env.reset(rng)
-            if steps >= cfg.start_steps and steps % cfg.update_every == 0:
-                rounds = cfg.updates_per_round or cfg.update_every
-                for _ in range(rounds):
-                    learner.update(buffer, rng)
+            if steps >= cfg.start_steps and steps % UPDATE_EVERY == 0:
+                learner.update(buffer, rng)
             if steps % cfg.eval_every == 0:
                 if gate(steps):
                     stats.stopped_early = True
@@ -486,18 +475,18 @@ def _train_cem(env, cfg: TrainConfig, rng: np.random.Generator):
     obs_dim = observation_dim(env.world)
     template = init_mlp(obs_dim, cfg.cem_hidden, 4, spawn(rng))
     mean = template.flat()
-    sigma = np.full(mean.shape, cfg.cem_sigma)
+    sigma = np.full(mean.shape, CEM_SIGMA)
     stats = TrainStats()
     policy = Policy(actor=template, guide=env.guide)
     steps = 0
-    n_elite = max(1, int(cfg.cem_population * cfg.cem_elite_frac))
+    n_elite = max(1, int(cfg.cem_population * CEM_ELITE_FRAC))
 
     def run_candidate(vec) -> tuple[float, int]:
         net = template.copy()
         net.set_flat(vec)
         returns, _, steps = run_episodes(env, Policy(actor=net, guide=env.guide),
-                                         cfg.cem_episodes, rng)
-        return sum(returns) / cfg.cem_episodes, sum(steps)
+                                         CEM_EPISODES, rng)
+        return sum(returns) / CEM_EPISODES, sum(steps)
 
     for _ in range(cfg.cem_iters):
         if steps >= cfg.max_steps:
@@ -529,16 +518,16 @@ def train_option_policy(world: OccupancyWorld, guide: OptionGuide,
                         rbvd: RegionVoronoi, cfg: TrainConfig,
                         rng: np.random.Generator):
     """Train a policy for one option guide; returns (Policy, TrainStats)."""
-    env = OptionEnv(world, rbvd, guide, cfg.episode_limit)
-    return _train(env, cfg, rng)
+    return _train(option_env(world, rbvd, guide, cfg.episode_limit), cfg, rng)
 
 
 def train_monolithic_policy(world: OccupancyWorld, x_i: Configuration,
                             x_g: Configuration, cfg: TrainConfig,
                             rng: np.random.Generator,
                             goal_tol: float | None = None):
-    """Flat baseline: one policy from x_i to x_g with terminal +1000, step -1."""
+    """Flat baseline: one policy from x_i to within goal_tol (default one
+    cell) of x_g, with terminal +1000 and STEP_REWARD per other step."""
     if collision(world, x_i) or collision(world, x_g):
         raise InCollision("endpoints must be collision-free")
-    env = GoalEnv(world, x_i, x_g, cfg.episode_limit, goal_tol=goal_tol)
+    env = goal_env(world, x_i, x_g, cfg.episode_limit, goal_tolerance(world, goal_tol))
     return _train(env, cfg, rng)

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Unreachable
-from .world import (Configuration, Kinematics, OccupancyWorld, SWEEP_FRACTION,
-                    collision, sample_free, steer_toward, step)
+from .world import (Configuration, Kinematics, OccupancyWorld, collision,
+                    sample_free, steer_toward, step, sweep_samples)
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,7 @@ def _segment_ok(world: OccupancyWorld, a: tuple[float, float], b: tuple[float, f
         return world.segment_free(a, b)
     ax, ay = a
     bx, by = b
-    dist = math.hypot(bx - ax, by - ay)
-    n = max(1, int(math.ceil(dist / (SWEEP_FRACTION * world.cell_size))))
+    n = sweep_samples(math.hypot(bx - ax, by - ay), world.cell_size)
     for i in range(n + 1):
         t = i / n
         px, py = ax + t * (bx - ax), ay + t * (by - ay)

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import settings
-from .abstraction import Region, RegionVoronoi, centroid_region, interface_region
+from .abstraction import (Region, RegionVoronoi, centroid_region, goal_region,
+                          goal_tolerance, interface_region)
 from .errors import (DivergedTraining, EmptyLibrary, GuideUnreachable,
                      NoAbstractPath, NoSuccessfulRollouts, OptionsDoNotChain)
 from .learn import Policy, TrainConfig, train_option_policy
@@ -170,9 +171,7 @@ def plan_abstract(graph: AbstractGraph, s_start: int, s_goal: int,
                   goal_cfg: Configuration) -> list:
     """Cost-minimal option sequence from s_start to s_goal under current costs."""
     goal_xy = (goal_cfg.x, goal_cfg.y)
-    if graph.kind == OptionKind.CENTROID and s_start == s_goal:
-        return []
-    if graph.kind == OptionKind.INTERFACE and s_start == s_goal:
+    if s_start == s_goal:
         return []
     edges, start, goal = _query_edges(graph, s_start, s_goal, goal_xy)
     if graph.kind == OptionKind.CENTROID and (
@@ -358,28 +357,11 @@ def execute_composed(world: OccupancyWorld, composed: ComposedPolicy,
 
 
 @dataclass
-class SolveConfig:
-    train: TrainConfig = field(default_factory=TrainConfig)
-    goal_tol: float | None = None        # default: 1 cell
-
-    def resolved_goal_tol(self, world: OccupancyWorld) -> float:
-        return self.goal_tol if self.goal_tol is not None else world.cell_size
-
-
-@dataclass
 class SolveStats:
     plan_option_ids: list = field(default_factory=list)
     options_trained: int = 0
     options_reused: int = 0
     training_steps: int = 0          # new environment steps spent training
-
-
-def _goal_region(world: OccupancyWorld, x_g: Configuration, tol: float) -> Region:
-    cells = frozenset(c for c in map(tuple, world.free_cells())
-                      if x_g.distance_to(world.cell_center(c)) < tol)
-    if not cells:
-        cells = frozenset([world.cell_of(x_g.x, x_g.y)])
-    return Region(cells=cells, representative=x_g)
 
 
 def _middle_region(rbvd: RegionVoronoi, library: OptionLibrary, s_start: int,
@@ -390,8 +372,8 @@ def _middle_region(rbvd: RegionVoronoi, library: OptionLibrary, s_start: int,
     return interface_region(rbvd, s_start, s_goal, library.threshold)
 
 
-def _train_guide(world, rbvd, guide, cfg: SolveConfig, rng):
-    policy, stats = train_option_policy(world, guide, rbvd, cfg.train, rng)
+def _train_guide(world, rbvd, guide, cfg: TrainConfig, rng):
+    policy, stats = train_option_policy(world, guide, rbvd, cfg, rng)
     if stats.diverged:
         raise DivergedTraining(f"training diverged for {guide.option_id}")
     return policy, stats
@@ -399,15 +381,15 @@ def _train_guide(world, rbvd, guide, cfg: SolveConfig, rng):
 
 def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
                 library: OptionLibrary, cache: dict[str, CacheEntry],
-                cfg: SolveConfig,
-                rng: np.random.Generator) -> tuple[ComposedPolicy, SolveStats]:
+                cfg: TrainConfig, rng: np.random.Generator,
+                goal_tol: float | None = None) -> tuple[ComposedPolicy, SolveStats]:
     """Plan at the abstract level, train or reuse option policies, compose.
 
     The entry bridge takes the robot from x_i into the first initiation set;
     each option policy is fetched from the cache when its key matches,
     otherwise trained and its cost replaced by the mean successful rollout
     length; the exit bridge runs from the last termination set to the goal
-    tolerance ball.
+    ball of radius goal_tol (default one cell).
 
     cache maps `<world hash>/<option id>/<guide fingerprint>/<TrainConfig
     digest>` to a CacheEntry; a hit pairs the cached actor with the guide
@@ -418,7 +400,7 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
     s_start = rbvd.state_of(x_i).id
     s_goal = rbvd.state_of(x_g).id
     stats = SolveStats()
-    goal_tol = cfg.resolved_goal_tol(world)
+    goal_tol = goal_tolerance(world, goal_tol)
 
     if s_start == s_goal or (
             library.kind == OptionKind.INTERFACE and rbvd.adjacent(s_start, s_goal)):
@@ -460,7 +442,7 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
         except GuideUnreachable as e:
             raise GuideUnreachable(f"option {option.id}: {e}") from e
         key = (f"{whash}/{option.id}/{guide_fingerprint(guide)}/"
-               f"{settings.digest(cfg.train)}")
+               f"{settings.digest(cfg)}")
         entry = cache.get(key)
         if entry is not None:
             option.policy = Policy(actor=entry.actor, guide=guide)
@@ -491,15 +473,14 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
     else:
         exit_start_region = entry_target
         exit_allowed = entry_allowed
-    goal_region = _goal_region(world, x_g, goal_tol)
+    goal = goal_region(world, x_g, goal_tol)
     exit_guide = build_guide(world, rbvd, "bridge-out",
                              exit_start_region.representative, exit_start_region,
-                             goal_region, exit_allowed, world.cell_size,
-                             spawn(rng))
+                             goal, exit_allowed, world.cell_size, spawn(rng))
     exit_policy, exit_stats = _train_guide(world, rbvd, exit_guide, cfg, spawn(rng))
     stats.training_steps += exit_stats.steps
     stages.append(Stage(label="bridge_out", policy=exit_policy,
-                        advance_cells=goal_region.cells))
+                        advance_cells=goal.cells))
 
     composed = ComposedPolicy(stages=stages, x_start=x_i, x_goal=x_g,
                               goal_tol=goal_tol)

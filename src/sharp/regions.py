@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InsufficientData, NoFreeSpace, NoRegions, Unreachable
 from .motion import MotionPlan, RrtParams, rrt_plan, shortcut
-from .world import Configuration, OccupancyWorld, SWEEP_FRACTION, sample_free
+from .world import Configuration, OccupancyWorld, sample_free, sweep_samples
 
 log = logging.getLogger(__name__)
 
@@ -40,8 +40,7 @@ def swept_cells(world: OccupancyWorld, plan: MotionPlan) -> set:
         out.add(world.cell_of(pts[0].x, pts[0].y))
         return out
     for a, b in zip(pts, pts[1:]):
-        dist = a.distance_to(b)
-        n = max(1, int(math.ceil(dist / (SWEEP_FRACTION * world.cell_size))))
+        n = sweep_samples(a.distance_to(b), world.cell_size)
         for i in range(n + 1):
             t = i / n
             out.add(world.cell_of(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))

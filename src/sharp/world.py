@@ -28,6 +28,12 @@ TWO_PI = 2.0 * math.pi
 SWEEP_FRACTION = 0.25
 
 
+def sweep_samples(dist: float, cell_size: float) -> int:
+    """Number of equal sub-steps a swept segment of length dist is cut into:
+    each at most SWEEP_FRACTION of a cell, and at least one."""
+    return max(1, int(math.ceil(dist / (SWEEP_FRACTION * cell_size))))
+
+
 def wrap_angle(theta: float) -> float:
     """Normalize an angle to [-pi, pi)."""
     return (theta + math.pi) % TWO_PI - math.pi
@@ -161,8 +167,7 @@ class OccupancyWorld:
         """
         ax, ay = a
         bx, by = b
-        dist = math.hypot(bx - ax, by - ay)
-        n = max(1, int(math.ceil(dist / (SWEEP_FRACTION * self.cell_size))))
+        n = sweep_samples(math.hypot(bx - ax, by - ay), self.cell_size)
         for i in range(n + 1):
             t = i / n
             if self.collision_xy(ax + t * (bx - ax), ay + t * (by - ay)):
@@ -196,7 +201,7 @@ def _truncate_to_free(world: OccupancyWorld, start: tuple[float, float],
     dist = math.hypot(tx - sx, ty - sy)
     if dist == 0.0:
         return start
-    n = max(1, int(math.ceil(dist / (SWEEP_FRACTION * world.cell_size))))
+    n = sweep_samples(dist, world.cell_size)
     ok = start
     for i in range(1, n + 1):
         t = i / n
@@ -239,19 +244,25 @@ def step(world: OccupancyWorld, c: Configuration, a: Action,
     return Configuration(nx, ny, wrap_angle(theta + omega))
 
 
-def sample_free(world: OccupancyWorld, rng: np.random.Generator) -> Configuration:
-    """Uniform sample over free cells, jittered uniformly inside the cell."""
-    cells = world.free_cells()
-    if len(cells) == 0:
-        raise NoFreeSpace("every cell of the grid is occupied")
+def sample_in_cells(world: OccupancyWorld, cells,
+                    rng: np.random.Generator) -> Configuration:
+    """Uniform sample over a nonempty sequence of (ix, iy) cells, jittered
+    uniformly inside the cell, with a uniform heading on unicycle worlds.
+    Draws, in order: the cell index, two jitters, then the heading."""
     ix, iy = cells[int(rng.integers(len(cells)))]
     jx, jy = rng.uniform(0.0, 1.0, size=2)
-    x = (ix + jx) * world.cell_size
-    y = (iy + jy) * world.cell_size
     theta = None
     if world.kinematics is Kinematics.UNICYCLE:
         theta = float(rng.uniform(-math.pi, math.pi))
-    return Configuration(x, y, theta)
+    return Configuration((ix + jx) * world.cell_size, (iy + jy) * world.cell_size, theta)
+
+
+def sample_free(world: OccupancyWorld, rng: np.random.Generator) -> Configuration:
+    """Uniform sample over free cells, as sample_in_cells draws it."""
+    cells = world.free_cells()
+    if len(cells) == 0:
+        raise NoFreeSpace("every cell of the grid is occupied")
+    return sample_in_cells(world, cells, rng)
 
 
 def steer_toward(world: OccupancyWorld, c: Configuration,

@@ -6,12 +6,13 @@ from dataclasses import replace
 import numpy as np
 
 from sharp.abstraction import Region
-from sharp.learn import (LOG_2PI, LOG_STD_MAX, LOG_STD_MIN, _sample_in_region,
-                         action_from_displacement, build_observation,
+from sharp.learn import (DISCOUNT, LOG_2PI, LOG_STD_MAX, LOG_STD_MIN, REWARD_SCALE,
+                         TAU, action_from_displacement, build_observation,
                          displacement_scale)
 from sharp.options import OptionGuide
 from sharp.planner import ComposedPolicy, astar
-from sharp.world import Configuration, OccupancyWorld, step, steer_toward
+from sharp.world import (Configuration, OccupancyWorld, sample_in_cells, step,
+                         steer_toward)
 
 
 class ScriptedPolicy:
@@ -70,7 +71,7 @@ def evaluate_policy(world, policy, start, stop_predicate, episodes, step_limit, 
     steps_taken = []
     for _ in range(episodes):
         if isinstance(start, Region):
-            c = _sample_in_region(world, start, rng)
+            c = sample_in_cells(world, sorted(start.cells), rng)
         else:
             c = start
         steps = 0
@@ -207,7 +208,7 @@ class ReferenceSac:
         obs, act, rew, obs2, done = (f[idx] for f in transitions)
         B = len(obs)
         alpha = cfg.entropy_coef
-        rew = rew * cfg.reward_scale
+        rew = rew * REWARD_SCALE
 
         out2, _ = ref_forward(self.actor, obs2)
         eps2 = rng.standard_normal((B, self.act_dim))
@@ -215,7 +216,7 @@ class ReferenceSac:
         xin2 = np.concatenate([obs2, a2], axis=1)
         qt = np.minimum(ref_forward(self.t1, xin2)[0][:, 0],
                         ref_forward(self.t2, xin2)[0][:, 0])
-        y = rew + cfg.discount * (1.0 - done) * (qt - alpha * logp2)
+        y = rew + DISCOUNT * (1.0 - done) * (qt - alpha * logp2)
 
         xin = np.concatenate([obs, act], axis=1)
         for net, opt in ((self.q1, self.opt_q1), (self.q2, self.opt_q2)):
@@ -250,5 +251,5 @@ class ReferenceSac:
 
         for src, dst in ((self.q1, self.t1), (self.q2, self.t2)):
             for ps, pd in zip(src, dst):
-                pd *= 1.0 - cfg.tau
-                pd += cfg.tau * ps
+                pd *= 1.0 - TAU
+                pd += TAU * ps

@@ -203,6 +203,27 @@ BASELINE = ["baseline", "--world", "{world}", "--method", "rrt_replan",
             "--start", "1.5,1.5", "--goal", "8.5,1.5", "--episodes", "1"]
 
 
+MONOLITHIC = ["baseline", "--world", "{world}", "--method", "monolithic",
+              "--profile", "smoke", "--start", "1.5,1.5", "--goal", "8.5,1.5",
+              "--episodes", "1", "--budget", "600"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (SOLVE, "--episodes"), (BASELINE, "--episodes"), (MONOLITHIC, "--episodes"),
+    (BASELINE, "--budget"), (MONOLITHIC, "--budget"),
+], ids=["solve-episodes", "rrt-episodes", "monolithic-episodes", "rrt-budget",
+        "monolithic-budget"])
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_count_flag_must_be_positive(tiny_world_file, capsys, argv, flag, value):
+    # a later flag overrides the one in argv
+    argv = [a.format(world=tiny_world_file) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected a positive integer" in err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (SOLVE, "--out"), (BASELINE, "--out"),
     (["regions", "--world", "{world}"], "--config"),

@@ -14,11 +14,11 @@ from sharp.experiment import (AbstractionParams, CSV_HEADER, ExperimentSpec,
                               write_rows)
 from sharp.regions import collect_solution_density, extract_critical_regions
 from sharp.learn import TrainConfig
-from sharp.world import Configuration, world_hash
+from sharp.world import Configuration, Kinematics, world_hash
 from sharp.worlds import RECIPES
 
 from conftest import grid_from_rows, open_world
-from helpers import sample_setting
+from helpers import sample_setting, with_params
 
 # two rooms joined by a single door one cell wide, at cell (5, 3)
 TWO_ROOMS = grid_from_rows(["##########",
@@ -106,6 +106,51 @@ class TestRunExperiment:
         rows = run_experiment(tiny_spec(run_monolithic=False))
         assert [(r.method, r.error) for r in rows] == [
             ("sharp", "OptionsDoNotChain"), ("rrt_replan", "")]
+
+def golden_spec(kinematics: Kinematics, learner: str) -> ExperimentSpec:
+    """One problem across the door of TWO_ROOMS with all three methods and a
+    tiny training profile: a few seconds of the whole protocol."""
+    if learner == "cem":
+        train = TrainConfig(learner="cem", max_steps=1500, eval_every=1500,
+                            eval_episodes=3, episode_limit=30, cem_population=6,
+                            cem_iters=3, cem_hidden=(6, 6))
+    else:
+        train = TrainConfig(max_steps=1200, eval_every=600, eval_episodes=3,
+                            episode_limit=40, hidden=(8, 8), batch_size=16,
+                            start_steps=100)
+    theta = 0.0 if kinematics is Kinematics.UNICYCLE else None
+    return ExperimentSpec(
+        name="two_rooms", world=with_params(TWO_ROOMS, kinematics=kinematics),
+        kind="centroid",
+        problems=[(Configuration(1.5, 1.5, theta), Configuration(8.5, 1.5))],
+        abstraction=AbstractionParams(n_goals=8, inits_per_goal=4),
+        train=train, stage_limit=80, eval_episodes=6)
+
+
+GOLDEN_HEADER = ("env,problem,method,seed,success_rate,mean_steps,training_steps,"
+                 "options_trained,options_reused,error\r\n")
+
+
+@pytest.mark.parametrize("kinematics, learner, rows", [
+    (Kinematics.HOLONOMIC, "cem",
+     "two_rooms,1,sharp,0,0.0000,100.50,571,2,0,\r\n"
+     "two_rooms,1,rrt_replan,0,1.0000,11.33,0,0,0,\r\n"
+     "two_rooms,1,monolithic,0,0.0000,320.00,540,0,0,\r\n"),
+    (Kinematics.UNICYCLE, "cem",
+     "two_rooms,1,sharp,0,0.0000,84.00,785,2,0,\r\n"
+     "two_rooms,1,rrt_replan,0,1.0000,23.83,0,0,0,\r\n"
+     "two_rooms,1,monolithic,0,0.0000,320.00,540,0,0,\r\n"),
+    (Kinematics.HOLONOMIC, "sac",
+     "two_rooms,1,sharp,0,0.0000,82.00,1800,2,0,\r\n"
+     "two_rooms,1,rrt_replan,0,1.0000,11.33,0,0,0,\r\n"
+     "two_rooms,1,monolithic,0,0.0000,320.00,1800,0,0,\r\n"),
+], ids=["holonomic-cem", "unicycle-cem", "holonomic-sac"])
+def test_two_rooms_csv_matches_recorded(kinematics, learner, rows):
+    # recorded output bytes: a change in the order of RNG draws, in a
+    # reward or termination rule or in a learner update shows here
+    text = rows_to_csv(run_experiment(golden_spec(kinematics, learner)))
+    assert text == GOLDEN_HEADER + rows
+
 
 class TestPlotData:
     def make_rows(self):
@@ -235,7 +280,8 @@ class TestSettingsSchema:
         "train.bogus = 1", "abstraction.n_goals = abc", "stage_limit = abc",
         "goal_tol = x", "train.learner = foo", "train.hidden = 64",
         "train.max_steps = 0", "abstraction.max_regions = 2.5",
-        "monolithic_all_seeds = yes", "kind = hexagonal", "seeds = 0,a"])
+        "monolithic_all_seeds = yes", "kind = hexagonal", "seeds = 0,a",
+        "eval_episodes = 0"])
     def test_bad_value_names_its_line(self, tmp_path, line):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"world = env_a\n# the next line is bad\n{line}\n")
@@ -243,6 +289,18 @@ class TestSettingsSchema:
             load_experiment_config(str(cfg))
         assert err.value.line == 3
         assert line.split(" =")[0] in str(err.value)
+
+    @pytest.mark.parametrize("key", [
+        "train.discount", "train.reward_scale", "train.tau", "train.replay_capacity",
+        "train.update_every", "train.updates_per_round", "train.cem_elite_frac",
+        "train.cem_sigma", "train.cem_episodes"], ids=lambda key: key)
+    def test_fixed_constant_is_not_a_setting(self, tmp_path, key):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"world = env_a\n# a protocol constant\n{key} = 0.9\n")
+        with pytest.raises(ParseError) as err:
+            load_experiment_config(str(cfg))
+        assert err.value.line == 3
+        assert f"unknown setting {key!r}" in str(err.value)
 
     def test_optional_field_accepts_none(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -6,9 +6,10 @@ import pytest
 from sharp import learn
 from sharp.abstraction import Region, build_region_voronoi
 from sharp.errors import DivergedTraining, InCollision
-from sharp.learn import (GoalEnv, OptionEnv, Policy, ReplayBuffer, SacLearner,
-                         TrainConfig, build_observation, observation_dim,
-                         run_episodes, train_monolithic_policy, train_option_policy)
+from sharp.learn import (REPLAY_CAPACITY, Policy, ReplayBuffer, SacLearner,
+                         TrainConfig, build_observation, goal_env, observation_dim,
+                         option_env, run_episodes, train_monolithic_policy,
+                         train_option_policy)
 from sharp.mlp import init_mlp
 from sharp.motion import rrt_plan, shortcut
 from sharp.options import OptionGuide, compute_guide_path, synth_centroid_options
@@ -93,7 +94,7 @@ class TestPolicyActions:
 class TestEnvs:
     def test_option_env_episode_flow(self, rng):
         w, rbvd, option, guide = two_state_setup()
-        env = OptionEnv(w, rbvd, guide, episode_limit=10)
+        env = option_env(w, rbvd, guide, episode_limit=10)
         obs, done, succ = env.reset(rng)
         assert obs.shape == (6,)
         cell = w.cell_of(env.c.x, env.c.y)
@@ -106,7 +107,7 @@ class TestEnvs:
 
     def test_option_env_terminal_reward(self, rng):
         w, rbvd, option, guide = two_state_setup()
-        env = OptionEnv(w, rbvd, guide, episode_limit=500)
+        env = option_env(w, rbvd, guide, episode_limit=500)
         env.reset(rng)
         env.c = Configuration(15.0, 10.0)  # just left of the termination ball
         obs, r, done, truncated, succ = env.step(np.array([1.0, 0.0]), rng)
@@ -114,15 +115,16 @@ class TestEnvs:
 
     def test_goal_env_rewards(self, rng):
         w = open_world(10, 10)
-        env = GoalEnv(w, Configuration(1.5, 1.5), Configuration(8.5, 8.5),
-                      episode_limit=100)
+        goal = Configuration(8.5, 8.5)
+        env = goal_env(w, Configuration(1.5, 1.5), goal, episode_limit=100,
+                       goal_tol=w.cell_size)
         obs, done, _ = env.reset(rng)
         assert not done
         obs, r, done, truncated, succ = env.step(np.array([1.0, 1.0]), rng)
         assert r == -1.0 and not done
         env.c = Configuration(8.0, 8.4)
         obs, r, done, truncated, succ = env.step(np.array([1.0, 0.2]), rng)
-        assert succ == (env.c.distance_to(env.x_g) <= env.goal_tol)
+        assert succ == (env.c.distance_to(goal) <= w.cell_size)
         if succ:
             assert r == 1000.0
 
@@ -155,16 +157,16 @@ def immobile_policy(w, guide, rng):
 class TestRunEpisodes:
     def test_terminal_start_takes_no_steps(self, rng):
         w = open_world(10, 10)
-        env = GoalEnv(w, Configuration(5.2, 5.2), Configuration(5.4, 5.4),
-                      episode_limit=10)
+        env = goal_env(w, Configuration(5.2, 5.2), Configuration(5.4, 5.4),
+                       episode_limit=10, goal_tol=w.cell_size)
         policy = immobile_policy(w, env.guide, rng)
         assert run_episodes(env, policy, 2, rng) == ([1000.0] * 2, [True] * 2,
                                                      [0] * 2)
 
     def test_stops_at_episode_limit(self, rng):
         w = open_world(10, 10)
-        env = GoalEnv(w, Configuration(1.5, 1.5), Configuration(8.5, 8.5),
-                      episode_limit=7)
+        env = goal_env(w, Configuration(1.5, 1.5), Configuration(8.5, 8.5),
+                       episode_limit=7, goal_tol=w.cell_size)
         policy = immobile_policy(w, env.guide, rng)
         assert run_episodes(env, policy, 3, rng) == ([-7.0] * 3, [False] * 3,
                                                      [7] * 3)
@@ -226,7 +228,7 @@ class TestTraining:
         cfg = TrainConfig(max_steps=12000, eval_every=2000, stop_avg_reward=800.0,
                           hidden=(32, 32), batch_size=64, actor_lr=2e-3,
                           critic_lr=2e-3, entropy_coef=0.1, start_steps=500,
-                          reward_scale=0.01, episode_limit=100)
+                          episode_limit=100)
         policy, stats = train_option_policy(w, guide, rbvd, cfg,
                                             np.random.default_rng(7))
         assert stats.success_fraction >= 0.8
@@ -252,7 +254,7 @@ class TestTraining:
         cfg = TrainConfig(max_steps=300, eval_every=300, eval_episodes=1,
                           hidden=(8, 8), batch_size=16, start_steps=100,
                           episode_limit=50)
-        assert cfg.replay_capacity > cfg.max_steps
+        assert REPLAY_CAPACITY > cfg.max_steps
         train_option_policy(w, guide, rbvd, cfg, np.random.default_rng(0))
         assert rows == [cfg.max_steps]
 

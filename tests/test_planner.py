@@ -11,7 +11,7 @@ from sharp.learn import TrainConfig
 from sharp.options import (OptionKind, OptionSpec, synth_centroid_options,
                            synth_interface_options)
 from sharp.planner import (AbstractGraph, CacheEntry, ComposedPolicy, OptionLibrary,
-                           SolveConfig, Stage, astar,
+                           Stage, astar,
                            build_abstract_graph, execute_composed,
                            guide_fingerprint, plan_abstract, sharp_solve,
                            update_option_cost)
@@ -205,9 +205,9 @@ def solve_setup(kind="centroid", smoke=True):
         options = synth_interface_options(rbvd, t=2.0)
     library = OptionLibrary(kind=kind, threshold=2.0, guide_seed=0,
                             options=options, rbvd=rbvd)
-    cfg = SolveConfig(train=TrainConfig(
+    cfg = TrainConfig(
         learner="cem", max_steps=1200, eval_every=600, eval_episodes=4,
-        episode_limit=40, cem_population=4, cem_iters=1, cem_hidden=(4, 4)))
+        episode_limit=40, cem_population=4, cem_iters=1, cem_hidden=(4, 4))
     return w, library, cfg
 
 
@@ -245,10 +245,10 @@ class TestSharpSolve:
         cache = {}
 
         def solve(hidden):
-            cfg = SolveConfig(train=TrainConfig(
+            cfg = TrainConfig(
                 learner="cem", max_steps=200, eval_every=200, eval_episodes=2,
                 episode_limit=20, cem_population=2, cem_iters=1,
-                cem_hidden=hidden))
+                cem_hidden=hidden)
             return sharp_solve(TWO_ROOMS, Configuration(1.5, 1.5),
                                Configuration(8.5, 1.5), copy.deepcopy(library),
                                cache, cfg, np.random.default_rng(0))
@@ -284,10 +284,9 @@ class TestSharpSolve:
         options = synth_centroid_options(rbvd, t=1.5)
         library = OptionLibrary(kind="centroid", threshold=1.5, guide_seed=0,
                                 options=options, rbvd=rbvd)
-        cfg = SolveConfig(train=TrainConfig(learner="cem", max_steps=400,
-                                            eval_every=400, eval_episodes=2,
-                                            episode_limit=20, cem_population=3,
-                                            cem_iters=1, cem_hidden=(4, 4)))
+        cfg = TrainConfig(learner="cem", max_steps=400, eval_every=400,
+                          eval_episodes=2, episode_limit=20, cem_population=3,
+                          cem_iters=1, cem_hidden=(4, 4))
         with pytest.raises(NoAbstractPath):
             sharp_solve(w, Configuration(0.5, 0.5), Configuration(8.5, 0.5),
                         library, {}, cfg, np.random.default_rng(4))
