@@ -1,8 +1,8 @@
 """Region Voronoi partition of free space and its derived threshold regions.
 
 Every free cell is assigned to the critical region with the smallest geodesic
-(obstacle-aware, 4-neighbor, cell_size-weighted) distance; ties go to the
-lower region id. Geodesic distance keeps each partition cell connected, which
+(obstacle-aware, 4-neighbor step count) distance; ties go to the lower
+region id. Geodesic distance keeps each partition cell connected, which
 straight-line distance cannot guarantee across walls. Cells no region can
 reach geodesically stay unassigned (id NO_STATE).
 """
@@ -10,14 +10,13 @@ reach geodesically stay unassigned (id NO_STATE).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (EmptyRegion, InCollision, NotNeighbors, TooFewRegions,
                      UnassignedCell)
-from .regions import NEIGHBORS4, CriticalRegion
+from .regions import NEIGHBORS4, CriticalRegion, grid_bfs
 from .world import Configuration, OccupancyWorld, collision
 
 NO_STATE = -1
@@ -76,76 +75,38 @@ def build_region_voronoi(world: OccupancyWorld,
                          regions: list[CriticalRegion]) -> RegionVoronoi:
     """Partition free space among the given anchor regions.
 
-    Layered multi-source BFS: all sources start at distance 0; each layer's
-    claims are resolved to the lowest claiming region id before expanding, so
-    the result equals the per-region single-source argmin with min-id ties.
+    One labelled BFS from every anchor cell, region by region in id order
+    and each region's cells sorted, so that a cell goes to the lowest id
+    among its geodesically nearest regions.
     """
     if len(regions) < 2:
         raise TooFewRegions(f"need >= 2 regions, got {len(regions)}")
+    sources = [(cell, rid) for rid, r in enumerate(regions) for cell in sorted(r.cells)]
+    if len({cell for cell, _ in sources}) != len(sources):
+        raise ValueError("anchor regions must be disjoint")
     assignment = np.full((world.height, world.width), NO_STATE, dtype=np.int64)
-    frontier = []
-    for rid, region in enumerate(regions):
-        for cell in sorted(region.cells):
-            ix, iy = cell
-            if assignment[iy, ix] != NO_STATE:
-                raise ValueError("anchor regions must be disjoint")
-            assignment[iy, ix] = rid
-            frontier.append(cell)
-    while frontier:
-        claims: dict = {}
-        for cx, cy in frontier:
-            rid = int(assignment[cy, cx])
-            for dx, dy in NEIGHBORS4:
-                nb = (cx + dx, cy + dy)
-                if not world.cell_free(nb) or assignment[nb[1], nb[0]] != NO_STATE:
-                    continue
-                prev = claims.get(nb)
-                if prev is None or rid < prev:
-                    claims[nb] = rid
-        for (ix, iy), rid in claims.items():
-            assignment[iy, ix] = rid
-        frontier = sorted(claims)
+    for (ix, iy), (_, rid) in grid_bfs(sources, world.cell_free).items():
+        assignment[iy, ix] = rid
+    return partition(world, regions, assignment)
 
+
+def partition(world: OccupancyWorld, regions: list[CriticalRegion],
+              assignment: np.ndarray) -> RegionVoronoi:
+    """The RegionVoronoi whose state i is anchored at regions[i] and holds the
+    cells that assignment gives id i; states sharing a cell edge are adjacent."""
     cells_per_state: list[set] = [set() for _ in regions]
-    for iy in range(world.height):
-        for ix in range(world.width):
-            rid = int(assignment[iy, ix])
-            if rid != NO_STATE:
-                cells_per_state[rid].add((ix, iy))
+    for iy, ix in zip(*np.nonzero(assignment != NO_STATE)):
+        cells_per_state[assignment[iy, ix]].add((int(ix), int(iy)))
     states = [AbstractState(id=rid, anchor=regions[rid], cells=frozenset(cells))
               for rid, cells in enumerate(cells_per_state)]
-
     pairs = set()
-    for iy in range(world.height):
-        for ix in range(world.width):
-            a = int(assignment[iy, ix])
-            if a == NO_STATE:
-                continue
-            for nb in ((ix + 1, iy), (ix, iy + 1)):
-                if world.in_bounds(nb):
-                    b = int(assignment[nb[1], nb[0]])
-                    if b != NO_STATE and b != a:
-                        pairs.add((min(a, b), max(a, b)))
+    for a, b in ((assignment[:, :-1], assignment[:, 1:]),
+                 (assignment[:-1, :], assignment[1:, :])):
+        edge = (a != NO_STATE) & (b != NO_STATE) & (a != b)
+        pairs.update(zip(np.minimum(a, b)[edge].tolist(),
+                         np.maximum(a, b)[edge].tolist()))
     return RegionVoronoi(world=world, states=states, assignment=assignment,
                          adjacency=frozenset(pairs))
-
-
-def geodesic_distances(world: OccupancyWorld, sources: set) -> dict:
-    """Single-source-set BFS distances over free cells (meters)."""
-    dist = {}
-    queue = deque()
-    for cell in sorted(sources):
-        if world.cell_free(cell):
-            dist[cell] = 0.0
-            queue.append(cell)
-    while queue:
-        cur = queue.popleft()
-        for dx, dy in NEIGHBORS4:
-            nb = (cur[0] + dx, cur[1] + dy)
-            if world.cell_free(nb) and nb not in dist:
-                dist[nb] = dist[cur] + world.cell_size
-                queue.append(nb)
-    return dist
 
 
 def centroid_region(rbvd: RegionVoronoi, state: AbstractState, t: float) -> Region:

@@ -17,7 +17,7 @@ import shutil
 
 import numpy as np
 
-from .abstraction import Region, RegionVoronoi
+from .abstraction import NO_STATE, Region, RegionVoronoi, partition
 from .errors import ParseError, VersionMismatch
 from .mlp import Mlp
 from .options import OptionSpec
@@ -96,20 +96,21 @@ def rbvd_payload(rbvd: RegionVoronoi) -> dict:
 
 
 def rbvd_from_payload(payload: dict, world: OccupancyWorld) -> RegionVoronoi:
-    from .abstraction import AbstractState
+    """The partition as stored; raises ParseError when the assignment does
+    not fit the world and regions, or implies another adjacency."""
     assignment = np.array(payload["assignment"], dtype=np.int64)
     regions = [_region_from_payload(p) for p in payload["regions"]]
-    cells: list[set] = [set() for _ in regions]
-    for iy in range(world.height):
-        for ix in range(world.width):
-            sid = int(assignment[iy, ix])
-            if sid >= 0:
-                cells[sid].add((ix, iy))
-    states = [AbstractState(id=i, anchor=r, cells=frozenset(cs))
-              for i, (r, cs) in enumerate(zip(regions, cells))]
-    adjacency = frozenset(tuple(p) for p in payload["adjacency"])
-    return RegionVoronoi(world=world, states=states, assignment=assignment,
-                         adjacency=adjacency)
+    if assignment.shape != (world.height, world.width):
+        raise ParseError(f"assignment has shape {assignment.shape}, the world "
+                         f"is {world.height}x{world.width}")
+    if not NO_STATE <= assignment.min() <= assignment.max() < len(regions):
+        raise ParseError(f"assignment ids must lie in {NO_STATE}..{len(regions) - 1}")
+    rbvd = partition(world, regions, assignment)
+    stored = frozenset(tuple(p) for p in payload["adjacency"])
+    if stored != rbvd.adjacency:
+        raise ParseError(f"stored adjacency {sorted(stored)} differs from the "
+                         f"assignment's {sorted(rbvd.adjacency)}")
+    return rbvd
 
 
 def library_payload(library: OptionLibrary) -> dict:

@@ -159,6 +159,7 @@ def cmd_solve(args) -> int:
               "options_trained": stats.options_trained,
               "options_reused": stats.options_reused,
               "training_steps": stats.training_steps,
+              "stage_success": stats.stage_success,
               "success_rate": success,
               "mean_steps": mean_steps}
     print(json.dumps(result, indent=2, sort_keys=True))
@@ -270,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", required=True, help="x,y[,theta] meters")
     p.add_argument("--goal", required=True, help="x,y meters")
     p.add_argument("--episodes", type=_positive_int, default=20)
-    p.add_argument("--stage-limit", type=int, default=STAGE_LIMIT)
+    p.add_argument("--stage-limit", type=_positive_int, default=STAGE_LIMIT)
     p.add_argument("--profile", choices=list(TRAIN_PROFILES), default="desk")
     p.set_defaults(func=cmd_solve)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import artifacts, settings
-from .abstraction import build_region_voronoi, geodesic_distances, goal_tolerance
+from .abstraction import build_region_voronoi, goal_tolerance
 from .errors import NoRegions, ParseError, SharpError
 from .learn import TrainConfig, train_monolithic_policy
 from .motion import RrtParams, execute_with_replan
@@ -27,7 +27,7 @@ from .options import synth_options
 from .planner import (ComposedPolicy, OptionLibrary, Stage, execute_composed,
                       run_lanes, sharp_solve)
 from .regions import (DEFAULT_PERCENTILE, CriticalRegion, collect_solution_density,
-                      connected_components, extract_critical_regions,
+                      connected_components, extract_critical_regions, grid_bfs,
                       percentile_threshold)
 from .seeding import derive_rng
 from .world import (Configuration, Kinematics, OccupancyWorld, parse_sidecar,
@@ -145,13 +145,13 @@ def select_regions(world: OccupancyWorld, density: np.ndarray,
         regions = regions[:params.max_regions]
     if len(regions) == 1:
         lone = regions[0].cells
-        dist = geodesic_distances(world, set(lone))
-        sides = connected_components(set(dist) - lone)
+        reach = grid_bfs([(c, None) for c in sorted(lone)], world.cell_free)
+        sides = connected_components(set(reach) - lone)
         if len(sides) < 2:   # no split: one anchor, farthest of all
-            sides = [set(dist)]
+            sides = [set(reach)]
         sides = sorted(sides, key=lambda side: (-len(side), min(side)))[:2]
         for side in sides:
-            far = min(side, key=lambda c: (-dist[c], c))
+            far = min(side, key=lambda c: (-reach[c][0], c))
             if far not in lone:
                 regions = regions + [CriticalRegion(
                     cells=frozenset([far]),
@@ -235,6 +235,8 @@ class ExperimentSpec:
             raise ValueError(f"kind must be centroid or interface, got {self.kind!r}")
         if self.eval_episodes < 1:
             raise ValueError("eval_episodes must be positive")
+        if self.stage_limit < 1:
+            raise ValueError("stage_limit must be positive")
 
 
 def spec_for_bundled(name: str, kind: str = "centroid",

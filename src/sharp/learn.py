@@ -352,7 +352,8 @@ class SacLearner:
             loss = float(np.mean(diff * diff))
             if not math.isfinite(loss):
                 raise DivergedTraining("critic loss is not finite")
-            grads, _ = mlp_backward(net, cache, (2.0 * diff / B)[:, None])
+            grads, _ = mlp_backward(net, cache, (2.0 * diff / B)[:, None],
+                                    input_grad=False)
             opt.step(net, grads)
 
         # actor: minimize alpha*logp - min(Q1, Q2) under reparameterized actions
@@ -379,7 +380,8 @@ class SacLearner:
         dl_dlogstd = dl_du * (u - mu) - (alpha / B)
         dl_draw = dl_dlogstd * 0.5 * (LOG_STD_MAX - LOG_STD_MIN) * (1.0 - tanh_raw ** 2)
         grads_a, _ = mlp_backward(self.actor, tuple(c[B:] for c in cache_all),
-                                  np.concatenate([dl_dmu, dl_draw], axis=1))
+                                  np.concatenate([dl_dmu, dl_draw], axis=1),
+                                  input_grad=False)
         self.opt_actor.step(self.actor, grads_a)
 
         # polyak-averaged target networks

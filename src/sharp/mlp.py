@@ -128,18 +128,19 @@ def _hidden_grads(net: Mlp, cache, g: np.ndarray):
     return dh1, dh2
 
 
-def mlp_backward(net: Mlp, cache, upstream: np.ndarray):
+def mlp_backward(net: Mlp, cache, upstream: np.ndarray, input_grad: bool = True):
     """Exact gradients of the forward map.
 
     upstream is dLoss/dOutput, shape (B, n_out). Returns (grads, d_input)
-    where grads matches net.parameters() order and is summed over the batch.
+    where grads matches net.parameters() order and is summed over the batch;
+    d_input is None, and its product is skipped, when input_grad is False.
     """
     x, h1, h2 = cache
     g = _upstream(net, x, upstream)
     dh1, dh2 = _hidden_grads(net, cache, g)
     grads = [x.T @ dh1, dh1.sum(axis=0), h1.T @ dh2, dh2.sum(axis=0),
              h2.T @ g, g.sum(axis=0)]
-    return grads, dh1 @ net.weights[0].T
+    return grads, (dh1 @ net.weights[0].T if input_grad else None)
 
 
 def mlp_input_grad(net: Mlp, cache, upstream: np.ndarray) -> np.ndarray:

@@ -362,6 +362,9 @@ class SolveStats:
     options_trained: int = 0
     options_reused: int = 0
     training_steps: int = 0          # new environment steps spent training
+    # (stage label, success fraction at the stage's last training evaluation),
+    # in stage order; None for a policy reused from the cache
+    stage_success: list = field(default_factory=list)
 
 
 def _middle_region(rbvd: RegionVoronoi, library: OptionLibrary, s_start: int,
@@ -427,6 +430,7 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
                               bridge_rng)
     entry_policy, entry_stats = _train_guide(world, rbvd, entry_guide, cfg, spawn(rng))
     stats.training_steps += entry_stats.steps
+    stats.stage_success.append(("bridge_in", entry_stats.success_fraction))
 
     stages = [Stage(label="bridge_in", policy=entry_policy,
                     advance_cells=entry_target.cells)]
@@ -449,6 +453,7 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
             option.cost = entry.cost
             option.cost_updated = True
             stats.options_reused += 1
+            stats.stage_success.append((option.id, None))
         else:
             try:
                 policy, tstats = _train_guide(world, rbvd, guide, cfg, spawn(rng))
@@ -457,6 +462,7 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
             option.policy = policy
             stats.options_trained += 1
             stats.training_steps += tstats.steps
+            stats.stage_success.append((option.id, tstats.success_fraction))
             if tstats.final_success_steps:
                 update_option_cost(option, tstats.final_success_steps)
             cache[key] = CacheEntry(actor=policy.actor, cost=option.cost,
@@ -479,6 +485,7 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
                              goal, exit_allowed, world.cell_size, spawn(rng))
     exit_policy, exit_stats = _train_guide(world, rbvd, exit_guide, cfg, spawn(rng))
     stats.training_steps += exit_stats.steps
+    stats.stage_success.append(("bridge_out", exit_stats.success_fraction))
     stages.append(Stage(label="bridge_out", policy=exit_policy,
                         advance_cells=goal.cells))
 

@@ -10,7 +10,6 @@ abstraction needs from its anchor regions.
 from __future__ import annotations
 
 import logging
-import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -93,48 +92,51 @@ def collect_solution_density(world: OccupancyWorld, n_goals: int, inits_per_goal
 NEIGHBORS4 = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
+def grid_bfs(sources, passable) -> dict:
+    """Labelled multi-source breadth-first search over 4-connected cells.
+
+    sources is an ordered list of (cell, label) pairs; a cell that fails
+    passable(cell) is never entered, source or not. Returns {cell: (steps,
+    label)} in discovery order, where steps counts moves from the nearest
+    source and label is that of the first source, in list order, among the
+    nearest ones (FIFO order keeps each layer sorted by source position).
+    """
+    out: dict = {}
+    queue = deque()
+    for cell, label in sources:
+        if cell not in out and passable(cell):
+            out[cell] = (0, label)
+            queue.append(cell)
+    while queue:
+        cx, cy = cur = queue.popleft()
+        steps, label = out[cur]
+        for dx, dy in NEIGHBORS4:
+            nb = (cx + dx, cy + dy)
+            if nb not in out and passable(nb):
+                out[nb] = (steps + 1, label)
+                queue.append(nb)
+    return out
+
+
 def connected_components(cells: set) -> list[set]:
     """4-connected components of a cell set, in deterministic order."""
     remaining = set(cells)
     comps = []
     for seed in sorted(cells):
-        if seed not in remaining:
-            continue
-        comp = {seed}
-        remaining.discard(seed)
-        queue = deque([seed])
-        while queue:
-            cx, cy = queue.popleft()
-            for dx, dy in NEIGHBORS4:
-                nb = (cx + dx, cy + dy)
-                if nb in remaining:
-                    remaining.discard(nb)
-                    comp.add(nb)
-                    queue.append(nb)
-        comps.append(comp)
+        if seed in remaining:
+            # cells go in one at a time in search order, as the region score
+            # sums them in set order: set(dict) would presize and reorder
+            comp = set(list(grid_bfs([(seed, None)], remaining.__contains__)))
+            remaining -= comp
+            comps.append(comp)
     return comps
 
 
-def _medoid(world: OccupancyWorld, comp: set) -> tuple[int, int]:
-    """Component cell minimizing summed within-component BFS distance."""
-    best = None
-    best_sum = math.inf
-    for cell in sorted(comp):
-        dist = {cell: 0}
-        queue = deque([cell])
-        total = 0
-        while queue:
-            cur = queue.popleft()
-            for dx, dy in NEIGHBORS4:
-                nb = (cur[0] + dx, cur[1] + dy)
-                if nb in comp and nb not in dist:
-                    dist[nb] = dist[cur] + 1
-                    total += dist[nb]
-                    queue.append(nb)
-        if total < best_sum:
-            best_sum = total
-            best = cell
-    return best
+def _medoid(comp: set) -> tuple[int, int]:
+    """Component cell minimizing summed within-component BFS distance; the
+    lowest such cell."""
+    return min(sorted(comp), key=lambda cell: sum(
+        steps for steps, _ in grid_bfs([(cell, None)], comp.__contains__).values()))
 
 
 DEFAULT_PERCENTILE = 80.0
@@ -178,7 +180,7 @@ def extract_critical_regions(world: OccupancyWorld, density: np.ndarray,
         ys = [world.cell_center(c)[1] for c in sorted(comp)]
         cx, cy = float(np.mean(xs)), float(np.mean(ys))
         if world.cell_of(cx, cy) not in comp:
-            cx, cy = world.cell_center(_medoid(world, comp))
+            cx, cy = world.cell_center(_medoid(comp))
         regions.append(CriticalRegion(cells=frozenset(comp),
                                       centroid=Configuration(cx, cy),
                                       score=score))

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from sharp.abstraction import (NO_STATE, build_region_voronoi, centroid_region,
-                               geodesic_distances, interface_region,
-                               render_assignment)
+                               interface_region, render_assignment)
 from sharp.errors import (EmptyRegion, InCollision, NotNeighbors, TooFewRegions,
                           UnassignedCell)
-from sharp.regions import CriticalRegion, connected_components
+from sharp.regions import CriticalRegion, connected_components, grid_bfs
 from sharp.world import Configuration
 
 from conftest import grid_from_rows, open_world, random_world
@@ -22,13 +21,14 @@ def point_region(world, cell, score=1.0):
 
 def oracle_assignment(world, regions):
     """Independent per-region BFS; argmin distance, ties to lower region id."""
-    fields = [geodesic_distances(world, set(r.cells)) for r in regions]
+    fields = [grid_bfs([(c, rid) for c in sorted(r.cells)], world.cell_free)
+              for rid, r in enumerate(regions)]
     out = np.full((world.height, world.width), NO_STATE, dtype=np.int64)
     for ix, iy in map(tuple, world.free_cells()):
         best_d, best_id = math.inf, NO_STATE
         for rid, dist in enumerate(fields):
-            d = dist.get((ix, iy))
-            if d is not None and d < best_d:
+            d = dist.get((ix, iy), (math.inf,))[0]
+            if d < best_d:
                 best_d, best_id = d, rid
         out[iy, ix] = best_id
     return out

@@ -54,6 +54,23 @@ class TestEnvelope:
         for a, b in zip(loaded.states, rbvd.states):
             assert a.cells == b.cells and a.anchor == b.anchor
 
+    @pytest.mark.parametrize("edit", [
+        lambda p: p.update(adjacency=[]),
+        lambda p: p.update(adjacency=[[0, 1], [0, 2]]),
+        lambda p: p["assignment"][0].__setitem__(0, 2),
+        lambda p: p["assignment"][0].__setitem__(0, -2),
+        lambda p: p["assignment"].pop(),
+    ], ids=["adjacency-missing-pair", "adjacency-extra-pair", "id-too-large",
+            "id-negative", "row-missing"])
+    def test_inconsistent_rbvd_parse_error(self, setup, edit):
+        # the stored adjacency must be the one the assignment implies
+        w, rbvd, library, tmp = setup
+        payload = artifacts.rbvd_payload(rbvd)
+        assert payload["adjacency"] == [[0, 1]]
+        edit(payload)
+        with pytest.raises(ParseError):
+            artifacts.rbvd_from_payload(payload, w)
+
     def test_round_trip_library(self, setup):
         w, rbvd, library, tmp = setup
         path = str(tmp / "library.json")

@@ -82,6 +82,10 @@ class TestPipelineCommands:
         result = json.loads(capsys.readouterr().out)
         assert set(result) >= {"plan", "options_trained", "success_rate"}
         assert os.path.isdir(cache)
+        stages = result["stage_success"]
+        assert [label for label, _ in stages] == ["bridge_in", *result["plan"],
+                                                  "bridge_out"]
+        assert all(0.0 <= value <= 1.0 for _, value in stages)
 
     def test_baseline_rrt(self, tiny_world_file, capsys):
         rc = main(["baseline", "--world", tiny_world_file, "--method",
@@ -210,9 +214,9 @@ MONOLITHIC = ["baseline", "--world", "{world}", "--method", "monolithic",
 
 @pytest.mark.parametrize("argv, flag", [
     (SOLVE, "--episodes"), (BASELINE, "--episodes"), (MONOLITHIC, "--episodes"),
-    (BASELINE, "--budget"), (MONOLITHIC, "--budget"),
+    (BASELINE, "--budget"), (MONOLITHIC, "--budget"), (SOLVE, "--stage-limit"),
 ], ids=["solve-episodes", "rrt-episodes", "monolithic-episodes", "rrt-budget",
-        "monolithic-budget"])
+        "monolithic-budget", "solve-stage-limit"])
 @pytest.mark.parametrize("value", ["0", "-3", "two"])
 def test_count_flag_must_be_positive(tiny_world_file, capsys, argv, flag, value):
     # a later flag overrides the one in argv

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 from dataclasses import fields, replace
 
@@ -6,6 +8,7 @@ import pytest
 
 from sharp.errors import ParseError
 from sharp import planner
+from sharp.artifacts import library_payload
 from sharp.experiment import (AbstractionParams, CSV_HEADER, ExperimentSpec,
                               ResultRow, build_library, emit_plot_data,
                               library_cache_path, load_experiment_config,
@@ -28,6 +31,21 @@ TWO_ROOMS = grid_from_rows(["##########",
                             "#....#...#",
                             "#....#...#",
                             "##########"], noise_sigma=0.02, max_step=1.0)
+
+# four rooms joined by four doors one cell wide; at FOUR_ROOMS_PARAMS the
+# density yields four regions, so no anchor is added
+FOUR_ROOMS = grid_from_rows(["#############",
+                             "#.....#.....#",
+                             "#.....#.....#",
+                             "#...........#",
+                             "#.....#.....#",
+                             "###.#####.###",
+                             "#.....#.....#",
+                             "#.....#.....#",
+                             "#...........#",
+                             "#.....#.....#",
+                             "#############"])
+FOUR_ROOMS_PARAMS = AbstractionParams(n_goals=12, inits_per_goal=5, percentile=80.0)
 
 
 def tiny_spec(run_monolithic=True, seeds=(0,)):
@@ -150,6 +168,19 @@ def test_two_rooms_csv_matches_recorded(kinematics, learner, rows):
     # reward or termination rule or in a learner update shows here
     text = rows_to_csv(run_experiment(golden_spec(kinematics, learner)))
     assert text == GOLDEN_HEADER + rows
+
+
+@pytest.mark.parametrize("kind, digest", [
+    ("centroid", "81c7380c77548e1deb546f9215e70a22061aad08ee784c23fa29abc861838bf0"),
+    ("interface", "f440eb4b6d6af1164f37bb3b7407dbff0bc8c23615adb2c9972c772a9ac23388"),
+])
+def test_four_rooms_library_matches_recorded(kind, digest):
+    # recorded library bytes: region cells, scores and centroids, the
+    # partition, its adjacency and the option endpoints all show here
+    _, library = build_library(FOUR_ROOMS, kind, FOUR_ROOMS_PARAMS)
+    assert len(library.rbvd.states) == 4
+    text = json.dumps(library_payload(library), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestPlotData:
@@ -281,7 +312,7 @@ class TestSettingsSchema:
         "goal_tol = x", "train.learner = foo", "train.hidden = 64",
         "train.max_steps = 0", "abstraction.max_regions = 2.5",
         "monolithic_all_seeds = yes", "kind = hexagonal", "seeds = 0,a",
-        "eval_episodes = 0"])
+        "eval_episodes = 0", "stage_limit = 0"])
     def test_bad_value_names_its_line(self, tmp_path, line):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"world = env_a\n# the next line is bad\n{line}\n")

@@ -151,6 +151,19 @@ class TestBackward:
             _, d_in = mlp_backward(net, cache, upstream)
             assert np.array_equal(mlp_input_grad(net, cache, upstream), d_in)
 
+    def test_skipped_input_grad_keeps_param_grads_bitwise(self):
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            n_in, h1, h2, n_out = (int(k) for k in rng.integers(1, 40, size=4))
+            net = init_mlp(n_in, (h1, h2), n_out, rng)
+            x = rng.normal(size=(int(rng.integers(1, 200)), n_in))
+            upstream = rng.normal(size=(len(x), n_out))
+            _, cache = mlp_forward_cached(net, x)
+            grads, _ = mlp_backward(net, cache, upstream)
+            grads_only, d_in = mlp_backward(net, cache, upstream, input_grad=False)
+            assert d_in is None
+            assert all(np.array_equal(a, b) for a, b in zip(grads, grads_only))
+
 
 class TestFlatAndAdam:
     def test_flat_round_trip(self):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sharp import planner
 from sharp.abstraction import Region, build_region_voronoi
 from sharp.errors import (EmptyLibrary, NoAbstractPath, NoSuccessfulRollouts)
 from sharp.experiment import AbstractionParams, build_library
@@ -261,6 +262,34 @@ class TestSharpSolve:
             == [(4, 4)] * len(second.plan_option_ids)
         _, third = solve((4, 4))
         assert third.options_reused == len(third.plan_option_ids)
+
+    def test_stage_success_reports_each_stage(self, monkeypatch):
+        _, library = build_library(TWO_ROOMS, "centroid", AbstractionParams())
+        cfg = TrainConfig(learner="cem", max_steps=200, eval_every=200,
+                          eval_episodes=2, episode_limit=20, cem_population=2,
+                          cem_iters=1, cem_hidden=(4, 4))
+        trained = []
+
+        def train_guide(*args):
+            policy, tstats = real_train_guide(*args)
+            trained.append(tstats.success_fraction)
+            return policy, tstats
+
+        real_train_guide = planner._train_guide
+        monkeypatch.setattr(planner, "_train_guide", train_guide)
+        cache = {}
+        for reused in (False, True):
+            trained.clear()
+            composed, stats = sharp_solve(
+                TWO_ROOMS, Configuration(1.5, 1.5), Configuration(8.5, 1.5),
+                copy.deepcopy(library), cache, cfg, np.random.default_rng(0))
+            labels = [label for label, _ in stats.stage_success]
+            assert labels == [s.label for s in composed.stages]
+            assert len(labels) == 2 + len(stats.plan_option_ids) >= 3
+            values = [v for _, v in stats.stage_success]
+            options = values[1:-1]
+            assert options == ([None] * len(options) if reused else trained[1:-1])
+            assert [values[0], values[-1]] == [trained[0], trained[-1]]
 
     def test_same_state_bridges_only(self):
         w, library, cfg = solve_setup()

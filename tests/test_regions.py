@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from sharp.errors import InsufficientData, NoRegions
-from sharp.regions import (collect_solution_density, connected_components,
-                           extract_critical_regions)
+from sharp.regions import (NEIGHBORS4, collect_solution_density,
+                           connected_components, extract_critical_regions, grid_bfs)
 from sharp.world import Configuration
 
-from conftest import grid_from_rows, open_world
+from conftest import grid_from_rows, open_world, random_world
 
 # two 4x4 rooms joined by a one-cell-wide corridor
 DUMBBELL = grid_from_rows([
@@ -123,6 +123,31 @@ class TestExtract:
         (r,) = extract_critical_regions(w, d, threshold=0.5, min_cells=3)
         assert w.cell_of(r.centroid.x, r.centroid.y) in r.cells
 
+    def test_medoid_is_the_most_central_cell(self):
+        # a U-shaped blob whose centroid falls on the wall: the medoid is the
+        # middle of the 7-cell path, (1, 0), not one of its ends
+        w = grid_from_rows([
+            ".#.",
+            ".#.",
+            "...",
+        ])
+        d = (~w.occupancy).astype(float)
+        (r,) = extract_critical_regions(w, d, threshold=0.5, min_cells=3)
+        assert (r.centroid.x, r.centroid.y) == w.cell_center((1, 0))
+
+    @pytest.mark.parametrize("seed, score", [
+        (0, "0x1.27bd98f83b870p-1"), (1, "0x1.136c78f6b0581p-1"),
+        (2, "0x1.1799bdb8a1eadp-1")])
+    def test_score_bits_match_recorded(self, seed, score):
+        # np.mean sums a component in its set's iteration order, which
+        # depends on how the set was filled; recorded before the components
+        # came from grid_bfs, and seed 0 moves by one ulp if they are filled
+        # from the search's dict in one call
+        w = open_world(20, 20)
+        d = np.random.default_rng(seed).uniform(0.1, 1.0, size=(20, 20))
+        (r,) = extract_critical_regions(w, d, threshold=0.05, min_cells=1)
+        assert r.score.hex() == score
+
     def test_threshold_monotonicity(self, rng, empty10):
         d = rng.random((10, 10))
         lo = extract_critical_regions(empty10, d, threshold=0.3, min_cells=1)
@@ -161,3 +186,43 @@ class TestExtract:
 def test_connected_components_splits():
     comps = connected_components({(0, 0), (0, 1), (5, 5)})
     assert sorted(len(c) for c in comps) == [1, 2]
+
+
+def relaxed_steps(world, source):
+    """Steps from one source to every free cell it reaches, by relaxing
+    every cell until nothing changes (no queue)."""
+    if not world.cell_free(source):
+        return {}
+    free = [tuple(c) for c in world.free_cells()]
+    dist = {source: 0}
+    changed = True
+    while changed:
+        changed = False
+        for cx, cy in free:
+            near = [dist[(cx + dx, cy + dy)] + 1 for dx, dy in NEIGHBORS4
+                    if (cx + dx, cy + dy) in dist]
+            if near and min(near) < dist.get((cx, cy), np.inf):
+                dist[(cx, cy)] = min(near)
+                changed = True
+    return dist
+
+
+def test_grid_bfs_matches_per_source_argmin():
+    # steps: the fewest moves from any source; label: the first source in
+    # list order among those at that distance
+    rng = np.random.default_rng(41)
+    for _ in range(150):
+        w = random_world(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)),
+                         wall_fraction=float(rng.uniform(0.0, 0.5)))
+        # cells may repeat, lie in a wall or off the grid; labels repeat
+        sources = [((int(rng.integers(-1, w.width + 1)),
+                     int(rng.integers(-1, w.height + 1))), int(rng.integers(0, 3)))
+                   for _ in range(int(rng.integers(1, 7)))]
+        fields = [relaxed_steps(w, cell) for cell, _ in sources]
+        expected = {}
+        for cell in map(tuple, w.free_cells()):
+            reached = [(f[cell], i) for i, f in enumerate(fields) if cell in f]
+            if reached:
+                steps, i = min(reached)
+                expected[cell] = (steps, sources[i][1])
+        assert grid_bfs(sources, w.cell_free) == expected
