@@ -4,8 +4,8 @@ Every artifact (density grid, partition, option library, policy cache) is
 one JSON envelope carrying a format version, its kind and the hash of the
 world it was built from; there are no binary files. Loading verifies all
 three and never leaves partial state behind. Policy-cache entries store only
-what the cache key cannot rebuild (actor weights, cost, training steps), and
-a malformed entry raises ParseError.
+what the cache key cannot rebuild (actor weights, cost, training steps). A
+malformed payload raises ParseError, an unwritable file SharpError.
 """
 
 from __future__ import annotations
@@ -14,11 +14,12 @@ import base64
 import json
 import os
 import shutil
+from contextlib import contextmanager
 
 import numpy as np
 
 from .abstraction import NO_STATE, Region, RegionVoronoi, partition
-from .errors import ParseError, VersionMismatch
+from .errors import ParseError, SharpError, VersionMismatch
 from .mlp import Mlp
 from .options import OptionSpec
 from .planner import CacheEntry, OptionLibrary
@@ -34,9 +35,12 @@ def save_artifact(path: str, kind: str, world_hash: str, payload: dict) -> None:
     envelope = {"format": ARTIFACT_FORMAT, "version": ARTIFACT_VERSION,
                 "kind": kind, "world_hash": world_hash, "payload": payload}
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(envelope, fh, sort_keys=True, separators=(",", ":"))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(envelope, fh, sort_keys=True, separators=(",", ":"))
+        os.replace(tmp, path)
+    except OSError as e:
+        raise SharpError(f"cannot write {path}: {e.strerror}") from None
 
 
 def load_artifact(path: str, kind: str, world_hash: str | None = None) -> dict:
@@ -58,6 +62,17 @@ def load_artifact(path: str, kind: str, world_hash: str | None = None) -> dict:
         raise VersionMismatch(f"{path}: built for world {envelope.get('world_hash')}, "
                               f"expected {world_hash}")
     return envelope["payload"]
+
+
+@contextmanager
+def _parsing(where: str):
+    """Missing keys and mistyped values of a payload raise ParseError naming where."""
+    try:
+        yield
+    except KeyError as e:
+        raise ParseError(f"{where} lacks {e}") from None
+    except (TypeError, ValueError, IndexError) as e:
+        raise ParseError(f"{where} is malformed: {e}") from None
 
 
 # -- grids and regions --------------------------------------------------------------
@@ -95,22 +110,25 @@ def rbvd_payload(rbvd: RegionVoronoi) -> dict:
             "adjacency": sorted(map(list, rbvd.adjacency))}
 
 
-def rbvd_from_payload(payload: dict, world: OccupancyWorld) -> RegionVoronoi:
-    """The partition as stored; raises ParseError when the assignment does
-    not fit the world and regions, or implies another adjacency."""
-    assignment = np.array(payload["assignment"], dtype=np.int64)
-    regions = [_region_from_payload(p) for p in payload["regions"]]
-    if assignment.shape != (world.height, world.width):
-        raise ParseError(f"assignment has shape {assignment.shape}, the world "
-                         f"is {world.height}x{world.width}")
-    if not NO_STATE <= assignment.min() <= assignment.max() < len(regions):
-        raise ParseError(f"assignment ids must lie in {NO_STATE}..{len(regions) - 1}")
-    rbvd = partition(world, regions, assignment)
-    stored = frozenset(tuple(p) for p in payload["adjacency"])
-    if stored != rbvd.adjacency:
-        raise ParseError(f"stored adjacency {sorted(stored)} differs from the "
-                         f"assignment's {sorted(rbvd.adjacency)}")
-    return rbvd
+def rbvd_from_payload(payload: dict, world: OccupancyWorld, where: str) -> RegionVoronoi:
+    """The partition as stored; raises ParseError naming where when the
+    payload is malformed, the assignment does not fit the world and regions,
+    or it implies another adjacency."""
+    with _parsing(where):
+        assignment = np.array(payload["assignment"], dtype=np.int64)
+        regions = [_region_from_payload(p) for p in payload["regions"]]
+        if assignment.shape != (world.height, world.width):
+            raise ParseError(f"{where}: assignment has shape {assignment.shape}, "
+                             f"the world is {world.height}x{world.width}")
+        if not NO_STATE <= assignment.min() <= assignment.max() < len(regions):
+            raise ParseError(f"{where}: assignment ids must lie in "
+                             f"{NO_STATE}..{len(regions) - 1}")
+        rbvd = partition(world, regions, assignment)
+        stored = frozenset(tuple(p) for p in payload["adjacency"])
+        if stored != rbvd.adjacency:
+            raise ParseError(f"{where}: stored adjacency {sorted(stored)} differs "
+                             f"from the assignment's {sorted(rbvd.adjacency)}")
+        return rbvd
 
 
 def library_payload(library: OptionLibrary) -> dict:
@@ -126,17 +144,19 @@ def library_payload(library: OptionLibrary) -> dict:
             } for o in library.options]}
 
 
-def library_from_payload(payload: dict, world: OccupancyWorld) -> OptionLibrary:
-    rbvd = rbvd_from_payload(payload["rbvd"], world)
-    options = [OptionSpec(id=p["id"], kind=p["kind"], states=tuple(p["states"]),
-                          initiation=_endpoint_from_payload(p["initiation"]),
-                          termination=_endpoint_from_payload(p["termination"]),
-                          cost=float(p["cost"]),
-                          cost_updated=bool(p["cost_updated"]))
-               for p in payload["options"]]
-    return OptionLibrary(kind=payload["kind"], threshold=payload["threshold"],
-                         guide_seed=payload["guide_seed"], options=options,
-                         rbvd=rbvd)
+def library_from_payload(payload: dict, world: OccupancyWorld, where: str) -> OptionLibrary:
+    """The library as stored; raises ParseError naming where when malformed."""
+    with _parsing(where):
+        rbvd = rbvd_from_payload(payload["rbvd"], world, where)
+        options = [OptionSpec(id=p["id"], kind=p["kind"], states=tuple(p["states"]),
+                              initiation=_endpoint_from_payload(p["initiation"]),
+                              termination=_endpoint_from_payload(p["termination"]),
+                              cost=float(p["cost"]),
+                              cost_updated=bool(p["cost_updated"]))
+                   for p in payload["options"]]
+        return OptionLibrary(kind=payload["kind"], threshold=payload["threshold"],
+                             guide_seed=payload["guide_seed"], options=options,
+                             rbvd=rbvd)
 
 
 # -- policy cache -------------------------------------------------------------------
@@ -194,12 +214,8 @@ def load_cache(root: str, world_hash: str) -> dict[str, CacheEntry]:
     cache = {}
     for key, item in load_artifact(path, "policy-cache", world_hash)["entries"].items():
         where = f"{path}: entry {key!r}"
-        try:
+        with _parsing(where):
             cache[key] = CacheEntry(actor=_actor_from_payload(item["actor"], where),
                                     cost=float(item["cost"]),
                                     training_steps=int(item["training_steps"]))
-        except KeyError as e:
-            raise ParseError(f"{where} lacks {e}") from None
-        except (TypeError, ValueError) as e:
-            raise ParseError(f"{where} is malformed: {e}") from None
     return cache

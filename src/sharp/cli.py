@@ -19,10 +19,10 @@ from dataclasses import fields, replace
 from . import artifacts, settings
 from .abstraction import render_assignment
 from .errors import ParseError, SharpError
-from .experiment import (CSV_HEADER, STAGE_LIMIT, TRAIN_PROFILES, AbstractionParams,
-                         ResultRow, emit_plot_data, evaluate_composed,
-                         evaluate_rrt_replan, load_experiment_config,
-                         load_or_build_library, load_world, monolithic_baseline,
+from .experiment import (STAGE_LIMIT, TRAIN_PROFILES, AbstractionParams,
+                         emit_plot_data, evaluate_composed, evaluate_rrt_replan,
+                         load_experiment_config, load_or_build_library,
+                         load_world, monolithic_baseline, read_rows,
                          recipe_params, rows_to_csv, run_experiment,
                          select_regions, spec_for_bundled, write_rows)
 from .motion import RrtParams
@@ -208,19 +208,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
-    rows = []
-    with open(args.rows) as fh:
-        import csv as csvmod
-        reader = csvmod.reader(fh)
-        header = next(reader)
-        if header != CSV_HEADER:
-            raise SharpError(f"unexpected results header {header}")
-        for rec in reader:
-            rows.append(ResultRow(rec[0], int(rec[1]), rec[2], int(rec[3]),
-                                  float(rec[4]), float(rec[5]), int(rec[6]),
-                                  int(rec[7]), int(rec[8]), rec[9]))
-    paths = emit_plot_data(rows, args.out)
-    for p in paths:
+    for p in emit_plot_data(read_rows(args.rows), args.out):
         print(p)
     return 0
 

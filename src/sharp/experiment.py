@@ -200,7 +200,7 @@ def load_or_build_library(world: OccupancyWorld, kind: str,
         path = library_cache_path(cache_dir, whash, kind, params)
         if os.path.exists(path):
             payload = artifacts.load_artifact(path, "option-library", whash)
-            return None, artifacts.library_from_payload(payload, world)
+            return None, artifacts.library_from_payload(payload, world, path)
     density, library = build_library(world, kind, params)
     if path is not None:
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -282,8 +282,29 @@ def rows_to_csv(rows) -> str:
 
 
 def write_rows(rows, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(rows_to_csv(rows))
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(rows_to_csv(rows))
+    except OSError as e:
+        raise SharpError(f"cannot write {path}: {e.strerror}") from None
+
+
+def read_rows(path: str) -> list[ResultRow]:
+    """The rows of a results CSV as write_rows writes it; raises ParseError
+    naming the line of a malformed row."""
+    reader = csv.reader(io.StringIO(_read_text(path)))
+    if next(reader, None) != CSV_HEADER:
+        raise ParseError(f"{path}: the header is not {','.join(CSV_HEADER)}", line=1)
+    rows = []
+    for rec in reader:
+        try:
+            env, problem, method, seed, rate, steps, trained, new, reused, error = rec
+            rows.append(ResultRow(env, int(problem), method, int(seed), float(rate),
+                                  float(steps), int(trained), int(new), int(reused),
+                                  error))
+        except ValueError as e:   # a wrong field count included
+            raise ParseError(f"{path}: {e}", line=reader.line_num) from None
+    return rows
 
 
 # -- the protocol ----------------------------------------------------------------------
@@ -307,8 +328,8 @@ def evaluate_rrt_replan(world, x_i, x_g, params: RrtParams, budget: int,
                         episodes: int, seed_key) -> tuple[float, float]:
     """Success rate and mean steps of replanning RRT execution; episode ep
     runs on derive_rng("rrt", *seed_key, ep)."""
-    results = [execute_with_replan(world, x_i, x_g, params, budget,
-                                   derive_rng("rrt", *seed_key, ep))
+    results = [execute_with_replan(world, x_i, x_g, derive_rng("rrt", *seed_key, ep),
+                                   params, budget)
                for ep in range(episodes)]
     return (sum(r.success for r in results) / episodes,
             float(np.mean([r.steps for r in results])))
@@ -401,8 +422,7 @@ def emit_plot_data(rows, out_dir: str) -> list:
     """Aggregate rows into the two figure CSVs: training steps per problem and
     success rate per problem, mean and population std over seeds."""
     if not rows:
-        raise ValueError("no rows to aggregate")
-    os.makedirs(out_dir, exist_ok=True)
+        raise SharpError("no rows to aggregate")
     groups: dict = {}
     for r in rows:
         groups.setdefault((r.env, r.problem, r.method), []).append(r)
@@ -411,18 +431,22 @@ def emit_plot_data(rows, out_dir: str) -> list:
               "mean_training_steps", "std_training_steps"),
              ("success_by_problem.csv", lambda r: r.success_rate,
               "mean_success", "std_success")]
-    for fname, get, mean_col, std_col in specs:
-        path = os.path.join(out_dir, fname)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\r\n")
-            writer.writerow(["env", "problem", "method", mean_col, std_col,
-                             "n_seeds"])
-            for key in sorted(groups):
-                values = [get(r) for r in groups[key]]
-                writer.writerow([key[0], str(key[1]), key[2],
-                                 f"{np.mean(values):.4f}",
-                                 f"{np.std(values):.4f}", str(len(values))])
-        paths.append(path)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for fname, get, mean_col, std_col in specs:
+            path = os.path.join(out_dir, fname)
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\r\n")
+                writer.writerow(["env", "problem", "method", mean_col, std_col,
+                                 "n_seeds"])
+                for key in sorted(groups):
+                    values = [get(r) for r in groups[key]]
+                    writer.writerow([key[0], str(key[1]), key[2],
+                                     f"{np.mean(values):.4f}",
+                                     f"{np.std(values):.4f}", str(len(values))])
+            paths.append(path)
+    except OSError as e:
+        raise SharpError(f"cannot write {e.filename}: {e.strerror}") from None
     return paths
 
 

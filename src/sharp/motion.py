@@ -8,13 +8,13 @@ cells; sampling, steering, and shortcutting then never leave those cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import Unreachable
 from .world import (Configuration, Kinematics, OccupancyWorld, collision,
-                    sample_free, steer_toward, step, sweep_samples)
+                    sample_free, steer_toward, step)
 
 
 @dataclass(frozen=True)
@@ -43,22 +43,6 @@ class MotionPlan:
         return sum(a.distance_to(b) for a, b in zip(self.waypoints, self.waypoints[1:]))
 
 
-def _segment_ok(world: OccupancyWorld, a: tuple[float, float], b: tuple[float, float],
-                mask: set | None) -> bool:
-    """Collision-free and, when masked, cell-confined along the swept segment."""
-    if mask is None:
-        return world.segment_free(a, b)
-    ax, ay = a
-    bx, by = b
-    n = sweep_samples(math.hypot(bx - ax, by - ay), world.cell_size)
-    for i in range(n + 1):
-        t = i / n
-        px, py = ax + t * (bx - ax), ay + t * (by - ay)
-        if world.collision_xy(px, py) or world.cell_of(px, py) not in mask:
-            return False
-    return True
-
-
 def _sample_point(world: OccupancyWorld, rng: np.random.Generator,
                   mask_cells: np.ndarray | None) -> tuple[float, float]:
     if mask_cells is None:
@@ -70,7 +54,7 @@ def _sample_point(world: OccupancyWorld, rng: np.random.Generator,
 
 
 def rrt_plan(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
-             params: RrtParams | None = None, rng: np.random.Generator | None = None,
+             rng: np.random.Generator, params: RrtParams | None = None,
              mask: set | None = None,
              work_counter: list | None = None) -> MotionPlan:
     """Plan a collision-free path from x_i to within goal_tol of x_g.
@@ -80,19 +64,18 @@ def rrt_plan(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
     work_counter, when given, is a single-element list incremented once per
     extension attempt so callers can charge planning effort to a budget.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     p = (params or RrtParams()).resolved(world)
     if collision(world, x_i) or collision(world, x_g):
         raise Unreachable("endpoint in collision")
     if x_i.distance_to(x_g) <= p.goal_tol:
         return MotionPlan([x_i])
 
-    mask_cells = None
+    allowed = mask_cells = None
     if mask is not None:
-        mask_cells = np.array(sorted(c for c in mask if world.cell_free(c)))
-        if len(mask_cells) == 0:
+        allowed = world.free_set & mask
+        if not allowed:
             raise Unreachable("mask contains no free cell")
+        mask_cells = np.array(sorted(allowed))
 
     nodes_x = np.empty(p.max_iters + 1)
     nodes_y = np.empty(p.max_iters + 1)
@@ -116,7 +99,7 @@ def rrt_plan(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
             continue
         scale = min(1.0, p.step_len / dist)
         tx, ty = nx + scale * (sx - nx), ny + scale * (sy - ny)
-        if not _segment_ok(world, (nx, ny), (tx, ty), mask):
+        if not world.segment_free((nx, ny), (tx, ty), allowed):
             continue
         nodes_x[n], nodes_y[n] = tx, ty
         parents[n] = near
@@ -140,11 +123,12 @@ def shortcut(world: OccupancyWorld, plan: MotionPlan,
     pts = plan.waypoints
     if len(pts) <= 2:
         return MotionPlan(list(pts))
+    allowed = None if mask is None else world.free_set & mask
     out = [pts[0]]
     i = 0
     while i < len(pts) - 1:
         j = len(pts) - 1
-        while j > i + 1 and not _segment_ok(world, pts[i].xy, pts[j].xy, mask):
+        while j > i + 1 and not world.segment_free(pts[i].xy, pts[j].xy, allowed):
             j -= 1
         out.append(pts[j])
         i = j
@@ -176,57 +160,50 @@ class ExecutionResult:
 
     success: bool
     steps: int
-    trace: list[Configuration] = field(default_factory=list)
     replans: int = 0
     work: int = 0
 
 
 def track_waypoint(world: OccupancyWorld, c: Configuration, target: tuple[float, float],
                    tol: float, rng: np.random.Generator, max_attempts: int,
-                   budget_left: int, trace: list[Configuration]) -> tuple[Configuration, int]:
+                   budget_left: int) -> tuple[Configuration, int]:
     """Step toward target until within tol, attempts or budget run out."""
     used = 0
     attempts = 0
     while (c.distance_to(target) > tol and attempts < max_attempts
            and used < budget_left):
         c = step(world, c, steer_toward(world, c, target), rng)
-        trace.append(c)
         used += 1
         attempts += 1
     return c, used
 
 
 def execute_with_replan(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
-                        params: RrtParams | None = None, budget: int = 4000,
-                        rng: np.random.Generator | None = None) -> ExecutionResult:
+                        rng: np.random.Generator, params: RrtParams | None = None,
+                        budget: int = 4000) -> ExecutionResult:
     """Plan with RRT and track waypoints under noise, replanning on a miss.
 
     Each simulator step and each planner tree extension consumes one unit of
     budget. Terminates with success once within goal_tol of x_g, or failure
     when the budget is exhausted or planning fails.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     p = (params or RrtParams()).resolved(world)
     c = x_i
-    trace = [c]
     steps = 0
     work = 0
     replans = 0
     first = True
     while work < budget:
         if c.distance_to(x_g) <= p.goal_tol:
-            return ExecutionResult(True, steps, trace, replans, work)
+            return ExecutionResult(True, steps, replans, work)
         counter = [0]
         try:
-            cap = RrtParams(max_iters=min(p.max_iters, budget - work),
-                            step_len=p.step_len, goal_bias=p.goal_bias,
-                            goal_tol=p.goal_tol)
-            plan = shortcut(world, rrt_plan(world, c, x_g, cap, rng,
+            cap = replace(p, max_iters=min(p.max_iters, budget - work))
+            plan = shortcut(world, rrt_plan(world, c, x_g, rng, cap,
                                             work_counter=counter))
         except Unreachable:
             work += counter[0]
-            return ExecutionResult(False, steps, trace, replans, work)
+            return ExecutionResult(False, steps, replans, work)
         work += counter[0]
         if not first:
             replans += 1
@@ -239,10 +216,10 @@ def execute_with_replan(world: OccupancyWorld, x_i: Configuration, x_g: Configur
             est = int(math.ceil(wp.distance_to(c) / max(step_scale, 1e-9)))
             attempts = 2 * est + 10  # slack for heading alignment and noise
             c, used = track_waypoint(world, c, wp.xy, tol, rng, attempts,
-                                     budget - work, trace)
+                                     budget - work)
             steps += used
             work += used
             if work >= budget:
                 break
     success = c.distance_to(x_g) <= p.goal_tol
-    return ExecutionResult(success, steps, trace, replans, work)
+    return ExecutionResult(success, steps, replans, work)

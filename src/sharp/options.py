@@ -222,7 +222,7 @@ def build_guide(world: OccupancyWorld, rbvd: RegionVoronoi, option_id: str,
     last_error: Exception | None = None
     for _ in range(GUIDE_ATTEMPTS):
         try:
-            plan = rrt_plan(world, start, goal, plan_params, spawn(rng), mask=mask)
+            plan = rrt_plan(world, start, goal, spawn(rng), plan_params, mask=mask)
         except Unreachable as e:
             last_error = e
             continue

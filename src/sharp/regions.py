@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientData, NoFreeSpace, NoRegions, Unreachable
-from .motion import MotionPlan, RrtParams, rrt_plan, shortcut
-from .world import Configuration, OccupancyWorld, sample_free, sweep_samples
+from .motion import MotionPlan, rrt_plan, shortcut
+from .world import Configuration, OccupancyWorld, sample_free, sweep
 
 log = logging.getLogger(__name__)
 
@@ -32,37 +32,27 @@ class CriticalRegion:
 
 
 def swept_cells(world: OccupancyWorld, plan: MotionPlan) -> set:
-    """Cells visited by the plan's swept segments, at sub-cell resolution."""
-    out: set = set()
+    """Cells of the points that sweep yields along the plan's segments."""
     pts = plan.waypoints
     if len(pts) == 1:
-        out.add(world.cell_of(pts[0].x, pts[0].y))
-        return out
-    for a, b in zip(pts, pts[1:]):
-        n = sweep_samples(a.distance_to(b), world.cell_size)
-        for i in range(n + 1):
-            t = i / n
-            out.add(world.cell_of(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
-    return out
+        return {world.cell_of(*pts[0].xy)}
+    return {world.cell_of(*p) for a, b in zip(pts, pts[1:])
+            for p in sweep(a.xy, b.xy, world.cell_size)}
 
 
 def collect_solution_density(world: OccupancyWorld, n_goals: int, inits_per_goal: int,
-                             rng: np.random.Generator,
-                             params: RrtParams | None = None,
-                             return_traces: bool = False):
+                             rng: np.random.Generator) -> np.ndarray:
     """Estimate per-cell solution density from random planning problems.
 
     Solves n_goals * inits_per_goal problems (random goal, random start);
     density[iy, ix] = (#solution traces visiting the cell) / (#solved).
     Unsolved problems are skipped. Raises InsufficientData when fewer than
-    10% of the problems solve. With return_traces=True also returns the list
-    of (start, goal, visited-cell set) per solved problem, for auditing.
+    10% of the problems solve.
     """
     if n_goals < 1 or inits_per_goal < 1:
         raise ValueError("n_goals and inits_per_goal must be >= 1")
     total = n_goals * inits_per_goal
     counts = np.zeros((world.height, world.width), dtype=np.int64)
-    traces = []
     solved = 0
     for _ in range(n_goals):
         try:
@@ -72,21 +62,15 @@ def collect_solution_density(world: OccupancyWorld, n_goals: int, inits_per_goal
         for _ in range(inits_per_goal):
             start = sample_free(world, rng)
             try:
-                plan = shortcut(world, rrt_plan(world, start, goal, params, rng))
+                plan = shortcut(world, rrt_plan(world, start, goal, rng))
             except Unreachable:
                 continue
-            visited = swept_cells(world, plan)
             solved += 1
-            for ix, iy in visited:
+            for ix, iy in swept_cells(world, plan):
                 counts[iy, ix] += 1
-            if return_traces:
-                traces.append((start, goal, visited))
     if solved < 0.1 * total:
         raise InsufficientData(f"solved {solved}/{total} problems")
-    density = counts.astype(np.float64) / solved
-    if return_traces:
-        return density, traces
-    return density
+    return counts.astype(np.float64) / solved
 
 
 NEIGHBORS4 = ((1, 0), (-1, 0), (0, 1), (0, -1))

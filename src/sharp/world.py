@@ -1,5 +1,9 @@
 """Occupancy-grid world model: collision oracle and a seeded stochastic simulator.
 
+The collision oracle is the world's frozenset of free ``(ix, iy)`` cells: a
+point collides unless its cell is in the set, so every point off the grid
+collides. A swept segment is checked at the points that ``sweep`` yields.
+
 Coordinate conventions used everywhere in the package:
 
 * world coordinates are meters, x to the right, y up;
@@ -15,6 +19,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,10 +33,17 @@ TWO_PI = 2.0 * math.pi
 SWEEP_FRACTION = 0.25
 
 
-def sweep_samples(dist: float, cell_size: float) -> int:
-    """Number of equal sub-steps a swept segment of length dist is cut into:
-    each at most SWEEP_FRACTION of a cell, and at least one."""
-    return max(1, int(math.ceil(dist / (SWEEP_FRACTION * cell_size))))
+def sweep(a: tuple[float, float], b: tuple[float, float],
+          cell_size: float) -> Iterator[tuple[float, float]]:
+    """The points a + (i/n)(b - a), i = 0..n, of the swept segment a->b: n
+    equal sub-steps, each at most SWEEP_FRACTION of a cell, and at least one."""
+    ax, ay = a
+    bx, by = b
+    dist = math.hypot(bx - ax, by - ay)
+    n = max(1, int(math.ceil(dist / (SWEEP_FRACTION * cell_size))))
+    for i in range(n + 1):
+        t = i / n
+        yield ax + t * (bx - ax), ay + t * (by - ay)
 
 
 def wrap_angle(theta: float) -> float:
@@ -106,7 +118,8 @@ class OccupancyWorld:
     max_step: float = 1.0
     v_max: float = 1.0
     omega_max: float = math.pi / 4.0
-    _free_cells: np.ndarray | None = field(default=None, repr=False, compare=False)
+    free_set: frozenset = field(init=False, repr=False, compare=False)  # (ix, iy)
+    _free_cells: np.ndarray = field(init=False, repr=False, compare=False)
     # occupancy with a ring of occupied cells around it, for the lane sweep
     _walled: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -122,6 +135,9 @@ class OccupancyWorld:
             raise ValueError(f"occupancy shape {occ.shape} != ({self.height}, {self.width})")
         occ.setflags(write=False)
         self.occupancy = occ
+        iy, ix = np.nonzero(~occ)
+        self._free_cells = np.column_stack([ix, iy])
+        self.free_set = frozenset(zip(ix.tolist(), iy.tolist()))
         self._walled = np.pad(occ, 1, constant_values=True)
 
     # -- geometry -----------------------------------------------------------
@@ -142,35 +158,26 @@ class OccupancyWorld:
         return 0 <= ix < self.width and 0 <= iy < self.height
 
     def cell_free(self, cell: tuple[int, int]) -> bool:
-        return self.in_bounds(cell) and not self.occupancy[cell[1], cell[0]]
+        return cell in self.free_set
 
     def free_cells(self) -> np.ndarray:
         """(n, 2) int array of free (ix, iy) cells in row-major scan order."""
-        if self._free_cells is None:
-            iy, ix = np.nonzero(~self.occupancy)
-            self._free_cells = np.column_stack([ix, iy])
         return self._free_cells
 
     # -- collision oracle ----------------------------------------------------
 
     def collision_xy(self, x: float, y: float) -> bool:
-        ix = int(math.floor(x / self.cell_size))
-        iy = int(math.floor(y / self.cell_size))
-        if ix < 0 or iy < 0 or ix >= self.width or iy >= self.height:
-            return True  # out of bounds counts as collision
-        return bool(self.occupancy[iy, ix])
+        return self.cell_of(x, y) not in self.free_set
 
-    def segment_free(self, a: tuple[float, float], b: tuple[float, float]) -> bool:
-        """True iff the straight segment a->b stays collision-free.
-
-        Sampled every SWEEP_FRACTION * cell_size, endpoints included.
-        """
-        ax, ay = a
-        bx, by = b
-        n = sweep_samples(math.hypot(bx - ax, by - ay), self.cell_size)
-        for i in range(n + 1):
-            t = i / n
-            if self.collision_xy(ax + t * (bx - ax), ay + t * (by - ay)):
+    def segment_free(self, a: tuple[float, float], b: tuple[float, float],
+                     cells: frozenset | None = None) -> bool:
+        """True iff every point that sweep yields for a->b lies in a free
+        cell, or, when given, in cells, a subset of the free cells."""
+        cells = self.free_set if cells is None else cells
+        cs = self.cell_size
+        # cell_of inlined here and below: a call per point doubles the time
+        for x, y in sweep(a, b, cs):
+            if (math.floor(x / cs), math.floor(y / cs)) not in cells:
                 return False
         return True
 
@@ -195,20 +202,19 @@ def clip_action(world: OccupancyWorld, a: Action) -> Action:
 
 def _truncate_to_free(world: OccupancyWorld, start: tuple[float, float],
                       target: tuple[float, float]) -> tuple[float, float]:
-    """Last collision-free point walking start->target at sub-cell resolution."""
-    sx, sy = start
-    tx, ty = target
-    dist = math.hypot(tx - sx, ty - sy)
-    if dist == 0.0:
+    """The last point that sweep yields for start->target before the first
+    one in collision, start itself not checked; start when the first point
+    after it collides."""
+    if target == start:
         return start
-    n = sweep_samples(dist, world.cell_size)
+    points = sweep(start, target, world.cell_size)
+    next(points)  # sample 0 is start itself
     ok = start
-    for i in range(1, n + 1):
-        t = i / n
-        px, py = sx + t * (tx - sx), sy + t * (ty - sy)
-        if world.collision_xy(px, py):
+    free, cs = world.free_set, world.cell_size
+    for x, y in points:
+        if (math.floor(x / cs), math.floor(y / cs)) not in free:
             return ok
-        ok = (px, py)
+        ok = (x, y)
     return ok
 
 

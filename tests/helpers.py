@@ -1,18 +1,22 @@
 """Test doubles and oracles shared by the test modules."""
 
+import math
 import typing
 from dataclasses import replace
 
 import numpy as np
 
 from sharp.abstraction import Region
+from sharp.errors import Unreachable
 from sharp.learn import (DISCOUNT, LOG_2PI, LOG_STD_MAX, LOG_STD_MIN, REWARD_SCALE,
                          TAU, action_from_displacement, build_observation,
                          displacement_scale)
+from sharp.motion import rrt_plan, shortcut
 from sharp.options import OptionGuide
 from sharp.planner import ComposedPolicy, astar
-from sharp.world import (Configuration, OccupancyWorld, sample_in_cells, step,
-                         steer_toward)
+from sharp.regions import swept_cells
+from sharp.world import (SWEEP_FRACTION, Configuration, OccupancyWorld, sample_free,
+                         sample_in_cells, step, steer_toward)
 
 
 class ScriptedPolicy:
@@ -108,7 +112,23 @@ def sample_setting(cls, f):
 
 def with_params(world: OccupancyWorld, **overrides) -> OccupancyWorld:
     """Copy of the world with different kinematics/noise/bounds."""
-    return replace(world, _free_cells=None, **overrides)
+    return replace(world, **overrides)
+
+
+def solution_traces(world, n_goals, inits_per_goal, rng) -> list:
+    """(start, goal, swept cells) of each problem that collect_solution_density,
+    given the same generator, solves."""
+    traces = []
+    for _ in range(n_goals):
+        goal = sample_free(world, rng)
+        for _ in range(inits_per_goal):
+            start = sample_free(world, rng)
+            try:
+                plan = shortcut(world, rrt_plan(world, start, goal, rng))
+            except Unreachable:
+                continue
+            traces.append((start, goal, swept_cells(world, plan)))
+    return traces
 
 
 def density_from_payload(payload: dict) -> np.ndarray:
@@ -123,6 +143,77 @@ def nearest_guide_point(guide: OptionGuide, c: Configuration) -> tuple[Configura
 
 def option_stages(composed: ComposedPolicy):
     return [s for s in composed.stages if s.option is not None]
+
+
+# -- reference collision queries -----------------------------------------------------
+# The collision queries as they were written before the world kept a set of
+# free cells: each walks its own sub-samples i/n of a segment and bounds-checks
+# and indexes the occupancy grid at each one. test_collision holds the world's
+# queries to them.
+
+
+def _ref_samples(dist, cell_size) -> int:
+    return max(1, int(math.ceil(dist / (SWEEP_FRACTION * cell_size))))
+
+
+def _ref_cell(world, x, y):
+    return (int(math.floor(x / world.cell_size)), int(math.floor(y / world.cell_size)))
+
+
+def ref_collision_xy(world, x, y) -> bool:
+    ix, iy = _ref_cell(world, x, y)
+    if ix < 0 or iy < 0 or ix >= world.width or iy >= world.height:
+        return True
+    return bool(world.occupancy[iy, ix])
+
+
+def ref_cell_free(world, cell) -> bool:
+    ix, iy = cell
+    return (0 <= ix < world.width and 0 <= iy < world.height
+            and not world.occupancy[iy, ix])
+
+
+def ref_segment_ok(world, a, b, mask=None) -> bool:
+    """segment_free, or with a mask the masked check of rrt_plan and shortcut."""
+    (ax, ay), (bx, by) = a, b
+    n = _ref_samples(math.hypot(bx - ax, by - ay), world.cell_size)
+    for i in range(n + 1):
+        t = i / n
+        px, py = ax + t * (bx - ax), ay + t * (by - ay)
+        if ref_collision_xy(world, px, py):
+            return False
+        if mask is not None and _ref_cell(world, px, py) not in mask:
+            return False
+    return True
+
+
+def ref_truncate_to_free(world, start, target):
+    """The last free point of start->target; start when the first step collides."""
+    (sx, sy), (tx, ty) = start, target
+    dist = math.hypot(tx - sx, ty - sy)
+    if dist == 0.0:
+        return start
+    n = _ref_samples(dist, world.cell_size)
+    ok = start
+    for i in range(1, n + 1):
+        t = i / n
+        px, py = sx + t * (tx - sx), sy + t * (ty - sy)
+        if ref_collision_xy(world, px, py):
+            return ok
+        ok = (px, py)
+    return ok
+
+
+def ref_swept_cells(world, waypoints) -> set:
+    if len(waypoints) == 1:
+        return {_ref_cell(world, *waypoints[0].xy)}
+    out = set()
+    for a, b in zip(waypoints, waypoints[1:]):
+        n = _ref_samples(a.distance_to(b), world.cell_size)
+        for i in range(n + 1):
+            t = i / n
+            out.add(_ref_cell(world, a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
+    return out
 
 
 # -- reference SAC update ------------------------------------------------------------

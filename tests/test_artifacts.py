@@ -48,7 +48,7 @@ class TestEnvelope:
         artifacts.save_artifact(path, "rbvd", world_hash(w),
                                 artifacts.rbvd_payload(rbvd))
         loaded = artifacts.rbvd_from_payload(
-            artifacts.load_artifact(path, "rbvd", world_hash(w)), w)
+            artifacts.load_artifact(path, "rbvd", world_hash(w)), w, path)
         assert np.array_equal(loaded.assignment, rbvd.assignment)
         assert loaded.adjacency == rbvd.adjacency
         for a, b in zip(loaded.states, rbvd.states):
@@ -69,7 +69,7 @@ class TestEnvelope:
         assert payload["adjacency"] == [[0, 1]]
         edit(payload)
         with pytest.raises(ParseError):
-            artifacts.rbvd_from_payload(payload, w)
+            artifacts.rbvd_from_payload(payload, w, "partition")
 
     def test_round_trip_library(self, setup):
         w, rbvd, library, tmp = setup
@@ -77,7 +77,7 @@ class TestEnvelope:
         artifacts.save_artifact(path, "option-library", world_hash(w),
                                 artifacts.library_payload(library))
         loaded = artifacts.library_from_payload(
-            artifacts.load_artifact(path, "option-library", world_hash(w)), w)
+            artifacts.load_artifact(path, "option-library", world_hash(w)), w, path)
         assert loaded.kind == library.kind
         assert loaded.guide_seed == library.guide_seed
         assert [o.id for o in loaded.options] == [o.id for o in library.options]
@@ -94,7 +94,7 @@ class TestEnvelope:
         artifacts.save_artifact(path, "option-library", world_hash(w),
                                 dict(payload, guide_spacing=0.5))
         loaded = artifacts.library_from_payload(
-            artifacts.load_artifact(path, "option-library", world_hash(w)), w)
+            artifacts.load_artifact(path, "option-library", world_hash(w)), w, path)
         assert json.dumps(artifacts.library_payload(loaded), sort_keys=True) \
             == json.dumps(payload, sort_keys=True)
 

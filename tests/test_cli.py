@@ -244,3 +244,81 @@ def test_unread_flag_is_a_usage_error(tiny_world_file, tmp_path, capsys, argv,
         main(argv + [flag, str(tmp_path / "x")])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def _drop_key(*path):
+    def edit(payload):
+        for k in path[:-1]:
+            payload = payload[k]
+        del payload[path[-1]]
+    return edit
+
+
+def _set_key(value, *path):
+    def edit(payload):
+        for k in path[:-1]:
+            payload = payload[k]
+        payload[path[-1]] = value
+    return edit
+
+
+LIBRARY_FAULTS = {
+    "no-initiation": _drop_key("options", 0, "initiation"),
+    "no-rep": _drop_key("options", 0, "termination", "rep"),
+    "no-regions": _drop_key("rbvd", "regions"),
+    "no-centroid": _drop_key("rbvd", "regions", 0, "centroid"),
+    "text-cost": _set_key("cheap", "options", 0, "cost"),
+    "cells-not-a-list": _set_key(7, "options", 0, "initiation", "cells"),
+    "text-centroid": _set_key(["a", "b"], "rbvd", "regions", 0, "centroid"),
+    "ragged-assignment": _set_key([[0, 1], [0]], "rbvd", "assignment"),
+    "options-not-a-list": _set_key(3, "options"),
+}
+
+
+@pytest.mark.parametrize("edit", LIBRARY_FAULTS.values(), ids=LIBRARY_FAULTS.keys())
+def test_library_cache_fault_is_an_error_line(tiny_world_file, tmp_path, capsys,
+                                              edit):
+    argv = ["abstract", "--world", tiny_world_file, "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    (path,) = tmp_path.glob("*/library_centroid_*.json")
+    envelope = json.loads(path.read_text())
+    edit(envelope["payload"])
+    path.write_text(json.dumps(envelope))
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+
+
+ROWS = ("env,problem,method,seed,success_rate,mean_steps,training_steps,"
+        "options_trained,options_reused,error\r\n")
+
+
+@pytest.mark.parametrize("argv, rows, named", [
+    (["regions", "--world", "{world}", "--out", "{tmp}/missing/x.json"], None,
+     "{tmp}/missing/x.json"),
+    (["abstract", "--world", "{world}", "--out", "{tmp}/missing/x.json"], None,
+     "{tmp}/missing/x.json"),
+    (["options", "--world", "{world}", "--out", "{tmp}/missing/x.json"], None,
+     "{tmp}/missing/x.json"),
+    (["plotdata", "--rows", "{tmp}/missing.csv", "--out", "{tmp}/plots"], None,
+     "{tmp}/missing.csv"),
+    (["plotdata", "--rows", "{tmp}/rows.csv", "--out", "{tmp}/plots"],
+     ROWS + "e,1,sharp\r\n", "line 2"),
+    (["plotdata", "--rows", "{tmp}/rows.csv", "--out", "{tmp}/plots"],
+     ROWS + "e,1,sharp,0,1.0,5.0,10,1,0,\r\ne,one,sharp,0,1.0,5.0,10,1,0,\r\n",
+     "line 3"),
+    (["plotdata", "--rows", "{tmp}/rows.csv", "--out", "{tmp}/plots"], ROWS,
+     "no rows"),
+    (["plotdata", "--rows", "{tmp}/rows.csv", "--out", "{tmp}/rows.csv/plots"],
+     ROWS + "e,1,sharp,0,1.0,5.0,10,1,0,\r\n", "{tmp}/rows.csv/plots"),
+], ids=["regions-out", "abstract-out", "options-out", "missing-rows",
+        "three-field-row", "text-problem", "no-rows", "plots-under-a-file"])
+def test_file_fault_is_an_error_line(tiny_world_file, tmp_path, capsys, argv,
+                                     rows, named):
+    if rows is not None:
+        (tmp_path / "rows.csv").write_text(rows, newline="")
+    assert main([a.format(world=tiny_world_file, tmp=tmp_path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert named.format(tmp=tmp_path) in err

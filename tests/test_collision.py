@@ -1,0 +1,169 @@
+"""The world's collision queries against the per-sample loops they replaced.
+
+Points are drawn on and off the grid, on cell boundaries and just below zero
+(where int() and math.floor disagree); segments include zero-length ones and
+masks include occupied and off-grid cells.
+"""
+
+from types import SimpleNamespace
+
+import pytest
+
+from sharp.errors import Unreachable
+from sharp.motion import MotionPlan, RrtParams, rrt_plan, shortcut
+from sharp.regions import swept_cells
+from sharp.world import Configuration, OccupancyWorld, _truncate_to_free, sweep
+
+from conftest import random_world
+from helpers import (ref_cell_free, ref_collision_xy, ref_segment_ok,
+                     ref_swept_cells, ref_truncate_to_free)
+
+CELL_SIZES = (1.0, 0.5, 0.3)
+
+
+def _coord(rng, n, cs) -> float:
+    kind = rng.integers(4)
+    if kind == 0:
+        return float(rng.uniform(-2 * cs, (n + 2) * cs))   # on or off the grid
+    if kind == 1:
+        return float(rng.integers(-1, n + 2) * cs)        # a cell boundary
+    if kind == 2:
+        return float(-rng.uniform(0.0, cs))                # just below zero
+    return float(rng.uniform(0.0, n * cs))                 # on the grid
+
+
+def _point(rng, world):
+    cs = world.cell_size
+    return (_coord(rng, world.width, cs), _coord(rng, world.height, cs))
+
+
+def _segment(rng, world, a=None):
+    """a -> b from a given or random a: zero-length, short, or to a random
+    point."""
+    a = _point(rng, world) if a is None else a
+    kind = rng.integers(3)
+    if kind == 0:
+        return a, a
+    if kind == 1:
+        d = rng.uniform(-2.0, 2.0, size=2) * world.cell_size
+        return a, (a[0] + float(d[0]), a[1] + float(d[1]))
+    return a, _point(rng, world)
+
+
+def _mask(rng, world):
+    """Random cells on and around the grid, occupied ones included."""
+    n = int(rng.integers(1, world.width * world.height))
+    ix = rng.integers(-1, world.width + 1, size=n).tolist()
+    iy = rng.integers(-1, world.height + 1, size=n).tolist()
+    return set(zip(ix, iy))
+
+
+def _worlds(rng, count):
+    for k in range(count):
+        w, h = (int(v) for v in rng.integers(3, 12, size=2))
+        yield random_world(rng, w, h, wall_fraction=rng.uniform(0.1, 0.5),
+                           cell_size=CELL_SIZES[k % len(CELL_SIZES)])
+
+
+def test_free_set_is_the_free_cells(rng):
+    for world in _worlds(rng, 20):
+        cells = world.free_cells()
+        assert world.free_set == set(map(tuple, cells.tolist()))
+        assert [(iy, ix) for ix, iy in cells.tolist()] == \
+            sorted((iy, ix) for ix, iy in world.free_set)   # row-major order
+
+
+def test_point_queries_match_oracle(rng):
+    for world in _worlds(rng, 60):
+        for ix in range(-2, world.width + 2):
+            for iy in range(-2, world.height + 2):
+                assert world.cell_free((ix, iy)) == ref_cell_free(world, (ix, iy))
+        for _ in range(100):
+            x, y = _point(rng, world)
+            assert world.collision_xy(x, y) == ref_collision_xy(world, x, y)
+
+
+def test_sweep_yields_the_sub_samples():
+    assert list(sweep((0.5, 0.5), (0.5, 0.5), 1.0)) == [(0.5, 0.5), (0.5, 0.5)]
+    points = list(sweep((0.0, 0.0), (1.0, 0.0), 1.0))
+    assert points == [(0.0, 0.0), (0.25, 0.0), (0.5, 0.0), (0.75, 0.0), (1.0, 0.0)]
+
+
+def test_segment_free_matches_oracle(rng):
+    seen = set()
+    for world in _worlds(rng, 150):
+        for _ in range(40):
+            a, b = _segment(rng, world)
+            expected = ref_segment_ok(world, a, b)
+            assert world.segment_free(a, b) == expected, (a, b)
+            seen.add(expected)
+    assert seen == {True, False}
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Holds every segment_free answer to the oracle masked by checked.mask,
+    and records the answers in checked.answers."""
+    real = OccupancyWorld.segment_free
+    state = SimpleNamespace(mask=None, answers=[])
+
+    def spy(world, a, b, cells=None):
+        got = real(world, a, b, cells)
+        assert got == ref_segment_ok(world, a, b, state.mask), (a, b)
+        state.answers.append(got)
+        return got
+
+    monkeypatch.setattr(OccupancyWorld, "segment_free", spy)
+    return state
+
+
+def test_rrt_plan_masked_checks_match_oracle(rng, checked):
+    planned = 0
+    for world in _worlds(rng, 60):
+        cells = world.free_cells()
+        if len(cells) < 2:
+            continue
+        mask = _mask(rng, world)
+        a, b = (tuple(cells[rng.integers(len(cells))].tolist()) for _ in range(2))
+        checked.mask = mask | {a, b}
+        cs = world.cell_size
+        try:
+            rrt_plan(world, Configuration((a[0] + 0.5) * cs, (a[1] + 0.5) * cs),
+                     Configuration((b[0] + 0.5) * cs, (b[1] + 0.5) * cs), rng,
+                     RrtParams(max_iters=150), mask=checked.mask)
+            planned += 1
+        except Unreachable:
+            pass
+    assert planned > 0 and set(checked.answers) == {True, False}
+
+
+def test_shortcut_masked_checks_match_oracle(rng, checked):
+    for world in _worlds(rng, 80):
+        checked.mask = _mask(rng, world)
+        pts = [Configuration(*_point(rng, world)) for _ in range(rng.integers(3, 8))]
+        out = shortcut(world, MotionPlan(pts), mask=checked.mask).waypoints
+        assert out[0] == pts[0] and out[-1] == pts[-1]
+    assert set(checked.answers) == {True, False}
+
+
+def test_truncation_matches_oracle(rng):
+    moved = stayed = 0
+    for world in _worlds(rng, 150):
+        for _ in range(40):
+            start, target = _segment(rng, world)
+            expected = ref_truncate_to_free(world, start, target)
+            assert _truncate_to_free(world, start, target) == expected, (start, target)
+            if expected == start:
+                stayed += 1
+            else:
+                moved += 1
+    assert moved and stayed
+
+
+def test_swept_cells_matches_oracle(rng):
+    for world in _worlds(rng, 150):
+        for _ in range(10):
+            pts = [Configuration(*_point(rng, world))]
+            for _ in range(rng.integers(0, 4)):
+                pts.append(Configuration(*_segment(rng, world, pts[-1].xy)[1]))
+            assert swept_cells(world, MotionPlan(pts)) == ref_swept_cells(world, pts)

@@ -6,15 +6,15 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from sharp.errors import ParseError
+from sharp.errors import ParseError, SharpError
 from sharp import planner
 from sharp.artifacts import library_payload
 from sharp.experiment import (AbstractionParams, CSV_HEADER, ExperimentSpec,
                               ResultRow, build_library, emit_plot_data,
                               library_cache_path, load_experiment_config,
-                              load_or_build_library, rows_to_csv, run_experiment,
-                              select_regions, smoke_train_config, spec_for_bundled,
-                              write_rows)
+                              load_or_build_library, read_rows, rows_to_csv,
+                              run_experiment, select_regions, smoke_train_config,
+                              spec_for_bundled, write_rows)
 from sharp.regions import collect_solution_density, extract_critical_regions
 from sharp.learn import TrainConfig
 from sharp.world import Configuration, Kinematics, world_hash
@@ -229,6 +229,18 @@ class TestResultCsv:
         with open(path, newline="") as fh:
             assert fh.read() == rows_to_csv(
                 [ResultRow("e", 1, "m", 0, 1.0, 1.0, 1, 0, 0)])
+
+    def test_read_rows_round_trips(self, tmp_path):
+        path = str(tmp_path / "rows.csv")
+        rows = [ResultRow("e", 1, "m", 0, 0.25, 12.5, 3, 1, 2),
+                ResultRow("e", 2, "m", 1, 0.0, 0.0, 0, 0, 0, 'Unreachable: "x", y')]
+        write_rows(rows, path)
+        assert read_rows(path) == rows
+
+    def test_write_rows_to_missing_dir(self, tmp_path):
+        path = str(tmp_path / "missing" / "rows.csv")
+        with pytest.raises(SharpError, match="missing"):
+            write_rows([ResultRow("e", 1, "m", 0, 1.0, 1.0, 1, 0, 0)], path)
 
 
 class TestConfigParsing:

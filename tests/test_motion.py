@@ -47,7 +47,7 @@ class TestRrt:
         ])
         with pytest.raises(Unreachable):
             rrt_plan(w, Configuration(0.5, 0.5), Configuration(3.5, 3.5),
-                     RrtParams(max_iters=800), np.random.default_rng(2))
+                     np.random.default_rng(2), RrtParams(max_iters=800))
 
     def test_seed_determinism(self, empty10):
         a = rrt_plan(empty10, Configuration(0.5, 0.5), Configuration(9.5, 9.5),
@@ -67,7 +67,7 @@ class TestRrt:
         mask = {(0, 0), (9, 9)}  # two isolated cells
         with pytest.raises(Unreachable):
             rrt_plan(empty10, Configuration(0.5, 0.5), Configuration(9.5, 9.5),
-                     RrtParams(max_iters=300), np.random.default_rng(5), mask=mask)
+                     np.random.default_rng(5), RrtParams(max_iters=300), mask=mask)
 
 
 class TestShortcut:
@@ -90,7 +90,7 @@ class TestShortcut:
             a, b = free[rng.integers(len(free))], free[rng.integers(len(free))]
             try:
                 plan = rrt_plan(w, Configuration(*(a + 0.5)), Configuration(*(b + 0.5)),
-                                RrtParams(max_iters=1500), rng)
+                                rng, RrtParams(max_iters=1500))
             except Unreachable:
                 continue
             short = shortcut(w, plan)
@@ -144,6 +144,6 @@ class TestExecuteWithReplan:
             ".....",
         ])
         res = execute_with_replan(w, Configuration(0.5, 0.5), Configuration(2.5, 2.5),
-                                  RrtParams(max_iters=400), budget=2000,
-                                  rng=np.random.default_rng(8))
+                                  np.random.default_rng(8), RrtParams(max_iters=400),
+                                  budget=2000)
         assert res.success is False

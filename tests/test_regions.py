@@ -7,6 +7,7 @@ from sharp.regions import (NEIGHBORS4, collect_solution_density,
 from sharp.world import Configuration
 
 from conftest import grid_from_rows, open_world, random_world
+from helpers import solution_traces
 
 # two 4x4 rooms joined by a one-cell-wide corridor
 DUMBBELL = grid_from_rows([
@@ -22,8 +23,8 @@ DUMBBELL = grid_from_rows([
 class TestCollect:
     def test_single_problem_density_is_indicator(self):
         w = open_world(8, 8)
-        rng = np.random.default_rng(3)
-        density, traces = collect_solution_density(w, 1, 1, rng, return_traces=True)
+        density = collect_solution_density(w, 1, 1, np.random.default_rng(3))
+        traces = solution_traces(w, 1, 1, np.random.default_rng(3))
         assert len(traces) == 1
         _, _, visited = traces[0]
         for iy in range(8):
@@ -32,9 +33,8 @@ class TestCollect:
                 assert density[iy, ix] == expected
 
     def test_density_matches_trace_recount(self):
-        rng = np.random.default_rng(5)
-        density, traces = collect_solution_density(DUMBBELL, 8, 4, rng,
-                                                   return_traces=True)
+        density = collect_solution_density(DUMBBELL, 8, 4, np.random.default_rng(5))
+        traces = solution_traces(DUMBBELL, 8, 4, np.random.default_rng(5))
         recount = np.zeros_like(density)
         for _, _, visited in traces:
             for ix, iy in visited:
@@ -43,9 +43,7 @@ class TestCollect:
         assert np.allclose(density, recount)
 
     def test_corridor_dominates_for_crossing_problems(self):
-        rng = np.random.default_rng(11)
-        _, traces = collect_solution_density(DUMBBELL, 14, 6, rng,
-                                             return_traces=True)
+        traces = solution_traces(DUMBBELL, 14, 6, np.random.default_rng(11))
         corridor = {(5, 3), (6, 3)}  # the only cells linking the two rooms
 
         def room(cfg):

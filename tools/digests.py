@@ -1,4 +1,5 @@
-"""Print the output digests that a byte-identical change must keep.
+"""Print the output digests that a byte-identical change must keep, and
+check them against tools/digests.expected.
 
     python3 tools/digests.py
 
@@ -13,6 +14,10 @@ Prints one line each, as `<name> <sha256>`:
 
 BLAS is pinned to one thread first, as in bench/run.py. The whole run takes
 a few minutes on two cores; desk-csv takes most of it.
+
+Exits 1, naming each digest that differs from tools/digests.expected (the
+same `<name> <sha256>` lines), when any does. A change that moves a digest
+on purpose updates that file with it.
 """
 
 import hashlib
@@ -21,6 +26,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+EXPECTED = os.path.join(ROOT, "tools", "digests.expected")
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 from run import pin_blas  # noqa: E402
@@ -39,17 +45,29 @@ def csv_digest(spec) -> str:
     return hashlib.sha256(experiment.rows_to_csv(rows).encode()).hexdigest()
 
 
-def main() -> int:
+def digests():
+    """(name, sha256) pairs, in the order they are printed."""
     for name, spec_fn in (("smoke-csv", harness.smoke_spec),
                           ("desk-csv", harness.desk_spec)):
-        print(name, csv_digest(spec_fn(0)), flush=True)
+        yield name, csv_digest(spec_fn(0))
     for world in WORLDS:
         spec = experiment.spec_for_bundled(world)
         for kind in KINDS:
             _, library = experiment.build_library(spec.world, kind, spec.abstraction)
-            print(f"library/{world}/{kind}", harness.library_digest(library),
-                  flush=True)
-    return 0
+            yield f"library/{world}/{kind}", harness.library_digest(library)
+
+
+def main() -> int:
+    with open(EXPECTED) as fh:
+        expected = dict(line.split() for line in fh if line.strip())
+    moved = []
+    for name, digest in digests():
+        print(name, digest, flush=True)
+        if expected.get(name) != digest:
+            moved.append(name)
+    for name in moved:
+        print(f"moved: {name} (expected {expected.get(name)})", file=sys.stderr)
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
