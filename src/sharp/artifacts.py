@@ -31,11 +31,16 @@ ARTIFACT_VERSION = 1
 POLICY_CACHE_FILE = "policy_cache.json"
 
 
-def save_artifact(path: str, kind: str, world_hash: str, payload: dict) -> None:
+def save_artifact(path: str, kind: str, world_hash: str, payload: dict,
+                  make_dirs: bool = False) -> None:
+    """Write the artifact's envelope to path; with make_dirs, create the
+    directories above path first."""
     envelope = {"format": ARTIFACT_FORMAT, "version": ARTIFACT_VERSION,
                 "kind": kind, "world_hash": world_hash, "payload": payload}
     tmp = path + ".tmp"
     try:
+        if make_dirs:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(tmp, "w") as fh:
             json.dump(envelope, fh, sort_keys=True, separators=(",", ":"))
         os.replace(tmp, path)
@@ -192,12 +197,11 @@ def save_cache(root: str, world_hash: str, cache: dict[str, CacheEntry]) -> None
     """Write one world's policy cache as a single policy-cache artifact, and
     delete the files an earlier layout left in the world's directory."""
     base = cache_dir_for(root, world_hash)
-    os.makedirs(base, exist_ok=True)
     entries = {key: {"cost": e.cost, "training_steps": e.training_steps,
                      "actor": _actor_payload(e.actor)}
                for key, e in cache.items()}
     save_artifact(os.path.join(base, POLICY_CACHE_FILE), "policy-cache",
-                  world_hash, {"entries": entries})
+                  world_hash, {"entries": entries}, make_dirs=True)
     # earlier versions kept an index plus one binary file per policy
     index, policies = os.path.join(base, "cache_index.json"), os.path.join(base, "policies")
     if os.path.isfile(index):

@@ -80,12 +80,15 @@ def cmd_worlds(args) -> int:
         print(f"{name}: {world.width}x{world.height} cells, "
               f"{world.kinematics.value}, {len(rec.problems)} problems")
         if args.export:
-            os.makedirs(args.export, exist_ok=True)
             base = os.path.join(args.export, name)
-            with open(base + ".txt", "w") as fh:
-                fh.write(world_to_text(world))
-            with open(base + ".txt.cfg", "w") as fh:
-                fh.write(sidecar_to_text(world))
+            try:
+                os.makedirs(args.export, exist_ok=True)
+                with open(base + ".txt", "w") as fh:
+                    fh.write(world_to_text(world))
+                with open(base + ".txt.cfg", "w") as fh:
+                    fh.write(sidecar_to_text(world))
+            except OSError as e:
+                raise SharpError(f"cannot write {e.filename}: {e.strerror}") from None
     return 0
 
 

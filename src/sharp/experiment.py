@@ -197,15 +197,16 @@ def load_or_build_library(world: OccupancyWorld, kind: str,
     whash = world_hash(world)
     path = None
     if cache_dir is not None:
+        if os.path.exists(cache_dir) and not os.path.isdir(cache_dir):
+            raise SharpError(f"cache directory {cache_dir} is not a directory")
         path = library_cache_path(cache_dir, whash, kind, params)
         if os.path.exists(path):
             payload = artifacts.load_artifact(path, "option-library", whash)
             return None, artifacts.library_from_payload(payload, world, path)
     density, library = build_library(world, kind, params)
     if path is not None:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         artifacts.save_artifact(path, "option-library", whash,
-                                artifacts.library_payload(library))
+                                artifacts.library_payload(library), make_dirs=True)
     return density, library
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import Unreachable
 from .world import (Configuration, Kinematics, OccupancyWorld, collision,
-                    sample_free, steer_toward, step)
+                    steer_toward, step)
 
 
 @dataclass(frozen=True)
@@ -43,16 +43,6 @@ class MotionPlan:
         return sum(a.distance_to(b) for a, b in zip(self.waypoints, self.waypoints[1:]))
 
 
-def _sample_point(world: OccupancyWorld, rng: np.random.Generator,
-                  mask_cells: np.ndarray | None) -> tuple[float, float]:
-    if mask_cells is None:
-        c = sample_free(world, rng)
-        return (c.x, c.y)
-    ix, iy = mask_cells[int(rng.integers(len(mask_cells)))]
-    jx, jy = rng.uniform(0.0, 1.0, size=2)
-    return ((ix + jx) * world.cell_size, (iy + jy) * world.cell_size)
-
-
 def rrt_plan(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
              rng: np.random.Generator, params: RrtParams | None = None,
              mask: set | None = None,
@@ -70,30 +60,44 @@ def rrt_plan(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
     if x_i.distance_to(x_g) <= p.goal_tol:
         return MotionPlan([x_i])
 
-    allowed = mask_cells = None
-    if mask is not None:
+    # the draws of sample_free, or of sample_in_cells over the mask's free
+    # cells: a cell index, two jitters and, for sample_free on a unicycle
+    # world, a heading that the plan does not use
+    if mask is None:
+        allowed, cells = None, world.free_list
+        heading = world.kinematics is Kinematics.UNICYCLE
+    else:
         allowed = world.free_set & mask
         if not allowed:
             raise Unreachable("mask contains no free cell")
-        mask_cells = np.array(sorted(allowed))
+        cells, heading = sorted(allowed), False
+    n_cells, cs = len(cells), world.cell_size
+    gx, gy = x_g.x, x_g.y
 
     nodes_x = np.empty(p.max_iters + 1)
     nodes_y = np.empty(p.max_iters + 1)
-    parents = np.empty(p.max_iters + 1, dtype=np.int64)
     nodes_x[0], nodes_y[0] = x_i.x, x_i.y
-    parents[0] = -1
+    parents = [-1]
     n = 1
 
     for _ in range(p.max_iters):
         if work_counter is not None:
             work_counter[0] += 1
-        if rng.uniform() < p.goal_bias:
-            sx, sy = x_g.x, x_g.y
+        if rng.random() < p.goal_bias:
+            sx, sy = gx, gy
         else:
-            sx, sy = _sample_point(world, rng, mask_cells)
-        d2 = (nodes_x[:n] - sx) ** 2 + (nodes_y[:n] - sy) ** 2
-        near = int(np.argmin(d2))
-        nx, ny = nodes_x[near], nodes_y[near]
+            ix, iy = cells[rng.integers(n_cells)]
+            jx, jy = rng.random(2).tolist()
+            if heading:
+                rng.random()
+            sx, sy = (ix + jx) * cs, (iy + jy) * cs
+        d2 = nodes_x[:n] - sx
+        d2 *= d2
+        dy2 = nodes_y[:n] - sy
+        dy2 *= dy2
+        d2 += dy2
+        near = int(d2.argmin())
+        nx, ny = nodes_x.item(near), nodes_y.item(near)
         dist = math.hypot(sx - nx, sy - ny)
         if dist < 1e-12:
             continue
@@ -102,14 +106,14 @@ def rrt_plan(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
         if not world.segment_free((nx, ny), (tx, ty), allowed):
             continue
         nodes_x[n], nodes_y[n] = tx, ty
-        parents[n] = near
+        parents.append(near)
         n += 1
-        if math.hypot(tx - x_g.x, ty - x_g.y) <= p.goal_tol:
+        if math.hypot(tx - gx, ty - gy) <= p.goal_tol:
             waypoints = []
             i = n - 1
             while i >= 0:
-                waypoints.append(Configuration(float(nodes_x[i]), float(nodes_y[i])))
-                i = int(parents[i])
+                waypoints.append(Configuration(nodes_x.item(i), nodes_y.item(i)))
+                i = parents[i]
             waypoints.reverse()
             # keep the exact start configuration object (heading included)
             waypoints[0] = x_i

@@ -2,7 +2,7 @@
 
 The collision oracle is the world's frozenset of free ``(ix, iy)`` cells: a
 point collides unless its cell is in the set, so every point off the grid
-collides. A swept segment is checked at the points that ``sweep`` yields.
+collides. A swept segment is checked at the points that ``sweep`` lists.
 
 Coordinate conventions used everywhere in the package:
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,17 +32,34 @@ TWO_PI = 2.0 * math.pi
 SWEEP_FRACTION = 0.25
 
 
-def sweep(a: tuple[float, float], b: tuple[float, float],
-          cell_size: float) -> Iterator[tuple[float, float]]:
-    """The points a + (i/n)(b - a), i = 0..n, of the swept segment a->b: n
-    equal sub-steps, each at most SWEEP_FRACTION of a cell, and at least one."""
+def _walk_sweep(a: tuple[float, float], b: tuple[float, float], cell_size: float,
+                cells, first: int) -> tuple[list, bool]:
+    """Walk the points a + (i/n)(b - a), i = first..n, of the swept segment
+    a->b: n equal sub-steps, each at most SWEEP_FRACTION of a cell, and at
+    least one. Stops before the first point whose cell is not in cells;
+    cells=None walks them all. Returns the points walked and whether they
+    are all of them."""
     ax, ay = a
     bx, by = b
-    dist = math.hypot(bx - ax, by - ay)
-    n = max(1, int(math.ceil(dist / (SWEEP_FRACTION * cell_size))))
-    for i in range(n + 1):
+    dx, dy = bx - ax, by - ay
+    n = max(1, int(math.ceil(math.hypot(dx, dy) / (SWEEP_FRACTION * cell_size))))
+    floor = math.floor
+    points = []
+    for i in range(first, n + 1):
         t = i / n
-        yield ax + t * (bx - ax), ay + t * (by - ay)
+        x, y = ax + t * dx, ay + t * dy
+        # cell_of inlined: a call per point doubles the time
+        if cells is not None and (floor(x / cell_size), floor(y / cell_size)) not in cells:
+            return points, False
+        points.append((x, y))
+    return points, True
+
+
+def sweep(a: tuple[float, float], b: tuple[float, float],
+          cell_size: float) -> list[tuple[float, float]]:
+    """The points a + (i/n)(b - a), i = 0..n, of the swept segment a->b, n
+    as _walk_sweep sets it."""
+    return _walk_sweep(a, b, cell_size, None, 0)[0]
 
 
 def wrap_angle(theta: float) -> float:
@@ -119,6 +135,7 @@ class OccupancyWorld:
     v_max: float = 1.0
     omega_max: float = math.pi / 4.0
     free_set: frozenset = field(init=False, repr=False, compare=False)  # (ix, iy)
+    free_list: list = field(init=False, repr=False, compare=False)  # row-major
     _free_cells: np.ndarray = field(init=False, repr=False, compare=False)
     # occupancy with a ring of occupied cells around it, for the lane sweep
     _walled: np.ndarray = field(init=False, repr=False, compare=False)
@@ -137,7 +154,8 @@ class OccupancyWorld:
         self.occupancy = occ
         iy, ix = np.nonzero(~occ)
         self._free_cells = np.column_stack([ix, iy])
-        self.free_set = frozenset(zip(ix.tolist(), iy.tolist()))
+        self.free_list = list(zip(ix.tolist(), iy.tolist()))
+        self.free_set = frozenset(self.free_list)
         self._walled = np.pad(occ, 1, constant_values=True)
 
     # -- geometry -----------------------------------------------------------
@@ -171,15 +189,10 @@ class OccupancyWorld:
 
     def segment_free(self, a: tuple[float, float], b: tuple[float, float],
                      cells: frozenset | None = None) -> bool:
-        """True iff every point that sweep yields for a->b lies in a free
+        """True iff every point that sweep lists for a->b lies in a free
         cell, or, when given, in cells, a subset of the free cells."""
         cells = self.free_set if cells is None else cells
-        cs = self.cell_size
-        # cell_of inlined here and below: a call per point doubles the time
-        for x, y in sweep(a, b, cs):
-            if (math.floor(x / cs), math.floor(y / cs)) not in cells:
-                return False
-        return True
+        return _walk_sweep(a, b, self.cell_size, cells, 0)[1]
 
 
 def collision(world: OccupancyWorld, c: Configuration) -> bool:
@@ -202,20 +215,13 @@ def clip_action(world: OccupancyWorld, a: Action) -> Action:
 
 def _truncate_to_free(world: OccupancyWorld, start: tuple[float, float],
                       target: tuple[float, float]) -> tuple[float, float]:
-    """The last point that sweep yields for start->target before the first
+    """The last point that sweep lists for start->target before the first
     one in collision, start itself not checked; start when the first point
     after it collides."""
     if target == start:
         return start
-    points = sweep(start, target, world.cell_size)
-    next(points)  # sample 0 is start itself
-    ok = start
-    free, cs = world.free_set, world.cell_size
-    for x, y in points:
-        if (math.floor(x / cs), math.floor(y / cs)) not in free:
-            return ok
-        ok = (x, y)
-    return ok
+    points, _ = _walk_sweep(start, target, world.cell_size, world.free_set, 1)
+    return points[-1] if points else start
 
 
 def step(world: OccupancyWorld, c: Configuration, a: Action,
@@ -265,10 +271,9 @@ def sample_in_cells(world: OccupancyWorld, cells,
 
 def sample_free(world: OccupancyWorld, rng: np.random.Generator) -> Configuration:
     """Uniform sample over free cells, as sample_in_cells draws it."""
-    cells = world.free_cells()
-    if len(cells) == 0:
+    if not world.free_list:
         raise NoFreeSpace("every cell of the grid is occupied")
-    return sample_in_cells(world, cells, rng)
+    return sample_in_cells(world, world.free_list, rng)
 
 
 def steer_toward(world: OccupancyWorld, c: Configuration,

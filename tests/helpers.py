@@ -11,12 +11,12 @@ from sharp.errors import Unreachable
 from sharp.learn import (DISCOUNT, LOG_2PI, LOG_STD_MAX, LOG_STD_MIN, REWARD_SCALE,
                          TAU, action_from_displacement, build_observation,
                          displacement_scale)
-from sharp.motion import rrt_plan, shortcut
+from sharp.motion import MotionPlan, RrtParams, rrt_plan, shortcut
 from sharp.options import OptionGuide
 from sharp.planner import ComposedPolicy, astar
 from sharp.regions import swept_cells
-from sharp.world import (SWEEP_FRACTION, Configuration, OccupancyWorld, sample_free,
-                         sample_in_cells, step, steer_toward)
+from sharp.world import (SWEEP_FRACTION, Configuration, Kinematics, OccupancyWorld,
+                         sample_free, sample_in_cells, step, steer_toward)
 
 
 class ScriptedPolicy:
@@ -214,6 +214,101 @@ def ref_swept_cells(world, waypoints) -> set:
             t = i / n
             out.add(_ref_cell(world, a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
     return out
+
+
+# -- reference RRT -------------------------------------------------------------------
+# rrt_plan as it was written on Configuration samples: each sample drawn by
+# sample_free (or from the mask's free cells) as a Configuration, and the
+# nearest node found on freshly built arrays. test_collision holds rrt_plan
+# and collect_solution_density to it bit for bit.
+
+
+def ref_sample_free(world, rng) -> Configuration:
+    cells = np.argwhere(~world.occupancy)[:, ::-1]   # (ix, iy), row-major
+    ix, iy = cells[int(rng.integers(len(cells)))]
+    jx, jy = rng.uniform(0.0, 1.0, size=2)
+    theta = None
+    if world.kinematics is Kinematics.UNICYCLE:
+        theta = float(rng.uniform(-math.pi, math.pi))
+    return Configuration((ix + jx) * world.cell_size, (iy + jy) * world.cell_size, theta)
+
+
+def _ref_sample_point(world, rng, mask_cells):
+    if mask_cells is None:
+        c = ref_sample_free(world, rng)
+        return (c.x, c.y)
+    ix, iy = mask_cells[int(rng.integers(len(mask_cells)))]
+    jx, jy = rng.uniform(0.0, 1.0, size=2)
+    return ((ix + jx) * world.cell_size, (iy + jy) * world.cell_size)
+
+
+def ref_rrt_plan(world, x_i, x_g, rng, params=None, mask=None, work_counter=None):
+    p = (params or RrtParams()).resolved(world)
+    if ref_collision_xy(world, x_i.x, x_i.y) or ref_collision_xy(world, x_g.x, x_g.y):
+        raise Unreachable("endpoint in collision")
+    if x_i.distance_to(x_g) <= p.goal_tol:
+        return MotionPlan([x_i])
+    mask_cells = None
+    if mask is not None:
+        allowed = {c for c in mask if ref_cell_free(world, c)}
+        if not allowed:
+            raise Unreachable("mask contains no free cell")
+        mask_cells = np.array(sorted(allowed))
+    nodes_x = np.empty(p.max_iters + 1)
+    nodes_y = np.empty(p.max_iters + 1)
+    parents = np.empty(p.max_iters + 1, dtype=np.int64)
+    nodes_x[0], nodes_y[0] = x_i.x, x_i.y
+    parents[0] = -1
+    n = 1
+    for _ in range(p.max_iters):
+        if work_counter is not None:
+            work_counter[0] += 1
+        if rng.uniform() < p.goal_bias:
+            sx, sy = x_g.x, x_g.y
+        else:
+            sx, sy = _ref_sample_point(world, rng, mask_cells)
+        d2 = (nodes_x[:n] - sx) ** 2 + (nodes_y[:n] - sy) ** 2
+        near = int(np.argmin(d2))
+        nx, ny = nodes_x[near], nodes_y[near]
+        dist = math.hypot(sx - nx, sy - ny)
+        if dist < 1e-12:
+            continue
+        scale = min(1.0, p.step_len / dist)
+        tx, ty = nx + scale * (sx - nx), ny + scale * (sy - ny)
+        if not ref_segment_ok(world, (nx, ny), (tx, ty), mask):
+            continue
+        nodes_x[n], nodes_y[n] = tx, ty
+        parents[n] = near
+        n += 1
+        if math.hypot(tx - x_g.x, ty - x_g.y) <= p.goal_tol:
+            waypoints = []
+            i = n - 1
+            while i >= 0:
+                waypoints.append(Configuration(float(nodes_x[i]), float(nodes_y[i])))
+                i = int(parents[i])
+            waypoints.reverse()
+            waypoints[0] = x_i
+            return MotionPlan(waypoints)
+    raise Unreachable(f"no path after {p.max_iters} iterations")
+
+
+def ref_solution_density(world, n_goals, inits_per_goal, rng) -> np.ndarray:
+    """collect_solution_density on ref_sample_free, ref_rrt_plan and
+    ref_swept_cells."""
+    counts = np.zeros((world.height, world.width), dtype=np.int64)
+    solved = 0
+    for _ in range(n_goals):
+        goal = ref_sample_free(world, rng)
+        for _ in range(inits_per_goal):
+            start = ref_sample_free(world, rng)
+            try:
+                plan = shortcut(world, ref_rrt_plan(world, start, goal, rng))
+            except Unreachable:
+                continue
+            solved += 1
+            for ix, iy in ref_swept_cells(world, plan.waypoints):
+                counts[iy, ix] += 1
+    return counts.astype(np.float64) / solved
 
 
 # -- reference SAC update ------------------------------------------------------------

@@ -5,10 +5,10 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from sharp import artifacts
+from sharp import artifacts, experiment
 from sharp.cli import _abstraction_params, build_parser, main
-from sharp.experiment import AbstractionParams
-from sharp.world import world_from_text, parse_sidecar
+from sharp.experiment import AbstractionParams, load_world
+from sharp.world import parse_sidecar, world_from_text, world_hash
 
 from helpers import density_from_payload, sample_setting
 
@@ -294,31 +294,63 @@ ROWS = ("env,problem,method,seed,success_rate,mean_steps,training_steps,"
         "options_trained,options_reused,error\r\n")
 
 
-@pytest.mark.parametrize("argv, rows, named", [
-    (["regions", "--world", "{world}", "--out", "{tmp}/missing/x.json"], None,
+@pytest.mark.parametrize("argv, files, named", [
+    (["regions", "--world", "{world}", "--out", "{tmp}/missing/x.json"], {},
      "{tmp}/missing/x.json"),
-    (["abstract", "--world", "{world}", "--out", "{tmp}/missing/x.json"], None,
+    (["abstract", "--world", "{world}", "--out", "{tmp}/missing/x.json"], {},
      "{tmp}/missing/x.json"),
-    (["options", "--world", "{world}", "--out", "{tmp}/missing/x.json"], None,
+    (["options", "--world", "{world}", "--out", "{tmp}/missing/x.json"], {},
      "{tmp}/missing/x.json"),
-    (["plotdata", "--rows", "{tmp}/missing.csv", "--out", "{tmp}/plots"], None,
+    (["plotdata", "--rows", "{tmp}/missing.csv", "--out", "{tmp}/plots"], {},
      "{tmp}/missing.csv"),
     (["plotdata", "--rows", "{tmp}/rows.csv", "--out", "{tmp}/plots"],
-     ROWS + "e,1,sharp\r\n", "line 2"),
+     {"rows.csv": ROWS + "e,1,sharp\r\n"}, "line 2"),
     (["plotdata", "--rows", "{tmp}/rows.csv", "--out", "{tmp}/plots"],
-     ROWS + "e,1,sharp,0,1.0,5.0,10,1,0,\r\ne,one,sharp,0,1.0,5.0,10,1,0,\r\n",
-     "line 3"),
-    (["plotdata", "--rows", "{tmp}/rows.csv", "--out", "{tmp}/plots"], ROWS,
-     "no rows"),
+     {"rows.csv": ROWS + "e,1,sharp,0,1.0,5.0,10,1,0,\r\n"
+                         "e,one,sharp,0,1.0,5.0,10,1,0,\r\n"}, "line 3"),
+    (["plotdata", "--rows", "{tmp}/rows.csv", "--out", "{tmp}/plots"],
+     {"rows.csv": ROWS}, "no rows"),
     (["plotdata", "--rows", "{tmp}/rows.csv", "--out", "{tmp}/rows.csv/plots"],
-     ROWS + "e,1,sharp,0,1.0,5.0,10,1,0,\r\n", "{tmp}/rows.csv/plots"),
+     {"rows.csv": ROWS + "e,1,sharp,0,1.0,5.0,10,1,0,\r\n"}, "{tmp}/rows.csv/plots"),
+    (["worlds", "--export", "{tmp}/f"], {"f": ""}, "{tmp}/f"),
+    (["worlds", "--export", "{tmp}/out"], {"out/env_a.txt": None},
+     "{tmp}/out/env_a.txt"),
+    (["worlds", "--export", "{tmp}/out"], {"out/env_a.txt.cfg": None},
+     "{tmp}/out/env_a.txt.cfg"),
+    (["abstract", "--world", "{world}", "--cache-dir", "{tmp}/f"], {"f": ""},
+     "{tmp}/f"),
+    (["abstract", "--world", "{world}", "--cache-dir", "{tmp}/c"], {"c/{hash}": ""},
+     "{tmp}/c/{hash}"),
 ], ids=["regions-out", "abstract-out", "options-out", "missing-rows",
-        "three-field-row", "text-problem", "no-rows", "plots-under-a-file"])
+        "three-field-row", "text-problem", "no-rows", "plots-under-a-file",
+        "export-onto-a-file", "export-world-onto-a-dir", "export-sidecar-onto-a-dir",
+        "cache-dir-is-a-file", "world-cache-dir-is-a-file"])
 def test_file_fault_is_an_error_line(tiny_world_file, tmp_path, capsys, argv,
-                                     rows, named):
-    if rows is not None:
-        (tmp_path / "rows.csv").write_text(rows, newline="")
-    assert main([a.format(world=tiny_world_file, tmp=tmp_path) for a in argv]) == 1
+                                     files, named):
+    """files maps paths under tmp_path to their text, or to None for a
+    directory, made before the command runs."""
+    fmt = {"world": tiny_world_file, "tmp": tmp_path,
+           "hash": world_hash(load_world(tiny_world_file)[0])}
+    for rel, text in files.items():
+        path = tmp_path / rel.format(**fmt)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if text is None:
+            path.mkdir()
+        else:
+            path.write_text(text, newline="")
+    assert main([a.format(**fmt) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-    assert named.format(tmp=tmp_path) in err
+    assert named.format(**fmt) in err
+
+
+def test_cache_dir_file_rejected_before_building(tiny_world_file, tmp_path,
+                                                 capsys, monkeypatch):
+    def build(*args):
+        raise AssertionError("built a library for an unusable cache directory")
+
+    monkeypatch.setattr(experiment, "build_library", build)
+    (tmp_path / "f").write_text("")
+    argv = ["abstract", "--world", tiny_world_file, "--cache-dir", str(tmp_path / "f")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,4 +1,4 @@
-"""The world's collision queries against the per-sample loops they replaced.
+"""The world's collision queries and the RRT against the loops they replaced.
 
 Points are drawn on and off the grid, on cell boundaries and just below zero
 (where int() and math.floor disagree); segments include zero-length ones and
@@ -7,16 +7,18 @@ masks include occupied and off-grid cells.
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from sharp.errors import Unreachable
 from sharp.motion import MotionPlan, RrtParams, rrt_plan, shortcut
-from sharp.regions import swept_cells
-from sharp.world import Configuration, OccupancyWorld, _truncate_to_free, sweep
+from sharp.regions import collect_solution_density, swept_cells
+from sharp.world import (Configuration, Kinematics, OccupancyWorld, _truncate_to_free,
+                         sweep)
 
-from conftest import random_world
-from helpers import (ref_cell_free, ref_collision_xy, ref_segment_ok,
-                     ref_swept_cells, ref_truncate_to_free)
+from conftest import open_world, random_world
+from helpers import (ref_cell_free, ref_collision_xy, ref_rrt_plan, ref_segment_ok,
+                     ref_solution_density, ref_swept_cells, ref_truncate_to_free)
 
 CELL_SIZES = (1.0, 0.5, 0.3)
 
@@ -58,11 +60,11 @@ def _mask(rng, world):
     return set(zip(ix, iy))
 
 
-def _worlds(rng, count):
+def _worlds(rng, count, **kwargs):
     for k in range(count):
         w, h = (int(v) for v in rng.integers(3, 12, size=2))
         yield random_world(rng, w, h, wall_fraction=rng.uniform(0.1, 0.5),
-                           cell_size=CELL_SIZES[k % len(CELL_SIZES)])
+                           cell_size=CELL_SIZES[k % len(CELL_SIZES)], **kwargs)
 
 
 def test_free_set_is_the_free_cells(rng):
@@ -167,3 +169,82 @@ def test_swept_cells_matches_oracle(rng):
             for _ in range(rng.integers(0, 4)):
                 pts.append(Configuration(*_segment(rng, world, pts[-1].xy)[1]))
             assert swept_cells(world, MotionPlan(pts)) == ref_swept_cells(world, pts)
+
+
+def _plan_or_unreachable(plan_fn, world, a, b, seed, params, mask):
+    """(waypoint bits or "unreachable", work counted, generator state after)."""
+    rng, counter = np.random.default_rng(seed), [0]
+    try:
+        plan = plan_fn(world, a, b, rng, params, mask=mask, work_counter=counter)
+        out = [(float(c.x).hex(), float(c.y).hex(), c.theta) for c in plan.waypoints]
+    except Unreachable:
+        out = "unreachable"
+    return out, counter[0], rng.bit_generator.state
+
+
+@pytest.mark.parametrize("kinematics", list(Kinematics))
+def test_rrt_plan_matches_reference_bit_for_bit(rng, kinematics):
+    outcomes = set()
+    for world in _worlds(rng, 90, kinematics=kinematics):
+        cells = world.free_cells()
+        if len(cells) < 2:
+            continue
+        ends = []
+        for _ in range(2):
+            ix, iy = cells[rng.integers(len(cells))].tolist()
+            jx, jy = rng.random(2)
+            theta = float(rng.uniform(-3, 3)) if kinematics is Kinematics.UNICYCLE else None
+            ends.append(((ix, iy), Configuration((ix + jx) * world.cell_size,
+                                                 (iy + jy) * world.cell_size, theta)))
+        (ca, a), (cb, b) = ends
+        masked = bool(rng.integers(2))
+        mask = _mask(rng, world) | {ca, cb} if masked else None
+        params = RrtParams(max_iters=int(rng.integers(20, 300)),
+                           goal_bias=float(rng.choice([0.0, 0.1, 0.5])))
+        seed = int(rng.integers(2**32))
+        got = _plan_or_unreachable(rrt_plan, world, a, b, seed, params, mask)
+        assert got == _plan_or_unreachable(ref_rrt_plan, world, a, b, seed, params, mask)
+        outcomes.add((masked, got[0] == "unreachable"))
+    assert outcomes == {(m, u) for m in (False, True) for u in (False, True)}
+
+
+def test_solution_density_matches_reference_on_unicycle_world(rng):
+    world = random_world(rng, 12, 9, wall_fraction=0.25, cell_size=0.5,
+                         kinematics=Kinematics.UNICYCLE)
+    got_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = collect_solution_density(world, 4, 5, got_rng)
+    assert got.tobytes() == ref_solution_density(world, 4, 5, ref_rng).tobytes()
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class ScriptedDraws:
+    """Stands in for a Generator whose draws are given: random, uniform and
+    integers each return the next values of the script."""
+
+    def __init__(self, script):
+        self.script = iter(script)
+
+    def random(self, size=None):
+        if size is None:
+            return next(self.script)
+        return np.array([next(self.script) for _ in range(size)])
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        u = self.random(size)
+        return low + (high - low) * u
+
+    def integers(self, n):
+        i = next(self.script)
+        assert 0 <= i < n
+        return np.int64(i)
+
+
+def test_rrt_nearest_ties_go_to_the_lowest_index():
+    """Node 1 lands at (7, 5); the goal at (6, 7) is then as far from it as
+    from the start at (5, 5), and the start, node 0, must be extended."""
+    world = open_world(10, 10)
+    a, b = Configuration(5.0, 5.0), Configuration(6.0, 7.0)
+    script = [0.5, 5 * 10 + 7, 0.0, 0.0, 0.0]   # sample cell (7, 5); then the goal
+    for plan_fn in (rrt_plan, ref_rrt_plan):
+        plan = plan_fn(world, a, b, ScriptedDraws(script))
+        assert len(plan.waypoints) == 2 and plan.waypoints[0] is a
