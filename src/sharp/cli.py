@@ -6,6 +6,11 @@ synthesizes the option library, `solve` runs one problem end to end,
 `baseline` runs a baseline on one problem, `experiment` executes a full spec,
 and `plotdata` aggregates result rows into figure CSVs. SHARP_CACHE_DIR
 overrides the artifact cache location.
+
+`--world` is resolved by `experiment.load_world`. Only a bundled world's
+name brings its recipe: its abstraction settings, under the flags, and its
+problems for `experiment`. A world file gets the AbstractionParams defaults,
+even when it is named like a bundled world.
 """
 
 from __future__ import annotations
@@ -23,15 +28,15 @@ from .experiment import (STAGE_LIMIT, TRAIN_PROFILES, AbstractionParams,
                          emit_plot_data, evaluate_composed, evaluate_rrt_replan,
                          load_experiment_config, load_or_build_library,
                          load_world, monolithic_baseline, read_rows,
-                         recipe_params, rows_to_csv, run_experiment,
-                         select_regions, spec_for_bundled, write_rows)
+                         rows_to_csv, run_experiment, select_regions,
+                         spec_for_bundled, write_rows)
 from .motion import RrtParams
 from .planner import sharp_solve
 from .regions import collect_solution_density
 from .seeding import derive_rng
-from .world import (Configuration, Kinematics, world_hash, world_to_text,
-                    sidecar_to_text)
-from .worlds import RECIPES, bundled_names
+from .world import (Configuration, sidecar_to_text, start_heading, world_hash,
+                    world_to_text)
+from .worlds import RECIPES, WorldRecipe
 
 
 # AbstractionParams fields with a --<field> flag; the seed comes from --seed
@@ -42,8 +47,10 @@ def _flag(fieldname: str) -> str:
     return "--" + fieldname.replace("_", "-")
 
 
-def _abstraction_params(args, name: str) -> AbstractionParams:
-    params = AbstractionParams(seed=args.seed, **recipe_params(name))
+def _abstraction_params(args, recipe: WorldRecipe | None) -> AbstractionParams:
+    """The recipe's settings (defaults without one), then the flags."""
+    params = AbstractionParams(seed=args.seed,
+                               **(recipe.abstraction if recipe else {}))
     for fieldname in ABSTRACTION_FLAGS:
         text = getattr(args, fieldname)
         if text is not None:
@@ -74,8 +81,7 @@ def _parse_xy(text: str, theta: float | None = None) -> Configuration:
 
 
 def cmd_worlds(args) -> int:
-    for name in bundled_names():
-        rec = RECIPES[name]
+    for name, rec in RECIPES.items():
         world = rec.build()
         print(f"{name}: {world.width}x{world.height} cells, "
               f"{world.kinematics.value}, {len(rec.problems)} problems")
@@ -93,8 +99,8 @@ def cmd_worlds(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    world, name = load_world(args.world)
-    params = _abstraction_params(args, name)
+    world, _, recipe = load_world(args.world)
+    params = _abstraction_params(args, recipe)
     rng = derive_rng("abstraction", world_hash(world), params.seed)
     density = collect_solution_density(world, params.n_goals,
                                        params.inits_per_goal, rng)
@@ -111,8 +117,8 @@ def cmd_regions(args) -> int:
 
 
 def cmd_abstract(args) -> int:
-    world, name = load_world(args.world)
-    params = _abstraction_params(args, name)
+    world, _, recipe = load_world(args.world)
+    params = _abstraction_params(args, recipe)
     _, library = load_or_build_library(world, args.kind, params, _cache_dir(args))
     rbvd = library.rbvd
     print(f"{len(rbvd.states)} abstract states, "
@@ -127,8 +133,8 @@ def cmd_abstract(args) -> int:
 
 
 def cmd_options(args) -> int:
-    world, name = load_world(args.world)
-    params = _abstraction_params(args, name)
+    world, _, recipe = load_world(args.world)
+    params = _abstraction_params(args, recipe)
     _, library = load_or_build_library(world, args.kind, params, _cache_dir(args))
     print(f"{len(library.options)} {args.kind} options:")
     for o in library.options:
@@ -142,11 +148,10 @@ def cmd_options(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    world, name = load_world(args.world)
-    theta = 0.0 if world.kinematics is Kinematics.UNICYCLE else None
-    x_i = _parse_xy(args.start, theta)
+    world, name, recipe = load_world(args.world)
+    x_i = _parse_xy(args.start, start_heading(world))
     x_g = _parse_xy(args.goal)
-    params = _abstraction_params(args, name)
+    params = _abstraction_params(args, recipe)
     cache_dir = _cache_dir(args)
     _, library = load_or_build_library(world, args.kind, params, cache_dir)
     train = TRAIN_PROFILES[args.profile]()
@@ -170,9 +175,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    world, name = load_world(args.world)
-    theta = 0.0 if world.kinematics is Kinematics.UNICYCLE else None
-    x_i = _parse_xy(args.start, theta)
+    world, name, _ = load_world(args.world)
+    x_i = _parse_xy(args.start, start_heading(world))
     x_g = _parse_xy(args.goal)
     if args.method == "rrt_replan":
         success, mean_steps = evaluate_rrt_replan(world, x_i, x_g, RrtParams(),
@@ -193,10 +197,10 @@ def cmd_baseline(args) -> int:
 def cmd_experiment(args) -> int:
     if args.config:
         spec = load_experiment_config(args.config)
-    elif args.world in RECIPES:
+    elif args.world is not None:
         spec = spec_for_bundled(args.world, train=TRAIN_PROFILES[args.profile]())
     else:
-        raise SharpError("without --config, --world must name a bundled map")
+        raise SharpError("experiment needs --config or --world")
     if args.kind:
         spec.kind = args.kind
     if args.seed_list:

@@ -30,9 +30,9 @@ from .regions import (DEFAULT_PERCENTILE, CriticalRegion, collect_solution_densi
                       connected_components, extract_critical_regions, grid_bfs,
                       percentile_threshold)
 from .seeding import derive_rng
-from .world import (Configuration, Kinematics, OccupancyWorld, parse_sidecar,
+from .world import (Configuration, OccupancyWorld, parse_sidecar, start_heading,
                     world_from_text, world_hash)
-from .worlds import RECIPES
+from .worlds import RECIPES, WorldRecipe
 
 log = logging.getLogger(__name__)
 
@@ -90,24 +90,23 @@ def _read_text(path: str) -> str:
         raise SharpError(f"cannot read {path}: {e.strerror}") from None
 
 
-def load_world(ref: str) -> tuple[OccupancyWorld, str]:
-    """A bundled world by name, or a world text file (its sidecar
-    `<file>.cfg` applies when present) named after the file's stem."""
+def load_world(ref: str) -> tuple[OccupancyWorld, str, WorldRecipe | None]:
+    """The world that ref names, its name and its recipe: the one resolver
+    of a world reference. A bundled world's name gives its recipe. Any other
+    ref is a world text file (its sidecar `<file>.cfg` applies when present)
+    named after its stem, and gets no recipe, whatever that stem is. Physics
+    that OccupancyWorld rejects is a ParseError naming the file."""
     if ref in RECIPES:
-        return RECIPES[ref].build(), ref
+        return RECIPES[ref].build(), ref, RECIPES[ref]
     text = _read_text(ref)
     overrides = {}
     if os.path.exists(ref + ".cfg"):
         overrides = parse_sidecar(_read_text(ref + ".cfg"))
-    name = os.path.splitext(os.path.basename(ref))[0]
-    return world_from_text(text, **overrides), name
-
-
-def recipe_params(name: str) -> dict:
-    """The AbstractionParams overrides of a bundled world's recipe; empty for
-    any other name."""
-    rec = RECIPES.get(name)
-    return dict(rec.abstraction) if rec is not None else {}
+    try:
+        world = world_from_text(text, **overrides)
+    except ValueError as e:
+        raise ParseError(f"{ref}: {e}") from None
+    return world, os.path.splitext(os.path.basename(ref))[0], None
 
 
 def select_regions(world: OccupancyWorld, density: np.ndarray,
@@ -242,12 +241,28 @@ class ExperimentSpec:
 
 def spec_for_bundled(name: str, kind: str = "centroid",
                      seeds=(0,), train: TrainConfig | None = None) -> ExperimentSpec:
-    rec = RECIPES[name]
+    """The experiment on a bundled world, with its recipe's problems."""
+    return _world_spec(name, [], kind=kind, seeds=list(seeds),
+                       train=train or desk_train_config())
+
+
+def _world_spec(ref: str, pairs: list, **spec_fields) -> ExperimentSpec:
+    """An ExperimentSpec on the world load_world resolves ref to, with its
+    recipe's abstraction settings. pairs, ((x_i, y_i), (x_g, y_g)) in meters,
+    are the problems; the recipe's are used when there are none."""
+    world, name, recipe = load_world(ref)
+    if not pairs:
+        if recipe is None:
+            raise ParseError(f"{ref} is not a bundled world: "
+                             "its problems need problem.N entries")
+        pairs = recipe.problems
+    theta = start_heading(world)
     return ExperimentSpec(
-        name=name, world=rec.build(), kind=kind,
-        problems=rec.problem_configurations(), seeds=list(seeds),
-        abstraction=AbstractionParams(**recipe_params(name)),
-        train=train if train is not None else desk_train_config())
+        name=name, world=world,
+        problems=[(Configuration(*xy_i, theta), Configuration(*xy_g))
+                  for xy_i, xy_g in pairs],
+        abstraction=AbstractionParams(**(recipe.abstraction if recipe else {})),
+        **spec_fields)
 
 
 # -- result rows -----------------------------------------------------------------------
@@ -454,11 +469,12 @@ def emit_plot_data(rows, out_dir: str) -> list:
 # -- config files ----------------------------------------------------------------------
 
 
-def _parse_pair(value: str):
-    parts = [p.strip() for p in value.replace("->", ",").split(",")]
-    if len(parts) != 4:
-        raise ValueError(f"expected x1,y1,x2,y2 got {value!r}")
-    x1, y1, x2, y2 = map(float, parts)
+def _parse_pair(value: str, line: int):
+    """`x1,y1 -> x2,y2` (or `x1,y1,x2,y2`) as ((x1, y1), (x2, y2))."""
+    try:
+        x1, y1, x2, y2 = map(float, value.replace("->", ",").split(","))
+    except ValueError:   # a wrong count included
+        raise ParseError(f"expected x1,y1 -> x2,y2, got {value!r}", line=line) from None
     return (x1, y1), (x2, y2)
 
 
@@ -467,71 +483,46 @@ SPEC_KEYS = ("name", "kind", "seeds", "stage_limit", "eval_episodes", "goal_tol"
              "monolithic_all_seeds")
 
 
+def _config_key(key: str):
+    """problem.<n> keys are one key per integer n."""
+    if key.startswith("problem."):
+        return ("problem", int(key.split(".", 1)[1]))
+    return key
+
+
 def load_experiment_config(path: str) -> ExperimentSpec:
     """Build an ExperimentSpec from a flat key=value file.
 
-    `world` names a bundled map or a world text file (sidecar `<file>.cfg`
-    applies when present); bundled maps supply default problems and their
-    recipe's abstraction settings. `problem.<n> = x1,y1 -> x2,y2` adds a
-    problem, `train.profile` names the base TrainConfig in TRAIN_PROFILES and
-    `baselines` lists the enabled baselines. Every other key sets one field,
-    parsed by its type (optional fields accept `none`): `abstraction.<field>`
-    of AbstractionParams, `train.<field>` of TrainConfig, or a SPEC_KEYS field.
+    `world` names a bundled map or a world file, as load_world resolves it.
+    Only a bundled map has a recipe, which supplies default problems and
+    abstraction settings; a file, whatever its name, has neither. `problem.<n>
+    = x1,y1 -> x2,y2` adds a problem, `train.profile` names the base
+    TrainConfig in TRAIN_PROFILES and `baselines` lists the enabled baselines.
+    Every other key sets one field, parsed by its type (optional fields accept
+    `none`): `abstraction.<field>` of AbstractionParams, `train.<field>` of
+    TrainConfig, or a SPEC_KEYS field. A key may be given once.
     """
-    entries: dict = {}
-    problems: dict = {}
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError(f"expected key=value, got {line!r}", line=lineno)
-        key, value = (s.strip() for s in line.split("=", 1))
-        if key.startswith("problem."):
-            try:
-                problems[int(key.split(".", 1)[1])] = _parse_pair(value)
-            except ValueError as e:
-                raise ParseError(str(e), line=lineno) from None
-        else:
-            entries[key] = (value, lineno)
-
-    def pop(key, default=None):
-        if key in entries:
-            return entries.pop(key)[0]
-        return default
-
-    world_ref = pop("world")
+    entries = settings.read_key_values(_read_text(path), _config_key)
+    world_ref = entries.pop("world", (None,))[0]
     if world_ref is None:
         raise ParseError("config must set world=<bundled name or file>")
-    world, name = load_world(world_ref)
-    recipe = RECIPES.get(world_ref)
+    pairs = [_parse_pair(*entries.pop(key))
+             for key in sorted(k for k in entries if isinstance(k, tuple))]
 
-    if problems:
-        theta = 0.0 if world.kinematics is Kinematics.UNICYCLE else None
-        prob_list = [(Configuration(*problems[k][0], theta),
-                      Configuration(*problems[k][1]))
-                     for k in sorted(problems)]
-    elif recipe is not None:
-        prob_list = recipe.problem_configurations()
-    else:
-        raise ParseError("non-bundled worlds need problem.N entries")
-
-    profile = pop("train.profile", "desk")
+    profile = entries.pop("train.profile", ("desk",))[0]
     if profile not in TRAIN_PROFILES:
         raise ParseError(f"unknown train.profile {profile!r}")
 
-    baselines = pop("baselines", "rrt_replan,monolithic")
+    baselines = entries.pop("baselines", ("rrt_replan,monolithic",))[0]
     enabled = {b.strip() for b in baselines.split(",") if b.strip()}
     unknown = enabled - {"rrt_replan", "monolithic", "none"}
     if unknown:
         raise ParseError(f"unknown baselines {sorted(unknown)}")
 
-    spec = ExperimentSpec(
-        name=name, world=world, kind="centroid", problems=prob_list,
-        abstraction=AbstractionParams(**recipe_params(world_ref)),
-        train=TRAIN_PROFILES[profile](),
-        run_rrt_replan="rrt_replan" in enabled,
-        run_monolithic="monolithic" in enabled)
+    spec = _world_spec(world_ref, pairs, kind="centroid",
+                       train=TRAIN_PROFILES[profile](),
+                       run_rrt_replan="rrt_replan" in enabled,
+                       run_monolithic="monolithic" in enabled)
     for key, (value, lineno) in entries.items():
         group, _, fieldname = key.rpartition(".")
         if group in ("abstraction", "train"):

@@ -1,5 +1,6 @@
 """One schema for the settings dataclasses: each field is set from text by a
-converter its annotation selects, and caches are named by settings digests."""
+converter its annotation selects, and caches are named by settings digests.
+Config files and world sidecars share one key=value reader."""
 
 from __future__ import annotations
 
@@ -8,6 +9,30 @@ import typing
 from dataclasses import fields, replace
 
 from .errors import ParseError
+
+
+def read_key_values(text: str, canon=lambda name: name) -> dict:
+    """The `key = value` lines of a config file or sidecar, `#` comments and
+    blank lines skipped, as {canon(key): (value, line)}. Two keys that canon
+    maps alike are one key. A line without `=`, a key that canon rejects
+    with ValueError, or a key given twice raises ParseError at that line."""
+    out: dict = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"expected key=value, got {line!r}", line=lineno)
+        key, value = (part.strip() for part in line.split("=", 1))
+        try:
+            name = canon(key)
+        except ValueError as e:
+            raise ParseError(str(e), line=lineno) from None
+        if name in out:
+            raise ParseError(f"{key!r} repeats the key of line {out[name][1]}",
+                             line=lineno)
+        out[name] = (value, lineno)
+    return out
 
 
 def digest(settings) -> str:

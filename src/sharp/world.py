@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoFreeSpace, ParseError
+from .settings import read_key_values
 
 TWO_PI = 2.0 * math.pi
 
@@ -143,10 +144,13 @@ class OccupancyWorld:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValueError("grid dimensions must be positive")
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        for name in ("cell_size", "max_step", "v_max", "omega_max"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be nonnegative and finite, "
+                             f"got {self.noise_sigma}")
         occ = np.array(self.occupancy, dtype=bool)  # private copy, then frozen
         if occ.shape != (self.height, self.width):
             raise ValueError(f"occupancy shape {occ.shape} != ({self.height}, {self.width})")
@@ -193,6 +197,12 @@ class OccupancyWorld:
         cell, or, when given, in cells, a subset of the free cells."""
         cells = self.free_set if cells is None else cells
         return _walk_sweep(a, b, self.cell_size, cells, 0)[1]
+
+
+def start_heading(world: OccupancyWorld) -> float | None:
+    """The heading of a problem's start that names none: 0 on a unicycle
+    world, none on a holonomic one."""
+    return 0.0 if world.kinematics is Kinematics.UNICYCLE else None
 
 
 def collision(world: OccupancyWorld, c: Configuration) -> bool:
@@ -427,6 +437,9 @@ def world_from_text(text: str, **overrides) -> OccupancyWorld:
     if len(lines) < 1 + height:
         raise ParseError(f"expected {height} grid rows, found {len(lines) - 1}",
                          line=len(lines))
+    for lineno, raw in enumerate(lines[1 + height:], start=2 + height):
+        if raw.strip():
+            raise ParseError(f"more than {height} grid rows", line=lineno)
     occ = np.zeros((height, width), dtype=bool)
     for row in range(height):
         raw = lines[1 + row]
@@ -449,25 +462,13 @@ _CONFIG_KEYS = ("kinematics", "noise_sigma", "max_step", "v_max", "omega_max")
 def parse_sidecar(text: str) -> dict:
     """Parse a key=value sidecar config into OccupancyWorld overrides."""
     out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError(f"expected key=value, got {line!r}", line=lineno)
-        key, value = (part.strip() for part in line.split("=", 1))
+    for key, (value, lineno) in read_key_values(text).items():
         if key not in _CONFIG_KEYS:
             raise ParseError(f"unknown world config key {key!r}", line=lineno)
-        if key == "kinematics":
-            try:
-                out[key] = Kinematics(value)
-            except ValueError:
-                raise ParseError(f"unknown kinematics {value!r}", line=lineno) from None
-        else:
-            try:
-                out[key] = float(value)
-            except ValueError:
-                raise ParseError(f"bad number {value!r} for {key}", line=lineno) from None
+        try:
+            out[key] = Kinematics(value) if key == "kinematics" else float(value)
+        except ValueError:
+            raise ParseError(f"bad value {value!r} for {key}", line=lineno) from None
     return out
 
 

@@ -4,7 +4,8 @@ Four 30x30 maps (rooms and corridors at 0.5 m cells, 15 m across) and one
 60x60 map exercise the pipeline at two scales. Geometry is built
 programmatically so the text exports are bit-exact; each world carries a
 per-world recipe (AbstractionParams overrides such as the region cap, and
-bundled problems chosen so later problems revisit earlier corridors).
+bundled problems chosen so later problems revisit earlier corridors). All
+of them share one robot's physics.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .world import Configuration, Kinematics, OccupancyWorld
+from .world import Kinematics, OccupancyWorld
 
 
 def _boxed(n: int) -> np.ndarray:
@@ -89,94 +90,67 @@ def _env_e() -> np.ndarray:
     return occ
 
 
+# The physics every bundled world shares: a desk robot on 0.5 m cells.
+PHYSICS = dict(cell_size=0.5, noise_sigma=0.05, max_step=0.5, v_max=0.5,
+               omega_max=math.pi / 4.0)
+
+
 @dataclass(frozen=True)
 class WorldRecipe:
     """A bundled world plus the settings its experiments run with."""
 
     name: str
     builder: object
-    cell_size: float = 0.5
     kinematics: Kinematics = Kinematics.HOLONOMIC
-    noise_sigma: float = 0.05
-    max_step: float = 0.5
-    v_max: float = 0.5
-    omega_max: float = math.pi / 4.0
     abstraction: dict = field(default_factory=dict)  # AbstractionParams overrides
     problems: tuple = ()              # ((x_i, y_i), (x_g, y_g)) pairs, meters
 
     def build(self) -> OccupancyWorld:
         occ = self.builder()
         n = occ.shape[0]
-        return OccupancyWorld(width=n, height=n, cell_size=self.cell_size,
-                              occupancy=occ, kinematics=self.kinematics,
-                              noise_sigma=self.noise_sigma, max_step=self.max_step,
-                              v_max=self.v_max, omega_max=self.omega_max)
-
-    def problem_configurations(self) -> list:
-        theta = 0.0 if self.kinematics is Kinematics.UNICYCLE else None
-        out = []
-        for (xi, yi), (xg, yg) in self.problems:
-            out.append((Configuration(xi, yi, theta), Configuration(xg, yg, None)))
-        return out
+        return OccupancyWorld(width=n, height=n, occupancy=occ,
+                              kinematics=self.kinematics, **PHYSICS)
 
 
-RECIPES: dict = {}
-
-
-def _register(recipe: WorldRecipe) -> None:
-    RECIPES[recipe.name] = recipe
-
-
-_register(WorldRecipe(
-    name="env_a", builder=_env_a,
-    abstraction=dict(max_regions=4, region_threshold=1.0),
-    problems=(((1.25, 1.25), (13.75, 13.75)),
-              ((2.25, 1.25), (13.25, 12.25)),
-              ((1.25, 13.75), (13.75, 1.25)),
-              ((1.75, 12.75), (12.75, 2.25)),
-              ((1.25, 2.25), (12.25, 13.25))),
-))
-
-_register(WorldRecipe(
-    name="env_b", builder=_env_b,
-    abstraction=dict(max_regions=4, region_threshold=1.0),
-    problems=(((2.25, 2.25), (13.25, 2.25)),
-              ((1.75, 4.25), (12.75, 3.25)),
-              ((2.25, 13.25), (13.25, 2.75)),
-              ((6.75, 13.25), (12.25, 4.25)),
-              ((3.25, 12.25), (13.25, 1.75))),
-))
-
-_register(WorldRecipe(
-    name="env_c", builder=_env_c,
-    abstraction=dict(max_regions=4, region_threshold=1.0),
-    problems=(((1.25, 1.25), (13.75, 13.75)),
-              ((2.75, 1.75), (12.25, 12.75)),
-              ((1.25, 13.75), (13.75, 1.25)),
-              ((2.25, 12.25), (12.75, 2.75)),
-              ((1.75, 2.75), (13.25, 12.25))),
-))
-
-_register(WorldRecipe(
-    name="env_d", builder=_env_d, kinematics=Kinematics.UNICYCLE,
-    abstraction=dict(max_regions=3, region_threshold=1.0),
-    problems=(((1.25, 1.25), (13.75, 13.75)),
-              ((3.25, 2.25), (12.25, 13.25)),
-              ((1.75, 3.25), (13.25, 12.25)),
-              ((12.25, 13.25), (2.25, 2.25)),
-              ((2.25, 1.25), (10.25, 13.25))),
-))
-
-_register(WorldRecipe(
-    name="env_e", builder=_env_e,
-    abstraction=dict(n_goals=40, max_regions=12, region_threshold=1.0),
-    problems=(((2.25, 2.25), (27.75, 27.75)),
-              ((3.75, 2.75), (26.75, 26.25)),
-              ((2.25, 27.75), (27.75, 2.25)),
-              ((3.25, 26.25), (26.25, 3.25)),
-              ((2.75, 2.25), (26.25, 27.25))),
-))
-
-
-def bundled_names() -> list:
-    return sorted(RECIPES)
+RECIPES = {recipe.name: recipe for recipe in (
+    WorldRecipe(
+        name="env_a", builder=_env_a,
+        abstraction=dict(max_regions=4, region_threshold=1.0),
+        problems=(((1.25, 1.25), (13.75, 13.75)),
+                  ((2.25, 1.25), (13.25, 12.25)),
+                  ((1.25, 13.75), (13.75, 1.25)),
+                  ((1.75, 12.75), (12.75, 2.25)),
+                  ((1.25, 2.25), (12.25, 13.25)))),
+    WorldRecipe(
+        name="env_b", builder=_env_b,
+        abstraction=dict(max_regions=4, region_threshold=1.0),
+        problems=(((2.25, 2.25), (13.25, 2.25)),
+                  ((1.75, 4.25), (12.75, 3.25)),
+                  ((2.25, 13.25), (13.25, 2.75)),
+                  ((6.75, 13.25), (12.25, 4.25)),
+                  ((3.25, 12.25), (13.25, 1.75)))),
+    WorldRecipe(
+        name="env_c", builder=_env_c,
+        abstraction=dict(max_regions=4, region_threshold=1.0),
+        problems=(((1.25, 1.25), (13.75, 13.75)),
+                  ((2.75, 1.75), (12.25, 12.75)),
+                  ((1.25, 13.75), (13.75, 1.25)),
+                  ((2.25, 12.25), (12.75, 2.75)),
+                  ((1.75, 2.75), (13.25, 12.25)))),
+    WorldRecipe(
+        name="env_d", builder=_env_d, kinematics=Kinematics.UNICYCLE,
+        abstraction=dict(max_regions=3, region_threshold=1.0),
+        problems=(((1.25, 1.25), (13.75, 13.75)),
+                  ((3.25, 2.25), (12.25, 13.25)),
+                  ((1.75, 3.25), (13.25, 12.25)),
+                  ((12.25, 13.25), (2.25, 2.25)),
+                  ((2.25, 1.25), (10.25, 13.25)))),
+    WorldRecipe(
+        name="env_e", builder=_env_e,
+        abstraction=dict(n_goals=40, max_regions=12, region_threshold=1.0),
+        problems=(((2.25, 2.25), (27.75, 27.75)),
+                  ((3.75, 2.75), (26.75, 26.25)),
+                  ((2.25, 27.75), (27.75, 2.25)),
+                  ((3.25, 26.25), (26.25, 3.25)),
+                  ((2.75, 2.25), (26.25, 27.25)))),
+)}

@@ -5,9 +5,10 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from sharp import artifacts, experiment
+from sharp import artifacts, cli, experiment
 from sharp.cli import _abstraction_params, build_parser, main
-from sharp.experiment import AbstractionParams, load_world
+from sharp.errors import SharpError
+from sharp.experiment import AbstractionParams, load_experiment_config, load_world
 from sharp.world import parse_sidecar, world_from_text, world_hash
 
 from helpers import density_from_payload, sample_setting
@@ -169,33 +170,81 @@ def test_error_reporting(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_world_file_named_like_a_bundled_world_has_no_recipe(tmp_path, capsys,
+                                                               monkeypatch):
+    """sharp abstract and a config file naming an exported env_a.txt use the
+    same AbstractionParams: the defaults, as for any world file."""
+    assert main(["worlds", "--export", str(tmp_path)]) == 0
+    path = str(tmp_path / "env_a.txt")
+    used = []
+
+    def record(world, kind, params, cache_dir):
+        used.append(params)
+        raise SharpError("recorded")
+
+    monkeypatch.setattr(cli, "load_or_build_library", record)
+    assert main(["abstract", "--world", path]) == 1
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"world = {path}\nproblem.1 = 1.25,1.25 -> 13.75,13.75\n")
+    assert used == [load_experiment_config(str(cfg)).abstraction]
+    assert used == [AbstractionParams()]
+
+
 @pytest.mark.parametrize("f", fields(AbstractionParams),
                          ids=[f.name for f in fields(AbstractionParams)])
 def test_abstraction_flag_sets_one_field(f):
     text, value = sample_setting(AbstractionParams, f)
     flag = "--" + f.name.replace("_", "-")
     parser = build_parser()
+    recipe = load_world("env_a")[2]
     base = _abstraction_params(parser.parse_args(["regions", "--world", "env_a"]),
-                               "env_a")
+                               recipe)
     args = parser.parse_args(["regions", "--world", "env_a", flag, text])
-    assert _abstraction_params(args, "env_a") == \
+    assert _abstraction_params(args, recipe) == \
         replace(base, **{f.name: value}) != base
 
 
-@pytest.mark.parametrize("argv", [
-    ["regions", "--world", "{tmp}/missing.txt"],
-    ["experiment", "--config", "{tmp}/missing.cfg"],
-    ["baseline", "--world", "env_a", "--method", "rrt_replan",
-     "--start", "1,2,3,4", "--goal", "13.75,13.75"],
-    ["baseline", "--world", "env_a", "--method", "rrt_replan",
-     "--start", "1.25,1.25", "--goal", "13.75"],
-    ["experiment", "--world", "env_a", "--seeds", "a"],
-    ["baseline", "--world", "env_a", "--method", "monolithic", "--profile",
-     "smoke", "--start", "0.25,0.25", "--goal", "13.75,13.75"],
-    ["regions", "--world", "env_a", "--n-goals", "abc"],
+GRID = ("P1-ASCII 10 7 1\n##########\n#....#...#\n#....#...#\n#........#\n"
+        "#....#...#\n#....#...#\n##########\n")
+REGIONS = ["regions", "--world", "{tmp}/w.txt"]
+EXPERIMENT = ["experiment", "--config", "{tmp}/exp.cfg"]
+CONFIG = ("world = {tmp}/w.txt\nproblem.1 = 1.5,1.5 -> 8.5,1.5\n"
+          "train.profile = smoke\neval_episodes = 1\nbaselines = none\n")
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["regions", "--world", "{tmp}/missing.txt"], {}),
+    (["experiment", "--config", "{tmp}/missing.cfg"], {}),
+    (["baseline", "--world", "env_a", "--method", "rrt_replan",
+      "--start", "1,2,3,4", "--goal", "13.75,13.75"], {}),
+    (["baseline", "--world", "env_a", "--method", "rrt_replan",
+      "--start", "1.25,1.25", "--goal", "13.75"], {}),
+    (["experiment", "--world", "env_a", "--seeds", "a"], {}),
+    (["baseline", "--world", "env_a", "--method", "monolithic", "--profile",
+      "smoke", "--start", "0.25,0.25", "--goal", "13.75,13.75"], {}),
+    (["regions", "--world", "env_a", "--n-goals", "abc"], {}),
+    (REGIONS, {"w.txt": GRID, "w.txt.cfg": "noise_sigma=-0.1\n"}),
+    (REGIONS, {"w.txt": GRID, "w.txt.cfg": "max_step=-1\n"}),
+    (REGIONS, {"w.txt": GRID, "w.txt.cfg": "max_step=nan\n"}),
+    (REGIONS, {"w.txt": GRID, "w.txt.cfg": "v_max=0\n"}),
+    (REGIONS, {"w.txt": GRID, "w.txt.cfg": "omega_max=-1\n"}),
+    (REGIONS, {"w.txt": GRID.replace(" 1\n", " nan\n", 1)}),
+    (REGIONS, {"w.txt": GRID.replace(" 1\n", " inf\n", 1)}),
+    (REGIONS, {"w.txt": GRID + "###\n"}),
+    (REGIONS, {"w.txt": GRID, "w.txt.cfg": "max_step=1\nmax_step=0.5\n"}),
+    (EXPERIMENT, {"w.txt": GRID,
+                  "exp.cfg": CONFIG + "stage_limit = 100\nstage_limit = 30\n"}),
+    (EXPERIMENT, {"w.txt": GRID,
+                  "exp.cfg": CONFIG + "problem.01 = 1.5,1.5 -> 8.5,4.5\n"}),
 ], ids=["missing-world", "missing-config", "start-4-values", "goal-1-value",
-        "bad-seeds", "start-in-wall", "bad-flag-value"])
-def test_user_input_fault_is_an_error_line(tmp_path, capsys, argv):
+        "bad-seeds", "start-in-wall", "bad-flag-value", "negative-noise",
+        "negative-step", "nan-step", "zero-speed", "negative-turn", "nan-cell",
+        "inf-cell", "extra-row", "sidecar-key-twice", "config-key-twice",
+        "problem-twice"])
+def test_user_input_fault_is_an_error_line(tmp_path, capsys, argv, files):
+    """files maps paths under tmp_path to their text, written first."""
+    for rel, text in files.items():
+        (tmp_path / rel).write_text(text.format(tmp=tmp_path))
     assert main([a.format(tmp=tmp_path) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

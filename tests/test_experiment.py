@@ -324,14 +324,18 @@ class TestSettingsSchema:
         "goal_tol = x", "train.learner = foo", "train.hidden = 64",
         "train.max_steps = 0", "abstraction.max_regions = 2.5",
         "monolithic_all_seeds = yes", "kind = hexagonal", "seeds = 0,a",
-        "eval_episodes = 0", "stage_limit = 0"])
+        "eval_episodes = 0", "stage_limit = 0", "world = env_b",
+        "stage_limit = 100\nstage_limit = 300",
+        "problem.1 = 1,1 -> 2,2\nproblem.01 = 3,3 -> 4,4",
+        "train.max_steps = 10\n# again\ntrain.max_steps = 20"])
     def test_bad_value_names_its_line(self, tmp_path, line):
+        # the last line is the bad one: a bad value or a key given twice
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(f"world = env_a\n# the next line is bad\n{line}\n")
+        cfg.write_text(f"world = env_a\n# the bad line follows\n{line}\n")
         with pytest.raises(ParseError) as err:
             load_experiment_config(str(cfg))
-        assert err.value.line == 3
-        assert line.split(" =")[0] in str(err.value)
+        assert err.value.line == 2 + len(line.splitlines())
+        assert line.splitlines()[-1].split(" =")[0] in str(err.value)
 
     @pytest.mark.parametrize("key", [
         "train.discount", "train.reward_scale", "train.tau", "train.replay_capacity",

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from sharp.errors import NoFreeSpace, ParseError
+from sharp.experiment import load_world
 from sharp.world import (Configuration, HolonomicAction, Kinematics, UnicycleAction,
                          collision, sample_free, sidecar_to_text, parse_sidecar, step,
                          world_from_text, world_hash, world_to_text)
+from sharp.worlds import RECIPES
 
 from conftest import grid_from_rows, open_world
 from helpers import with_params
@@ -170,6 +172,41 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             world_from_text("P1-ASCII 3 3 1\n...\n...\n")
 
+    def test_extra_row_is_an_error_at_its_line(self):
+        with pytest.raises(ParseError) as ei:
+            world_from_text("P1-ASCII 3 2 1\n...\n...\n###\n")
+        assert ei.value.line == 4
+        assert world_from_text("P1-ASCII 3 2 1\n...\n...\n\n  \n").height == 2
+
+    @pytest.mark.parametrize("name, value", [
+        ("cell_size", math.nan), ("cell_size", math.inf), ("cell_size", 0.0),
+        ("noise_sigma", -0.1), ("noise_sigma", math.nan), ("noise_sigma", math.inf),
+        ("max_step", -1.0), ("max_step", math.nan), ("max_step", math.inf),
+        ("v_max", 0.0), ("omega_max", -1.0), ("omega_max", math.nan)])
+    def test_out_of_range_physics_rejected(self, empty10, name, value):
+        with pytest.raises(ValueError, match=name):
+            with_params(empty10, **{name: value})
+
+    @pytest.mark.parametrize("header, sidecar", [
+        ("P1-ASCII 3 2 nan", ""), ("P1-ASCII 3 2 inf", ""),
+        ("P1-ASCII 3 2 1", "noise_sigma=-0.1\n"), ("P1-ASCII 3 2 1", "max_step=-1\n"),
+        ("P1-ASCII 3 2 1", "max_step=nan\n"), ("P1-ASCII 3 2 1", "v_max=0\n"),
+        ("P1-ASCII 3 2 1", "omega_max=-1\n")])
+    def test_load_world_names_the_file_of_bad_physics(self, tmp_path, header,
+                                                       sidecar):
+        path = tmp_path / "w.txt"
+        path.write_text(header + "\n...\n...\n")
+        if sidecar:
+            (tmp_path / "w.txt.cfg").write_text(sidecar)
+        with pytest.raises(ParseError) as ei:
+            load_world(str(path))
+        assert str(ei.value).startswith(f"{path}: ")
+
+    def test_sidecar_repeated_key_names_the_later_line(self):
+        with pytest.raises(ParseError) as ei:
+            parse_sidecar("max_step=1\n# again\nmax_step = 0.5\n")
+        assert ei.value.line == 3 and "max_step" in str(ei.value)
+
     def test_bad_character(self):
         with pytest.raises(ParseError) as ei:
             world_from_text("P1-ASCII 2 2 1\n.x\n..\n")
@@ -186,6 +223,14 @@ class TestTextFormat:
     def test_sidecar_rejects_unknown_key(self):
         with pytest.raises(ParseError):
             parse_sidecar("gravity=9.8\n")
+
+    @pytest.mark.parametrize("name, digest", [
+        ("env_a", "260a4cbbe43ca08e"), ("env_b", "926e21938839b1d0"),
+        ("env_c", "1b6852962e57f167"), ("env_d", "7a8c9bda66279dc1"),
+        ("env_e", "883418dd36b3b869")])
+    def test_bundled_world_hash_is_pinned(self, name, digest):
+        # the library and policy caches of a bundled world are keyed by it
+        assert world_hash(RECIPES[name].build()) == digest
 
     def test_world_hash_tracks_params(self, empty10):
         h1 = world_hash(empty10)
