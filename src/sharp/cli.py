@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -77,6 +78,8 @@ def _parse_xy(text: str, theta: float | None = None) -> Configuration:
         parts = None
     if parts is None or len(parts) not in (2, 3):
         raise ParseError(f"expected x,y or x,y,theta, got {text!r}")
+    if not all(map(math.isfinite, parts)):
+        raise ParseError(f"coordinates must be finite, got {text!r}")
     return Configuration(parts[0], parts[1], parts[2] if len(parts) == 3 else theta)
 
 

@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+import contextlib
+
 
 class SharpError(Exception):
     """Base class for all toolkit errors."""
@@ -70,15 +72,29 @@ class ShapeMismatch(SharpError):
 
 
 class ParseError(SharpError):
-    """A world or config file is malformed; carries line/offset context."""
+    """A world or config file is malformed; carries file/line/offset context."""
 
-    def __init__(self, message: str, line: int | None = None, offset: int | None = None):
+    def __init__(self, message: str, line: int | None = None,
+                 offset: int | None = None, path: str | None = None):
         loc = ""
         if line is not None:
             loc = f" (line {line}" + (f", offset {offset}" if offset is not None else "") + ")"
-        super().__init__(message + loc)
+        super().__init__((f"{path}: " if path is not None else "") + message + loc)
+        self.message = message
         self.line = line
         self.offset = offset
+        self.path = path
+
+
+@contextlib.contextmanager
+def in_file(path: str):
+    """Name path in every ParseError the block raises that names no file."""
+    try:
+        yield
+    except ParseError as e:
+        if e.path is not None:
+            raise
+        raise ParseError(e.message, e.line, e.offset, path) from None
 
 
 class VersionMismatch(SharpError):

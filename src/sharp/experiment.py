@@ -13,6 +13,7 @@ import copy
 import csv
 import io
 import logging
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import artifacts, settings
 from .abstraction import build_region_voronoi, goal_tolerance
-from .errors import NoRegions, ParseError, SharpError
+from .errors import NoRegions, ParseError, SharpError, in_file
 from .learn import TrainConfig, train_monolithic_policy
 from .motion import RrtParams, execute_with_replan
 from .options import synth_options
@@ -94,18 +95,21 @@ def load_world(ref: str) -> tuple[OccupancyWorld, str, WorldRecipe | None]:
     """The world that ref names, its name and its recipe: the one resolver
     of a world reference. A bundled world's name gives its recipe. Any other
     ref is a world text file (its sidecar `<file>.cfg` applies when present)
-    named after its stem, and gets no recipe, whatever that stem is. Physics
-    that OccupancyWorld rejects is a ParseError naming the file."""
+    named after its stem, and gets no recipe, whatever that stem is. A
+    ParseError names the file at fault: the sidecar for its own lines, the
+    world file for the grid and for physics that OccupancyWorld rejects."""
     if ref in RECIPES:
         return RECIPES[ref].build(), ref, RECIPES[ref]
     text = _read_text(ref)
     overrides = {}
     if os.path.exists(ref + ".cfg"):
-        overrides = parse_sidecar(_read_text(ref + ".cfg"))
-    try:
-        world = world_from_text(text, **overrides)
-    except ValueError as e:
-        raise ParseError(f"{ref}: {e}") from None
+        with in_file(ref + ".cfg"):
+            overrides = parse_sidecar(_read_text(ref + ".cfg"))
+    with in_file(ref):
+        try:
+            world = world_from_text(text, **overrides)
+        except ValueError as e:
+            raise ParseError(str(e)) from None
     return world, os.path.splitext(os.path.basename(ref))[0], None
 
 
@@ -310,7 +314,8 @@ def read_rows(path: str) -> list[ResultRow]:
     naming the line of a malformed row."""
     reader = csv.reader(io.StringIO(_read_text(path)))
     if next(reader, None) != CSV_HEADER:
-        raise ParseError(f"{path}: the header is not {','.join(CSV_HEADER)}", line=1)
+        raise ParseError(f"the header is not {','.join(CSV_HEADER)}", line=1,
+                         path=path)
     rows = []
     for rec in reader:
         try:
@@ -319,7 +324,7 @@ def read_rows(path: str) -> list[ResultRow]:
                                   float(steps), int(trained), int(new), int(reused),
                                   error))
         except ValueError as e:   # a wrong field count included
-            raise ParseError(f"{path}: {e}", line=reader.line_num) from None
+            raise ParseError(str(e), line=reader.line_num, path=path) from None
     return rows
 
 
@@ -470,11 +475,14 @@ def emit_plot_data(rows, out_dir: str) -> list:
 
 
 def _parse_pair(value: str, line: int):
-    """`x1,y1 -> x2,y2` (or `x1,y1,x2,y2`) as ((x1, y1), (x2, y2))."""
+    """`x1,y1 -> x2,y2` (or `x1,y1,x2,y2`) as ((x1, y1), (x2, y2)), each
+    coordinate finite."""
     try:
         x1, y1, x2, y2 = map(float, value.replace("->", ",").split(","))
     except ValueError:   # a wrong count included
         raise ParseError(f"expected x1,y1 -> x2,y2, got {value!r}", line=line) from None
+    if not all(map(math.isfinite, (x1, y1, x2, y2))):
+        raise ParseError(f"coordinates must be finite, got {value!r}", line=line)
     return (x1, y1), (x2, y2)
 
 
@@ -500,8 +508,15 @@ def load_experiment_config(path: str) -> ExperimentSpec:
     TrainConfig in TRAIN_PROFILES and `baselines` lists the enabled baselines.
     Every other key sets one field, parsed by its type (optional fields accept
     `none`): `abstraction.<field>` of AbstractionParams, `train.<field>` of
-    TrainConfig, or a SPEC_KEYS field. A key may be given once.
+    TrainConfig, or a SPEC_KEYS field. A key may be given once. A ParseError
+    about the config's own text names path; one from the world file names
+    that file.
     """
+    with in_file(path):
+        return _config_spec(path)
+
+
+def _config_spec(path: str) -> ExperimentSpec:
     entries = settings.read_key_values(_read_text(path), _config_key)
     world_ref = entries.pop("world", (None,))[0]
     if world_ref is None:

@@ -43,10 +43,13 @@ class Mlp:
     def n_out(self) -> int:
         return self.layer_sizes[-1]
 
+    def __reduce__(self):
+        # pickle and copy.deepcopy as (layer_sizes, params), so that the
+        # copy's weights and biases are views of its own params again
+        return _from_params, (self.layer_sizes, self.params)
+
     def copy(self) -> "Mlp":
-        twin = Mlp(self.layer_sizes)
-        twin.params[...] = self.params
-        return twin
+        return _from_params(self.layer_sizes, self.params)
 
     def flat(self) -> np.ndarray:
         return self.params.copy()
@@ -62,6 +65,13 @@ class Mlp:
         for w, b in zip(self.weights, self.biases):
             out.extend([w, b])
         return out
+
+
+def _from_params(layer_sizes, params: np.ndarray) -> Mlp:
+    """A net of layer_sizes holding a copy of params."""
+    net = Mlp(layer_sizes)
+    net.set_flat(params)
+    return net
 
 
 def init_mlp(n_in: int, hidden: tuple, n_out: int, rng: np.random.Generator) -> Mlp:

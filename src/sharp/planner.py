@@ -2,8 +2,9 @@
 policy cache, rollout-based cost updates, and composed-policy execution.
 
 A solve maps the endpoints into abstract states, searches the option graph,
-trains (or reuses) one policy per option plus entry/exit bridge policies, and
-chains everything into a finite-state controller whose stage advances when
+trains (or reuses) one policy per option plus entry/exit bridge policies,
+the trainings of one solve side by side in worker processes, and chains
+everything into a finite-state controller whose stage advances when
 the robot enters the next option's initiation region.
 """
 
@@ -12,6 +13,8 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
+import multiprocessing
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +23,8 @@ from . import settings
 from .abstraction import (Region, RegionVoronoi, centroid_region, goal_region,
                           goal_tolerance, interface_region)
 from .errors import (DivergedTraining, EmptyLibrary, GuideUnreachable,
-                     NoAbstractPath, NoSuccessfulRollouts, OptionsDoNotChain)
+                     NoAbstractPath, NoSuccessfulRollouts, OptionsDoNotChain,
+                     SharpError)
 from .learn import Policy, TrainConfig, train_option_policy
 from .mlp import Mlp
 from .options import (OptionGuide, OptionKind, OptionSpec, build_guide,
@@ -376,10 +380,79 @@ def _middle_region(rbvd: RegionVoronoi, library: OptionLibrary, s_start: int,
 
 
 def _train_guide(world, rbvd, guide, cfg: TrainConfig, rng):
-    policy, stats = train_option_policy(world, guide, rbvd, cfg, rng)
+    """(actor, TrainStats) of one stage's training, or the SharpError it
+    raised, which the solve raises in stage order."""
+    try:
+        policy, stats = train_option_policy(world, guide, rbvd, cfg, rng)
+    except SharpError as e:
+        return e
     if stats.diverged:
-        raise DivergedTraining(f"training diverged for {guide.option_id}")
-    return policy, stats
+        return DivergedTraining(f"training diverged for {guide.option_id}")
+    return policy.actor, stats
+
+
+# train_stages' arguments, set only in a pool worker, by the pool's initializer
+_worker_args: tuple = ()
+
+
+def _adopt(*args) -> None:
+    global _worker_args
+    _worker_args = args
+
+
+def _train_adopted(i: int):
+    world, rbvd, cfg, jobs = _worker_args
+    guide, rng = jobs[i]
+    return _train_guide(world, rbvd, guide, cfg, rng)
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def train_stages(world, rbvd, cfg: TrainConfig, jobs: list) -> list:
+    """Train one policy per (guide, rng) pair; returns, in pair order, each
+    training's (actor, TrainStats) or the SharpError it raised.
+
+    The trainings are independent and each draws from its own generator,
+    so they run on min(len(jobs), usable_cpus()) forked worker processes,
+    or inline when that is one, with the same results. Workers inherit
+    their arguments through the fork, so nothing is pickled to them and
+    every set keeps its iteration order; they send back the actor, which
+    pickles as its layer sizes and parameters, and the stats. The pool
+    forks its workers before it starts its threads, and is closed and
+    joined before this returns or raises.
+    """
+    workers = min(len(jobs), usable_cpus())
+    if workers <= 1:
+        return [_train_guide(world, rbvd, guide, cfg, rng) for guide, rng in jobs]
+    pool = multiprocessing.get_context("fork").Pool(
+        workers, _adopt, (world, rbvd, cfg, jobs))
+    try:
+        results = pool.map(_train_adopted, range(len(jobs)), chunksize=1)
+    except BaseException:
+        pool.terminate()
+        raise
+    else:
+        pool.close()
+    finally:
+        pool.join()
+    return results
+
+
+@dataclass
+class _PendingStage:
+    """A stage whose guide is built: its policy is the cache entry hit, or
+    is trained on train_rng."""
+
+    label: str
+    guide: OptionGuide
+    advance_cells: frozenset
+    option: OptionSpec | None = None
+    key: str | None = None
+    hit: CacheEntry | None = None
+    train_rng: np.random.Generator | None = None
 
 
 def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
@@ -397,6 +470,14 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
     cache maps `<world hash>/<option id>/<guide fingerprint>/<TrainConfig
     digest>` to a CacheEntry; a hit pairs the cached actor with the guide
     recomputed here, whose fingerprint the key carries.
+
+    The solve runs in two steps. First every stage's guide is built and its
+    training generator drawn from rng, in stage order. Then every policy
+    that needs training trains at once (train_stages), and the stages are
+    assembled in stage order: stats, cache entries and option costs are
+    applied stage by stage, and the first stage that failed (its guide, its
+    chaining or its training) raises, after the stages before it were
+    applied.
     """
     rbvd = library.rbvd
     whash = world_hash(world)
@@ -428,66 +509,77 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
     entry_guide = build_guide(world, rbvd, "bridge-in", x_i, start_region,
                               entry_target, entry_allowed, world.cell_size,
                               bridge_rng)
-    entry_policy, entry_stats = _train_guide(world, rbvd, entry_guide, cfg, spawn(rng))
-    stats.training_steps += entry_stats.steps
-    stats.stage_success.append(("bridge_in", entry_stats.success_fraction))
+    pending = [_PendingStage("bridge_in", entry_guide, entry_target.cells,
+                             train_rng=spawn(rng))]
+    failure: SharpError | None = None   # the first stage that cannot be built
 
-    stages = [Stage(label="bridge_in", policy=entry_policy,
-                    advance_cells=entry_target.cells)]
-
-    for i, option in enumerate(plan):
-        if i > 0 and plan[i - 1].termination.cells != option.initiation.cells:
-            raise OptionsDoNotChain(
-                f"options {plan[i-1].id} -> {option.id} do not chain")
-        guide_rng = derive_rng("guide", whash, library.guide_seed, option.id)
-        try:
-            guide = compute_guide_path(world, rbvd, option, world.cell_size,
-                                       guide_rng)
-        except GuideUnreachable as e:
-            raise GuideUnreachable(f"option {option.id}: {e}") from e
-        key = (f"{whash}/{option.id}/{guide_fingerprint(guide)}/"
-               f"{settings.digest(cfg)}")
-        entry = cache.get(key)
-        if entry is not None:
-            option.policy = Policy(actor=entry.actor, guide=guide)
-            option.cost = entry.cost
-            option.cost_updated = True
-            stats.options_reused += 1
-            stats.stage_success.append((option.id, None))
-        else:
+    try:
+        for i, option in enumerate(plan):
+            if i > 0 and plan[i - 1].termination.cells != option.initiation.cells:
+                raise OptionsDoNotChain(
+                    f"options {plan[i-1].id} -> {option.id} do not chain")
+            guide_rng = derive_rng("guide", whash, library.guide_seed, option.id)
             try:
-                policy, tstats = _train_guide(world, rbvd, guide, cfg, spawn(rng))
-            except DivergedTraining as e:
-                raise DivergedTraining(f"option {option.id}: {e}") from e
-            option.policy = policy
-            stats.options_trained += 1
-            stats.training_steps += tstats.steps
-            stats.stage_success.append((option.id, tstats.success_fraction))
-            if tstats.final_success_steps:
-                update_option_cost(option, tstats.final_success_steps)
-            cache[key] = CacheEntry(actor=policy.actor, cost=option.cost,
-                                    training_steps=tstats.steps)
-        next_cells = (plan[i + 1].initiation.cells if i + 1 < len(plan)
-                      else option.termination.cells)
-        stages.append(Stage(label=option.id, policy=option.policy,
-                            advance_cells=next_cells, option=option))
+                guide = compute_guide_path(world, rbvd, option, world.cell_size,
+                                           guide_rng)
+            except GuideUnreachable as e:
+                raise GuideUnreachable(f"option {option.id}: {e}") from e
+            key = (f"{whash}/{option.id}/{guide_fingerprint(guide)}/"
+                   f"{settings.digest(cfg)}")
+            hit = cache.get(key)
+            next_cells = (plan[i + 1].initiation.cells if i + 1 < len(plan)
+                          else option.termination.cells)
+            pending.append(_PendingStage(option.id, guide, next_cells, option, key,
+                                         hit, spawn(rng) if hit is None else None))
 
-    # exit bridge from the last handoff region to the goal ball
-    if plan:
-        exit_start_region = plan[-1].termination
-        exit_allowed = frozenset({s_goal} | set(plan[-1].dst_states))
-    else:
-        exit_start_region = entry_target
-        exit_allowed = entry_allowed
-    goal = goal_region(world, x_g, goal_tol)
-    exit_guide = build_guide(world, rbvd, "bridge-out",
-                             exit_start_region.representative, exit_start_region,
-                             goal, exit_allowed, world.cell_size, spawn(rng))
-    exit_policy, exit_stats = _train_guide(world, rbvd, exit_guide, cfg, spawn(rng))
-    stats.training_steps += exit_stats.steps
-    stats.stage_success.append(("bridge_out", exit_stats.success_fraction))
-    stages.append(Stage(label="bridge_out", policy=exit_policy,
-                        advance_cells=goal.cells))
+        # exit bridge from the last handoff region to the goal ball
+        if plan:
+            exit_start_region = plan[-1].termination
+            exit_allowed = frozenset({s_goal} | set(plan[-1].dst_states))
+        else:
+            exit_start_region = entry_target
+            exit_allowed = entry_allowed
+        goal = goal_region(world, x_g, goal_tol)
+        exit_guide = build_guide(world, rbvd, "bridge-out",
+                                 exit_start_region.representative, exit_start_region,
+                                 goal, exit_allowed, world.cell_size, spawn(rng))
+        pending.append(_PendingStage("bridge_out", exit_guide, goal.cells,
+                                     train_rng=spawn(rng)))
+    except SharpError as e:
+        failure = e
+
+    trained = iter(train_stages(world, rbvd, cfg, [
+        (p.guide, p.train_rng) for p in pending if p.hit is None]))
+    stages = []
+    for p in pending:
+        if p.hit is not None:
+            policy = Policy(actor=p.hit.actor, guide=p.guide)
+            p.option.cost = p.hit.cost
+            p.option.cost_updated = True
+            stats.options_reused += 1
+            stats.stage_success.append((p.label, None))
+        else:
+            result = next(trained)
+            if isinstance(result, DivergedTraining) and p.option is not None:
+                raise DivergedTraining(f"option {p.option.id}: {result}") from result
+            if isinstance(result, SharpError):
+                raise result
+            actor, tstats = result
+            policy = Policy(actor=actor, guide=p.guide)
+            stats.training_steps += tstats.steps
+            stats.stage_success.append((p.label, tstats.success_fraction))
+            if p.option is not None:
+                stats.options_trained += 1
+                if tstats.final_success_steps:
+                    update_option_cost(p.option, tstats.final_success_steps)
+                cache[p.key] = CacheEntry(actor=actor, cost=p.option.cost,
+                                          training_steps=tstats.steps)
+        if p.option is not None:
+            p.option.policy = policy
+        stages.append(Stage(label=p.label, policy=policy,
+                            advance_cells=p.advance_cells, option=p.option))
+    if failure is not None:
+        raise failure
 
     composed = ComposedPolicy(stages=stages, x_start=x_i, x_goal=x_g,
                               goal_tol=goal_tol)

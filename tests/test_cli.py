@@ -236,11 +236,14 @@ CONFIG = ("world = {tmp}/w.txt\nproblem.1 = 1.5,1.5 -> 8.5,1.5\n"
                   "exp.cfg": CONFIG + "stage_limit = 100\nstage_limit = 30\n"}),
     (EXPERIMENT, {"w.txt": GRID,
                   "exp.cfg": CONFIG + "problem.01 = 1.5,1.5 -> 8.5,4.5\n"}),
+    (EXPERIMENT, {"exp.cfg": "world = env_a\nproblem.1 = nan,1 -> 2,2\n"}),
+    (["baseline", "--world", "env_a", "--method", "rrt_replan",
+      "--start", "nan,1", "--goal", "2,2"], {}),
 ], ids=["missing-world", "missing-config", "start-4-values", "goal-1-value",
         "bad-seeds", "start-in-wall", "bad-flag-value", "negative-noise",
         "negative-step", "nan-step", "zero-speed", "negative-turn", "nan-cell",
         "inf-cell", "extra-row", "sidecar-key-twice", "config-key-twice",
-        "problem-twice"])
+        "problem-twice", "nan-problem", "nan-start"])
 def test_user_input_fault_is_an_error_line(tmp_path, capsys, argv, files):
     """files maps paths under tmp_path to their text, written first."""
     for rel, text in files.items():
@@ -248,6 +251,31 @@ def test_user_input_fault_is_an_error_line(tmp_path, capsys, argv, files):
     assert main([a.format(tmp=tmp_path) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, files, culprit", [
+    (REGIONS, {"w.txt": GRID, "w.txt.cfg": "max_step=1\nmax_step=0.5\n"},
+     "w.txt.cfg: 'max_step' repeats the key of line 1 (line 2)"),
+    (REGIONS, {"w.txt": GRID, "w.txt.cfg": "max_step=fast\n"},
+     "w.txt.cfg: bad value 'fast' for max_step (line 1)"),
+    (REGIONS, {"w.txt": GRID + "###\n"}, "w.txt: more than 7 grid rows (line 9)"),
+    (REGIONS, {"w.txt": GRID, "w.txt.cfg": "v_max=0\n"}, "w.txt: "),
+    (EXPERIMENT, {"w.txt": GRID,
+                  "exp.cfg": CONFIG + "stage_limit = 100\nstage_limit = 30\n"},
+     "exp.cfg: 'stage_limit' repeats the key of line 6 (line 7)"),
+    (EXPERIMENT, {"exp.cfg": "world = env_a\nproblem.1 = nan,1 -> 2,2\n"},
+     "exp.cfg: coordinates must be finite, got 'nan,1 -> 2,2' (line 2)"),
+    (EXPERIMENT, {"w.txt": GRID + "###\n", "exp.cfg": CONFIG},
+     "w.txt: more than 7 grid rows (line 9)"),
+], ids=["sidecar-key-twice", "sidecar-bad-value", "world-extra-row",
+        "world-physics", "config-key-twice", "config-nan-problem",
+        "config-names-world"])
+def test_parse_error_names_its_file(tmp_path, capsys, argv, files, culprit):
+    """A ParseError names the file whose text is at fault, and only that one."""
+    for rel, text in files.items():
+        (tmp_path / rel).write_text(text.format(tmp=tmp_path))
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path}/{culprit}")
 
 
 SOLVE = ["solve", "--world", "{world}", "--start", "1.5,1.5", "--goal", "8.5,1.5",

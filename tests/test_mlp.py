@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -211,6 +213,23 @@ class TestFlatAndAdam:
             for b in [net.params] + net.parameters():
                 assert not np.shares_memory(a, b)
         assert np.array_equal(twin.flat(), net.flat())
+
+    @pytest.mark.parametrize("duplicate", [
+        lambda net: pickle.loads(pickle.dumps(net)), copy.deepcopy, Mlp.copy],
+        ids=["pickle", "deepcopy", "copy"])
+    def test_duplicate_keeps_weights_views_of_params(self, duplicate):
+        net = init_mlp(3, (4, 5), 2, np.random.default_rng(14))
+        twin = duplicate(net)
+        assert twin.layer_sizes == net.layer_sizes
+        assert twin.params.tobytes() == net.params.tobytes()
+        assert not np.shares_memory(twin.params, net.params)
+        twin.params[0] += 1.0
+        twin.biases[-1][-1] = 7.0
+        assert twin.weights[0][0, 0] == net.weights[0][0, 0] + 1.0
+        assert twin.params[-1] == 7.0
+        assert np.array_equal(twin.flat(), np.concatenate([p.ravel()
+                                                           for p in twin.parameters()]))
+        assert net.params[-1] != 7.0
 
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_set_flat_wrong_length(self, delta):

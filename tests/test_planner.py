@@ -1,12 +1,14 @@
 import copy
 import math
+import multiprocessing.pool
 
 import numpy as np
 import pytest
 
 from sharp import planner
 from sharp.abstraction import Region, build_region_voronoi
-from sharp.errors import (EmptyLibrary, NoAbstractPath, NoSuccessfulRollouts)
+from sharp.errors import (DivergedTraining, EmptyLibrary, GuideUnreachable,
+                          NoAbstractPath, NoSuccessfulRollouts)
 from sharp.experiment import AbstractionParams, build_library
 from sharp.learn import TrainConfig
 from sharp.options import (OptionKind, OptionSpec, synth_centroid_options,
@@ -271,12 +273,14 @@ class TestSharpSolve:
         trained = []
 
         def train_guide(*args):
-            policy, tstats = real_train_guide(*args)
+            actor, tstats = real_train_guide(*args)
             trained.append(tstats.success_fraction)
-            return policy, tstats
+            return actor, tstats
 
         real_train_guide = planner._train_guide
         monkeypatch.setattr(planner, "_train_guide", train_guide)
+        # inline, so that train_guide appends in this process
+        monkeypatch.setattr(planner, "usable_cpus", lambda: 1)
         cache = {}
         for reused in (False, True):
             trained.clear()
@@ -290,6 +294,96 @@ class TestSharpSolve:
             options = values[1:-1]
             assert options == ([None] * len(options) if reused else trained[1:-1])
             assert [values[0], values[-1]] == [trained[0], trained[-1]]
+
+    def test_pooled_and_inline_training_agree(self, monkeypatch):
+        """The same two solves, trained inline and on a pool of workers:
+        actors bit for bit, stats, cache keys and entries, option costs."""
+        pools = []
+
+        class CountingPool(multiprocessing.pool.Pool):
+            def __init__(self, processes, *args, **kwargs):
+                pools.append(processes)
+                super().__init__(processes, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.pool, "Pool", CountingPool)
+        w, library0, cfg = solve_setup()
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(planner, "usable_cpus", lambda: cpus)
+            library, cache = copy.deepcopy(library0), {}
+            solves = [sharp_solve(w, Configuration(*xy_i), Configuration(*xy_g),
+                                  library, cache, cfg, np.random.default_rng(seed))
+                      for seed, xy_i, xy_g in ((5, (1.5, 1.5), (18.5, 18.5)),
+                                               (6, (2.5, 1.5), (18.5, 17.5)))]
+            assert multiprocessing.active_children() == []
+            runs.append((solves, cache, library))
+        # the first solve trains bridges and options, the second bridges only
+        assert pools == [2, 2]
+        (inline, inline_cache, inline_lib), (pooled, pooled_cache, pooled_lib) = runs
+        assert pooled[0][1].options_trained >= 1 and pooled[1][1].options_reused >= 1
+        for (c1, s1), (c2, s2) in zip(inline, pooled):
+            assert s1 == s2
+            assert [s.label for s in c1.stages] == [s.label for s in c2.stages]
+            for a, b in zip(c1.stages, c2.stages):
+                assert a.policy.actor.layer_sizes == b.policy.actor.layer_sizes
+                assert a.policy.actor.params.tobytes() == b.policy.actor.params.tobytes()
+        assert list(inline_cache) == list(pooled_cache)
+        for key, entry in inline_cache.items():
+            twin = pooled_cache[key]
+            assert (entry.cost, entry.training_steps) == (twin.cost, twin.training_steps)
+            assert entry.actor.params.tobytes() == twin.actor.params.tobytes()
+        assert [(o.id, o.cost, o.cost_updated) for o in inline_lib.options] == \
+            [(o.id, o.cost, o.cost_updated) for o in pooled_lib.options]
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "pooled"])
+    def test_diverged_entry_bridge_wins_over_later_guide(self, monkeypatch, cpus):
+        real_train = planner.train_option_policy
+
+        def train(world, guide, rbvd, cfg, rng):
+            policy, tstats = real_train(world, guide, rbvd, cfg, rng)
+            tstats.diverged = guide.option_id == "bridge-in"
+            return policy, tstats
+
+        def unreachable(world, rbvd, option, t_spacing, rng):
+            raise GuideUnreachable("no guide")
+
+        monkeypatch.setattr(planner, "train_option_policy", train)
+        monkeypatch.setattr(planner, "compute_guide_path", unreachable)
+        monkeypatch.setattr(planner, "usable_cpus", lambda: cpus)
+        w, library, cfg = solve_setup()
+        with pytest.raises(DivergedTraining, match="bridge-in"):
+            sharp_solve(w, Configuration(1.5, 1.5), Configuration(18.5, 18.5),
+                        library, {}, cfg, np.random.default_rng(0))
+        assert multiprocessing.active_children() == []
+        # without the divergence, the option's guide is the first failure
+        monkeypatch.setattr(planner, "train_option_policy", real_train)
+        with pytest.raises(GuideUnreachable, match="no guide"):
+            sharp_solve(w, Configuration(1.5, 1.5), Configuration(18.5, 18.5),
+                        library, {}, cfg, np.random.default_rng(0))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "pooled"])
+    def test_failed_exit_guide_keeps_trained_options(self, monkeypatch, cpus):
+        real_build = planner.build_guide
+
+        def build(world, rbvd, option_id, *args):
+            if option_id == "bridge-out":
+                raise GuideUnreachable("no exit guide")
+            return real_build(world, rbvd, option_id, *args)
+
+        monkeypatch.setattr(planner, "build_guide", build)
+        monkeypatch.setattr(planner, "usable_cpus", lambda: cpus)
+        w, library, cfg = solve_setup()
+        cache = {}
+        with pytest.raises(GuideUnreachable, match="no exit guide"):
+            sharp_solve(w, Configuration(1.5, 1.5), Configuration(18.5, 18.5),
+                        library, cache, cfg, np.random.default_rng(0))
+        # the stages before the failing one were applied, as a sequential
+        # solve applies them
+        trained = [o for o in library.options if o.policy is not None]
+        assert trained
+        assert sorted(key.split("/")[1] for key in cache) == sorted(o.id for o in trained)
+        assert multiprocessing.active_children() == []
 
     def test_same_state_bridges_only(self):
         w, library, cfg = solve_setup()

@@ -8,18 +8,23 @@ Prints one line each, as `<name> <sha256>`:
 * `smoke-csv` and `desk-csv`: the result CSV of `run_experiment` on
   bench/harness.py's `smoke_spec(0)` and `desk_spec(0)`, run with a fresh
   cache directory, as the benchmark runs them;
+* `smoke-policy-cache` and `desk-policy-cache`: the policy-cache files
+  (`<world hash>/policy_cache.json`) those two runs write, byte for byte:
+  every cached actor's parameters, cost and training steps;
 * `library/<world>/<kind>`: `bench/harness.py`'s `library_digest` of
   `build_library` on env_a-env_e with recipe parameters, for the centroid
   and the interface kind.
 
 BLAS is pinned to one thread first, as in bench/run.py. The whole run takes
-a few minutes on two cores; desk-csv takes most of it.
+about a minute on two cores, where a solve trains its policies on both;
+the desk run takes most of it.
 
 Exits 1, naming each digest that differs from tools/digests.expected (the
 same `<name> <sha256>` lines), when any does. A change that moves a digest
 on purpose updates that file with it.
 """
 
+import glob
 import hashlib
 import os
 import sys
@@ -33,23 +38,31 @@ from run import pin_blas  # noqa: E402
 
 pin_blas()
 import harness  # noqa: E402
-from sharp import experiment  # noqa: E402
+from sharp import artifacts, experiment  # noqa: E402
 
 WORLDS = ("env_a", "env_b", "env_c", "env_d", "env_e")
 KINDS = ("centroid", "interface")
 
 
-def csv_digest(spec) -> str:
+def experiment_digests(spec) -> tuple[str, str]:
+    """Digests of the result CSV and of the policy-cache files of one run."""
     with tempfile.TemporaryDirectory() as cache_dir:
         rows = experiment.run_experiment(spec, cache_dir)
-    return hashlib.sha256(experiment.rows_to_csv(rows).encode()).hexdigest()
+        caches = hashlib.sha256()
+        for path in sorted(glob.glob(os.path.join(cache_dir, "*",
+                                                  artifacts.POLICY_CACHE_FILE))):
+            with open(path, "rb") as fh:
+                caches.update(fh.read())
+    csv = hashlib.sha256(experiment.rows_to_csv(rows).encode()).hexdigest()
+    return csv, caches.hexdigest()
 
 
 def digests():
     """(name, sha256) pairs, in the order they are printed."""
-    for name, spec_fn in (("smoke-csv", harness.smoke_spec),
-                          ("desk-csv", harness.desk_spec)):
-        yield name, csv_digest(spec_fn(0))
+    for name, spec_fn in (("smoke", harness.smoke_spec), ("desk", harness.desk_spec)):
+        csv, caches = experiment_digests(spec_fn(0))
+        yield f"{name}-csv", csv
+        yield f"{name}-policy-cache", caches
     for world in WORLDS:
         spec = experiment.spec_for_bundled(world)
         for kind in KINDS:
