@@ -23,7 +23,7 @@ import sys
 from dataclasses import fields, replace
 
 from . import artifacts, settings
-from .abstraction import render_assignment
+from .abstraction import goal_tolerance, render_assignment
 from .errors import ParseError, SharpError
 from .experiment import (STAGE_LIMIT, TRAIN_PROFILES, AbstractionParams,
                          emit_plot_data, evaluate_composed, evaluate_rrt_replan,
@@ -31,7 +31,6 @@ from .experiment import (STAGE_LIMIT, TRAIN_PROFILES, AbstractionParams,
                          load_world, monolithic_baseline, read_rows,
                          rows_to_csv, run_experiment, select_regions,
                          spec_for_bundled, write_rows)
-from .motion import RrtParams
 from .planner import sharp_solve
 from .regions import collect_solution_density
 from .seeding import derive_rng
@@ -161,7 +160,8 @@ def cmd_solve(args) -> int:
     whash = world_hash(world)
     cache = artifacts.load_cache(cache_dir, whash) if cache_dir is not None else {}
     composed, stats = sharp_solve(world, x_i, x_g, library, cache, train,
-                                  derive_rng("solve", name, args.seed))
+                                  derive_rng("solve", name, args.seed),
+                                  goal_tolerance(world, None))
     success, mean_steps = evaluate_composed(world, composed, args.episodes,
                                             args.stage_limit, (name, args.seed))
     if cache_dir is not None:
@@ -181,8 +181,9 @@ def cmd_baseline(args) -> int:
     world, name, _ = load_world(args.world)
     x_i = _parse_xy(args.start, start_heading(world))
     x_g = _parse_xy(args.goal)
+    goal_tol = goal_tolerance(world, None)
     if args.method == "rrt_replan":
-        success, mean_steps = evaluate_rrt_replan(world, x_i, x_g, RrtParams(),
+        success, mean_steps = evaluate_rrt_replan(world, x_i, x_g, goal_tol,
                                                   args.budget, args.episodes,
                                                   (name, args.seed))
         print(json.dumps({"method": "rrt_replan", "success_rate": success,
@@ -190,7 +191,7 @@ def cmd_baseline(args) -> int:
         return 0
     train = replace(TRAIN_PROFILES[args.profile](), max_steps=args.budget)
     success, _, steps = monolithic_baseline(
-        world, x_i, x_g, train, None, args.episodes, STAGE_LIMIT,
+        world, x_i, x_g, train, goal_tol, args.episodes, STAGE_LIMIT,
         derive_rng("mono", name, args.seed), (name, args.seed))
     print(json.dumps({"method": "monolithic", "training_steps": steps,
                       "success_rate": success}, indent=2, sort_keys=True))
@@ -199,9 +200,13 @@ def cmd_baseline(args) -> int:
 
 def cmd_experiment(args) -> int:
     if args.config:
+        if args.world is not None or args.profile is not None:
+            raise SharpError("--world and --profile do not apply with --config: "
+                             "the config sets world and train.profile")
         spec = load_experiment_config(args.config)
     elif args.world is not None:
-        spec = spec_for_bundled(args.world, train=TRAIN_PROFILES[args.profile]())
+        spec = spec_for_bundled(args.world,
+                                train=TRAIN_PROFILES[args.profile or "desk"]())
     else:
         raise SharpError("experiment needs --config or --world")
     if args.kind:
@@ -292,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["centroid", "interface"], default=None)
     p.add_argument("--seeds", dest="seed_list", default=None,
                    help="comma-separated seed list")
-    p.add_argument("--profile", choices=list(TRAIN_PROFILES), default="desk")
+    p.add_argument("--profile", choices=list(TRAIN_PROFILES), default=None,
+                   help="training profile (without --config; default desk)")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("plotdata", help="aggregate result rows into figure CSVs")

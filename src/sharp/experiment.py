@@ -23,13 +23,12 @@ from . import artifacts, settings
 from .abstraction import build_region_voronoi, goal_tolerance
 from .errors import NoRegions, ParseError, SharpError, in_file
 from .learn import TrainConfig, train_monolithic_policy
-from .motion import RrtParams, execute_with_replan
+from .motion import execute_with_replan
 from .options import synth_options
 from .planner import (ComposedPolicy, OptionLibrary, Stage, execute_composed,
                       run_lanes, sharp_solve)
-from .regions import (DEFAULT_PERCENTILE, CriticalRegion, collect_solution_density,
-                      connected_components, extract_critical_regions, grid_bfs,
-                      percentile_threshold)
+from .regions import (CriticalRegion, collect_solution_density, connected_components,
+                      extract_critical_regions, grid_bfs, percentile_threshold)
 from .seeding import derive_rng
 from .world import (Configuration, OccupancyWorld, parse_sidecar, start_heading,
                     world_from_text, world_hash)
@@ -41,6 +40,7 @@ CSV_HEADER = ["env", "problem", "method", "seed", "success_rate", "mean_steps",
               "training_steps", "options_trained", "options_reused", "error"]
 
 STAGE_LIMIT = 400   # default step limit of one composed-policy stage
+FALLBACK_PERCENTILE = 80.0   # select_regions' retry when no region survives
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def select_regions(world: OccupancyWorld, density: np.ndarray,
         regions = extract_critical_regions(world, density, threshold=threshold,
                                            min_cells=params.min_cells)
     except NoRegions:
-        threshold = percentile_threshold(density, DEFAULT_PERCENTILE)
+        threshold = percentile_threshold(density, FALLBACK_PERCENTILE)
         regions = extract_critical_regions(world, density, threshold=threshold,
                                            min_cells=params.min_cells)
     if params.max_regions is not None:
@@ -345,28 +345,27 @@ def _success_and_steps(traces) -> tuple[float, float]:
     return wins / len(traces), float(np.mean([t.total_steps for t in traces]))
 
 
-def evaluate_rrt_replan(world, x_i, x_g, params: RrtParams, budget: int,
+def evaluate_rrt_replan(world, x_i, x_g, goal_tol: float, budget: int,
                         episodes: int, seed_key) -> tuple[float, float]:
-    """Success rate and mean steps of replanning RRT execution; episode ep
-    runs on derive_rng("rrt", *seed_key, ep)."""
+    """Success rate and mean steps of replanning RRT execution into the goal
+    ball of radius goal_tol; episode ep runs on derive_rng("rrt", *seed_key, ep)."""
     results = [execute_with_replan(world, x_i, x_g, derive_rng("rrt", *seed_key, ep),
-                                   params, budget)
+                                   goal_tol, budget)
                for ep in range(episodes)]
     return (sum(r.success for r in results) / episodes,
             float(np.mean([r.steps for r in results])))
 
 
-def monolithic_baseline(world, x_i, x_g, train: TrainConfig, goal_tol,
+def monolithic_baseline(world, x_i, x_g, train: TrainConfig, goal_tol: float,
                         episodes: int, stage_limit: int, train_rng,
                         seed_key) -> tuple[float, float, int]:
     """Train the flat policy, then run it greedily as a one-stage controller
-    for at most 4 * stage_limit steps an episode, until the goal tolerance
-    (default one cell) is met; episode ep runs on derive_rng("monoeval",
-    *seed_key, ep). Returns (success_rate, mean_steps, training_steps)."""
-    tol = goal_tolerance(world, goal_tol)
+    for at most 4 * stage_limit steps an episode, until it is within goal_tol
+    of x_g; episode ep runs on derive_rng("monoeval", *seed_key, ep).
+    Returns (success_rate, mean_steps, training_steps)."""
     policy, stats = train_monolithic_policy(world, x_i, x_g, train, train_rng,
-                                            goal_tol=tol)
-    flat = ComposedPolicy([Stage("flat", policy, frozenset())], x_i, x_g, tol)
+                                            goal_tol)
+    flat = ComposedPolicy([Stage("flat", policy, frozenset())], x_i, x_g, goal_tol)
     traces = run_lanes(world, flat, 4 * stage_limit,
                        [derive_rng("monoeval", *seed_key, ep) for ep in range(episodes)])
     return (*_success_and_steps(traces), stats.steps)
@@ -374,10 +373,19 @@ def monolithic_baseline(world, x_i, x_g, train: TrainConfig, goal_tol,
 
 def run_experiment(spec: ExperimentSpec, cache_dir: str | None = None) -> list:
     """Execute the full protocol; returns one ResultRow per (problem, method,
-    seed), with per-problem failures recorded as zero-success rows."""
+    seed), with per-problem failures recorded as zero-success rows. Every
+    method is judged in the same goal ball.
+
+    Each seed solves from an empty policy cache. With a cache_dir, the
+    world's policy-cache file is read before the first solve, and after each
+    seed it is rewritten as the union of what it held and the seed's
+    entries; on a shared key the seed's entry wins."""
     world = spec.world
+    whash = world_hash(world)
+    goal_tol = goal_tolerance(world, spec.goal_tol)
     _, library0 = load_or_build_library(world, spec.kind, spec.abstraction,
                                         cache_dir)
+    stored = artifacts.load_cache(cache_dir, whash) if cache_dir is not None else {}
     rows = []
     for seed in spec.seeds:
         library = copy.deepcopy(library0)   # learned costs stay seed-local
@@ -387,7 +395,7 @@ def run_experiment(spec: ExperimentSpec, cache_dir: str | None = None) -> list:
             try:
                 composed, stats = sharp_solve(
                     world, x_i, x_g, library, cache, spec.train,
-                    derive_rng("solve", spec.name, seed, pi), spec.goal_tol)
+                    derive_rng("solve", spec.name, seed, pi), goal_tol)
                 success, mean_steps = evaluate_composed(
                     world, composed, spec.eval_episodes, spec.stage_limit,
                     (spec.name, seed, pi))
@@ -406,27 +414,27 @@ def run_experiment(spec: ExperimentSpec, cache_dir: str | None = None) -> list:
                 budget = spec.stage_limit * 4
             if spec.run_rrt_replan:
                 success, mean_steps = evaluate_rrt_replan(
-                    world, x_i, x_g, RrtParams(), budget, spec.eval_episodes,
+                    world, x_i, x_g, goal_tol, budget, spec.eval_episodes,
                     (spec.name, seed, pi))
                 rows.append(ResultRow(spec.name, pi, "rrt_replan", seed, success,
                                       mean_steps, 0, 0, 0))
             if spec.run_monolithic and (spec.monolithic_all_seeds
                                         or seed == spec.seeds[0]):
-                rows.append(_monolithic_row(spec, x_i, x_g, pi, seed,
+                rows.append(_monolithic_row(spec, x_i, x_g, goal_tol, pi, seed,
                                             sharp_training_steps))
         if cache_dir is not None:
-            artifacts.save_cache(cache_dir, world_hash(world), cache)
+            artifacts.save_cache(cache_dir, whash, {**stored, **cache})
     return rows
 
 
-def _monolithic_row(spec: ExperimentSpec, x_i, x_g, pi: int, seed: int,
-                    budget_steps: int) -> ResultRow:
+def _monolithic_row(spec: ExperimentSpec, x_i, x_g, goal_tol: float, pi: int,
+                    seed: int, budget_steps: int) -> ResultRow:
     """Flat single-policy baseline under a training budget matched to what
     the hierarchical solve spent on this problem."""
     cfg = replace(spec.train, max_steps=max(budget_steps, spec.train.eval_every))
     try:
         success, mean_steps, steps = monolithic_baseline(
-            spec.world, x_i, x_g, cfg, spec.goal_tol, spec.eval_episodes,
+            spec.world, x_i, x_g, cfg, goal_tol, spec.eval_episodes,
             spec.stage_limit, derive_rng("monolithic", spec.name, seed, pi),
             (spec.name, seed, pi))
         return ResultRow(spec.name, pi, "monolithic", seed, success, mean_steps,

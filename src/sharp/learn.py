@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abstraction import Region, RegionVoronoi, goal_region, goal_tolerance
+from .abstraction import Region, RegionVoronoi, goal_region
 from .errors import DivergedTraining, InCollision
 from .mlp import (Adam, Mlp, init_mlp, mlp_backward, mlp_forward, mlp_forward_cached,
                   mlp_input_grad)
@@ -83,7 +83,6 @@ class TrainConfig:
 @dataclass
 class TrainStats:
     steps: int = 0
-    final_eval_return: float = float("nan")
     success_fraction: float = 0.0
     final_success_steps: list = field(default_factory=list)
     evals: list = field(default_factory=list)  # (step, mean_return, success_rate)
@@ -418,7 +417,6 @@ def _record_eval(env, policy: Policy, cfg: TrainConfig, stats: TrainStats,
     mean_ret = float(np.mean(returns))
     success = sum(successes) / cfg.eval_episodes
     stats.evals.append((step_count, mean_ret, success))
-    stats.final_eval_return = mean_ret
     stats.success_fraction = success
     stats.final_success_steps = [n for n, ok in zip(steps, successes) if ok]
     return mean_ret
@@ -525,11 +523,10 @@ def train_option_policy(world: OccupancyWorld, guide: OptionGuide,
 
 def train_monolithic_policy(world: OccupancyWorld, x_i: Configuration,
                             x_g: Configuration, cfg: TrainConfig,
-                            rng: np.random.Generator,
-                            goal_tol: float | None = None):
-    """Flat baseline: one policy from x_i to within goal_tol (default one
-    cell) of x_g, with terminal +1000 and STEP_REWARD per other step."""
+                            rng: np.random.Generator, goal_tol: float):
+    """Flat baseline: one policy from x_i to within goal_tol of x_g, with
+    terminal +1000 and STEP_REWARD per other step."""
     if collision(world, x_i) or collision(world, x_g):
         raise InCollision("endpoints must be collision-free")
-    env = goal_env(world, x_i, x_g, cfg.episode_limit, goal_tolerance(world, goal_tol))
+    env = goal_env(world, x_i, x_g, cfg.episode_limit, goal_tol)
     return _train(env, cfg, rng)

@@ -60,12 +60,6 @@ class Mlp:
                                 f"net needs {self.params.shape}")
         self.params[...] = vec
 
-    def parameters(self) -> list:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
-
 
 def _from_params(layer_sizes, params: np.ndarray) -> Mlp:
     """A net of layer_sizes holding a copy of params."""
@@ -142,7 +136,7 @@ def mlp_backward(net: Mlp, cache, upstream: np.ndarray, input_grad: bool = True)
     """Exact gradients of the forward map.
 
     upstream is dLoss/dOutput, shape (B, n_out). Returns (grads, d_input)
-    where grads matches net.parameters() order and is summed over the batch;
+    where grads is [W1, b1, W2, b2, W3, b3], each summed over the batch;
     d_input is None, and its product is skipped, when input_grad is False.
     """
     x, h1, h2 = cache
@@ -173,7 +167,7 @@ class Adam:
     t: int = 0
 
     def step(self, net: Mlp, grads: list) -> None:
-        """One update from grads in net.parameters() order."""
+        """One update from grads in the order W1, b1, W2, b2, W3, b3."""
         g = np.concatenate([gi.ravel() for gi in grads])
         if self.m is None:
             self.m = np.zeros_like(net.params)

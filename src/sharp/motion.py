@@ -8,7 +8,7 @@ cells; sampling, steering, and shortcutting then never leave those cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,20 +17,9 @@ from .world import (Configuration, Kinematics, OccupancyWorld, collision,
                     steer_toward, step)
 
 
-@dataclass(frozen=True)
-class RrtParams:
-    max_iters: int = 4000
-    step_len: float | None = None   # default: 2 * cell_size
-    goal_bias: float = 0.1
-    goal_tol: float | None = None   # default: 1 * cell_size
-
-    def resolved(self, world: OccupancyWorld) -> "RrtParams":
-        return RrtParams(
-            max_iters=self.max_iters,
-            step_len=self.step_len if self.step_len is not None else 2.0 * world.cell_size,
-            goal_bias=self.goal_bias,
-            goal_tol=self.goal_tol if self.goal_tol is not None else world.cell_size,
-        )
+RRT_STEP_CELLS = 2.0     # longest tree extension, in cells
+RRT_GOAL_BIAS = 0.1      # share of samples drawn at the goal
+RRT_MAX_ITERS = 4000     # tree extensions before a plan gives up
 
 
 @dataclass
@@ -39,13 +28,10 @@ class MotionPlan:
 
     waypoints: list[Configuration]
 
-    def length(self) -> float:
-        return sum(a.distance_to(b) for a, b in zip(self.waypoints, self.waypoints[1:]))
-
 
 def rrt_plan(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
-             rng: np.random.Generator, params: RrtParams | None = None,
-             mask: set | None = None,
+             rng: np.random.Generator, goal_tol: float,
+             max_iters: int = RRT_MAX_ITERS, mask: set | None = None,
              work_counter: list | None = None) -> MotionPlan:
     """Plan a collision-free path from x_i to within goal_tol of x_g.
 
@@ -54,10 +40,9 @@ def rrt_plan(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
     work_counter, when given, is a single-element list incremented once per
     extension attempt so callers can charge planning effort to a budget.
     """
-    p = (params or RrtParams()).resolved(world)
     if collision(world, x_i) or collision(world, x_g):
         raise Unreachable("endpoint in collision")
-    if x_i.distance_to(x_g) <= p.goal_tol:
+    if x_i.distance_to(x_g) <= goal_tol:
         return MotionPlan([x_i])
 
     # the draws of sample_free, or of sample_in_cells over the mask's free
@@ -72,18 +57,19 @@ def rrt_plan(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
             raise Unreachable("mask contains no free cell")
         cells, heading = sorted(allowed), False
     n_cells, cs = len(cells), world.cell_size
+    step_len = RRT_STEP_CELLS * cs
     gx, gy = x_g.x, x_g.y
 
-    nodes_x = np.empty(p.max_iters + 1)
-    nodes_y = np.empty(p.max_iters + 1)
+    nodes_x = np.empty(max_iters + 1)
+    nodes_y = np.empty(max_iters + 1)
     nodes_x[0], nodes_y[0] = x_i.x, x_i.y
     parents = [-1]
     n = 1
 
-    for _ in range(p.max_iters):
+    for _ in range(max_iters):
         if work_counter is not None:
             work_counter[0] += 1
-        if rng.random() < p.goal_bias:
+        if rng.random() < RRT_GOAL_BIAS:
             sx, sy = gx, gy
         else:
             ix, iy = cells[rng.integers(n_cells)]
@@ -101,14 +87,14 @@ def rrt_plan(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
         dist = math.hypot(sx - nx, sy - ny)
         if dist < 1e-12:
             continue
-        scale = min(1.0, p.step_len / dist)
+        scale = min(1.0, step_len / dist)
         tx, ty = nx + scale * (sx - nx), ny + scale * (sy - ny)
         if not world.segment_free((nx, ny), (tx, ty), allowed):
             continue
         nodes_x[n], nodes_y[n] = tx, ty
         parents.append(near)
         n += 1
-        if math.hypot(tx - gx, ty - gy) <= p.goal_tol:
+        if math.hypot(tx - gx, ty - gy) <= goal_tol:
             waypoints = []
             i = n - 1
             while i >= 0:
@@ -118,7 +104,7 @@ def rrt_plan(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
             # keep the exact start configuration object (heading included)
             waypoints[0] = x_i
             return MotionPlan(waypoints)
-    raise Unreachable(f"no path after {p.max_iters} iterations")
+    raise Unreachable(f"no path after {max_iters} iterations")
 
 
 def shortcut(world: OccupancyWorld, plan: MotionPlan,
@@ -183,28 +169,28 @@ def track_waypoint(world: OccupancyWorld, c: Configuration, target: tuple[float,
 
 
 def execute_with_replan(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
-                        rng: np.random.Generator, params: RrtParams | None = None,
-                        budget: int = 4000) -> ExecutionResult:
+                        rng: np.random.Generator, goal_tol: float,
+                        budget: int) -> ExecutionResult:
     """Plan with RRT and track waypoints under noise, replanning on a miss.
 
     Each simulator step and each planner tree extension consumes one unit of
-    budget. Terminates with success once within goal_tol of x_g, or failure
-    when the budget is exhausted or planning fails.
+    budget, and a plan makes at most the extensions the budget has left.
+    Terminates with success once within goal_tol of x_g, or failure when the
+    budget is exhausted or planning fails.
     """
-    p = (params or RrtParams()).resolved(world)
     c = x_i
     steps = 0
     work = 0
     replans = 0
     first = True
     while work < budget:
-        if c.distance_to(x_g) <= p.goal_tol:
+        if c.distance_to(x_g) <= goal_tol:
             return ExecutionResult(True, steps, replans, work)
         counter = [0]
         try:
-            cap = replace(p, max_iters=min(p.max_iters, budget - work))
-            plan = shortcut(world, rrt_plan(world, c, x_g, rng, cap,
-                                            work_counter=counter))
+            plan = shortcut(world, rrt_plan(
+                world, c, x_g, rng, goal_tol, min(RRT_MAX_ITERS, budget - work),
+                work_counter=counter))
         except Unreachable:
             work += counter[0]
             return ExecutionResult(False, steps, replans, work)
@@ -216,7 +202,7 @@ def execute_with_replan(world: OccupancyWorld, x_i: Configuration, x_g: Configur
         step_scale = (world.max_step if world.kinematics is Kinematics.HOLONOMIC
                       else world.v_max)
         for k, wp in enumerate(plan.waypoints[1:], start=1):
-            tol = p.goal_tol if k == len(plan.waypoints) - 1 else wp_tol
+            tol = goal_tol if k == len(plan.waypoints) - 1 else wp_tol
             est = int(math.ceil(wp.distance_to(c) / max(step_scale, 1e-9)))
             attempts = 2 * est + 10  # slack for heading alignment and noise
             c, used = track_waypoint(world, c, wp.xy, tol, rng, attempts,
@@ -225,5 +211,5 @@ def execute_with_replan(world: OccupancyWorld, x_i: Configuration, x_g: Configur
             work += used
             if work >= budget:
                 break
-    success = c.distance_to(x_g) <= p.goal_tol
+    success = c.distance_to(x_g) <= goal_tol
     return ExecutionResult(success, steps, replans, work)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .abstraction import Region, RegionVoronoi, centroid_region, interface_region
 from .errors import EmptyRegion, GuideUnreachable, InCollision, Unreachable
-from .motion import RrtParams, resample_polyline, rrt_plan, shortcut
+from .motion import resample_polyline, rrt_plan, shortcut
 from .seeding import spawn
 from .world import Configuration, OccupancyWorld, collision
 
@@ -41,7 +41,7 @@ class OptionKind:
 
 @dataclass
 class OptionSpec:
-    """An abstract action: endpoint regions plus a cost and a policy slot.
+    """An abstract action: endpoint regions plus a cost.
 
     states is (i, j) for centroid options and (i, j, k) for interface
     options; the initiation region lives in the leading state(s), the
@@ -55,7 +55,6 @@ class OptionSpec:
     termination: Region
     cost: float
     cost_updated: bool = False
-    policy: object | None = None
 
     @property
     def src_states(self) -> tuple:
@@ -140,8 +139,8 @@ class OptionGuide:
     """Guide path plus pseudo-reward parameters for one option.
 
     points runs from the initiation representative to the termination
-    representative, spaced strictly below the construction spacing, and every
-    point lies in one of allowed_states.
+    representative, spaced strictly below one cell, and every point lies in
+    one of allowed_states.
     """
 
     option_id: str
@@ -205,12 +204,12 @@ def _mask_of(rbvd: RegionVoronoi, allowed_states) -> set:
 
 def build_guide(world: OccupancyWorld, rbvd: RegionVoronoi, option_id: str,
                 start: Configuration, initiation: Region, termination: Region,
-                allowed_states, t_spacing: float,
-                rng: np.random.Generator) -> OptionGuide:
-    """Masked plan from ``start`` to the termination representative.
+                allowed_states, rng: np.random.Generator) -> OptionGuide:
+    """Masked plan from ``start`` to within half a cell of the termination
+    representative.
 
     The plan is shortcut, extended to end exactly at the representative, and
-    resampled below t_spacing; the result is validated (endpoint identity,
+    resampled below one cell; the result is validated (endpoint identity,
     spacing, state containment) and re-planned on a fresh substream if a
     noisy corner case slips through. Raises GuideUnreachable when the masked
     planner cannot connect in GUIDE_ATTEMPTS tries.
@@ -218,11 +217,11 @@ def build_guide(world: OccupancyWorld, rbvd: RegionVoronoi, option_id: str,
     allowed = frozenset(allowed_states)
     mask = _mask_of(rbvd, allowed)
     goal = termination.representative
-    plan_params = RrtParams(goal_tol=0.5 * world.cell_size)
     last_error: Exception | None = None
     for _ in range(GUIDE_ATTEMPTS):
         try:
-            plan = rrt_plan(world, start, goal, spawn(rng), plan_params, mask=mask)
+            plan = rrt_plan(world, start, goal, spawn(rng), 0.5 * world.cell_size,
+                            mask=mask)
         except Unreachable as e:
             last_error = e
             continue
@@ -230,11 +229,11 @@ def build_guide(world: OccupancyWorld, rbvd: RegionVoronoi, option_id: str,
         pts = list(plan.waypoints)
         if pts[-1].distance_to(goal) > 1e-12:
             pts.append(goal)
-        pts = resample_polyline(pts, t_spacing)
+        pts = resample_polyline(pts, world.cell_size)
         guide = OptionGuide(option_id=option_id, initiation=initiation,
                             termination=termination, points=pts,
                             allowed_states=allowed)
-        if _guide_valid(world, rbvd, guide, t_spacing):
+        if _guide_valid(world, rbvd, guide):
             return guide
         last_error = GuideUnreachable(f"guide validation failed for {option_id}")
     raise GuideUnreachable(
@@ -242,11 +241,10 @@ def build_guide(world: OccupancyWorld, rbvd: RegionVoronoi, option_id: str,
         f"{last_error}")
 
 
-def _guide_valid(world: OccupancyWorld, rbvd: RegionVoronoi, guide: OptionGuide,
-                 t_spacing: float) -> bool:
+def _guide_valid(world: OccupancyWorld, rbvd: RegionVoronoi, guide: OptionGuide) -> bool:
     pts = guide.points
     for a, b in zip(pts, pts[1:]):
-        if a.distance_to(b) >= t_spacing:
+        if a.distance_to(b) >= world.cell_size:
             return False
     for p in pts:
         if collision(world, p):
@@ -257,7 +255,7 @@ def _guide_valid(world: OccupancyWorld, rbvd: RegionVoronoi, guide: OptionGuide,
 
 
 def compute_guide_path(world: OccupancyWorld, rbvd: RegionVoronoi, option: OptionSpec,
-                       t_spacing: float, rng: np.random.Generator) -> OptionGuide:
+                       rng: np.random.Generator) -> OptionGuide:
     """Guide for an option: endpoint representatives joined inside its states."""
     start = option.initiation.representative
     if start.distance_to(option.termination.representative) < 1e-12:
@@ -265,5 +263,4 @@ def compute_guide_path(world: OccupancyWorld, rbvd: RegionVoronoi, option: Optio
                            termination=option.termination, points=[start],
                            allowed_states=frozenset(option.states))
     return build_guide(world, rbvd, option.id, start, option.initiation,
-                       option.termination, frozenset(option.states), t_spacing,
-                       rng)
+                       option.termination, frozenset(option.states), rng)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import logging
 import math
 import multiprocessing
 import os
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import settings
 from .abstraction import (Region, RegionVoronoi, centroid_region, goal_region,
-                          goal_tolerance, interface_region)
+                          interface_region)
 from .errors import (DivergedTraining, EmptyLibrary, GuideUnreachable,
                      NoAbstractPath, NoSuccessfulRollouts, OptionsDoNotChain,
                      SharpError)
@@ -32,6 +33,8 @@ from .options import (OptionGuide, OptionKind, OptionSpec, build_guide,
 from .seeding import derive_rng, spawn
 from .world import (Configuration, OccupancyWorld, padded_cells, steer_toward_lanes,
                     step_lanes, world_hash)
+
+log = logging.getLogger(__name__)
 
 ENTRY = "__entry__"
 EXIT = "__exit__"
@@ -458,14 +461,15 @@ class _PendingStage:
 def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
                 library: OptionLibrary, cache: dict[str, CacheEntry],
                 cfg: TrainConfig, rng: np.random.Generator,
-                goal_tol: float | None = None) -> tuple[ComposedPolicy, SolveStats]:
+                goal_tol: float) -> tuple[ComposedPolicy, SolveStats]:
     """Plan at the abstract level, train or reuse option policies, compose.
 
     The entry bridge takes the robot from x_i into the first initiation set;
     each option policy is fetched from the cache when its key matches,
     otherwise trained and its cost replaced by the mean successful rollout
     length; the exit bridge runs from the last termination set to the goal
-    ball of radius goal_tol (default one cell).
+    ball of radius goal_tol. One warning names every stage whose training
+    ended at 0.0 success.
 
     cache maps `<world hash>/<option id>/<guide fingerprint>/<TrainConfig
     digest>` to a CacheEntry; a hit pairs the cached actor with the guide
@@ -484,7 +488,6 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
     s_start = rbvd.state_of(x_i).id
     s_goal = rbvd.state_of(x_g).id
     stats = SolveStats()
-    goal_tol = goal_tolerance(world, goal_tol)
 
     if s_start == s_goal or (
             library.kind == OptionKind.INTERFACE and rbvd.adjacent(s_start, s_goal)):
@@ -507,8 +510,7 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
                           representative=x_i)
     bridge_rng = spawn(rng)
     entry_guide = build_guide(world, rbvd, "bridge-in", x_i, start_region,
-                              entry_target, entry_allowed, world.cell_size,
-                              bridge_rng)
+                              entry_target, entry_allowed, bridge_rng)
     pending = [_PendingStage("bridge_in", entry_guide, entry_target.cells,
                              train_rng=spawn(rng))]
     failure: SharpError | None = None   # the first stage that cannot be built
@@ -520,8 +522,7 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
                     f"options {plan[i-1].id} -> {option.id} do not chain")
             guide_rng = derive_rng("guide", whash, library.guide_seed, option.id)
             try:
-                guide = compute_guide_path(world, rbvd, option, world.cell_size,
-                                           guide_rng)
+                guide = compute_guide_path(world, rbvd, option, guide_rng)
             except GuideUnreachable as e:
                 raise GuideUnreachable(f"option {option.id}: {e}") from e
             key = (f"{whash}/{option.id}/{guide_fingerprint(guide)}/"
@@ -542,7 +543,7 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
         goal = goal_region(world, x_g, goal_tol)
         exit_guide = build_guide(world, rbvd, "bridge-out",
                                  exit_start_region.representative, exit_start_region,
-                                 goal, exit_allowed, world.cell_size, spawn(rng))
+                                 goal, exit_allowed, spawn(rng))
         pending.append(_PendingStage("bridge_out", exit_guide, goal.cells,
                                      train_rng=spawn(rng)))
     except SharpError as e:
@@ -574,10 +575,11 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
                     update_option_cost(p.option, tstats.final_success_steps)
                 cache[p.key] = CacheEntry(actor=actor, cost=p.option.cost,
                                           training_steps=tstats.steps)
-        if p.option is not None:
-            p.option.policy = policy
         stages.append(Stage(label=p.label, policy=policy,
                             advance_cells=p.advance_cells, option=p.option))
+    failed = [label for label, success in stats.stage_success if success == 0.0]
+    if failed:
+        log.warning("training ended at 0.0 success in stage(s) %s", ", ".join(failed))
     if failure is not None:
         raise failure
 

@@ -44,8 +44,9 @@ def collect_solution_density(world: OccupancyWorld, n_goals: int, inits_per_goal
                              rng: np.random.Generator) -> np.ndarray:
     """Estimate per-cell solution density from random planning problems.
 
-    Solves n_goals * inits_per_goal problems (random goal, random start);
-    density[iy, ix] = (#solution traces visiting the cell) / (#solved).
+    Solves n_goals * inits_per_goal problems (random goal, random start, a
+    plan ending within one cell of the goal); density[iy, ix] = (#solution
+    traces visiting the cell) / (#solved).
     Unsolved problems are skipped. Raises InsufficientData when fewer than
     10% of the problems solve.
     """
@@ -62,7 +63,8 @@ def collect_solution_density(world: OccupancyWorld, n_goals: int, inits_per_goal
         for _ in range(inits_per_goal):
             start = sample_free(world, rng)
             try:
-                plan = shortcut(world, rrt_plan(world, start, goal, rng))
+                plan = shortcut(world, rrt_plan(world, start, goal, rng,
+                                                world.cell_size))
             except Unreachable:
                 continue
             solved += 1
@@ -123,9 +125,6 @@ def _medoid(comp: set) -> tuple[int, int]:
         steps for steps, _ in grid_bfs([(cell, None)], comp.__contains__).values()))
 
 
-DEFAULT_PERCENTILE = 80.0
-
-
 def percentile_threshold(density: np.ndarray, percentile: float) -> float:
     """The given percentile of the nonzero density values."""
     values = density[density > 0]
@@ -135,22 +134,20 @@ def percentile_threshold(density: np.ndarray, percentile: float) -> float:
 
 
 def extract_critical_regions(world: OccupancyWorld, density: np.ndarray,
-                             threshold: float | None = None,
+                             threshold: float,
                              min_cells: int = 3) -> list[CriticalRegion]:
     """Threshold the density grid into scored critical regions.
 
-    threshold defaults to the DEFAULT_PERCENTILE (80th) percentile of nonzero
-    density. Components smaller than min_cells are dropped; each survivor gets
-    its mean density as score and a centroid that is guaranteed free and
-    inside the component (falls back to the component medoid when the
-    geometric centroid is not).
+    The free cells whose density exceeds threshold form the components; an
+    all-zero density has none, whatever the threshold. Components smaller
+    than min_cells are dropped; each survivor gets its mean density as score
+    and a centroid that is guaranteed free and inside the component (falls
+    back to the component medoid when the geometric centroid is not).
     Result is sorted by descending score, ties by cell count then position.
     """
     if density.shape != (world.height, world.width):
         raise ValueError("density grid shape does not match the world")
-    if threshold is None:
-        threshold = percentile_threshold(density, DEFAULT_PERCENTILE)
-    elif not np.any(density > 0):
+    if not np.any(density > 0):
         raise NoRegions("density grid is identically zero")
     over = {(int(ix), int(iy))
             for iy, ix in zip(*np.nonzero(density > threshold))

@@ -11,7 +11,8 @@ from sharp.errors import Unreachable
 from sharp.learn import (DISCOUNT, LOG_2PI, LOG_STD_MAX, LOG_STD_MIN, REWARD_SCALE,
                          TAU, action_from_displacement, build_observation,
                          displacement_scale)
-from sharp.motion import MotionPlan, RrtParams, rrt_plan, shortcut
+from sharp.motion import (RRT_GOAL_BIAS, RRT_MAX_ITERS, RRT_STEP_CELLS, MotionPlan,
+                          rrt_plan, shortcut)
 from sharp.options import OptionGuide
 from sharp.planner import ComposedPolicy, astar
 from sharp.regions import swept_cells
@@ -124,11 +125,23 @@ def solution_traces(world, n_goals, inits_per_goal, rng) -> list:
         for _ in range(inits_per_goal):
             start = sample_free(world, rng)
             try:
-                plan = shortcut(world, rrt_plan(world, start, goal, rng))
+                plan = shortcut(world, rrt_plan(world, start, goal, rng,
+                                                world.cell_size))
             except Unreachable:
                 continue
             traces.append((start, goal, swept_cells(world, plan)))
     return traces
+
+
+def layer_arrays(net) -> list:
+    """An Mlp's parameters as the views [W1, b1, W2, b2, W3, b3]: the order
+    of mlp_backward's gradients and of the flat params buffer."""
+    return [a for pair in zip(net.weights, net.biases) for a in pair]
+
+
+def plan_length(plan: MotionPlan) -> float:
+    pts = plan.waypoints
+    return sum(a.distance_to(b) for a, b in zip(pts, pts[1:]))
 
 
 def density_from_payload(payload: dict) -> np.ndarray:
@@ -242,11 +255,12 @@ def _ref_sample_point(world, rng, mask_cells):
     return ((ix + jx) * world.cell_size, (iy + jy) * world.cell_size)
 
 
-def ref_rrt_plan(world, x_i, x_g, rng, params=None, mask=None, work_counter=None):
-    p = (params or RrtParams()).resolved(world)
+def ref_rrt_plan(world, x_i, x_g, rng, goal_tol, max_iters=RRT_MAX_ITERS, mask=None,
+                 work_counter=None):
+    step_len = RRT_STEP_CELLS * world.cell_size
     if ref_collision_xy(world, x_i.x, x_i.y) or ref_collision_xy(world, x_g.x, x_g.y):
         raise Unreachable("endpoint in collision")
-    if x_i.distance_to(x_g) <= p.goal_tol:
+    if x_i.distance_to(x_g) <= goal_tol:
         return MotionPlan([x_i])
     mask_cells = None
     if mask is not None:
@@ -254,16 +268,16 @@ def ref_rrt_plan(world, x_i, x_g, rng, params=None, mask=None, work_counter=None
         if not allowed:
             raise Unreachable("mask contains no free cell")
         mask_cells = np.array(sorted(allowed))
-    nodes_x = np.empty(p.max_iters + 1)
-    nodes_y = np.empty(p.max_iters + 1)
-    parents = np.empty(p.max_iters + 1, dtype=np.int64)
+    nodes_x = np.empty(max_iters + 1)
+    nodes_y = np.empty(max_iters + 1)
+    parents = np.empty(max_iters + 1, dtype=np.int64)
     nodes_x[0], nodes_y[0] = x_i.x, x_i.y
     parents[0] = -1
     n = 1
-    for _ in range(p.max_iters):
+    for _ in range(max_iters):
         if work_counter is not None:
             work_counter[0] += 1
-        if rng.uniform() < p.goal_bias:
+        if rng.uniform() < RRT_GOAL_BIAS:
             sx, sy = x_g.x, x_g.y
         else:
             sx, sy = _ref_sample_point(world, rng, mask_cells)
@@ -273,14 +287,14 @@ def ref_rrt_plan(world, x_i, x_g, rng, params=None, mask=None, work_counter=None
         dist = math.hypot(sx - nx, sy - ny)
         if dist < 1e-12:
             continue
-        scale = min(1.0, p.step_len / dist)
+        scale = min(1.0, step_len / dist)
         tx, ty = nx + scale * (sx - nx), ny + scale * (sy - ny)
         if not ref_segment_ok(world, (nx, ny), (tx, ty), mask):
             continue
         nodes_x[n], nodes_y[n] = tx, ty
         parents[n] = near
         n += 1
-        if math.hypot(tx - x_g.x, ty - x_g.y) <= p.goal_tol:
+        if math.hypot(tx - x_g.x, ty - x_g.y) <= goal_tol:
             waypoints = []
             i = n - 1
             while i >= 0:
@@ -289,7 +303,7 @@ def ref_rrt_plan(world, x_i, x_g, rng, params=None, mask=None, work_counter=None
             waypoints.reverse()
             waypoints[0] = x_i
             return MotionPlan(waypoints)
-    raise Unreachable(f"no path after {p.max_iters} iterations")
+    raise Unreachable(f"no path after {max_iters} iterations")
 
 
 def ref_solution_density(world, n_goals, inits_per_goal, rng) -> np.ndarray:
@@ -302,7 +316,8 @@ def ref_solution_density(world, n_goals, inits_per_goal, rng) -> np.ndarray:
         for _ in range(inits_per_goal):
             start = ref_sample_free(world, rng)
             try:
-                plan = shortcut(world, ref_rrt_plan(world, start, goal, rng))
+                plan = shortcut(world, ref_rrt_plan(world, start, goal, rng,
+                                                    world.cell_size))
             except Unreachable:
                 continue
             solved += 1
@@ -369,7 +384,7 @@ class ReferenceSac:
         self.cfg = learner.cfg
         self.act_dim = learner.act_dim
         for name in self.NETS:
-            setattr(self, name, [p.copy() for p in getattr(learner, name).parameters()])
+            setattr(self, name, [p.copy() for p in layer_arrays(getattr(learner, name))])
         self.opt_actor = RefAdam(self.cfg.actor_lr)
         self.opt_q1 = RefAdam(self.cfg.critic_lr)
         self.opt_q2 = RefAdam(self.cfg.critic_lr)

@@ -152,8 +152,8 @@ class TestCachePersistence:
         entry = loaded.get(key)
         assert entry is not None
         assert entry.cost == 12.5 and entry.training_steps == 4000
-        for a, b in zip(entry.actor.parameters(), policy.actor.parameters()):
-            assert np.array_equal(a, b)
+        assert entry.actor.layer_sizes == policy.actor.layer_sizes
+        assert np.array_equal(entry.actor.params, policy.actor.params)
 
     def test_missing_dir_empty_cache(self, tmp_path):
         cache = artifacts.load_cache(str(tmp_path), "f" * 16)
@@ -182,9 +182,8 @@ class TestCachePersistence:
         for key, entry in cache.items():
             got = loaded[key]
             assert got.actor.layer_sizes == entry.actor.layer_sizes
-            for a, b in zip(got.actor.parameters(), entry.actor.parameters()):
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert a.tobytes() == b.tobytes()
+            assert got.actor.params.dtype == entry.actor.params.dtype
+            assert got.actor.params.tobytes() == entry.actor.params.tobytes()
             assert got.cost.hex() == entry.cost.hex()
             assert got.training_steps == entry.training_steps
 

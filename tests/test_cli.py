@@ -5,10 +5,11 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from sharp import artifacts, cli, experiment
+from sharp import artifacts, cli, experiment, planner
 from sharp.cli import _abstraction_params, build_parser, main
 from sharp.errors import SharpError
-from sharp.experiment import AbstractionParams, load_experiment_config, load_world
+from sharp.experiment import (AbstractionParams, desk_train_config,
+                              load_experiment_config, load_world, smoke_train_config)
 from sharp.world import parse_sidecar, world_from_text, world_hash
 
 from helpers import density_from_payload, sample_setting
@@ -138,6 +139,51 @@ class TestExperimentCommand:
         assert lines[0].startswith("env,problem,method")
         assert len(lines) == 3  # header + sharp + rrt_replan
 
+    def test_experiment_keeps_policies_of_other_runs(self, tiny_world_file, tmp_path,
+                                                     capsys):
+        cache = str(tmp_path / "cache")
+        assert main(["solve", "--world", tiny_world_file, "--start", "1.5,1.5",
+                     "--goal", "8.5,1.5", "--profile", "smoke", "--episodes", "1",
+                     "--cache-dir", cache]) == 0
+        whash = world_hash(load_world(tiny_world_file)[0])
+        solved = set(artifacts.load_cache(cache, whash))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"world = {tiny_world_file}\n"
+                       "problem.1 = 1.5,1.5 -> 8.5,1.5\n"
+                       "train.profile = smoke\n"
+                       "train.max_steps = 1000\n"
+                       "eval_episodes = 1\n"
+                       "baselines = none\n")
+        assert main(["experiment", "--config", str(cfg), "--cache-dir", cache,
+                     "--out", str(tmp_path / "rows.csv")]) == 0
+        # another TrainConfig trains the same options under other keys
+        kept = set(artifacts.load_cache(cache, whash))
+        assert solved and solved < kept
+
+    def test_malformed_policy_cache_fails_before_training(self, tmp_path, capsys,
+                                                          monkeypatch):
+        def train_stages(*args):
+            raise AssertionError("trained against an unreadable policy cache")
+
+        monkeypatch.setattr(planner, "train_stages", train_stages)
+        (tmp_path / "w.txt").write_text(GRID)
+        (tmp_path / "exp.cfg").write_text(CONFIG.format(tmp=tmp_path))
+        whash = world_hash(load_world(str(tmp_path / "w.txt"))[0])
+        (tmp_path / "cache" / whash).mkdir(parents=True)
+        (tmp_path / "cache" / whash / artifacts.POLICY_CACHE_FILE).write_text("{")
+        assert main(["experiment", "--config", str(tmp_path / "exp.cfg"),
+                     "--cache-dir", str(tmp_path / "cache")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and artifacts.POLICY_CACHE_FILE in err
+
+    def test_profile_defaults_to_desk_without_config(self, monkeypatch, capsys):
+        specs = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda spec, cache_dir: specs.append(spec) or [])
+        assert main(["experiment", "--world", "env_a"]) == 0
+        assert main(["experiment", "--world", "env_a", "--profile", "smoke"]) == 0
+        assert [s.train for s in specs] == [desk_train_config(), smoke_train_config()]
+
     def test_plotdata_from_rows(self, tiny_world_file, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"world = {tiny_world_file}\n"
@@ -239,11 +285,14 @@ CONFIG = ("world = {tmp}/w.txt\nproblem.1 = 1.5,1.5 -> 8.5,1.5\n"
     (EXPERIMENT, {"exp.cfg": "world = env_a\nproblem.1 = nan,1 -> 2,2\n"}),
     (["baseline", "--world", "env_a", "--method", "rrt_replan",
       "--start", "nan,1", "--goal", "2,2"], {}),
+    (EXPERIMENT + ["--world", "env_b"], {"w.txt": GRID, "exp.cfg": CONFIG}),
+    (EXPERIMENT + ["--profile", "desk"], {"w.txt": GRID, "exp.cfg": CONFIG}),
 ], ids=["missing-world", "missing-config", "start-4-values", "goal-1-value",
         "bad-seeds", "start-in-wall", "bad-flag-value", "negative-noise",
         "negative-step", "nan-step", "zero-speed", "negative-turn", "nan-cell",
         "inf-cell", "extra-row", "sidecar-key-twice", "config-key-twice",
-        "problem-twice", "nan-problem", "nan-start"])
+        "problem-twice", "nan-problem", "nan-start", "config-and-world",
+        "config-and-profile"])
 def test_user_input_fault_is_an_error_line(tmp_path, capsys, argv, files):
     """files maps paths under tmp_path to their text, written first."""
     for rel, text in files.items():

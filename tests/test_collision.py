@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sharp.errors import Unreachable
-from sharp.motion import MotionPlan, RrtParams, rrt_plan, shortcut
+from sharp.motion import MotionPlan, rrt_plan, shortcut
 from sharp.regions import collect_solution_density, swept_cells
 from sharp.world import (Configuration, Kinematics, OccupancyWorld, _truncate_to_free,
                          sweep)
@@ -132,7 +132,7 @@ def test_rrt_plan_masked_checks_match_oracle(rng, checked):
         try:
             rrt_plan(world, Configuration((a[0] + 0.5) * cs, (a[1] + 0.5) * cs),
                      Configuration((b[0] + 0.5) * cs, (b[1] + 0.5) * cs), rng,
-                     RrtParams(max_iters=150), mask=checked.mask)
+                     cs, max_iters=150, mask=checked.mask)
             planned += 1
         except Unreachable:
             pass
@@ -171,11 +171,12 @@ def test_swept_cells_matches_oracle(rng):
             assert swept_cells(world, MotionPlan(pts)) == ref_swept_cells(world, pts)
 
 
-def _plan_or_unreachable(plan_fn, world, a, b, seed, params, mask):
+def _plan_or_unreachable(plan_fn, world, a, b, seed, goal_tol, max_iters, mask):
     """(waypoint bits or "unreachable", work counted, generator state after)."""
     rng, counter = np.random.default_rng(seed), [0]
     try:
-        plan = plan_fn(world, a, b, rng, params, mask=mask, work_counter=counter)
+        plan = plan_fn(world, a, b, rng, goal_tol, max_iters, mask=mask,
+                       work_counter=counter)
         out = [(float(c.x).hex(), float(c.y).hex(), c.theta) for c in plan.waypoints]
     except Unreachable:
         out = "unreachable"
@@ -199,11 +200,12 @@ def test_rrt_plan_matches_reference_bit_for_bit(rng, kinematics):
         (ca, a), (cb, b) = ends
         masked = bool(rng.integers(2))
         mask = _mask(rng, world) | {ca, cb} if masked else None
-        params = RrtParams(max_iters=int(rng.integers(20, 300)),
-                           goal_bias=float(rng.choice([0.0, 0.1, 0.5])))
+        # the goal balls of guides (half a cell) and of density plans (one)
+        args = (float(rng.choice([0.5, 1.0])) * world.cell_size,
+                int(rng.integers(20, 300)), mask)
         seed = int(rng.integers(2**32))
-        got = _plan_or_unreachable(rrt_plan, world, a, b, seed, params, mask)
-        assert got == _plan_or_unreachable(ref_rrt_plan, world, a, b, seed, params, mask)
+        got = _plan_or_unreachable(rrt_plan, world, a, b, seed, *args)
+        assert got == _plan_or_unreachable(ref_rrt_plan, world, a, b, seed, *args)
         outcomes.add((masked, got[0] == "unreachable"))
     assert outcomes == {(m, u) for m in (False, True) for u in (False, True)}
 
@@ -246,5 +248,5 @@ def test_rrt_nearest_ties_go_to_the_lowest_index():
     a, b = Configuration(5.0, 5.0), Configuration(6.0, 7.0)
     script = [0.5, 5 * 10 + 7, 0.0, 0.0, 0.0]   # sample cell (7, 5); then the goal
     for plan_fn in (rrt_plan, ref_rrt_plan):
-        plan = plan_fn(world, a, b, ScriptedDraws(script))
+        plan = plan_fn(world, a, b, ScriptedDraws(script), world.cell_size)
         assert len(plan.waypoints) == 2 and plan.waypoints[0] is a

@@ -170,6 +170,17 @@ def test_two_rooms_csv_matches_recorded(kinematics, learner, rows):
     assert text == GOLDEN_HEADER + rows
 
 
+def test_baselines_are_judged_in_the_goal_ball():
+    # the start lies 2 m from the goal: outside one cell, inside goal_tol,
+    # so both baselines succeed without a step
+    spec = golden_spec(Kinematics.HOLONOMIC, "cem")
+    spec.problems = [(Configuration(1.5, 1.5), Configuration(3.5, 1.5))]
+    spec.goal_tol = 2.5
+    rows = {r.method: r for r in run_experiment(spec)}
+    for method in ("rrt_replan", "monolithic"):
+        assert (rows[method].success_rate, rows[method].mean_steps) == (1.0, 0.0)
+
+
 @pytest.mark.parametrize("kind, digest", [
     ("centroid", "81c7380c77548e1deb546f9215e70a22061aad08ee784c23fa29abc861838bf0"),
     ("interface", "f440eb4b6d6af1164f37bb3b7407dbff0bc8c23615adb2c9972c772a9ac23388"),

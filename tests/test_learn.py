@@ -17,7 +17,7 @@ from sharp.world import (Configuration, HolonomicAction, Kinematics, UnicycleAct
                          collision)
 
 from conftest import grid_from_rows, open_world
-from helpers import ReferenceSac, ScriptedPolicy, act, evaluate_policy
+from helpers import ReferenceSac, ScriptedPolicy, act, evaluate_policy, layer_arrays
 from test_abstraction import point_region
 
 
@@ -28,8 +28,7 @@ def two_state_setup(width=20, height=20, noise=0.0, **kwargs):
     rbvd = build_region_voronoi(w, regions)
     (option,) = [o for o in synth_centroid_options(rbvd, t=2.0)
                  if o.states == (0, 1)]
-    guide = compute_guide_path(w, rbvd, option, t_spacing=1.0,
-                               rng=np.random.default_rng(5))
+    guide = compute_guide_path(w, rbvd, option, rng=np.random.default_rng(5))
     return w, rbvd, option, guide
 
 
@@ -64,8 +63,7 @@ class TestObservation:
 class TestPolicyActions:
     def make_policy(self, w, guide, rng):
         actor = init_mlp(observation_dim(w), (8, 8), 4, rng)
-        for p in actor.parameters():
-            p *= 40.0  # drive tanh into saturation to probe the bounds
+        actor.params *= 40.0  # drive tanh into saturation to probe the bounds
         return Policy(actor=actor, guide=guide)
 
     def test_holonomic_actions_within_bounds(self, rng):
@@ -149,8 +147,7 @@ class TestReplayBuffer:
 
 def immobile_policy(w, guide, rng):
     actor = init_mlp(observation_dim(w), (4, 4), 4, rng)
-    for p in actor.parameters():
-        p[...] = 0.0
+    actor.params[...] = 0.0
     return Policy(actor=actor, guide=guide)
 
 
@@ -191,7 +188,7 @@ def test_sac_update_matches_reference_bitwise():
         learner.update(buffer, rng_new)
         reference.update(transitions, rng_ref)
     for name in ReferenceSac.NETS:
-        for got, want in zip(getattr(learner, name).parameters(),
+        for got, want in zip(layer_arrays(getattr(learner, name)),
                              getattr(reference, name)):
             assert np.array_equal(got, want), name
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
@@ -218,7 +215,7 @@ class TestTraining:
         for _ in range(2):
             policy, stats = train_option_policy(w, guide, rbvd, cfg,
                                                 np.random.default_rng(11))
-            out.append((stats.steps, stats.final_eval_return,
+            out.append((stats.steps, stats.evals[-1][1],
                         stats.success_fraction, tuple(stats.final_success_steps)))
         assert out[0] == out[1]
 
@@ -263,7 +260,7 @@ class TestTraining:
         cfg = smoke_cfg()
         policy, stats = train_monolithic_policy(w, Configuration(5.2, 5.2),
                                                 Configuration(5.4, 5.4), cfg,
-                                                np.random.default_rng(0))
+                                                np.random.default_rng(0), w.cell_size)
         assert stats.steps == 0 and stats.success_fraction == 1.0
 
     def test_monolithic_rejects_colliding_endpoints(self):
@@ -271,15 +268,14 @@ class TestTraining:
         with pytest.raises(InCollision):
             train_monolithic_policy(w, Configuration(0.5, 0.5),
                                     Configuration(1.5, 0.5), smoke_cfg(),
-                                    np.random.default_rng(0))
+                                    np.random.default_rng(0), w.cell_size)
 
 
 class TestEvaluatePolicy:
     def test_immobile_policy_never_succeeds(self, rng):
         w, rbvd, option, guide = two_state_setup()
         actor = init_mlp(observation_dim(w), (4, 4), 4, rng)
-        for p in actor.parameters():
-            p[...] = 0.0
+        actor.params[...] = 0.0
         policy = Policy(actor=actor, guide=guide)
         goal = guide.termination.representative
         out = evaluate_policy(w, policy, Configuration(2.0, 2.0),
@@ -291,7 +287,7 @@ class TestEvaluatePolicy:
         w = open_world(15, 15)
         plan = shortcut(w, rrt_plan(w, Configuration(1.5, 1.5),
                                     Configuration(13.5, 13.5),
-                                    rng=np.random.default_rng(2)))
+                                    np.random.default_rng(2), w.cell_size))
         policy = ScriptedPolicy(plan.waypoints, tol=0.5)
         goal = plan.waypoints[-1]
         out = evaluate_policy(w, policy, Configuration(1.5, 1.5),

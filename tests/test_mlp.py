@@ -9,6 +9,8 @@ from sharp.errors import ShapeMismatch
 from sharp.mlp import (Adam, Mlp, init_mlp, mlp_backward, mlp_forward, mlp_forward_cached,
                        mlp_input_grad)
 
+from helpers import layer_arrays
+
 
 def reference_forward(net, x):
     """Independent plain-loop re-implementation of the forward map."""
@@ -27,7 +29,7 @@ def reference_forward(net, x):
 def finite_difference_grads(net, x, upstream, h=1e-5):
     """Central differences of sum(upstream * output) w.r.t. every parameter."""
     grads = []
-    for p in net.parameters():
+    for p in layer_arrays(net):
         g = np.zeros_like(p)
         it = np.nditer(p, flags=["multi_index"])
         while not it.finished:
@@ -55,8 +57,7 @@ def max_relative_error(a_list, b_list):
 class TestForward:
     def test_zero_net_zero_output(self):
         net = init_mlp(3, (4, 4), 2, np.random.default_rng(0))
-        for p in net.parameters():
-            p[...] = 0.0
+        net.params[...] = 0.0
         assert np.allclose(mlp_forward(net, np.ones(3)), 0.0)
 
     def test_identity_chain_reproduces_tanh(self):
@@ -204,13 +205,13 @@ class TestFlatAndAdam:
         Adam(lr=1e-2).step(net, grads)
         assert all(not np.array_equal(w, b) for w, b in zip(net.weights, before))
         assert np.array_equal(net.flat(), np.concatenate([p.ravel()
-                                                          for p in net.parameters()]))
+                                                          for p in layer_arrays(net)]))
 
     def test_copy_shares_no_memory(self):
         net = init_mlp(3, (4, 4), 2, np.random.default_rng(12))
         twin = net.copy()
-        for a in [twin.params] + twin.parameters():
-            for b in [net.params] + net.parameters():
+        for a in [twin.params] + layer_arrays(twin):
+            for b in [net.params] + layer_arrays(net):
                 assert not np.shares_memory(a, b)
         assert np.array_equal(twin.flat(), net.flat())
 
@@ -228,7 +229,7 @@ class TestFlatAndAdam:
         assert twin.weights[0][0, 0] == net.weights[0][0, 0] + 1.0
         assert twin.params[-1] == 7.0
         assert np.array_equal(twin.flat(), np.concatenate([p.ravel()
-                                                           for p in twin.parameters()]))
+                                                           for p in layer_arrays(twin)]))
         assert net.params[-1] != 7.0
 
     @pytest.mark.parametrize("delta", [-1, 1])

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from sharp.errors import Unreachable
-from sharp.motion import (ExecutionResult, MotionPlan, RrtParams, execute_with_replan,
+from sharp.motion import (ExecutionResult, MotionPlan, execute_with_replan,
                           resample_polyline, rrt_plan, shortcut)
 from sharp.world import Configuration, collision
 
 from conftest import grid_from_rows, open_world, random_world
+from helpers import plan_length
 
 
 def plan_is_valid(world, plan, mask=None):
@@ -24,13 +25,13 @@ def plan_is_valid(world, plan, mask=None):
 class TestRrt:
     def test_identity_problem(self, empty10):
         plan = rrt_plan(empty10, Configuration(2.2, 2.2), Configuration(2.2, 2.2),
-                        rng=np.random.default_rng(0))
+                        np.random.default_rng(0), 1.0)
         assert len(plan.waypoints) == 1
 
     def test_open_world_corner_to_corner(self, empty10):
         rng = np.random.default_rng(1)
         plan = rrt_plan(empty10, Configuration(0.5, 0.5), Configuration(9.5, 9.5),
-                        rng=rng)
+                        rng, 1.0)
         assert plan.waypoints[0] == Configuration(0.5, 0.5)
         assert plan.waypoints[-1].distance_to((9.5, 9.5)) <= 1.0
         assert plan_is_valid(empty10, plan)
@@ -47,27 +48,27 @@ class TestRrt:
         ])
         with pytest.raises(Unreachable):
             rrt_plan(w, Configuration(0.5, 0.5), Configuration(3.5, 3.5),
-                     np.random.default_rng(2), RrtParams(max_iters=800))
+                     np.random.default_rng(2), 1.0, max_iters=800)
 
     def test_seed_determinism(self, empty10):
         a = rrt_plan(empty10, Configuration(0.5, 0.5), Configuration(9.5, 9.5),
-                     rng=np.random.default_rng(33))
+                     np.random.default_rng(33), 1.0)
         b = rrt_plan(empty10, Configuration(0.5, 0.5), Configuration(9.5, 9.5),
-                     rng=np.random.default_rng(33))
+                     np.random.default_rng(33), 1.0)
         assert a.waypoints == b.waypoints
 
     def test_mask_confines_waypoints(self, empty10):
         mask = {(ix, iy) for ix in range(10) for iy in range(0, 2)}  # bottom strip
         rng = np.random.default_rng(4)
         plan = rrt_plan(empty10, Configuration(0.5, 0.5), Configuration(9.5, 1.5),
-                        rng=rng, mask=mask)
+                        rng, 1.0, mask=mask)
         assert plan_is_valid(empty10, plan, mask=mask)
 
     def test_mask_disconnection_raises(self, empty10):
         mask = {(0, 0), (9, 9)}  # two isolated cells
         with pytest.raises(Unreachable):
             rrt_plan(empty10, Configuration(0.5, 0.5), Configuration(9.5, 9.5),
-                     np.random.default_rng(5), RrtParams(max_iters=300), mask=mask)
+                     np.random.default_rng(5), 1.0, max_iters=300, mask=mask)
 
 
 class TestShortcut:
@@ -90,11 +91,11 @@ class TestShortcut:
             a, b = free[rng.integers(len(free))], free[rng.integers(len(free))]
             try:
                 plan = rrt_plan(w, Configuration(*(a + 0.5)), Configuration(*(b + 0.5)),
-                                rng, RrtParams(max_iters=1500))
+                                rng, w.cell_size, max_iters=1500)
             except Unreachable:
                 continue
             short = shortcut(w, plan)
-            assert short.length() <= plan.length() + 1e-9
+            assert plan_length(short) <= plan_length(plan) + 1e-9
             assert len(short.waypoints) <= len(plan.waypoints)
             assert plan_is_valid(w, short)
 
@@ -114,15 +115,15 @@ class TestResample:
 class TestExecuteWithReplan:
     def test_zero_noise_succeeds_without_replan(self, empty10):
         res = execute_with_replan(empty10, Configuration(0.5, 0.5),
-                                  Configuration(9.5, 9.5), budget=4000,
-                                  rng=np.random.default_rng(6))
+                                  Configuration(9.5, 9.5), np.random.default_rng(6),
+                                  1.0, budget=4000)
         assert res.success and res.replans == 0
         assert res.steps > 0 and res.work >= res.steps
 
     def test_zero_budget_fails_without_stepping(self, empty10):
         res = execute_with_replan(empty10, Configuration(0.5, 0.5),
-                                  Configuration(9.5, 9.5), budget=0,
-                                  rng=np.random.default_rng(7))
+                                  Configuration(9.5, 9.5), np.random.default_rng(7),
+                                  1.0, budget=0)
         assert res.success is False and res.steps == 0
 
     def test_noisy_success_rate_beats_zero(self):
@@ -130,8 +131,8 @@ class TestExecuteWithReplan:
         wins = 0
         for seed in range(20):
             res = execute_with_replan(w, Configuration(0.5, 0.5),
-                                      Configuration(9.5, 9.5), budget=4000,
-                                      rng=np.random.default_rng(seed))
+                                      Configuration(9.5, 9.5),
+                                      np.random.default_rng(seed), 1.0, budget=4000)
             wins += res.success
         assert wins > 0
 
@@ -144,6 +145,5 @@ class TestExecuteWithReplan:
             ".....",
         ])
         res = execute_with_replan(w, Configuration(0.5, 0.5), Configuration(2.5, 2.5),
-                                  np.random.default_rng(8), RrtParams(max_iters=400),
-                                  budget=2000)
+                                  np.random.default_rng(8), 1.0, budget=400)
         assert res.success is False

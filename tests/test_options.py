@@ -90,8 +90,7 @@ class TestGuides:
         w, rbvd = line_world_rbvd(2, width=20, height=3)
         (option,) = [o for o in synth_centroid_options(rbvd, t=2.0)
                      if o.states == (0, 1)]
-        guide = compute_guide_path(w, rbvd, option, t_spacing=1.0,
-                                   rng=np.random.default_rng(0))
+        guide = compute_guide_path(w, rbvd, option, rng=np.random.default_rng(0))
         assert guide.points[0] == option.initiation.representative
         assert guide.points[-1] == option.termination.representative
         axis_y = option.initiation.representative.y
@@ -103,8 +102,7 @@ class TestGuides:
         (option,) = [o for o in synth_centroid_options(rbvd, t=2.0)
                      if o.states == (0, 1)]
         option.termination = option.initiation
-        guide = compute_guide_path(w, rbvd, option, t_spacing=1.0,
-                                   rng=np.random.default_rng(0))
+        guide = compute_guide_path(w, rbvd, option, rng=np.random.default_rng(0))
         assert len(guide.points) == 1
 
     def test_disconnected_mask_raises(self):
@@ -116,13 +114,12 @@ class TestGuides:
         last = centroid_region(rbvd, rbvd.states[2], t=2.0)
         with pytest.raises(GuideUnreachable):
             build_guide(w, rbvd, "gap", first.representative, first, last,
-                        allowed_states={0, 2}, t_spacing=1.0,
-                        rng=np.random.default_rng(1))
+                        allowed_states={0, 2}, rng=np.random.default_rng(1))
 
     def test_guide_invariants_across_library(self, rng):
         w, rbvd = triangle_rbvd()
         for option in synth_centroid_options(rbvd, t=2.5):
-            guide = compute_guide_path(w, rbvd, option, t_spacing=1.0, rng=rng)
+            guide = compute_guide_path(w, rbvd, option, rng=rng)
             assert guide.points[0] == option.initiation.representative
             assert guide.points[-1] == option.termination.representative
             for a, b in zip(guide.points, guide.points[1:]):
@@ -164,7 +161,6 @@ class TestPseudoReward:
         (self.option,) = [o for o in synth_centroid_options(self.rbvd, t=2.0)
                           if o.states == (0, 1)]
         self.guide = compute_guide_path(self.world, self.rbvd, self.option,
-                                        t_spacing=1.0,
                                         rng=np.random.default_rng(3))
 
     def test_termination_pays_terminal(self):

@@ -1,4 +1,5 @@
 import copy
+import logging
 import math
 import multiprocessing.pool
 
@@ -25,6 +26,8 @@ from helpers import ScriptedPolicy, dijkstra_cost, option_stages
 from test_abstraction import point_region
 from test_experiment import TWO_ROOMS
 from test_options import line_world_rbvd, triangle_rbvd
+
+GOAL_TOL = 1.0   # one cell of the worlds below
 
 
 def region_at(x, y):
@@ -220,7 +223,7 @@ class TestSharpSolve:
         cache = {}
         composed, stats = sharp_solve(w, Configuration(1.5, 1.5),
                                       Configuration(18.5, 18.5), library, cache,
-                                      cfg, np.random.default_rng(0))
+                                      cfg, np.random.default_rng(0), GOAL_TOL)
         opts = option_stages(composed)
         assert [o.option.id for o in opts] == stats.plan_option_ids
         for a, b in zip(opts, opts[1:]):
@@ -233,11 +236,11 @@ class TestSharpSolve:
         cache = {}
         _, first = sharp_solve(w, Configuration(1.5, 1.5),
                                Configuration(18.5, 18.5), library, cache, cfg,
-                               np.random.default_rng(1))
+                               np.random.default_rng(1), GOAL_TOL)
         assert first.options_trained >= 1 and first.options_reused == 0
         _, second = sharp_solve(w, Configuration(2.5, 1.5),
                                 Configuration(18.5, 17.5), library, cache, cfg,
-                                np.random.default_rng(2))
+                                np.random.default_rng(2), GOAL_TOL)
         assert second.plan_option_ids == first.plan_option_ids
         assert second.options_reused == len(second.plan_option_ids)
         assert second.options_trained == 0
@@ -254,7 +257,7 @@ class TestSharpSolve:
                 cem_hidden=hidden)
             return sharp_solve(TWO_ROOMS, Configuration(1.5, 1.5),
                                Configuration(8.5, 1.5), copy.deepcopy(library),
-                               cache, cfg, np.random.default_rng(0))
+                               cache, cfg, np.random.default_rng(0), GOAL_TOL)
 
         _, first = solve((8, 8))
         assert first.options_trained >= 1
@@ -286,7 +289,7 @@ class TestSharpSolve:
             trained.clear()
             composed, stats = sharp_solve(
                 TWO_ROOMS, Configuration(1.5, 1.5), Configuration(8.5, 1.5),
-                copy.deepcopy(library), cache, cfg, np.random.default_rng(0))
+                copy.deepcopy(library), cache, cfg, np.random.default_rng(0), GOAL_TOL)
             labels = [label for label, _ in stats.stage_success]
             assert labels == [s.label for s in composed.stages]
             assert len(labels) == 2 + len(stats.plan_option_ids) >= 3
@@ -312,7 +315,8 @@ class TestSharpSolve:
             monkeypatch.setattr(planner, "usable_cpus", lambda: cpus)
             library, cache = copy.deepcopy(library0), {}
             solves = [sharp_solve(w, Configuration(*xy_i), Configuration(*xy_g),
-                                  library, cache, cfg, np.random.default_rng(seed))
+                                  library, cache, cfg, np.random.default_rng(seed),
+                                  GOAL_TOL)
                       for seed, xy_i, xy_g in ((5, (1.5, 1.5), (18.5, 18.5)),
                                                (6, (2.5, 1.5), (18.5, 17.5)))]
             assert multiprocessing.active_children() == []
@@ -344,7 +348,7 @@ class TestSharpSolve:
             tstats.diverged = guide.option_id == "bridge-in"
             return policy, tstats
 
-        def unreachable(world, rbvd, option, t_spacing, rng):
+        def unreachable(world, rbvd, option, rng):
             raise GuideUnreachable("no guide")
 
         monkeypatch.setattr(planner, "train_option_policy", train)
@@ -353,13 +357,13 @@ class TestSharpSolve:
         w, library, cfg = solve_setup()
         with pytest.raises(DivergedTraining, match="bridge-in"):
             sharp_solve(w, Configuration(1.5, 1.5), Configuration(18.5, 18.5),
-                        library, {}, cfg, np.random.default_rng(0))
+                        library, {}, cfg, np.random.default_rng(0), GOAL_TOL)
         assert multiprocessing.active_children() == []
         # without the divergence, the option's guide is the first failure
         monkeypatch.setattr(planner, "train_option_policy", real_train)
         with pytest.raises(GuideUnreachable, match="no guide"):
             sharp_solve(w, Configuration(1.5, 1.5), Configuration(18.5, 18.5),
-                        library, {}, cfg, np.random.default_rng(0))
+                        library, {}, cfg, np.random.default_rng(0), GOAL_TOL)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "pooled"])
@@ -374,22 +378,51 @@ class TestSharpSolve:
         monkeypatch.setattr(planner, "build_guide", build)
         monkeypatch.setattr(planner, "usable_cpus", lambda: cpus)
         w, library, cfg = solve_setup()
+        x_i, x_g = Configuration(1.5, 1.5), Configuration(18.5, 18.5)
+        rbvd = library.rbvd
+        plan = plan_abstract(build_abstract_graph(rbvd, library.options),
+                             rbvd.state_of(x_i).id, rbvd.state_of(x_g).id, x_g)
         cache = {}
         with pytest.raises(GuideUnreachable, match="no exit guide"):
-            sharp_solve(w, Configuration(1.5, 1.5), Configuration(18.5, 18.5),
-                        library, cache, cfg, np.random.default_rng(0))
+            sharp_solve(w, x_i, x_g, library, cache, cfg, np.random.default_rng(0),
+                        GOAL_TOL)
         # the stages before the failing one were applied, as a sequential
-        # solve applies them
-        trained = [o for o in library.options if o.policy is not None]
-        assert trained
-        assert sorted(key.split("/")[1] for key in cache) == sorted(o.id for o in trained)
+        # solve applies them: every planned option is trained and cached
+        assert plan
+        assert sorted(key.split("/")[1] for key in cache) == sorted(o.id for o in plan)
         assert multiprocessing.active_children() == []
+
+    def test_stage_whose_training_failed_is_reported(self, monkeypatch, caplog):
+        real_train_stages = planner.train_stages
+        failing = set()   # guide ids whose training reports 0.0 success
+
+        def train_stages(world, rbvd, cfg, jobs):
+            results = real_train_stages(world, rbvd, cfg, jobs)
+            for (guide, _), (_, tstats) in zip(jobs, results):
+                tstats.success_fraction = 0.0 if guide.option_id in failing else 1.0
+            return results
+
+        monkeypatch.setattr(planner, "train_stages", train_stages)
+        w, library, cfg = solve_setup()
+        reported = []
+        for failing_ids in ({"bridge-in", "bridge-out"}, set()):
+            failing.clear()
+            failing.update(failing_ids)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="sharp.planner"):
+                sharp_solve(w, Configuration(1.5, 1.5), Configuration(18.5, 18.5),
+                            copy.deepcopy(library), {}, cfg,
+                            np.random.default_rng(0), GOAL_TOL)
+            reported.append([r.getMessage() for r in caplog.records
+                             if r.name == "sharp.planner"])
+        assert reported == [
+            ["training ended at 0.0 success in stage(s) bridge_in, bridge_out"], []]
 
     def test_same_state_bridges_only(self):
         w, library, cfg = solve_setup()
         composed, stats = sharp_solve(w, Configuration(2.0, 2.0),
                                       Configuration(4.0, 4.0), library,
-                                      {}, cfg, np.random.default_rng(3))
+                                      {}, cfg, np.random.default_rng(3), GOAL_TOL)
         assert stats.plan_option_ids == []
         assert [s.label for s in composed.stages] == ["bridge_in", "bridge_out"]
 
@@ -412,16 +445,16 @@ class TestSharpSolve:
                           cem_iters=1, cem_hidden=(4, 4))
         with pytest.raises(NoAbstractPath):
             sharp_solve(w, Configuration(0.5, 0.5), Configuration(8.5, 0.5),
-                        library, {}, cfg, np.random.default_rng(4))
+                        library, {}, cfg, np.random.default_rng(4), GOAL_TOL)
 
     def test_guide_fingerprint_stability(self):
         w, library, cfg = solve_setup()
         from sharp.options import compute_guide_path
         from sharp.seeding import derive_rng
         option = library.options[0]
-        g1 = compute_guide_path(w, library.rbvd, option, 1.0,
+        g1 = compute_guide_path(w, library.rbvd, option,
                                 derive_rng("guide", "k", 0, option.id))
-        g2 = compute_guide_path(w, library.rbvd, option, 1.0,
+        g2 = compute_guide_path(w, library.rbvd, option,
                                 derive_rng("guide", "k", 0, option.id))
         assert guide_fingerprint(g1) == guide_fingerprint(g2)
 

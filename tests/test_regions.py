@@ -3,7 +3,8 @@ import pytest
 
 from sharp.errors import InsufficientData, NoRegions
 from sharp.regions import (NEIGHBORS4, collect_solution_density,
-                           connected_components, extract_critical_regions, grid_bfs)
+                           connected_components, extract_critical_regions, grid_bfs,
+                           percentile_threshold)
 from sharp.world import Configuration
 
 from conftest import grid_from_rows, open_world, random_world
@@ -79,8 +80,9 @@ class TestExtract:
         return d
 
     def test_zero_density_no_regions(self, empty10):
+        # a negative threshold would otherwise take every free cell
         with pytest.raises(NoRegions):
-            extract_critical_regions(empty10, np.zeros((10, 10)))
+            extract_critical_regions(empty10, np.zeros((10, 10)), threshold=-1.0)
 
     def test_two_blobs_two_regions(self, empty10):
         blob_a = {(1, 1), (1, 2), (2, 1), (2, 2)}
@@ -160,7 +162,8 @@ class TestExtract:
             w = random_world(rng, 12, 12, wall_fraction=0.2)
             d = rng.random((12, 12)) * ~w.occupancy
             try:
-                regions = extract_critical_regions(w, d, min_cells=2)
+                regions = extract_critical_regions(
+                    w, d, percentile_threshold(d, 80.0), min_cells=2)
             except NoRegions:
                 continue
             seen = set()
@@ -176,8 +179,10 @@ class TestExtract:
         d1 = collect_solution_density(DUMBBELL, 6, 3, rng1)
         d2 = collect_solution_density(DUMBBELL, 6, 3, rng2)
         assert np.array_equal(d1, d2)
-        r1 = extract_critical_regions(DUMBBELL, d1, min_cells=1)
-        r2 = extract_critical_regions(DUMBBELL, d2, min_cells=1)
+        r1 = extract_critical_regions(DUMBBELL, d1, percentile_threshold(d1, 80.0),
+                                      min_cells=1)
+        r2 = extract_critical_regions(DUMBBELL, d2, percentile_threshold(d2, 80.0),
+                                      min_cells=1)
         assert r1 == r2
 
 
