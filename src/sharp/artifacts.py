@@ -13,7 +13,6 @@ from __future__ import annotations
 import base64
 import json
 import os
-import shutil
 from contextlib import contextmanager
 
 import numpy as np
@@ -194,20 +193,13 @@ def _actor_from_payload(p: dict, where: str) -> Mlp:
 
 
 def save_cache(root: str, world_hash: str, cache: dict[str, CacheEntry]) -> None:
-    """Write one world's policy cache as a single policy-cache artifact, and
-    delete the files an earlier layout left in the world's directory."""
-    base = cache_dir_for(root, world_hash)
+    """Write one world's policy cache as a single policy-cache artifact."""
+    path = os.path.join(cache_dir_for(root, world_hash), POLICY_CACHE_FILE)
     entries = {key: {"cost": e.cost, "training_steps": e.training_steps,
                      "actor": _actor_payload(e.actor)}
                for key, e in cache.items()}
-    save_artifact(os.path.join(base, POLICY_CACHE_FILE), "policy-cache",
-                  world_hash, {"entries": entries}, make_dirs=True)
-    # earlier versions kept an index plus one binary file per policy
-    index, policies = os.path.join(base, "cache_index.json"), os.path.join(base, "policies")
-    if os.path.isfile(index):
-        os.remove(index)
-    if os.path.isdir(policies):
-        shutil.rmtree(policies)
+    save_artifact(path, "policy-cache", world_hash, {"entries": entries},
+                  make_dirs=True)
 
 
 def load_cache(root: str, world_hash: str) -> dict[str, CacheEntry]:

@@ -25,11 +25,11 @@ from dataclasses import fields, replace
 from . import artifacts, settings
 from .abstraction import goal_tolerance, render_assignment
 from .errors import ParseError, SharpError
-from .experiment import (STAGE_LIMIT, TRAIN_PROFILES, AbstractionParams,
-                         emit_plot_data, evaluate_composed, evaluate_rrt_replan,
-                         load_experiment_config, load_or_build_library,
-                         load_world, monolithic_baseline, read_rows,
-                         rows_to_csv, run_experiment, select_regions,
+from .experiment import (DEFAULT_PROFILE, STAGE_LIMIT, TRAIN_PROFILES,
+                         AbstractionParams, emit_plot_data, evaluate_composed,
+                         evaluate_rrt_replan, load_experiment_config,
+                         load_or_build_library, load_world, monolithic_baseline,
+                         read_rows, rows_to_csv, run_experiment, select_regions,
                          spec_for_bundled, write_rows)
 from .planner import sharp_solve
 from .regions import collect_solution_density
@@ -205,8 +205,8 @@ def cmd_experiment(args) -> int:
                              "the config sets world and train.profile")
         spec = load_experiment_config(args.config)
     elif args.world is not None:
-        spec = spec_for_bundled(args.world,
-                                train=TRAIN_PROFILES[args.profile or "desk"]())
+        profile = args.profile or DEFAULT_PROFILE
+        spec = spec_for_bundled(args.world, train=TRAIN_PROFILES[profile]())
     else:
         raise SharpError("experiment needs --config or --world")
     if args.kind:
@@ -235,51 +235,54 @@ def build_parser() -> argparse.ArgumentParser:
                     "spatial abstractions and reusable option policies.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, world=True, abstraction=False, out=False):
+    def command(name: str, help: str, func):
+        # no abbreviations: `experiment --seed` must not read as `--seeds`
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
+
+    def common(p, world=True, seed=True, cache=True, abstraction=False, out=False):
         if world:
             p.add_argument("--world", required=True,
                            help="bundled world name or world file path")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         if out:
             p.add_argument("--out", default=None, help="output file")
-        p.add_argument("--cache-dir", default=None,
-                       help="artifact cache (default $SHARP_CACHE_DIR)")
+        if cache:
+            p.add_argument("--cache-dir", default=None,
+                           help="artifact cache (default $SHARP_CACHE_DIR)")
         if abstraction:
             for fieldname in ABSTRACTION_FLAGS:
                 p.add_argument(_flag(fieldname), default=None,
                                help=f"AbstractionParams.{fieldname}")
 
-    p = sub.add_parser("worlds", help="list or export the bundled worlds")
+    p = command("worlds", "list or export the bundled worlds", cmd_worlds)
     p.add_argument("--export", default=None, help="write .txt/.cfg files here")
-    p.set_defaults(func=cmd_worlds)
 
-    p = sub.add_parser("regions", help="collect density and extract regions")
-    common(p, abstraction=True, out=True)
-    p.set_defaults(func=cmd_regions)
+    p = command("regions", "collect density and extract regions", cmd_regions)
+    common(p, cache=False, abstraction=True, out=True)
 
-    p = sub.add_parser("abstract", help="build the abstract-state partition")
+    p = command("abstract", "build the abstract-state partition", cmd_abstract)
     common(p, abstraction=True, out=True)
     p.add_argument("--kind", choices=["centroid", "interface"], default="centroid")
     p.add_argument("--grid", action="store_true", help="print the partition grid")
-    p.set_defaults(func=cmd_abstract)
 
-    p = sub.add_parser("options", help="synthesize the option library")
+    p = command("options", "synthesize the option library", cmd_options)
     common(p, abstraction=True, out=True)
     p.add_argument("--kind", choices=["centroid", "interface"], default="centroid")
-    p.set_defaults(func=cmd_options)
 
-    p = sub.add_parser("solve", help="solve one problem end to end")
+    p = command("solve", "solve one problem end to end", cmd_solve)
     common(p, abstraction=True)
     p.add_argument("--kind", choices=["centroid", "interface"], default="centroid")
     p.add_argument("--start", required=True, help="x,y[,theta] meters")
     p.add_argument("--goal", required=True, help="x,y meters")
     p.add_argument("--episodes", type=_positive_int, default=20)
     p.add_argument("--stage-limit", type=_positive_int, default=STAGE_LIMIT)
-    p.add_argument("--profile", choices=list(TRAIN_PROFILES), default="desk")
-    p.set_defaults(func=cmd_solve)
+    p.add_argument("--profile", choices=list(TRAIN_PROFILES), default=DEFAULT_PROFILE)
 
-    p = sub.add_parser("baseline", help="run a baseline on one problem")
-    common(p)
+    p = command("baseline", "run a baseline on one problem", cmd_baseline)
+    common(p, cache=False)
     p.add_argument("--method", choices=["rrt_replan", "monolithic"],
                    required=True)
     p.add_argument("--start", required=True)
@@ -287,24 +290,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", type=_positive_int, default=20)
     p.add_argument("--budget", type=_positive_int, default=1600,
                    help="rrt_replan step budget, or monolithic training steps")
-    p.add_argument("--profile", choices=list(TRAIN_PROFILES), default="desk")
-    p.set_defaults(func=cmd_baseline)
+    p.add_argument("--profile", choices=list(TRAIN_PROFILES), default=DEFAULT_PROFILE)
 
-    p = sub.add_parser("experiment", help="run a full experiment spec")
-    common(p, world=False, out=True)
+    p = command("experiment", "run a full experiment spec", cmd_experiment)
+    common(p, world=False, seed=False, out=True)
     p.add_argument("--config", default=None, help="experiment config file")
     p.add_argument("--world", default=None, help="bundled world (without --config)")
     p.add_argument("--kind", choices=["centroid", "interface"], default=None)
     p.add_argument("--seeds", dest="seed_list", default=None,
                    help="comma-separated seed list")
     p.add_argument("--profile", choices=list(TRAIN_PROFILES), default=None,
-                   help="training profile (without --config; default desk)")
-    p.set_defaults(func=cmd_experiment)
+                   help="training profile (without --config; "
+                        f"default {DEFAULT_PROFILE})")
 
-    p = sub.add_parser("plotdata", help="aggregate result rows into figure CSVs")
+    p = command("plotdata", "aggregate result rows into figure CSVs", cmd_plotdata)
     p.add_argument("--rows", required=True, help="results CSV from `experiment`")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_plotdata)
     return parser
 
 

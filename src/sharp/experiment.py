@@ -81,6 +81,7 @@ def smoke_train_config() -> TrainConfig:
 # training profile name -> TrainConfig factory, for config files and the CLI
 TRAIN_PROFILES = {"desk": desk_train_config, "smoke": smoke_train_config,
                   "default": TrainConfig}
+DEFAULT_PROFILE = "desk"   # the profile of a spec, config or command that names none
 
 
 def _read_text(path: str) -> str:
@@ -224,7 +225,7 @@ class ExperimentSpec:
     problems: list                      # (Configuration, Configuration) pairs
     seeds: list[int] = field(default_factory=lambda: [0])
     abstraction: AbstractionParams = field(default_factory=AbstractionParams)
-    train: TrainConfig = field(default_factory=desk_train_config)
+    train: TrainConfig = field(default_factory=TRAIN_PROFILES[DEFAULT_PROFILE])
     stage_limit: int = STAGE_LIMIT
     eval_episodes: int = 20
     goal_tol: float | None = None
@@ -247,7 +248,7 @@ def spec_for_bundled(name: str, kind: str = "centroid",
                      seeds=(0,), train: TrainConfig | None = None) -> ExperimentSpec:
     """The experiment on a bundled world, with its recipe's problems."""
     return _world_spec(name, [], kind=kind, seeds=list(seeds),
-                       train=train or desk_train_config())
+                       train=train or TRAIN_PROFILES[DEFAULT_PROFILE]())
 
 
 def _world_spec(ref: str, pairs: list, **spec_fields) -> ExperimentSpec:
@@ -532,7 +533,7 @@ def _config_spec(path: str) -> ExperimentSpec:
     pairs = [_parse_pair(*entries.pop(key))
              for key in sorted(k for k in entries if isinstance(k, tuple))]
 
-    profile = entries.pop("train.profile", ("desk",))[0]
+    profile = entries.pop("train.profile", (DEFAULT_PROFILE,))[0]
     if profile not in TRAIN_PROFILES:
         raise ParseError(f"unknown train.profile {profile!r}")
 

@@ -71,13 +71,15 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("max_steps", "eval_every", "eval_episodes", "batch_size",
-                     "episode_limit"):
+                     "episode_limit", "cem_population"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.learner not in ("sac", "cem"):
             raise ValueError(f"unknown learner {self.learner!r}")
         if len(self.hidden) != 2 or len(self.cem_hidden) != 2:
             raise ValueError("hidden and cem_hidden must give two layer sizes")
+        if min(*self.hidden, *self.cem_hidden) <= 0:
+            raise ValueError("layer sizes must be positive")
 
 
 @dataclass
@@ -87,7 +89,6 @@ class TrainStats:
     final_success_steps: list = field(default_factory=list)
     evals: list = field(default_factory=list)  # (step, mean_return, success_rate)
     stopped_early: bool = False
-    diverged: bool = False
 
 
 # -- observations and actions ---------------------------------------------------
@@ -423,6 +424,8 @@ def _record_eval(env, policy: Policy, cfg: TrainConfig, stats: TrainStats,
 
 
 def _train_sac(env, cfg: TrainConfig, rng: np.random.Generator):
+    """Actor-critic training; a non-finite transition or loss raises
+    DivergedTraining."""
     obs_dim = observation_dim(env.world)
     learner = SacLearner(obs_dim, 2, cfg, spawn(rng))
     # one add per step, so a buffer of max_steps rows never wraps
@@ -442,28 +445,25 @@ def _train_sac(env, cfg: TrainConfig, rng: np.random.Generator):
     while done:  # skip starts that are already terminal
         obs, done, _ = env.reset(rng)
     steps = 0
-    try:
-        while steps < cfg.max_steps:
-            if steps < cfg.start_steps:
-                u = rng.uniform(-1.0, 1.0, size=2)
-            else:
-                u = policy.sample_displacement(obs, rng)
-            obs2, r, done, truncated, _ = env.step(u, rng)
-            buffer.add(obs, u, r, obs2, done)
-            steps += 1
-            obs = obs2
-            if done or truncated:
+    while steps < cfg.max_steps:
+        if steps < cfg.start_steps:
+            u = rng.uniform(-1.0, 1.0, size=2)
+        else:
+            u = policy.sample_displacement(obs, rng)
+        obs2, r, done, truncated, _ = env.step(u, rng)
+        buffer.add(obs, u, r, obs2, done)
+        steps += 1
+        obs = obs2
+        if done or truncated:
+            obs, done, _ = env.reset(rng)
+            while done:
                 obs, done, _ = env.reset(rng)
-                while done:
-                    obs, done, _ = env.reset(rng)
-            if steps >= cfg.start_steps and steps % UPDATE_EVERY == 0:
-                learner.update(buffer, rng)
-            if steps % cfg.eval_every == 0:
-                if gate(steps):
-                    stats.stopped_early = True
-                    break
-    except DivergedTraining:
-        stats.diverged = True
+        if steps >= cfg.start_steps and steps % UPDATE_EVERY == 0:
+            learner.update(buffer, rng)
+        if steps % cfg.eval_every == 0:
+            if gate(steps):
+                stats.stopped_early = True
+                break
     stats.steps = steps
     if not stats.evals or stats.evals[-1][0] != steps:
         gate(steps)

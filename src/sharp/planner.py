@@ -239,7 +239,7 @@ class Stage:
 
     label: str
     policy: object
-    advance_cells: frozenset    # controller advances on entering these cells
+    advance_cells: frozenset    # a stage but the last hands over on entering these
     option: OptionSpec | None = None
 
 
@@ -273,18 +273,19 @@ def run_lanes(world: OccupancyWorld, composed: ComposedPolicy,
     """Greedy executions of the stage automaton, one lane per generator,
     all stepped in lockstep; returns one trace per lane.
 
-    A lane's stage index only ever advances. Every stage except the last
-    hands over on cell membership of its advance cells; the last runs until
-    the goal tolerance is met. A stage that has used per_stage_limit steps
-    and is not done times out. Each tick, every stage with live lanes makes
-    one batched forward, then every live lane takes one world step with two
-    standard normals of its own generator, drawn NOISE_BLOCK steps at a
-    time (the same values as one draw of two per step). A lane's trace
-    therefore does not depend on which other lanes run.
+    A lane's stage index only ever advances. A lane within the goal
+    tolerance has reached the goal, in whatever stage it is; otherwise every
+    stage except the last hands over on cell membership of its advance
+    cells. A stage that has used per_stage_limit steps and is not done times
+    out. Each tick, every stage with live lanes makes one batched forward,
+    then every live lane takes one world step with two standard normals of
+    its own generator, drawn NOISE_BLOCK steps at a time (the same values as
+    one draw of two per step). A lane's trace therefore does not depend on
+    which other lanes run.
     """
     last = len(composed.stages) - 1
-    advance = []   # per stage, its advance cells as a padded grid mask
-    for stage in composed.stages:
+    advance = []   # per stage but the last, its advance cells as a padded grid mask
+    for stage in composed.stages[:last]:
         mask = np.zeros((world.height + 2, world.width + 2), dtype=bool)
         for ix, iy in filter(world.in_bounds, stage.advance_cells):
             mask[iy + 1, ix + 1] = True
@@ -301,36 +302,29 @@ def run_lanes(world: OccupancyWorld, composed: ComposedPolicy,
     stage_steps = [[] for _ in ids]
     traces: list = [None] * len(ids)
 
-    def done(rows: np.ndarray, s: int) -> np.ndarray:
-        if s == last:
-            d = map(math.hypot, (x[rows] - gx).tolist(), (y[rows] - gy).tolist())
-            return np.array(list(d)) <= composed.goal_tol
-        return advance[s][padded_cells(world, x[rows], y[rows])]
-
-    def finish(r: int, outcome: str, timeout_stage: int | None = None) -> None:
-        traces[ids[r]] = ExecutionTrace(stage_steps[ids[r]], outcome,
-                                        (float(x[r]), float(y[r])), timeout_stage)
-        ended[r] = True
+    def finish(rows: np.ndarray, outcome: str) -> None:
+        for r in rows:
+            stage_steps[ids[r]].append(int(used[r]))
+            timeout_stage = int(stage[r]) if outcome == "stage_timeout" else None
+            traces[ids[r]] = ExecutionTrace(stage_steps[ids[r]], outcome,
+                                            (float(x[r]), float(y[r])), timeout_stage)
+        ended[rows] = True
 
     tick = 0
     while len(ids):
-        # hand over (as often as needed), finish or time out before stepping
+        # finish, hand over (as often as needed) or time out before stepping
+        d = map(math.hypot, (x - gx).tolist(), (y - gy).tolist())
         ended = np.zeros(len(ids), dtype=bool)
-        for s in range(int(stage.min()), last + 1):
-            rows = np.flatnonzero(stage == s)
+        finish(np.flatnonzero(np.array(list(d)) <= composed.goal_tol), "reached_goal")
+        for s in range(int(stage.min()), last):
+            rows = np.flatnonzero((stage == s) & ~ended)
             if len(rows) == 0:
                 continue
-            for r in rows[done(rows, s)]:
+            for r in rows[advance[s][padded_cells(world, x[rows], y[rows])]]:
                 stage_steps[ids[r]].append(int(used[r]))
-                if s == last:
-                    finish(r, "reached_goal")
-                else:
-                    stage[r] += 1
-                    used[r] = 0
-            for r in rows[(stage[rows] == s) & ~ended[rows]
-                          & (used[rows] >= per_stage_limit)]:
-                stage_steps[ids[r]].append(int(used[r]))
-                finish(r, "stage_timeout", s)
+                stage[r] += 1
+                used[r] = 0
+        finish(np.flatnonzero(~ended & (used >= per_stage_limit)), "stage_timeout")
         if ended.any():
             keep = ~ended
             ids, x, y, theta = ids[keep], x[keep], y[keep], theta[keep]
@@ -384,13 +378,14 @@ def _middle_region(rbvd: RegionVoronoi, library: OptionLibrary, s_start: int,
 
 def _train_guide(world, rbvd, guide, cfg: TrainConfig, rng):
     """(actor, TrainStats) of one stage's training, or the SharpError it
-    raised, which the solve raises in stage order."""
+    raised, which the solve raises in stage order; a divergence names the
+    stage."""
     try:
         policy, stats = train_option_policy(world, guide, rbvd, cfg, rng)
+    except DivergedTraining as e:
+        return DivergedTraining(f"training {guide.option_id}: {e}")
     except SharpError as e:
         return e
-    if stats.diverged:
-        return DivergedTraining(f"training diverged for {guide.option_id}")
     return policy.actor, stats
 
 
@@ -561,8 +556,6 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
             stats.stage_success.append((p.label, None))
         else:
             result = next(trained)
-            if isinstance(result, DivergedTraining) and p.option is not None:
-                raise DivergedTraining(f"option {p.option.id}: {result}") from result
             if isinstance(result, SharpError):
                 raise result
             actor, tstats = result

@@ -360,8 +360,12 @@ def test_count_flag_must_be_positive(tiny_world_file, capsys, argv, flag, value)
     (["abstract", "--world", "{world}"], "--config"),
     (["options", "--world", "{world}"], "--config"),
     (SOLVE, "--config"), (BASELINE, "--config"),
+    (["experiment", "--world", "env_a"], "--seed"),
+    (["regions", "--world", "{world}"], "--cache-dir"),
+    (BASELINE, "--cache-dir"),
 ], ids=["solve-out", "baseline-out", "regions-config", "abstract-config",
-        "options-config", "solve-config", "baseline-config"])
+        "options-config", "solve-config", "baseline-config", "experiment-seed",
+        "regions-cache-dir", "baseline-cache-dir"])
 def test_unread_flag_is_a_usage_error(tiny_world_file, tmp_path, capsys, argv,
                                       flag):
     # a subcommand registers only the flags it reads

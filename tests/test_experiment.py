@@ -6,8 +6,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from sharp.errors import ParseError, SharpError
-from sharp import planner
+from sharp.errors import DivergedTraining, ParseError, SharpError
+from sharp import learn, planner
 from sharp.artifacts import library_payload
 from sharp.experiment import (AbstractionParams, CSV_HEADER, ExperimentSpec,
                               ResultRow, build_library, emit_plot_data,
@@ -172,13 +172,32 @@ def test_two_rooms_csv_matches_recorded(kinematics, learner, rows):
 
 def test_baselines_are_judged_in_the_goal_ball():
     # the start lies 2 m from the goal: outside one cell, inside goal_tol,
-    # so both baselines succeed without a step
+    # so every method succeeds without a step, sharp in its first stage
     spec = golden_spec(Kinematics.HOLONOMIC, "cem")
     spec.problems = [(Configuration(1.5, 1.5), Configuration(3.5, 1.5))]
     spec.goal_tol = 2.5
     rows = {r.method: r for r in run_experiment(spec)}
-    for method in ("rrt_replan", "monolithic"):
+    for method in ("sharp", "rrt_replan", "monolithic"):
         assert (rows[method].success_rate, rows[method].mean_steps) == (1.0, 0.0)
+
+
+def test_diverged_training_is_an_error_row_for_every_method(monkeypatch):
+    # every SAC training diverges at its fifth update, the flat one included
+    real_update = learn.SacLearner.update
+
+    def update(self, buffer, rng):
+        self.updates = getattr(self, "updates", 0) + 1
+        if self.updates == 5:
+            raise DivergedTraining("critic loss is not finite")
+        real_update(self, buffer, rng)
+
+    monkeypatch.setattr(learn.SacLearner, "update", update)
+    spec = golden_spec(Kinematics.HOLONOMIC, "sac")
+    spec.run_rrt_replan = False
+    rows = run_experiment(spec)
+    assert [(r.method, r.success_rate, r.training_steps, r.error) for r in rows] == [
+        ("sharp", 0.0, 0, "DivergedTraining"),
+        ("monolithic", 0.0, 0, "DivergedTraining")]
 
 
 @pytest.mark.parametrize("kind, digest", [
@@ -333,6 +352,7 @@ class TestSettingsSchema:
     @pytest.mark.parametrize("line", [
         "train.bogus = 1", "abstraction.n_goals = abc", "stage_limit = abc",
         "goal_tol = x", "train.learner = foo", "train.hidden = 64",
+        "train.hidden = -1,5", "train.cem_hidden = 8,0", "train.cem_population = 0",
         "train.max_steps = 0", "abstraction.max_regions = 2.5",
         "monolithic_all_seeds = yes", "kind = hexagonal", "seeds = 0,a",
         "eval_episodes = 0", "stage_limit = 0", "world = env_b",

@@ -179,26 +179,24 @@ def two_stage(world) -> ComposedPolicy:
 
 
 def scalar_execute(world, composed, per_stage_limit, rng) -> ExecutionTrace:
-    """The stage automaton one step at a time, through the scalar step."""
+    """The stage automaton one step at a time, through the scalar step: the
+    goal ball ends any stage, and every stage but the last hands over on
+    entering its advance cells."""
     c = composed.x_start
     stage_steps = []
+    last = len(composed.stages) - 1
     for idx, stage in enumerate(composed.stages):
-        last = idx == len(composed.stages) - 1
         used = 0
-
-        def done() -> bool:
-            if last:
-                return c.distance_to(composed.x_goal) <= composed.goal_tol
-            return world.cell_of(c.x, c.y) in stage.advance_cells
-
-        while not done():
+        while True:
+            if c.distance_to(composed.x_goal) <= composed.goal_tol:
+                return ExecutionTrace(stage_steps + [used], "reached_goal", c.xy)
+            if idx < last and world.cell_of(c.x, c.y) in stage.advance_cells:
+                break
             if used >= per_stage_limit:
-                stage_steps.append(used)
-                return ExecutionTrace(stage_steps, "stage_timeout", c.xy, idx)
+                return ExecutionTrace(stage_steps + [used], "stage_timeout", c.xy, idx)
             c = step(world, c, act(world, stage.policy, c), rng)
             used += 1
         stage_steps.append(used)
-    return ExecutionTrace(stage_steps, "reached_goal", c.xy)
 
 
 def lane_rngs(seeds):
@@ -237,3 +235,16 @@ def test_zero_step_stages_and_zero_limit():
     composed.stages[0].advance_cells = frozenset([w.cell_of(1.5, 1.5)])
     (trace,) = execute_composed(w, composed, 0, lane_rngs([0]))
     assert trace == ExecutionTrace([0, 0], "stage_timeout", (1.5, 1.5), 1)
+
+
+@pytest.mark.parametrize("kinematics", KINEMATICS)
+def test_goal_ball_ends_an_earlier_stage(kinematics):
+    # the goal lies on the first stage's way up the left wall, short of its
+    # hand-over cells: every lane ends there, in stage 0
+    w = walled_world(kinematics, noise_sigma=0.4)
+    composed = two_stage(w)
+    composed.x_goal = Configuration(1.5, 4.0)
+    traces = execute_composed(w, composed, 30, lane_rngs(range(10)))
+    assert traces == [scalar_execute(w, composed, 30, rng)
+                      for rng in lane_rngs(range(10))]
+    assert {(t.outcome, len(t.stage_steps)) for t in traces} == {("reached_goal", 1)}
