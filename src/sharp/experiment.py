@@ -1,10 +1,12 @@
 """Experiment orchestration: the multi-problem evaluation protocol.
 
 One experiment builds (or loads) the abstraction and option library once per
-world, then for each seed solves the problem list in order sharing a policy
-cache, evaluates every composed policy with seeded executions, and runs the
-enabled baselines under matched budgets. Everything is derived from explicit
-seeds, so identical specs produce byte-identical result files.
+world, then runs each seed in two phases. First it solves the problem list
+in order, sharing a policy cache, and trains the monolithic baseline of each
+problem under a matched budget. Then it evaluates the seed's composed and
+monolithic policies in one lockstep lane batch while the replanning RRT
+baseline runs beside it in a worker process. Everything is derived from
+explicit seeds, so identical specs produce byte-identical result files.
 """
 
 from __future__ import annotations
@@ -19,14 +21,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import artifacts, settings
+from . import artifacts, planner, settings
 from .abstraction import build_region_voronoi, goal_tolerance
 from .errors import NoRegions, ParseError, SharpError, in_file
 from .learn import TrainConfig, train_monolithic_policy
 from .motion import execute_with_replan
 from .options import synth_options
 from .planner import (ComposedPolicy, OptionLibrary, Stage, execute_composed,
-                      run_lanes, sharp_solve)
+                      sharp_solve)
 from .regions import (CriticalRegion, collect_solution_density, connected_components,
                       extract_critical_regions, grid_bfs, percentile_threshold)
 from .seeding import derive_rng
@@ -61,6 +63,21 @@ class AbstractionParams:
     max_regions: int | None = None
     region_threshold: float | None = None  # endpoint ball radius; default 2 cells
     seed: int = 0
+
+    def __post_init__(self):
+        if self.n_goals < 1 or self.inits_per_goal < 1:
+            raise ValueError("n_goals and inits_per_goal must be positive")
+        if not 0.0 <= self.percentile <= 100.0:
+            raise ValueError(f"percentile must lie in [0, 100], got {self.percentile}")
+        if self.min_cells < 1 or (self.max_regions is not None and self.max_regions < 1):
+            raise ValueError("min_cells and max_regions must be positive")
+        if self.threshold is not None and not 0.0 <= self.threshold < math.inf:
+            raise ValueError(f"threshold must be finite and non-negative, "
+                             f"got {self.threshold}")
+        if (self.region_threshold is not None
+                and not 0.0 < self.region_threshold < math.inf):
+            raise ValueError(f"region_threshold must be finite and positive, "
+                             f"got {self.region_threshold}")
 
 
 def desk_train_config() -> TrainConfig:
@@ -242,6 +259,8 @@ class ExperimentSpec:
             raise ValueError("eval_episodes must be positive")
         if self.stage_limit < 1:
             raise ValueError("stage_limit must be positive")
+        if self.goal_tol is not None and not 0.0 < self.goal_tol < math.inf:
+            raise ValueError(f"goal_tol must be finite and positive, got {self.goal_tol}")
 
 
 def spec_for_bundled(name: str, kind: str = "centroid",
@@ -332,12 +351,20 @@ def read_rows(path: str) -> list[ResultRow]:
 # -- the protocol ----------------------------------------------------------------------
 
 
+def _composed_run(composed: ComposedPolicy, episodes: int, stage_limit: int,
+                  seed_key) -> tuple:
+    """The lane run evaluating a composed policy: episode ep runs on
+    derive_rng("exec", *seed_key, ep)."""
+    return composed, stage_limit, [derive_rng("exec", *seed_key, ep)
+                                   for ep in range(episodes)]
+
+
 def evaluate_composed(world, composed: ComposedPolicy, episodes: int,
                       stage_limit: int, seed_key) -> tuple[float, float]:
     """Success rate and mean steps of the composed policy; episode ep runs on
     derive_rng("exec", *seed_key, ep)."""
-    traces = execute_composed(world, composed, stage_limit,
-                              [derive_rng("exec", *seed_key, ep) for ep in range(episodes)])
+    (traces,) = execute_composed(world, [_composed_run(composed, episodes,
+                                                       stage_limit, seed_key)])
     return _success_and_steps(traces)
 
 
@@ -357,25 +384,46 @@ def evaluate_rrt_replan(world, x_i, x_g, goal_tol: float, budget: int,
             float(np.mean([r.steps for r in results])))
 
 
-def monolithic_baseline(world, x_i, x_g, train: TrainConfig, goal_tol: float,
-                        episodes: int, stage_limit: int, train_rng,
-                        seed_key) -> tuple[float, float, int]:
-    """Train the flat policy, then run it greedily as a one-stage controller
-    for at most 4 * stage_limit steps an episode, until it is within goal_tol
-    of x_g; episode ep runs on derive_rng("monoeval", *seed_key, ep).
-    Returns (success_rate, mean_steps, training_steps)."""
+def _monolithic_run(world, x_i, x_g, train: TrainConfig, goal_tol: float,
+                    episodes: int, stage_limit: int, train_rng,
+                    seed_key) -> tuple[tuple, int]:
+    """Train the flat policy; returns the lane run evaluating it and its
+    training steps. The run executes it greedily as a one-stage controller
+    for at most 4 * stage_limit steps an episode, until it is within
+    goal_tol of x_g; episode ep runs on derive_rng("monoeval", *seed_key, ep)."""
     policy, stats = train_monolithic_policy(world, x_i, x_g, train, train_rng,
                                             goal_tol)
     flat = ComposedPolicy([Stage("flat", policy, frozenset())], x_i, x_g, goal_tol)
-    traces = run_lanes(world, flat, 4 * stage_limit,
-                       [derive_rng("monoeval", *seed_key, ep) for ep in range(episodes)])
-    return (*_success_and_steps(traces), stats.steps)
+    rngs = [derive_rng("monoeval", *seed_key, ep) for ep in range(episodes)]
+    return (flat, 4 * stage_limit, rngs), stats.steps
+
+
+def monolithic_baseline(world, x_i, x_g, train: TrainConfig, goal_tol: float,
+                        episodes: int, stage_limit: int, train_rng,
+                        seed_key) -> tuple[float, float, int]:
+    """(success_rate, mean_steps, training_steps) of the flat policy that
+    _monolithic_run trains and evaluates."""
+    run, steps = _monolithic_run(world, x_i, x_g, train, goal_tol, episodes,
+                                 stage_limit, train_rng, seed_key)
+    (traces,) = execute_composed(world, [run])
+    return (*_success_and_steps(traces), steps)
 
 
 def run_experiment(spec: ExperimentSpec, cache_dir: str | None = None) -> list:
     """Execute the full protocol; returns one ResultRow per (problem, method,
     seed), with per-problem failures recorded as zero-success rows. Every
     method is judged in the same goal ball.
+
+    Each seed runs in two phases. The first goes through the problems in
+    order: sharp_solve, then the rrt_replan budget (stage_limit per stage
+    of the solve, or per four stages when it failed), then the monolithic
+    training under a budget matched to the solve's training steps. The
+    second evaluates them all: one lockstep batch of execute_composed steps
+    every sharp and monolithic evaluation of the seed while the seed's
+    evaluate_rrt_replan jobs run on one forked worker (inline when
+    usable_cpus() is one). Evaluation draws from its own streams and feeds
+    nothing that a later solve reads, so the rows, kept in problem order,
+    are those of evaluating each problem in turn.
 
     Each seed solves from an empty policy cache. With a cache_dir, the
     world's policy-cache file is read before the first solve, and after each
@@ -391,58 +439,71 @@ def run_experiment(spec: ExperimentSpec, cache_dir: str | None = None) -> list:
     for seed in spec.seeds:
         library = copy.deepcopy(library0)   # learned costs stay seed-local
         cache = {}
+        # the rows whose rates the evaluation fills in, with its runs and jobs
+        lane_rows, runs, rrt_rows, rrt_jobs = [], [], [], []
         for pi, (x_i, x_g) in enumerate(spec.problems, start=1):
-            budget = None
+            seed_key = (spec.name, seed, pi)
             try:
                 composed, stats = sharp_solve(
                     world, x_i, x_g, library, cache, spec.train,
-                    derive_rng("solve", spec.name, seed, pi), goal_tol)
-                success, mean_steps = evaluate_composed(
-                    world, composed, spec.eval_episodes, spec.stage_limit,
-                    (spec.name, seed, pi))
-                budget = spec.stage_limit * len(composed.stages)
-                rows.append(ResultRow(spec.name, pi, "sharp", seed, success,
-                                      mean_steps, stats.training_steps,
-                                      stats.options_trained, stats.options_reused))
-                sharp_training_steps = stats.training_steps
+                    derive_rng("solve", *seed_key), goal_tol)
             except SharpError as e:
                 log.warning("sharp failed on %s P%d seed %d: %s", spec.name, pi,
                             seed, e)
                 rows.append(ResultRow(spec.name, pi, "sharp", seed, 0.0, 0.0, 0,
                                       0, 0, error=type(e).__name__))
-                sharp_training_steps = spec.train.max_steps
-            if budget is None:
-                budget = spec.stage_limit * 4
+                budget, sharp_training_steps = spec.stage_limit * 4, spec.train.max_steps
+            else:
+                rows.append(ResultRow(spec.name, pi, "sharp", seed, 0.0, 0.0,
+                                      stats.training_steps, stats.options_trained,
+                                      stats.options_reused))
+                lane_rows.append(rows[-1])
+                runs.append(_composed_run(composed, spec.eval_episodes,
+                                          spec.stage_limit, seed_key))
+                budget = spec.stage_limit * len(composed.stages)
+                sharp_training_steps = stats.training_steps
             if spec.run_rrt_replan:
-                success, mean_steps = evaluate_rrt_replan(
-                    world, x_i, x_g, goal_tol, budget, spec.eval_episodes,
-                    (spec.name, seed, pi))
-                rows.append(ResultRow(spec.name, pi, "rrt_replan", seed, success,
-                                      mean_steps, 0, 0, 0))
+                rows.append(ResultRow(spec.name, pi, "rrt_replan", seed, 0.0, 0.0,
+                                      0, 0, 0))
+                rrt_rows.append(rows[-1])
+                rrt_jobs.append((world, x_i, x_g, goal_tol, budget,
+                                 spec.eval_episodes, seed_key))
             if spec.run_monolithic and (spec.monolithic_all_seeds
                                         or seed == spec.seeds[0]):
-                rows.append(_monolithic_row(spec, x_i, x_g, goal_tol, pi, seed,
-                                            sharp_training_steps))
+                row, run = _monolithic_row(spec, x_i, x_g, goal_tol, pi, seed,
+                                           sharp_training_steps)
+                rows.append(row)
+                if run is not None:
+                    lane_rows.append(row)
+                    runs.append(run)
+        workers = 1 if rrt_jobs and planner.usable_cpus() > 1 else 0
+        with planner.fork_starmap(evaluate_rrt_replan, rrt_jobs, workers) as rrt:
+            traces = execute_composed(world, runs)
+            rrt_results = rrt()
+        for row, result in zip(lane_rows + rrt_rows,
+                               [*map(_success_and_steps, traces), *rrt_results]):
+            row.success_rate, row.mean_steps = result
         if cache_dir is not None:
             artifacts.save_cache(cache_dir, whash, {**stored, **cache})
     return rows
 
 
 def _monolithic_row(spec: ExperimentSpec, x_i, x_g, goal_tol: float, pi: int,
-                    seed: int, budget_steps: int) -> ResultRow:
+                    seed: int, budget_steps: int) -> tuple[ResultRow, tuple | None]:
     """Flat single-policy baseline under a training budget matched to what
-    the hierarchical solve spent on this problem."""
+    the hierarchical solve spent on this problem: its row, whose rates the
+    evaluation of the returned lane run fills in, or its error row and no
+    run."""
     cfg = replace(spec.train, max_steps=max(budget_steps, spec.train.eval_every))
     try:
-        success, mean_steps, steps = monolithic_baseline(
+        run, steps = _monolithic_run(
             spec.world, x_i, x_g, cfg, goal_tol, spec.eval_episodes,
             spec.stage_limit, derive_rng("monolithic", spec.name, seed, pi),
             (spec.name, seed, pi))
-        return ResultRow(spec.name, pi, "monolithic", seed, success, mean_steps,
-                         steps, 0, 0)
     except SharpError as e:
         return ResultRow(spec.name, pi, "monolithic", seed, 0.0, 0.0, 0, 0, 0,
-                         error=type(e).__name__)
+                         error=type(e).__name__), None
+    return ResultRow(spec.name, pi, "monolithic", seed, 0.0, 0.0, steps, 0, 0), run
 
 
 # -- figure data -----------------------------------------------------------------------

@@ -10,6 +10,7 @@ the robot enters the next option's initiation region.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import heapq
 import logging
@@ -268,44 +269,61 @@ class ExecutionTrace:
 NOISE_BLOCK = 32   # steps of noise a lane draws at a time
 
 
-def run_lanes(world: OccupancyWorld, composed: ComposedPolicy,
-              per_stage_limit: int, rngs: list) -> list[ExecutionTrace]:
-    """Greedy executions of the stage automaton, one lane per generator,
-    all stepped in lockstep; returns one trace per lane.
+def run_lanes(world: OccupancyWorld, runs: list) -> list[list[ExecutionTrace]]:
+    """Greedy executions of stage automata, all stepped in lockstep. runs
+    holds (composed, per_stage_limit, rngs) tuples; each generator of a run
+    is one lane of its composed policy, and the result holds, per run, one
+    trace per generator.
 
-    A lane's stage index only ever advances. A lane within the goal
-    tolerance has reached the goal, in whatever stage it is; otherwise every
-    stage except the last hands over on cell membership of its advance
-    cells. A stage that has used per_stage_limit steps and is not done times
-    out. Each tick, every stage with live lanes makes one batched forward,
-    then every live lane takes one world step with two standard normals of
-    its own generator, drawn NOISE_BLOCK steps at a time (the same values as
-    one draw of two per step). A lane's trace therefore does not depend on
-    which other lanes run.
+    Every lane carries its run's start, goal, goal tolerance, stage table
+    and stage limit, and its stage index only ever advances. A lane within
+    its goal tolerance has reached the goal, in whatever stage it is;
+    otherwise every stage except its run's last hands over on cell
+    membership of its advance cells. A stage that has used its run's
+    per_stage_limit steps and is not done times out. Each tick, every
+    (run, stage) group with live lanes makes one batched forward, then every
+    live lane takes one world step with two standard normals of its own
+    generator, drawn NOISE_BLOCK steps at a time (the same values as one
+    draw of two per step). A lane's trace therefore does not depend on
+    which other lanes, of its run or of another, run beside it.
     """
-    last = len(composed.stages) - 1
-    advance = []   # per stage but the last, its advance cells as a padded grid mask
-    for stage in composed.stages[:last]:
-        mask = np.zeros((world.height + 2, world.width + 2), dtype=bool)
-        for ix, iy in filter(world.in_bounds, stage.advance_cells):
-            mask[iy + 1, ix + 1] = True
-        advance.append(mask)
-    gx, gy = composed.x_goal.x, composed.x_goal.y
-    # rows of live lanes; ids[r] is the lane that row r holds
+    # one row per (run, stage): its policy, and its advance cells as a padded
+    # grid mask, left empty for a run's last stage; a lane's stage is its row
+    policies = [stage.policy for composed, _, _ in runs for stage in composed.stages]
+    first_rows = np.cumsum([0] + [len(composed.stages) for composed, _, _ in runs])
+    advance = np.zeros((len(policies), world.height + 2, world.width + 2), dtype=bool)
+    for (composed, _, _), row in zip(runs, first_rows):
+        for i, stage in enumerate(composed.stages[:-1]):
+            for ix, iy in filter(world.in_bounds, stage.advance_cells):
+                advance[row + i, iy + 1, ix + 1] = True
+    rngs = [rng for _, _, run_rngs in runs for rng in run_rngs]
+    bounds = np.cumsum([0] + [len(run_rngs) for _, _, run_rngs in runs])
+    run_of = np.repeat(np.arange(len(runs)), np.diff(bounds))
+
+    def per_lane(values, dtype=float) -> np.ndarray:
+        return np.array(values, dtype=dtype)[run_of]
+
+    # the live lanes; ids[r] is the lane that row r of each array holds
     ids = np.arange(len(rngs))
-    x = np.full(len(ids), composed.x_start.x)
-    y = np.full(len(ids), composed.x_start.y)
-    theta = np.full(len(ids), composed.x_start.theta or 0.0)
-    stage = np.zeros(len(ids), dtype=np.int64)
+    first = first_rows[run_of]
+    x = per_lane([c.x_start.x for c, _, _ in runs])
+    y = per_lane([c.x_start.y for c, _, _ in runs])
+    theta = per_lane([c.x_start.theta or 0.0 for c, _, _ in runs])
+    gx = per_lane([c.x_goal.x for c, _, _ in runs])
+    gy = per_lane([c.x_goal.y for c, _, _ in runs])
+    tol = per_lane([c.goal_tol for c, _, _ in runs])
+    limit = per_lane([limit for _, limit, _ in runs], np.int64)
+    stage = first.copy()
     used = np.zeros(len(ids), dtype=np.int64)
-    noise = np.empty((len(ids), NOISE_BLOCK, 2))
+    noise = np.empty((len(ids), NOISE_BLOCK, 2))   # by lane, not by row
     stage_steps = [[] for _ in ids]
     traces: list = [None] * len(ids)
 
     def finish(rows: np.ndarray, outcome: str) -> None:
         for r in rows:
             stage_steps[ids[r]].append(int(used[r]))
-            timeout_stage = int(stage[r]) if outcome == "stage_timeout" else None
+            timeout_stage = (int(stage[r] - first[r]) if outcome == "stage_timeout"
+                             else None)
             traces[ids[r]] = ExecutionTrace(stage_steps[ids[r]], outcome,
                                             (float(x[r]), float(y[r])), timeout_stage)
         ended[rows] = True
@@ -315,43 +333,44 @@ def run_lanes(world: OccupancyWorld, composed: ComposedPolicy,
         # finish, hand over (as often as needed) or time out before stepping
         d = map(math.hypot, (x - gx).tolist(), (y - gy).tolist())
         ended = np.zeros(len(ids), dtype=bool)
-        finish(np.flatnonzero(np.array(list(d)) <= composed.goal_tol), "reached_goal")
-        for s in range(int(stage.min()), last):
-            rows = np.flatnonzero((stage == s) & ~ended)
-            if len(rows) == 0:
-                continue
-            for r in rows[advance[s][padded_cells(world, x[rows], y[rows])]]:
+        finish(np.flatnonzero(np.array(list(d)) <= tol), "reached_goal")
+        moving = np.flatnonzero(~ended)
+        while len(moving):
+            iy, ix = padded_cells(world, x[moving], y[moving])
+            moving = moving[advance[stage[moving], iy, ix]]
+            for r in moving:
                 stage_steps[ids[r]].append(int(used[r]))
-                stage[r] += 1
-                used[r] = 0
-        finish(np.flatnonzero(~ended & (used >= per_stage_limit)), "stage_timeout")
+            stage[moving] += 1
+            used[moving] = 0
+        finish(np.flatnonzero(~ended & (used >= limit)), "stage_timeout")
         if ended.any():
             keep = ~ended
-            ids, x, y, theta = ids[keep], x[keep], y[keep], theta[keep]
-            stage, used, noise = stage[keep], used[keep], noise[keep]
+            ids, x, y, theta, stage, used, first, gx, gy, tol, limit = (
+                a[keep] for a in (ids, x, y, theta, stage, used, first, gx, gy,
+                                  tol, limit))
             if len(ids) == 0:
                 break
         if tick % NOISE_BLOCK == 0:
-            for r, lane in enumerate(ids):
-                noise[r] = rngs[lane].standard_normal(2 * NOISE_BLOCK).reshape(-1, 2)
+            for lane in ids:
+                noise[lane] = rngs[lane].standard_normal(2 * NOISE_BLOCK).reshape(-1, 2)
         tx, ty = np.empty(len(ids)), np.empty(len(ids))
-        for s in range(int(stage.min()), int(stage.max()) + 1):
+        for s in np.flatnonzero(np.bincount(stage)):
             rows = stage == s
-            if rows.any():
-                tx[rows], ty[rows] = composed.stages[s].policy.targets(
-                    world, x[rows], y[rows], theta[rows])
+            tx[rows], ty[rows] = policies[s].targets(world, x[rows], y[rows],
+                                                     theta[rows])
         a0, a1 = steer_toward_lanes(world, x, y, theta, tx, ty)
-        x, y, theta = step_lanes(world, x, y, theta, a0, a1, noise[:, tick % NOISE_BLOCK])
+        x, y, theta = step_lanes(world, x, y, theta, a0, a1,
+                                 noise[ids, tick % NOISE_BLOCK])
         used += 1
         tick += 1
-    return traces
+    return [traces[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def execute_composed(world: OccupancyWorld, composed: ComposedPolicy,
-                     per_stage_limit: int, rngs: list) -> list[ExecutionTrace]:
-    """Greedy executions of a composed policy, one per generator, stepped
-    in lockstep by run_lanes."""
-    return run_lanes(world, composed, per_stage_limit, rngs)
+def execute_composed(world: OccupancyWorld, runs: list) -> list[list[ExecutionTrace]]:
+    """Greedy executions of composed policies: for each (composed,
+    per_stage_limit, rngs) run, one trace per generator, all stepped in
+    lockstep by run_lanes."""
+    return run_lanes(world, runs)
 
 
 # -- solve ---------------------------------------------------------------------------
@@ -389,7 +408,8 @@ def _train_guide(world, rbvd, guide, cfg: TrainConfig, rng):
     return policy.actor, stats
 
 
-# train_stages' arguments, set only in a pool worker, by the pool's initializer
+# fork_starmap's function and jobs, set only in a pool worker, by the pool's
+# initializer
 _worker_args: tuple = ()
 
 
@@ -398,10 +418,9 @@ def _adopt(*args) -> None:
     _worker_args = args
 
 
-def _train_adopted(i: int):
-    world, rbvd, cfg, jobs = _worker_args
-    guide, rng = jobs[i]
-    return _train_guide(world, rbvd, guide, cfg, rng)
+def _run_adopted(i: int):
+    fn, jobs = _worker_args
+    return fn(*jobs[i])
 
 
 def usable_cpus() -> int:
@@ -409,26 +428,26 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def train_stages(world, rbvd, cfg: TrainConfig, jobs: list) -> list:
-    """Train one policy per (guide, rng) pair; returns, in pair order, each
-    training's (actor, TrainStats) or the SharpError it raised.
+@contextlib.contextmanager
+def fork_starmap(fn, jobs: list, processes: int):
+    """Run fn(*job) for every job on `processes` forked worker processes,
+    or inline when processes is 0; yields a function that returns the
+    results in job order, waiting for them.
 
-    The trainings are independent and each draws from its own generator,
-    so they run on min(len(jobs), usable_cpus()) forked worker processes,
-    or inline when that is one, with the same results. Workers inherit
-    their arguments through the fork, so nothing is pickled to them and
-    every set keeps its iteration order; they send back the actor, which
-    pickles as its layer sizes and parameters, and the stats. The pool
-    forks its workers before it starts its threads, and is closed and
-    joined before this returns or raises.
+    The pool starts on entry, so the caller's own work in the block runs
+    beside it. Workers inherit fn and the jobs through the fork, so nothing
+    is pickled to them and every set keeps its iteration order; only the
+    results are pickled back. The pool forks its workers before it starts
+    its threads, and is closed and joined when the block ends; an exception
+    of a job is raised from the yielded function, and leaves the block after
+    the pool is terminated and joined.
     """
-    workers = min(len(jobs), usable_cpus())
-    if workers <= 1:
-        return [_train_guide(world, rbvd, guide, cfg, rng) for guide, rng in jobs]
-    pool = multiprocessing.get_context("fork").Pool(
-        workers, _adopt, (world, rbvd, cfg, jobs))
+    if processes == 0:
+        yield lambda: [fn(*job) for job in jobs]
+        return
+    pool = multiprocessing.get_context("fork").Pool(processes, _adopt, (fn, jobs))
     try:
-        results = pool.map(_train_adopted, range(len(jobs)), chunksize=1)
+        yield pool.map_async(_run_adopted, range(len(jobs)), chunksize=1).get
     except BaseException:
         pool.terminate()
         raise
@@ -436,7 +455,23 @@ def train_stages(world, rbvd, cfg: TrainConfig, jobs: list) -> list:
         pool.close()
     finally:
         pool.join()
-    return results
+
+
+def train_stages(world, rbvd, cfg: TrainConfig, jobs: list) -> list:
+    """Train one policy per (guide, rng) pair; returns, in pair order, each
+    training's (actor, TrainStats) or the SharpError it raised.
+
+    The trainings are independent and each draws from its own generator,
+    so they run on min(len(jobs), usable_cpus()) forked worker processes
+    (fork_starmap), or inline when that is one, with the same results. The
+    workers send back the actor, which pickles as its layer sizes and
+    parameters, and the stats.
+    """
+    workers = min(len(jobs), usable_cpus())
+    with fork_starmap(_train_guide, [(world, rbvd, guide, cfg, rng)
+                                     for guide, rng in jobs],
+                      workers if workers > 1 else 0) as results:
+        return results()
 
 
 @dataclass

@@ -287,12 +287,16 @@ CONFIG = ("world = {tmp}/w.txt\nproblem.1 = 1.5,1.5 -> 8.5,1.5\n"
       "--start", "nan,1", "--goal", "2,2"], {}),
     (EXPERIMENT + ["--world", "env_b"], {"w.txt": GRID, "exp.cfg": CONFIG}),
     (EXPERIMENT + ["--profile", "desk"], {"w.txt": GRID, "exp.cfg": CONFIG}),
+    (["abstract", "--world", "env_a", "--percentile", "200"], {}),
+    (["abstract", "--world", "env_a", "--n-goals", "0"], {}),
+    (["abstract", "--world", "env_a", "--inits-per-goal", "-1"], {}),
 ], ids=["missing-world", "missing-config", "start-4-values", "goal-1-value",
         "bad-seeds", "start-in-wall", "bad-flag-value", "negative-noise",
         "negative-step", "nan-step", "zero-speed", "negative-turn", "nan-cell",
         "inf-cell", "extra-row", "sidecar-key-twice", "config-key-twice",
         "problem-twice", "nan-problem", "nan-start", "config-and-world",
-        "config-and-profile"])
+        "config-and-profile", "percentile-over-100", "zero-goals",
+        "negative-inits"])
 def test_user_input_fault_is_an_error_line(tmp_path, capsys, argv, files):
     """files maps paths under tmp_path to their text, written first."""
     for rel, text in files.items():

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import multiprocessing
+import multiprocessing.pool
 import os
 from dataclasses import fields, replace
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from sharp.errors import DivergedTraining, ParseError, SharpError
-from sharp import learn, planner
+from sharp import experiment, learn, planner
 from sharp.artifacts import library_payload
 from sharp.experiment import (AbstractionParams, CSV_HEADER, ExperimentSpec,
                               ResultRow, build_library, emit_plot_data,
@@ -200,6 +202,54 @@ def test_diverged_training_is_an_error_row_for_every_method(monkeypatch):
         ("monolithic", 0.0, 0, "DivergedTraining")]
 
 
+def two_problem_spec() -> ExperimentSpec:
+    spec = golden_spec(Kinematics.HOLONOMIC, "cem")
+    spec.problems.append((Configuration(2.5, 4.5), Configuration(7.5, 4.5)))
+    return spec
+
+
+class TestEvaluationWorker:
+    def test_pooled_and_inline_evaluation_agree(self, monkeypatch, tmp_path):
+        """The same experiment with the rrt_replan jobs inline and on a
+        worker beside the lane batch: rows and policy-cache file alike."""
+        pools = []
+
+        class CountingPool(multiprocessing.pool.Pool):
+            def __init__(self, processes, *args, **kwargs):
+                pools.append(processes)
+                super().__init__(processes, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.pool, "Pool", CountingPool)
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(planner, "usable_cpus", lambda: cpus)
+            pools.clear()
+            spec = two_problem_spec()
+            rows = run_experiment(spec, str(tmp_path / str(cpus)))
+            assert multiprocessing.active_children() == []
+            cache = tmp_path / str(cpus) / world_hash(spec.world) / "policy_cache.json"
+            runs.append((rows, cache.read_bytes(), list(pools)))
+        (inline, inline_cache, inline_pools), (pooled, pooled_cache, pooled_pools) = runs
+        assert inline == pooled and inline_cache == pooled_cache
+        assert [r.method for r in pooled] == ["sharp", "rrt_replan", "monolithic"] * 2
+        # inline forks nothing; pooled trains on two workers and ends with
+        # the one rrt_replan worker
+        assert inline_pools == [] and pooled_pools[-1] == 1 and 2 in pooled_pools
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "pooled"])
+    def test_rrt_replan_error_surfaces_after_join(self, monkeypatch, cpus):
+        def replan(*args):
+            raise RuntimeError(f"replanning failed in {os.getpid()}")
+
+        monkeypatch.setattr(experiment, "execute_with_replan", replan)
+        monkeypatch.setattr(planner, "usable_cpus", lambda: cpus)
+        with pytest.raises(RuntimeError, match="replanning failed") as err:
+            run_experiment(two_problem_spec())
+        assert multiprocessing.active_children() == []
+        ran_here = str(err.value).endswith(str(os.getpid()))
+        assert ran_here == (cpus == 1)
+
+
 @pytest.mark.parametrize("kind, digest", [
     ("centroid", "81c7380c77548e1deb546f9215e70a22061aad08ee784c23fa29abc861838bf0"),
     ("interface", "f440eb4b6d6af1164f37bb3b7407dbff0bc8c23615adb2c9972c772a9ac23388"),
@@ -356,6 +406,11 @@ class TestSettingsSchema:
         "train.max_steps = 0", "abstraction.max_regions = 2.5",
         "monolithic_all_seeds = yes", "kind = hexagonal", "seeds = 0,a",
         "eval_episodes = 0", "stage_limit = 0", "world = env_b",
+        "goal_tol = -1", "goal_tol = 0", "goal_tol = inf",
+        "abstraction.percentile = 200", "abstraction.n_goals = 0",
+        "abstraction.inits_per_goal = -1", "abstraction.min_cells = 0",
+        "abstraction.max_regions = 0", "abstraction.threshold = -0.5",
+        "abstraction.threshold = nan", "abstraction.region_threshold = 0",
         "stage_limit = 100\nstage_limit = 300",
         "problem.1 = 1,1 -> 2,2\nproblem.01 = 3,3 -> 4,4",
         "train.max_steps = 10\n# again\ntrain.max_steps = 20"])

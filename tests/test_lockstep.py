@@ -210,7 +210,7 @@ def test_lanes_match_scalar_automaton(kinematics, block, monkeypatch):
     monkeypatch.setattr(planner, "NOISE_BLOCK", block)
     w = walled_world(kinematics, noise_sigma=0.4)
     composed = two_stage(w)
-    traces = execute_composed(w, composed, 11, lane_rngs(range(20)))
+    (traces,) = execute_composed(w, [(composed, 11, lane_rngs(range(20)))])
     expected = [scalar_execute(w, composed, 11, rng) for rng in lane_rngs(range(20))]
     assert traces == expected
     # lanes hand over and finish at different ticks
@@ -222,10 +222,10 @@ def test_lanes_match_scalar_automaton(kinematics, block, monkeypatch):
 def test_lane_trace_does_not_depend_on_other_lanes(kinematics):
     w = walled_world(kinematics, noise_sigma=0.4)
     composed = two_stage(w)
-    many = execute_composed(w, composed, 11, lane_rngs(range(20)))
+    (many,) = execute_composed(w, [(composed, 11, lane_rngs(range(20)))])
     for k in (0, 5, 13):
-        alone = execute_composed(w, composed, 11, lane_rngs([k]))
-        paired = execute_composed(w, composed, 11, lane_rngs([k, (k + 1) % 20]))
+        (alone,) = execute_composed(w, [(composed, 11, lane_rngs([k]))])
+        (paired,) = execute_composed(w, [(composed, 11, lane_rngs([k, (k + 1) % 20]))])
         assert alone[0] == paired[0] == many[k]
 
 
@@ -233,7 +233,7 @@ def test_zero_step_stages_and_zero_limit():
     w = walled_world()
     composed = two_stage(w)
     composed.stages[0].advance_cells = frozenset([w.cell_of(1.5, 1.5)])
-    (trace,) = execute_composed(w, composed, 0, lane_rngs([0]))
+    ((trace,),) = execute_composed(w, [(composed, 0, lane_rngs([0]))])
     assert trace == ExecutionTrace([0, 0], "stage_timeout", (1.5, 1.5), 1)
 
 
@@ -244,7 +244,59 @@ def test_goal_ball_ends_an_earlier_stage(kinematics):
     w = walled_world(kinematics, noise_sigma=0.4)
     composed = two_stage(w)
     composed.x_goal = Configuration(1.5, 4.0)
-    traces = execute_composed(w, composed, 30, lane_rngs(range(10)))
+    (traces,) = execute_composed(w, [(composed, 30, lane_rngs(range(10)))])
     assert traces == [scalar_execute(w, composed, 30, rng)
                       for rng in lane_rngs(range(10))]
     assert {(t.outcome, len(t.stage_steps)) for t in traces} == {("reached_goal", 1)}
+
+
+def mixed_runs(world) -> list:
+    """(composed, per_stage_limit, lane seeds) of runs that differ in stage
+    count, goal, goal tolerance and stage limit: the two-stage run, a
+    three-stage one on to the bottom right corner, a one-stage flat run
+    across the room, a run that starts in its goal ball and one with no
+    lanes."""
+    theta = 0.0 if world.kinematics is Kinematics.UNICYCLE else None
+    three = two_stage(world)
+    corner, goal = Configuration(10.5, 6.5), Configuration(10.5, 1.5)
+    three.stages[1].advance_cells = frozenset((ix, iy) for ix in (9, 10)
+                                              for iy in (6, 7))
+    three.stages.append(Stage("down", homing_policy(world, guide_through([corner, goal])),
+                              frozenset()))
+    three.x_goal, three.goal_tol = goal, 0.8
+    start, across = Configuration(1.5, 1.5, theta), Configuration(10.5, 2.5)
+    flat = ComposedPolicy(
+        [Stage("flat", homing_policy(world, guide_through([start, across])),
+               frozenset())], start, across, 0.6)
+    home = two_stage(world)
+    home.x_goal, home.goal_tol = Configuration(2.0, 2.2), 1.0
+    return [(two_stage(world), 11, range(8)), (three, 14, range(10, 22)),
+            (two_stage(world), 9, []), (flat, 40, range(30, 36)),
+            (home, 5, range(40, 43))]
+
+
+@pytest.mark.parametrize("kinematics", KINEMATICS)
+def test_mixed_runs_match_each_run_alone(kinematics):
+    w = walled_world(kinematics, noise_sigma=0.4)
+    runs = mixed_runs(w)
+    batch = execute_composed(w, [(c, limit, lane_rngs(seeds))
+                                 for c, limit, seeds in runs])
+    assert [len(traces) for traces in batch] == [len(seeds) for _, _, seeds in runs]
+    for (composed, limit, seeds), traces in zip(runs, batch):
+        (alone,) = execute_composed(w, [(composed, limit, lane_rngs(seeds))])
+        assert traces == alone == [scalar_execute(w, composed, limit, rng)
+                                   for rng in lane_rngs(seeds)]
+    two, three, _, flat, home = batch
+    # lanes of the stepping runs end at many ticks, some in a third stage
+    stepping = two + three + flat
+    assert {t.outcome for t in stepping} == {"reached_goal", "stage_timeout"}
+    assert len({t.total_steps for t in stepping}) > 5
+    assert any(len(t.stage_steps) == 3 for t in three)
+    assert {len(t.stage_steps) for t in flat} == {1}
+    assert home == [ExecutionTrace([0], "reached_goal", (1.5, 1.5))] * 3
+
+
+def test_no_runs_and_no_lanes():
+    w = walled_world()
+    assert execute_composed(w, []) == []
+    assert execute_composed(w, [(two_stage(w), 5, [])]) == [[]]

@@ -477,8 +477,7 @@ class TestExecuteComposed:
     def test_oracle_policies_reach_goal(self):
         w = open_world(12, 12)
         composed = self.make_scripted_composed(w, (6.5, 6.5), (10.5, 10.5))
-        trace = execute_composed(w, composed, per_stage_limit=200,
-                                 rngs=[np.random.default_rng(5)])[0]
+        ((trace,),) = execute_composed(w, [(composed, 200, [np.random.default_rng(5)])])
         assert trace.outcome == "reached_goal"
         assert len(trace.stage_steps) == 2
         assert all(s >= 0 for s in trace.stage_steps)
@@ -491,8 +490,7 @@ class TestExecuteComposed:
             label="bridge_in",
             policy=ScriptedPolicy([Configuration(1.5, 1.5)], tol=0.4),
             advance_cells=composed.stages[0].advance_cells)
-        trace = execute_composed(w, composed, per_stage_limit=30,
-                                 rngs=[np.random.default_rng(6)])[0]
+        ((trace,),) = execute_composed(w, [(composed, 30, [np.random.default_rng(6)])])
         assert trace.outcome == "stage_timeout" and trace.timeout_stage == 0
 
     def test_composability_over_random_worlds(self, rng):
