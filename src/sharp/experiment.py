@@ -2,11 +2,12 @@
 
 One experiment builds (or loads) the abstraction and option library once per
 world, then runs each seed in two phases. First it solves the problem list
-in order, sharing a policy cache, and trains the monolithic baseline of each
-problem under a matched budget. Then it evaluates the seed's composed and
-monolithic policies in one lockstep lane batch while the replanning RRT
-baseline runs beside it in a worker process. Everything is derived from
-explicit seeds, so identical specs produce byte-identical result files.
+in order, sharing a policy cache, which fixes every baseline's budget. Then,
+while the replanning RRT baseline runs in a worker process, it trains the
+monolithic baseline of each problem under a budget matched to the solve and
+evaluates the seed's composed and monolithic policies in one lockstep lane
+batch. Everything is derived from explicit seeds, so identical specs produce
+byte-identical result files.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import artifacts, planner, settings
 from .abstraction import build_region_voronoi, goal_tolerance
-from .errors import NoRegions, ParseError, SharpError, in_file
+from .errors import InCollision, NoRegions, ParseError, SharpError, in_file
 from .learn import TrainConfig, train_monolithic_policy
 from .motion import execute_with_replan
 from .options import synth_options
@@ -32,8 +33,8 @@ from .planner import (ComposedPolicy, OptionLibrary, Stage, execute_composed,
 from .regions import (CriticalRegion, collect_solution_density, connected_components,
                       extract_critical_regions, grid_bfs, percentile_threshold)
 from .seeding import derive_rng
-from .world import (Configuration, OccupancyWorld, parse_sidecar, start_heading,
-                    world_from_text, world_hash)
+from .world import (Configuration, OccupancyWorld, parse_sidecar,
+                    require_free_endpoints, start_heading, world_from_text, world_hash)
 from .worlds import RECIPES, WorldRecipe
 
 log = logging.getLogger(__name__)
@@ -376,7 +377,9 @@ def _success_and_steps(traces) -> tuple[float, float]:
 def evaluate_rrt_replan(world, x_i, x_g, goal_tol: float, budget: int,
                         episodes: int, seed_key) -> tuple[float, float]:
     """Success rate and mean steps of replanning RRT execution into the goal
-    ball of radius goal_tol; episode ep runs on derive_rng("rrt", *seed_key, ep)."""
+    ball of radius goal_tol; episode ep runs on derive_rng("rrt", *seed_key, ep).
+    Raises InCollision, before any episode, when an endpoint is not free."""
+    require_free_endpoints(world, x_i, x_g)
     results = [execute_with_replan(world, x_i, x_g, derive_rng("rrt", *seed_key, ep),
                                    goal_tol, budget)
                for ep in range(episodes)]
@@ -414,16 +417,19 @@ def run_experiment(spec: ExperimentSpec, cache_dir: str | None = None) -> list:
     seed), with per-problem failures recorded as zero-success rows. Every
     method is judged in the same goal ball.
 
-    Each seed runs in two phases. The first goes through the problems in
-    order: sharp_solve, then the rrt_replan budget (stage_limit per stage
-    of the solve, or per four stages when it failed), then the monolithic
-    training under a budget matched to the solve's training steps. The
-    second evaluates them all: one lockstep batch of execute_composed steps
-    every sharp and monolithic evaluation of the seed while the seed's
-    evaluate_rrt_replan jobs run on one forked worker (inline when
-    usable_cpus() is one). Evaluation draws from its own streams and feeds
-    nothing that a later solve reads, so the rows, kept in problem order,
-    are those of evaluating each problem in turn.
+    Each seed runs in two phases, and every row is created in the first, in
+    problem order. The first phase goes through the problems in order:
+    sharp_solve, then the rrt_replan budget (stage_limit per stage of the
+    solve, or per four stages when it failed) and the monolithic budget
+    (the solve's training steps). An rrt_replan row whose endpoints are not
+    free gets its InCollision error here. The second phase runs the seed's
+    evaluate_rrt_replan jobs on one forked worker (inline, after the rest,
+    when usable_cpus() is one). Beside it, the parent trains each monolithic
+    baseline in problem order, then steps every sharp and monolithic
+    evaluation of the seed in one lockstep batch of execute_composed. No
+    solve reads what the second phase makes, and each training and each
+    evaluation draws from its own streams, so the rows are those of running
+    each problem in turn.
 
     Each seed solves from an empty policy cache. With a cache_dir, the
     world's policy-cache file is read before the first solve, and after each
@@ -439,8 +445,9 @@ def run_experiment(spec: ExperimentSpec, cache_dir: str | None = None) -> list:
     for seed in spec.seeds:
         library = copy.deepcopy(library0)   # learned costs stay seed-local
         cache = {}
-        # the rows whose rates the evaluation fills in, with its runs and jobs
-        lane_rows, runs, rrt_rows, rrt_jobs = [], [], [], []
+        # what the second phase fills in: the rows of the lane batch with its
+        # runs, the monolithic trainings, and the rrt_replan rows with their jobs
+        lane_rows, runs, trainings, rrt_rows, rrt_jobs = [], [], [], [], []
         for pi, (x_i, x_g) in enumerate(spec.problems, start=1):
             seed_key = (spec.name, seed, pi)
             try:
@@ -465,19 +472,26 @@ def run_experiment(spec: ExperimentSpec, cache_dir: str | None = None) -> list:
             if spec.run_rrt_replan:
                 rows.append(ResultRow(spec.name, pi, "rrt_replan", seed, 0.0, 0.0,
                                       0, 0, 0))
-                rrt_rows.append(rows[-1])
-                rrt_jobs.append((world, x_i, x_g, goal_tol, budget,
-                                 spec.eval_episodes, seed_key))
+                try:
+                    require_free_endpoints(world, x_i, x_g)
+                except InCollision as e:
+                    rows[-1].error = type(e).__name__
+                else:
+                    rrt_rows.append(rows[-1])
+                    rrt_jobs.append((world, x_i, x_g, goal_tol, budget,
+                                     spec.eval_episodes, seed_key))
             if spec.run_monolithic and (spec.monolithic_all_seeds
                                         or seed == spec.seeds[0]):
-                row, run = _monolithic_row(spec, x_i, x_g, goal_tol, pi, seed,
-                                           sharp_training_steps)
-                rows.append(row)
+                rows.append(ResultRow(spec.name, pi, "monolithic", seed, 0.0, 0.0,
+                                      0, 0, 0))
+                trainings.append((rows[-1], x_i, x_g, sharp_training_steps))
+        workers = 1 if rrt_jobs and planner.usable_cpus() > 1 else 0
+        with planner.fork_starmap(evaluate_rrt_replan, rrt_jobs, workers) as rrt:
+            for row, x_i, x_g, budget_steps in trainings:
+                run = _monolithic_row(spec, row, x_i, x_g, goal_tol, budget_steps)
                 if run is not None:
                     lane_rows.append(row)
                     runs.append(run)
-        workers = 1 if rrt_jobs and planner.usable_cpus() > 1 else 0
-        with planner.fork_starmap(evaluate_rrt_replan, rrt_jobs, workers) as rrt:
             traces = execute_composed(world, runs)
             rrt_results = rrt()
         for row, result in zip(lane_rows + rrt_rows,
@@ -488,22 +502,22 @@ def run_experiment(spec: ExperimentSpec, cache_dir: str | None = None) -> list:
     return rows
 
 
-def _monolithic_row(spec: ExperimentSpec, x_i, x_g, goal_tol: float, pi: int,
-                    seed: int, budget_steps: int) -> tuple[ResultRow, tuple | None]:
-    """Flat single-policy baseline under a training budget matched to what
-    the hierarchical solve spent on this problem: its row, whose rates the
-    evaluation of the returned lane run fills in, or its error row and no
-    run."""
+def _monolithic_row(spec: ExperimentSpec, row: ResultRow, x_i, x_g,
+                    goal_tol: float, budget_steps: int) -> tuple | None:
+    """Train the flat single-policy baseline of row's problem and seed under
+    a training budget matched to what the hierarchical solve spent on it.
+    Fills in row's training steps and returns the lane run whose evaluation
+    fills in its rates; or fills in its error and returns None."""
     cfg = replace(spec.train, max_steps=max(budget_steps, spec.train.eval_every))
+    seed_key = (spec.name, row.seed, row.problem)
     try:
-        run, steps = _monolithic_run(
+        run, row.training_steps = _monolithic_run(
             spec.world, x_i, x_g, cfg, goal_tol, spec.eval_episodes,
-            spec.stage_limit, derive_rng("monolithic", spec.name, seed, pi),
-            (spec.name, seed, pi))
+            spec.stage_limit, derive_rng("monolithic", *seed_key), seed_key)
     except SharpError as e:
-        return ResultRow(spec.name, pi, "monolithic", seed, 0.0, 0.0, 0, 0, 0,
-                         error=type(e).__name__), None
-    return ResultRow(spec.name, pi, "monolithic", seed, 0.0, 0.0, steps, 0, 0), run
+        row.error = type(e).__name__
+        return None
+    return run
 
 
 # -- figure data -----------------------------------------------------------------------

@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .abstraction import Region, RegionVoronoi, goal_region
-from .errors import DivergedTraining, InCollision
-from .mlp import (Adam, Mlp, init_mlp, mlp_backward, mlp_forward, mlp_forward_cached,
-                  mlp_input_grad)
+from .errors import DivergedTraining
+from .mlp import (Adam, Mlp, MlpStack, init_mlp, mlp_backward, mlp_forward,
+                  mlp_forward_cached, mlp_input_grad)
 from .options import OptionGuide, pseudo_reward
 from .seeding import spawn
-from .world import (Configuration, Kinematics, OccupancyWorld, collision,
+from .world import (Configuration, Kinematics, OccupancyWorld, require_free_endpoints,
                     sample_in_cells, steer_toward, step)
 
 LOG_STD_MIN = -5.0
@@ -112,22 +112,34 @@ def build_observation(world: OccupancyWorld, guide: OptionGuide,
     return np.array(parts)
 
 
-def build_observations(world: OccupancyWorld, guide: OptionGuide, x: np.ndarray,
+def build_observations(world: OccupancyWorld, points: np.ndarray, x: np.ndarray,
                        y: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """build_observation for each lane (x[i], y[i], theta[i]), row for row
-    and bit for bit; theta is read only under unicycle kinematics."""
+    """build_observation for each lane (x[i], y[i], theta[i]) on its own
+    guide, row for row and bit for bit. points[i] holds lane i's guide
+    points, padded at the end with copies of its last point (guide_table),
+    so its last column is the guide's end and the nearest point has the
+    coordinates it has without the padding. theta is read only under
+    unicycle kinematics."""
     ex, ey = world.extent
     hx, hy = ex / 2.0, ey / 2.0
-    xy = guide.point_array()
-    d2 = (xy[:, 0] - x[:, None]) ** 2 + (xy[:, 1] - y[:, None]) ** 2
-    px, py = xy[np.argmin(d2, axis=1)].T
-    gx, gy = xy[-1]
+    d2 = (points[:, :, 0] - x[:, None]) ** 2 + (points[:, :, 1] - y[:, None]) ** 2
+    px, py = points[np.arange(len(points)), np.argmin(d2, axis=1)].T
+    gx, gy = points[:, -1].T
     cols = [x / hx - 1.0, y / hy - 1.0]
     if world.kinematics is Kinematics.UNICYCLE:
         t = theta.tolist()
         cols.extend([np.array(list(map(math.cos, t))), np.array(list(map(math.sin, t)))])
     cols.extend([(px - x) / hx, (py - y) / hy, (gx - px) / hx, (gy - py) / hy])
     return np.column_stack(cols)
+
+
+def guide_table(guides) -> np.ndarray:
+    """The points of each guide as one (guides, P, 2) table, P the most
+    points of any, each row padded at the end with copies of its last point:
+    the row table that build_observations reads."""
+    n = max(len(g.points) for g in guides)
+    return np.array([np.pad(g.point_array(), ((0, n - len(g.points)), (0, 0)),
+                            mode="edge") for g in guides])
 
 
 def observation_dim(world: OccupancyWorld) -> int:
@@ -171,19 +183,46 @@ class Policy:
         log_std = LOG_STD_MIN + 0.5 * (LOG_STD_MAX - LOG_STD_MIN) * (np.tanh(raw) + 1.0)
         return np.tanh(mu + np.exp(log_std) * rng.standard_normal(mu.shape))
 
-    def targets(self, world: OccupancyWorld, x: np.ndarray, y: np.ndarray,
-                theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Greedy waypoints of lanes at (x, y, theta): the configuration plus
-        tanh(mu) times the displacement scale, as action_from_displacement
-        forms its target. The forward always takes at least two rows: a
-        lone row is repeated, because a one-row product rounds differently
-        from the same row inside a larger one, so a lane's waypoint does
-        not depend on how many lanes share the forward."""
-        obs = build_observations(world, self.guide, x, y, theta)
-        rows = obs if len(obs) > 1 else np.concatenate([obs, obs])
-        u = np.tanh(mlp_forward(self.actor, rows)[:len(obs), :self.actor.n_out // 2])
+    @staticmethod
+    def lane_controller(world: OccupancyWorld,
+                        policies: list) -> Callable:
+        """The greedy steering of lanes that each run one of policies:
+        steer(slot, x, y, theta) -> (tx, ty), lane i running
+        policies[slot[i]] from (x[i], y[i], theta[i]). Its waypoint is the
+        configuration plus tanh(mu) times the displacement scale, as
+        action_from_displacement forms its target.
+
+        One call builds every lane's observation in one pass and makes one
+        MlpStack forward per distinct actor layer shape. A net's lanes
+        forward in a block of at least two rows, because a one-row product
+        rounds differently from the same row inside a larger one, so a
+        lane's waypoint does not depend on which lanes share the call."""
+        table = guide_table([p.guide for p in policies])
+        shapes: dict = {}   # actor layer sizes -> indices into policies
+        for i, p in enumerate(policies):
+            shapes.setdefault(p.actor.layer_sizes, []).append(i)
+        shape_of = np.empty(len(policies), dtype=np.int64)
+        net_of = np.empty(len(policies), dtype=np.int64)   # index in its stack
+        stacks = []
+        for k, members in enumerate(shapes.values()):
+            shape_of[members] = k
+            net_of[members] = np.arange(len(members))
+            stacks.append(MlpStack([policies[i].actor for i in members]))
         scale = displacement_scale(world)
-        return x + u[:, 0] * scale, y + u[:, 1] * scale
+
+        def steer(slot: np.ndarray, x: np.ndarray, y: np.ndarray,
+                  theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            obs = build_observations(world, table[slot], x, y, theta)
+            u = np.empty((len(slot), 2))
+            shape = shape_of[slot]
+            for k, stack in enumerate(stacks):
+                lanes = shape == k
+                if lanes.any():
+                    out = stack.forward(net_of[slot[lanes]], obs[lanes])
+                    u[lanes] = np.tanh(out[:, :stack.n_out // 2])
+            return x + u[:, 0] * scale, y + u[:, 1] * scale
+
+        return steer
 
 
 # -- the training environment --------------------------------------------------------
@@ -526,7 +565,6 @@ def train_monolithic_policy(world: OccupancyWorld, x_i: Configuration,
                             rng: np.random.Generator, goal_tol: float):
     """Flat baseline: one policy from x_i to within goal_tol of x_g, with
     terminal +1000 and STEP_REWARD per other step."""
-    if collision(world, x_i) or collision(world, x_g):
-        raise InCollision("endpoints must be collision-free")
+    require_free_endpoints(world, x_i, x_g)
     env = goal_env(world, x_i, x_g, cfg.episode_limit, goal_tol)
     return _train(env, cfg, rng)

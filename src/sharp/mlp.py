@@ -107,6 +107,39 @@ def mlp_forward_cached(net: Mlp, x: np.ndarray):
     return (y[0] if squeeze else y), cache
 
 
+class MlpStack:
+    """Nets of one layer shape, their weights and biases stacked on a leading
+    axis, forwarded as many small batches at once."""
+
+    def __init__(self, nets):
+        self.n_out = nets[0].n_out
+        self.weights = [np.stack([net.weights[i] for net in nets]) for i in range(3)]
+        self.biases = [np.stack([net.biases[i] for net in nets])[:, None, :]
+                       for i in range(3)]
+
+    def forward(self, which: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Row i of x (B, n_in) through net which[i]. The rows of each net in
+        which form one block of a zero-padded (nets, M, n_in) stack, M the
+        largest block and at least 2, and each layer is one np.matmul over
+        the stack: one product per block, with the operations of
+        mlp_forward, so a row's output has the bits it has in mlp_forward
+        of any two or more rows."""
+        # a row's place in its block: the rows of its net up to it, less one
+        seen = np.cumsum(which[:, None] == np.arange(len(self.weights[0])), axis=0)
+        pos = seen[np.arange(len(which)), which] - 1
+        sizes = seen[-1]
+        nets = np.flatnonzero(sizes)
+        block = (np.cumsum(sizes > 0) - 1)[which]
+        h = np.zeros((len(nets), max(2, sizes.max()), x.shape[1]))
+        h[block, pos] = x
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            h = np.matmul(h, w[nets])
+            h += b[nets]
+            if i < 2:
+                np.tanh(h, out=h)
+        return h[block, pos]
+
+
 def _upstream(net: Mlp, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     g = np.asarray(upstream, dtype=np.float64)
     if g.ndim == 1:

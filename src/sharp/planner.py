@@ -234,9 +234,13 @@ class CacheEntry:
 
 @dataclass
 class Stage:
-    """One controller stage. policy is anything with the lane interface of
-    learn.Policy, targets(world, x, y, theta) -> (tx, ty): the waypoint each
-    lane heads for, as a memoryless function of its configuration."""
+    """One controller stage. policy is memoryless: the waypoint each lane
+    heads for is a function of its configuration alone. Its class provides
+    the batched call that run_lanes makes, as learn.Policy does:
+    lane_controller(world, policies) -> steer, built once from a list of
+    policies of that class, and steer(slot, x, y, theta) -> (tx, ty), the
+    waypoints of lanes at (x, y, theta) where lane i runs policies[slot[i]].
+    A lane's waypoint must not depend on which lanes share the call."""
 
     label: str
     policy: object
@@ -280,15 +284,18 @@ def run_lanes(world: OccupancyWorld, runs: list) -> list[list[ExecutionTrace]]:
     its goal tolerance has reached the goal, in whatever stage it is;
     otherwise every stage except its run's last hands over on cell
     membership of its advance cells. A stage that has used its run's
-    per_stage_limit steps and is not done times out. Each tick, every
-    (run, stage) group with live lanes makes one batched forward, then every
-    live lane takes one world step with two standard normals of its own
-    generator, drawn NOISE_BLOCK steps at a time (the same values as one
-    draw of two per step). A lane's trace therefore does not depend on
-    which other lanes, of its run or of another, run beside it.
+    per_stage_limit steps and is not done times out. One controller per
+    stage-policy class is built once, from every (run, stage) policy of that
+    class (Stage); each tick, every controller with live lanes steers them
+    all in one call, then every live lane takes one world step with two
+    standard normals of its own generator, drawn NOISE_BLOCK steps at a
+    time (the same values as one draw of two per step). A lane's trace
+    therefore does not depend on which other lanes, of its run or of
+    another, run beside it.
     """
-    # one row per (run, stage): its policy, and its advance cells as a padded
-    # grid mask, left empty for a run's last stage; a lane's stage is its row
+    # one row per (run, stage): its advance cells as a padded grid mask,
+    # left empty for a run's last stage, and the controller and slot of its
+    # policy; a lane's stage is its row
     policies = [stage.policy for composed, _, _ in runs for stage in composed.stages]
     first_rows = np.cumsum([0] + [len(composed.stages) for composed, _, _ in runs])
     advance = np.zeros((len(policies), world.height + 2, world.width + 2), dtype=bool)
@@ -296,6 +303,16 @@ def run_lanes(world: OccupancyWorld, runs: list) -> list[list[ExecutionTrace]]:
         for i, stage in enumerate(composed.stages[:-1]):
             for ix, iy in filter(world.in_bounds, stage.advance_cells):
                 advance[row + i, iy + 1, ix + 1] = True
+    classes: dict = {}   # policy class -> its rows
+    for row, policy in enumerate(policies):
+        classes.setdefault(type(policy), []).append(row)
+    controller_of = np.empty(len(policies), dtype=np.int64)
+    slot_of = np.empty(len(policies), dtype=np.int64)
+    controllers = []
+    for k, (cls, rows) in enumerate(classes.items()):
+        controller_of[rows] = k
+        slot_of[rows] = np.arange(len(rows))
+        controllers.append(cls.lane_controller(world, [policies[r] for r in rows]))
     rngs = [rng for _, _, run_rngs in runs for rng in run_rngs]
     bounds = np.cumsum([0] + [len(run_rngs) for _, _, run_rngs in runs])
     run_of = np.repeat(np.arange(len(runs)), np.diff(bounds))
@@ -306,6 +323,7 @@ def run_lanes(world: OccupancyWorld, runs: list) -> list[list[ExecutionTrace]]:
     # the live lanes; ids[r] is the lane that row r of each array holds
     ids = np.arange(len(rngs))
     first = first_rows[run_of]
+    last = first_rows[1:][run_of] - 1
     x = per_lane([c.x_start.x for c, _, _ in runs])
     y = per_lane([c.x_start.y for c, _, _ in runs])
     theta = per_lane([c.x_start.theta or 0.0 for c, _, _ in runs])
@@ -334,7 +352,7 @@ def run_lanes(world: OccupancyWorld, runs: list) -> list[list[ExecutionTrace]]:
         d = map(math.hypot, (x - gx).tolist(), (y - gy).tolist())
         ended = np.zeros(len(ids), dtype=bool)
         finish(np.flatnonzero(np.array(list(d)) <= tol), "reached_goal")
-        moving = np.flatnonzero(~ended)
+        moving = np.flatnonzero(~ended & (stage < last))
         while len(moving):
             iy, ix = padded_cells(world, x[moving], y[moving])
             moving = moving[advance[stage[moving], iy, ix]]
@@ -342,11 +360,12 @@ def run_lanes(world: OccupancyWorld, runs: list) -> list[list[ExecutionTrace]]:
                 stage_steps[ids[r]].append(int(used[r]))
             stage[moving] += 1
             used[moving] = 0
+            moving = moving[stage[moving] < last[moving]]
         finish(np.flatnonzero(~ended & (used >= limit)), "stage_timeout")
         if ended.any():
             keep = ~ended
-            ids, x, y, theta, stage, used, first, gx, gy, tol, limit = (
-                a[keep] for a in (ids, x, y, theta, stage, used, first, gx, gy,
+            ids, x, y, theta, stage, used, first, last, gx, gy, tol, limit = (
+                a[keep] for a in (ids, x, y, theta, stage, used, first, last, gx, gy,
                                   tol, limit))
             if len(ids) == 0:
                 break
@@ -354,10 +373,12 @@ def run_lanes(world: OccupancyWorld, runs: list) -> list[list[ExecutionTrace]]:
             for lane in ids:
                 noise[lane] = rngs[lane].standard_normal(2 * NOISE_BLOCK).reshape(-1, 2)
         tx, ty = np.empty(len(ids)), np.empty(len(ids))
-        for s in np.flatnonzero(np.bincount(stage)):
-            rows = stage == s
-            tx[rows], ty[rows] = policies[s].targets(world, x[rows], y[rows],
-                                                     theta[rows])
+        which = controller_of[stage]
+        for k, steer in enumerate(controllers):
+            lanes = which == k
+            if lanes.any():
+                tx[lanes], ty[lanes] = steer(slot_of[stage[lanes]], x[lanes], y[lanes],
+                                             theta[lanes])
         a0, a1 = steer_toward_lanes(world, x, y, theta, tx, ty)
         x, y, theta = step_lanes(world, x, y, theta, a0, a1,
                                  noise[ids, tick % NOISE_BLOCK])

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoFreeSpace, ParseError
+from .errors import InCollision, NoFreeSpace, ParseError
 from .settings import read_key_values
 
 TWO_PI = 2.0 * math.pi
@@ -208,6 +208,13 @@ def start_heading(world: OccupancyWorld) -> float | None:
 def collision(world: OccupancyWorld, c: Configuration) -> bool:
     """Collision function over configurations; out-of-bounds collides."""
     return world.collision_xy(c.x, c.y)
+
+
+def require_free_endpoints(world: OccupancyWorld, x_i: Configuration,
+                           x_g: Configuration) -> None:
+    """Raise InCollision unless both endpoints of a problem are free."""
+    if collision(world, x_i) or collision(world, x_g):
+        raise InCollision("endpoints must be collision-free")
 
 
 def clip_action(world: OccupancyWorld, a: Action) -> Action:

@@ -42,10 +42,15 @@ class ScriptedPolicy:
             nxt += 1
         return pts[nxt].xy
 
-    def targets(self, world, x, y, theta):
-        tx, ty = zip(*(self._target(Configuration(a, b))
-                       for a, b in zip(x.tolist(), y.tolist())))
-        return np.array(tx), np.array(ty)
+    @staticmethod
+    def lane_controller(world, policies):
+        """Steers each lane by its own policy's waypoint rule, one lane at a
+        time."""
+        def steer(slot, x, y, theta):
+            tx, ty = zip(*(policies[k]._target(Configuration(a, b))
+                           for k, a, b in zip(slot.tolist(), x.tolist(), y.tolist())))
+            return np.array(tx), np.array(ty)
+        return steer
 
 
 def _segment_distance(c, a, b) -> float:
@@ -60,8 +65,9 @@ def act(world, policy, c, greedy=True, rng=None):
     """The action a stage policy takes at c: greedy through its lane
     interface, or, for a learned Policy, sampled from its squashed Gaussian."""
     if greedy:
-        tx, ty = policy.targets(world, np.array([c.x]), np.array([c.y]),
-                                np.array([c.theta or 0.0]))
+        steer = type(policy).lane_controller(world, [policy])
+        tx, ty = steer(np.zeros(1, dtype=np.int64), np.array([c.x]), np.array([c.y]),
+                       np.array([c.theta or 0.0]))
         return steer_toward(world, c, (float(tx[0]), float(ty[0])))
     u = policy.sample_displacement(build_observation(world, policy.guide, c), rng)
     return action_from_displacement(world, c, u, displacement_scale(world))

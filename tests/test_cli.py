@@ -290,13 +290,15 @@ CONFIG = ("world = {tmp}/w.txt\nproblem.1 = 1.5,1.5 -> 8.5,1.5\n"
     (["abstract", "--world", "env_a", "--percentile", "200"], {}),
     (["abstract", "--world", "env_a", "--n-goals", "0"], {}),
     (["abstract", "--world", "env_a", "--inits-per-goal", "-1"], {}),
+    (["baseline", "--world", "env_a", "--method", "rrt_replan",
+      "--start", "0.2,0.2", "--goal", "3.25,1.25", "--episodes", "2"], {}),
 ], ids=["missing-world", "missing-config", "start-4-values", "goal-1-value",
         "bad-seeds", "start-in-wall", "bad-flag-value", "negative-noise",
         "negative-step", "nan-step", "zero-speed", "negative-turn", "nan-cell",
         "inf-cell", "extra-row", "sidecar-key-twice", "config-key-twice",
         "problem-twice", "nan-problem", "nan-start", "config-and-world",
         "config-and-profile", "percentile-over-100", "zero-goals",
-        "negative-inits"])
+        "negative-inits", "rrt-start-in-wall"])
 def test_user_input_fault_is_an_error_line(tmp_path, capsys, argv, files):
     """files maps paths under tmp_path to their text, written first."""
     for rel, text in files.items():
@@ -304,6 +306,14 @@ def test_user_input_fault_is_an_error_line(tmp_path, capsys, argv, files):
     assert main([a.format(tmp=tmp_path) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("method", ["rrt_replan", "monolithic"])
+def test_baselines_reject_an_endpoint_in_collision_alike(capsys, method):
+    argv = ["baseline", "--world", "env_a", "--method", method, "--start", "0.2,0.2",
+            "--goal", "3.25,1.25", "--episodes", "2"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: endpoints must be collision-free\n"
 
 
 @pytest.mark.parametrize("argv, files, culprit", [

@@ -250,6 +250,61 @@ class TestEvaluationWorker:
         assert ran_here == (cpus == 1)
 
 
+class TestMonolithicTrainingInPhaseTwo:
+    def test_diverged_training_leaves_its_error_row(self, monkeypatch):
+        """P1's monolithic training diverges and P2's trains: the same rows
+        with the rrt_replan jobs inline and on a worker, each in its place."""
+        real = experiment.train_monolithic_policy
+
+        def train(world, x_i, x_g, *args):
+            if x_i.x == 1.5:
+                raise DivergedTraining("critic loss is not finite")
+            return real(world, x_i, x_g, *args)
+
+        monkeypatch.setattr(experiment, "train_monolithic_policy", train)
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(planner, "usable_cpus", lambda: cpus)
+            runs.append(run_experiment(two_problem_spec()))
+            assert multiprocessing.active_children() == []
+        inline, pooled = runs
+        assert inline == pooled
+        assert [(r.method, r.error) for r in pooled] == [
+            ("sharp", ""), ("rrt_replan", ""), ("monolithic", "DivergedTraining"),
+            ("sharp", ""), ("rrt_replan", ""), ("monolithic", "")]
+        assert pooled[2].training_steps == 0 and pooled[5].training_steps > 0
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "pooled"])
+    def test_unexpected_error_surfaces_after_join(self, monkeypatch, cpus):
+        # the training runs beside the rrt_replan worker, when there is one
+        beside = []
+
+        def train(*args):
+            beside.append(len(multiprocessing.active_children()))
+            raise RuntimeError("training failed")
+
+        monkeypatch.setattr(experiment, "train_monolithic_policy", train)
+        monkeypatch.setattr(planner, "usable_cpus", lambda: cpus)
+        with pytest.raises(RuntimeError, match="training failed"):
+            run_experiment(two_problem_spec())
+        assert multiprocessing.active_children() == []
+        assert beside == [cpus - 1]
+
+
+def test_endpoints_in_collision_fail_every_method(monkeypatch):
+    # the start lies in the border wall: no rrt_replan job is made
+    def replan(*args):
+        raise AssertionError("an rrt_replan episode ran")
+
+    monkeypatch.setattr(experiment, "execute_with_replan", replan)
+    spec = golden_spec(Kinematics.HOLONOMIC, "cem")
+    spec.problems = [(Configuration(0.5, 0.5), Configuration(8.5, 1.5))]
+    rows = run_experiment(spec)
+    assert [(r.method, r.success_rate, r.error) for r in rows] == [
+        ("sharp", 0.0, "InCollision"), ("rrt_replan", 0.0, "InCollision"),
+        ("monolithic", 0.0, "InCollision")]
+
+
 @pytest.mark.parametrize("kind, digest", [
     ("centroid", "81c7380c77548e1deb546f9215e70a22061aad08ee784c23fa29abc861838bf0"),
     ("interface", "f440eb4b6d6af1164f37bb3b7407dbff0bc8c23615adb2c9972c772a9ac23388"),

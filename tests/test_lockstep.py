@@ -8,7 +8,8 @@ import pytest
 
 from sharp import planner
 from sharp.abstraction import Region
-from sharp.learn import Policy, build_observation, build_observations, observation_dim
+from sharp.learn import (Policy, build_observation, build_observations, guide_table,
+                         observation_dim)
 from sharp.mlp import init_mlp, mlp_forward
 from sharp.options import OptionGuide
 from sharp.planner import ComposedPolicy, ExecutionTrace, Stage, execute_composed
@@ -16,7 +17,7 @@ from sharp.world import (Configuration, HolonomicAction, Kinematics, UnicycleAct
                          steer_toward, steer_toward_lanes, step, step_lanes)
 
 from conftest import grid_from_rows
-from helpers import act
+from helpers import ScriptedPolicy, act
 
 ROWS = ["############",
         "#..........#",
@@ -126,13 +127,18 @@ def guide_through(points) -> OptionGuide:
 
 @pytest.mark.parametrize("kinematics", KINEMATICS)
 def test_build_observations_equals_build_observation(kinematics, rng):
+    # each lane reads its own guide, of one, two or four points
     w = walled_world(kinematics)
-    guide = guide_through([Configuration(1.5, 1.5), Configuration(6.3, 1.7),
-                           Configuration(6.3, 5.2), Configuration(10.5, 6.5)])
+    guides = [guide_through([Configuration(1.5, 1.5), Configuration(6.3, 1.7),
+                             Configuration(6.3, 5.2), Configuration(10.5, 6.5)]),
+              guide_through([Configuration(2.5, 6.5)]),
+              guide_through([Configuration(9.5, 1.5), Configuration(9.5, 6.5)])]
     configs = free_configurations(w, rng, 300)
-    batch = build_observations(w, guide, *lanes_of(configs))
+    slot = rng.integers(len(guides), size=len(configs))
+    batch = build_observations(w, guide_table(guides)[slot], *lanes_of(configs))
     assert batch.shape == (len(configs), observation_dim(w))
-    assert same_bits(batch, [build_observation(w, guide, c) for c in configs])
+    assert same_bits(batch, [build_observation(w, guides[k], c)
+                             for k, c in zip(slot, configs)])
 
 
 @pytest.mark.parametrize("hidden", [(8, 8), (64, 64), (256, 256)])
@@ -148,14 +154,14 @@ def test_forward_rows_do_not_depend_on_batch_size(hidden, rng):
 # -- whole executions ---------------------------------------------------------------
 
 
-def homing_policy(world, guide) -> Policy:
+def homing_policy(world, guide, hidden=(8, 8)) -> Policy:
     """An actor that heads along the guide: mu grows with the observation's
     vectors to the nearest guide point and on to its end. Small random
-    weights fill the rest of the 8-unit layers, so that a one-row forward
+    weights fill the rest of the hidden layers, so that a one-row forward
     rounds differently from a batched one."""
     d = observation_dim(world)
     off = d - 4
-    net = init_mlp(d, (8, 8), 4, np.random.default_rng(3))
+    net = init_mlp(d, hidden, 4, np.random.default_rng(3))
     net.params *= 0.05
     w1, w2, w3 = net.weights
     w1[off, 0] = w1[off + 2, 0] = w1[off + 1, 1] = w1[off + 3, 1] = 0.8
@@ -164,16 +170,16 @@ def homing_policy(world, guide) -> Policy:
     return Policy(actor=net, guide=guide)
 
 
-def two_stage(world) -> ComposedPolicy:
+def two_stage(world, hidden=(8, 8)) -> ComposedPolicy:
     """Up the left wall, then along the top of the block to the right."""
     start = Configuration(1.5, 1.5, 0.0 if world.kinematics is Kinematics.UNICYCLE
                           else None)
     corner = Configuration(1.5, 6.5)
     goal = Configuration(10.5, 6.5)
     handover = frozenset((ix, iy) for ix in (1, 2) for iy in (6, 7))
-    stages = [Stage("up", homing_policy(world, guide_through([start, corner])),
+    stages = [Stage("up", homing_policy(world, guide_through([start, corner]), hidden),
                     handover),
-              Stage("across", homing_policy(world, guide_through([corner, goal])),
+              Stage("across", homing_policy(world, guide_through([corner, goal]), hidden),
                     frozenset([(10, 6)]))]
     return ComposedPolicy(stages=stages, x_start=start, x_goal=goal, goal_tol=1.0)
 
@@ -294,6 +300,43 @@ def test_mixed_runs_match_each_run_alone(kinematics):
     assert any(len(t.stage_steps) == 3 for t in three)
     assert {len(t.stage_steps) for t in flat} == {1}
     assert home == [ExecutionTrace([0], "reached_goal", (1.5, 1.5))] * 3
+
+
+def varied_runs(world) -> list:
+    """(composed, per_stage_limit, lane seeds) of runs whose stage policies
+    differ in kind and actor shape: two-stage runs on 8x8, 16x5 and 3x12
+    actors, one of them with a single lane; a flat run on a ScriptedPolicy;
+    and a run whose scripted first stage hands over to a learned one."""
+    theta = 0.0 if world.kinematics is Kinematics.UNICYCLE else None
+    start, corner = Configuration(1.5, 1.5, theta), Configuration(1.5, 6.5)
+    goal = Configuration(10.5, 6.5)
+    scripted = ComposedPolicy(
+        [Stage("scripted", ScriptedPolicy([start, corner, goal], tol=0.6), frozenset())],
+        start, goal, 1.0)
+    handover = two_stage(world, hidden=(3, 12))
+    handover.stages[0] = Stage("up", ScriptedPolicy([start, corner], tol=0.6),
+                               handover.stages[0].advance_cells)
+    return [(two_stage(world), 11, range(6)), (two_stage(world, (16, 5)), 12, range(10, 17)),
+            (two_stage(world, (3, 12)), 11, [50]), (scripted, 30, range(20, 25)),
+            (handover, 14, range(30, 34))]
+
+
+@pytest.mark.parametrize("kinematics", KINEMATICS)
+def test_varied_policies_match_each_run_alone(kinematics):
+    w = walled_world(kinematics, noise_sigma=0.4)
+    runs = varied_runs(w)
+    shapes = {stage.policy.actor.layer_sizes for composed, _, _ in runs
+              for stage in composed.stages if isinstance(stage.policy, Policy)}
+    assert len(shapes) == 3
+    batch = execute_composed(w, [(c, limit, lane_rngs(seeds)) for c, limit, seeds in runs])
+    for (composed, limit, seeds), traces in zip(runs, batch):
+        (alone,) = execute_composed(w, [(composed, limit, lane_rngs(seeds))])
+        assert traces == alone == [scalar_execute(w, composed, limit, rng)
+                                   for rng in lane_rngs(seeds)]
+    # the lone lane steps for many ticks, and lanes hand over from a
+    # scripted stage to a learned one
+    assert batch[2][0].total_steps > 5
+    assert any(len(t.stage_steps) == 2 for t in batch[4])
 
 
 def test_no_runs_and_no_lanes():

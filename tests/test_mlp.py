@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from sharp.errors import ShapeMismatch
-from sharp.mlp import (Adam, Mlp, init_mlp, mlp_backward, mlp_forward, mlp_forward_cached,
-                       mlp_input_grad)
+from sharp.mlp import (Adam, Mlp, MlpStack, init_mlp, mlp_backward, mlp_forward,
+                       mlp_forward_cached, mlp_input_grad)
 
 from helpers import layer_arrays
 
@@ -84,6 +84,22 @@ class TestForward:
         net = init_mlp(3, (4, 4), 2, np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
             mlp_forward(net, np.ones(5))
+
+
+    def test_stack_rows_match_batched_forward_bitwise(self):
+        # rows of five nets in shuffled order, one net with a lone row and
+        # one with none: each row has the bits of its net's forward of two
+        # or more rows, the lone one repeated
+        rng = np.random.default_rng(5)
+        nets = [init_mlp(6, (16, 16), 4, rng) for _ in range(5)]
+        which = rng.permutation([0] * 7 + [1] * 3 + [3] + [4] * 12)
+        x = rng.normal(size=(len(which), 6))
+        out = MlpStack(nets).forward(which, x)
+        assert out.shape == (len(which), 4)
+        for k, net in enumerate(nets):
+            rows = x[which == k]
+            alone = mlp_forward(net, np.concatenate([rows, rows]))[:len(rows)]
+            assert out[which == k].tobytes() == alone.tobytes()
 
 
 class TestBackward:

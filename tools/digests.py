@@ -8,16 +8,20 @@ Prints one line each, as `<name> <sha256>`:
 * `smoke-csv` and `desk-csv`: the result CSV of `run_experiment` on
   bench/harness.py's `smoke_spec(0)` and `desk_spec(0)`, run with a fresh
   cache directory, as the benchmark runs them;
-* `smoke-policy-cache` and `desk-policy-cache`: the policy-cache files
-  (`<world hash>/policy_cache.json`) those two runs write, byte for byte:
+* `smoke-unicycle-csv`: the same on env_d P1-P5 with the smoke profile and
+  seed 0, the one bundled unicycle world, so the unicycle observation and
+  steering path is covered end to end;
+* `smoke-policy-cache`, `desk-policy-cache` and
+  `smoke-unicycle-policy-cache`: the policy-cache files
+  (`<world hash>/policy_cache.json`) those runs write, byte for byte:
   every cached actor's parameters, cost and training steps;
 * `library/<world>/<kind>`: `bench/harness.py`'s `library_digest` of
   `build_library` on env_a-env_e with recipe parameters, for the centroid
   and the interface kind.
 
 BLAS is pinned to one thread first, as in bench/run.py. The whole run takes
-about a minute on two cores, where a solve trains its policies on both;
-the desk run takes most of it.
+about a minute and a half on two cores, where a solve trains its policies
+on both; the desk run takes most of it.
 
 Exits 1, naming each digest that differs from tools/digests.expected (the
 same `<name> <sha256>` lines), when any does. A change that moves a digest
@@ -29,6 +33,7 @@ import hashlib
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXPECTED = os.path.join(ROOT, "tools", "digests.expected")
@@ -57,9 +62,18 @@ def experiment_digests(spec) -> tuple[str, str]:
     return csv, caches.hexdigest()
 
 
+def unicycle_spec(seed: int) -> experiment.ExperimentSpec:
+    """env_d P1-P5 with the CEM smoke profile, every stream on seed."""
+    spec = experiment.spec_for_bundled("env_d", train=experiment.smoke_train_config(),
+                                       seeds=(seed,))
+    spec.abstraction = replace(spec.abstraction, seed=seed)
+    return spec
+
+
 def digests():
     """(name, sha256) pairs, in the order they are printed."""
-    for name, spec_fn in (("smoke", harness.smoke_spec), ("desk", harness.desk_spec)):
+    for name, spec_fn in (("smoke", harness.smoke_spec), ("desk", harness.desk_spec),
+                          ("smoke-unicycle", unicycle_spec)):
         csv, caches = experiment_digests(spec_fn(0))
         yield f"{name}-csv", csv
         yield f"{name}-policy-cache", caches
