@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Unreachable
-from .world import (Configuration, Kinematics, OccupancyWorld, collision,
+from .world import (Configuration, Kinematics, OccupancyWorld, cell_table, collision,
                     steer_toward, step)
 
 
@@ -49,21 +49,31 @@ def rrt_plan(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
     # cells: a cell index, two jitters and, for sample_free on a unicycle
     # world, a heading that the plan does not use
     if mask is None:
-        allowed, cells = None, world.free_list
+        table, cells = world.free_table, world.free_list
         heading = world.kinematics is Kinematics.UNICYCLE
     else:
         allowed = world.free_set & mask
         if not allowed:
             raise Unreachable("mask contains no free cell")
+        table = cell_table(world, allowed)
         cells, heading = sorted(allowed), False
+    allowed, blocked = table.cells, table.blocked
     n_cells, cs = len(cells), world.cell_size
     step_len = RRT_STEP_CELLS * cs
     gx, gy = x_g.x, x_g.y
+    floor = math.floor
+
+    def cell_in_table(x, y):
+        """The cell of (x, y), or None when it is not in the table's cells:
+        then every sweep from (x, y) is blocked at its first point."""
+        cell = (floor(x / cs), floor(y / cs))
+        return cell if cell in allowed else None
 
     nodes_x = np.empty(max_iters + 1)
     nodes_y = np.empty(max_iters + 1)
     nodes_x[0], nodes_y[0] = x_i.x, x_i.y
     parents = [-1]
+    node_cells = [cell_in_table(x_i.x, x_i.y)]
     n = 1
 
     for _ in range(max_iters):
@@ -89,10 +99,24 @@ def rrt_plan(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
             continue
         scale = min(1.0, step_len / dist)
         tx, ty = nx + scale * (sx - nx), ny + scale * (sy - ny)
-        if not world.segment_free((nx, ny), (tx, ty), allowed):
+        # the table checks of world.segment_free, from the cell kept beside
+        # the node; segment_free answers what they leave open
+        near_cell = node_cells[near]
+        if near_cell is None:
+            continue
+        ex, ey = floor((nx + (tx - nx)) / cs), floor((ny + (ty - ny)) / cs)
+        if (ex, ey) not in allowed:
+            continue
+        cx, cy = near_cell
+        lx, hx = (cx, ex + 1) if cx <= ex else (ex, cx + 1)
+        ly, hy = (cy, ey + 1) if cy <= ey else (ey, cy + 1)
+        lo, hi = blocked[ly], blocked[hy]
+        if (hi[hx] - hi[lx] - lo[hx] + lo[lx]
+                and not world.segment_free((nx, ny), (tx, ty), table)):
             continue
         nodes_x[n], nodes_y[n] = tx, ty
         parents.append(near)
+        node_cells.append(cell_in_table(tx, ty))
         n += 1
         if math.hypot(tx - gx, ty - gy) <= goal_tol:
             waypoints = []
@@ -113,12 +137,12 @@ def shortcut(world: OccupancyWorld, plan: MotionPlan,
     pts = plan.waypoints
     if len(pts) <= 2:
         return MotionPlan(list(pts))
-    allowed = None if mask is None else world.free_set & mask
+    table = None if mask is None else cell_table(world, world.free_set & mask)
     out = [pts[0]]
     i = 0
     while i < len(pts) - 1:
         j = len(pts) - 1
-        while j > i + 1 and not world.segment_free(pts[i].xy, pts[j].xy, allowed):
+        while j > i + 1 and not world.segment_free(pts[i].xy, pts[j].xy, table):
             j -= 1
         out.append(pts[j])
         i = j

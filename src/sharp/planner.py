@@ -32,8 +32,7 @@ from .mlp import Mlp
 from .options import (OptionGuide, OptionKind, OptionSpec, build_guide,
                       compute_guide_path)
 from .seeding import derive_rng, spawn
-from .world import (Configuration, OccupancyWorld, padded_cells, steer_toward_lanes,
-                    step_lanes, world_hash)
+from .world import Configuration, OccupancyWorld, padded_cells, tick_lanes, world_hash
 
 log = logging.getLogger(__name__)
 
@@ -379,8 +378,7 @@ def run_lanes(world: OccupancyWorld, runs: list) -> list[list[ExecutionTrace]]:
             if lanes.any():
                 tx[lanes], ty[lanes] = steer(slot_of[stage[lanes]], x[lanes], y[lanes],
                                              theta[lanes])
-        a0, a1 = steer_toward_lanes(world, x, y, theta, tx, ty)
-        x, y, theta = step_lanes(world, x, y, theta, a0, a1,
+        x, y, theta = tick_lanes(world, x, y, theta, tx, ty,
                                  noise[ids, tick % NOISE_BLOCK])
         used += 1
         tick += 1

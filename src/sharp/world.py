@@ -2,7 +2,13 @@
 
 The collision oracle is the world's frozenset of free ``(ix, iy)`` cells: a
 point collides unless its cell is in the set, so every point off the grid
-collides. A swept segment is checked at the points that ``sweep`` lists.
+collides. A swept segment is checked at the points that ``sweep`` lists, and
+``_walk_sweep`` is the one definition of that check. A ``CellTable`` pairs a
+set of free cells with a summed-area table of the grid's other cells, and
+answers most checks without the walk: a segment whose last point's cell is
+outside the set is blocked, and one whose bounding box of cells lies in the
+set is free. The walk runs only when neither holds. The world keeps the table
+of its free set.
 
 Coordinate conventions used everywhere in the package:
 
@@ -61,6 +67,48 @@ def sweep(a: tuple[float, float], b: tuple[float, float],
     """The points a + (i/n)(b - a), i = 0..n, of the swept segment a->b, n
     as _walk_sweep sets it."""
     return _walk_sweep(a, b, cell_size, None, 0)[0]
+
+
+# Why a table answers a sweep check exactly: point i of the sweep a->b is
+# a + t * (b - a) with t = i/n in [0, 1], each operation rounded. Rounding
+# is monotone, so per axis t * (b - a) lies between 0 and b - a, and the point
+# between a and a + (b - a), the last point (t = 1 exactly). Dividing by the
+# cell size and flooring are monotone too, so every point's cell lies in the
+# box of cells spanned by the cells of a and of the last point. The walk
+# reaches the last point unless it stops earlier, so a last point outside the
+# cells makes the segment blocked, and a box inside them makes it free.
+
+
+@dataclass(frozen=True)
+class CellTable:
+    """A set of cells of a grid and the summed-area table (Crow, 1984) of
+    the grid's cells outside it: blocked[iy][ix] counts those in columns
+    below ix and rows below iy."""
+
+    cells: frozenset
+    blocked: list
+
+    def holds_box(self, c: tuple[int, int], d: tuple[int, int]) -> bool:
+        """Whether every cell of the box with corner cells c and d is in
+        cells: four table lookups."""
+        (cx, cy), (dx, dy) = c, d
+        lx, hx = (cx, dx + 1) if cx <= dx else (dx, cx + 1)
+        ly, hy = (cy, dy + 1) if cy <= dy else (dy, cy + 1)
+        blocked = self.blocked
+        if lx < 0 or ly < 0 or hy >= len(blocked) or hx >= len(blocked[0]):
+            return False
+        lo, hi = blocked[ly], blocked[hy]
+        return hi[hx] - hi[lx] - lo[hx] + lo[lx] == 0
+
+
+def cell_table(world: "OccupancyWorld", cells) -> CellTable:
+    """The CellTable of a set of cells on the world's grid."""
+    w, h = world.width, world.height
+    outside = np.ones(h * w, dtype=np.int64)
+    outside[[iy * w + ix for ix, iy in cells]] = 0
+    blocked = np.zeros((h + 1, w + 1), dtype=np.int64)
+    blocked[1:, 1:] = outside.reshape(h, w).cumsum(axis=0).cumsum(axis=1)
+    return CellTable(frozenset(cells), blocked.tolist())
 
 
 def wrap_angle(theta: float) -> float:
@@ -138,6 +186,7 @@ class OccupancyWorld:
     free_set: frozenset = field(init=False, repr=False, compare=False)  # (ix, iy)
     free_list: list = field(init=False, repr=False, compare=False)  # row-major
     _free_cells: np.ndarray = field(init=False, repr=False, compare=False)
+    free_table: CellTable = field(init=False, repr=False, compare=False)
     # occupancy with a ring of occupied cells around it, for the lane sweep
     _walled: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -160,6 +209,7 @@ class OccupancyWorld:
         self._free_cells = np.column_stack([ix, iy])
         self.free_list = list(zip(ix.tolist(), iy.tolist()))
         self.free_set = frozenset(self.free_list)
+        self.free_table = cell_table(self, self.free_set)
         self._walled = np.pad(occ, 1, constant_values=True)
 
     # -- geometry -----------------------------------------------------------
@@ -192,11 +242,23 @@ class OccupancyWorld:
         return self.cell_of(x, y) not in self.free_set
 
     def segment_free(self, a: tuple[float, float], b: tuple[float, float],
-                     cells: frozenset | None = None) -> bool:
+                     table: CellTable | None = None) -> bool:
         """True iff every point that sweep lists for a->b lies in a free
-        cell, or, when given, in cells, a subset of the free cells."""
-        cells = self.free_set if cells is None else cells
-        return _walk_sweep(a, b, self.cell_size, cells, 0)[1]
+        cell, or, when given, in table.cells, a subset of the free cells.
+
+        The table answers first: False when the cell of the last point,
+        a + (b - a), is not in the cells; True when every cell of the box
+        spanned by that cell and a's is. Otherwise _walk_sweep answers."""
+        table = self.free_table if table is None else table
+        cs = self.cell_size
+        (ax, ay), (bx, by) = a, b
+        floor = math.floor
+        last = (floor((ax + (bx - ax)) / cs), floor((ay + (by - ay)) / cs))
+        if last not in table.cells:
+            return False
+        if table.holds_box((floor(ax / cs), floor(ay / cs)), last):
+            return True
+        return _walk_sweep(a, b, cs, table.cells, 0)[1]
 
 
 def start_heading(world: OccupancyWorld) -> float | None:
@@ -237,6 +299,11 @@ def _truncate_to_free(world: OccupancyWorld, start: tuple[float, float],
     after it collides."""
     if target == start:
         return start
+    (sx, sy), (tx, ty) = start, target
+    last = (sx + (tx - sx), sy + (ty - sy))
+    # every point lies in this box of free cells, so the walk would end at last
+    if world.free_table.holds_box(world.cell_of(sx, sy), world.cell_of(*last)):
+        return last
     points, _ = _walk_sweep(start, target, world.cell_size, world.free_set, 1)
     return points[-1] if points else start
 
@@ -331,18 +398,26 @@ def _wrap_lanes(theta: np.ndarray) -> np.ndarray:
     return (theta + math.pi) % TWO_PI - math.pi
 
 
-def _clip_lanes(world: OccupancyWorld, a0: np.ndarray, a1: np.ndarray):
-    """clip_action over lanes of (dx, dy) or (v, omega) commands."""
+def _clip_lanes(world: OccupancyWorld, a0: np.ndarray, a1: np.ndarray, norm=None):
+    """clip_action over lanes of (dx, dy) or (v, omega) commands; returns
+    the clipped commands and, for (dx, dy), their norms, else None. norm,
+    when given, holds the norms of (a0, a1); a lane the clip leaves unscaled
+    keeps its norm, and only the scaled ones are measured again."""
     if world.kinematics is Kinematics.HOLONOMIC:
-        norm = _per_lane(math.hypot, a0, a1)
+        if norm is None:
+            norm = _per_lane(math.hypot, a0, a1)
         big = (norm > world.max_step) & (norm > 0)
-        s = world.max_step / np.where(big, norm, 1.0)
-        return np.where(big, a0 * s, a0), np.where(big, a1 * s, a1)
+        if big.any():
+            s = world.max_step / np.where(big, norm, 1.0)
+            a0, a1 = np.where(big, a0 * s, a0), np.where(big, a1 * s, a1)
+            norm = norm.copy()
+            norm[big] = _per_lane(math.hypot, a0[big], a1[big])
+        return a0, a1, norm
     v = np.where(0.0 > a0, 0.0, a0)
     v = np.where(world.v_max < v, world.v_max, v)
     omega = np.where(-world.omega_max > a1, -world.omega_max, a1)
     omega = np.where(world.omega_max < omega, world.omega_max, omega)
-    return v, omega
+    return v, omega, None
 
 
 def padded_cells(world: OccupancyWorld, x, y):
@@ -376,9 +451,8 @@ def _truncate_lanes(world: OccupancyWorld, sx, sy, tx, ty):
     return np.where(stay, sx, px[rows, last]), np.where(stay, sy, py[rows, last])
 
 
-def steer_toward_lanes(world: OccupancyWorld, x, y, theta, tx, ty):
-    """steer_toward for lanes at (x, y, theta) heading for (tx, ty); returns
-    the commands as two arrays, (dx, dy) or (v, omega)."""
+def _steer_lanes(world: OccupancyWorld, x, y, theta, tx, ty):
+    """steer_toward_lanes, and the norms of holonomic commands (else None)."""
     dx = tx - x
     dy = ty - y
     if world.kinematics is Kinematics.HOLONOMIC:
@@ -387,18 +461,25 @@ def steer_toward_lanes(world: OccupancyWorld, x, y, theta, tx, ty):
     err = _wrap_lanes(_per_lane(math.atan2, dy, dx) - theta)
     turn = np.abs(err) > 0.5
     v = np.where(dist < world.v_max, dist, world.v_max) * _per_lane(math.cos, err)
-    v, omega = _clip_lanes(world, np.where(turn, 0.0, v), err)
+    v, omega, _ = _clip_lanes(world, np.where(turn, 0.0, v), err)
     still = dist < 1e-12
-    return np.where(still, 0.0, v), np.where(still, 0.0, omega)
+    return np.where(still, 0.0, v), np.where(still, 0.0, omega), None
 
 
-def step_lanes(world: OccupancyWorld, x, y, theta, a0, a1, noise):
+def steer_toward_lanes(world: OccupancyWorld, x, y, theta, tx, ty):
+    """steer_toward for lanes at (x, y, theta) heading for (tx, ty); returns
+    the commands as two arrays, (dx, dy) or (v, omega)."""
+    return _steer_lanes(world, x, y, theta, tx, ty)[:2]
+
+
+def step_lanes(world: OccupancyWorld, x, y, theta, a0, a1, noise, norm=None):
     """step for lanes at (x, y, theta) under commands (a0, a1), with this
     step's (N, 2) standard normals; returns the new (x, y, theta). theta is
-    carried unchanged under holonomic kinematics."""
-    a0, a1 = _clip_lanes(world, a0, a1)
+    carried unchanged under holonomic kinematics. norm, when given, holds
+    the norms of holonomic commands."""
+    a0, a1, norm = _clip_lanes(world, a0, a1, norm)
     if world.kinematics is Kinematics.HOLONOMIC:
-        sigma = world.noise_sigma * _per_lane(math.hypot, a0, a1)
+        sigma = world.noise_sigma * norm
         nx, ny = _truncate_lanes(world, x, y, x + (a0 + sigma * noise[:, 0]),
                                  y + (a1 + sigma * noise[:, 1]))
         return nx, ny, theta
@@ -409,6 +490,14 @@ def step_lanes(world: OccupancyWorld, x, y, theta, a0, a1, noise):
     # step's Configuration wraps the angle once more, which leaves any
     # wrapped angle unchanged: its sum with pi is exact
     return nx, ny, _wrap_lanes(theta + omega)
+
+
+def tick_lanes(world: OccupancyWorld, x, y, theta, tx, ty, noise):
+    """step_lanes under the commands of steer_toward_lanes toward (tx, ty),
+    each holonomic command's norm measured once and again only where a clip
+    scaled it."""
+    a0, a1, norm = _steer_lanes(world, x, y, theta, tx, ty)
+    return step_lanes(world, x, y, theta, a0, a1, noise, norm)
 
 
 # -- text format ---------------------------------------------------------------

@@ -7,7 +7,8 @@ from sharp.errors import NoFreeSpace, ParseError
 from sharp.experiment import load_world
 from sharp.world import (Configuration, HolonomicAction, Kinematics, UnicycleAction,
                          collision, sample_free, sidecar_to_text, parse_sidecar, step,
-                         world_from_text, world_hash, world_to_text)
+                         step_lanes, steer_toward_lanes, tick_lanes, world_from_text,
+                         world_hash, world_to_text)
 from sharp.worlds import RECIPES
 
 from conftest import grid_from_rows, open_world
@@ -236,3 +237,22 @@ class TestTextFormat:
         h1 = world_hash(empty10)
         assert h1 == world_hash(empty10)
         assert h1 != world_hash(with_params(empty10, noise_sigma=0.5))
+
+
+@pytest.mark.parametrize("kinematics", list(Kinematics))
+def test_tick_lanes_is_steer_then_step(kinematics, rng):
+    """tick_lanes reuses the commands' norms; its lanes match the two steps
+    bit for bit, near targets (no clip) and far ones (clipped) alike."""
+    w = grid_from_rows(["#.....", "..#...", "......", "...#.."], kinematics=kinematics,
+                       noise_sigma=0.3, max_step=0.7, v_max=0.7)
+    n = 500
+    x, y = rng.uniform(0.0, 6.0, n), rng.uniform(0.0, 4.0, n)
+    theta = rng.uniform(-math.pi, math.pi, n)
+    reach = rng.choice([0.0, 0.3, 0.7, 5.0], size=(n, 1)) * rng.normal(size=(n, 2))
+    tx, ty = x + reach[:, 0], y + reach[:, 1]
+    noise = rng.standard_normal((n, 2))
+    got = tick_lanes(w, x, y, theta, tx, ty, noise)
+    want = step_lanes(w, x, y, theta, *steer_toward_lanes(w, x, y, theta, tx, ty), noise)
+    for g, e in zip(got, want):
+        assert g.tobytes() == e.tobytes()
+
