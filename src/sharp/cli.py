@@ -7,6 +7,16 @@ synthesizes the option library, `solve` runs one problem end to end,
 and `plotdata` aggregates result rows into figure CSVs. SHARP_CACHE_DIR
 overrides the artifact cache location.
 
+`solve` and `baseline` run the experiment's per-problem code on the streams
+of problem 1 of seed `--seed`. They print the rows of a one-problem
+experiment with the same world, kind, profile, episodes, stage limit and
+abstraction settings, seeds [`--seed`], and `abstraction.seed` set to
+`--seed`, which is also the CLI's abstraction seed: `solve` the sharp row
+when its policy cache starts empty, as each seed's does in an experiment;
+`baseline` the rrt_replan row for a `--budget` of the stage limit times the
+solve's stages, and the monolithic row for a `--budget` of the sharp row's
+training steps and the default stage limit.
+
 `--world` is resolved by `experiment.load_world`. Only a bundled world's
 name brings its recipe: its abstraction settings, under the flags, and its
 problems for `experiment`. A world file gets the AbstractionParams defaults,
@@ -20,19 +30,18 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from . import artifacts, settings
 from .abstraction import goal_tolerance, render_assignment
 from .errors import ParseError, SharpError
 from .experiment import (DEFAULT_PROFILE, STAGE_LIMIT, TRAIN_PROFILES,
-                         AbstractionParams, emit_plot_data, evaluate_composed,
-                         evaluate_rrt_replan, load_experiment_config,
-                         load_or_build_library, load_world, monolithic_baseline,
-                         read_rows, rows_to_csv, run_experiment, select_regions,
+                         AbstractionParams, composed_run, density_and_regions,
+                         emit_plot_data, evaluate_rrt_replan, evaluate_runs,
+                         load_experiment_config, load_or_build_library, load_world,
+                         monolithic_run, read_rows, rows_to_csv, run_experiment,
                          spec_for_bundled, write_rows)
 from .planner import sharp_solve
-from .regions import collect_solution_density
 from .seeding import derive_rng
 from .world import (Configuration, sidecar_to_text, start_heading, world_hash,
                     world_to_text)
@@ -103,10 +112,7 @@ def cmd_worlds(args) -> int:
 def cmd_regions(args) -> int:
     world, _, recipe = load_world(args.world)
     params = _abstraction_params(args, recipe)
-    rng = derive_rng("abstraction", world_hash(world), params.seed)
-    density = collect_solution_density(world, params.n_goals,
-                                       params.inits_per_goal, rng)
-    regions, threshold = select_regions(world, density, params)
+    density, regions, threshold = density_and_regions(world, params)
     print(f"{len(regions)} critical regions (threshold {threshold:.4f}):")
     for i, r in enumerate(regions):
         print(f"  {i}: score={r.score:.3f} cells={len(r.cells)} "
@@ -159,13 +165,16 @@ def cmd_solve(args) -> int:
     train = TRAIN_PROFILES[args.profile]()
     whash = world_hash(world)
     cache = artifacts.load_cache(cache_dir, whash) if cache_dir is not None else {}
-    composed, stats = sharp_solve(world, x_i, x_g, library, cache, train,
-                                  derive_rng("solve", name, args.seed),
-                                  goal_tolerance(world, None))
-    success, mean_steps = evaluate_composed(world, composed, args.episodes,
-                                            args.stage_limit, (name, args.seed))
-    if cache_dir is not None:
-        artifacts.save_cache(cache_dir, whash, cache)
+    seed_key = (name, args.seed, 1)   # problem 1 of an experiment
+    try:
+        composed, stats = sharp_solve(world, x_i, x_g, library, cache, train,
+                                      derive_rng("solve", *seed_key),
+                                      goal_tolerance(world, None))
+    finally:   # a failed solve keeps the policies of the stages it trained
+        if cache_dir is not None:
+            artifacts.save_cache(cache_dir, whash, cache)
+    ((success, mean_steps),) = evaluate_runs(world, [composed_run(
+        composed, args.episodes, args.stage_limit, seed_key)])
     result = {"plan": stats.plan_option_ids,
               "options_trained": stats.options_trained,
               "options_reused": stats.options_reused,
@@ -182,17 +191,18 @@ def cmd_baseline(args) -> int:
     x_i = _parse_xy(args.start, start_heading(world))
     x_g = _parse_xy(args.goal)
     goal_tol = goal_tolerance(world, None)
+    seed_key = (name, args.seed, 1)   # problem 1 of an experiment
     if args.method == "rrt_replan":
         success, mean_steps = evaluate_rrt_replan(world, x_i, x_g, goal_tol,
                                                   args.budget, args.episodes,
-                                                  (name, args.seed))
+                                                  seed_key)
         print(json.dumps({"method": "rrt_replan", "success_rate": success,
                           "mean_steps": mean_steps}, indent=2, sort_keys=True))
         return 0
-    train = replace(TRAIN_PROFILES[args.profile](), max_steps=args.budget)
-    success, _, steps = monolithic_baseline(
-        world, x_i, x_g, train, goal_tol, args.episodes, STAGE_LIMIT,
-        derive_rng("mono", name, args.seed), (name, args.seed))
+    run, steps = monolithic_run(world, x_i, x_g, TRAIN_PROFILES[args.profile](),
+                                goal_tol, args.budget, args.episodes, STAGE_LIMIT,
+                                seed_key)
+    ((success, _),) = evaluate_runs(world, [run])
     print(json.dumps({"method": "monolithic", "training_steps": steps,
                       "success_rate": success}, indent=2, sort_keys=True))
     return 0
@@ -237,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name: str, help: str, func):
         # no abbreviations: `experiment --seed` must not read as `--seeds`
-        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p = sub.add_parser(name, help=help, description=help, allow_abbrev=False)
         p.set_defaults(func=func)
         return p
 
@@ -272,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, abstraction=True, out=True)
     p.add_argument("--kind", choices=["centroid", "interface"], default="centroid")
 
-    p = command("solve", "solve one problem end to end", cmd_solve)
+    p = command("solve", "solve one problem end to end; from an empty policy "
+                "cache, the sharp row of a one-problem experiment on seed --seed",
+                cmd_solve)
     common(p, abstraction=True)
     p.add_argument("--kind", choices=["centroid", "interface"], default="centroid")
     p.add_argument("--start", required=True, help="x,y[,theta] meters")
@@ -281,7 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage-limit", type=_positive_int, default=STAGE_LIMIT)
     p.add_argument("--profile", choices=list(TRAIN_PROFILES), default=DEFAULT_PROFILE)
 
-    p = command("baseline", "run a baseline on one problem", cmd_baseline)
+    p = command("baseline", "run a baseline on one problem: the rrt_replan "
+                "or monolithic row of a one-problem experiment on seed --seed",
+                cmd_baseline)
     common(p, cache=False)
     p.add_argument("--method", choices=["rrt_replan", "monolithic"],
                    required=True)
@@ -289,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--goal", required=True)
     p.add_argument("--episodes", type=_positive_int, default=20)
     p.add_argument("--budget", type=_positive_int, default=1600,
-                   help="rrt_replan step budget, or monolithic training steps")
+                   help="rrt_replan step budget, or monolithic training steps "
+                        "(at least the profile's eval_every)")
     p.add_argument("--profile", choices=list(TRAIN_PROFILES), default=DEFAULT_PROFILE)
 
     p = command("experiment", "run a full experiment spec", cmd_experiment)

@@ -182,6 +182,17 @@ def select_regions(world: OccupancyWorld, density: np.ndarray,
     return regions, threshold
 
 
+def density_and_regions(world: OccupancyWorld, params: AbstractionParams
+                        ) -> tuple[np.ndarray, list[CriticalRegion], float]:
+    """The front end of a library: the solution density collected on
+    derive_rng("abstraction", world_hash(world), params.seed), and the
+    regions and threshold that select_regions picks from it."""
+    rng = derive_rng("abstraction", world_hash(world), params.seed)
+    density = collect_solution_density(world, params.n_goals,
+                                       params.inits_per_goal, rng)
+    return (density, *select_regions(world, density, params))
+
+
 def build_library(world: OccupancyWorld, kind: str,
                   params: AbstractionParams) -> tuple[np.ndarray, OptionLibrary]:
     """Density -> critical regions -> partition -> option endpoints.
@@ -190,10 +201,7 @@ def build_library(world: OccupancyWorld, kind: str,
     the threshold or adds farthest-cell anchors (a fallback that is not from
     the paper) rather than fail.
     """
-    rng = derive_rng("abstraction", world_hash(world), params.seed)
-    density = collect_solution_density(world, params.n_goals,
-                                       params.inits_per_goal, rng)
-    regions, _ = select_regions(world, density, params)
+    density, regions, _ = density_and_regions(world, params)
     rbvd = build_region_voronoi(world, regions)
     t = params.region_threshold
     if t is None:
@@ -352,26 +360,20 @@ def read_rows(path: str) -> list[ResultRow]:
 # -- the protocol ----------------------------------------------------------------------
 
 
-def _composed_run(composed: ComposedPolicy, episodes: int, stage_limit: int,
-                  seed_key) -> tuple:
+def composed_run(composed: ComposedPolicy, episodes: int, stage_limit: int,
+                 seed_key) -> tuple:
     """The lane run evaluating a composed policy: episode ep runs on
     derive_rng("exec", *seed_key, ep)."""
     return composed, stage_limit, [derive_rng("exec", *seed_key, ep)
                                    for ep in range(episodes)]
 
 
-def evaluate_composed(world, composed: ComposedPolicy, episodes: int,
-                      stage_limit: int, seed_key) -> tuple[float, float]:
-    """Success rate and mean steps of the composed policy; episode ep runs on
-    derive_rng("exec", *seed_key, ep)."""
-    (traces,) = execute_composed(world, [_composed_run(composed, episodes,
-                                                       stage_limit, seed_key)])
-    return _success_and_steps(traces)
-
-
-def _success_and_steps(traces) -> tuple[float, float]:
-    wins = sum(t.outcome == "reached_goal" for t in traces)
-    return wins / len(traces), float(np.mean([t.total_steps for t in traces]))
+def evaluate_runs(world, runs: list) -> list[tuple[float, float]]:
+    """Success rate and mean steps of each lane run, all stepped in one
+    execute_composed batch."""
+    return [(sum(t.outcome == "reached_goal" for t in traces) / len(traces),
+             float(np.mean([t.total_steps for t in traces])))
+            for traces in execute_composed(world, runs)]
 
 
 def evaluate_rrt_replan(world, x_i, x_g, goal_tol: float, budget: int,
@@ -387,29 +389,22 @@ def evaluate_rrt_replan(world, x_i, x_g, goal_tol: float, budget: int,
             float(np.mean([r.steps for r in results])))
 
 
-def _monolithic_run(world, x_i, x_g, train: TrainConfig, goal_tol: float,
-                    episodes: int, stage_limit: int, train_rng,
-                    seed_key) -> tuple[tuple, int]:
-    """Train the flat policy; returns the lane run evaluating it and its
+def monolithic_run(world, x_i, x_g, train: TrainConfig, goal_tol: float,
+                   budget: int, episodes: int, stage_limit: int,
+                   seed_key) -> tuple[tuple, int]:
+    """Train the flat policy on derive_rng("monolithic", *seed_key) for at
+    most max(budget, train.eval_every) steps, so that it trains for at least
+    one evaluation interval; returns the lane run evaluating it and its
     training steps. The run executes it greedily as a one-stage controller
     for at most 4 * stage_limit steps an episode, until it is within
     goal_tol of x_g; episode ep runs on derive_rng("monoeval", *seed_key, ep)."""
-    policy, stats = train_monolithic_policy(world, x_i, x_g, train, train_rng,
+    cfg = replace(train, max_steps=max(budget, train.eval_every))
+    policy, stats = train_monolithic_policy(world, x_i, x_g, cfg,
+                                            derive_rng("monolithic", *seed_key),
                                             goal_tol)
     flat = ComposedPolicy([Stage("flat", policy, frozenset())], x_i, x_g, goal_tol)
     rngs = [derive_rng("monoeval", *seed_key, ep) for ep in range(episodes)]
     return (flat, 4 * stage_limit, rngs), stats.steps
-
-
-def monolithic_baseline(world, x_i, x_g, train: TrainConfig, goal_tol: float,
-                        episodes: int, stage_limit: int, train_rng,
-                        seed_key) -> tuple[float, float, int]:
-    """(success_rate, mean_steps, training_steps) of the flat policy that
-    _monolithic_run trains and evaluates."""
-    run, steps = _monolithic_run(world, x_i, x_g, train, goal_tol, episodes,
-                                 stage_limit, train_rng, seed_key)
-    (traces,) = execute_composed(world, [run])
-    return (*_success_and_steps(traces), steps)
 
 
 def run_experiment(spec: ExperimentSpec, cache_dir: str | None = None) -> list:
@@ -465,8 +460,8 @@ def run_experiment(spec: ExperimentSpec, cache_dir: str | None = None) -> list:
                                       stats.training_steps, stats.options_trained,
                                       stats.options_reused))
                 lane_rows.append(rows[-1])
-                runs.append(_composed_run(composed, spec.eval_episodes,
-                                          spec.stage_limit, seed_key))
+                runs.append(composed_run(composed, spec.eval_episodes,
+                                         spec.stage_limit, seed_key))
                 budget = spec.stage_limit * len(composed.stages)
                 sharp_training_steps = stats.training_steps
             if spec.run_rrt_replan:
@@ -492,10 +487,8 @@ def run_experiment(spec: ExperimentSpec, cache_dir: str | None = None) -> list:
                 if run is not None:
                     lane_rows.append(row)
                     runs.append(run)
-            traces = execute_composed(world, runs)
-            rrt_results = rrt()
-        for row, result in zip(lane_rows + rrt_rows,
-                               [*map(_success_and_steps, traces), *rrt_results]):
+            results = evaluate_runs(world, runs) + rrt()
+        for row, result in zip(lane_rows + rrt_rows, results):
             row.success_rate, row.mean_steps = result
         if cache_dir is not None:
             artifacts.save_cache(cache_dir, whash, {**stored, **cache})
@@ -508,12 +501,10 @@ def _monolithic_row(spec: ExperimentSpec, row: ResultRow, x_i, x_g,
     a training budget matched to what the hierarchical solve spent on it.
     Fills in row's training steps and returns the lane run whose evaluation
     fills in its rates; or fills in its error and returns None."""
-    cfg = replace(spec.train, max_steps=max(budget_steps, spec.train.eval_every))
-    seed_key = (spec.name, row.seed, row.problem)
     try:
-        run, row.training_steps = _monolithic_run(
-            spec.world, x_i, x_g, cfg, goal_tol, spec.eval_episodes,
-            spec.stage_limit, derive_rng("monolithic", *seed_key), seed_key)
+        run, row.training_steps = monolithic_run(
+            spec.world, x_i, x_g, spec.train, goal_tol, budget_steps,
+            spec.eval_episodes, spec.stage_limit, (spec.name, row.seed, row.problem))
     except SharpError as e:
         row.error = type(e).__name__
         return None

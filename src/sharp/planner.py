@@ -235,7 +235,7 @@ class CacheEntry:
 class Stage:
     """One controller stage. policy is memoryless: the waypoint each lane
     heads for is a function of its configuration alone. Its class provides
-    the batched call that run_lanes makes, as learn.Policy does:
+    the batched call that execute_composed makes, as learn.Policy does:
     lane_controller(world, policies) -> steer, built once from a list of
     policies of that class, and steer(slot, x, y, theta) -> (tx, ty), the
     waypoints of lanes at (x, y, theta) where lane i runs policies[slot[i]].
@@ -272,8 +272,8 @@ class ExecutionTrace:
 NOISE_BLOCK = 32   # steps of noise a lane draws at a time
 
 
-def run_lanes(world: OccupancyWorld, runs: list) -> list[list[ExecutionTrace]]:
-    """Greedy executions of stage automata, all stepped in lockstep. runs
+def execute_composed(world: OccupancyWorld, runs: list) -> list[list[ExecutionTrace]]:
+    """Greedy executions of composed policies, all stepped in lockstep. runs
     holds (composed, per_stage_limit, rngs) tuples; each generator of a run
     is one lane of its composed policy, and the result holds, per run, one
     trace per generator.
@@ -383,13 +383,6 @@ def run_lanes(world: OccupancyWorld, runs: list) -> list[list[ExecutionTrace]]:
         used += 1
         tick += 1
     return [traces[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-def execute_composed(world: OccupancyWorld, runs: list) -> list[list[ExecutionTrace]]:
-    """Greedy executions of composed policies: for each (composed,
-    per_stage_limit, rngs) run, one trace per generator, all stepped in
-    lockstep by run_lanes."""
-    return run_lanes(world, runs)
 
 
 # -- solve ---------------------------------------------------------------------------

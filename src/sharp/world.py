@@ -452,7 +452,9 @@ def _truncate_lanes(world: OccupancyWorld, sx, sy, tx, ty):
 
 
 def _steer_lanes(world: OccupancyWorld, x, y, theta, tx, ty):
-    """steer_toward_lanes, and the norms of holonomic commands (else None)."""
+    """steer_toward for lanes at (x, y, theta) heading for (tx, ty): the
+    commands as two arrays, (dx, dy) or (v, omega), and the norms of
+    holonomic commands (else None)."""
     dx = tx - x
     dy = ty - y
     if world.kinematics is Kinematics.HOLONOMIC:
@@ -464,12 +466,6 @@ def _steer_lanes(world: OccupancyWorld, x, y, theta, tx, ty):
     v, omega, _ = _clip_lanes(world, np.where(turn, 0.0, v), err)
     still = dist < 1e-12
     return np.where(still, 0.0, v), np.where(still, 0.0, omega), None
-
-
-def steer_toward_lanes(world: OccupancyWorld, x, y, theta, tx, ty):
-    """steer_toward for lanes at (x, y, theta) heading for (tx, ty); returns
-    the commands as two arrays, (dx, dy) or (v, omega)."""
-    return _steer_lanes(world, x, y, theta, tx, ty)[:2]
 
 
 def step_lanes(world: OccupancyWorld, x, y, theta, a0, a1, noise, norm=None):
@@ -493,7 +489,7 @@ def step_lanes(world: OccupancyWorld, x, y, theta, a0, a1, noise, norm=None):
 
 
 def tick_lanes(world: OccupancyWorld, x, y, theta, tx, ty, noise):
-    """step_lanes under the commands of steer_toward_lanes toward (tx, ty),
+    """step_lanes under the commands of _steer_lanes toward (tx, ty),
     each holonomic command's norm measured once and again only where a clip
     scaled it."""
     a0, a1, norm = _steer_lanes(world, x, y, theta, tx, ty)

@@ -17,7 +17,7 @@ from sharp.options import OptionGuide
 from sharp.planner import ComposedPolicy, astar
 from sharp.regions import swept_cells
 from sharp.world import (SWEEP_FRACTION, Configuration, Kinematics, OccupancyWorld,
-                         sample_free, sample_in_cells, step, steer_toward)
+                         _steer_lanes, sample_free, sample_in_cells, step, steer_toward)
 
 
 class ScriptedPolicy:
@@ -51,6 +51,13 @@ class ScriptedPolicy:
                            for k, a, b in zip(slot.tolist(), x.tolist(), y.tolist())))
             return np.array(tx), np.array(ty)
         return steer
+
+
+def steer_toward_lanes(world: OccupancyWorld, x, y, theta, tx, ty):
+    """steer_toward for lanes at (x, y, theta) heading for (tx, ty): the
+    commands that world.tick_lanes steps under, as two arrays, (dx, dy) or
+    (v, omega)."""
+    return _steer_lanes(world, x, y, theta, tx, ty)[:2]
 
 
 def _segment_distance(c, a, b) -> float:

@@ -7,10 +7,11 @@ import pytest
 
 from sharp import artifacts, cli, experiment, planner
 from sharp.cli import _abstraction_params, build_parser, main
-from sharp.errors import SharpError
+from sharp.errors import GuideUnreachable, SharpError
 from sharp.experiment import (AbstractionParams, desk_train_config,
                               load_experiment_config, load_world, smoke_train_config)
-from sharp.world import parse_sidecar, world_from_text, world_hash
+from sharp.world import (Configuration, parse_sidecar, start_heading, world_from_text,
+                         world_hash)
 
 from helpers import density_from_payload, sample_setting
 
@@ -498,3 +499,74 @@ def test_cache_dir_file_rejected_before_building(tiny_world_file, tmp_path,
     argv = ["abstract", "--world", tiny_world_file, "--cache-dir", str(tmp_path / "f")]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestOneProtocol:
+    """solve and baseline print the rows of a one-problem experiment: the
+    same per-problem code on the streams of problem 1."""
+
+    def cli_json(self, capsys, *argv):
+        assert main(list(argv)) == 0
+        return json.loads(capsys.readouterr().out)
+
+    # the second problem's monolithic row succeeds in some episodes only
+    @pytest.mark.parametrize("start, goal", [((1.5, 1.5), (8.5, 1.5)),
+                                             ((4.5, 1.5), (4.5, 5.5))])
+    def test_solve_and_baselines_print_the_experiment_rows(self, tiny_world_file,
+                                                           capsys, start, goal):
+        world, name, _ = load_world(tiny_world_file)
+        spec = experiment.ExperimentSpec(
+            name=name, world=world, kind="centroid",
+            problems=[(Configuration(*start, start_heading(world)),
+                       Configuration(*goal))],
+            train=smoke_train_config(), eval_episodes=5)
+        rows = {r.method: r for r in experiment.run_experiment(spec)}
+        sharp, rrt, mono = rows["sharp"], rows["rrt_replan"], rows["monolithic"]
+        assert not (sharp.error or rrt.error or mono.error)
+
+        problem = ["--world", tiny_world_file, "--start", "%g,%g" % start,
+                   "--goal", "%g,%g" % goal, "--profile", "smoke", "--episodes", "5"]
+        solved = self.cli_json(capsys, "solve", *problem)
+        assert (solved["success_rate"], solved["mean_steps"],
+                solved["training_steps"]) == (sharp.success_rate, sharp.mean_steps,
+                                              sharp.training_steps)
+        stages = len(solved["stage_success"])
+        got = self.cli_json(capsys, "baseline", *problem, "--method", "rrt_replan",
+                            "--budget", str(spec.stage_limit * stages))
+        assert (got["success_rate"], got["mean_steps"]) == (rrt.success_rate,
+                                                            rrt.mean_steps)
+        got = self.cli_json(capsys, "baseline", *problem, "--method", "monolithic",
+                            "--budget", str(sharp.training_steps))
+        assert (got["success_rate"], got["training_steps"]) == (mono.success_rate,
+                                                                mono.training_steps)
+
+    def test_monolithic_budget_below_eval_every_trains_eval_every(
+            self, tiny_world_file, capsys):
+        baseline = ["baseline", "--world", tiny_world_file, "--method", "monolithic",
+                    "--start", "1.5,1.5", "--goal", "8.5,1.5", "--profile", "smoke",
+                    "--episodes", "5", "--budget"]
+        floor = smoke_train_config().eval_every
+        assert (self.cli_json(capsys, *baseline, "1")
+                == self.cli_json(capsys, *baseline, str(floor)))
+
+
+def test_failed_solve_keeps_the_policies_it_trained(tiny_world_file, tmp_path,
+                                                    capsys, monkeypatch):
+    argv = ["solve", "--world", tiny_world_file, "--start", "1.5,1.5", "--goal",
+            "8.5,1.5", "--profile", "smoke", "--episodes", "1"]
+    assert main(argv) == 0
+    plan = json.loads(capsys.readouterr().out)["plan"]
+    real = planner.build_guide
+
+    def build_guide(world, rbvd, option_id, *args):
+        if option_id == "bridge-out":
+            raise GuideUnreachable("no guide to the goal")
+        return real(world, rbvd, option_id, *args)
+
+    monkeypatch.setattr(planner, "build_guide", build_guide)
+    cache = str(tmp_path / "cache")
+    assert main(argv + ["--cache-dir", cache]) == 1
+    assert capsys.readouterr().err == "error: no guide to the goal\n"
+    whash = world_hash(load_world(tiny_world_file)[0])
+    trained = [key.split("/")[1] for key in artifacts.load_cache(cache, whash)]
+    assert plan and sorted(trained) == sorted(plan)

@@ -14,10 +14,10 @@ from sharp.mlp import init_mlp, mlp_forward
 from sharp.options import OptionGuide
 from sharp.planner import ComposedPolicy, ExecutionTrace, Stage, execute_composed
 from sharp.world import (Configuration, HolonomicAction, Kinematics, UnicycleAction,
-                         steer_toward, steer_toward_lanes, step, step_lanes)
+                         steer_toward, step, step_lanes)
 
 from conftest import grid_from_rows
-from helpers import ScriptedPolicy, act
+from helpers import ScriptedPolicy, act, steer_toward_lanes
 
 ROWS = ["############",
         "#..........#",

@@ -7,12 +7,12 @@ from sharp.errors import NoFreeSpace, ParseError
 from sharp.experiment import load_world
 from sharp.world import (Configuration, HolonomicAction, Kinematics, UnicycleAction,
                          collision, sample_free, sidecar_to_text, parse_sidecar, step,
-                         step_lanes, steer_toward_lanes, tick_lanes, world_from_text,
-                         world_hash, world_to_text)
+                         step_lanes, tick_lanes, world_from_text, world_hash,
+                         world_to_text)
 from sharp.worlds import RECIPES
 
 from conftest import grid_from_rows, open_world
-from helpers import with_params
+from helpers import steer_toward_lanes, with_params
 
 
 class TestCollision:
