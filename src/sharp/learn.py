@@ -71,9 +71,18 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("max_steps", "eval_every", "eval_episodes", "batch_size",
-                     "episode_limit", "cem_population"):
+                     "episode_limit", "cem_population", "cem_iters"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("actor_lr", "critic_lr"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.entropy_coef < math.inf:
+            raise ValueError("entropy_coef must be nonnegative and finite")
+        if self.start_steps < 0:
+            raise ValueError("start_steps must be nonnegative")
+        if math.isnan(self.stop_avg_reward):
+            raise ValueError("stop_avg_reward must be a number")
         if self.learner not in ("sac", "cem"):
             raise ValueError(f"unknown learner {self.learner!r}")
         if len(self.hidden) != 2 or len(self.cem_hidden) != 2:
@@ -118,8 +127,9 @@ def build_observations(world: OccupancyWorld, points: np.ndarray, x: np.ndarray,
     guide, row for row and bit for bit. points[i] holds lane i's guide
     points, padded at the end with copies of its last point (guide_table),
     so its last column is the guide's end and the nearest point has the
-    coordinates it has without the padding. theta is read only under
-    unicycle kinematics."""
+    coordinates it has without the padding; a table cut to fewer columns
+    keeps both while every row still holds all of its guide's points.
+    theta is read only under unicycle kinematics."""
     ex, ey = world.extent
     hx, hy = ex / 2.0, ey / 2.0
     d2 = (points[:, :, 0] - x[:, None]) ** 2 + (points[:, :, 1] - y[:, None]) ** 2
@@ -130,7 +140,7 @@ def build_observations(world: OccupancyWorld, points: np.ndarray, x: np.ndarray,
         t = theta.tolist()
         cols.extend([np.array(list(map(math.cos, t))), np.array(list(map(math.sin, t)))])
     cols.extend([(px - x) / hx, (py - y) / hy, (gx - px) / hx, (gy - py) / hy])
-    return np.column_stack(cols)
+    return np.array(cols).T
 
 
 def guide_table(guides) -> np.ndarray:
@@ -196,8 +206,16 @@ class Policy:
         MlpStack forward per distinct actor layer shape. A net's lanes
         forward in a block of at least two rows, because a one-row product
         rounds differently from the same row inside a larger one, so a
-        lane's waypoint does not depend on which lanes share the call."""
+        lane's waypoint does not depend on which lanes share the call.
+
+        What depends on slot alone is kept from the previous call and
+        rebuilt only when slot differs from that call's in content: the
+        lanes' guide rows, cut to the most points of any of their guides,
+        and, per actor shape, its lanes and their nets (every lane and its
+        nets, with no mask, when all policies share one shape). Each stack
+        keeps its own layout the same way."""
         table = guide_table([p.guide for p in policies])
+        n_points = np.array([len(p.guide.points) for p in policies])
         shapes: dict = {}   # actor layer sizes -> indices into policies
         for i, p in enumerate(policies):
             shapes.setdefault(p.actor.layer_sizes, []).append(i)
@@ -209,17 +227,25 @@ class Policy:
             net_of[members] = np.arange(len(members))
             stacks.append(MlpStack([policies[i].actor for i in members]))
         scale = displacement_scale(world)
+        kept_slot = rows = parts = None   # parts: (stack, lanes, nets) per shape
 
         def steer(slot: np.ndarray, x: np.ndarray, y: np.ndarray,
                   theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            obs = build_observations(world, table[slot], x, y, theta)
+            nonlocal kept_slot, rows, parts
+            if kept_slot is None or len(slot) != len(kept_slot) or \
+                    not (slot == kept_slot).all():
+                kept_slot = slot.copy()
+                rows = table[slot, :n_points[slot].max()]
+                if len(stacks) == 1:
+                    parts = [(stacks[0], slice(None), net_of[slot])]
+                else:
+                    shape = shape_of[slot]
+                    parts = [(stack, shape == k, net_of[slot[shape == k]])
+                             for k, stack in enumerate(stacks) if (shape == k).any()]
+            obs = build_observations(world, rows, x, y, theta)
             u = np.empty((len(slot), 2))
-            shape = shape_of[slot]
-            for k, stack in enumerate(stacks):
-                lanes = shape == k
-                if lanes.any():
-                    out = stack.forward(net_of[slot[lanes]], obs[lanes])
-                    u[lanes] = np.tanh(out[:, :stack.n_out // 2])
+            for stack, lanes, nets in parts:
+                u[lanes] = np.tanh(stack.forward(nets, obs[lanes])[:, :stack.n_out // 2])
             return x + u[:, 0] * scale, y + u[:, 1] * scale
 
         return steer
@@ -256,6 +282,11 @@ class EpisodeEnv:
         return build_observation(self.world, self.guide, self.c), done, done
 
     def step(self, u: np.ndarray, rng: np.random.Generator):
+        """One step under displacement command u; returns (obs, reward, done,
+        truncated, success). A non-finite u, the output of a diverged actor,
+        raises DivergedTraining."""
+        if not (math.isfinite(u[0]) and math.isfinite(u[1])):
+            raise DivergedTraining("non-finite action")
         a = action_from_displacement(self.world, self.c, u, displacement_scale(self.world))
         self.c = step(self.world, self.c, a, rng)
         self.t += 1

@@ -116,6 +116,22 @@ class MlpStack:
         self.weights = [np.stack([net.weights[i] for net in nets]) for i in range(3)]
         self.biases = [np.stack([net.biases[i] for net in nets])[:, None, :]
                        for i in range(3)]
+        self._which = None    # the last call's which, and its layout
+        self._layout = None
+
+    def _layout_of(self, which: np.ndarray):
+        """(at, shape, params) for which: row i's flat place in the padded
+        stack of the given shape, and the live nets' (weights, biases) per
+        layer."""
+        # a row's place in its block: the rows of its net up to it, less one
+        seen = np.cumsum(which[:, None] == np.arange(len(self.weights[0])), axis=0)
+        pos = seen[np.arange(len(which)), which] - 1
+        sizes = seen[-1]
+        nets = np.flatnonzero(sizes)
+        block = (np.cumsum(sizes > 0) - 1)[which]
+        m = max(2, int(sizes.max()))
+        params = [(w[nets], b[nets]) for w, b in zip(self.weights, self.biases)]
+        return block * m + pos, (len(nets), m), params
 
     def forward(self, which: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Row i of x (B, n_in) through net which[i]. The rows of each net in
@@ -123,21 +139,25 @@ class MlpStack:
         largest block and at least 2, and each layer is one np.matmul over
         the stack: one product per block, with the operations of
         mlp_forward, so a row's output has the bits it has in mlp_forward
-        of any two or more rows."""
-        # a row's place in its block: the rows of its net up to it, less one
-        seen = np.cumsum(which[:, None] == np.arange(len(self.weights[0])), axis=0)
-        pos = seen[np.arange(len(which)), which] - 1
-        sizes = seen[-1]
-        nets = np.flatnonzero(sizes)
-        block = (np.cumsum(sizes > 0) - 1)[which]
-        h = np.zeros((len(nets), max(2, sizes.max()), x.shape[1]))
-        h[block, pos] = x
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = np.matmul(h, w[nets])
-            h += b[nets]
+        of any two or more rows.
+
+        The layout (each row's place in the stack, M, and the live nets'
+        stacked weights and biases) is kept from the previous call and
+        rebuilt only when which differs from that call's in content; the
+        stacked parameters are the nets' at construction either way."""
+        kept = self._which
+        if kept is None or len(which) != len(kept) or not (which == kept).all():
+            self._which = which.copy()
+            self._layout = self._layout_of(which)
+        at, shape, params = self._layout
+        h = np.zeros((*shape, x.shape[1]))
+        h.reshape(-1, x.shape[1])[at] = x
+        for i, (w, b) in enumerate(params):
+            h = np.matmul(h, w)
+            h += b
             if i < 2:
                 np.tanh(h, out=h)
-        return h[block, pos]
+        return h.reshape(-1, self.n_out)[at]
 
 
 def _upstream(net: Mlp, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:

@@ -152,6 +152,7 @@ class OptionGuide:
     penalty_reward: float = DEFAULT_PENALTY_REWARD
     _xy: np.ndarray | None = field(default=None, repr=False, compare=False)
     _end_dist: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _last: tuple | None = field(default=None, repr=False, compare=False)
 
     def point_array(self) -> np.ndarray:
         if self._xy is None:
@@ -167,11 +168,15 @@ class OptionGuide:
 
     def nearest(self, c: Configuration) -> tuple[int, float]:
         """Index of the guide point closest to c (the lowest index on ties)
-        and its squared distance."""
-        xy = self.point_array()
-        d2 = (xy[:, 0] - c.x) ** 2 + (xy[:, 1] - c.y) ** 2
-        idx = int(np.argmin(d2))
-        return idx, float(d2[idx])
+        and its squared distance. The last query's answer is kept, so that
+        the reward and the observation of one environment step search once."""
+        key = (c.x, c.y)
+        if self._last is None or self._last[0] != key:
+            xy = self.point_array()
+            d2 = (xy[:, 0] - c.x) ** 2 + (xy[:, 1] - c.y) ** 2
+            idx = int(np.argmin(d2))
+            self._last = key, (idx, float(d2[idx]))
+        return self._last[1]
 
 
 def pseudo_reward(guide: OptionGuide, rbvd: RegionVoronoi, c: Configuration) -> float:

@@ -291,6 +291,13 @@ def execute_composed(world: OccupancyWorld, runs: list) -> list[list[ExecutionTr
     time (the same values as one draw of two per step). A lane's trace
     therefore does not depend on which other lanes, of its run or of
     another, run beside it.
+
+    With one controller, every live lane is steered in one call, with no
+    per-class masks. A controller keeps, between ticks, what depends only
+    on its lanes' stage slots (Policy's: their guide rows and stacked
+    forward layout), so that only a hand-over or a lane's end rebuilds it.
+    Once no live lane is short of its run's last stage, the hand-over test
+    is skipped for good, as stages only advance.
     """
     # one row per (run, stage): its advance cells as a padded grid mask,
     # left empty for a run's last stage, and the controller and slot of its
@@ -343,24 +350,29 @@ def execute_composed(world: OccupancyWorld, runs: list) -> list[list[ExecutionTr
                              else None)
             traces[ids[r]] = ExecutionTrace(stage_steps[ids[r]], outcome,
                                             (float(x[r]), float(y[r])), timeout_stage)
-        ended[rows] = True
 
     tick = 0
+    handing = True   # until no live lane is short of its run's last stage
     while len(ids):
         # finish, hand over (as often as needed) or time out before stepping
-        d = map(math.hypot, (x - gx).tolist(), (y - gy).tolist())
-        ended = np.zeros(len(ids), dtype=bool)
-        finish(np.flatnonzero(np.array(list(d)) <= tol), "reached_goal")
-        moving = np.flatnonzero(~ended & (stage < last))
-        while len(moving):
-            iy, ix = padded_cells(world, x[moving], y[moving])
-            moving = moving[advance[stage[moving], iy, ix]]
-            for r in moving:
-                stage_steps[ids[r]].append(int(used[r]))
-            stage[moving] += 1
-            used[moving] = 0
-            moving = moving[stage[moving] < last[moving]]
-        finish(np.flatnonzero(~ended & (used >= limit)), "stage_timeout")
+        d = np.fromiter(map(math.hypot, (x - gx).tolist(), (y - gy).tolist()),
+                        np.float64, count=len(ids))
+        ended = d <= tol
+        finish(ended.nonzero()[0], "reached_goal")
+        if handing:
+            moving = (~ended & (stage < last)).nonzero()[0]
+            handing = len(moving) > 0
+            while len(moving):
+                iy, ix = padded_cells(world, x[moving], y[moving])
+                moving = moving[advance[stage[moving], iy, ix]]
+                for r in moving:
+                    stage_steps[ids[r]].append(int(used[r]))
+                stage[moving] += 1
+                used[moving] = 0
+                moving = moving[stage[moving] < last[moving]]
+        timed_out = ~ended & (used >= limit)
+        finish(timed_out.nonzero()[0], "stage_timeout")
+        ended |= timed_out
         if ended.any():
             keep = ~ended
             ids, x, y, theta, stage, used, first, last, gx, gy, tol, limit = (
@@ -371,13 +383,17 @@ def execute_composed(world: OccupancyWorld, runs: list) -> list[list[ExecutionTr
         if tick % NOISE_BLOCK == 0:
             for lane in ids:
                 noise[lane] = rngs[lane].standard_normal(2 * NOISE_BLOCK).reshape(-1, 2)
-        tx, ty = np.empty(len(ids)), np.empty(len(ids))
-        which = controller_of[stage]
-        for k, steer in enumerate(controllers):
-            lanes = which == k
-            if lanes.any():
-                tx[lanes], ty[lanes] = steer(slot_of[stage[lanes]], x[lanes], y[lanes],
-                                             theta[lanes])
+        slot = slot_of[stage]
+        if len(controllers) == 1:
+            tx, ty = controllers[0](slot, x, y, theta)
+        else:
+            tx, ty = np.empty(len(ids)), np.empty(len(ids))
+            which = controller_of[stage]
+            for k, steer in enumerate(controllers):
+                lanes = which == k
+                if lanes.any():
+                    tx[lanes], ty[lanes] = steer(slot[lanes], x[lanes], y[lanes],
+                                                 theta[lanes])
         x, y, theta = tick_lanes(world, x, y, theta, tx, ty,
                                  noise[ids, tick % NOISE_BLOCK])
         used += 1

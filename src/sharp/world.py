@@ -391,7 +391,8 @@ def steer_toward(world: OccupancyWorld, c: Configuration,
 
 
 def _per_lane(fn, *arrays) -> np.ndarray:
-    return np.array(list(map(fn, *(a.tolist() for a in arrays))), dtype=np.float64)
+    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), np.float64,
+                       count=len(arrays[0]))
 
 
 def _wrap_lanes(theta: np.ndarray) -> np.ndarray:
@@ -424,8 +425,8 @@ def padded_cells(world: OccupancyWorld, x, y):
     """(row, column) indices of the cells holding points (x, y) in a grid
     with one cell of padding on every side; every point off the grid lands
     in the padding."""
-    ix = np.clip(np.floor(x / world.cell_size), -1, world.width) + 1
-    iy = np.clip(np.floor(y / world.cell_size), -1, world.height) + 1
+    ix = np.minimum(np.maximum(np.floor(x / world.cell_size), -1), world.width) + 1
+    iy = np.minimum(np.maximum(np.floor(y / world.cell_size), -1), world.height) + 1
     return iy.astype(np.int64), ix.astype(np.int64)
 
 

@@ -202,6 +202,53 @@ def test_diverged_training_is_an_error_row_for_every_method(monkeypatch):
         ("monolithic", 0.0, 0, "DivergedTraining")]
 
 
+def nan_actors(monkeypatch):
+    """Every actor starts with NaN weights (the critics stay finite)."""
+    real = learn.init_mlp
+
+    def init(n_in, hidden, n_out, rng):
+        net = real(n_in, hidden, n_out, rng)
+        if n_out == 4:
+            net.params[...] = np.nan
+        return net
+
+    monkeypatch.setattr(learn, "init_mlp", init)
+
+
+def actors_turn_nan_at_fifth_update(monkeypatch):
+    """Every SAC actor turns NaN after its fifth update, which the loss
+    checks of that update do not see."""
+    real = learn.SacLearner.update
+
+    def update(self, buffer, rng):
+        real(self, buffer, rng)
+        self.updates = getattr(self, "updates", 0) + 1
+        if self.updates == 5:
+            self.actor.params[...] = np.nan
+
+    monkeypatch.setattr(learn.SacLearner, "update", update)
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "pooled"])
+@pytest.mark.parametrize("learner, poison", [
+    ("sac", nan_actors), ("sac", actors_turn_nan_at_fifth_update), ("cem", nan_actors)],
+    ids=["sac-gate", "sac-collection", "cem"])
+def test_non_finite_actor_output_is_a_diverged_training(monkeypatch, learner, poison,
+                                                        cpus):
+    # a NaN command reaches the environment from the first gate, from SAC's
+    # collection or from a CEM candidate; each ends its training as a
+    # divergence, not as a traceback
+    poison(monkeypatch)
+    monkeypatch.setattr(planner, "usable_cpus", lambda: cpus)
+    spec = golden_spec(Kinematics.HOLONOMIC, learner)
+    spec.run_rrt_replan = False
+    rows = run_experiment(spec)
+    assert multiprocessing.active_children() == []
+    assert [(r.method, r.success_rate, r.training_steps, r.error) for r in rows] == [
+        ("sharp", 0.0, 0, "DivergedTraining"),
+        ("monolithic", 0.0, 0, "DivergedTraining")]
+
+
 def two_problem_spec() -> ExperimentSpec:
     spec = golden_spec(Kinematics.HOLONOMIC, "cem")
     spec.problems.append((Configuration(2.5, 4.5), Configuration(7.5, 4.5)))
@@ -480,7 +527,12 @@ class TestSettingsSchema:
         "abstraction.threshold = nan", "abstraction.region_threshold = 0",
         "stage_limit = 100\nstage_limit = 300",
         "problem.1 = 1,1 -> 2,2\nproblem.01 = 3,3 -> 4,4",
-        "train.max_steps = 10\n# again\ntrain.max_steps = 20"])
+        "train.max_steps = 10\n# again\ntrain.max_steps = 20",
+        "train.actor_lr = -5", "train.actor_lr = 0", "train.actor_lr = nan",
+        "train.critic_lr = inf", "train.critic_lr = -1e-3",
+        "train.entropy_coef = -0.1", "train.entropy_coef = nan",
+        "train.entropy_coef = inf", "train.start_steps = -1", "train.cem_iters = 0",
+        "train.stop_avg_reward = nan"])
     def test_bad_value_names_its_line(self, tmp_path, line):
         # the last line is the bad one: a bad value or a key given twice
         cfg = tmp_path / "exp.cfg"

@@ -127,6 +127,17 @@ class TestEnvs:
             assert r == 1000.0
 
 
+@pytest.mark.parametrize("u", [(math.nan, 0.2), (0.1, math.inf), (-math.inf, math.nan)])
+def test_non_finite_command_is_a_divergence(u):
+    w, rbvd, option, guide = two_state_setup()
+    env = option_env(w, rbvd, guide, 50)
+    env.reset(np.random.default_rng(0))
+    start = env.c
+    with pytest.raises(DivergedTraining, match="non-finite action"):
+        env.step(np.array(u), np.random.default_rng(1))
+    assert env.c == start and env.t == 0
+
+
 class TestReplayBuffer:
     def test_rejects_non_finite(self):
         buf = ReplayBuffer(16, 3, 2)

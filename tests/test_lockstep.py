@@ -281,12 +281,36 @@ def mixed_runs(world) -> list:
             (home, 5, range(40, 43))]
 
 
+def recorded_slots(monkeypatch) -> list:
+    """The slot array of every call of every Policy lane controller built
+    from now on, in call order."""
+    calls = []
+    real = Policy.lane_controller
+
+    def recording(world, policies):
+        steer = real(world, policies)
+
+        def record(slot, x, y, theta):
+            calls.append(slot.copy())
+            return steer(slot, x, y, theta)
+        return record
+
+    monkeypatch.setattr(Policy, "lane_controller", staticmethod(recording))
+    return calls
+
+
 @pytest.mark.parametrize("kinematics", KINEMATICS)
-def test_mixed_runs_match_each_run_alone(kinematics):
+def test_mixed_runs_match_each_run_alone(kinematics, monkeypatch):
     w = walled_world(kinematics, noise_sigma=0.4)
     runs = mixed_runs(w)
+    calls = recorded_slots(monkeypatch)
     batch = execute_composed(w, [(c, limit, lane_rngs(seeds))
                                  for c, limit, seeds in runs])
+    # lanes hand over and end at staggered ticks: on some tick the slots
+    # the controller kept from the last change their content but not their
+    # number, and on others their number
+    assert any(len(a) == len(b) and (a != b).any() for a, b in zip(calls, calls[1:]))
+    assert any(len(a) > len(b) for a, b in zip(calls, calls[1:]))
     assert [len(traces) for traces in batch] == [len(seeds) for _, _, seeds in runs]
     for (composed, limit, seeds), traces in zip(runs, batch):
         (alone,) = execute_composed(w, [(composed, limit, lane_rngs(seeds))])

@@ -102,6 +102,20 @@ class TestForward:
             assert out[which == k].tobytes() == alone.tobytes()
 
 
+    def test_stack_keeps_layout_only_for_the_same_which(self):
+        # the same which, one of the same length in other content, a shorter
+        # one, then the first again: every call has the bits of a new stack
+        rng = np.random.default_rng(6)
+        nets = [init_mlp(6, (8, 8), 4, rng) for _ in range(4)]
+        first = np.array([0, 0, 2, 1, 2, 2])
+        kept = MlpStack(nets)
+        for which in (first, first, np.array([0, 3, 3, 1, 1, 2]), np.array([3, 0]),
+                      first):
+            x = rng.normal(size=(len(which), 6))
+            out = kept.forward(which.copy(), x)
+            assert out.tobytes() == MlpStack(nets).forward(which, x).tobytes()
+
+
 class TestBackward:
     def test_gradcheck_random_shapes(self):
         rng = np.random.default_rng(9)
