@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Unreachable
+from .seeding import RawDraws
 from .world import (Configuration, Kinematics, OccupancyWorld, cell_table, collision,
                     steer_toward, step)
 
@@ -39,6 +40,9 @@ def rrt_plan(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
     Raises Unreachable when max_iters tree extensions fail to reach the goal.
     work_counter, when given, is a single-element list incremented once per
     extension attempt so callers can charge planning effort to a budget.
+    rng must be a PCG64 Generator: its draws are decoded from raw words
+    (seeding.RawDraws), and on every exit it is left where numpy's own
+    random and integers calls would leave it.
     """
     if collision(world, x_i) or collision(world, x_g):
         raise Unreachable("endpoint in collision")
@@ -76,58 +80,83 @@ def rrt_plan(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
     node_cells = [cell_in_table(x_i.x, x_i.y)]
     n = 1
 
-    for _ in range(max_iters):
-        if work_counter is not None:
-            work_counter[0] += 1
-        if rng.random() < RRT_GOAL_BIAS:
-            sx, sy = gx, gy
-        else:
-            ix, iy = cells[rng.integers(n_cells)]
-            jx, jy = rng.random(2).tolist()
-            if heading:
-                rng.random()
-            sx, sy = (ix + jx) * cs, (iy + jy) * cs
-        d2 = nodes_x[:n] - sx
-        d2 *= d2
-        dy2 = nodes_y[:n] - sy
-        dy2 *= dy2
-        d2 += dy2
-        near = int(d2.argmin())
-        nx, ny = nodes_x.item(near), nodes_y.item(near)
-        dist = math.hypot(sx - nx, sy - ny)
-        if dist < 1e-12:
-            continue
-        scale = min(1.0, step_len / dist)
-        tx, ty = nx + scale * (sx - nx), ny + scale * (sy - ny)
-        # the table checks of world.segment_free, from the cell kept beside
-        # the node; segment_free answers what they leave open
-        near_cell = node_cells[near]
-        if near_cell is None:
-            continue
-        ex, ey = floor((nx + (tx - nx)) / cs), floor((ny + (ty - ny)) / cs)
-        if (ex, ey) not in allowed:
-            continue
-        cx, cy = near_cell
-        lx, hx = (cx, ex + 1) if cx <= ex else (ex, cx + 1)
-        ly, hy = (cy, ey + 1) if cy <= ey else (ey, cy + 1)
-        lo, hi = blocked[ly], blocked[hy]
-        if (hi[hx] - hi[lx] - lo[hx] + lo[lx]
-                and not world.segment_free((nx, ny), (tx, ty), table)):
-            continue
-        nodes_x[n], nodes_y[n] = tx, ty
-        parents.append(near)
-        node_cells.append(cell_in_table(tx, ty))
-        n += 1
-        if math.hypot(tx - gx, ty - gy) <= goal_tol:
-            waypoints = []
-            i = n - 1
-            while i >= 0:
-                waypoints.append(Configuration(nodes_x.item(i), nodes_y.item(i)))
-                i = parents[i]
-            waypoints.reverse()
-            # keep the exact start configuration object (heading included)
-            waypoints[0] = x_i
-            return MotionPlan(waypoints)
+    # numpy's integers(n_cells) rejects a draw below this; integers(1) takes
+    # none, so then every draw goes to the decoder's own integers
+    threshold = (2**32 - n_cells) % n_cells if n_cells > 1 else 2**32
+    tail = 3 if heading else 2   # doubles after the cell: two jitters, a heading
+    draws = RawDraws(rng)
+    words, doubles, k, has, half = draws.words, draws.doubles, 0, draws.has, draws.half
+    try:
+        for _ in range(max_iters):
+            if work_counter is not None:
+                work_counter[0] += 1
+            if k + 5 > len(words):
+                k = draws.refill(k)
+            # rng.random() < RRT_GOAL_BIAS, read from the block in place
+            k += 1
+            if doubles[k - 1] < RRT_GOAL_BIAS:
+                sx, sy = gx, gy
+            else:
+                # rng.integers(n_cells), then the jitters of rng.random(2)
+                m = half * n_cells if has else (words[k] & 0xFFFFFFFF) * n_cells
+                if m & 0xFFFFFFFF < threshold:
+                    draws.pos, draws.has, draws.half = k, has, half
+                    m = draws.integers(n_cells) << 32
+                    k, has, half = draws.pos, draws.has, draws.half
+                    if k + tail > len(words):
+                        k = draws.refill(k)
+                elif has:
+                    has = False
+                else:
+                    has, half = True, words[k] >> 32
+                    k += 1
+                ix, iy = cells[m >> 32]
+                sx, sy = (ix + doubles[k]) * cs, (iy + doubles[k + 1]) * cs
+                k += tail
+            d2 = nodes_x[:n] - sx
+            d2 *= d2
+            dy2 = nodes_y[:n] - sy
+            dy2 *= dy2
+            d2 += dy2
+            near = int(d2.argmin())
+            nx, ny = nodes_x.item(near), nodes_y.item(near)
+            dist = math.hypot(sx - nx, sy - ny)
+            if dist < 1e-12:
+                continue
+            scale = min(1.0, step_len / dist)
+            tx, ty = nx + scale * (sx - nx), ny + scale * (sy - ny)
+            # the table checks of world.segment_free, from the cell kept beside
+            # the node; segment_free answers what they leave open
+            near_cell = node_cells[near]
+            if near_cell is None:
+                continue
+            ex, ey = floor((nx + (tx - nx)) / cs), floor((ny + (ty - ny)) / cs)
+            if (ex, ey) not in allowed:
+                continue
+            cx, cy = near_cell
+            lx, hx = (cx, ex + 1) if cx <= ex else (ex, cx + 1)
+            ly, hy = (cy, ey + 1) if cy <= ey else (ey, cy + 1)
+            lo, hi = blocked[ly], blocked[hy]
+            if (hi[hx] - hi[lx] - lo[hx] + lo[lx]
+                    and not world.segment_free((nx, ny), (tx, ty), table)):
+                continue
+            nodes_x[n], nodes_y[n] = tx, ty
+            parents.append(near)
+            node_cells.append(cell_in_table(tx, ty))
+            n += 1
+            if math.hypot(tx - gx, ty - gy) <= goal_tol:
+                waypoints = []
+                i = n - 1
+                while i >= 0:
+                    waypoints.append(Configuration(nodes_x.item(i), nodes_y.item(i)))
+                    i = parents[i]
+                waypoints.reverse()
+                # keep the exact start configuration object (heading included)
+                waypoints[0] = x_i
+                return MotionPlan(waypoints)
+    finally:
+        draws.pos, draws.has, draws.half = k, has, half
+        draws.close()
     raise Unreachable(f"no path after {max_iters} iterations")
 
 

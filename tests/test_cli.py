@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -14,6 +16,24 @@ from sharp.world import (Configuration, parse_sidecar, start_heading, world_from
                          world_hash)
 
 from helpers import density_from_payload, sample_setting
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("given, expected", [({}, ["1", "1", "1"]),
+                                             ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])],
+                         ids=["unset", "user-set"])
+def test_import_pins_blas_threads_unless_set(given, expected):
+    # a fresh interpreter, as the sharp command is: the package sets what is
+    # unset before numpy loads and keeps what the user set
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import os, sharp.cli; print(*(os.environ.get(v) for v in %r))" % (BLAS_THREADS,)
+    out = subprocess.run([sys.executable, "-c", code], env={**env, **given},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == expected
 
 
 @pytest.fixture

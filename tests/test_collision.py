@@ -308,12 +308,105 @@ class ScriptedDraws:
         return np.int64(i)
 
 
+class ScriptedWords(np.random.PCG64):
+    """A PCG64 whose raw words are given, then zeros: random_raw serves them,
+    and state and advance track the place in the script."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words, self.at, self.buffer = list(words), 0, (0, 0)
+
+    def random_raw(self, size=None):
+        self.words += [0] * (self.at + size - len(self.words))
+        self.at += size
+        return np.array(self.words[self.at - size:self.at], dtype=np.uint64)
+
+    @property
+    def state(self):
+        return {"at": self.at, "has_uint32": self.buffer[0], "uinteger": self.buffer[1]}
+
+    @state.setter
+    def state(self, value):
+        self.at, self.buffer = value["at"], (value["has_uint32"], value["uinteger"])
+
+    def advance(self, delta):
+        self.at, self.buffer = self.at + delta, (0, 0)
+        return self
+
+
+# cell 57 of 100 as a 32-bit half v, (v * 100) >> 32 == 57, that Lemire's
+# method keeps (its low 32 bits of v * 100 reach 96, numpy's threshold for
+# 100), and one that it rejects
+KEPT_57, REJECTED_57 = (57 << 32) // 100 + 2, (57 << 32) // 100 + 1
+
+
 def test_rrt_nearest_ties_go_to_the_lowest_index():
     """Node 1 lands at (7, 5); the goal at (6, 7) is then as far from it as
     from the start at (5, 5), and the start, node 0, must be extended."""
     world = open_world(10, 10)
     a, b = Configuration(5.0, 5.0), Configuration(6.0, 7.0)
-    script = [0.5, 5 * 10 + 7, 0.0, 0.0, 0.0]   # sample cell (7, 5); then the goal
-    for plan_fn in (rrt_plan, ref_rrt_plan):
-        plan = plan_fn(world, a, b, ScriptedDraws(script), world.cell_size)
-        assert len(plan.waypoints) == 2 and plan.waypoints[0] is a
+    # sample cell (7, 5); then the goal. As raw words, the coin 0.5 is 2**63
+    # and a jitter or coin of 0.0 is 0; the cell is drawn from a kept low
+    # half, or from the high half after a rejected one
+    script = [0.5, 5 * 10 + 7, 0.0, 0.0, 0.0]
+    # the five words, then the half-word buffer numpy's calls leave: the
+    # kept low half's high half (0), or the consumed high half
+    for cell_word, buffer in ((KEPT_57, (1, 0)), (REJECTED_57 | KEPT_57 << 32, (0, KEPT_57))):
+        words = ScriptedWords([2**63, cell_word, 0, 0, 0])
+        for plan_fn, draws in ((rrt_plan, np.random.Generator(words)),
+                               (ref_rrt_plan, ScriptedDraws(script))):
+            plan = plan_fn(world, a, b, draws, world.cell_size)
+            assert len(plan.waypoints) == 2 and plan.waypoints[0] is a
+        assert (words.at, words.buffer) == (5, buffer)
+
+
+def test_rrt_plan_in_one_cell_matches_reference():
+    # integers(1) draws no word, so every sample in a one-cell mask takes
+    # only the coin and the jitters
+    world = open_world(6, 6)
+    a, b = Configuration(3.05, 3.05), Configuration(3.95, 3.95)
+    for seed in range(20):
+        args = (world, a, b, seed, 0.3, 40, {(3, 3)})
+        got = _plan_or_unreachable(rrt_plan, *args)
+        assert got == _plan_or_unreachable(ref_rrt_plan, *args)
+
+
+class StopAt(list):
+    """A work counter that raises once it would count past its limit."""
+
+    def __init__(self, limit):
+        super().__init__([0])
+        self.limit = limit
+
+    def __setitem__(self, i, value):
+        if value > self.limit:
+            raise RuntimeError("stopped")
+        super().__setitem__(i, value)
+
+
+@pytest.mark.parametrize("kinematics", list(Kinematics))
+def test_rrt_plan_raised_out_of_leaves_the_stock_state(rng, kinematics):
+    # a raise between extensions, as an interrupt would, leaves the stream
+    # where the stock draws of the extensions made so far leave it
+    stopped = 0
+    for world in _worlds(rng, 30, kinematics=kinematics):
+        cells = world.free_cells()
+        if len(cells) < 2:
+            continue
+        a, b = (Configuration(*((cells[rng.integers(len(cells))] + 0.5)
+                                * world.cell_size).tolist()) for _ in range(2))
+        limit, seed = int(rng.integers(1, 600)), int(rng.integers(2**32))
+        states = []
+        for plan_fn in (rrt_plan, ref_rrt_plan):
+            gen = np.random.default_rng(seed)
+            gen.integers(3)      # enter with a half word buffered
+            try:
+                plan_fn(world, a, b, gen, 0.5 * world.cell_size, 2 * limit,
+                        work_counter=StopAt(limit))
+            except RuntimeError:
+                stopped += 1
+            except Unreachable:
+                pass
+            states.append(gen.bit_generator.state)
+        assert states[0] == states[1]
+    assert stopped > 0

@@ -365,16 +365,18 @@ def test_four_rooms_library_matches_recorded(kind, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_env_a_centroid_library_matches_digests_expected():
-    # the library/env_a/centroid line of tools/digests.py, which holds the
-    # bundled libraries byte for byte; this one builds in about 1.5 s
+@pytest.mark.parametrize("env", ["env_a", "env_d"])
+def test_env_a_centroid_library_matches_digests_expected(env):
+    # the library/<env>/centroid lines of tools/digests.py, which holds the
+    # bundled libraries byte for byte; each builds in about 1.5 s. env_d is
+    # the bundled unicycle world, whose density samples each draw a heading
     path = os.path.join(os.path.dirname(__file__), "..", "tools", "digests.expected")
     with open(path) as fh:
         expected = dict(line.split() for line in fh if line.strip())
-    spec = experiment.spec_for_bundled("env_a")
+    spec = experiment.spec_for_bundled(env)
     _, library = build_library(spec.world, "centroid", spec.abstraction)
     text = json.dumps(library_payload(library), sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == expected["library/env_a/centroid"]
+    assert hashlib.sha256(text.encode()).hexdigest() == expected[f"library/{env}/centroid"]
 
 
 class TestPlotData:
