@@ -168,7 +168,7 @@ def goal_tolerance(world: OccupancyWorld, goal_tol: float | None) -> float:
 def goal_region(world: OccupancyWorld, x_g: Configuration, tol: float) -> Region:
     """Free cells whose centers lie within tol of x_g, or x_g's own cell when
     none does; x_g is the representative."""
-    cells = frozenset(c for c in map(tuple, world.free_cells())
+    cells = frozenset(c for c in world.free_list
                       if x_g.distance_to(world.cell_center(c)) < tol)
     return Region(cells=cells or frozenset([world.cell_of(x_g.x, x_g.y)]),
                   representative=x_g)

@@ -156,6 +156,13 @@ def observation_dim(world: OccupancyWorld) -> int:
     return 8 if world.kinematics is Kinematics.UNICYCLE else 6
 
 
+def actor_layers(world: OccupancyWorld, cfg: TrainConfig) -> tuple:
+    """The layer sizes of every actor cfg trains on world: the observation,
+    the learner's two hidden layers, and two heads of two outputs."""
+    hidden = cfg.hidden if cfg.learner == "sac" else cfg.cem_hidden
+    return (observation_dim(world), *hidden, 4)
+
+
 def displacement_scale(world: OccupancyWorld) -> float:
     if world.kinematics is Kinematics.UNICYCLE:
         return 2.0 * world.v_max
@@ -200,52 +207,35 @@ class Policy:
         steer(slot, x, y, theta) -> (tx, ty), lane i running
         policies[slot[i]] from (x[i], y[i], theta[i]). Its waypoint is the
         configuration plus tanh(mu) times the displacement scale, as
-        action_from_displacement forms its target.
+        action_from_displacement forms its target. Every policy's actor must
+        have the layer sizes of the first one's.
 
         One call builds every lane's observation in one pass and makes one
-        MlpStack forward per distinct actor layer shape. A net's lanes
-        forward in a block of at least two rows, because a one-row product
-        rounds differently from the same row inside a larger one, so a
-        lane's waypoint does not depend on which lanes share the call.
+        MlpStack forward, net slot[i] for lane i. A net's lanes forward in a
+        block of at least two rows, because a one-row product rounds
+        differently from the same row inside a larger one, so a lane's
+        waypoint does not depend on which lanes share the call.
 
         What depends on slot alone is kept from the previous call and
         rebuilt only when slot differs from that call's in content: the
         lanes' guide rows, cut to the most points of any of their guides,
-        and, per actor shape, its lanes and their nets (every lane and its
-        nets, with no mask, when all policies share one shape). Each stack
-        keeps its own layout the same way."""
+        and the stack's layout."""
         table = guide_table([p.guide for p in policies])
         n_points = np.array([len(p.guide.points) for p in policies])
-        shapes: dict = {}   # actor layer sizes -> indices into policies
-        for i, p in enumerate(policies):
-            shapes.setdefault(p.actor.layer_sizes, []).append(i)
-        shape_of = np.empty(len(policies), dtype=np.int64)
-        net_of = np.empty(len(policies), dtype=np.int64)   # index in its stack
-        stacks = []
-        for k, members in enumerate(shapes.values()):
-            shape_of[members] = k
-            net_of[members] = np.arange(len(members))
-            stacks.append(MlpStack([policies[i].actor for i in members]))
+        stack = MlpStack([p.actor for p in policies])
         scale = displacement_scale(world)
-        kept_slot = rows = parts = None   # parts: (stack, lanes, nets) per shape
+        kept_slot = rows = layout = None
 
         def steer(slot: np.ndarray, x: np.ndarray, y: np.ndarray,
                   theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            nonlocal kept_slot, rows, parts
+            nonlocal kept_slot, rows, layout
             if kept_slot is None or len(slot) != len(kept_slot) or \
                     not (slot == kept_slot).all():
                 kept_slot = slot.copy()
                 rows = table[slot, :n_points[slot].max()]
-                if len(stacks) == 1:
-                    parts = [(stacks[0], slice(None), net_of[slot])]
-                else:
-                    shape = shape_of[slot]
-                    parts = [(stack, shape == k, net_of[slot[shape == k]])
-                             for k, stack in enumerate(stacks) if (shape == k).any()]
+                layout = stack.layout(slot)
             obs = build_observations(world, rows, x, y, theta)
-            u = np.empty((len(slot), 2))
-            for stack, lanes, nets in parts:
-                u[lanes] = np.tanh(stack.forward(nets, obs[lanes])[:, :stack.n_out // 2])
+            u = np.tanh(stack.forward(layout, obs)[:, :stack.n_out // 2])
             return x + u[:, 0] * scale, y + u[:, 1] * scale
 
         return steer
@@ -542,8 +532,8 @@ def _train_sac(env, cfg: TrainConfig, rng: np.random.Generator):
 
 def _train_cem(env, cfg: TrainConfig, rng: np.random.Generator):
     """Cross-entropy search over actor parameters; smoke-test fallback."""
-    obs_dim = observation_dim(env.world)
-    template = init_mlp(obs_dim, cfg.cem_hidden, 4, spawn(rng))
+    n_in, h1, h2, n_out = actor_layers(env.world, cfg)
+    template = init_mlp(n_in, (h1, h2), n_out, spawn(rng))
     mean = template.flat()
     sigma = np.full(mean.shape, CEM_SIGMA)
     stats = TrainStats()

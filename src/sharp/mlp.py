@@ -109,20 +109,20 @@ def mlp_forward_cached(net: Mlp, x: np.ndarray):
 
 class MlpStack:
     """Nets of one layer shape, their weights and biases stacked on a leading
-    axis, forwarded as many small batches at once."""
+    axis, forwarded as many small batches at once. Every net must share the
+    first one's layer sizes. The stack keeps no state between calls: a
+    caller that forwards many inputs for one which keeps layout(which)."""
 
     def __init__(self, nets):
         self.n_out = nets[0].n_out
         self.weights = [np.stack([net.weights[i] for net in nets]) for i in range(3)]
         self.biases = [np.stack([net.biases[i] for net in nets])[:, None, :]
                        for i in range(3)]
-        self._which = None    # the last call's which, and its layout
-        self._layout = None
 
-    def _layout_of(self, which: np.ndarray):
-        """(at, shape, params) for which: row i's flat place in the padded
-        stack of the given shape, and the live nets' (weights, biases) per
-        layer."""
+    def layout(self, which: np.ndarray):
+        """(at, shape, params) for rows of net which[i]: row i's flat place in
+        the padded stack of the given shape, and the live nets' (weights,
+        biases) per layer, as at construction."""
         # a row's place in its block: the rows of its net up to it, less one
         seen = np.cumsum(which[:, None] == np.arange(len(self.weights[0])), axis=0)
         pos = seen[np.arange(len(which)), which] - 1
@@ -133,23 +133,14 @@ class MlpStack:
         params = [(w[nets], b[nets]) for w, b in zip(self.weights, self.biases)]
         return block * m + pos, (len(nets), m), params
 
-    def forward(self, which: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Row i of x (B, n_in) through net which[i]. The rows of each net in
-        which form one block of a zero-padded (nets, M, n_in) stack, M the
-        largest block and at least 2, and each layer is one np.matmul over
-        the stack: one product per block, with the operations of
-        mlp_forward, so a row's output has the bits it has in mlp_forward
-        of any two or more rows.
-
-        The layout (each row's place in the stack, M, and the live nets'
-        stacked weights and biases) is kept from the previous call and
-        rebuilt only when which differs from that call's in content; the
-        stacked parameters are the nets' at construction either way."""
-        kept = self._which
-        if kept is None or len(which) != len(kept) or not (which == kept).all():
-            self._which = which.copy()
-            self._layout = self._layout_of(which)
-        at, shape, params = self._layout
+    def forward(self, layout, x: np.ndarray) -> np.ndarray:
+        """Row i of x (B, n_in) through net which[i], for layout =
+        self.layout(which). The rows of each net in which form one block of
+        a zero-padded (nets, M, n_in) stack, M the largest block and at least
+        2, and each layer is one np.matmul over the stack: one product per
+        block, with the operations of mlp_forward, so a row's output has the
+        bits it has in mlp_forward of any two or more rows."""
+        at, shape, params = layout
         h = np.zeros((*shape, x.shape[1]))
         h.reshape(-1, x.shape[1])[at] = x
         for i, (w, b) in enumerate(params):

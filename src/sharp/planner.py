@@ -26,8 +26,8 @@ from .abstraction import (Region, RegionVoronoi, centroid_region, goal_region,
                           interface_region)
 from .errors import (DivergedTraining, EmptyLibrary, GuideUnreachable,
                      NoAbstractPath, NoSuccessfulRollouts, OptionsDoNotChain,
-                     SharpError)
-from .learn import Policy, TrainConfig, train_option_policy
+                     ShapeMismatch, SharpError)
+from .learn import Policy, TrainConfig, actor_layers, train_option_policy
 from .mlp import Mlp
 from .options import (OptionGuide, OptionKind, OptionSpec, build_guide,
                       compute_guide_path)
@@ -239,7 +239,9 @@ class Stage:
     lane_controller(world, policies) -> steer, built once from a list of
     policies of that class, and steer(slot, x, y, theta) -> (tx, ty), the
     waypoints of lanes at (x, y, theta) where lane i runs policies[slot[i]].
-    A lane's waypoint must not depend on which lanes share the call."""
+    A lane's waypoint must not depend on which lanes share the call. One
+    execute_composed batch takes stage policies of one class only, and, for
+    learn.Policy, actors of one layer shape."""
 
     label: str
     policy: object
@@ -283,25 +285,25 @@ def execute_composed(world: OccupancyWorld, runs: list) -> list[list[ExecutionTr
     its goal tolerance has reached the goal, in whatever stage it is;
     otherwise every stage except its run's last hands over on cell
     membership of its advance cells. A stage that has used its run's
-    per_stage_limit steps and is not done times out. One controller per
-    stage-policy class is built once, from every (run, stage) policy of that
-    class (Stage); each tick, every controller with live lanes steers them
-    all in one call, then every live lane takes one world step with two
-    standard normals of its own generator, drawn NOISE_BLOCK steps at a
-    time (the same values as one draw of two per step). A lane's trace
-    therefore does not depend on which other lanes, of its run or of
-    another, run beside it.
+    per_stage_limit steps and is not done times out. Every stage policy of
+    every run must be of one class, and a learn.Policy's actors of one layer
+    shape (Stage): one controller, built once from every (run, stage)
+    policy, steers all live lanes in one call each tick, a lane's slot being
+    its (run, stage) row. Then every live lane takes one world step with two
+    standard normals of its own generator, drawn NOISE_BLOCK steps at a time
+    (the same values as one draw of two per step). A lane's trace therefore
+    does not depend on which other lanes, of its run or of another, run
+    beside it.
 
-    With one controller, every live lane is steered in one call, with no
-    per-class masks. A controller keeps, between ticks, what depends only
-    on its lanes' stage slots (Policy's: their guide rows and stacked
-    forward layout), so that only a hand-over or a lane's end rebuilds it.
-    Once no live lane is short of its run's last stage, the hand-over test
-    is skipped for good, as stages only advance.
+    The controller keeps, between ticks, what depends only on the lanes'
+    slots (Policy's: their guide rows and stacked forward layout), so that
+    only a hand-over or a lane's end rebuilds it. Once no live lane is short
+    of its run's last stage, the hand-over test is skipped for good, as
+    stages only advance.
     """
     # one row per (run, stage): its advance cells as a padded grid mask,
-    # left empty for a run's last stage, and the controller and slot of its
-    # policy; a lane's stage is its row
+    # left empty for a run's last stage, and its policy, the controller's
+    # slot of that row; a lane's stage is its row
     policies = [stage.policy for composed, _, _ in runs for stage in composed.stages]
     first_rows = np.cumsum([0] + [len(composed.stages) for composed, _, _ in runs])
     advance = np.zeros((len(policies), world.height + 2, world.width + 2), dtype=bool)
@@ -309,16 +311,7 @@ def execute_composed(world: OccupancyWorld, runs: list) -> list[list[ExecutionTr
         for i, stage in enumerate(composed.stages[:-1]):
             for ix, iy in filter(world.in_bounds, stage.advance_cells):
                 advance[row + i, iy + 1, ix + 1] = True
-    classes: dict = {}   # policy class -> its rows
-    for row, policy in enumerate(policies):
-        classes.setdefault(type(policy), []).append(row)
-    controller_of = np.empty(len(policies), dtype=np.int64)
-    slot_of = np.empty(len(policies), dtype=np.int64)
-    controllers = []
-    for k, (cls, rows) in enumerate(classes.items()):
-        controller_of[rows] = k
-        slot_of[rows] = np.arange(len(rows))
-        controllers.append(cls.lane_controller(world, [policies[r] for r in rows]))
+    steer = type(policies[0]).lane_controller(world, policies) if policies else None
     rngs = [rng for _, _, run_rngs in runs for rng in run_rngs]
     bounds = np.cumsum([0] + [len(run_rngs) for _, _, run_rngs in runs])
     run_of = np.repeat(np.arange(len(runs)), np.diff(bounds))
@@ -383,17 +376,7 @@ def execute_composed(world: OccupancyWorld, runs: list) -> list[list[ExecutionTr
         if tick % NOISE_BLOCK == 0:
             for lane in ids:
                 noise[lane] = rngs[lane].standard_normal(2 * NOISE_BLOCK).reshape(-1, 2)
-        slot = slot_of[stage]
-        if len(controllers) == 1:
-            tx, ty = controllers[0](slot, x, y, theta)
-        else:
-            tx, ty = np.empty(len(ids)), np.empty(len(ids))
-            which = controller_of[stage]
-            for k, steer in enumerate(controllers):
-                lanes = which == k
-                if lanes.any():
-                    tx[lanes], ty[lanes] = steer(slot[lanes], x[lanes], y[lanes],
-                                                 theta[lanes])
+        tx, ty = steer(stage, x, y, theta)
         x, y, theta = tick_lanes(world, x, y, theta, tx, ty,
                                  noise[ids, tick % NOISE_BLOCK])
         used += 1
@@ -531,15 +514,17 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
 
     cache maps `<world hash>/<option id>/<guide fingerprint>/<TrainConfig
     digest>` to a CacheEntry; a hit pairs the cached actor with the guide
-    recomputed here, whose fingerprint the key carries.
+    recomputed here, whose fingerprint the key carries. A hit whose actor
+    lacks the layer sizes cfg trains (actor_layers) fails its stage with
+    ShapeMismatch.
 
     The solve runs in two steps. First every stage's guide is built and its
     training generator drawn from rng, in stage order. Then every policy
     that needs training trains at once (train_stages), and the stages are
     assembled in stage order: stats, cache entries and option costs are
     applied stage by stage, and the first stage that failed (its guide, its
-    chaining or its training) raises, after the stages before it were
-    applied.
+    chaining, its cache hit or its training) raises, after the stages before
+    it were applied.
     """
     rbvd = library.rbvd
     whash = world_hash(world)
@@ -572,6 +557,7 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
     pending = [_PendingStage("bridge_in", entry_guide, entry_target.cells,
                              train_rng=spawn(rng))]
     failure: SharpError | None = None   # the first stage that cannot be built
+    layers = actor_layers(world, cfg)
 
     try:
         for i, option in enumerate(plan):
@@ -586,6 +572,10 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
             key = (f"{whash}/{option.id}/{guide_fingerprint(guide)}/"
                    f"{settings.digest(cfg)}")
             hit = cache.get(key)
+            if hit is not None and hit.actor.layer_sizes != layers:
+                raise ShapeMismatch(f"policy cache entry {key!r} holds a "
+                                    f"{list(hit.actor.layer_sizes)} actor, not "
+                                    f"{list(layers)}")
             next_cells = (plan[i + 1].initiation.cells if i + 1 < len(plan)
                           else option.termination.cells)
             pending.append(_PendingStage(option.id, guide, next_cells, option, key,

@@ -32,7 +32,8 @@ class RawDraws:
     bit for bit from blocks of its raw 64-bit words (O'Neill, 2014).
 
     ``words`` holds the fetched words and ``doubles`` the ``random()`` value
-    of each, ``(w >> 11) * 2**-53``; ``pos`` is the first one not yet served.
+    of each, ``(w >> 11) * 2**-53``, which a caller reads in place; ``pos``
+    is the first word not yet served.
     ``integers(n)`` is numpy's: Lemire's method (Lemire, 2019) on 32-bit
     halves, a word's low half first and its high half kept for the next
     draw, as numpy's ``has_uint32``/``uinteger`` buffer (here ``has`` and
@@ -60,15 +61,6 @@ class RawDraws:
         self.doubles += ((raw >> 11) * 2.0**-53).tolist()
         return 0
 
-    def _word(self) -> int:
-        if self.pos == len(self.words):
-            self.pos = self.refill(self.pos)
-        self.pos += 1
-        return self.pos - 1
-
-    def random(self) -> float:
-        return self.doubles[self._word()]
-
     def integers(self, n: int) -> int:
         """``integers(n)`` for 1 <= n <= 2**32; integers(1) draws nothing."""
         threshold = (2**32 - n) % n
@@ -76,7 +68,9 @@ class RawDraws:
             if self.has:
                 m, self.has = self.half * n, False
             else:
-                w = self.words[self._word()]
+                if self.pos == len(self.words):
+                    self.pos = self.refill(self.pos)
+                w, self.pos = self.words[self.pos], self.pos + 1
                 m, self.has, self.half = (w & 0xFFFFFFFF) * n, True, w >> 32
             if m & 0xFFFFFFFF >= threshold:
                 return m >> 32

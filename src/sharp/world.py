@@ -185,7 +185,6 @@ class OccupancyWorld:
     omega_max: float = math.pi / 4.0
     free_set: frozenset = field(init=False, repr=False, compare=False)  # (ix, iy)
     free_list: list = field(init=False, repr=False, compare=False)  # row-major
-    _free_cells: np.ndarray = field(init=False, repr=False, compare=False)
     free_table: CellTable = field(init=False, repr=False, compare=False)
     # occupancy with a ring of occupied cells around it, for the lane sweep
     _walled: np.ndarray = field(init=False, repr=False, compare=False)
@@ -206,7 +205,6 @@ class OccupancyWorld:
         occ.setflags(write=False)
         self.occupancy = occ
         iy, ix = np.nonzero(~occ)
-        self._free_cells = np.column_stack([ix, iy])
         self.free_list = list(zip(ix.tolist(), iy.tolist()))
         self.free_set = frozenset(self.free_list)
         self.free_table = cell_table(self, self.free_set)
@@ -231,10 +229,6 @@ class OccupancyWorld:
 
     def cell_free(self, cell: tuple[int, int]) -> bool:
         return cell in self.free_set
-
-    def free_cells(self) -> np.ndarray:
-        """(n, 2) int array of free (ix, iy) cells in row-major scan order."""
-        return self._free_cells
 
     # -- collision oracle ----------------------------------------------------
 

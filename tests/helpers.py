@@ -53,6 +53,12 @@ class ScriptedPolicy:
         return steer
 
 
+def free_cells(world: OccupancyWorld) -> np.ndarray:
+    """(n, 2) int array of the world's free (ix, iy) cells, in row-major
+    scan order (free_list)."""
+    return np.array(world.free_list, dtype=np.int64).reshape(-1, 2)
+
+
 def steer_toward_lanes(world: OccupancyWorld, x, y, theta, tx, ty):
     """steer_toward for lanes at (x, y, theta) heading for (tx, ty): the
     commands that world.tick_lanes steps under, as two arrays, (dx, dy) or

@@ -11,6 +11,7 @@ from sharp.regions import CriticalRegion, connected_components, grid_bfs
 from sharp.world import Configuration
 
 from conftest import grid_from_rows, open_world, random_world
+from helpers import free_cells
 
 
 def point_region(world, cell, score=1.0):
@@ -24,7 +25,7 @@ def oracle_assignment(world, regions):
     fields = [grid_bfs([(c, rid) for c in sorted(r.cells)], world.cell_free)
               for rid, r in enumerate(regions)]
     out = np.full((world.height, world.width), NO_STATE, dtype=np.int64)
-    for ix, iy in map(tuple, world.free_cells()):
+    for ix, iy in map(tuple, free_cells(world)):
         best_d, best_id = math.inf, NO_STATE
         for rid, dist in enumerate(fields):
             d = dist.get((ix, iy), (math.inf,))[0]
@@ -35,7 +36,7 @@ def oracle_assignment(world, regions):
 
 
 def sprinkle_regions(world, rng, k):
-    free = [tuple(c) for c in world.free_cells()]
+    free = [tuple(c) for c in free_cells(world)]
     picks = rng.choice(len(free), size=min(k, len(free)), replace=False)
     return [point_region(world, free[i]) for i in sorted(picks)]
 
@@ -52,7 +53,7 @@ class TestBuild:
     def test_matches_bruteforce_oracle(self, rng):
         for _ in range(12):
             w = random_world(rng, 13, 11, wall_fraction=0.25)
-            free = w.free_cells()
+            free = free_cells(w)
             if len(free) < 8:
                 continue
             regions = sprinkle_regions(w, rng, int(rng.integers(2, 6)))
@@ -77,14 +78,14 @@ class TestBuild:
     def test_partition_and_connectivity(self, rng):
         for _ in range(8):
             w = random_world(rng, 12, 12, wall_fraction=0.2)
-            if len(w.free_cells()) < 10:
+            if len(free_cells(w)) < 10:
                 continue
             regions = sprinkle_regions(w, rng, 4)
             rbvd = build_region_voronoi(w, regions)
             assigned = sum(len(s.cells) for s in rbvd.states)
-            unassigned = sum(1 for c in map(tuple, w.free_cells())
+            unassigned = sum(1 for c in map(tuple, free_cells(w))
                              if rbvd.state_id_of_cell(c) == NO_STATE)
-            assert assigned + unassigned == len(w.free_cells())
+            assert assigned + unassigned == len(free_cells(w))
             seen = set()
             for s in rbvd.states:
                 assert not (s.cells & seen)

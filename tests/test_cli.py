@@ -12,6 +12,7 @@ from sharp.cli import _abstraction_params, build_parser, main
 from sharp.errors import GuideUnreachable, SharpError
 from sharp.experiment import (AbstractionParams, desk_train_config,
                               load_experiment_config, load_world, smoke_train_config)
+from sharp.mlp import Mlp
 from sharp.world import (Configuration, parse_sidecar, start_heading, world_from_text,
                          world_hash)
 
@@ -590,3 +591,26 @@ def test_failed_solve_keeps_the_policies_it_trained(tiny_world_file, tmp_path,
     whash = world_hash(load_world(tiny_world_file)[0])
     trained = [key.split("/")[1] for key in artifacts.load_cache(cache, whash)]
     assert plan and sorted(trained) == sorted(plan)
+
+
+@pytest.mark.parametrize("layers", [(8, 8, 8, 4), (6, 5, 5, 4)],
+                         ids=["input-width", "hidden-sizes"])
+def test_cached_actor_of_another_shape_is_an_error_line(tiny_world_file, tmp_path,
+                                                        capsys, layers):
+    # every entry of a filled cache rewritten with an actor that does not fit
+    # its key: the smoke profile trains (6, 8, 8, 4) actors on this world
+    cache = str(tmp_path / "cache")
+    argv = ["solve", "--world", tiny_world_file, "--start", "1.5,1.5", "--goal",
+            "8.5,1.5", "--profile", "smoke", "--episodes", "1", "--cache-dir", cache]
+    assert main(argv) == 0
+    plan = json.loads(capsys.readouterr().out)["plan"]
+    whash = world_hash(load_world(tiny_world_file)[0])
+    entries = artifacts.load_cache(cache, whash)
+    for entry in entries.values():
+        entry.actor = Mlp(layers)
+    artifacts.save_cache(cache, whash, entries)
+    assert main(argv) == 1
+    first = next(key for key in entries if key.split("/")[1] == plan[0])
+    err = capsys.readouterr().err
+    assert err == (f"error: policy cache entry {first!r} holds a {list(layers)} "
+                   f"actor, not [6, 8, 8, 4]\n")

@@ -17,8 +17,9 @@ from sharp.world import (Configuration, Kinematics, OccupancyWorld, _truncate_to
                          cell_table, sweep)
 
 from conftest import open_world, random_world
-from helpers import (ref_cell_free, ref_collision_xy, ref_rrt_plan, ref_segment_ok,
-                     ref_solution_density, ref_swept_cells, ref_truncate_to_free)
+from helpers import (free_cells, ref_cell_free, ref_collision_xy, ref_rrt_plan,
+                     ref_segment_ok, ref_solution_density, ref_swept_cells,
+                     ref_truncate_to_free)
 
 CELL_SIZES = (1.0, 0.5, 0.3)
 
@@ -69,7 +70,7 @@ def _worlds(rng, count, **kwargs):
 
 def test_free_set_is_the_free_cells(rng):
     for world in _worlds(rng, 20):
-        cells = world.free_cells()
+        cells = free_cells(world)
         assert world.free_set == set(map(tuple, cells.tolist()))
         assert [(iy, ix) for ix, iy in cells.tolist()] == \
             sorted((iy, ix) for ix, iy in world.free_set)   # row-major order
@@ -189,7 +190,7 @@ def test_rrt_plan_masked_checks_match_oracle(rng, checked):
     # the answers it gives itself
     planned = 0
     for world in _worlds(rng, 60):
-        cells = world.free_cells()
+        cells = free_cells(world)
         if len(cells) < 2:
             continue
         mask = _mask(rng, world)
@@ -254,7 +255,7 @@ def _plan_or_unreachable(plan_fn, world, a, b, seed, goal_tol, max_iters, mask):
 def test_rrt_plan_matches_reference_bit_for_bit(rng, kinematics):
     outcomes = set()
     for world in _worlds(rng, 90, kinematics=kinematics):
-        cells = world.free_cells()
+        cells = free_cells(world)
         if len(cells) < 2:
             continue
         ends = []
@@ -390,7 +391,7 @@ def test_rrt_plan_raised_out_of_leaves_the_stock_state(rng, kinematics):
     # where the stock draws of the extensions made so far leave it
     stopped = 0
     for world in _worlds(rng, 30, kinematics=kinematics):
-        cells = world.free_cells()
+        cells = free_cells(world)
         if len(cells) < 2:
             continue
         a, b = (Configuration(*((cells[rng.integers(len(cells))] + 0.5)

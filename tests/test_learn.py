@@ -266,6 +266,19 @@ class TestTraining:
         train_option_policy(w, guide, rbvd, cfg, np.random.default_rng(0))
         assert rows == [cfg.max_steps]
 
+    @pytest.mark.parametrize("kinematics", [Kinematics.HOLONOMIC, Kinematics.UNICYCLE])
+    @pytest.mark.parametrize("learner", ["sac", "cem"])
+    def test_trained_actor_has_actor_layers(self, learner, kinematics):
+        w, rbvd, option, guide = two_state_setup(width=10, height=6,
+                                                 kinematics=kinematics)
+        cfg = smoke_cfg(learner=learner, hidden=(7, 5), max_steps=200,
+                        eval_every=200, eval_episodes=1, batch_size=16,
+                        start_steps=100, cem_iters=1)
+        policy, _ = train_option_policy(w, guide, rbvd, cfg, np.random.default_rng(0))
+        hidden = cfg.hidden if learner == "sac" else cfg.cem_hidden
+        assert policy.actor.layer_sizes == learn.actor_layers(w, cfg) == \
+            (observation_dim(w), *hidden, 4)
+
     def test_monolithic_degenerate_immediate(self):
         w = open_world(10, 10)
         cfg = smoke_cfg()

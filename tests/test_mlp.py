@@ -94,26 +94,13 @@ class TestForward:
         nets = [init_mlp(6, (16, 16), 4, rng) for _ in range(5)]
         which = rng.permutation([0] * 7 + [1] * 3 + [3] + [4] * 12)
         x = rng.normal(size=(len(which), 6))
-        out = MlpStack(nets).forward(which, x)
+        stack = MlpStack(nets)
+        out = stack.forward(stack.layout(which), x)
         assert out.shape == (len(which), 4)
         for k, net in enumerate(nets):
             rows = x[which == k]
             alone = mlp_forward(net, np.concatenate([rows, rows]))[:len(rows)]
             assert out[which == k].tobytes() == alone.tobytes()
-
-
-    def test_stack_keeps_layout_only_for_the_same_which(self):
-        # the same which, one of the same length in other content, a shorter
-        # one, then the first again: every call has the bits of a new stack
-        rng = np.random.default_rng(6)
-        nets = [init_mlp(6, (8, 8), 4, rng) for _ in range(4)]
-        first = np.array([0, 0, 2, 1, 2, 2])
-        kept = MlpStack(nets)
-        for which in (first, first, np.array([0, 3, 3, 1, 1, 2]), np.array([3, 0]),
-                      first):
-            x = rng.normal(size=(len(which), 6))
-            out = kept.forward(which.copy(), x)
-            assert out.tobytes() == MlpStack(nets).forward(which, x).tobytes()
 
 
 class TestBackward:

@@ -7,7 +7,7 @@ from sharp.motion import (ExecutionResult, MotionPlan, execute_with_replan,
 from sharp.world import Configuration, collision
 
 from conftest import grid_from_rows, open_world, random_world
-from helpers import plan_length
+from helpers import free_cells, plan_length
 
 
 def plan_is_valid(world, plan, mask=None):
@@ -87,7 +87,7 @@ class TestShortcut:
     def test_never_longer(self, rng):
         for _ in range(15):
             w = random_world(rng, 14, 14, wall_fraction=0.25)
-            free = w.free_cells()
+            free = free_cells(w)
             a, b = free[rng.integers(len(free))], free[rng.integers(len(free))]
             try:
                 plan = rrt_plan(w, Configuration(*(a + 0.5)), Configuration(*(b + 0.5)),

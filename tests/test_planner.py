@@ -22,7 +22,7 @@ from sharp.planner import (AbstractGraph, CacheEntry, ComposedPolicy, OptionLibr
 from sharp.world import Configuration
 
 from conftest import grid_from_rows, open_world
-from helpers import ScriptedPolicy, dijkstra_cost, option_stages
+from helpers import ScriptedPolicy, dijkstra_cost, free_cells, option_stages
 from test_abstraction import point_region
 from test_experiment import TWO_ROOMS
 from test_options import line_world_rbvd, triangle_rbvd
@@ -493,6 +493,25 @@ class TestExecuteComposed:
         ((trace,),) = execute_composed(w, [(composed, 30, [np.random.default_rng(6)])])
         assert trace.outcome == "stage_timeout" and trace.timeout_stage == 0
 
+    def test_scripted_runs_in_one_batch_match_each_run_alone(self):
+        # a batch of ScriptedPolicy stages only, through the lane controller
+        # protocol: lanes of two runs reach the goal or time out at many ticks
+        w = open_world(12, 12, noise_sigma=0.3)
+        runs = [(self.make_scripted_composed(w, (6.5, 6.5), (10.5, 10.5)), 200,
+                 range(4)),
+                (self.make_scripted_composed(w, (2.5, 9.5), (9.5, 2.5)), 9,
+                 range(10, 16))]
+
+        def with_rngs(composed, limit, seeds):
+            return composed, limit, [np.random.default_rng(s) for s in seeds]
+
+        batch = execute_composed(w, [with_rngs(*run) for run in runs])
+        for run, traces in zip(runs, batch):
+            assert execute_composed(w, [with_rngs(*run)]) == [traces]
+        assert {t.outcome for traces in batch for t in traces} == {
+            "reached_goal", "stage_timeout"}
+        assert len({t.total_steps for traces in batch for t in traces}) > 3
+
     def test_composability_over_random_worlds(self, rng):
         # every abstract plan's consecutive options share endpoint cell sets
         from conftest import random_world
@@ -500,7 +519,7 @@ class TestExecuteComposed:
         checked = 0
         for _ in range(8):
             w = random_world(rng, 14, 14, wall_fraction=0.15)
-            if len(w.free_cells()) < 30:
+            if len(free_cells(w)) < 30:
                 continue
             regions = sprinkle_regions(w, rng, 4)
             rbvd = build_region_voronoi(w, regions)

@@ -8,7 +8,7 @@ from sharp.regions import (NEIGHBORS4, collect_solution_density,
 from sharp.world import Configuration
 
 from conftest import grid_from_rows, open_world, random_world
-from helpers import solution_traces
+from helpers import free_cells, solution_traces
 
 # two 4x4 rooms joined by a one-cell-wide corridor
 DUMBBELL = grid_from_rows([
@@ -196,7 +196,7 @@ def relaxed_steps(world, source):
     every cell until nothing changes (no queue)."""
     if not world.cell_free(source):
         return {}
-    free = [tuple(c) for c in world.free_cells()]
+    free = [tuple(c) for c in free_cells(world)]
     dist = {source: 0}
     changed = True
     while changed:
@@ -223,7 +223,7 @@ def test_grid_bfs_matches_per_source_argmin():
                    for _ in range(int(rng.integers(1, 7)))]
         fields = [relaxed_steps(w, cell) for cell, _ in sources]
         expected = {}
-        for cell in map(tuple, w.free_cells()):
+        for cell in map(tuple, free_cells(w)):
             reached = [(f[cell], i) for i, f in enumerate(fields) if cell in f]
             if reached:
                 steps, i = min(reached)

@@ -19,8 +19,16 @@ def _stock(twin, n):
     return float(twin.random()) if n is None else int(twin.integers(n))
 
 
+def _random(draws):
+    """A random() draw, its double read in place as rrt_plan reads it."""
+    if draws.pos == len(draws.words):
+        draws.pos = draws.refill(draws.pos)
+    draws.pos += 1
+    return draws.doubles[draws.pos - 1]
+
+
 def _served(draws, n):
-    return draws.random() if n is None else draws.integers(n)
+    return _random(draws) if n is None else draws.integers(n)
 
 
 def _pattern(rng, length):

@@ -12,7 +12,7 @@ from sharp.world import (Configuration, HolonomicAction, Kinematics, UnicycleAct
 from sharp.worlds import RECIPES
 
 from conftest import grid_from_rows, open_world
-from helpers import steer_toward_lanes, with_params
+from helpers import free_cells, steer_toward_lanes, with_params
 
 
 class TestCollision:
@@ -79,7 +79,7 @@ class TestStep:
         for trial in range(20):
             w = random_world(rng, 12, 12, wall_fraction=0.3, noise_sigma=0.3,
                              max_step=4.0)
-            free = w.free_cells()
+            free = free_cells(w)
             if len(free) == 0:
                 continue
             ix, iy = free[int(rng.integers(len(free)))]

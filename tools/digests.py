@@ -19,9 +19,10 @@ Prints one line each, as `<name> <sha256>`:
   `build_library` on env_a-env_e with recipe parameters, for the centroid
   and the interface kind.
 
-BLAS is pinned to one thread first, as in bench/run.py. The whole run takes
-about a minute and a half on two cores, where a solve trains its policies
-on both; the desk run takes most of it.
+BLAS is pinned to one thread first, as in bench/run.py. The whole run took
+44 s on two cores of an Intel Xeon host, where a solve trains its policies
+on both, and 56 s pinned to one core (`taskset -c 0`); the desk run takes
+most of it.
 
 Exits 1, naming each digest that differs from tools/digests.expected (the
 same `<name> <sha256>` lines), when any does. A change that moves a digest
