@@ -20,7 +20,7 @@ import numpy as np
 from .abstraction import NO_STATE, Region, RegionVoronoi, partition
 from .errors import ParseError, SharpError, VersionMismatch
 from .mlp import Mlp
-from .options import OptionSpec
+from .options import OptionKind, OptionSpec
 from .planner import CacheEntry, OptionLibrary
 from .regions import CriticalRegion
 from .world import Configuration, OccupancyWorld
@@ -149,16 +149,31 @@ def library_payload(library: OptionLibrary) -> dict:
 
 
 def library_from_payload(payload: dict, world: OccupancyWorld, where: str) -> OptionLibrary:
-    """The library as stored; raises ParseError naming where when malformed."""
+    """The library as stored; raises ParseError naming where when malformed,
+    among others when its kind is neither centroid nor interface, or an
+    option is of another kind than the library or does not hold 2 states
+    (centroid) or 3 (interface)."""
     with _parsing(where):
         rbvd = rbvd_from_payload(payload["rbvd"], world, where)
+        kind = payload["kind"]
+        n_states = {OptionKind.CENTROID: 2, OptionKind.INTERFACE: 3}.get(kind)
+        if n_states is None:
+            raise ParseError(f"{where}: library kind {kind!r} is neither "
+                             f"{OptionKind.CENTROID!r} nor {OptionKind.INTERFACE!r}")
         options = [OptionSpec(id=p["id"], kind=p["kind"], states=tuple(p["states"]),
                               initiation=_endpoint_from_payload(p["initiation"]),
                               termination=_endpoint_from_payload(p["termination"]),
                               cost=float(p["cost"]),
                               cost_updated=bool(p["cost_updated"]))
                    for p in payload["options"]]
-        return OptionLibrary(kind=payload["kind"], threshold=payload["threshold"],
+        for o in options:
+            if o.kind != kind:
+                raise ParseError(f"{where}: option {o.id!r} is of kind {o.kind!r}, "
+                                 f"the library of kind {kind!r}")
+            if len(o.states) != n_states:
+                raise ParseError(f"{where}: option {o.id!r} holds {len(o.states)} "
+                                 f"states, a {kind} option {n_states}")
+        return OptionLibrary(kind=kind, threshold=payload["threshold"],
                              guide_seed=payload["guide_seed"], options=options,
                              rbvd=rbvd)
 

@@ -56,7 +56,7 @@ class OptionsDoNotChain(SharpError):
 
 
 class EmptyLibrary(SharpError):
-    """An abstract graph cannot be built from zero options."""
+    """A plan is needed over a library of zero options."""
 
 
 class NoSuccessfulRollouts(SharpError):

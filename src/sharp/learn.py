@@ -336,7 +336,6 @@ class ReplayBuffer:
         self.obs_dim = obs_dim
         self.act_dim = act_dim
         self.rows = np.zeros((capacity, 2 * obs_dim + act_dim + 2))
-        self.obs = self.rows[:, :obs_dim]
         self.size = 0
         self.ptr = 0
 
@@ -485,16 +484,25 @@ def _record_eval(env, policy: Policy, cfg: TrainConfig, stats: TrainStats,
 
 def _train_sac(env, cfg: TrainConfig, rng: np.random.Generator):
     """Actor-critic training; a non-finite transition or loss raises
-    DivergedTraining."""
+    DivergedTraining.
+
+    Returns the actor of the gate with the best mean return, the earliest
+    on a tie, with that gate's success_fraction and final_success_steps;
+    steps and evals cover the whole training."""
     obs_dim = observation_dim(env.world)
     learner = SacLearner(obs_dim, 2, cfg, spawn(rng))
     # one add per step, so a buffer of max_steps rows never wraps
     buffer = ReplayBuffer(min(REPLAY_CAPACITY, cfg.max_steps), obs_dim, 2)
     policy = Policy(actor=learner.actor, guide=env.guide)
     stats = TrainStats()
+    best: tuple = ()   # (mean return, actor params, success, success steps)
 
     def gate(step_count: int) -> bool:
+        nonlocal best
         mean_ret = _record_eval(env, policy, cfg, stats, step_count, spawn(rng))
+        if not best or mean_ret > best[0]:
+            best = (mean_ret, learner.actor.flat(), stats.success_fraction,
+                    stats.final_success_steps)
         return mean_ret >= cfg.stop_avg_reward
 
     if gate(0):
@@ -527,6 +535,8 @@ def _train_sac(env, cfg: TrainConfig, rng: np.random.Generator):
     stats.steps = steps
     if not stats.evals or stats.evals[-1][0] != steps:
         gate(steps)
+    _, params, stats.success_fraction, stats.final_success_steps = best
+    learner.actor.set_flat(params)
     return policy, stats
 
 

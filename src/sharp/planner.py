@@ -1,7 +1,8 @@
 """Pipeline orchestration: abstract search over options, training with a
 policy cache, rollout-based cost updates, and composed-policy execution.
 
-A solve maps the endpoints into abstract states, searches the option graph,
+A solve maps the endpoints into abstract states, plans over the library's
+options (plan_abstract, which alone decides when no option is needed),
 trains (or reuses) one policy per option plus entry/exit bridge policies,
 the trainings of one solve side by side in worker processes, and chains
 everything into a finite-state controller whose stage advances when
@@ -65,46 +66,7 @@ def guide_fingerprint(guide: OptionGuide) -> str:
     return h.hexdigest()[:16]
 
 
-# -- abstract graph ------------------------------------------------------------------
-
-
-@dataclass
-class AbstractGraph:
-    """Search graph whose edges are options.
-
-    Centroid libraries give one node per abstract state; interface libraries
-    give one node per ordered adjacent state pair, and queries splice in
-    virtual entry/exit nodes for the start and goal states.
-    """
-
-    kind: str
-    edges: dict            # node -> list of (dst_node, OptionSpec)
-    positions: dict        # node -> (x, y) used by the heuristic
-    state_positions: dict  # state id -> anchor centroid (x, y)
-
-
-def build_abstract_graph(rbvd: RegionVoronoi, options: list) -> AbstractGraph:
-    if not options:
-        raise EmptyLibrary("cannot build a graph from zero options")
-    kinds = {o.kind for o in options}
-    if len(kinds) != 1:
-        raise ValueError("option library mixes kinds")
-    kind = kinds.pop()
-    edges: dict = {}
-    positions: dict = {}
-    state_positions = {s.id: (s.anchor.centroid.x, s.anchor.centroid.y)
-                       for s in rbvd.states}
-    for o in sorted(options, key=lambda o: o.id):
-        if kind == OptionKind.CENTROID:
-            src, dst = o.states
-        else:
-            src, dst = o.states[:2], o.states[1:]
-        edges.setdefault(src, []).append((dst, o))
-        edges.setdefault(dst, edges.get(dst, []))
-        positions[src] = (o.initiation.representative.x, o.initiation.representative.y)
-        positions[dst] = (o.termination.representative.x, o.termination.representative.y)
-    return AbstractGraph(kind=kind, edges=edges, positions=positions,
-                         state_positions=state_positions)
+# -- abstract plan -------------------------------------------------------------------
 
 
 def astar(edges, start, goal, heuristic):
@@ -136,66 +98,50 @@ def astar(edges, start, goal, heuristic):
     return None
 
 
-def _query_edges(graph: AbstractGraph, s_start: int, s_goal: int,
-                 goal_xy: tuple) -> tuple[dict, object, object]:
-    """Edge table in (dst, cost, payload) form, with virtual nodes for
-    interface graphs; payload None marks virtual edges."""
-    edges: dict = {}
-    for node, lst in graph.edges.items():
-        edges[node] = [(dst, o.cost, o) for dst, o in lst]
-    if graph.kind == OptionKind.CENTROID:
-        return edges, s_start, s_goal
-    spos = graph.state_positions
-    entry: list = []
-    for node in graph.edges:
-        if node[0] == s_start:
-            d = math.dist(spos[s_start], graph.positions[node])
-            entry.append((node, max(d, 1e-9), None))
-        if node[1] == s_goal:
-            d = math.dist(graph.positions[node], goal_xy)
-            edges.setdefault(node, []).append((EXIT, max(d, 1e-9), None))
-    edges[ENTRY] = entry
-    edges.setdefault(EXIT, [])
-    return edges, ENTRY, EXIT
-
-
-def _admissible_scale(edges: dict, positions) -> float:
-    """min over edges of cost / endpoint distance keeps h * distance a lower
-    bound on each edge cost; fresh libraries have ratio 1 everywhere."""
-    scale = 1.0
-    for node, lst in edges.items():
-        for dst, cost, payload in lst:
-            a, b = positions(node), positions(dst)
-            if a is None or b is None:
-                continue
-            d = math.dist(a, b)
-            if d > 1e-12:
-                scale = min(scale, cost / d)
-    return scale
-
-
-def plan_abstract(graph: AbstractGraph, s_start: int, s_goal: int,
+def plan_abstract(library: OptionLibrary, s_start: int, s_goal: int,
                   goal_cfg: Configuration) -> list:
-    """Cost-minimal option sequence from s_start to s_goal under current costs."""
-    goal_xy = (goal_cfg.x, goal_cfg.y)
-    if s_start == s_goal:
+    """Cost-minimal option sequence from s_start to s_goal under current
+    costs; [] when no option is needed: the same state, or adjacent states
+    of an interface library.
+
+    Each option is an edge at its current cost, taken in option-id order.
+    A centroid library's nodes are its states, at its options' endpoint
+    representatives. An interface library's are ordered adjacent state
+    pairs, and the search runs from a virtual ENTRY node at s_start's
+    anchor centroid, with an edge to each pair that leaves s_start, to a
+    virtual EXIT node at the goal, with an edge from each pair that enters
+    s_goal after its option edges; a virtual edge costs the distance it
+    spans. The heuristic, the distance to the goal scaled by the least cost
+    per metre of any edge (at most 1), stays admissible as costs change.
+    """
+    interface = library.kind == OptionKind.INTERFACE
+    if s_start == s_goal or (interface and library.rbvd.adjacent(s_start, s_goal)):
         return []
-    edges, start, goal = _query_edges(graph, s_start, s_goal, goal_xy)
-    if graph.kind == OptionKind.CENTROID and (
-            s_start not in edges or s_goal not in graph.edges):
-        raise NoAbstractPath(f"state {s_start} or {s_goal} has no options")
-
-    def pos(node):
-        if node == ENTRY:
-            return graph.state_positions.get(s_start)
-        if node == EXIT:
-            return goal_xy
-        return graph.positions.get(node)
-
-    scale = _admissible_scale(edges, pos)
+    if not library.options:
+        raise EmptyLibrary("cannot plan over zero options")
+    goal_xy = (goal_cfg.x, goal_cfg.y)
+    edges: dict = {}       # node -> [(dst, cost, option, or None if virtual)]
+    positions: dict = {}   # node -> (x, y)
+    for o in sorted(library.options, key=lambda o: o.id):
+        src, dst = (o.states[:2], o.states[1:]) if interface else o.states
+        edges.setdefault(src, []).append((dst, o.cost, o))
+        edges.setdefault(dst, [])
+        positions[src] = (o.initiation.representative.x, o.initiation.representative.y)
+        positions[dst] = (o.termination.representative.x, o.termination.representative.y)
+    start, goal = (ENTRY, EXIT) if interface else (s_start, s_goal)
+    if interface:
+        anchor = library.rbvd.states[s_start].anchor.centroid
+        positions[ENTRY], positions[EXIT] = (anchor.x, anchor.y), goal_xy
+        for node, out in edges.items():
+            if node[1] == s_goal:
+                out.append((EXIT, max(math.dist(positions[node], goal_xy), 1e-9), None))
+        edges[ENTRY] = [(node, max(math.dist(positions[ENTRY], positions[node]), 1e-9),
+                         None) for node in edges if node[0] == s_start]
+    scale = min([1.0] + [cost / d for node, out in edges.items() for dst, cost, _ in out
+                         if (d := math.dist(positions[node], positions[dst])) > 1e-12])
 
     def h(node):
-        p = pos(node)
+        p = positions.get(node)
         return 0.0 if p is None else scale * math.dist(p, goal_xy)
 
     res = astar(edges, start, goal, h)
@@ -246,7 +192,6 @@ class Stage:
     label: str
     policy: object
     advance_cells: frozenset    # a stage but the last hands over on entering these
-    option: OptionSpec | None = None
 
 
 @dataclass
@@ -532,12 +477,7 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
     s_goal = rbvd.state_of(x_g).id
     stats = SolveStats()
 
-    if s_start == s_goal or (
-            library.kind == OptionKind.INTERFACE and rbvd.adjacent(s_start, s_goal)):
-        plan: list = []
-    else:
-        graph = build_abstract_graph(rbvd, library.options)
-        plan = plan_abstract(graph, s_start, s_goal, x_g)
+    plan = plan_abstract(library, s_start, s_goal, x_g)
     stats.plan_option_ids = [o.id for o in plan]
 
     # entry bridge target and allowed states
@@ -621,8 +561,7 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
                     update_option_cost(p.option, tstats.final_success_steps)
                 cache[p.key] = CacheEntry(actor=actor, cost=p.option.cost,
                                           training_steps=tstats.steps)
-        stages.append(Stage(label=p.label, policy=policy,
-                            advance_cells=p.advance_cells, option=p.option))
+        stages.append(Stage(label=p.label, policy=policy, advance_cells=p.advance_cells))
     failed = [label for label, success in stats.stage_success if success == 0.0]
     if failed:
         log.warning("training ended at 0.0 success in stage(s) %s", ", ".join(failed))

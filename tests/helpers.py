@@ -14,7 +14,7 @@ from sharp.learn import (DISCOUNT, LOG_2PI, LOG_STD_MAX, LOG_STD_MIN, REWARD_SCA
 from sharp.motion import (RRT_GOAL_BIAS, RRT_MAX_ITERS, RRT_STEP_CELLS, MotionPlan,
                           rrt_plan, shortcut)
 from sharp.options import OptionGuide
-from sharp.planner import ComposedPolicy, astar
+from sharp.planner import astar
 from sharp.regions import swept_cells
 from sharp.world import (SWEEP_FRACTION, Configuration, Kinematics, OccupancyWorld,
                          _steer_lanes, sample_free, sample_in_cells, step, steer_toward)
@@ -110,8 +110,12 @@ def evaluate_policy(world, policy, start, stop_predicate, episodes, step_limit, 
             "mean_steps": float(np.mean(steps_taken))}
 
 
-def dijkstra_cost(edges, start, goal):
-    """Oracle shortest-path cost with zero heuristic."""
+def dijkstra_cost(options, start, goal):
+    """Oracle cost of the cheapest chain of centroid options from state
+    start to state goal: A* with a zero heuristic."""
+    edges: dict = {}
+    for o in options:
+        edges.setdefault(o.states[0], []).append((o.states[1], o.cost, o))
     res = astar(edges, start, goal, lambda n: 0.0)
     return None if res is None else res[0]
 
@@ -171,10 +175,6 @@ def nearest_guide_point(guide: OptionGuide, c: Configuration) -> tuple[Configura
     """Closest guide point by Euclidean distance; ties pick the lowest index."""
     idx, _ = guide.nearest(c)
     return guide.points[idx], idx
-
-
-def option_stages(composed: ComposedPolicy):
-    return [s for s in composed.stages if s.option is not None]
 
 
 # -- reference collision queries -----------------------------------------------------

@@ -441,17 +441,44 @@ LIBRARY_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("edit", LIBRARY_FAULTS.values(), ids=LIBRARY_FAULTS.keys())
-def test_library_cache_fault_is_an_error_line(tiny_world_file, tmp_path, capsys,
-                                              edit):
-    argv = ["abstract", "--world", tiny_world_file, "--cache-dir", str(tmp_path)]
-    assert main(argv) == 0
-    (path,) = tmp_path.glob("*/library_centroid_*.json")
+def _edited_library(world_file, cache_dir, edit):
+    """Build the world's centroid library into cache_dir and edit the file;
+    returns its path."""
+    assert main(["abstract", "--world", world_file, "--cache-dir", str(cache_dir)]) == 0
+    (path,) = cache_dir.glob("*/library_centroid_*.json")
     envelope = json.loads(path.read_text())
     edit(envelope["payload"])
     path.write_text(json.dumps(envelope))
+    return path
+
+
+@pytest.mark.parametrize("edit", LIBRARY_FAULTS.values(), ids=LIBRARY_FAULTS.keys())
+def test_library_cache_fault_is_an_error_line(tiny_world_file, tmp_path, capsys,
+                                              edit):
+    path = _edited_library(tiny_world_file, tmp_path, edit)
     capsys.readouterr()
-    assert main(argv) == 1
+    assert main(["abstract", "--world", tiny_world_file, "--cache-dir",
+                 str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+
+
+LIBRARY_KIND_FAULTS = {
+    "library-kind": _set_key("sideways", "kind"),
+    "mixed-kinds": _set_key("interface", "options", 0, "kind"),
+    "three-states": _set_key([0, 1, 0], "options", 0, "states"),
+}
+
+
+@pytest.mark.parametrize("edit", LIBRARY_KIND_FAULTS.values(),
+                         ids=LIBRARY_KIND_FAULTS.keys())
+def test_library_of_mixed_kinds_fails_solve_with_an_error_line(tiny_world_file,
+                                                               tmp_path, capsys, edit):
+    path = _edited_library(tiny_world_file, tmp_path, edit)
+    capsys.readouterr()
+    assert main(["solve", "--world", tiny_world_file, "--start", "1.5,1.5",
+                 "--goal", "8.5,1.5", "--profile", "smoke", "--episodes", "1",
+                 "--cache-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
 

@@ -118,8 +118,8 @@ class TestRunExperiment:
         assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
 
     def test_non_chaining_plan_becomes_error_row(self, monkeypatch):
-        def broken_plan(graph, s_start, s_goal, goal_cfg):
-            option = graph.edges[s_start][0][1]
+        def broken_plan(library, s_start, s_goal, goal_cfg):
+            option = next(o for o in library.options if o.states[0] == s_start)
             return [option, option]   # its termination is not its initiation
 
         monkeypatch.setattr(planner, "plan_abstract", broken_plan)

@@ -255,7 +255,7 @@ class TestTraining:
         class Recording(ReplayBuffer):
             def __init__(self, capacity, obs_dim, act_dim):
                 super().__init__(capacity, obs_dim, act_dim)
-                rows.append(len(self.obs))
+                rows.append(len(self.rows))
 
         monkeypatch.setattr(learn, "ReplayBuffer", Recording)
         w, rbvd, option, guide = two_state_setup()
@@ -265,6 +265,32 @@ class TestTraining:
         assert REPLAY_CAPACITY > cfg.max_steps
         train_option_policy(w, guide, rbvd, cfg, np.random.default_rng(0))
         assert rows == [cfg.max_steps]
+
+    def test_sac_keeps_the_best_gate_after_a_collapse(self, monkeypatch):
+        # scripted gates at steps 0, 100, 200, 300: the mean return peaks at
+        # 100 and 200 (a tie, which the earlier gate wins), then collapses
+        scripted = iter([([-5.0, -5.0], [False, False], [50, 50]),
+                         ([30.0, -10.0], [True, False], [7, 50]),
+                         ([10.0, 10.0], [True, True], [9, 9]),
+                         ([-50.0, -50.0], [False, False], [50, 50])])
+        actors = []
+
+        def run_episodes(env, policy, episodes, rng):
+            actors.append(policy.actor.flat())
+            return next(scripted)
+
+        monkeypatch.setattr(learn, "run_episodes", run_episodes)
+        w, rbvd, option, guide = two_state_setup()
+        cfg = TrainConfig(max_steps=300, eval_every=100, eval_episodes=2,
+                          hidden=(8, 8), batch_size=16, start_steps=50,
+                          episode_limit=50)
+        policy, stats = train_option_policy(w, guide, rbvd, cfg,
+                                            np.random.default_rng(0))
+        assert [step for step, _, _ in stats.evals] == [0, 100, 200, 300]
+        assert stats.steps == 300
+        assert (stats.success_fraction, stats.final_success_steps) == (0.5, [7])
+        assert len(actors) == 4 and not np.array_equal(actors[1], actors[3])
+        assert np.array_equal(policy.actor.flat(), actors[1])
 
     @pytest.mark.parametrize("kinematics", [Kinematics.HOLONOMIC, Kinematics.UNICYCLE])
     @pytest.mark.parametrize("learner", ["sac", "cem"])

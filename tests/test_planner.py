@@ -14,18 +14,16 @@ from sharp.experiment import AbstractionParams, build_library
 from sharp.learn import TrainConfig
 from sharp.options import (OptionKind, OptionSpec, synth_centroid_options,
                            synth_interface_options)
-from sharp.planner import (AbstractGraph, CacheEntry, ComposedPolicy, OptionLibrary,
-                           Stage, astar,
-                           build_abstract_graph, execute_composed,
-                           guide_fingerprint, plan_abstract, sharp_solve,
-                           update_option_cost)
+from sharp.planner import (CacheEntry, ComposedPolicy, OptionLibrary, Stage, astar,
+                           execute_composed, guide_fingerprint, plan_abstract,
+                           sharp_solve, update_option_cost)
 from sharp.world import Configuration
 
 from conftest import grid_from_rows, open_world
-from helpers import ScriptedPolicy, dijkstra_cost, free_cells, option_stages
+from helpers import ScriptedPolicy, dijkstra_cost, free_cells
 from test_abstraction import point_region
 from test_experiment import TWO_ROOMS
-from test_options import line_world_rbvd, triangle_rbvd
+from test_options import line_world_rbvd
 
 GOAL_TOL = 1.0   # one cell of the worlds below
 
@@ -41,43 +39,41 @@ def make_option(oid, kind, states, src_xy, dst_xy, cost):
                       cost=cost)
 
 
+def library_of(options, kind="centroid", rbvd=None):
+    """A library of options; plan_abstract reads rbvd only for the
+    interface kind."""
+    return OptionLibrary(kind=kind, threshold=2.0, guide_seed=0, options=options,
+                         rbvd=rbvd)
+
+
 class TestBuildGraph:
     def test_two_state_centroid_graph(self):
         _, rbvd = line_world_rbvd(2)
-        options = synth_centroid_options(rbvd, t=2.0)
-        graph = build_abstract_graph(rbvd, options)
-        assert sorted(graph.edges) == [0, 1]
-        assert sum(len(v) for v in graph.edges.values()) == 2
+        library = library_of(synth_centroid_options(rbvd, t=2.0))
+        for start, goal in ((0, 1), (1, 0)):
+            plan = plan_abstract(library, start, goal, Configuration(5.0, 1.5))
+            assert [o.states for o in plan] == [(start, goal)]
 
     def test_interface_pair_graph(self):
         _, rbvd = line_world_rbvd(3)
-        options = synth_interface_options(rbvd, t=2.0)
-        graph = build_abstract_graph(rbvd, options)
-        edge_list = [(src, dst) for src, lst in graph.edges.items()
-                     for dst, _ in lst]
-        assert ((0, 1), (1, 2)) in edge_list
-        assert ((2, 1), (1, 0)) in edge_list
-
-    def test_edge_option_bijection(self):
-        _, rbvd = triangle_rbvd()
-        for synth, kind in ((synth_centroid_options, "centroid"),
-                            (synth_interface_options, "interface")):
-            options = synth(rbvd, t=3.0)
-            graph = build_abstract_graph(rbvd, options)
-            edge_opts = [o.id for lst in graph.edges.values() for _, o in lst]
-            assert sorted(edge_opts) == sorted(o.id for o in options)
+        library = library_of(synth_interface_options(rbvd, t=2.0), "interface", rbvd)
+        for start, goal in ((0, 2), (2, 0)):
+            goal_cfg = rbvd.states[goal].anchor.centroid
+            plan = plan_abstract(library, start, goal, goal_cfg)
+            assert [o.states for o in plan] == [(start, 1, goal)]
 
     def test_empty_library(self):
-        _, rbvd = line_world_rbvd(2)
         with pytest.raises(EmptyLibrary):
-            build_abstract_graph(rbvd, [])
+            plan_abstract(library_of([]), 0, 1, Configuration(5.0, 1.5))
+
+    def test_empty_library_needs_no_option_within_one_state(self):
+        assert plan_abstract(library_of([]), 1, 1, Configuration(5.0, 1.5)) == []
 
 
-def random_centroid_graph(rng, n_nodes):
-    """Synthetic centroid-kind graph with positioned nodes and varied costs."""
+def random_centroid_library(rng, n_nodes):
+    """Synthetic centroid library with positioned states and varied costs."""
     pos = {i: (float(rng.uniform(0, 50)), float(rng.uniform(0, 50)))
            for i in range(n_nodes)}
-    edges = {i: [] for i in range(n_nodes)}
     options = []
     for i in range(n_nodes):
         for j in sorted(rng.choice(n_nodes, size=min(4, n_nodes), replace=False)):
@@ -86,32 +82,26 @@ def random_centroid_graph(rng, n_nodes):
                 continue
             d = math.dist(pos[i], pos[j])
             cost = max(1e-3, d * float(rng.uniform(0.3, 3.0)))
-            o = make_option(f"c{i}-{j}", OptionKind.CENTROID, (i, j), pos[i],
-                            pos[j], cost)
-            options.append(o)
-            edges[i].append((j, o))
-    graph = AbstractGraph(kind=OptionKind.CENTROID, edges=edges, positions=pos,
-                          state_positions=pos)
-    return graph, pos
+            options.append(make_option(f"c{i}-{j}", OptionKind.CENTROID, (i, j),
+                                       pos[i], pos[j], cost))
+    return library_of(options), pos
 
 
 class TestPlanAbstract:
     def test_same_state_empty_plan(self):
         _, rbvd = line_world_rbvd(2)
-        graph = build_abstract_graph(rbvd, synth_centroid_options(rbvd, t=2.0))
-        assert plan_abstract(graph, 1, 1, Configuration(5.0, 1.5)) == []
+        library = library_of(synth_centroid_options(rbvd, t=2.0))
+        assert plan_abstract(library, 1, 1, Configuration(5.0, 1.5)) == []
 
     def test_matches_dijkstra_on_random_graphs(self, rng):
         for _ in range(30):
             n = int(rng.integers(3, 30))
-            graph, pos = random_centroid_graph(rng, n)
+            library, pos = random_centroid_library(rng, n)
             start, goal = 0, n - 1
             goal_cfg = Configuration(*pos[goal])
-            cost_edges = {u: [(v, o.cost, o) for v, o in lst]
-                          for u, lst in graph.edges.items()}
-            oracle = dijkstra_cost(cost_edges, start, goal)
+            oracle = dijkstra_cost(library.options, start, goal)
             try:
-                plan = plan_abstract(graph, start, goal, goal_cfg)
+                plan = plan_abstract(library, start, goal, goal_cfg)
             except NoAbstractPath:
                 assert oracle is None
                 continue
@@ -129,23 +119,20 @@ class TestPlanAbstract:
         regions = [point_region(w, (0, 1)), point_region(w, (2, 1)),
                    point_region(w, (4, 1))]
         rbvd = build_region_voronoi(w, regions)
-        options = synth_centroid_options(rbvd, t=1.5)
-        graph = build_abstract_graph(rbvd, options)
+        library = library_of(synth_centroid_options(rbvd, t=1.5))
         with pytest.raises(NoAbstractPath):
-            plan_abstract(graph, 0, 2, Configuration(4.5, 1.5))
+            plan_abstract(library, 0, 2, Configuration(4.5, 1.5))
 
     def test_interface_adjacent_states_no_options_needed(self):
         _, rbvd = line_world_rbvd(3)
-        options = synth_interface_options(rbvd, t=2.0)
-        graph = build_abstract_graph(rbvd, options)
-        plan = plan_abstract(graph, 0, 1, Configuration(10.0, 1.5))
+        library = library_of(synth_interface_options(rbvd, t=2.0), "interface", rbvd)
+        plan = plan_abstract(library, 0, 1, Configuration(10.0, 1.5))
         assert plan == []
 
     def test_interface_three_state_route(self):
         _, rbvd = line_world_rbvd(3)
-        options = synth_interface_options(rbvd, t=2.0)
-        graph = build_abstract_graph(rbvd, options)
-        plan = plan_abstract(graph, 0, 2, Configuration(17.5, 1.5))
+        library = library_of(synth_interface_options(rbvd, t=2.0), "interface", rbvd)
+        plan = plan_abstract(library, 0, 2, Configuration(17.5, 1.5))
         assert [o.states for o in plan] == [(0, 1, 2)]
 
 
@@ -174,20 +161,16 @@ class TestCostUpdate:
                            math.dist(pos[0], pos[1]))
         leg2 = make_option("c1-3", OptionKind.CENTROID, (1, 3), pos[1], pos[3],
                            math.dist(pos[1], pos[3]))
-        edges = {0: [(3, direct), (1, leg1)], 1: [(3, leg2)], 3: []}
-        graph = AbstractGraph(kind=OptionKind.CENTROID, edges=edges,
-                              positions=pos, state_positions=pos)
+        library = library_of([direct, leg1, leg2])
         goal_cfg = Configuration(*pos[3])
-        assert [o.id for o in plan_abstract(graph, 0, 3, goal_cfg)] == ["c0-3"]
+        assert [o.id for o in plan_abstract(library, 0, 3, goal_cfg)] == ["c0-3"]
         update_option_cost(direct, [300, 340])  # rollouts proved it slow
         update_option_cost(leg1, [40])
         update_option_cost(leg2, [45])
-        plan = plan_abstract(graph, 0, 3, goal_cfg)
+        plan = plan_abstract(library, 0, 3, goal_cfg)
         assert [o.id for o in plan] == ["c0-1", "c1-3"]
-        cost_edges = {u: [(v, o.cost, o) for v, o in lst]
-                      for u, lst in edges.items()}
         assert sum(o.cost for o in plan) == pytest.approx(
-            dijkstra_cost(cost_edges, 0, 3))
+            dijkstra_cost(library.options, 0, 3))
 
 
 class TestAstarHelper:
@@ -224,10 +207,11 @@ class TestSharpSolve:
         composed, stats = sharp_solve(w, Configuration(1.5, 1.5),
                                       Configuration(18.5, 18.5), library, cache,
                                       cfg, np.random.default_rng(0), GOAL_TOL)
-        opts = option_stages(composed)
-        assert [o.option.id for o in opts] == stats.plan_option_ids
-        for a, b in zip(opts, opts[1:]):
-            assert a.option.termination.cells == b.option.initiation.cells
+        assert [s.label for s in composed.stages[1:-1]] == stats.plan_option_ids
+        by_id = {o.id: o for o in library.options}
+        plan = [by_id[oid] for oid in stats.plan_option_ids]
+        for a, b in zip(plan, plan[1:]):
+            assert a.termination.cells == b.initiation.cells
         assert composed.stages[0].label == "bridge_in"
         assert composed.stages[-1].label == "bridge_out"
 
@@ -263,7 +247,7 @@ class TestSharpSolve:
         assert first.options_trained >= 1
         composed, second = solve((4, 4))
         assert second.options_reused == 0
-        assert [s.policy.actor.layer_sizes[1:3] for s in option_stages(composed)] \
+        assert [s.policy.actor.layer_sizes[1:3] for s in composed.stages[1:-1]] \
             == [(4, 4)] * len(second.plan_option_ids)
         _, third = solve((4, 4))
         assert third.options_reused == len(third.plan_option_ids)
@@ -380,8 +364,7 @@ class TestSharpSolve:
         w, library, cfg = solve_setup()
         x_i, x_g = Configuration(1.5, 1.5), Configuration(18.5, 18.5)
         rbvd = library.rbvd
-        plan = plan_abstract(build_abstract_graph(rbvd, library.options),
-                             rbvd.state_of(x_i).id, rbvd.state_of(x_g).id, x_g)
+        plan = plan_abstract(library, rbvd.state_of(x_i).id, rbvd.state_of(x_g).id, x_g)
         cache = {}
         with pytest.raises(GuideUnreachable, match="no exit guide"):
             sharp_solve(w, x_i, x_g, library, cache, cfg, np.random.default_rng(0),
@@ -528,15 +511,12 @@ class TestExecuteComposed:
                 options = synth(rbvd, t=2.5)
                 if not options:
                     continue
-                graph = build_abstract_graph(rbvd, options)
+                library = library_of(options, kind, rbvd)
                 nodes = [s.id for s in rbvd.states]
                 for sa in nodes:
                     for sb in nodes:
-                        if sa == sb or (kind == "interface"
-                                        and rbvd.adjacent(sa, sb)):
-                            continue
                         try:
-                            plan = plan_abstract(graph, sa, sb,
+                            plan = plan_abstract(library, sa, sb,
                                                  rbvd.states[sb].anchor.centroid)
                         except NoAbstractPath:
                             continue

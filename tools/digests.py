@@ -11,8 +11,12 @@ Prints one line each, as `<name> <sha256>`:
 * `smoke-unicycle-csv`: the same on env_d P1-P5 with the smoke profile and
   seed 0, the one bundled unicycle world, so the unicycle observation and
   steering path is covered end to end;
-* `smoke-policy-cache`, `desk-policy-cache` and
-  `smoke-unicycle-policy-cache`: the policy-cache files
+* `smoke-interface-csv`: the same on env_a P1-P5 with the interface
+  kind, the smoke profile and seed 0, so the abstract search over an
+  interface library, with its virtual entry/exit nodes, is covered;
+* `smoke-policy-cache`, `desk-policy-cache`,
+  `smoke-unicycle-policy-cache` and `smoke-interface-policy-cache`: the
+  policy-cache files
   (`<world hash>/policy_cache.json`) those runs write, byte for byte:
   every cached actor's parameters, cost and training steps;
 * `library/<world>/<kind>`: `bench/harness.py`'s `library_digest` of
@@ -20,9 +24,8 @@ Prints one line each, as `<name> <sha256>`:
   and the interface kind.
 
 BLAS is pinned to one thread first, as in bench/run.py. The whole run took
-44 s on two cores of an Intel Xeon host, where a solve trains its policies
-on both, and 56 s pinned to one core (`taskset -c 0`); the desk run takes
-most of it.
+59 s on two cores of an Intel Xeon host, where a solve trains its policies
+on both; the desk run takes most of it, and the interface run 2.8 s.
 
 Exits 1, naming each digest that differs from tools/digests.expected (the
 same `<name> <sha256>` lines), when any does. A change that moves a digest
@@ -63,19 +66,21 @@ def experiment_digests(spec) -> tuple[str, str]:
     return csv, caches.hexdigest()
 
 
-def unicycle_spec(seed: int) -> experiment.ExperimentSpec:
-    """env_d P1-P5 with the CEM smoke profile, every stream on seed."""
-    spec = experiment.spec_for_bundled("env_d", train=experiment.smoke_train_config(),
-                                       seeds=(seed,))
-    spec.abstraction = replace(spec.abstraction, seed=seed)
+def bundled_smoke_spec(world: str, kind: str = "centroid") -> experiment.ExperimentSpec:
+    """A bundled world's problems with the CEM smoke profile, every stream on
+    seed 0."""
+    spec = experiment.spec_for_bundled(world, kind=kind,
+                                       train=experiment.smoke_train_config())
+    spec.abstraction = replace(spec.abstraction, seed=0)
     return spec
 
 
 def digests():
     """(name, sha256) pairs, in the order they are printed."""
-    for name, spec_fn in (("smoke", harness.smoke_spec), ("desk", harness.desk_spec),
-                          ("smoke-unicycle", unicycle_spec)):
-        csv, caches = experiment_digests(spec_fn(0))
+    for name, spec in (("smoke", harness.smoke_spec(0)), ("desk", harness.desk_spec(0)),
+                       ("smoke-unicycle", bundled_smoke_spec("env_d")),
+                       ("smoke-interface", bundled_smoke_spec("env_a", "interface"))):
+        csv, caches = experiment_digests(spec)
         yield f"{name}-csv", csv
         yield f"{name}-policy-cache", caches
     for world in WORLDS:
