@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import os
 from contextlib import contextmanager
 
@@ -142,7 +143,6 @@ def library_payload(library: OptionLibrary) -> dict:
             "rbvd": rbvd_payload(library.rbvd),
             "options": [{
                 "id": o.id, "kind": o.kind, "states": list(o.states),
-                "cost": o.cost, "cost_updated": o.cost_updated,
                 "initiation": _endpoint_payload(o.initiation),
                 "termination": _endpoint_payload(o.termination),
             } for o in library.options]}
@@ -150,9 +150,11 @@ def library_payload(library: OptionLibrary) -> dict:
 
 def library_from_payload(payload: dict, world: OccupancyWorld, where: str) -> OptionLibrary:
     """The library as stored; raises ParseError naming where when malformed,
-    among others when its kind is neither centroid nor interface, or an
-    option is of another kind than the library or does not hold 2 states
-    (centroid) or 3 (interface)."""
+    among others when its kind is neither centroid nor interface, its
+    threshold is not a finite positive number, or an option is of another
+    kind than the library, does not hold 2 states (centroid) or 3
+    (interface), or names a state the partition lacks. The per-option cost
+    keys of older files are ignored."""
     with _parsing(where):
         rbvd = rbvd_from_payload(payload["rbvd"], world, where)
         kind = payload["kind"]
@@ -160,11 +162,13 @@ def library_from_payload(payload: dict, world: OccupancyWorld, where: str) -> Op
         if n_states is None:
             raise ParseError(f"{where}: library kind {kind!r} is neither "
                              f"{OptionKind.CENTROID!r} nor {OptionKind.INTERFACE!r}")
+        threshold = payload["threshold"]
+        if type(threshold) not in (int, float) or not 0 < threshold < math.inf:
+            raise ParseError(f"{where}: threshold must be a finite positive "
+                             f"number, got {threshold!r}")
         options = [OptionSpec(id=p["id"], kind=p["kind"], states=tuple(p["states"]),
                               initiation=_endpoint_from_payload(p["initiation"]),
-                              termination=_endpoint_from_payload(p["termination"]),
-                              cost=float(p["cost"]),
-                              cost_updated=bool(p["cost_updated"]))
+                              termination=_endpoint_from_payload(p["termination"]))
                    for p in payload["options"]]
         for o in options:
             if o.kind != kind:
@@ -173,7 +177,11 @@ def library_from_payload(payload: dict, world: OccupancyWorld, where: str) -> Op
             if len(o.states) != n_states:
                 raise ParseError(f"{where}: option {o.id!r} holds {len(o.states)} "
                                  f"states, a {kind} option {n_states}")
-        return OptionLibrary(kind=kind, threshold=payload["threshold"],
+            if not all(type(s) is int and 0 <= s < len(rbvd.states) for s in o.states):
+                raise ParseError(f"{where}: option {o.id!r} names states "
+                                 f"{list(o.states)}, the partition holds "
+                                 f"0..{len(rbvd.states) - 1}")
+        return OptionLibrary(kind=kind, threshold=threshold,
                              guide_seed=payload["guide_seed"], options=options,
                              rbvd=rbvd)
 

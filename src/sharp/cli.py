@@ -146,8 +146,7 @@ def cmd_options(args) -> int:
     _, library = load_or_build_library(world, args.kind, params, _cache_dir(args))
     print(f"{len(library.options)} {args.kind} options:")
     for o in library.options:
-        print(f"  {o.id}: states={o.states} cost={o.cost:.3f}"
-              f"{' (updated)' if o.cost_updated else ''}")
+        print(f"  {o.id}: states={o.states} prior={o.prior:.3f}")
     if args.out:
         artifacts.save_artifact(args.out, "option-library", world_hash(world),
                                 artifacts.library_payload(library))
@@ -167,7 +166,7 @@ def cmd_solve(args) -> int:
     cache = artifacts.load_cache(cache_dir, whash) if cache_dir is not None else {}
     seed_key = (name, args.seed, 1)   # problem 1 of an experiment
     try:
-        composed, stats = sharp_solve(world, x_i, x_g, library, cache, train,
+        composed, stats = sharp_solve(world, x_i, x_g, library, cache, {}, train,
                                       derive_rng("solve", *seed_key),
                                       goal_tolerance(world, None))
     finally:   # a failed solve keeps the policies of the stages it trained

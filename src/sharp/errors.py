@@ -59,10 +59,6 @@ class EmptyLibrary(SharpError):
     """A plan is needed over a library of zero options."""
 
 
-class NoSuccessfulRollouts(SharpError):
-    """Cost updates need at least one successful rollout."""
-
-
 class DivergedTraining(SharpError):
     """Losses became non-finite during policy optimization."""
 

@@ -12,7 +12,6 @@ byte-identical result files.
 
 from __future__ import annotations
 
-import copy
 import csv
 import io
 import logging
@@ -426,20 +425,20 @@ def run_experiment(spec: ExperimentSpec, cache_dir: str | None = None) -> list:
     evaluation draws from its own streams, so the rows are those of running
     each problem in turn.
 
-    Each seed solves from an empty policy cache. With a cache_dir, the
+    Each seed solves over the one library of the run, from an empty policy
+    cache and an empty table of learned option costs. With a cache_dir, the
     world's policy-cache file is read before the first solve, and after each
     seed it is rewritten as the union of what it held and the seed's
     entries; on a shared key the seed's entry wins."""
     world = spec.world
     whash = world_hash(world)
     goal_tol = goal_tolerance(world, spec.goal_tol)
-    _, library0 = load_or_build_library(world, spec.kind, spec.abstraction,
-                                        cache_dir)
+    _, library = load_or_build_library(world, spec.kind, spec.abstraction,
+                                       cache_dir)
     stored = artifacts.load_cache(cache_dir, whash) if cache_dir is not None else {}
     rows = []
     for seed in spec.seeds:
-        library = copy.deepcopy(library0)   # learned costs stay seed-local
-        cache = {}
+        cache, costs = {}, {}
         # what the second phase fills in: the rows of the lane batch with its
         # runs, the monolithic trainings, and the rrt_replan rows with their jobs
         lane_rows, runs, trainings, rrt_rows, rrt_jobs = [], [], [], [], []
@@ -447,7 +446,7 @@ def run_experiment(spec: ExperimentSpec, cache_dir: str | None = None) -> list:
             seed_key = (spec.name, seed, pi)
             try:
                 composed, stats = sharp_solve(
-                    world, x_i, x_g, library, cache, spec.train,
+                    world, x_i, x_g, library, cache, costs, spec.train,
                     derive_rng("solve", *seed_key), goal_tol)
             except SharpError as e:
                 log.warning("sharp failed on %s P%d seed %d: %s", spec.name, pi,

@@ -7,10 +7,9 @@ interface for cheap smoke runs. Policies emit a waypoint displacement in
 [-1, 1]^2 which the kinematics adapter turns into a bounded world action.
 
 Both learners train in one EpisodeEnv, whose option task (option_env) and
-goal task (goal_env) differ only in their start and reward rules. Every
-training profile shares the protocol constants DISCOUNT 0.99, REWARD_SCALE
-0.01, TAU 0.01, REPLAY_CAPACITY 100,000, UPDATE_EVERY 2 (steps per SAC
-update), CEM_ELITE_FRAC 0.25, CEM_SIGMA 0.5 and CEM_EPISODES 1.
+goal task (goal_env) differ only in their start and reward rules. What a
+training profile varies is a TrainConfig field; what none varies is one of
+the protocol constants below.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ LOG_STD_MAX = 2.0
 LOG_2PI = math.log(2.0 * math.pi)
 STEP_REWARD = -1.0   # goal-task reward for a step that does not reach the goal
 
-# protocol constants shared by every training profile
+# the protocol constants, shared by every training profile
 DISCOUNT = 0.99
 REWARD_SCALE = 0.01       # applied to rewards before the critic targets
 TAU = 0.01                # Polyak rate of the target critics
@@ -49,9 +48,7 @@ CEM_EPISODES = 1          # greedy episodes that score one candidate
 @dataclass(frozen=True)
 class TrainConfig:
     """The training settings a profile varies; defaults mirror the reference
-    protocol. What no profile varies is a module constant: DISCOUNT 0.99,
-    REWARD_SCALE 0.01, TAU 0.01, REPLAY_CAPACITY 100,000, UPDATE_EVERY 2,
-    CEM_ELITE_FRAC 0.25, CEM_SIGMA 0.5 and CEM_EPISODES 1."""
+    protocol. What no profile varies is a protocol constant of this module."""
 
     max_steps: int = 150_000
     eval_every: int = 10_000
@@ -97,7 +94,6 @@ class TrainStats:
     success_fraction: float = 0.0
     final_success_steps: list = field(default_factory=list)
     evals: list = field(default_factory=list)  # (step, mean_return, success_rate)
-    stopped_early: bool = False
 
 
 # -- observations and actions ---------------------------------------------------
@@ -506,7 +502,6 @@ def _train_sac(env, cfg: TrainConfig, rng: np.random.Generator):
         return mean_ret >= cfg.stop_avg_reward
 
     if gate(0):
-        stats.stopped_early = True
         return policy, stats
 
     obs, done, _ = env.reset(rng)
@@ -530,7 +525,6 @@ def _train_sac(env, cfg: TrainConfig, rng: np.random.Generator):
             learner.update(buffer, rng)
         if steps % cfg.eval_every == 0:
             if gate(steps):
-                stats.stopped_early = True
                 break
     stats.steps = steps
     if not stats.evals or stats.evals[-1][0] != steps:
@@ -573,8 +567,7 @@ def _train_cem(env, cfg: TrainConfig, rng: np.random.Generator):
 
     template.set_flat(mean)
     stats.steps = steps
-    mean_ret = _record_eval(env, policy, cfg, stats, steps, spawn(rng))
-    stats.stopped_early = mean_ret >= cfg.stop_avg_reward
+    _record_eval(env, policy, cfg, stats, steps, spawn(rng))
     return policy, stats
 
 

@@ -44,7 +44,7 @@ class Mlp:
         return self.layer_sizes[-1]
 
     def __reduce__(self):
-        # pickle and copy.deepcopy as (layer_sizes, params), so that the
+        # pickle and the copy module as (layer_sizes, params), so that the
         # copy's weights and biases are views of its own params again
         return _from_params, (self.layer_sizes, self.params)
 

@@ -39,13 +39,14 @@ class OptionKind:
     INTERFACE = "interface"
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptionSpec:
-    """An abstract action: endpoint regions plus a cost.
+    """An abstract action: its endpoint regions.
 
     states is (i, j) for centroid options and (i, j, k) for interface
     options; the initiation region lives in the leading state(s), the
-    termination region in the trailing state(s).
+    termination region in the trailing state(s). What a solve learns of an
+    option's cost lives in the solve's costs table (planner.sharp_solve).
     """
 
     id: str
@@ -53,8 +54,6 @@ class OptionSpec:
     states: tuple
     initiation: Region
     termination: Region
-    cost: float
-    cost_updated: bool = False
 
     @property
     def src_states(self) -> tuple:
@@ -64,10 +63,12 @@ class OptionSpec:
     def dst_states(self) -> tuple:
         return self.states[1:] if self.kind == OptionKind.INTERFACE else self.states[1:2]
 
-
-def _initial_cost(initiation: Region, termination: Region) -> float:
-    d = initiation.representative.distance_to(termination.representative)
-    return max(d, 1e-6)
+    @property
+    def prior(self) -> float:
+        """The cost before any rollout: the distance in metres between the
+        endpoint representatives, at least 1e-6."""
+        return max(self.initiation.representative.distance_to(
+            self.termination.representative), 1e-6)
 
 
 def synth_centroid_options(rbvd: RegionVoronoi, t: float) -> list[OptionSpec]:
@@ -88,8 +89,7 @@ def synth_centroid_options(rbvd: RegionVoronoi, t: float) -> list[OptionSpec]:
             if a in balls and b in balls:
                 options.append(OptionSpec(
                     id=f"c{a}-{b}", kind=OptionKind.CENTROID, states=(a, b),
-                    initiation=balls[a], termination=balls[b],
-                    cost=_initial_cost(balls[a], balls[b])))
+                    initiation=balls[a], termination=balls[b]))
             else:
                 log.warning("skipping centroid option %d->%d (empty endpoint)", a, b)
     return sorted(options, key=lambda o: o.id)
@@ -121,8 +121,7 @@ def synth_interface_options(rbvd: RegionVoronoi, t: float) -> list[OptionSpec]:
                     continue
                 options.append(OptionSpec(
                     id=f"i{i}-{j}-{k}", kind=OptionKind.INTERFACE, states=(i, j, k),
-                    initiation=first, termination=second,
-                    cost=_initial_cost(first, second)))
+                    initiation=first, termination=second))
     return sorted(options, key=lambda o: o.id)
 
 

@@ -1,5 +1,5 @@
 """Pipeline orchestration: abstract search over options, training with a
-policy cache, rollout-based cost updates, and composed-policy execution.
+policy cache, learned option costs, and composed-policy execution.
 
 A solve maps the endpoints into abstract states, plans over the library's
 options (plan_abstract, which alone decides when no option is needed),
@@ -26,8 +26,7 @@ from . import settings
 from .abstraction import (Region, RegionVoronoi, centroid_region, goal_region,
                           interface_region)
 from .errors import (DivergedTraining, EmptyLibrary, GuideUnreachable,
-                     NoAbstractPath, NoSuccessfulRollouts, OptionsDoNotChain,
-                     ShapeMismatch, SharpError)
+                     NoAbstractPath, OptionsDoNotChain, ShapeMismatch, SharpError)
 from .learn import Policy, TrainConfig, actor_layers, train_option_policy
 from .mlp import Mlp
 from .options import (OptionGuide, OptionKind, OptionSpec, build_guide,
@@ -99,12 +98,13 @@ def astar(edges, start, goal, heuristic):
 
 
 def plan_abstract(library: OptionLibrary, s_start: int, s_goal: int,
-                  goal_cfg: Configuration) -> list:
-    """Cost-minimal option sequence from s_start to s_goal under current
-    costs; [] when no option is needed: the same state, or adjacent states
-    of an interface library.
+                  goal_cfg: Configuration, costs: dict[str, float]) -> list:
+    """Cost-minimal option sequence from s_start to s_goal; [] when no
+    option is needed: the same state, or adjacent states of an interface
+    library.
 
-    Each option is an edge at its current cost, taken in option-id order.
+    Each option is an edge, taken in option-id order, at its learned cost
+    in costs (by option id, as sharp_solve writes it), else at its prior.
     A centroid library's nodes are its states, at its options' endpoint
     representatives. An interface library's are ordered adjacent state
     pairs, and the search runs from a virtual ENTRY node at s_start's
@@ -124,7 +124,7 @@ def plan_abstract(library: OptionLibrary, s_start: int, s_goal: int,
     positions: dict = {}   # node -> (x, y)
     for o in sorted(library.options, key=lambda o: o.id):
         src, dst = (o.states[:2], o.states[1:]) if interface else o.states
-        edges.setdefault(src, []).append((dst, o.cost, o))
+        edges.setdefault(src, []).append((dst, costs.get(o.id, o.prior), o))
         edges.setdefault(dst, [])
         positions[src] = (o.initiation.representative.x, o.initiation.representative.y)
         positions[dst] = (o.termination.representative.x, o.termination.representative.y)
@@ -151,23 +151,14 @@ def plan_abstract(library: OptionLibrary, s_start: int, s_goal: int,
     return [p for p in payloads if p is not None]
 
 
-def update_option_cost(option: OptionSpec, traces) -> float:
-    """Replace the Euclidean cost prior with the mean rollout step count."""
-    counts = list(traces)
-    if not counts:
-        raise NoSuccessfulRollouts(f"option {option.id} has no successful rollout")
-    option.cost = max(float(np.mean(counts)), 1e-6)
-    option.cost_updated = True
-    return option.cost
-
-
 # -- policy cache --------------------------------------------------------------------
 
 
 @dataclass
 class CacheEntry:
-    """A trained option policy's actor and what training measured; the guide
-    it reads is rebuilt from the library on every solve."""
+    """A trained option policy's actor, the option's cost in the costs table
+    of the solve that trained it, and its training steps; the guide it reads
+    is rebuilt from the library on every solve."""
 
     actor: Mlp
     cost: float
@@ -446,16 +437,20 @@ class _PendingStage:
 
 def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
                 library: OptionLibrary, cache: dict[str, CacheEntry],
-                cfg: TrainConfig, rng: np.random.Generator,
+                costs: dict[str, float], cfg: TrainConfig, rng: np.random.Generator,
                 goal_tol: float) -> tuple[ComposedPolicy, SolveStats]:
     """Plan at the abstract level, train or reuse option policies, compose.
 
     The entry bridge takes the robot from x_i into the first initiation set;
     each option policy is fetched from the cache when its key matches,
-    otherwise trained and its cost replaced by the mean successful rollout
-    length; the exit bridge runs from the last termination set to the goal
-    ball of radius goal_tol. One warning names every stage whose training
-    ended at 0.0 success.
+    otherwise trained; the exit bridge runs from the last termination set to
+    the goal ball of radius goal_tol. One warning names every stage whose
+    training ended at 0.0 success.
+
+    costs maps option ids to learned costs, which plan_abstract reads before
+    priors, and the solve is its one writer: a cache hit writes its entry's
+    cost, and a trained option with a successful final rollout the mean
+    step count of those rollouts. The library is left as it was.
 
     cache maps `<world hash>/<option id>/<guide fingerprint>/<TrainConfig
     digest>` to a CacheEntry; a hit pairs the cached actor with the guide
@@ -477,7 +472,7 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
     s_goal = rbvd.state_of(x_g).id
     stats = SolveStats()
 
-    plan = plan_abstract(library, s_start, s_goal, x_g)
+    plan = plan_abstract(library, s_start, s_goal, x_g, costs)
     stats.plan_option_ids = [o.id for o in plan]
 
     # entry bridge target and allowed states
@@ -543,8 +538,7 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
     for p in pending:
         if p.hit is not None:
             policy = Policy(actor=p.hit.actor, guide=p.guide)
-            p.option.cost = p.hit.cost
-            p.option.cost_updated = True
+            costs[p.option.id] = p.hit.cost
             stats.options_reused += 1
             stats.stage_success.append((p.label, None))
         else:
@@ -558,9 +552,11 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
             if p.option is not None:
                 stats.options_trained += 1
                 if tstats.final_success_steps:
-                    update_option_cost(p.option, tstats.final_success_steps)
-                cache[p.key] = CacheEntry(actor=actor, cost=p.option.cost,
-                                          training_steps=tstats.steps)
+                    costs[p.option.id] = max(
+                        float(np.mean(tstats.final_success_steps)), 1e-6)
+                cache[p.key] = CacheEntry(
+                    actor=actor, cost=costs.get(p.option.id, p.option.prior),
+                    training_steps=tstats.steps)
         stages.append(Stage(label=p.label, policy=policy, advance_cells=p.advance_cells))
     failed = [label for label, success in stats.stage_success if success == 0.0]
     if failed:

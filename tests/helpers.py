@@ -110,12 +110,14 @@ def evaluate_policy(world, policy, start, stop_predicate, episodes, step_limit, 
             "mean_steps": float(np.mean(steps_taken))}
 
 
-def dijkstra_cost(options, start, goal):
+def dijkstra_cost(options, start, goal, costs):
     """Oracle cost of the cheapest chain of centroid options from state
-    start to state goal: A* with a zero heuristic."""
+    start to state goal, each at its cost in costs, else at its prior: A*
+    with a zero heuristic."""
     edges: dict = {}
     for o in options:
-        edges.setdefault(o.states[0], []).append((o.states[1], o.cost, o))
+        edges.setdefault(o.states[0], []).append(
+            (o.states[1], costs.get(o.id, o.prior), o))
     res = astar(edges, start, goal, lambda n: 0.0)
     return None if res is None else res[0]
 

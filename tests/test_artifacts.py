@@ -80,11 +80,7 @@ class TestEnvelope:
             artifacts.load_artifact(path, "option-library", world_hash(w)), w, path)
         assert loaded.kind == library.kind
         assert loaded.guide_seed == library.guide_seed
-        assert [o.id for o in loaded.options] == [o.id for o in library.options]
-        for a, b in zip(loaded.options, library.options):
-            assert a.initiation.cells == b.initiation.cells
-            assert a.termination.representative == b.termination.representative
-            assert a.cost == b.cost
+        assert loaded.options == library.options
 
     def test_library_guide_spacing_key_ignored(self, setup):
         # library files of earlier versions also carry "guide_spacing"
@@ -95,6 +91,21 @@ class TestEnvelope:
                                 dict(payload, guide_spacing=0.5))
         loaded = artifacts.library_from_payload(
             artifacts.load_artifact(path, "option-library", world_hash(w)), w, path)
+        assert json.dumps(artifacts.library_payload(loaded), sort_keys=True) \
+            == json.dumps(payload, sort_keys=True)
+
+    def test_library_cost_keys_ignored(self, setup):
+        # library files of earlier versions also carry each option's cost
+        # and cost_updated
+        w, rbvd, library, tmp = setup
+        path = str(tmp / "library.json")
+        payload = artifacts.library_payload(library)
+        older = dict(payload, options=[dict(p, cost=12.5, cost_updated=True)
+                                       for p in payload["options"]])
+        artifacts.save_artifact(path, "option-library", world_hash(w), older)
+        loaded = artifacts.library_from_payload(
+            artifacts.load_artifact(path, "option-library", world_hash(w)), w, path)
+        assert loaded.options == library.options
         assert json.dumps(artifacts.library_payload(loaded), sort_keys=True) \
             == json.dumps(payload, sort_keys=True)
 

@@ -433,7 +433,6 @@ LIBRARY_FAULTS = {
     "no-rep": _drop_key("options", 0, "termination", "rep"),
     "no-regions": _drop_key("rbvd", "regions"),
     "no-centroid": _drop_key("rbvd", "regions", 0, "centroid"),
-    "text-cost": _set_key("cheap", "options", 0, "cost"),
     "cells-not-a-list": _set_key(7, "options", 0, "initiation", "cells"),
     "text-centroid": _set_key(["a", "b"], "rbvd", "regions", 0, "centroid"),
     "ragged-assignment": _set_key([[0, 1], [0]], "rbvd", "assignment"),
@@ -463,10 +462,19 @@ def test_library_cache_fault_is_an_error_line(tiny_world_file, tmp_path, capsys,
     assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
 
 
+def _shift_states(by):
+    def edit(payload):
+        for option in payload["options"]:
+            option["states"] = [s + by for s in option["states"]]
+    return edit
+
+
 LIBRARY_KIND_FAULTS = {
     "library-kind": _set_key("sideways", "kind"),
     "mixed-kinds": _set_key("interface", "options", 0, "kind"),
     "three-states": _set_key([0, 1, 0], "options", 0, "states"),
+    "unknown-state": _shift_states(7),
+    "threshold": _set_key("x", "threshold"),
 }
 
 

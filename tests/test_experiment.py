@@ -118,7 +118,7 @@ class TestRunExperiment:
         assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
 
     def test_non_chaining_plan_becomes_error_row(self, monkeypatch):
-        def broken_plan(library, s_start, s_goal, goal_cfg):
+        def broken_plan(library, s_start, s_goal, goal_cfg, costs):
             option = next(o for o in library.options if o.states[0] == s_start)
             return [option, option]   # its termination is not its initiation
 
@@ -353,8 +353,8 @@ def test_endpoints_in_collision_fail_every_method(monkeypatch):
 
 
 @pytest.mark.parametrize("kind, digest", [
-    ("centroid", "81c7380c77548e1deb546f9215e70a22061aad08ee784c23fa29abc861838bf0"),
-    ("interface", "f440eb4b6d6af1164f37bb3b7407dbff0bc8c23615adb2c9972c772a9ac23388"),
+    ("centroid", "019226f5822e18c97dc9ef788271a77bef5d59e2e56f0487b761adb8823c8d3e"),
+    ("interface", "b698f392f9a5308bcd2e9dbbd4120d32462efa299fa65889fea4eab477bc9803"),
 ])
 def test_four_rooms_library_matches_recorded(kind, digest):
     # recorded library bytes: region cells, scores and centroids, the
@@ -365,18 +365,23 @@ def test_four_rooms_library_matches_recorded(kind, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("env", ["env_a", "env_d"])
-def test_env_a_centroid_library_matches_digests_expected(env):
-    # the library/<env>/centroid lines of tools/digests.py, which holds the
+@pytest.mark.parametrize("env, kind", [
+    pytest.param("env_a", "centroid", id="env_a"),
+    pytest.param("env_d", "centroid", id="env_d"),
+    pytest.param("env_a", "interface", id="env_a-interface"),
+])
+def test_env_a_centroid_library_matches_digests_expected(env, kind):
+    # the library/<env>/<kind> lines of tools/digests.py, which holds the
     # bundled libraries byte for byte; each builds in about 1.5 s. env_d is
-    # the bundled unicycle world, whose density samples each draw a heading
+    # the bundled unicycle world, whose density samples each draw a heading;
+    # env_a's interface options hold 3 states, the centroid options 2
     path = os.path.join(os.path.dirname(__file__), "..", "tools", "digests.expected")
     with open(path) as fh:
         expected = dict(line.split() for line in fh if line.strip())
     spec = experiment.spec_for_bundled(env)
-    _, library = build_library(spec.world, "centroid", spec.abstraction)
+    _, library = build_library(spec.world, kind, spec.abstraction)
     text = json.dumps(library_payload(library), sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == expected[f"library/{env}/centroid"]
+    assert hashlib.sha256(text.encode()).hexdigest() == expected[f"library/{env}/{kind}"]
 
 
 class TestPlotData:

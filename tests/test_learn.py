@@ -216,7 +216,9 @@ class TestTraining:
         cfg = TrainConfig(max_steps=5000, eval_every=1000, hidden=(8, 8))
         policy, stats = train_option_policy(w, trivial, rbvd, cfg,
                                             np.random.default_rng(3))
-        assert stats.stopped_early and stats.steps == 0
+        # one gate, at step 0, cleared the stop reward: training never ran
+        assert stats.steps == 0 and [step for step, _, _ in stats.evals] == [0]
+        assert stats.evals[0][1] >= cfg.stop_avg_reward
         assert stats.success_fraction == 1.0
 
     def test_same_seed_identical_stats(self):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ class TestSynthCounts:
                 assert rbvd.adjacent(i, j)
                 assert o.initiation.cells <= rbvd.states[i].cells
                 assert o.termination.cells <= rbvd.states[j].cells
-                assert o.cost > 0
+                assert o.prior > 0
 
     def test_path_graph_two_interface_options(self):
         _, rbvd = line_world_rbvd(3)
@@ -101,7 +102,7 @@ class TestGuides:
         w, rbvd = line_world_rbvd(2)
         (option,) = [o for o in synth_centroid_options(rbvd, t=2.0)
                      if o.states == (0, 1)]
-        option.termination = option.initiation
+        option = replace(option, termination=option.initiation)
         guide = compute_guide_path(w, rbvd, option, rng=np.random.default_rng(0))
         assert len(guide.points) == 1
 

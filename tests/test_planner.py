@@ -1,4 +1,4 @@
-import copy
+import json
 import logging
 import math
 import multiprocessing.pool
@@ -8,15 +8,17 @@ import pytest
 
 from sharp import planner
 from sharp.abstraction import Region, build_region_voronoi
+from sharp.artifacts import library_payload
 from sharp.errors import (DivergedTraining, EmptyLibrary, GuideUnreachable,
-                          NoAbstractPath, NoSuccessfulRollouts)
+                          NoAbstractPath)
 from sharp.experiment import AbstractionParams, build_library
-from sharp.learn import TrainConfig
+from sharp.learn import TrainConfig, TrainStats, actor_layers
+from sharp.mlp import Mlp
 from sharp.options import (OptionKind, OptionSpec, synth_centroid_options,
                            synth_interface_options)
 from sharp.planner import (CacheEntry, ComposedPolicy, OptionLibrary, Stage, astar,
                            execute_composed, guide_fingerprint, plan_abstract,
-                           sharp_solve, update_option_cost)
+                           sharp_solve)
 from sharp.world import Configuration
 
 from conftest import grid_from_rows, open_world
@@ -33,10 +35,9 @@ def region_at(x, y):
                   representative=Configuration(x, y))
 
 
-def make_option(oid, kind, states, src_xy, dst_xy, cost):
+def make_option(oid, kind, states, src_xy, dst_xy):
     return OptionSpec(id=oid, kind=kind, states=states,
-                      initiation=region_at(*src_xy), termination=region_at(*dst_xy),
-                      cost=cost)
+                      initiation=region_at(*src_xy), termination=region_at(*dst_xy))
 
 
 def library_of(options, kind="centroid", rbvd=None):
@@ -51,7 +52,7 @@ class TestBuildGraph:
         _, rbvd = line_world_rbvd(2)
         library = library_of(synth_centroid_options(rbvd, t=2.0))
         for start, goal in ((0, 1), (1, 0)):
-            plan = plan_abstract(library, start, goal, Configuration(5.0, 1.5))
+            plan = plan_abstract(library, start, goal, Configuration(5.0, 1.5), {})
             assert [o.states for o in plan] == [(start, goal)]
 
     def test_interface_pair_graph(self):
@@ -59,53 +60,54 @@ class TestBuildGraph:
         library = library_of(synth_interface_options(rbvd, t=2.0), "interface", rbvd)
         for start, goal in ((0, 2), (2, 0)):
             goal_cfg = rbvd.states[goal].anchor.centroid
-            plan = plan_abstract(library, start, goal, goal_cfg)
+            plan = plan_abstract(library, start, goal, goal_cfg, {})
             assert [o.states for o in plan] == [(start, 1, goal)]
 
     def test_empty_library(self):
         with pytest.raises(EmptyLibrary):
-            plan_abstract(library_of([]), 0, 1, Configuration(5.0, 1.5))
+            plan_abstract(library_of([]), 0, 1, Configuration(5.0, 1.5), {})
 
     def test_empty_library_needs_no_option_within_one_state(self):
-        assert plan_abstract(library_of([]), 1, 1, Configuration(5.0, 1.5)) == []
+        assert plan_abstract(library_of([]), 1, 1, Configuration(5.0, 1.5), {}) == []
 
 
 def random_centroid_library(rng, n_nodes):
-    """Synthetic centroid library with positioned states and varied costs."""
+    """Synthetic centroid library with positioned states, and a costs table
+    of varied costs."""
     pos = {i: (float(rng.uniform(0, 50)), float(rng.uniform(0, 50)))
            for i in range(n_nodes)}
-    options = []
+    options, costs = [], {}
     for i in range(n_nodes):
         for j in sorted(rng.choice(n_nodes, size=min(4, n_nodes), replace=False)):
             j = int(j)
             if i == j:
                 continue
             d = math.dist(pos[i], pos[j])
-            cost = max(1e-3, d * float(rng.uniform(0.3, 3.0)))
+            costs[f"c{i}-{j}"] = max(1e-3, d * float(rng.uniform(0.3, 3.0)))
             options.append(make_option(f"c{i}-{j}", OptionKind.CENTROID, (i, j),
-                                       pos[i], pos[j], cost))
-    return library_of(options), pos
+                                       pos[i], pos[j]))
+    return library_of(options), pos, costs
 
 
 class TestPlanAbstract:
     def test_same_state_empty_plan(self):
         _, rbvd = line_world_rbvd(2)
         library = library_of(synth_centroid_options(rbvd, t=2.0))
-        assert plan_abstract(library, 1, 1, Configuration(5.0, 1.5)) == []
+        assert plan_abstract(library, 1, 1, Configuration(5.0, 1.5), {}) == []
 
     def test_matches_dijkstra_on_random_graphs(self, rng):
         for _ in range(30):
             n = int(rng.integers(3, 30))
-            library, pos = random_centroid_library(rng, n)
+            library, pos, costs = random_centroid_library(rng, n)
             start, goal = 0, n - 1
             goal_cfg = Configuration(*pos[goal])
-            oracle = dijkstra_cost(library.options, start, goal)
+            oracle = dijkstra_cost(library.options, start, goal, costs)
             try:
-                plan = plan_abstract(library, start, goal, goal_cfg)
+                plan = plan_abstract(library, start, goal, goal_cfg, costs)
             except NoAbstractPath:
                 assert oracle is None
                 continue
-            cost = sum(o.cost for o in plan)
+            cost = sum(costs[o.id] for o in plan)
             assert oracle is not None
             assert cost == pytest.approx(oracle, abs=1e-9)
 
@@ -121,56 +123,87 @@ class TestPlanAbstract:
         rbvd = build_region_voronoi(w, regions)
         library = library_of(synth_centroid_options(rbvd, t=1.5))
         with pytest.raises(NoAbstractPath):
-            plan_abstract(library, 0, 2, Configuration(4.5, 1.5))
+            plan_abstract(library, 0, 2, Configuration(4.5, 1.5), {})
 
     def test_interface_adjacent_states_no_options_needed(self):
         _, rbvd = line_world_rbvd(3)
         library = library_of(synth_interface_options(rbvd, t=2.0), "interface", rbvd)
-        plan = plan_abstract(library, 0, 1, Configuration(10.0, 1.5))
+        plan = plan_abstract(library, 0, 1, Configuration(10.0, 1.5), {})
         assert plan == []
 
     def test_interface_three_state_route(self):
         _, rbvd = line_world_rbvd(3)
         library = library_of(synth_interface_options(rbvd, t=2.0), "interface", rbvd)
-        plan = plan_abstract(library, 0, 2, Configuration(17.5, 1.5))
+        plan = plan_abstract(library, 0, 2, Configuration(17.5, 1.5), {})
         assert [o.states for o in plan] == [(0, 1, 2)]
 
 
 class TestCostUpdate:
-    def test_mean_of_traces(self):
-        o = make_option("c0-1", OptionKind.CENTROID, (0, 1), (0, 0), (5, 0), 5.0)
-        assert update_option_cost(o, [10, 14]) == 12.0
-        assert o.cost_updated
+    """The costs table a solve writes, with every training stubbed to report
+    the given successful final rollout lengths."""
 
-    def test_singleton(self):
-        o = make_option("c0-1", OptionKind.CENTROID, (0, 1), (0, 0), (5, 0), 5.0)
-        assert update_option_cost(o, [7]) == 7.0
+    def solve(self, monkeypatch, rollout_steps):
+        def train_stages(world, rbvd, cfg, jobs):
+            layers = actor_layers(world, cfg)
+            return [(Mlp(layers), TrainStats(steps=100, success_fraction=1.0,
+                                             final_success_steps=list(rollout_steps)))
+                    for _ in jobs]
 
-    def test_empty_raises(self):
-        o = make_option("c0-1", OptionKind.CENTROID, (0, 1), (0, 0), (5, 0), 5.0)
-        with pytest.raises(NoSuccessfulRollouts):
-            update_option_cost(o, [])
+        monkeypatch.setattr(planner, "train_stages", train_stages)
+        w, library, cfg = solve_setup()
+        cache, costs = {}, {}
+        _, stats = sharp_solve(w, Configuration(1.5, 1.5), Configuration(18.5, 18.5),
+                               library, cache, costs, cfg, np.random.default_rng(0),
+                               GOAL_TOL)
+        assert stats.plan_option_ids
+        return library, stats, cache, costs
 
-    def test_updated_costs_change_route(self, rng):
+    def test_mean_of_traces(self, monkeypatch):
+        _, stats, cache, costs = self.solve(monkeypatch, [10, 14])
+        assert costs == {oid: 12.0 for oid in stats.plan_option_ids}
+        assert [e.cost for e in cache.values()] == [12.0] * len(stats.plan_option_ids)
+
+    def test_singleton(self, monkeypatch):
+        _, stats, _, costs = self.solve(monkeypatch, [7])
+        assert costs == {oid: 7.0 for oid in stats.plan_option_ids}
+
+    def test_no_successful_rollout_keeps_prior(self, monkeypatch):
+        library, stats, cache, costs = self.solve(monkeypatch, [])
+        assert costs == {}
+        prior = {o.id: o.prior for o in library.options}
+        assert {key.split("/")[1]: e.cost for key, e in cache.items()} == {
+            oid: prior[oid] for oid in stats.plan_option_ids}
+
+    def test_solve_leaves_library_untouched(self, monkeypatch):
+        # one solve trains the plan's options, the next hits their entries:
+        # each writes the trained mean to costs, neither writes the library
+        w, fresh, cfg = solve_setup()
+        library, first, cache, costs = self.solve(monkeypatch, [10, 14])
+        _, second = sharp_solve(w, Configuration(1.5, 1.5), Configuration(18.5, 18.5),
+                                library, cache, costs, cfg, np.random.default_rng(0),
+                                GOAL_TOL)
+        assert first.options_trained == second.options_reused == len(
+            first.plan_option_ids)
+        assert costs == {oid: 12.0 for oid in first.plan_option_ids}
+        assert json.dumps(library_payload(library), sort_keys=True) == json.dumps(
+            library_payload(fresh), sort_keys=True)
+
+    def test_updated_costs_change_route(self):
         # two routes 0 -> 3: direct edge (short in meters) vs via node 1;
         # after step-count updates the direct edge becomes expensive
         pos = {0: (0.0, 0.0), 1: (5.0, 5.0), 3: (10.0, 0.0)}
-        direct = make_option("c0-3", OptionKind.CENTROID, (0, 3), pos[0], pos[3],
-                             10.0)
-        leg1 = make_option("c0-1", OptionKind.CENTROID, (0, 1), pos[0], pos[1],
-                           math.dist(pos[0], pos[1]))
-        leg2 = make_option("c1-3", OptionKind.CENTROID, (1, 3), pos[1], pos[3],
-                           math.dist(pos[1], pos[3]))
-        library = library_of([direct, leg1, leg2])
+        library = library_of([
+            make_option("c0-3", OptionKind.CENTROID, (0, 3), pos[0], pos[3]),
+            make_option("c0-1", OptionKind.CENTROID, (0, 1), pos[0], pos[1]),
+            make_option("c1-3", OptionKind.CENTROID, (1, 3), pos[1], pos[3])])
         goal_cfg = Configuration(*pos[3])
-        assert [o.id for o in plan_abstract(library, 0, 3, goal_cfg)] == ["c0-3"]
-        update_option_cost(direct, [300, 340])  # rollouts proved it slow
-        update_option_cost(leg1, [40])
-        update_option_cost(leg2, [45])
-        plan = plan_abstract(library, 0, 3, goal_cfg)
+        assert [o.id for o in plan_abstract(library, 0, 3, goal_cfg, {})] == ["c0-3"]
+        # rollouts proved the direct edge slow
+        costs = {"c0-3": 320.0, "c0-1": 40.0, "c1-3": 45.0}
+        plan = plan_abstract(library, 0, 3, goal_cfg, costs)
         assert [o.id for o in plan] == ["c0-1", "c1-3"]
-        assert sum(o.cost for o in plan) == pytest.approx(
-            dijkstra_cost(library.options, 0, 3))
+        assert sum(costs[o.id] for o in plan) == pytest.approx(
+            dijkstra_cost(library.options, 0, 3, costs))
 
 
 class TestAstarHelper:
@@ -205,7 +238,7 @@ class TestSharpSolve:
         w, library, cfg = solve_setup()
         cache = {}
         composed, stats = sharp_solve(w, Configuration(1.5, 1.5),
-                                      Configuration(18.5, 18.5), library, cache,
+                                      Configuration(18.5, 18.5), library, cache, {},
                                       cfg, np.random.default_rng(0), GOAL_TOL)
         assert [s.label for s in composed.stages[1:-1]] == stats.plan_option_ids
         by_id = {o.id: o for o in library.options}
@@ -217,13 +250,13 @@ class TestSharpSolve:
 
     def test_cache_reuse_and_cheaper_resolve(self):
         w, library, cfg = solve_setup()
-        cache = {}
+        cache, costs = {}, {}
         _, first = sharp_solve(w, Configuration(1.5, 1.5),
-                               Configuration(18.5, 18.5), library, cache, cfg,
+                               Configuration(18.5, 18.5), library, cache, costs, cfg,
                                np.random.default_rng(1), GOAL_TOL)
         assert first.options_trained >= 1 and first.options_reused == 0
         _, second = sharp_solve(w, Configuration(2.5, 1.5),
-                                Configuration(18.5, 17.5), library, cache, cfg,
+                                Configuration(18.5, 17.5), library, cache, costs, cfg,
                                 np.random.default_rng(2), GOAL_TOL)
         assert second.plan_option_ids == first.plan_option_ids
         assert second.options_reused == len(second.plan_option_ids)
@@ -240,8 +273,8 @@ class TestSharpSolve:
                 episode_limit=20, cem_population=2, cem_iters=1,
                 cem_hidden=hidden)
             return sharp_solve(TWO_ROOMS, Configuration(1.5, 1.5),
-                               Configuration(8.5, 1.5), copy.deepcopy(library),
-                               cache, cfg, np.random.default_rng(0), GOAL_TOL)
+                               Configuration(8.5, 1.5), library, cache, {}, cfg,
+                               np.random.default_rng(0), GOAL_TOL)
 
         _, first = solve((8, 8))
         assert first.options_trained >= 1
@@ -273,7 +306,7 @@ class TestSharpSolve:
             trained.clear()
             composed, stats = sharp_solve(
                 TWO_ROOMS, Configuration(1.5, 1.5), Configuration(8.5, 1.5),
-                copy.deepcopy(library), cache, cfg, np.random.default_rng(0), GOAL_TOL)
+                library, cache, {}, cfg, np.random.default_rng(0), GOAL_TOL)
             labels = [label for label, _ in stats.stage_success]
             assert labels == [s.label for s in composed.stages]
             assert len(labels) == 2 + len(stats.plan_option_ids) >= 3
@@ -284,7 +317,7 @@ class TestSharpSolve:
 
     def test_pooled_and_inline_training_agree(self, monkeypatch):
         """The same two solves, trained inline and on a pool of workers:
-        actors bit for bit, stats, cache keys and entries, option costs."""
+        actors bit for bit, stats, cache keys and entries, costs tables."""
         pools = []
 
         class CountingPool(multiprocessing.pool.Pool):
@@ -293,21 +326,21 @@ class TestSharpSolve:
                 super().__init__(processes, *args, **kwargs)
 
         monkeypatch.setattr(multiprocessing.pool, "Pool", CountingPool)
-        w, library0, cfg = solve_setup()
+        w, library, cfg = solve_setup()
         runs = []
         for cpus in (1, 2):
             monkeypatch.setattr(planner, "usable_cpus", lambda: cpus)
-            library, cache = copy.deepcopy(library0), {}
+            cache, costs = {}, {}
             solves = [sharp_solve(w, Configuration(*xy_i), Configuration(*xy_g),
-                                  library, cache, cfg, np.random.default_rng(seed),
-                                  GOAL_TOL)
+                                  library, cache, costs, cfg,
+                                  np.random.default_rng(seed), GOAL_TOL)
                       for seed, xy_i, xy_g in ((5, (1.5, 1.5), (18.5, 18.5)),
                                                (6, (2.5, 1.5), (18.5, 17.5)))]
             assert multiprocessing.active_children() == []
-            runs.append((solves, cache, library))
+            runs.append((solves, cache, costs))
         # the first solve trains bridges and options, the second bridges only
         assert pools == [2, 2]
-        (inline, inline_cache, inline_lib), (pooled, pooled_cache, pooled_lib) = runs
+        (inline, inline_cache, inline_costs), (pooled, pooled_cache, pooled_costs) = runs
         assert pooled[0][1].options_trained >= 1 and pooled[1][1].options_reused >= 1
         for (c1, s1), (c2, s2) in zip(inline, pooled):
             assert s1 == s2
@@ -320,8 +353,7 @@ class TestSharpSolve:
             twin = pooled_cache[key]
             assert (entry.cost, entry.training_steps) == (twin.cost, twin.training_steps)
             assert entry.actor.params.tobytes() == twin.actor.params.tobytes()
-        assert [(o.id, o.cost, o.cost_updated) for o in inline_lib.options] == \
-            [(o.id, o.cost, o.cost_updated) for o in pooled_lib.options]
+        assert list(inline_costs.items()) == list(pooled_costs.items())
 
     @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "pooled"])
     def test_diverged_entry_bridge_wins_over_later_guide(self, monkeypatch, cpus):
@@ -341,13 +373,13 @@ class TestSharpSolve:
         w, library, cfg = solve_setup()
         with pytest.raises(DivergedTraining, match="bridge-in"):
             sharp_solve(w, Configuration(1.5, 1.5), Configuration(18.5, 18.5),
-                        library, {}, cfg, np.random.default_rng(0), GOAL_TOL)
+                        library, {}, {}, cfg, np.random.default_rng(0), GOAL_TOL)
         assert multiprocessing.active_children() == []
         # without the divergence, the option's guide is the first failure
         monkeypatch.setattr(planner, "train_option_policy", real_train)
         with pytest.raises(GuideUnreachable, match="no guide"):
             sharp_solve(w, Configuration(1.5, 1.5), Configuration(18.5, 18.5),
-                        library, {}, cfg, np.random.default_rng(0), GOAL_TOL)
+                        library, {}, {}, cfg, np.random.default_rng(0), GOAL_TOL)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "pooled"])
@@ -364,10 +396,11 @@ class TestSharpSolve:
         w, library, cfg = solve_setup()
         x_i, x_g = Configuration(1.5, 1.5), Configuration(18.5, 18.5)
         rbvd = library.rbvd
-        plan = plan_abstract(library, rbvd.state_of(x_i).id, rbvd.state_of(x_g).id, x_g)
+        plan = plan_abstract(library, rbvd.state_of(x_i).id, rbvd.state_of(x_g).id,
+                             x_g, {})
         cache = {}
         with pytest.raises(GuideUnreachable, match="no exit guide"):
-            sharp_solve(w, x_i, x_g, library, cache, cfg, np.random.default_rng(0),
+            sharp_solve(w, x_i, x_g, library, cache, {}, cfg, np.random.default_rng(0),
                         GOAL_TOL)
         # the stages before the failing one were applied, as a sequential
         # solve applies them: every planned option is trained and cached
@@ -394,8 +427,7 @@ class TestSharpSolve:
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="sharp.planner"):
                 sharp_solve(w, Configuration(1.5, 1.5), Configuration(18.5, 18.5),
-                            copy.deepcopy(library), {}, cfg,
-                            np.random.default_rng(0), GOAL_TOL)
+                            library, {}, {}, cfg, np.random.default_rng(0), GOAL_TOL)
             reported.append([r.getMessage() for r in caplog.records
                              if r.name == "sharp.planner"])
         assert reported == [
@@ -405,7 +437,7 @@ class TestSharpSolve:
         w, library, cfg = solve_setup()
         composed, stats = sharp_solve(w, Configuration(2.0, 2.0),
                                       Configuration(4.0, 4.0), library,
-                                      {}, cfg, np.random.default_rng(3), GOAL_TOL)
+                                      {}, {}, cfg, np.random.default_rng(3), GOAL_TOL)
         assert stats.plan_option_ids == []
         assert [s.label for s in composed.stages] == ["bridge_in", "bridge_out"]
 
@@ -428,7 +460,7 @@ class TestSharpSolve:
                           cem_iters=1, cem_hidden=(4, 4))
         with pytest.raises(NoAbstractPath):
             sharp_solve(w, Configuration(0.5, 0.5), Configuration(8.5, 0.5),
-                        library, {}, cfg, np.random.default_rng(4), GOAL_TOL)
+                        library, {}, {}, cfg, np.random.default_rng(4), GOAL_TOL)
 
     def test_guide_fingerprint_stability(self):
         w, library, cfg = solve_setup()
@@ -517,7 +549,7 @@ class TestExecuteComposed:
                     for sb in nodes:
                         try:
                             plan = plan_abstract(library, sa, sb,
-                                                 rbvd.states[sb].anchor.centroid)
+                                                 rbvd.states[sb].anchor.centroid, {})
                         except NoAbstractPath:
                             continue
                         for a, b in zip(plan, plan[1:]):
