@@ -1,0 +1,8 @@
+"""``python -m sharp``: the ``sharp`` command without its installed script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

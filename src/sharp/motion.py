@@ -18,9 +18,11 @@ from .world import (Configuration, Kinematics, OccupancyWorld, cell_table, colli
                     steer_toward, step)
 
 
-RRT_STEP_CELLS = 2.0     # longest tree extension, in cells
-RRT_GOAL_BIAS = 0.1      # share of samples drawn at the goal
-RRT_MAX_ITERS = 4000     # tree extensions before a plan gives up
+RRT_STEP_CELLS = 2.0       # longest tree extension, in cells
+RRT_GOAL_BIAS = 0.1        # share of samples drawn at the goal
+RRT_MAX_ITERS = 4000       # tree extensions before a plan gives up
+RRT_BLOCK = 16             # samples whose nearest nodes one numpy pass finds
+RRT_BLOCK_ENTRIES = 8192   # most (sample, node) distances in that pass
 
 
 @dataclass
@@ -28,6 +30,20 @@ class MotionPlan:
     """Ordered collision-free waypoints; consecutive segments are free."""
 
     waypoints: list[Configuration]
+
+
+def _nearest_nodes(nodes_x: np.ndarray, nodes_y: np.ndarray, xs: list,
+                   ys: list) -> tuple[list, list]:
+    """Each sample's nearest node, the first among equals, and its squared
+    distance, from one (sample, node) table whose entries are a
+    single-sample search's: (x - sx)**2 + (y - sy)**2 in that order. The
+    table is freed on return."""
+    d2 = nodes_x - np.array(xs)[:, None]
+    d2 *= d2
+    dy2 = nodes_y - np.array(ys)[:, None]
+    dy2 *= dy2
+    d2 += dy2
+    return d2.argmin(1).tolist(), d2.min(1).tolist()
 
 
 def rrt_plan(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
@@ -68,16 +84,19 @@ def rrt_plan(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
     floor = math.floor
 
     def cell_in_table(x, y):
-        """The cell of (x, y), or None when it is not in the table's cells:
-        then every sweep from (x, y) is blocked at its first point."""
-        cell = (floor(x / cs), floor(y / cs))
-        return cell if cell in allowed else None
+        """The cell of (x, y) as (ix, iy), or (-1, -1) when it is not in the
+        table's cells: then every sweep from (x, y) is blocked at its first
+        point."""
+        ix, iy = floor(x / cs), floor(y / cs)
+        return (ix, iy) if (ix, iy) in allowed else (-1, -1)
 
     nodes_x = np.empty(max_iters + 1)
     nodes_y = np.empty(max_iters + 1)
     nodes_x[0], nodes_y[0] = x_i.x, x_i.y
     parents = [-1]
-    node_cells = [cell_in_table(x_i.x, x_i.y)]
+    # each node's cell as two lists of small ints, cheaper than a tuple each
+    ix, iy = cell_in_table(x_i.x, x_i.y)
+    cells_x, cells_y = [ix], [iy]
     n = 1
 
     # numpy's integers(n_cells) rejects a draw below this; integers(1) takes
@@ -86,74 +105,109 @@ def rrt_plan(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
     tail = 3 if heading else 2   # doubles after the cell: two jitters, a heading
     draws = RawDraws(rng)
     words, doubles, k, has, half = draws.words, draws.doubles, 0, draws.has, draws.half
+    left = max_iters
     try:
-        for _ in range(max_iters):
-            if work_counter is not None:
-                work_counter[0] += 1
-            if k + 5 > len(words):
+        # A sample's draws never depend on the tree, so the samples come in
+        # blocks: decode a block ahead, find each sample's nearest node among
+        # the tree as it stood at the block's start in one numpy pass, then
+        # extend in order, checking the nodes the block added as scalars.
+        # (k, has, half) is the stream at the end of the last counted
+        # extension; each sample's own end is recorded, and no refill runs
+        # between a block's first decoded sample and its last.
+        while left:
+            size = min(RRT_BLOCK, left, max(1, RRT_BLOCK_ENTRIES // n))
+            if k + 5 * size > len(words):   # a sample reads at most 5 words
                 k = draws.refill(k)
-            # rng.random() < RRT_GOAL_BIAS, read from the block in place
-            k += 1
-            if doubles[k - 1] < RRT_GOAL_BIAS:
-                sx, sy = gx, gy
-            else:
-                # rng.integers(n_cells), then the jitters of rng.random(2)
-                m = half * n_cells if has else (words[k] & 0xFFFFFFFF) * n_cells
-                if m & 0xFFFFFFFF < threshold:
-                    draws.pos, draws.has, draws.half = k, has, half
-                    m = draws.integers(n_cells) << 32
-                    k, has, half = draws.pos, draws.has, draws.half
-                    if k + tail > len(words):
-                        k = draws.refill(k)
-                elif has:
-                    has = False
+            xs, ys, ends = [], [], []
+            counted = False
+            j, jhas, jhalf = k, has, half
+            while len(xs) < size:
+                # rng.random() < RRT_GOAL_BIAS, read from the block in place
+                j += 1
+                if doubles[j - 1] < RRT_GOAL_BIAS:
+                    sx, sy = gx, gy
                 else:
-                    has, half = True, words[k] >> 32
-                    k += 1
-                ix, iy = cells[m >> 32]
-                sx, sy = (ix + doubles[k]) * cs, (iy + doubles[k + 1]) * cs
-                k += tail
-            d2 = nodes_x[:n] - sx
-            d2 *= d2
-            dy2 = nodes_y[:n] - sy
-            dy2 *= dy2
-            d2 += dy2
-            near = int(d2.argmin())
-            nx, ny = nodes_x.item(near), nodes_y.item(near)
-            dist = math.hypot(sx - nx, sy - ny)
-            if dist < 1e-12:
-                continue
-            scale = min(1.0, step_len / dist)
-            tx, ty = nx + scale * (sx - nx), ny + scale * (sy - ny)
-            # the table checks of world.segment_free, from the cell kept beside
-            # the node; segment_free answers what they leave open
-            near_cell = node_cells[near]
-            if near_cell is None:
-                continue
-            ex, ey = floor((nx + (tx - nx)) / cs), floor((ny + (ty - ny)) / cs)
-            if (ex, ey) not in allowed:
-                continue
-            cx, cy = near_cell
-            lx, hx = (cx, ex + 1) if cx <= ex else (ex, cx + 1)
-            ly, hy = (cy, ey + 1) if cy <= ey else (ey, cy + 1)
-            lo, hi = blocked[ly], blocked[hy]
-            if (hi[hx] - hi[lx] - lo[hx] + lo[lx]
-                    and not world.segment_free((nx, ny), (tx, ty), table)):
-                continue
-            nodes_x[n], nodes_y[n] = tx, ty
-            parents.append(near)
-            node_cells.append(cell_in_table(tx, ty))
-            n += 1
-            if math.hypot(tx - gx, ty - gy) <= goal_tol:
-                waypoints = []
-                i = n - 1
-                while i >= 0:
-                    waypoints.append(Configuration(nodes_x.item(i), nodes_y.item(i)))
-                    i = parents[i]
-                waypoints.reverse()
-                # keep the exact start configuration object (heading included)
-                waypoints[0] = x_i
-                return MotionPlan(waypoints)
+                    # rng.integers(n_cells), then the jitters of rng.random(2)
+                    m = jhalf * n_cells if jhas else (words[j] & 0xFFFFFFFF) * n_cells
+                    if m & 0xFFFFFFFF < threshold:
+                        if xs:   # the block ends before this sample
+                            break
+                        # decoded alone and after its count, since integers
+                        # may refill and so move every recorded position
+                        if work_counter is not None:
+                            work_counter[0] += 1
+                        counted = True
+                        draws.pos, draws.has, draws.half = j, jhas, jhalf
+                        m = draws.integers(n_cells) << 32
+                        j, jhas, jhalf = draws.pos, draws.has, draws.half
+                        if j + tail > len(words):
+                            j = draws.refill(j)
+                    elif jhas:
+                        jhas = False
+                    else:
+                        jhas, jhalf = True, words[j] >> 32
+                        j += 1
+                    ix, iy = cells[m >> 32]
+                    sx, sy = (ix + doubles[j]) * cs, (iy + doubles[j + 1]) * cs
+                    j += tail
+                xs.append(sx)
+                ys.append(sy)
+                ends.append((j, jhas, jhalf))
+                if counted:
+                    k, has, half = j, jhas, jhalf
+                    break
+            left -= len(xs)
+            nears, bests = _nearest_nodes(nodes_x[:n], nodes_y[:n], xs, ys)
+            n0, added = n, []
+            for b, (sx, sy) in enumerate(zip(xs, ys)):
+                if work_counter is not None and not counted:
+                    work_counter[0] += 1
+                k, has, half = ends[b]
+                near, best = nears[b], bests[b]
+                # a node the block added wins only when strictly closer, so
+                # ties still go to the lowest index
+                for i, (px, py) in enumerate(added, n0):
+                    dx, dy = px - sx, py - sy
+                    d = dx * dx + dy * dy
+                    if d < best:
+                        near, best = i, d
+                nx, ny = nodes_x.item(near), nodes_y.item(near)
+                dist = math.hypot(sx - nx, sy - ny)
+                if dist < 1e-12:
+                    continue
+                scale = min(1.0, step_len / dist)
+                tx, ty = nx + scale * (sx - nx), ny + scale * (sy - ny)
+                # the table checks of world.segment_free, from the cell kept
+                # beside the node; segment_free answers what they leave open
+                cx, cy = cells_x[near], cells_y[near]
+                if cx < 0:
+                    continue
+                ex, ey = floor((nx + (tx - nx)) / cs), floor((ny + (ty - ny)) / cs)
+                if (ex, ey) not in allowed:
+                    continue
+                lx, hx = (cx, ex + 1) if cx <= ex else (ex, cx + 1)
+                ly, hy = (cy, ey + 1) if cy <= ey else (ey, cy + 1)
+                lo, hi = blocked[ly], blocked[hy]
+                if (hi[hx] - hi[lx] - lo[hx] + lo[lx]
+                        and not world.segment_free((nx, ny), (tx, ty), table)):
+                    continue
+                nodes_x[n], nodes_y[n] = tx, ty
+                added.append((tx, ty))
+                parents.append(near)
+                ix, iy = cell_in_table(tx, ty)
+                cells_x.append(ix)
+                cells_y.append(iy)
+                n += 1
+                if math.hypot(tx - gx, ty - gy) <= goal_tol:
+                    waypoints = []
+                    i = n - 1
+                    while i >= 0:
+                        waypoints.append(Configuration(nodes_x.item(i), nodes_y.item(i)))
+                        i = parents[i]
+                    waypoints.reverse()
+                    # keep the exact start configuration object (heading included)
+                    waypoints[0] = x_i
+                    return MotionPlan(waypoints)
     finally:
         draws.pos, draws.has, draws.half = k, has, half
         draws.close()

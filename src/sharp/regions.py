@@ -10,6 +10,7 @@ abstraction needs from its anchor regions.
 from __future__ import annotations
 
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -34,10 +35,14 @@ class CriticalRegion:
 def swept_cells(world: OccupancyWorld, plan: MotionPlan) -> set:
     """Cells of the points that sweep yields along the plan's segments."""
     pts = plan.waypoints
+    cs, floor = world.cell_size, math.floor
     if len(pts) == 1:
-        return {world.cell_of(*pts[0].xy)}
-    return {world.cell_of(*p) for a, b in zip(pts, pts[1:])
-            for p in sweep(a.xy, b.xy, world.cell_size)}
+        x, y = pts[0].xy
+        return {(floor(x / cs), floor(y / cs))}
+    # cell_of inlined, as in world._walk_sweep: a call per point costs more
+    # than the cell
+    return {(floor(x / cs), floor(y / cs)) for a, b in zip(pts, pts[1:])
+            for x, y in sweep(a.xy, b.xy, cs)}
 
 
 def collect_solution_density(world: OccupancyWorld, n_goals: int, inits_per_goal: int,

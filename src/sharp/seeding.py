@@ -40,6 +40,11 @@ class RawDraws:
     ``half``) keeps it. A hot loop may read the lists in place with its own
     position and buffer, handing them back through ``pos``, ``has`` and
     ``half`` before a method call; ``refill`` changes the lists in place.
+    A loop may also decode ahead, recording each draw's ``(pos, has,
+    half)`` to hand back later, as long as no ``refill`` runs between the
+    first recorded position and the last: a refill drops the words before
+    its position and so moves every position recorded before it. An
+    ``integers`` call refills when it runs out of words.
     ``close`` leaves the generator where the stock calls would.
     """
 

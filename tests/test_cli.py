@@ -37,6 +37,16 @@ def test_import_pins_blas_threads_unless_set(given, expected):
     assert out.stdout.split() == expected
 
 
+def test_python_m_sharp_runs_the_cli():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "sharp", "--help"], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: sharp")
+
+
 @pytest.fixture
 def tiny_world_file(tmp_path):
     """A small two-room world file plus sidecar, cheap to run the CLI on."""

@@ -5,13 +5,15 @@ Points are drawn on and off the grid, on cell boundaries and just below zero
 masks include occupied and off-grid cells.
 """
 
+from itertools import chain, repeat
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sharp.errors import Unreachable
-from sharp.motion import MotionPlan, rrt_plan, shortcut
+from sharp.motion import (RRT_BLOCK, RRT_BLOCK_ENTRIES, MotionPlan, rrt_plan,
+                          shortcut)
 from sharp.regions import collect_solution_density, swept_cells
 from sharp.world import (Configuration, Kinematics, OccupancyWorld, _truncate_to_free,
                          cell_table, sweep)
@@ -411,3 +413,129 @@ def test_rrt_plan_raised_out_of_leaves_the_stock_state(rng, kinematics):
             states.append(gen.bit_generator.state)
         assert states[0] == states[1]
     assert stopped > 0
+
+
+class WordScript:
+    """The raw PCG64 words of given RRT samples, for ScriptedWords, and the
+    values numpy's calls take from them, for ScriptedDraws. Past the script
+    both serve goal samples: a zero word is the coin 0.0."""
+
+    def __init__(self, n_cells, heading):
+        assert (2**32 - n_cells) % n_cells, "a zero half must be a rejected draw"
+        self.n_cells, self.tail = n_cells, 3 if heading else 2
+        self.words, self.values = [], []
+        self.has, self.last = False, None
+        self.marks = [(0, False, None)]
+
+    def _double(self, r):
+        # r < 2**53, so random() returns r * 2**-53 exactly
+        self.words.append(r << 11)
+        self.values.append(r * 2.0**-53)
+
+    def _half(self, v):
+        # the next 32-bit half that integers reads: a fresh word's low half,
+        # or the high half of the word it read last
+        if self.has:
+            self.words[self.last] |= v << 32
+        else:
+            self.words.append(v)
+            self.last = len(self.words) - 1
+        self.has = not self.has
+
+    def goal(self):
+        self._double(0)
+        self.marks.append((len(self.words), self.has, self.last))
+
+    def cell(self, c, rng, rejected=0):
+        """A sample in cell c after `rejected` rejected draws (zero halves),
+        with jitters and a heading from rng."""
+        self._double(2**52)   # the coin 0.5
+        for _ in range(rejected):
+            self._half(0)
+        self._half((c << 32) // self.n_cells + 2)   # kept: see KEPT_57
+        self.values.append(c)
+        for _ in range(self.tail):
+            self._double(int(rng.integers(2**53)))
+        self.marks.append((len(self.words), self.has, self.last))
+
+    def state(self, s):
+        """The stock (words read, half-word buffer) after s samples."""
+        past = max(0, s - (len(self.marks) - 1))
+        at, has, last = self.marks[s - past]
+        return at + past, (int(has), 0 if last is None else self.words[last] >> 32)
+
+
+def _scripted(world, a, b, script, max_iters, counter):
+    """rrt_plan on the script's words, held to ref_rrt_plan on its values:
+    the outcome (waypoint bits, "unreachable" or "stopped"), the work
+    counted, and the state rrt_plan leaves."""
+    outcomes = []
+    words = ScriptedWords(script.words)
+    for plan_fn, draws in ((rrt_plan, np.random.Generator(words)),
+                           (ref_rrt_plan, ScriptedDraws(chain(script.values, repeat(0.0))))):
+        count = counter()
+        try:
+            plan = plan_fn(world, a, b, draws, world.cell_size, max_iters,
+                           work_counter=count)
+            out = [(float(c.x).hex(), float(c.y).hex(), c.theta) for c in plan.waypoints]
+        except Unreachable:
+            out = "unreachable"
+        except RuntimeError:
+            out = "stopped"
+        outcomes.append((out, count[0]))
+    assert outcomes[0] == outcomes[1]
+    return (*outcomes[0], (words.at, words.buffer))
+
+
+def _left_cells(script, rng, count, rejected_at=()):
+    # cells with ix <= 3 of a 10-wide world: every node the samples grow
+    # lies left of the start, so the goal to its right is never reached
+    for s in range(count):
+        c = int(rng.integers(10)) * 10 + int(rng.integers(4))
+        script.cell(c, rng, rejected=2 if s in rejected_at else 0)
+
+
+# (samples before the goal sample, which of them have rejected cell draws):
+# the first block's first sample; a sample mid-block, which ends that block
+# and is then decoded alone; none, so the goal is reached on the last
+# sample of the second block
+BLOCK_EDGES = {"rejected-first": (31, {0}), "rejected-mid": (31, {5, 20}),
+               "goal-last": (31, set())}
+
+
+@pytest.mark.parametrize("kinematics", list(Kinematics))
+@pytest.mark.parametrize("edge", BLOCK_EDGES)
+def test_rrt_block_edges_match_reference(kinematics, edge):
+    unicycle = kinematics is Kinematics.UNICYCLE
+    world = open_world(10, 10, kinematics=kinematics)
+    a = Configuration(5.5, 5.5, 0.0 if unicycle else None)
+    b = Configuration(7.0, 5.5)     # 1.5 from the start, closer than any node
+    count, rejected_at = BLOCK_EDGES[edge]
+    script = WordScript(100, unicycle)
+    _left_cells(script, np.random.default_rng(7), count, rejected_at)
+    script.goal()
+    out, work, state = _scripted(world, a, b, script, 100, lambda: [0])
+    assert [w[:2] for w in out] == [(a.x.hex(), a.y.hex()), (b.x.hex(), b.y.hex())]
+    assert work == count + 1 and state == script.state(work)
+    # a raise at each extension leaves the stream where the extensions
+    # before it leave it
+    for limit in range(1, count + 1):
+        out, work, state = _scripted(world, a, b, script, 100, lambda: StopAt(limit))
+        assert (out, work, state) == ("stopped", limit, script.state(limit))
+
+
+@pytest.mark.parametrize("kinematics", list(Kinematics))
+def test_rrt_unreached_goal_grows_past_the_block_shrink(kinematics):
+    # every sample adds a node, so the tree holds 1 + max_iters nodes and
+    # blocks shrink below RRT_BLOCK samples once it passes 512
+    unicycle = kinematics is Kinematics.UNICYCLE
+    world = open_world(10, 10, kinematics=kinematics)
+    a = Configuration(5.5, 5.5, 0.0 if unicycle else None)
+    b = Configuration(9.5, 5.5)
+    max_iters = 640
+    assert max_iters + 1 > RRT_BLOCK_ENTRIES // RRT_BLOCK
+    script = WordScript(100, unicycle)
+    _left_cells(script, np.random.default_rng(8), max_iters,
+                rejected_at=set(range(3, max_iters, 37)))
+    out, work, state = _scripted(world, a, b, script, max_iters, lambda: [0])
+    assert (out, work, state) == ("unreachable", max_iters, script.state(max_iters))
