@@ -73,7 +73,8 @@ class RegionVoronoi:
 
 def build_region_voronoi(world: OccupancyWorld,
                          regions: list[CriticalRegion]) -> RegionVoronoi:
-    """Partition free space among the given anchor regions.
+    """Partition free space among the given anchor regions: state i is
+    anchored at regions[i], and states sharing a cell edge are adjacent.
 
     One labelled BFS from every anchor cell, region by region in id order
     and each region's cells sorted, so that a cell goes to the lowest id
@@ -85,18 +86,10 @@ def build_region_voronoi(world: OccupancyWorld,
     if len({cell for cell, _ in sources}) != len(sources):
         raise ValueError("anchor regions must be disjoint")
     assignment = np.full((world.height, world.width), NO_STATE, dtype=np.int64)
+    cells_per_state: list[set] = [set() for _ in regions]
     for (ix, iy), (_, rid) in grid_bfs(sources, world.cell_free).items():
         assignment[iy, ix] = rid
-    return partition(world, regions, assignment)
-
-
-def partition(world: OccupancyWorld, regions: list[CriticalRegion],
-              assignment: np.ndarray) -> RegionVoronoi:
-    """The RegionVoronoi whose state i is anchored at regions[i] and holds the
-    cells that assignment gives id i; states sharing a cell edge are adjacent."""
-    cells_per_state: list[set] = [set() for _ in regions]
-    for iy, ix in zip(*np.nonzero(assignment != NO_STATE)):
-        cells_per_state[assignment[iy, ix]].add((int(ix), int(iy)))
+        cells_per_state[rid].add((ix, iy))
     states = [AbstractState(id=rid, anchor=regions[rid], cells=frozenset(cells))
               for rid, cells in enumerate(cells_per_state)]
     pairs = set()

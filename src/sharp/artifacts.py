@@ -1,28 +1,29 @@
 """Serialization for every pipeline artifact.
 
-Every artifact (density grid, partition, option library, policy cache) is
-one JSON envelope carrying a format version, its kind and the hash of the
-world it was built from; there are no binary files. Loading verifies all
-three and never leaves partial state behind. Policy-cache entries store only
-what the cache key cannot rebuild (actor weights, cost, training steps). A
-malformed payload raises ParseError, an unwritable file SharpError.
+Every artifact (density grid, option library, policy cache) is one JSON
+envelope carrying a format version, its kind and the hash of the world it
+was built from; there are no binary files. Loading verifies all three and
+never leaves partial state behind. A library file is checked by deriving it
+again: its anchor regions, kind, threshold and guide seed rebuild the
+partition and options, which must equal the stored ones. Policy-cache
+entries store only what the cache key cannot rebuild (actor weights, cost,
+training steps). A malformed payload raises ParseError, an unwritable file
+SharpError.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-import math
 import os
 from contextlib import contextmanager
 
 import numpy as np
 
-from .abstraction import NO_STATE, Region, RegionVoronoi, partition
-from .errors import ParseError, SharpError, VersionMismatch
+from .abstraction import Region
+from .errors import ParseError, SharpError, TooFewRegions, VersionMismatch
 from .mlp import Mlp
-from .options import OptionKind, OptionSpec
-from .planner import CacheEntry, OptionLibrary
+from .planner import CacheEntry, OptionLibrary, library_from_regions
 from .regions import CriticalRegion
 from .world import Configuration, OccupancyWorld
 
@@ -104,43 +105,14 @@ def _endpoint_payload(region: Region) -> dict:
             "rep": [region.representative.x, region.representative.y]}
 
 
-def _endpoint_from_payload(p: dict) -> Region:
-    return Region(cells=frozenset(map(tuple, p["cells"])),
-                  representative=Configuration(*p["rep"]))
-
-
-def rbvd_payload(rbvd: RegionVoronoi) -> dict:
-    return {"regions": [_region_payload(s.anchor) for s in rbvd.states],
-            "assignment": [[int(v) for v in row] for row in rbvd.assignment],
-            "adjacency": sorted(map(list, rbvd.adjacency))}
-
-
-def rbvd_from_payload(payload: dict, world: OccupancyWorld, where: str) -> RegionVoronoi:
-    """The partition as stored; raises ParseError naming where when the
-    payload is malformed, the assignment does not fit the world and regions,
-    or it implies another adjacency."""
-    with _parsing(where):
-        assignment = np.array(payload["assignment"], dtype=np.int64)
-        regions = [_region_from_payload(p) for p in payload["regions"]]
-        if assignment.shape != (world.height, world.width):
-            raise ParseError(f"{where}: assignment has shape {assignment.shape}, "
-                             f"the world is {world.height}x{world.width}")
-        if not NO_STATE <= assignment.min() <= assignment.max() < len(regions):
-            raise ParseError(f"{where}: assignment ids must lie in "
-                             f"{NO_STATE}..{len(regions) - 1}")
-        rbvd = partition(world, regions, assignment)
-        stored = frozenset(tuple(p) for p in payload["adjacency"])
-        if stored != rbvd.adjacency:
-            raise ParseError(f"{where}: stored adjacency {sorted(stored)} differs "
-                             f"from the assignment's {sorted(rbvd.adjacency)}")
-        return rbvd
-
-
 def library_payload(library: OptionLibrary) -> dict:
+    rbvd = library.rbvd
     return {"kind": library.kind,
             "threshold": library.threshold,
             "guide_seed": library.guide_seed,
-            "rbvd": rbvd_payload(library.rbvd),
+            "rbvd": {"regions": [_region_payload(s.anchor) for s in rbvd.states],
+                     "assignment": [[int(v) for v in row] for row in rbvd.assignment],
+                     "adjacency": sorted(map(list, rbvd.adjacency))},
             "options": [{
                 "id": o.id, "kind": o.kind, "states": list(o.states),
                 "initiation": _endpoint_payload(o.initiation),
@@ -148,42 +120,40 @@ def library_payload(library: OptionLibrary) -> dict:
             } for o in library.options]}
 
 
+def _holds(stored, derived) -> bool:
+    """Whether stored equals derived, but for keys of stored dicts that the
+    derived dicts lack."""
+    if stored == derived:
+        return True
+    if isinstance(derived, dict):
+        return isinstance(stored, dict) and all(
+            k in stored and _holds(stored[k], v) for k, v in derived.items())
+    if isinstance(derived, list):
+        return (isinstance(stored, list) and len(stored) == len(derived)
+                and all(map(_holds, stored, derived)))
+    return False
+
+
 def library_from_payload(payload: dict, world: OccupancyWorld, where: str) -> OptionLibrary:
-    """The library as stored; raises ParseError naming where when malformed,
-    among others when its kind is neither centroid nor interface, its
-    threshold is not a finite positive number, or an option is of another
-    kind than the library, does not hold 2 states (centroid) or 3
-    (interface), or names a state the partition lacks. The per-option cost
-    keys of older files are ignored."""
-    with _parsing(where):
-        rbvd = rbvd_from_payload(payload["rbvd"], world, where)
-        kind = payload["kind"]
-        n_states = {OptionKind.CENTROID: 2, OptionKind.INTERFACE: 3}.get(kind)
-        if n_states is None:
-            raise ParseError(f"{where}: library kind {kind!r} is neither "
-                             f"{OptionKind.CENTROID!r} nor {OptionKind.INTERFACE!r}")
-        threshold = payload["threshold"]
-        if type(threshold) not in (int, float) or not 0 < threshold < math.inf:
-            raise ParseError(f"{where}: threshold must be a finite positive "
-                             f"number, got {threshold!r}")
-        options = [OptionSpec(id=p["id"], kind=p["kind"], states=tuple(p["states"]),
-                              initiation=_endpoint_from_payload(p["initiation"]),
-                              termination=_endpoint_from_payload(p["termination"]))
-                   for p in payload["options"]]
-        for o in options:
-            if o.kind != kind:
-                raise ParseError(f"{where}: option {o.id!r} is of kind {o.kind!r}, "
-                                 f"the library of kind {kind!r}")
-            if len(o.states) != n_states:
-                raise ParseError(f"{where}: option {o.id!r} holds {len(o.states)} "
-                                 f"states, a {kind} option {n_states}")
-            if not all(type(s) is int and 0 <= s < len(rbvd.states) for s in o.states):
-                raise ParseError(f"{where}: option {o.id!r} names states "
-                                 f"{list(o.states)}, the partition holds "
-                                 f"0..{len(rbvd.states) - 1}")
-        return OptionLibrary(kind=kind, threshold=threshold,
-                             guide_seed=payload["guide_seed"], options=options,
-                             rbvd=rbvd)
+    """The library that the stored anchor regions, kind, threshold and guide
+    seed derive (planner.library_from_regions). Every field library_payload
+    writes must hold the derived value; keys of older formats (guide_spacing,
+    per-option cost and cost_updated) are ignored. Otherwise raises a
+    ParseError naming where and saying to remove it."""
+    remove = "remove the file to rebuild it"
+    try:
+        with _parsing(where):
+            regions = [_region_from_payload(p) for p in payload["rbvd"]["regions"]]
+            library = library_from_regions(world, regions, payload["kind"],
+                                           payload["threshold"], payload["guide_seed"])
+    except ParseError as e:
+        raise ParseError(f"{e}; {remove}") from None
+    except TooFewRegions as e:
+        raise ParseError(f"{where}: {e}; {remove}") from None
+    if not _holds(payload, library_payload(library)):
+        raise ParseError(f"{where}: stored library differs from the one its anchor "
+                         f"regions derive; {remove}")
+    return library
 
 
 # -- policy cache -------------------------------------------------------------------

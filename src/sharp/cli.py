@@ -127,7 +127,7 @@ def cmd_regions(args) -> int:
 def cmd_abstract(args) -> int:
     world, _, recipe = load_world(args.world)
     params = _abstraction_params(args, recipe)
-    _, library = load_or_build_library(world, args.kind, params, _cache_dir(args))
+    library = load_or_build_library(world, args.kind, params, _cache_dir(args))
     rbvd = library.rbvd
     print(f"{len(rbvd.states)} abstract states, "
           f"{len(rbvd.adjacency)} adjacent pairs")
@@ -143,7 +143,7 @@ def cmd_abstract(args) -> int:
 def cmd_options(args) -> int:
     world, _, recipe = load_world(args.world)
     params = _abstraction_params(args, recipe)
-    _, library = load_or_build_library(world, args.kind, params, _cache_dir(args))
+    library = load_or_build_library(world, args.kind, params, _cache_dir(args))
     print(f"{len(library.options)} {args.kind} options:")
     for o in library.options:
         print(f"  {o.id}: states={o.states} prior={o.prior:.3f}")
@@ -160,7 +160,7 @@ def cmd_solve(args) -> int:
     x_g = _parse_xy(args.goal)
     params = _abstraction_params(args, recipe)
     cache_dir = _cache_dir(args)
-    _, library = load_or_build_library(world, args.kind, params, cache_dir)
+    library = load_or_build_library(world, args.kind, params, cache_dir)
     train = TRAIN_PROFILES[args.profile]()
     whash = world_hash(world)
     cache = artifacts.load_cache(cache_dir, whash) if cache_dir is not None else {}

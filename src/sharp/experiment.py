@@ -22,13 +22,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import artifacts, planner, settings
-from .abstraction import build_region_voronoi, goal_tolerance
+from .abstraction import goal_tolerance
 from .errors import InCollision, NoRegions, ParseError, SharpError, in_file
 from .learn import TrainConfig, train_monolithic_policy
 from .motion import execute_with_replan
-from .options import synth_options
 from .planner import (ComposedPolicy, OptionLibrary, Stage, execute_composed,
-                      sharp_solve)
+                      library_from_regions, sharp_solve)
 from .regions import (CriticalRegion, collect_solution_density, connected_components,
                       extract_critical_regions, grid_bfs, percentile_threshold)
 from .seeding import derive_rng
@@ -201,14 +200,10 @@ def build_library(world: OccupancyWorld, kind: str,
     the paper) rather than fail.
     """
     density, regions, _ = density_and_regions(world, params)
-    rbvd = build_region_voronoi(world, regions)
     t = params.region_threshold
     if t is None:
         t = 2.0 * world.cell_size
-    options = synth_options(rbvd, kind, t)
-    library = OptionLibrary(kind=kind, threshold=t, guide_seed=params.seed,
-                            options=options, rbvd=rbvd)
-    return density, library
+    return density, library_from_regions(world, regions, kind, t, params.seed)
 
 
 def library_cache_path(cache_dir: str, whash: str, kind: str,
@@ -221,7 +216,7 @@ def library_cache_path(cache_dir: str, whash: str, kind: str,
 
 def load_or_build_library(world: OccupancyWorld, kind: str,
                           params: AbstractionParams,
-                          cache_dir: str | None) -> tuple[np.ndarray | None, OptionLibrary]:
+                          cache_dir: str | None) -> OptionLibrary:
     """Abstraction construction is cached per (world, kind, params) when possible."""
     whash = world_hash(world)
     path = None
@@ -231,12 +226,12 @@ def load_or_build_library(world: OccupancyWorld, kind: str,
         path = library_cache_path(cache_dir, whash, kind, params)
         if os.path.exists(path):
             payload = artifacts.load_artifact(path, "option-library", whash)
-            return None, artifacts.library_from_payload(payload, world, path)
-    density, library = build_library(world, kind, params)
+            return artifacts.library_from_payload(payload, world, path)
+    _, library = build_library(world, kind, params)
     if path is not None:
         artifacts.save_artifact(path, "option-library", whash,
                                 artifacts.library_payload(library), make_dirs=True)
-    return density, library
+    return library
 
 
 # -- experiment specification ---------------------------------------------------------
@@ -433,8 +428,7 @@ def run_experiment(spec: ExperimentSpec, cache_dir: str | None = None) -> list:
     world = spec.world
     whash = world_hash(world)
     goal_tol = goal_tolerance(world, spec.goal_tol)
-    _, library = load_or_build_library(world, spec.kind, spec.abstraction,
-                                       cache_dir)
+    library = load_or_build_library(world, spec.kind, spec.abstraction, cache_dir)
     stored = artifacts.load_cache(cache_dir, whash) if cache_dir is not None else {}
     rows = []
     for seed in spec.seeds:
@@ -490,7 +484,8 @@ def run_experiment(spec: ExperimentSpec, cache_dir: str | None = None) -> list:
         for row, result in zip(lane_rows + rrt_rows, results):
             row.success_rate, row.mean_steps = result
         if cache_dir is not None:
-            artifacts.save_cache(cache_dir, whash, {**stored, **cache})
+            stored.update(cache)
+            artifacts.save_cache(cache_dir, whash, stored)
     return rows
 
 

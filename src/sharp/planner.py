@@ -23,14 +23,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import settings
-from .abstraction import (Region, RegionVoronoi, centroid_region, goal_region,
-                          interface_region)
+from .abstraction import (Region, RegionVoronoi, build_region_voronoi,
+                          centroid_region, goal_region, interface_region)
 from .errors import (DivergedTraining, EmptyLibrary, GuideUnreachable,
                      NoAbstractPath, OptionsDoNotChain, ShapeMismatch, SharpError)
 from .learn import Policy, TrainConfig, actor_layers, train_option_policy
 from .mlp import Mlp
 from .options import (OptionGuide, OptionKind, OptionSpec, build_guide,
-                      compute_guide_path)
+                      compute_guide_path, synth_options)
+from .regions import CriticalRegion
 from .seeding import derive_rng, spawn
 from .world import Configuration, OccupancyWorld, padded_cells, tick_lanes, world_hash
 
@@ -56,12 +57,27 @@ class OptionLibrary:
     rbvd: RegionVoronoi
 
 
-def guide_fingerprint(guide: OptionGuide) -> str:
+def library_from_regions(world: OccupancyWorld, regions: list[CriticalRegion],
+                         kind: str, threshold: float, guide_seed: int) -> OptionLibrary:
+    """The library that anchor regions decide: their partition of the world
+    (build_region_voronoi), then its options of kind at threshold."""
+    rbvd = build_region_voronoi(world, regions)
+    return OptionLibrary(kind=kind, threshold=threshold, guide_seed=guide_seed,
+                         options=synth_options(rbvd, kind, threshold), rbvd=rbvd)
+
+
+def guide_fingerprint(guide: OptionGuide, rbvd: RegionVoronoi) -> str:
+    """Digest of everything that training on guide reads: its points and
+    rewards, its initiation and termination cells, and its allowed states
+    with their cells in rbvd."""
     h = hashlib.sha256()
     for p in guide.points:
         h.update(f"{p.x:.9f},{p.y:.9f};".encode())
     h.update(f"{guide.terminal_reward:.9f};{guide.penalty_reward:.9f};".encode())
     h.update(",".join(str(s) for s in sorted(guide.allowed_states)).encode())
+    for cells in (guide.initiation.cells, guide.termination.cells,
+                  *(rbvd.states[s].cells for s in sorted(guide.allowed_states))):
+        h.update(("|" + ";".join(f"{x},{y}" for x, y in sorted(cells))).encode())
     return h.hexdigest()[:16]
 
 
@@ -504,7 +520,7 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
                 guide = compute_guide_path(world, rbvd, option, guide_rng)
             except GuideUnreachable as e:
                 raise GuideUnreachable(f"option {option.id}: {e}") from e
-            key = (f"{whash}/{option.id}/{guide_fingerprint(guide)}/"
+            key = (f"{whash}/{option.id}/{guide_fingerprint(guide, rbvd)}/"
                    f"{settings.digest(cfg)}")
             hit = cache.get(key)
             if hit is not None and hit.actor.layer_sizes != layers:

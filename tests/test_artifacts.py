@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from sharp import artifacts
+from sharp import artifacts, experiment
 from sharp.abstraction import build_region_voronoi
 from sharp.errors import ParseError, VersionMismatch
 from sharp.learn import Policy, observation_dim
@@ -44,11 +44,12 @@ class TestEnvelope:
 
     def test_round_trip_rbvd(self, setup):
         w, rbvd, library, tmp = setup
-        path = str(tmp / "rbvd.json")
-        artifacts.save_artifact(path, "rbvd", world_hash(w),
-                                artifacts.rbvd_payload(rbvd))
-        loaded = artifacts.rbvd_from_payload(
-            artifacts.load_artifact(path, "rbvd", world_hash(w)), w, path)
+        path = str(tmp / "library.json")
+        artifacts.save_artifact(path, "option-library", world_hash(w),
+                                artifacts.library_payload(library))
+        loaded = artifacts.library_from_payload(
+            artifacts.load_artifact(path, "option-library", world_hash(w)), w,
+            path).rbvd
         assert np.array_equal(loaded.assignment, rbvd.assignment)
         assert loaded.adjacency == rbvd.adjacency
         for a, b in zip(loaded.states, rbvd.states):
@@ -60,16 +61,46 @@ class TestEnvelope:
         lambda p: p["assignment"][0].__setitem__(0, 2),
         lambda p: p["assignment"][0].__setitem__(0, -2),
         lambda p: p["assignment"].pop(),
+        lambda p: p["regions"].pop(),
+        lambda p: p["regions"][1].update(cells=p["regions"][0]["cells"]
+                                         + p["regions"][1]["cells"]),
     ], ids=["adjacency-missing-pair", "adjacency-extra-pair", "id-too-large",
-            "id-negative", "row-missing"])
+            "id-negative", "row-missing", "one-region", "overlapping-regions"])
     def test_inconsistent_rbvd_parse_error(self, setup, edit):
-        # the stored adjacency must be the one the assignment implies
+        # the stored partition must be the one the anchor regions derive,
+        # and those must be at least two disjoint regions
         w, rbvd, library, tmp = setup
-        payload = artifacts.rbvd_payload(rbvd)
-        assert payload["adjacency"] == [[0, 1]]
-        edit(payload)
-        with pytest.raises(ParseError):
-            artifacts.rbvd_from_payload(payload, w, "partition")
+        payload = artifacts.library_payload(library)
+        assert payload["rbvd"]["adjacency"] == [[0, 1]]
+        edit(payload["rbvd"])
+        with pytest.raises(ParseError, match="library.json.*remove"):
+            artifacts.library_from_payload(payload, w, "library.json")
+
+    def test_consistently_edited_options_parse_error(self, setup):
+        # a smaller termination ball, shared by every option that holds it,
+        # still chains; it is not the ball the threshold derives
+        w, rbvd, library, tmp = setup
+        payload = artifacts.library_payload(library)
+        ball = payload["options"][0]["termination"]
+        smaller = dict(ball, cells=ball["cells"][:1])
+        assert len(ball["cells"]) > 1
+        for option in payload["options"]:
+            for end in ("initiation", "termination"):
+                if option[end] == ball:
+                    option[end] = smaller
+        with pytest.raises(ParseError, match="library.json.*remove"):
+            artifacts.library_from_payload(payload, w, "library.json")
+
+    @pytest.mark.parametrize("kind", ["centroid", "interface"])
+    def test_bundled_library_loads_as_stored(self, kind, tmp_path):
+        spec = experiment.spec_for_bundled("env_a")
+        _, library = experiment.build_library(spec.world, kind, spec.abstraction)
+        path, whash = str(tmp_path / "library.json"), world_hash(spec.world)
+        artifacts.save_artifact(path, "option-library", whash,
+                                artifacts.library_payload(library))
+        stored = artifacts.load_artifact(path, "option-library", whash)
+        loaded = artifacts.library_from_payload(stored, spec.world, path)
+        assert artifacts.library_payload(loaded) == stored
 
     def test_round_trip_library(self, setup):
         w, rbvd, library, tmp = setup

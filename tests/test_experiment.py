@@ -10,7 +10,7 @@ import pytest
 
 from sharp.errors import DivergedTraining, ParseError, SharpError
 from sharp import experiment, learn, planner
-from sharp.artifacts import library_payload
+from sharp.artifacts import library_payload, load_cache
 from sharp.experiment import (AbstractionParams, CSV_HEADER, ExperimentSpec,
                               ResultRow, build_library, emit_plot_data,
                               library_cache_path, load_experiment_config,
@@ -19,6 +19,7 @@ from sharp.experiment import (AbstractionParams, CSV_HEADER, ExperimentSpec,
                               spec_for_bundled, write_rows)
 from sharp.regions import collect_solution_density, extract_critical_regions
 from sharp.learn import TrainConfig
+from sharp.mlp import Mlp
 from sharp.world import Configuration, Kinematics, world_hash
 from sharp.worlds import RECIPES
 
@@ -116,6 +117,25 @@ class TestRunExperiment:
         path = library_cache_path(str(tmp_path), world_hash(spec.world),
                                   "centroid", spec.abstraction)
         assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
+
+    def test_policy_cache_file_keeps_every_seed(self, tmp_path, monkeypatch):
+        # each seed's solve caches a key of its own; the file written after
+        # the second seed still holds the first seed's
+        calls = []
+
+        def solve(world, x_i, x_g, library, cache, costs, cfg, rng, goal_tol):
+            calls.append(rng)
+            cache[f"key{len(calls)}"] = planner.CacheEntry(
+                actor=Mlp([3, 2, 2, 2]), cost=1.0, training_steps=1)
+            raise SharpError("stub")
+
+        monkeypatch.setattr(experiment, "sharp_solve", solve)
+        spec = replace(tiny_spec(run_monolithic=False, seeds=(0, 1)),
+                       run_rrt_replan=False)
+        rows = run_experiment(spec, cache_dir=str(tmp_path))
+        assert [r.error for r in rows] == ["SharpError", "SharpError"]
+        assert sorted(load_cache(str(tmp_path), world_hash(spec.world))) == [
+            "key1", "key2"]
 
     def test_non_chaining_plan_becomes_error_row(self, monkeypatch):
         def broken_plan(library, s_start, s_goal, goal_cfg, costs):

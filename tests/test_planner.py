@@ -14,11 +14,12 @@ from sharp.errors import (DivergedTraining, EmptyLibrary, GuideUnreachable,
 from sharp.experiment import AbstractionParams, build_library
 from sharp.learn import TrainConfig, TrainStats, actor_layers
 from sharp.mlp import Mlp
-from sharp.options import (OptionKind, OptionSpec, synth_centroid_options,
-                           synth_interface_options)
+from sharp.options import (OptionKind, OptionSpec, compute_guide_path,
+                           synth_centroid_options, synth_interface_options)
 from sharp.planner import (CacheEntry, ComposedPolicy, OptionLibrary, Stage, astar,
-                           execute_composed, guide_fingerprint, plan_abstract,
-                           sharp_solve)
+                           execute_composed, guide_fingerprint, library_from_regions,
+                           plan_abstract, sharp_solve)
+from sharp.seeding import derive_rng
 from sharp.world import Configuration
 
 from conftest import grid_from_rows, open_world
@@ -464,14 +465,30 @@ class TestSharpSolve:
 
     def test_guide_fingerprint_stability(self):
         w, library, cfg = solve_setup()
-        from sharp.options import compute_guide_path
-        from sharp.seeding import derive_rng
         option = library.options[0]
         g1 = compute_guide_path(w, library.rbvd, option,
                                 derive_rng("guide", "k", 0, option.id))
         g2 = compute_guide_path(w, library.rbvd, option,
                                 derive_rng("guide", "k", 0, option.id))
-        assert guide_fingerprint(g1) == guide_fingerprint(g2)
+        assert guide_fingerprint(g1, library.rbvd) == guide_fingerprint(g2, library.rbvd)
+
+    def test_guide_fingerprint_covers_endpoint_cells(self):
+        # two libraries that differ only in their threshold give an option
+        # the same guide points but other endpoint balls, so training on
+        # one library's guide does not stand for the other's
+        w = open_world(20, 20, noise_sigma=0.02, max_step=1.0)
+        regions = [point_region(w, (3, 3)), point_region(w, (10, 10))]
+        guides = []
+        for t in (1.0, 2.0):
+            library = library_from_regions(w, regions, "centroid", t, 0)
+            option = next(o for o in library.options if o.id == "c0-1")
+            guide = compute_guide_path(w, library.rbvd, option,
+                                       derive_rng("guide", "k", 0, option.id))
+            guides.append((guide, guide_fingerprint(guide, library.rbvd)))
+        (small, small_key), (large, large_key) = guides
+        assert small.points == large.points
+        assert small.termination.cells < large.termination.cells
+        assert small_key != large_key
 
 
 class TestExecuteComposed:
