@@ -102,17 +102,17 @@ def build_region_voronoi(world: OccupancyWorld,
                          adjacency=frozenset(pairs))
 
 
-def centroid_region(rbvd: RegionVoronoi, state: AbstractState, t: float) -> Region:
-    """Cells of the state within Euclidean t of its anchor centroid."""
-    if t <= 0:
-        raise EmptyRegion("threshold must be positive")
-    center = state.anchor.centroid
-    world = rbvd.world
-    cells = frozenset(c for c in state.cells
-                      if center.distance_to(world.cell_center(c)) < t)
-    if not cells:
-        raise EmptyRegion(f"no cell of state {state.id} within {t:g} of its centroid")
-    return Region(cells=cells, representative=center)
+def ball(world: OccupancyWorld, cells, center: Configuration, t: float) -> Region:
+    """Those of cells whose centers lie within Euclidean t of center, which
+    is the representative; the result may hold no cell."""
+    return Region(cells=frozenset(c for c in cells
+                                  if center.distance_to(world.cell_center(c)) < t),
+                  representative=center)
+
+
+def cell_region(world: OccupancyWorld, c: Configuration) -> Region:
+    """c's own cell, with c as the representative."""
+    return Region(cells=frozenset([world.cell_of(c.x, c.y)]), representative=c)
 
 
 def _border_midpoint(rbvd: RegionVoronoi, si: AbstractState,
@@ -134,23 +134,30 @@ def _border_midpoint(rbvd: RegionVoronoi, si: AbstractState,
     return Configuration(*best[1])
 
 
-def interface_region(rbvd: RegionVoronoi, i: int, j: int, t: float) -> Region:
-    """Threshold ball, within the two states, around their shared border point.
+def endpoint_region(rbvd: RegionVoronoi, states: tuple, t: float) -> Region:
+    """The endpoint region of one state or of two adjacent states: the ball
+    of radius t (ball) around the state's anchor centroid, within the state,
+    or around the two states' shared border point, within both of them.
 
-    Symmetric in (i, j): both orders return identical cells and representative.
+    Two states give the same region in either order. Raises EmptyRegion
+    when t is not positive or the ball holds no cell, NotNeighbors when two
+    states share no boundary.
     """
-    if not rbvd.adjacent(i, j):
-        raise NotNeighbors(f"states {i} and {j} share no boundary")
     if t <= 0:
         raise EmptyRegion("threshold must be positive")
-    si, sj = rbvd.states[min(i, j)], rbvd.states[max(i, j)]
-    p = _border_midpoint(rbvd, si, sj)
-    world = rbvd.world
-    cells = frozenset(c for c in (si.cells | sj.cells)
-                      if p.distance_to(world.cell_center(c)) < t)
-    if not cells:
-        raise EmptyRegion(f"no cell of states ({i}, {j}) within {t:g} of the border")
-    return Region(cells=cells, representative=p)
+    if len(states) == 1:
+        state = rbvd.states[states[0]]
+        region = ball(rbvd.world, state.cells, state.anchor.centroid, t)
+    else:
+        i, j = states
+        if not rbvd.adjacent(i, j):
+            raise NotNeighbors(f"states {i} and {j} share no boundary")
+        si, sj = rbvd.states[min(i, j)], rbvd.states[max(i, j)]
+        region = ball(rbvd.world, si.cells | sj.cells, _border_midpoint(rbvd, si, sj), t)
+    if not region.cells:
+        raise EmptyRegion(f"no cell of states {states} within {t:g} of "
+                          f"their endpoint")
+    return region
 
 
 def goal_tolerance(world: OccupancyWorld, goal_tol: float | None) -> float:
@@ -159,12 +166,10 @@ def goal_tolerance(world: OccupancyWorld, goal_tol: float | None) -> float:
 
 
 def goal_region(world: OccupancyWorld, x_g: Configuration, tol: float) -> Region:
-    """Free cells whose centers lie within tol of x_g, or x_g's own cell when
-    none does; x_g is the representative."""
-    cells = frozenset(c for c in world.free_list
-                      if x_g.distance_to(world.cell_center(c)) < tol)
-    return Region(cells=cells or frozenset([world.cell_of(x_g.x, x_g.y)]),
-                  representative=x_g)
+    """The ball of free cells within tol of x_g, or x_g's own cell when it
+    holds none; x_g is the representative."""
+    region = ball(world, world.free_list, x_g, tol)
+    return region if region.cells else cell_region(world, x_g)
 
 
 def render_assignment(rbvd: RegionVoronoi) -> str:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import os
 from contextlib import contextmanager
 
@@ -120,6 +121,11 @@ def library_payload(library: OptionLibrary) -> dict:
             } for o in library.options]}
 
 
+def _positive_finite(v) -> bool:
+    """Whether v is an int or float (not a bool) in (0, inf)."""
+    return type(v) in (int, float) and 0 < v < math.inf
+
+
 def _holds(stored, derived) -> bool:
     """Whether stored equals derived, but for keys of stored dicts that the
     derived dicts lack."""
@@ -136,16 +142,21 @@ def _holds(stored, derived) -> bool:
 
 def library_from_payload(payload: dict, world: OccupancyWorld, where: str) -> OptionLibrary:
     """The library that the stored anchor regions, kind, threshold and guide
-    seed derive (planner.library_from_regions). Every field library_payload
-    writes must hold the derived value; keys of older formats (guide_spacing,
-    per-option cost and cost_updated) are ignored. Otherwise raises a
-    ParseError naming where and saying to remove it."""
+    seed derive (planner.library_from_regions). The threshold must be a
+    finite positive number and the guide seed an int, and every field
+    library_payload writes must hold the derived value; keys of older
+    formats (guide_spacing, per-option cost and cost_updated) are ignored.
+    Otherwise raises a ParseError naming where and saying to remove it."""
     remove = "remove the file to rebuild it"
     try:
         with _parsing(where):
+            threshold, seed = payload["threshold"], payload["guide_seed"]
+            if not (_positive_finite(threshold) and type(seed) is int):
+                raise ParseError(f"{where}: threshold {threshold!r} must be a finite "
+                                 f"positive number and guide_seed {seed!r} an int")
             regions = [_region_from_payload(p) for p in payload["rbvd"]["regions"]]
-            library = library_from_regions(world, regions, payload["kind"],
-                                           payload["threshold"], payload["guide_seed"])
+            library = library_from_regions(world, regions, payload["kind"], threshold,
+                                           seed)
     except ParseError as e:
         raise ParseError(f"{e}; {remove}") from None
     except TooFewRegions as e:
@@ -196,7 +207,9 @@ def save_cache(root: str, world_hash: str, cache: dict[str, CacheEntry]) -> None
 
 
 def load_cache(root: str, world_hash: str) -> dict[str, CacheEntry]:
-    """Rehydrate one world's policy cache; a missing file gives an empty one."""
+    """Rehydrate one world's policy cache; a missing file gives an empty one.
+    Each entry's cost must be a finite positive number, and its training
+    steps a non-negative int."""
     path = os.path.join(cache_dir_for(root, world_hash), POLICY_CACHE_FILE)
     if not os.path.exists(path):
         return {}
@@ -204,7 +217,10 @@ def load_cache(root: str, world_hash: str) -> dict[str, CacheEntry]:
     for key, item in load_artifact(path, "policy-cache", world_hash)["entries"].items():
         where = f"{path}: entry {key!r}"
         with _parsing(where):
+            cost, steps = item["cost"], item["training_steps"]
+            if not (_positive_finite(cost) and type(steps) is int and steps >= 0):
+                raise ParseError(f"{where}: cost {cost!r} must be a finite positive "
+                                 f"number and training_steps {steps!r} an int >= 0")
             cache[key] = CacheEntry(actor=_actor_from_payload(item["actor"], where),
-                                    cost=float(item["cost"]),
-                                    training_steps=int(item["training_steps"]))
+                                    cost=float(cost), training_steps=steps)
     return cache

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abstraction import Region, RegionVoronoi, goal_region
+from .abstraction import RegionVoronoi, cell_region, goal_region
 from .errors import DivergedTraining
 from .mlp import (Adam, Mlp, MlpStack, init_mlp, mlp_backward, mlp_forward,
                   mlp_forward_cached, mlp_input_grad)
-from .options import OptionGuide, pseudo_reward
+from .options import PENALTY_REWARD, TERMINAL_REWARD, OptionGuide, pseudo_reward
 from .seeding import spawn
 from .world import (Configuration, Kinematics, OccupancyWorld, require_free_endpoints,
                     sample_in_cells, steer_toward, step)
@@ -105,9 +105,8 @@ def build_observation(world: OccupancyWorld, guide: OptionGuide,
     vector from that point to the guide's end."""
     ex, ey = world.extent
     hx, hy = ex / 2.0, ey / 2.0
-    xy = guide.point_array()
-    px, py = xy[guide.nearest(c)[0]]
-    gx, gy = xy[-1]
+    px, py = guide.xy[guide.nearest(c)[0]]
+    gx, gy = guide.xy[-1]
     parts = [c.x / hx - 1.0, c.y / hy - 1.0]
     if world.kinematics is Kinematics.UNICYCLE:
         theta = c.theta if c.theta is not None else 0.0
@@ -144,7 +143,7 @@ def guide_table(guides) -> np.ndarray:
     points of any, each row padded at the end with copies of its last point:
     the row table that build_observations reads."""
     n = max(len(g.points) for g in guides)
-    return np.array([np.pad(g.point_array(), ((0, n - len(g.points)), (0, 0)),
+    return np.array([np.pad(g.xy, ((0, n - len(g.points)), (0, 0)),
                             mode="edge") for g in guides])
 
 
@@ -295,7 +294,7 @@ def option_env(world: OccupancyWorld, rbvd: RegionVoronoi, guide: OptionGuide,
 
     def payoff(c: Configuration, success: bool):
         r = pseudo_reward(guide, rbvd, c)
-        return r, success or r == guide.penalty_reward
+        return r, success or r == PENALTY_REWARD
 
     return EpisodeEnv(world, guide, episode_limit,
                       lambda rng: sample_in_cells(world, cells, rng), reached, payoff)
@@ -303,11 +302,11 @@ def option_env(world: OccupancyWorld, rbvd: RegionVoronoi, guide: OptionGuide,
 
 def goal_env(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
              episode_limit: int, goal_tol: float) -> EpisodeEnv:
-    """The flat baseline's goal task: a fixed start, the guide's terminal
-    reward within goal_tol of x_g and STEP_REWARD for every other step."""
+    """The flat baseline's goal task: a fixed start, TERMINAL_REWARD
+    within goal_tol of x_g and STEP_REWARD for every other step."""
     guide = OptionGuide(
         option_id="goal",
-        initiation=Region(frozenset([world.cell_of(x_i.x, x_i.y)]), x_i),
+        initiation=cell_region(world, x_i),
         termination=goal_region(world, x_g, goal_tol),
         points=[x_g], allowed_states=frozenset())
 
@@ -315,7 +314,7 @@ def goal_env(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
         return c.distance_to(x_g) <= goal_tol
 
     def payoff(c: Configuration, success: bool):
-        return (guide.terminal_reward if success else STEP_REWARD), success
+        return (TERMINAL_REWARD if success else STEP_REWARD), success
 
     return EpisodeEnv(world, guide, episode_limit, lambda rng: x_i, reached, payoff)
 
@@ -448,11 +447,11 @@ class SacLearner:
 def run_episodes(env, policy: Policy, episodes: int, rng: np.random.Generator):
     """Greedy rollouts of policy in env; returns per-episode lists
     (returns, successes, steps). An episode whose start is already terminal
-    takes 0 steps and returns the guide's terminal reward if it succeeded."""
+    takes 0 steps and returns TERMINAL_REWARD if it succeeded."""
     returns, successes, steps = [], [], []
     for _ in range(episodes):
         obs, done, success = env.reset(rng)
-        total = env.guide.terminal_reward if success else 0.0
+        total = TERMINAL_REWARD if success else 0.0
         n = 0
         truncated = False
         while not (done or truncated):

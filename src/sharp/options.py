@@ -1,16 +1,20 @@
 """Option synthesis: endpoints, guide paths, and dense pseudo-rewards.
 
-Two option families are generated from the partition:
+An option runs along a chain of abstract states, and its endpoints follow
+one rule: the initiation region is the endpoint region
+(abstraction.endpoint_region) of every state of the chain but the last, the
+termination region that of every state but the first. Two families of
+chains are generated from the partition:
 
-* centroid options, one per ordered pair of adjacent states, running between
-  the threshold balls around the two anchor centroids;
+* centroid options, one per ordered pair (i, j) of adjacent states, running
+  between the threshold balls around the two anchor centroids;
 * interface options, one per ordered state triple (i, j, k) with i adjacent
   to j, j adjacent to k, i != k, running between the (i,j) and (j,k) border
   regions.
 
-Regions are computed once per state/pair and shared between options, so
-consecutive options along any abstract path carry literally equal endpoint
-cell sets, which is what makes their policies chain.
+Each endpoint region is computed once and shared between options, so an
+option's termination region is literally the next option's initiation
+region along any abstract path, which is what makes their policies chain.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abstraction import Region, RegionVoronoi, centroid_region, interface_region
+from .abstraction import Region, RegionVoronoi, endpoint_region
 from .errors import EmptyRegion, GuideUnreachable, InCollision, Unreachable
 from .motion import resample_polyline, rrt_plan, shortcut
 from .seeding import spawn
@@ -29,8 +33,8 @@ from .world import Configuration, OccupancyWorld, collision
 
 log = logging.getLogger(__name__)
 
-DEFAULT_TERMINAL_REWARD = 1000.0
-DEFAULT_PENALTY_REWARD = -100.0
+TERMINAL_REWARD = 1000.0   # pseudo-reward on entering the termination region
+PENALTY_REWARD = -100.0    # pseudo-reward on leaving the allowed states
 GUIDE_ATTEMPTS = 5   # masked plans tried before build_guide gives up
 
 
@@ -41,27 +45,31 @@ class OptionKind:
 
 @dataclass(frozen=True)
 class OptionSpec:
-    """An abstract action: its endpoint regions.
+    """An abstract action along a chain of states: (i, j) for a centroid
+    option, (i, j, k) for an interface option.
 
-    states is (i, j) for centroid options and (i, j, k) for interface
-    options; the initiation region lives in the leading state(s), the
-    termination region in the trailing state(s). What a solve learns of an
+    Its initiation region is the endpoint region of src_states, every state
+    of the chain but the last, and its termination region that of
+    dst_states, every state but the first. What a solve learns of an
     option's cost lives in the solve's costs table (planner.sharp_solve).
     """
 
     id: str
-    kind: str
     states: tuple
     initiation: Region
     termination: Region
 
     @property
+    def kind(self) -> str:
+        return OptionKind.CENTROID if len(self.states) == 2 else OptionKind.INTERFACE
+
+    @property
     def src_states(self) -> tuple:
-        return self.states[:-1] if self.kind == OptionKind.INTERFACE else self.states[:1]
+        return self.states[:-1]
 
     @property
     def dst_states(self) -> tuple:
-        return self.states[1:] if self.kind == OptionKind.INTERFACE else self.states[1:2]
+        return self.states[1:]
 
     @property
     def prior(self) -> float:
@@ -71,71 +79,48 @@ class OptionSpec:
             self.termination.representative), 1e-6)
 
 
-def synth_centroid_options(rbvd: RegionVoronoi, t: float) -> list[OptionSpec]:
-    """One option per ordered adjacent state pair, between centroid balls.
-
-    Pairs whose centroid ball is empty at this threshold are skipped with a
-    warning; a partial library still plans.
-    """
-    balls: dict[int, Region] = {}
-    for s in rbvd.states:
-        try:
-            balls[s.id] = centroid_region(rbvd, s, t)
-        except EmptyRegion:
-            log.warning("state %d has an empty centroid ball at t=%g", s.id, t)
-    options = []
-    for i, j in sorted(rbvd.adjacency):
-        for a, b in ((i, j), (j, i)):
-            if a in balls and b in balls:
-                options.append(OptionSpec(
-                    id=f"c{a}-{b}", kind=OptionKind.CENTROID, states=(a, b),
-                    initiation=balls[a], termination=balls[b]))
-            else:
-                log.warning("skipping centroid option %d->%d (empty endpoint)", a, b)
-    return sorted(options, key=lambda o: o.id)
-
-
-def synth_interface_options(rbvd: RegionVoronoi, t: float) -> list[OptionSpec]:
-    """One option per ordered triple (i, j, k), between border regions."""
-    borders: dict[tuple, Region] = {}
-    for i, j in sorted(rbvd.adjacency):
-        try:
-            borders[(i, j)] = interface_region(rbvd, i, j, t)
-        except EmptyRegion:
-            log.warning("empty interface region for states (%d, %d) at t=%g", i, j, t)
-
-    def border(a, b):
-        return borders.get((min(a, b), max(a, b)))
-
-    options = []
-    for j in sorted(s.id for s in rbvd.states):
-        nbrs = rbvd.neighbors(j)
-        for i in nbrs:
-            for k in nbrs:
-                if i == k:
-                    continue
-                first, second = border(i, j), border(j, k)
-                if first is None or second is None:
-                    log.warning("skipping interface option %d-%d-%d (empty endpoint)",
-                                i, j, k)
-                    continue
-                options.append(OptionSpec(
-                    id=f"i{i}-{j}-{k}", kind=OptionKind.INTERFACE, states=(i, j, k),
-                    initiation=first, termination=second))
-    return sorted(options, key=lambda o: o.id)
-
-
 def synth_options(rbvd: RegionVoronoi, kind: str, t: float) -> list[OptionSpec]:
+    """The options of kind at threshold t, sorted by id: c{i}-{j} per
+    ordered adjacent pair, or i{i}-{j}-{k} per ordered triple.
+
+    A chain whose initiation or termination region is empty at this
+    threshold is skipped with a warning; a partial library still plans.
+    """
     if kind == OptionKind.CENTROID:
-        return synth_centroid_options(rbvd, t)
-    if kind == OptionKind.INTERFACE:
-        return synth_interface_options(rbvd, t)
-    raise ValueError(f"unknown option kind {kind!r}")
+        chains = [pair for i, j in sorted(rbvd.adjacency) for pair in ((i, j), (j, i))]
+    elif kind == OptionKind.INTERFACE:
+        chains = [(i, j, k) for j in sorted(s.id for s in rbvd.states)
+                  for i in rbvd.neighbors(j) for k in rbvd.neighbors(j) if i != k]
+    else:
+        raise ValueError(f"unknown option kind {kind!r}")
+    regions: dict[tuple, Region | None] = {}   # by sorted states
+
+    def endpoint(states: tuple) -> Region | None:
+        key = tuple(sorted(states))
+        if key not in regions:
+            try:
+                regions[key] = endpoint_region(rbvd, key, t)
+            except EmptyRegion:
+                log.warning("states %s have an empty endpoint region at t=%g", key, t)
+                regions[key] = None
+        return regions[key]
+
+    options = []
+    for states in chains:
+        oid = kind[0] + "-".join(map(str, states))
+        first, second = endpoint(states[:-1]), endpoint(states[1:])
+        if first is None or second is None:
+            log.warning("skipping option %s (empty endpoint)", oid)
+            continue
+        options.append(OptionSpec(id=oid, states=states, initiation=first,
+                                  termination=second))
+    return sorted(options, key=lambda o: o.id)
 
 
 @dataclass
 class OptionGuide:
-    """Guide path plus pseudo-reward parameters for one option.
+    """Guide path for one option, with its point table and each point's
+    distance to the end, both built once.
 
     points runs from the initiation representative to the termination
     representative, spaced strictly below one cell, and every point lies in
@@ -147,23 +132,15 @@ class OptionGuide:
     termination: Region
     points: list[Configuration]
     allowed_states: frozenset
-    terminal_reward: float = DEFAULT_TERMINAL_REWARD
-    penalty_reward: float = DEFAULT_PENALTY_REWARD
-    _xy: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _end_dist: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _last: tuple | None = field(default=None, repr=False, compare=False)
+    xy: np.ndarray = field(init=False, repr=False, compare=False)
+    end_dist: np.ndarray = field(init=False, repr=False, compare=False)
+    _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def point_array(self) -> np.ndarray:
-        if self._xy is None:
-            self._xy = np.array([[p.x, p.y] for p in self.points])
-        return self._xy
-
-    def end_distances(self) -> np.ndarray:
-        """Euclidean distance from each guide point to the final point."""
-        if self._end_dist is None:
-            xy = self.point_array()
-            self._end_dist = np.hypot(xy[:, 0] - xy[-1, 0], xy[:, 1] - xy[-1, 1])
-        return self._end_dist
+    def __post_init__(self):
+        self.xy = np.array([[p.x, p.y] for p in self.points])
+        # Euclidean distance from each guide point to the final point
+        self.end_dist = np.hypot(self.xy[:, 0] - self.xy[-1, 0],
+                                 self.xy[:, 1] - self.xy[-1, 1])
 
     def nearest(self, c: Configuration) -> tuple[int, float]:
         """Index of the guide point closest to c (the lowest index on ties)
@@ -171,8 +148,7 @@ class OptionGuide:
         the reward and the observation of one environment step search once."""
         key = (c.x, c.y)
         if self._last is None or self._last[0] != key:
-            xy = self.point_array()
-            d2 = (xy[:, 0] - c.x) ** 2 + (xy[:, 1] - c.y) ** 2
+            d2 = (self.xy[:, 0] - c.x) ** 2 + (self.xy[:, 1] - c.y) ** 2
             idx = int(np.argmin(d2))
             self._last = key, (idx, float(d2[idx]))
         return self._last[1]
@@ -183,8 +159,8 @@ def pseudo_reward(guide: OptionGuide, rbvd: RegionVoronoi, c: Configuration) -> 
 
     Cases, evaluated in order so that reaching the termination region always
     pays the terminal bonus: (1) the configuration's cell is in the
-    termination region -> terminal_reward; (2) its abstract state is outside
-    allowed_states -> penalty_reward; (3) otherwise the negated sum of the
+    termination region -> TERMINAL_REWARD; (2) its abstract state is outside
+    allowed_states -> PENALTY_REWARD; (3) otherwise the negated sum of the
     distance to the nearest guide point and that point's straight-line
     distance to the guide's end.
     """
@@ -192,11 +168,11 @@ def pseudo_reward(guide: OptionGuide, rbvd: RegionVoronoi, c: Configuration) -> 
         raise InCollision(f"({c.x:.3f}, {c.y:.3f}) is not in free space")
     cell = rbvd.world.cell_of(c.x, c.y)
     if cell in guide.termination.cells:
-        return guide.terminal_reward
+        return TERMINAL_REWARD
     if rbvd.state_id_of_cell(cell) not in guide.allowed_states:
-        return guide.penalty_reward
+        return PENALTY_REWARD
     idx, d2 = guide.nearest(c)
-    return -(math.sqrt(d2) + float(guide.end_distances()[idx]))
+    return -(math.sqrt(d2) + float(guide.end_dist[idx]))
 
 
 def _mask_of(rbvd: RegionVoronoi, allowed_states) -> set:

@@ -23,14 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import settings
-from .abstraction import (Region, RegionVoronoi, build_region_voronoi,
-                          centroid_region, goal_region, interface_region)
+from .abstraction import (RegionVoronoi, build_region_voronoi, cell_region,
+                          endpoint_region, goal_region)
 from .errors import (DivergedTraining, EmptyLibrary, GuideUnreachable,
                      NoAbstractPath, OptionsDoNotChain, ShapeMismatch, SharpError)
 from .learn import Policy, TrainConfig, actor_layers, train_option_policy
 from .mlp import Mlp
-from .options import (OptionGuide, OptionKind, OptionSpec, build_guide,
-                      compute_guide_path, synth_options)
+from .options import (PENALTY_REWARD, TERMINAL_REWARD, OptionGuide, OptionKind,
+                      OptionSpec, build_guide, compute_guide_path, synth_options)
 from .regions import CriticalRegion
 from .seeding import derive_rng, spawn
 from .world import Configuration, OccupancyWorld, padded_cells, tick_lanes, world_hash
@@ -67,13 +67,13 @@ def library_from_regions(world: OccupancyWorld, regions: list[CriticalRegion],
 
 
 def guide_fingerprint(guide: OptionGuide, rbvd: RegionVoronoi) -> str:
-    """Digest of everything that training on guide reads: its points and
-    rewards, its initiation and termination cells, and its allowed states
-    with their cells in rbvd."""
+    """Digest of everything that training on guide reads: its points, the
+    pseudo-reward constants, its initiation and termination cells, and its
+    allowed states with their cells in rbvd."""
     h = hashlib.sha256()
     for p in guide.points:
         h.update(f"{p.x:.9f},{p.y:.9f};".encode())
-    h.update(f"{guide.terminal_reward:.9f};{guide.penalty_reward:.9f};".encode())
+    h.update(f"{TERMINAL_REWARD:.9f};{PENALTY_REWARD:.9f};".encode())
     h.update(",".join(str(s) for s in sorted(guide.allowed_states)).encode())
     for cells in (guide.initiation.cells, guide.termination.cells,
                   *(rbvd.states[s].cells for s in sorted(guide.allowed_states))):
@@ -119,11 +119,13 @@ def plan_abstract(library: OptionLibrary, s_start: int, s_goal: int,
     option is needed: the same state, or adjacent states of an interface
     library.
 
-    Each option is an edge, taken in option-id order, at its learned cost
-    in costs (by option id, as sharp_solve writes it), else at its prior.
-    A centroid library's nodes are its states, at its options' endpoint
-    representatives. An interface library's are ordered adjacent state
-    pairs, and the search runs from a virtual ENTRY node at s_start's
+    Each option is an edge, taken in option-id order, from its src_states
+    to its dst_states, at its learned cost in costs (by option id, as
+    sharp_solve writes it), else at its prior. So the nodes are state
+    tuples, at the representatives of the endpoint regions they name: a
+    centroid library's are (i,), and the search runs from (s_start,) to
+    (s_goal,); an interface library's are ordered adjacent pairs (i, j),
+    and the search runs from a virtual ENTRY node at s_start's
     anchor centroid, with an edge to each pair that leaves s_start, to a
     virtual EXIT node at the goal, with an edge from each pair that enters
     s_goal after its option edges; a virtual edge costs the distance it
@@ -139,12 +141,12 @@ def plan_abstract(library: OptionLibrary, s_start: int, s_goal: int,
     edges: dict = {}       # node -> [(dst, cost, option, or None if virtual)]
     positions: dict = {}   # node -> (x, y)
     for o in sorted(library.options, key=lambda o: o.id):
-        src, dst = (o.states[:2], o.states[1:]) if interface else o.states
+        src, dst = o.src_states, o.dst_states
         edges.setdefault(src, []).append((dst, costs.get(o.id, o.prior), o))
         edges.setdefault(dst, [])
         positions[src] = (o.initiation.representative.x, o.initiation.representative.y)
         positions[dst] = (o.termination.representative.x, o.termination.representative.y)
-    start, goal = (ENTRY, EXIT) if interface else (s_start, s_goal)
+    start, goal = (ENTRY, EXIT) if interface else ((s_start,), (s_goal,))
     if interface:
         anchor = library.rbvd.states[s_start].anchor.centroid
         positions[ENTRY], positions[EXIT] = (anchor.x, anchor.y), goal_xy
@@ -350,14 +352,6 @@ class SolveStats:
     stage_success: list = field(default_factory=list)
 
 
-def _middle_region(rbvd: RegionVoronoi, library: OptionLibrary, s_start: int,
-                   s_goal: int) -> Region:
-    """Waypoint region for plans with no options (same or adjacent states)."""
-    if s_start == s_goal:
-        return centroid_region(rbvd, rbvd.states[s_start], library.threshold)
-    return interface_region(rbvd, s_start, s_goal, library.threshold)
-
-
 def _train_guide(world, rbvd, guide, cfg: TrainConfig, rng):
     """(actor, TrainStats) of one stage's training, or the SharpError it
     raised, which the solve raises in stage order; a divergence names the
@@ -497,13 +491,12 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
         entry_target = first.initiation
         entry_allowed = frozenset({s_start} | set(first.src_states))
     else:
-        middle = _middle_region(rbvd, library, s_start, s_goal)
-        entry_target = middle
+        # no option is needed: the endpoint region of the one or two states
+        entry_target = endpoint_region(rbvd, tuple(sorted({s_start, s_goal})),
+                                       library.threshold)
         entry_allowed = frozenset({s_start, s_goal})
-    start_region = Region(cells=frozenset([world.cell_of(x_i.x, x_i.y)]),
-                          representative=x_i)
     bridge_rng = spawn(rng)
-    entry_guide = build_guide(world, rbvd, "bridge-in", x_i, start_region,
+    entry_guide = build_guide(world, rbvd, "bridge-in", x_i, cell_region(world, x_i),
                               entry_target, entry_allowed, bridge_rng)
     pending = [_PendingStage("bridge_in", entry_guide, entry_target.cells,
                              train_rng=spawn(rng))]

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sharp.abstraction import (NO_STATE, build_region_voronoi, centroid_region,
-                               interface_region, render_assignment)
+from sharp.abstraction import (NO_STATE, build_region_voronoi, endpoint_region,
+                               goal_region, render_assignment)
 from sharp.errors import (EmptyRegion, InCollision, NotNeighbors, TooFewRegions,
                           UnassignedCell)
 from sharp.regions import CriticalRegion, connected_components, grid_bfs
@@ -146,12 +146,12 @@ class TestCentroidRegion:
 
     def test_saturating_threshold_covers_state(self):
         s = self.rbvd.states[0]
-        r = centroid_region(self.rbvd, s, t=1000.0)
+        r = endpoint_region(self.rbvd, (s.id,), t=1000.0)
         assert r.cells == s.cells
 
     def test_small_ball(self):
         s = self.rbvd.states[0]
-        r = centroid_region(self.rbvd, s, t=1.5)
+        r = endpoint_region(self.rbvd, (s.id,), t=1.5)
         center = s.anchor.centroid
         for c in s.cells:
             inside = center.distance_to(self.world.cell_center(c)) < 1.5
@@ -160,7 +160,7 @@ class TestCentroidRegion:
 
     def test_zero_threshold(self):
         with pytest.raises(EmptyRegion):
-            centroid_region(self.rbvd, self.rbvd.states[0], t=0.0)
+            endpoint_region(self.rbvd, (0,), t=0.0)
 
 
 class TestInterfaceRegion:
@@ -171,7 +171,7 @@ class TestInterfaceRegion:
         self.rbvd = build_region_voronoi(self.world, self.regions)
 
     def test_disc_straddles_boundary(self):
-        r = interface_region(self.rbvd, 0, 1, t=2.0)
+        r = endpoint_region(self.rbvd, (0, 1), t=2.0)
         p = r.representative
         assert p.x == pytest.approx(5.0)  # border between ix=4 and ix=5
         sides = {self.rbvd.state_id_of_cell(c) for c in r.cells}
@@ -180,8 +180,8 @@ class TestInterfaceRegion:
             assert p.distance_to(self.world.cell_center(c)) < 2.0
 
     def test_symmetry(self):
-        a = interface_region(self.rbvd, 0, 1, t=2.5)
-        b = interface_region(self.rbvd, 1, 0, t=2.5)
+        a = endpoint_region(self.rbvd, (0, 1), t=2.5)
+        b = endpoint_region(self.rbvd, (1, 0), t=2.5)
         assert a.cells == b.cells and a.representative == b.representative
 
     def test_not_neighbors(self):
@@ -196,11 +196,31 @@ class TestInterfaceRegion:
         regions = [point_region(w, (0, 0)), point_region(w, (6, 0))]
         rbvd = build_region_voronoi(w, regions)
         with pytest.raises(NotNeighbors):
-            interface_region(rbvd, 0, 1, t=2.0)
+            endpoint_region(rbvd, (0, 1), t=2.0)
 
     def test_saturation_covers_both_states(self):
-        r = interface_region(self.rbvd, 0, 1, t=1000.0)
+        r = endpoint_region(self.rbvd, (0, 1), t=1000.0)
         assert r.cells == self.rbvd.states[0].cells | self.rbvd.states[1].cells
+
+
+class TestGoalRegion:
+    def test_ball_of_free_cells(self):
+        w = grid_from_rows([
+            ".....",
+            "..#..",
+            ".....",
+        ])
+        x_g = Configuration(2.4, 0.6)
+        r = goal_region(w, x_g, 1.2)
+        assert r.representative == x_g
+        assert r.cells == {tuple(c) for c in free_cells(w)
+                           if x_g.distance_to(w.cell_center(tuple(c))) < 1.2}
+        assert r.cells == {(1, 0), (2, 0), (3, 0)}   # not the wall cell (2, 1)
+
+    def test_own_cell_when_no_center_within_tol(self, empty10):
+        x_g = Configuration(5.0, 5.0)   # a cell corner, 0.71 from four centres
+        r = goal_region(empty10, x_g, 0.5)
+        assert r.cells == {empty10.cell_of(5.0, 5.0)} and r.representative == x_g
 
 
 def test_render_assignment_shape(empty10):

@@ -11,8 +11,8 @@ from sharp.abstraction import build_region_voronoi
 from sharp.errors import ParseError, VersionMismatch
 from sharp.learn import Policy, observation_dim
 from sharp.mlp import init_mlp
-from sharp.options import OptionGuide, synth_centroid_options
-from sharp.planner import CacheEntry, OptionLibrary
+from sharp.options import OptionGuide, synth_options
+from sharp.planner import CacheEntry, OptionLibrary, library_from_regions
 from sharp.world import Configuration, world_hash
 
 from conftest import open_world
@@ -25,7 +25,7 @@ def setup(tmp_path):
     w = open_world(12, 12, cell_size=0.5)
     regions = [point_region(w, (2, 2)), point_region(w, (9, 9))]
     rbvd = build_region_voronoi(w, regions)
-    options = synth_centroid_options(rbvd, t=1.5)
+    options = synth_options(rbvd, "centroid", t=1.5)
     library = OptionLibrary(kind="centroid", threshold=1.5, guide_seed=3,
                             options=options, rbvd=rbvd)
     return w, rbvd, library, tmp_path
@@ -90,6 +90,24 @@ class TestEnvelope:
                     option[end] = smaller
         with pytest.raises(ParseError, match="library.json.*remove"):
             artifacts.library_from_payload(payload, w, "library.json")
+
+    @pytest.mark.parametrize("threshold, guide_seed", [
+        (-1, 3), (0, 3), (math.nan, 3), (math.inf, 3), (True, 3),
+        (1.5, "x"), (1.5, 1.5), (1.5, True),
+    ], ids=["threshold-negative", "threshold-zero", "threshold-nan", "threshold-inf",
+            "threshold-bool", "guide_seed-text", "guide_seed-float", "guide_seed-bool"])
+    def test_threshold_and_guide_seed_parse_error(self, setup, threshold, guide_seed):
+        # the file is the one these values derive, so only the values
+        # themselves can reject it
+        w, rbvd, library, tmp = setup
+        derived = library_from_regions(w, [s.anchor for s in rbvd.states], "centroid",
+                                       threshold, guide_seed)
+        path = str(tmp / "library.json")
+        artifacts.save_artifact(path, "option-library", world_hash(w),
+                                artifacts.library_payload(derived))
+        payload = artifacts.load_artifact(path, "option-library", world_hash(w))
+        with pytest.raises(ParseError, match="library.json.*remove"):
+            artifacts.library_from_payload(payload, w, path)
 
     @pytest.mark.parametrize("kind", ["centroid", "interface"])
     def test_bundled_library_loads_as_stored(self, kind, tmp_path):
@@ -283,6 +301,15 @@ def _params_bytes(edit):
 MALFORMED_ENTRIES = {
     "no-cost": _drop("cost"),
     "text-cost": lambda entry: entry.update(cost="twelve"),
+    "nan-text-cost": lambda entry: entry.update(cost="nan"),
+    "inf-text-cost": lambda entry: entry.update(cost="inf"),
+    "nan-cost": lambda entry: entry.update(cost=math.nan),
+    "negative-cost": lambda entry: entry.update(cost=-5),
+    "zero-cost": lambda entry: entry.update(cost=0),
+    "bool-cost": lambda entry: entry.update(cost=True),
+    "negative-training_steps": lambda entry: entry.update(training_steps=-3),
+    "fractional-training_steps": lambda entry: entry.update(training_steps=2.7),
+    "bool-training_steps": lambda entry: entry.update(training_steps=True),
     "no-training_steps": _drop("training_steps"),
     "no-actor": _drop("actor"),
     "no-layers": _drop("actor", "layers"),
@@ -314,5 +341,5 @@ def test_malformed_cache_entry_parse_error(setup, rng, mutate):
     envelope = json.loads(path.read_text())
     mutate(envelope["payload"]["entries"]["k"])
     path.write_text(json.dumps(envelope))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="entry 'k'"):
         artifacts.load_cache(str(tmp), whash)

@@ -12,7 +12,8 @@ from sharp.learn import (REPLAY_CAPACITY, Policy, ReplayBuffer, SacLearner,
                          train_option_policy)
 from sharp.mlp import init_mlp
 from sharp.motion import rrt_plan, shortcut
-from sharp.options import OptionGuide, compute_guide_path, synth_centroid_options
+from sharp.options import (TERMINAL_REWARD, OptionGuide, compute_guide_path,
+                           synth_options)
 from sharp.world import (Configuration, HolonomicAction, Kinematics, UnicycleAction,
                          collision)
 
@@ -26,7 +27,7 @@ def two_state_setup(width=20, height=20, noise=0.0, **kwargs):
     regions = [point_region(w, (3, height // 2)),
                point_region(w, (width - 4, height // 2))]
     rbvd = build_region_voronoi(w, regions)
-    (option,) = [o for o in synth_centroid_options(rbvd, t=2.0)
+    (option,) = [o for o in synth_options(rbvd, "centroid", t=2.0)
                  if o.states == (0, 1)]
     guide = compute_guide_path(w, rbvd, option, rng=np.random.default_rng(5))
     return w, rbvd, option, guide
@@ -109,7 +110,7 @@ class TestEnvs:
         env.reset(rng)
         env.c = Configuration(15.0, 10.0)  # just left of the termination ball
         obs, r, done, truncated, succ = env.step(np.array([1.0, 0.0]), rng)
-        assert succ and done and r == guide.terminal_reward
+        assert succ and done and r == TERMINAL_REWARD
 
     def test_goal_env_rewards(self, rng):
         w = open_world(10, 10)

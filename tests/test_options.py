@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sharp.abstraction import build_region_voronoi
+from sharp import experiment
+from sharp.abstraction import build_region_voronoi, endpoint_region
 from sharp.errors import GuideUnreachable, InCollision
-from sharp.options import (OptionGuide, OptionKind, compute_guide_path,
-                           pseudo_reward, synth_centroid_options,
-                           synth_interface_options)
+from sharp.options import (PENALTY_REWARD, TERMINAL_REWARD, OptionGuide,
+                           compute_guide_path, pseudo_reward, synth_options)
+from sharp.planner import library_from_regions
 from sharp.regions import CriticalRegion
 from sharp.world import Configuration
 
@@ -36,12 +37,12 @@ def triangle_rbvd():
 class TestSynthCounts:
     def test_two_adjacent_states_two_centroid_options(self):
         _, rbvd = line_world_rbvd(2)
-        assert len(synth_centroid_options(rbvd, t=2.0)) == 2
+        assert len(synth_options(rbvd, "centroid", t=2.0)) == 2
 
     def test_triangle_six_centroid_options(self):
         _, rbvd = triangle_rbvd()
         assert len(rbvd.adjacency) == 3
-        options = synth_centroid_options(rbvd, t=2.0)
+        options = synth_options(rbvd, "centroid", t=2.0)
         assert len(options) == 6
 
     def test_centroid_option_invariants(self, rng):
@@ -51,7 +52,7 @@ class TestSynthCounts:
             w = random_world(rng, 12, 12, wall_fraction=0.15)
             regions = sprinkle_regions(w, rng, 4)
             rbvd = build_region_voronoi(w, regions)
-            options = synth_centroid_options(rbvd, t=3.0)
+            options = synth_options(rbvd, "centroid", t=3.0)
             m = len(rbvd.adjacency)
             assert len(options) <= 2 * m
             for o in options:
@@ -63,12 +64,12 @@ class TestSynthCounts:
 
     def test_path_graph_two_interface_options(self):
         _, rbvd = line_world_rbvd(3)
-        options = synth_interface_options(rbvd, t=2.0)
+        options = synth_options(rbvd, "interface", t=2.0)
         assert sorted(o.states for o in options) == [(0, 1, 2), (2, 1, 0)]
 
     def test_triangle_interface_options_match_enumeration(self):
         _, rbvd = triangle_rbvd()
-        options = synth_interface_options(rbvd, t=3.0)
+        options = synth_options(rbvd, "interface", t=3.0)
         # oracle: enumerate ordered triples with both adjacencies, i != k
         ids = [s.id for s in rbvd.states]
         expected = [(i, j, k) for j in ids for i in rbvd.neighbors(j)
@@ -78,18 +79,36 @@ class TestSynthCounts:
 
     def test_two_states_no_interface_options(self):
         _, rbvd = line_world_rbvd(2)
-        assert synth_interface_options(rbvd, t=2.0) == []
+        assert synth_options(rbvd, "interface", t=2.0) == []
 
     def test_consecutive_options_share_regions(self):
         _, rbvd = line_world_rbvd(3)
-        options = {o.states: o for o in synth_centroid_options(rbvd, t=2.0)}
+        options = {o.states: o for o in synth_options(rbvd, "centroid", t=2.0)}
         assert options[(0, 1)].termination.cells == options[(1, 2)].initiation.cells
+
+
+@pytest.mark.parametrize("env", ["env_a", "env_b", "env_c", "env_d", "env_e"])
+def test_bundled_options_follow_the_endpoint_rule(env):
+    # each option runs from the endpoint region of its chain's leading
+    # states to that of its trailing states, for both kinds
+    spec = experiment.spec_for_bundled(env)
+    _, centroid = experiment.build_library(spec.world, "centroid", spec.abstraction)
+    interface = library_from_regions(spec.world, [s.anchor for s in centroid.rbvd.states],
+                                     "interface", centroid.threshold,
+                                     centroid.guide_seed)
+    for library in (centroid, interface):
+        rbvd, t = library.rbvd, library.threshold
+        assert library.options
+        for o in library.options:
+            assert o.kind == library.kind
+            assert o.initiation == endpoint_region(rbvd, o.src_states, t)
+            assert o.termination == endpoint_region(rbvd, o.dst_states, t)
 
 
 class TestGuides:
     def test_corridor_guide_is_straight(self):
         w, rbvd = line_world_rbvd(2, width=20, height=3)
-        (option,) = [o for o in synth_centroid_options(rbvd, t=2.0)
+        (option,) = [o for o in synth_options(rbvd, "centroid", t=2.0)
                      if o.states == (0, 1)]
         guide = compute_guide_path(w, rbvd, option, rng=np.random.default_rng(0))
         assert guide.points[0] == option.initiation.representative
@@ -100,7 +119,7 @@ class TestGuides:
 
     def test_degenerate_endpoints_single_point(self):
         w, rbvd = line_world_rbvd(2)
-        (option,) = [o for o in synth_centroid_options(rbvd, t=2.0)
+        (option,) = [o for o in synth_options(rbvd, "centroid", t=2.0)
                      if o.states == (0, 1)]
         option = replace(option, termination=option.initiation)
         guide = compute_guide_path(w, rbvd, option, rng=np.random.default_rng(0))
@@ -109,17 +128,16 @@ class TestGuides:
     def test_disconnected_mask_raises(self):
         # skipping the middle state leaves the masked cells in two islands
         from sharp.options import build_guide
-        from sharp.abstraction import centroid_region
         w, rbvd = line_world_rbvd(3)
-        first = centroid_region(rbvd, rbvd.states[0], t=2.0)
-        last = centroid_region(rbvd, rbvd.states[2], t=2.0)
+        first = endpoint_region(rbvd, (0,), t=2.0)
+        last = endpoint_region(rbvd, (2,), t=2.0)
         with pytest.raises(GuideUnreachable):
             build_guide(w, rbvd, "gap", first.representative, first, last,
                         allowed_states={0, 2}, rng=np.random.default_rng(1))
 
     def test_guide_invariants_across_library(self, rng):
         w, rbvd = triangle_rbvd()
-        for option in synth_centroid_options(rbvd, t=2.5):
+        for option in synth_options(rbvd, "centroid", t=2.5):
             guide = compute_guide_path(w, rbvd, option, rng=rng)
             assert guide.points[0] == option.initiation.representative
             assert guide.points[-1] == option.termination.representative
@@ -146,6 +164,16 @@ class TestNearestPoint:
         _, i = nearest_guide_point(guide, Configuration(3.5, 2.0))  # ties 3 and 4
         assert i == 3
 
+    def test_replaced_points_rebuild_the_tables(self):
+        # the point table, the end distances and the nearest-point memo
+        # belong to one points list; replace builds them again
+        guide = self.make_guide()
+        assert guide.nearest(Configuration(5.0, 0.0)) == (5, 0.0)
+        moved = replace(guide, points=[Configuration(float(i), 1.0) for i in range(3)])
+        assert moved.xy.tolist() == [[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]]
+        assert moved.end_dist.tolist() == [2.0, 1.0, 0.0]
+        assert moved.nearest(Configuration(5.0, 0.0)) == (2, 10.0)
+
     def test_matches_linear_scan(self, rng):
         guide = self.make_guide()
         for _ in range(100):
@@ -159,7 +187,7 @@ class TestNearestPoint:
 class TestPseudoReward:
     def setup_method(self):
         self.world, self.rbvd = line_world_rbvd(2, width=20, height=3)
-        (self.option,) = [o for o in synth_centroid_options(self.rbvd, t=2.0)
+        (self.option,) = [o for o in synth_options(self.rbvd, "centroid", t=2.0)
                           if o.states == (0, 1)]
         self.guide = compute_guide_path(self.world, self.rbvd, self.option,
                                         rng=np.random.default_rng(3))
@@ -204,9 +232,9 @@ class TestPseudoReward:
                 in_term = (ix, iy) in self.guide.termination.cells
                 sid = self.rbvd.state_id_of_cell((ix, iy))
                 if in_term:
-                    assert r == self.guide.terminal_reward
+                    assert r == TERMINAL_REWARD
                 elif sid not in self.guide.allowed_states:
-                    assert r == self.guide.penalty_reward
+                    assert r == PENALTY_REWARD
                 else:
                     assert r < 0.0
 
@@ -220,5 +248,5 @@ class TestPseudoReward:
                     continue
                 c = Configuration(*self.world.cell_center((ix, iy)))
                 r = pseudo_reward(self.guide, self.rbvd, c)
-                if r < 0 and r != self.guide.penalty_reward:
+                if r < 0 and r != PENALTY_REWARD:
                     assert r >= -(diam + guide_len)

@@ -14,8 +14,7 @@ from sharp.errors import (DivergedTraining, EmptyLibrary, GuideUnreachable,
 from sharp.experiment import AbstractionParams, build_library
 from sharp.learn import TrainConfig, TrainStats, actor_layers
 from sharp.mlp import Mlp
-from sharp.options import (OptionKind, OptionSpec, compute_guide_path,
-                           synth_centroid_options, synth_interface_options)
+from sharp.options import OptionSpec, compute_guide_path, synth_options
 from sharp.planner import (CacheEntry, ComposedPolicy, OptionLibrary, Stage, astar,
                            execute_composed, guide_fingerprint, library_from_regions,
                            plan_abstract, sharp_solve)
@@ -36,8 +35,8 @@ def region_at(x, y):
                   representative=Configuration(x, y))
 
 
-def make_option(oid, kind, states, src_xy, dst_xy):
-    return OptionSpec(id=oid, kind=kind, states=states,
+def make_option(oid, states, src_xy, dst_xy):
+    return OptionSpec(id=oid, states=states,
                       initiation=region_at(*src_xy), termination=region_at(*dst_xy))
 
 
@@ -51,14 +50,14 @@ def library_of(options, kind="centroid", rbvd=None):
 class TestBuildGraph:
     def test_two_state_centroid_graph(self):
         _, rbvd = line_world_rbvd(2)
-        library = library_of(synth_centroid_options(rbvd, t=2.0))
+        library = library_of(synth_options(rbvd, "centroid", t=2.0))
         for start, goal in ((0, 1), (1, 0)):
             plan = plan_abstract(library, start, goal, Configuration(5.0, 1.5), {})
             assert [o.states for o in plan] == [(start, goal)]
 
     def test_interface_pair_graph(self):
         _, rbvd = line_world_rbvd(3)
-        library = library_of(synth_interface_options(rbvd, t=2.0), "interface", rbvd)
+        library = library_of(synth_options(rbvd, "interface", t=2.0), "interface", rbvd)
         for start, goal in ((0, 2), (2, 0)):
             goal_cfg = rbvd.states[goal].anchor.centroid
             plan = plan_abstract(library, start, goal, goal_cfg, {})
@@ -85,15 +84,14 @@ def random_centroid_library(rng, n_nodes):
                 continue
             d = math.dist(pos[i], pos[j])
             costs[f"c{i}-{j}"] = max(1e-3, d * float(rng.uniform(0.3, 3.0)))
-            options.append(make_option(f"c{i}-{j}", OptionKind.CENTROID, (i, j),
-                                       pos[i], pos[j]))
+            options.append(make_option(f"c{i}-{j}", (i, j), pos[i], pos[j]))
     return library_of(options), pos, costs
 
 
 class TestPlanAbstract:
     def test_same_state_empty_plan(self):
         _, rbvd = line_world_rbvd(2)
-        library = library_of(synth_centroid_options(rbvd, t=2.0))
+        library = library_of(synth_options(rbvd, "centroid", t=2.0))
         assert plan_abstract(library, 1, 1, Configuration(5.0, 1.5), {}) == []
 
     def test_matches_dijkstra_on_random_graphs(self, rng):
@@ -122,19 +120,19 @@ class TestPlanAbstract:
         regions = [point_region(w, (0, 1)), point_region(w, (2, 1)),
                    point_region(w, (4, 1))]
         rbvd = build_region_voronoi(w, regions)
-        library = library_of(synth_centroid_options(rbvd, t=1.5))
+        library = library_of(synth_options(rbvd, "centroid", t=1.5))
         with pytest.raises(NoAbstractPath):
             plan_abstract(library, 0, 2, Configuration(4.5, 1.5), {})
 
     def test_interface_adjacent_states_no_options_needed(self):
         _, rbvd = line_world_rbvd(3)
-        library = library_of(synth_interface_options(rbvd, t=2.0), "interface", rbvd)
+        library = library_of(synth_options(rbvd, "interface", t=2.0), "interface", rbvd)
         plan = plan_abstract(library, 0, 1, Configuration(10.0, 1.5), {})
         assert plan == []
 
     def test_interface_three_state_route(self):
         _, rbvd = line_world_rbvd(3)
-        library = library_of(synth_interface_options(rbvd, t=2.0), "interface", rbvd)
+        library = library_of(synth_options(rbvd, "interface", t=2.0), "interface", rbvd)
         plan = plan_abstract(library, 0, 2, Configuration(17.5, 1.5), {})
         assert [o.states for o in plan] == [(0, 1, 2)]
 
@@ -194,9 +192,9 @@ class TestCostUpdate:
         # after step-count updates the direct edge becomes expensive
         pos = {0: (0.0, 0.0), 1: (5.0, 5.0), 3: (10.0, 0.0)}
         library = library_of([
-            make_option("c0-3", OptionKind.CENTROID, (0, 3), pos[0], pos[3]),
-            make_option("c0-1", OptionKind.CENTROID, (0, 1), pos[0], pos[1]),
-            make_option("c1-3", OptionKind.CENTROID, (1, 3), pos[1], pos[3])])
+            make_option("c0-3", (0, 3), pos[0], pos[3]),
+            make_option("c0-1", (0, 1), pos[0], pos[1]),
+            make_option("c1-3", (1, 3), pos[1], pos[3])])
         goal_cfg = Configuration(*pos[3])
         assert [o.id for o in plan_abstract(library, 0, 3, goal_cfg, {})] == ["c0-3"]
         # rollouts proved the direct edge slow
@@ -222,12 +220,8 @@ def solve_setup(kind="centroid", smoke=True):
     regions = [point_region(w, (3, 3)), point_region(w, (10, 10)),
                point_region(w, (16, 16))]
     rbvd = build_region_voronoi(w, regions)
-    if kind == "centroid":
-        options = synth_centroid_options(rbvd, t=2.0)
-    else:
-        options = synth_interface_options(rbvd, t=2.0)
     library = OptionLibrary(kind=kind, threshold=2.0, guide_seed=0,
-                            options=options, rbvd=rbvd)
+                            options=synth_options(rbvd, kind, t=2.0), rbvd=rbvd)
     cfg = TrainConfig(
         learner="cem", max_steps=1200, eval_every=600, eval_episodes=4,
         episode_limit=40, cem_population=4, cem_iters=1, cem_hidden=(4, 4))
@@ -453,7 +447,7 @@ class TestSharpSolve:
         regions = [point_region(w, (1, 2)), point_region(w, (3, 2)),
                    point_region(w, (7, 2))]
         rbvd = build_region_voronoi(w, regions)
-        options = synth_centroid_options(rbvd, t=1.5)
+        options = synth_options(rbvd, "centroid", t=1.5)
         library = OptionLibrary(kind="centroid", threshold=1.5, guide_seed=0,
                                 options=options, rbvd=rbvd)
         cfg = TrainConfig(learner="cem", max_steps=400, eval_every=400,
@@ -555,9 +549,8 @@ class TestExecuteComposed:
                 continue
             regions = sprinkle_regions(w, rng, 4)
             rbvd = build_region_voronoi(w, regions)
-            for synth, kind in ((synth_centroid_options, "centroid"),
-                                (synth_interface_options, "interface")):
-                options = synth(rbvd, t=2.5)
+            for kind in ("centroid", "interface"):
+                options = synth_options(rbvd, kind, t=2.5)
                 if not options:
                     continue
                 library = library_of(options, kind, rbvd)
