@@ -7,8 +7,8 @@ never leaves partial state behind. A library file is checked by deriving it
 again: its anchor regions, kind, threshold and guide seed rebuild the
 partition and options, which must equal the stored ones. Policy-cache
 entries store only what the cache key cannot rebuild (actor weights, cost,
-training steps). A malformed payload raises ParseError, an unwritable file
-SharpError.
+training steps). An undecodable file or a malformed payload raises
+ParseError, an unreadable or unwritable file SharpError.
 """
 
 from __future__ import annotations
@@ -54,9 +54,13 @@ def load_artifact(path: str, kind: str, world_hash: str | None = None) -> dict:
     try:
         with open(path) as fh:
             envelope = json.load(fh)
+    except OSError as e:
+        raise SharpError(f"cannot read {path}: {e.strerror}") from None
     except json.JSONDecodeError as e:
         raise ParseError(f"malformed artifact {path}: {e.msg}",
                          line=e.lineno, offset=e.colno) from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"malformed artifact {path}: {e.reason}") from None
     if not isinstance(envelope, dict) or envelope.get("format") != ARTIFACT_FORMAT:
         raise VersionMismatch(f"{path} is not a {ARTIFACT_FORMAT} file")
     if envelope.get("version") != ARTIFACT_VERSION:
@@ -68,6 +72,8 @@ def load_artifact(path: str, kind: str, world_hash: str | None = None) -> dict:
     if world_hash is not None and envelope.get("world_hash") != world_hash:
         raise VersionMismatch(f"{path}: built for world {envelope.get('world_hash')}, "
                               f"expected {world_hash}")
+    if not isinstance(envelope.get("payload"), dict):
+        raise ParseError(f"malformed artifact {path}: no payload object")
     return envelope["payload"]
 
 
@@ -213,8 +219,11 @@ def load_cache(root: str, world_hash: str) -> dict[str, CacheEntry]:
     path = os.path.join(cache_dir_for(root, world_hash), POLICY_CACHE_FILE)
     if not os.path.exists(path):
         return {}
+    entries = load_artifact(path, "policy-cache", world_hash).get("entries")
+    if not isinstance(entries, dict):
+        raise ParseError(f"malformed artifact {path}: no entries object")
     cache = {}
-    for key, item in load_artifact(path, "policy-cache", world_hash)["entries"].items():
+    for key, item in entries.items():
         where = f"{path}: entry {key!r}"
         with _parsing(where):
             cost, steps = item["cost"], item["training_steps"]

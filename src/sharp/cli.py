@@ -220,7 +220,7 @@ def cmd_experiment(args) -> int:
         raise SharpError("experiment needs --config or --world")
     if args.kind:
         spec.kind = args.kind
-    if args.seed_list:
+    if args.seed_list is not None:
         spec = settings.override(spec, "seeds", args.seed_list, "--seeds")
     rows = run_experiment(spec, cache_dir=_cache_dir(args))
     if args.out:

@@ -183,10 +183,10 @@ def _mask_of(rbvd: RegionVoronoi, allowed_states) -> set:
 
 
 def build_guide(world: OccupancyWorld, rbvd: RegionVoronoi, option_id: str,
-                start: Configuration, initiation: Region, termination: Region,
-                allowed_states, rng: np.random.Generator) -> OptionGuide:
-    """Masked plan from ``start`` to within half a cell of the termination
-    representative.
+                initiation: Region, termination: Region, allowed_states,
+                rng: np.random.Generator) -> OptionGuide:
+    """Masked plan from the initiation representative, where a guide always
+    starts, to within half a cell of the termination representative.
 
     The plan is shortcut, extended to end exactly at the representative, and
     resampled below one cell; the result is validated (endpoint identity,
@@ -200,8 +200,8 @@ def build_guide(world: OccupancyWorld, rbvd: RegionVoronoi, option_id: str,
     last_error: Exception | None = None
     for _ in range(GUIDE_ATTEMPTS):
         try:
-            plan = rrt_plan(world, start, goal, spawn(rng), 0.5 * world.cell_size,
-                            mask=mask)
+            plan = rrt_plan(world, initiation.representative, goal, spawn(rng),
+                            0.5 * world.cell_size, mask=mask)
         except Unreachable as e:
             last_error = e
             continue
@@ -233,14 +233,3 @@ def _guide_valid(world: OccupancyWorld, rbvd: RegionVoronoi, guide: OptionGuide)
             return False
     return True
 
-
-def compute_guide_path(world: OccupancyWorld, rbvd: RegionVoronoi, option: OptionSpec,
-                       rng: np.random.Generator) -> OptionGuide:
-    """Guide for an option: endpoint representatives joined inside its states."""
-    start = option.initiation.representative
-    if start.distance_to(option.termination.representative) < 1e-12:
-        return OptionGuide(option_id=option.id, initiation=option.initiation,
-                           termination=option.termination, points=[start],
-                           allowed_states=frozenset(option.states))
-    return build_guide(world, rbvd, option.id, start, option.initiation,
-                       option.termination, frozenset(option.states), rng)

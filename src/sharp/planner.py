@@ -6,7 +6,7 @@ options (plan_abstract, which alone decides when no option is needed),
 trains (or reuses) one policy per option plus entry/exit bridge policies,
 the trainings of one solve side by side in worker processes, and chains
 everything into a finite-state controller whose stage advances when
-the robot enters the next option's initiation region.
+the robot enters the termination region of the stage's guide.
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ import numpy as np
 from . import settings
 from .abstraction import (RegionVoronoi, build_region_voronoi, cell_region,
                           endpoint_region, goal_region)
-from .errors import (DivergedTraining, EmptyLibrary, GuideUnreachable,
-                     NoAbstractPath, OptionsDoNotChain, ShapeMismatch, SharpError)
+from .errors import (DivergedTraining, EmptyLibrary, NoAbstractPath,
+                     OptionsDoNotChain, ShapeMismatch, SharpError)
 from .learn import Policy, TrainConfig, actor_layers, train_option_policy
 from .mlp import Mlp
 from .options import (PENALTY_REWARD, TERMINAL_REWARD, OptionGuide, OptionKind,
-                      OptionSpec, build_guide, compute_guide_path, synth_options)
+                      OptionSpec, build_guide, synth_options)
 from .regions import CriticalRegion
 from .seeding import derive_rng, spawn
 from .world import Configuration, OccupancyWorld, padded_cells, tick_lanes, world_hash
@@ -438,7 +438,6 @@ class _PendingStage:
 
     label: str
     guide: OptionGuide
-    advance_cells: frozenset
     option: OptionSpec | None = None
     key: str | None = None
     hit: CacheEntry | None = None
@@ -451,11 +450,14 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
                 goal_tol: float) -> tuple[ComposedPolicy, SolveStats]:
     """Plan at the abstract level, train or reuse option policies, compose.
 
-    The entry bridge takes the robot from x_i into the first initiation set;
-    each option policy is fetched from the cache when its key matches,
-    otherwise trained; the exit bridge runs from the last termination set to
-    the goal ball of radius goal_tol. One warning names every stage whose
-    training ended at 0.0 success.
+    A solve is one chain of legs, each guide built by build_guide: bridge_in
+    from x_i's cell to the entry region, each planned option between its
+    endpoint regions within its states, and bridge_out from the exit region
+    to the goal ball of radius goal_tol. Entry and exit are the plan's first
+    initiation and last termination region, or, with no option, the
+    endpoint region of the start and goal states. Every stage hands over
+    where its guide terminates, which is where the next guide begins. One
+    warning names every stage whose training ended at 0.0 success.
 
     costs maps option ids to learned costs, which plan_abstract reads before
     priors, and the solve is its one writer: a cache hit writes its entry's
@@ -468,7 +470,7 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
     lacks the layer sizes cfg trains (actor_layers) fails its stage with
     ShapeMismatch.
 
-    The solve runs in two steps. First every stage's guide is built and its
+    The solve runs in two steps. First every leg's guide is built and its
     training generator drawn from rng, in stage order. Then every policy
     that needs training trains at once (train_stages), and the stages are
     assembled in stage order: stats, cache entries and option costs are
@@ -484,60 +486,46 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
 
     plan = plan_abstract(library, s_start, s_goal, x_g, costs)
     stats.plan_option_ids = [o.id for o in plan]
-
-    # entry bridge target and allowed states
     if plan:
-        first = plan[0]
-        entry_target = first.initiation
-        entry_allowed = frozenset({s_start} | set(first.src_states))
+        entry, exit_ = plan[0].initiation, plan[-1].termination
+        entry_allowed = frozenset({s_start} | set(plan[0].src_states))
+        exit_allowed = frozenset({s_goal} | set(plan[-1].dst_states))
     else:
         # no option is needed: the endpoint region of the one or two states
-        entry_target = endpoint_region(rbvd, tuple(sorted({s_start, s_goal})),
-                                       library.threshold)
-        entry_allowed = frozenset({s_start, s_goal})
-    bridge_rng = spawn(rng)
-    entry_guide = build_guide(world, rbvd, "bridge-in", x_i, cell_region(world, x_i),
-                              entry_target, entry_allowed, bridge_rng)
-    pending = [_PendingStage("bridge_in", entry_guide, entry_target.cells,
-                             train_rng=spawn(rng))]
+        entry = exit_ = endpoint_region(rbvd, tuple(sorted({s_start, s_goal})),
+                                        library.threshold)
+        entry_allowed = exit_allowed = frozenset({s_start, s_goal})
+    # (stage label, guide id, initiation, termination, allowed states, option)
+    legs = [("bridge_in", "bridge-in", cell_region(world, x_i), entry, entry_allowed,
+             None),
+            *((o.id, o.id, o.initiation, o.termination, frozenset(o.states), o)
+              for o in plan),
+            ("bridge_out", "bridge-out", exit_, goal_region(world, x_g, goal_tol),
+             exit_allowed, None)]
+    pending: list[_PendingStage] = []
     failure: SharpError | None = None   # the first stage that cannot be built
     layers = actor_layers(world, cfg)
 
     try:
-        for i, option in enumerate(plan):
-            if i > 0 and plan[i - 1].termination.cells != option.initiation.cells:
+        for label, guide_id, initiation, termination, allowed, option in legs:
+            if pending and pending[-1].guide.termination.cells != initiation.cells:
                 raise OptionsDoNotChain(
-                    f"options {plan[i-1].id} -> {option.id} do not chain")
-            guide_rng = derive_rng("guide", whash, library.guide_seed, option.id)
-            try:
-                guide = compute_guide_path(world, rbvd, option, guide_rng)
-            except GuideUnreachable as e:
-                raise GuideUnreachable(f"option {option.id}: {e}") from e
-            key = (f"{whash}/{option.id}/{guide_fingerprint(guide, rbvd)}/"
-                   f"{settings.digest(cfg)}")
-            hit = cache.get(key)
-            if hit is not None and hit.actor.layer_sizes != layers:
-                raise ShapeMismatch(f"policy cache entry {key!r} holds a "
-                                    f"{list(hit.actor.layer_sizes)} actor, not "
-                                    f"{list(layers)}")
-            next_cells = (plan[i + 1].initiation.cells if i + 1 < len(plan)
-                          else option.termination.cells)
-            pending.append(_PendingStage(option.id, guide, next_cells, option, key,
-                                         hit, spawn(rng) if hit is None else None))
-
-        # exit bridge from the last handoff region to the goal ball
-        if plan:
-            exit_start_region = plan[-1].termination
-            exit_allowed = frozenset({s_goal} | set(plan[-1].dst_states))
-        else:
-            exit_start_region = entry_target
-            exit_allowed = entry_allowed
-        goal = goal_region(world, x_g, goal_tol)
-        exit_guide = build_guide(world, rbvd, "bridge-out",
-                                 exit_start_region.representative, exit_start_region,
-                                 goal, exit_allowed, spawn(rng))
-        pending.append(_PendingStage("bridge_out", exit_guide, goal.cells,
-                                     train_rng=spawn(rng)))
+                    f"options {pending[-1].label} -> {label} do not chain")
+            guide_rng = (spawn(rng) if option is None else
+                         derive_rng("guide", whash, library.guide_seed, option.id))
+            guide = build_guide(world, rbvd, guide_id, initiation, termination,
+                                allowed, guide_rng)
+            key = hit = None
+            if option is not None:
+                key = (f"{whash}/{option.id}/{guide_fingerprint(guide, rbvd)}/"
+                       f"{settings.digest(cfg)}")
+                hit = cache.get(key)
+                if hit is not None and hit.actor.layer_sizes != layers:
+                    raise ShapeMismatch(f"policy cache entry {key!r} holds a "
+                                        f"{list(hit.actor.layer_sizes)} actor, not "
+                                        f"{list(layers)}")
+            pending.append(_PendingStage(label, guide, option, key, hit,
+                                         spawn(rng) if hit is None else None))
     except SharpError as e:
         failure = e
 
@@ -566,7 +554,8 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
                 cache[p.key] = CacheEntry(
                     actor=actor, cost=costs.get(p.option.id, p.option.prior),
                     training_steps=tstats.steps)
-        stages.append(Stage(label=p.label, policy=policy, advance_cells=p.advance_cells))
+        stages.append(Stage(label=p.label, policy=policy,
+                            advance_cells=p.guide.termination.cells))
     failed = [label for label, success in stats.stage_success if success == 0.0]
     if failed:
         log.warning("training ended at 0.0 success in stage(s) %s", ", ".join(failed))

@@ -13,7 +13,7 @@ from sharp.learn import (DISCOUNT, LOG_2PI, LOG_STD_MAX, LOG_STD_MIN, REWARD_SCA
                          displacement_scale)
 from sharp.motion import (RRT_GOAL_BIAS, RRT_MAX_ITERS, RRT_STEP_CELLS, MotionPlan,
                           rrt_plan, shortcut)
-from sharp.options import OptionGuide
+from sharp.options import OptionGuide, OptionSpec, build_guide
 from sharp.planner import astar
 from sharp.regions import swept_cells
 from sharp.world import (SWEEP_FRACTION, Configuration, Kinematics, OccupancyWorld,
@@ -171,6 +171,13 @@ def plan_length(plan: MotionPlan) -> float:
 
 def density_from_payload(payload: dict) -> np.ndarray:
     return np.array(payload["grid"], dtype=np.float64)
+
+
+def compute_guide_path(world, rbvd, option: OptionSpec, rng) -> OptionGuide:
+    """Guide for an option: endpoint representatives joined inside its states,
+    under the option's id, as a solve builds it."""
+    return build_guide(world, rbvd, option.id, option.initiation, option.termination,
+                       frozenset(option.states), rng)
 
 
 def nearest_guide_point(guide: OptionGuide, c: Configuration) -> tuple[Configuration, int]:

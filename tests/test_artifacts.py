@@ -343,3 +343,28 @@ def test_malformed_cache_entry_parse_error(setup, rng, mutate):
     path.write_text(json.dumps(envelope))
     with pytest.raises(ParseError, match="entry 'k'"):
         artifacts.load_cache(str(tmp), whash)
+
+
+def _cache_envelope(payload) -> dict:
+    return {"format": artifacts.ARTIFACT_FORMAT, "version": artifacts.ARTIFACT_VERSION,
+            "kind": "policy-cache", "world_hash": "f" * 16, "payload": payload}
+
+
+MALFORMED_ENVELOPES = {
+    "not-utf8": b"\xff" + json.dumps(_cache_envelope({"entries": {}})).encode(),
+    "no-payload": json.dumps({k: v for k, v in _cache_envelope(None).items()
+                              if k != "payload"}).encode(),
+    "list-payload": json.dumps(_cache_envelope([])).encode(),
+    "list-entries": json.dumps(_cache_envelope({"entries": []})).encode(),
+    "no-entries": json.dumps(_cache_envelope({})).encode(),
+}
+
+
+@pytest.mark.parametrize("data", MALFORMED_ENVELOPES.values(),
+                         ids=MALFORMED_ENVELOPES.keys())
+def test_malformed_envelope_parse_error(tmp_path, data):
+    path = tmp_path / ("f" * 16) / artifacts.POLICY_CACHE_FILE
+    path.parent.mkdir()
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=str(path)):
+        artifacts.load_cache(str(tmp_path), "f" * 16)

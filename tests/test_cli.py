@@ -298,6 +298,7 @@ CONFIG = ("world = {tmp}/w.txt\nproblem.1 = 1.5,1.5 -> 8.5,1.5\n"
     (["baseline", "--world", "env_a", "--method", "rrt_replan",
       "--start", "1.25,1.25", "--goal", "13.75"], {}),
     (["experiment", "--world", "env_a", "--seeds", "a"], {}),
+    (["experiment", "--world", "env_a", "--seeds", ""], {}),
     (["baseline", "--world", "env_a", "--method", "monolithic", "--profile",
       "smoke", "--start", "0.25,0.25", "--goal", "13.75,13.75"], {}),
     (["regions", "--world", "env_a", "--n-goals", "abc"], {}),
@@ -325,14 +326,20 @@ CONFIG = ("world = {tmp}/w.txt\nproblem.1 = 1.5,1.5 -> 8.5,1.5\n"
     (["baseline", "--world", "env_a", "--method", "rrt_replan",
       "--start", "0.2,0.2", "--goal", "3.25,1.25", "--episodes", "2"], {}),
 ], ids=["missing-world", "missing-config", "start-4-values", "goal-1-value",
-        "bad-seeds", "start-in-wall", "bad-flag-value", "negative-noise",
+        "bad-seeds", "empty-seeds", "start-in-wall", "bad-flag-value", "negative-noise",
         "negative-step", "nan-step", "zero-speed", "negative-turn", "nan-cell",
         "inf-cell", "extra-row", "sidecar-key-twice", "config-key-twice",
         "problem-twice", "nan-problem", "nan-start", "config-and-world",
         "config-and-profile", "percentile-over-100", "zero-goals",
         "negative-inits", "rrt-start-in-wall"])
-def test_user_input_fault_is_an_error_line(tmp_path, capsys, argv, files):
-    """files maps paths under tmp_path to their text, written first."""
+def test_user_input_fault_is_an_error_line(tmp_path, capsys, monkeypatch, argv,
+                                           files):
+    """files maps paths under tmp_path to their text, written first. No
+    fault reaches an experiment run."""
+    def run_experiment(*args, **kwargs):
+        pytest.fail("an input fault ran the experiment")
+
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
     for rel, text in files.items():
         (tmp_path / rel).write_text(text.format(tmp=tmp_path))
     assert main([a.format(tmp=tmp_path) for a in argv]) == 1
@@ -565,6 +572,20 @@ def test_cache_dir_file_rejected_before_building(tiny_world_file, tmp_path,
     argv = ["abstract", "--world", tiny_world_file, "--cache-dir", str(tmp_path / "f")]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_directory_at_library_path_is_an_error_line(tiny_world_file, tmp_path,
+                                                     capsys):
+    argv = ["options", "--world", tiny_world_file, "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    (library,) = tmp_path.glob("*/library_*.json")
+    library.unlink()
+    library.mkdir()
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"cannot read {library}" in err
 
 
 class TestOneProtocol:

@@ -12,13 +12,13 @@ from sharp.learn import (REPLAY_CAPACITY, Policy, ReplayBuffer, SacLearner,
                          train_option_policy)
 from sharp.mlp import init_mlp
 from sharp.motion import rrt_plan, shortcut
-from sharp.options import (TERMINAL_REWARD, OptionGuide, compute_guide_path,
-                           synth_options)
+from sharp.options import TERMINAL_REWARD, OptionGuide, synth_options
 from sharp.world import (Configuration, HolonomicAction, Kinematics, UnicycleAction,
                          collision)
 
 from conftest import grid_from_rows, open_world
-from helpers import ReferenceSac, ScriptedPolicy, act, evaluate_policy, layer_arrays
+from helpers import (ReferenceSac, ScriptedPolicy, act, compute_guide_path,
+                     evaluate_policy, layer_arrays)
 from test_abstraction import point_region
 
 

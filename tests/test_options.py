@@ -8,13 +8,13 @@ from sharp import experiment
 from sharp.abstraction import build_region_voronoi, endpoint_region
 from sharp.errors import GuideUnreachable, InCollision
 from sharp.options import (PENALTY_REWARD, TERMINAL_REWARD, OptionGuide,
-                           compute_guide_path, pseudo_reward, synth_options)
+                           pseudo_reward, synth_options)
 from sharp.planner import library_from_regions
 from sharp.regions import CriticalRegion
 from sharp.world import Configuration
 
 from conftest import grid_from_rows, open_world
-from helpers import nearest_guide_point
+from helpers import compute_guide_path, nearest_guide_point
 
 from test_abstraction import point_region
 
@@ -132,8 +132,8 @@ class TestGuides:
         first = endpoint_region(rbvd, (0,), t=2.0)
         last = endpoint_region(rbvd, (2,), t=2.0)
         with pytest.raises(GuideUnreachable):
-            build_guide(w, rbvd, "gap", first.representative, first, last,
-                        allowed_states={0, 2}, rng=np.random.default_rng(1))
+            build_guide(w, rbvd, "gap", first, last, allowed_states={0, 2},
+                        rng=np.random.default_rng(1))
 
     def test_guide_invariants_across_library(self, rng):
         w, rbvd = triangle_rbvd()

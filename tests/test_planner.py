@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from sharp import planner
-from sharp.abstraction import Region, build_region_voronoi
+from sharp.abstraction import Region, build_region_voronoi, goal_region
 from sharp.artifacts import library_payload
 from sharp.errors import (DivergedTraining, EmptyLibrary, GuideUnreachable,
                           NoAbstractPath)
 from sharp.experiment import AbstractionParams, build_library
 from sharp.learn import TrainConfig, TrainStats, actor_layers
 from sharp.mlp import Mlp
-from sharp.options import OptionSpec, compute_guide_path, synth_options
+from sharp.options import OptionSpec, synth_options
 from sharp.planner import (CacheEntry, ComposedPolicy, OptionLibrary, Stage, astar,
                            execute_composed, guide_fingerprint, library_from_regions,
                            plan_abstract, sharp_solve)
@@ -22,7 +22,7 @@ from sharp.seeding import derive_rng
 from sharp.world import Configuration
 
 from conftest import grid_from_rows, open_world
-from helpers import ScriptedPolicy, dijkstra_cost, free_cells
+from helpers import ScriptedPolicy, compute_guide_path, dijkstra_cost, free_cells
 from test_abstraction import point_region
 from test_experiment import TWO_ROOMS
 from test_options import line_world_rbvd
@@ -243,6 +243,22 @@ class TestSharpSolve:
         assert composed.stages[0].label == "bridge_in"
         assert composed.stages[-1].label == "bridge_out"
 
+    @pytest.mark.parametrize("kind, goal", [("centroid", (18.5, 18.5)),
+                                            ("interface", (18.5, 18.5)),
+                                            ("centroid", (4.0, 4.0))],
+                             ids=["centroid", "interface", "no-option"])
+    def test_stages_hand_over_where_their_guides_end(self, kind, goal):
+        w, library, cfg = solve_setup(kind)
+        x_g = Configuration(*goal)
+        composed, stats = sharp_solve(w, Configuration(2.0, 2.0), x_g, library, {},
+                                      {}, cfg, np.random.default_rng(3), GOAL_TOL)
+        assert bool(stats.plan_option_ids) == (goal != (4.0, 4.0))
+        stages = composed.stages
+        for stage, after in zip(stages, stages[1:]):
+            assert stage.advance_cells == stage.policy.guide.termination.cells
+            assert stage.advance_cells == after.policy.guide.initiation.cells
+        assert stages[-1].advance_cells == goal_region(w, x_g, GOAL_TOL).cells
+
     def test_cache_reuse_and_cheaper_resolve(self):
         w, library, cfg = solve_setup()
         cache, costs = {}, {}
@@ -353,17 +369,20 @@ class TestSharpSolve:
     @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "pooled"])
     def test_diverged_entry_bridge_wins_over_later_guide(self, monkeypatch, cpus):
         real_train = planner.train_option_policy
+        real_build = planner.build_guide
 
         def train(world, guide, rbvd, cfg, rng):
             if guide.option_id == "bridge-in":
                 raise DivergedTraining("critic loss is not finite")
             return real_train(world, guide, rbvd, cfg, rng)
 
-        def unreachable(world, rbvd, option, rng):
-            raise GuideUnreachable("no guide")
+        def build(world, rbvd, option_id, *args):
+            if not option_id.startswith("bridge-"):
+                raise GuideUnreachable("no guide")
+            return real_build(world, rbvd, option_id, *args)
 
         monkeypatch.setattr(planner, "train_option_policy", train)
-        monkeypatch.setattr(planner, "compute_guide_path", unreachable)
+        monkeypatch.setattr(planner, "build_guide", build)
         monkeypatch.setattr(planner, "usable_cpus", lambda: cpus)
         w, library, cfg = solve_setup()
         with pytest.raises(DivergedTraining, match="bridge-in"):
@@ -401,6 +420,36 @@ class TestSharpSolve:
         # solve applies them: every planned option is trained and cached
         assert plan
         assert sorted(key.split("/")[1] for key in cache) == sorted(o.id for o in plan)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "pooled"])
+    def test_failed_entry_guide_trains_nothing(self, monkeypatch, cpus):
+        pools = []
+        real_build = planner.build_guide
+
+        class CountingPool(multiprocessing.pool.Pool):
+            def __init__(self, processes, *args, **kwargs):
+                pools.append(processes)
+                super().__init__(processes, *args, **kwargs)
+
+        def build(world, rbvd, option_id, *args):
+            if option_id == "bridge-in":
+                raise GuideUnreachable("no entry guide")
+            return real_build(world, rbvd, option_id, *args)
+
+        def train(*args):
+            pytest.fail("trained a stage after the entry guide failed")
+
+        monkeypatch.setattr(multiprocessing.pool, "Pool", CountingPool)
+        monkeypatch.setattr(planner, "build_guide", build)
+        monkeypatch.setattr(planner, "train_option_policy", train)
+        monkeypatch.setattr(planner, "usable_cpus", lambda: cpus)
+        w, library, cfg = solve_setup()
+        cache, costs = {}, {}
+        with pytest.raises(GuideUnreachable, match="no entry guide"):
+            sharp_solve(w, Configuration(1.5, 1.5), Configuration(18.5, 18.5),
+                        library, cache, costs, cfg, np.random.default_rng(0), GOAL_TOL)
+        assert (cache, costs, pools) == ({}, {}, [])
         assert multiprocessing.active_children() == []
 
     def test_stage_whose_training_failed_is_reported(self, monkeypatch, caplog):
