@@ -17,7 +17,7 @@ import base64
 import json
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -35,8 +35,8 @@ POLICY_CACHE_FILE = "policy_cache.json"
 
 def save_artifact(path: str, kind: str, world_hash: str, payload: dict,
                   make_dirs: bool = False) -> None:
-    """Write the artifact's envelope to path; with make_dirs, create the
-    directories above path first."""
+    """Write the artifact's envelope to path through path + ".tmp", left
+    behind by no exit; with make_dirs, create the directories above first."""
     envelope = {"format": ARTIFACT_FORMAT, "version": ARTIFACT_VERSION,
                 "kind": kind, "world_hash": world_hash, "payload": payload}
     tmp = path + ".tmp"
@@ -48,6 +48,9 @@ def save_artifact(path: str, kind: str, world_hash: str, payload: dict,
         os.replace(tmp, path)
     except OSError as e:
         raise SharpError(f"cannot write {path}: {e.strerror}") from None
+    finally:
+        with suppress(OSError):   # gone already unless a step above failed
+            os.remove(tmp)
 
 
 def load_artifact(path: str, kind: str, world_hash: str | None = None) -> dict:

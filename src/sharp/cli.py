@@ -5,7 +5,7 @@ and extracts critical regions, `abstract` builds the partition, `options`
 synthesizes the option library, `solve` runs one problem end to end,
 `baseline` runs a baseline on one problem, `experiment` executes a full spec,
 and `plotdata` aggregates result rows into figure CSVs. SHARP_CACHE_DIR
-overrides the artifact cache location.
+overrides the artifact cache location unless empty; an empty path is an error.
 
 `solve` and `baseline` run the experiment's per-problem code on the streams
 of problem 1 of seed `--seed`. They print the rows of a one-problem
@@ -74,9 +74,8 @@ def _positive_int(text: str) -> int:
 
 
 def _cache_dir(args) -> str | None:
-    if args.cache_dir is not None:
-        return args.cache_dir
-    return os.environ.get("SHARP_CACHE_DIR")
+    """--cache-dir, else a non-empty SHARP_CACHE_DIR, else None."""
+    return args.cache_dir or os.environ.get("SHARP_CACHE_DIR") or None
 
 
 def _parse_xy(text: str, theta: float | None = None) -> Configuration:
@@ -96,7 +95,7 @@ def cmd_worlds(args) -> int:
         world = rec.build()
         print(f"{name}: {world.width}x{world.height} cells, "
               f"{world.kinematics.value}, {len(rec.problems)} problems")
-        if args.export:
+        if args.export is not None:
             base = os.path.join(args.export, name)
             try:
                 os.makedirs(args.export, exist_ok=True)
@@ -117,7 +116,7 @@ def cmd_regions(args) -> int:
     for i, r in enumerate(regions):
         print(f"  {i}: score={r.score:.3f} cells={len(r.cells)} "
               f"centroid=({r.centroid.x:.2f}, {r.centroid.y:.2f})")
-    if args.out:
+    if args.out is not None:
         artifacts.save_artifact(args.out, "density-grid", world_hash(world),
                                 artifacts.density_payload(density))
         print(f"density grid written to {args.out}")
@@ -133,7 +132,7 @@ def cmd_abstract(args) -> int:
           f"{len(rbvd.adjacency)} adjacent pairs")
     if args.grid:
         print(render_assignment(rbvd), end="")
-    if args.out:
+    if args.out is not None:
         artifacts.save_artifact(args.out, "option-library", world_hash(world),
                                 artifacts.library_payload(library))
         print(f"abstraction artifact written to {args.out}")
@@ -147,7 +146,7 @@ def cmd_options(args) -> int:
     print(f"{len(library.options)} {args.kind} options:")
     for o in library.options:
         print(f"  {o.id}: states={o.states} prior={o.prior:.3f}")
-    if args.out:
+    if args.out is not None:
         artifacts.save_artifact(args.out, "option-library", world_hash(world),
                                 artifacts.library_payload(library))
         print(f"library written to {args.out}")
@@ -208,7 +207,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.config:
+    if args.config is not None:
         if args.world is not None or args.profile is not None:
             raise SharpError("--world and --profile do not apply with --config: "
                              "the config sets world and train.profile")
@@ -223,7 +222,7 @@ def cmd_experiment(args) -> int:
     if args.seed_list is not None:
         spec = settings.override(spec, "seeds", args.seed_list, "--seeds")
     rows = run_experiment(spec, cache_dir=_cache_dir(args))
-    if args.out:
+    if args.out is not None:
         write_rows(rows, args.out)
         print(f"{len(rows)} rows written to {args.out}")
     else:
@@ -326,6 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name in ("config", "out", "export", "cache_dir", "rows"):   # paths
+            if getattr(args, name, None) == "":
+                raise SharpError(f"{_flag(name)} needs a path, not an empty value")
         return args.func(args)
     except SharpError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -7,7 +7,7 @@ interface for cheap smoke runs. Policies emit a waypoint displacement in
 [-1, 1]^2 which the kinematics adapter turns into a bounded world action.
 
 Both learners train in one EpisodeEnv, whose option task (option_env) and
-goal task (goal_env) differ only in their start and reward rules. What a
+goal task (goal_env) differ only in their start and outcome rules. What a
 training profile varies is a TrainConfig field; what none varies is one of
 the protocol constants below.
 """
@@ -243,28 +243,27 @@ class Policy:
 class EpisodeEnv:
     """Rollout environment over one guide, for either training task.
 
-    start(rng) draws an episode's first configuration; reached(c) says
-    whether c is a success; payoff(c, success) gives the reward of arriving
-    at c and whether the episode ends there. A start that is a success ends
-    its episode before the first step. An episode also stops at
-    episode_limit steps: a truncation, not a terminal for bootstrapping.
+    start(rng) draws an episode's first configuration; outcome(c) gives
+    (reward, done, success) of arriving at c, and a success is always done.
+    A start that is a success ends its episode before the first step. An
+    episode also stops at episode_limit steps: a truncation, not a terminal
+    for bootstrapping.
     """
 
     world: OccupancyWorld
     guide: OptionGuide
     episode_limit: int
     start: Callable
-    reached: Callable
-    payoff: Callable
+    outcome: Callable
     c: Configuration | None = None
     t: int = 0
 
     def reset(self, rng: np.random.Generator):
-        """Returns (obs, done, success); done=True means the start is terminal."""
+        """Returns (obs, done, success); done=True means the start is a success."""
         self.c = self.start(rng)
         self.t = 0
-        done = self.reached(self.c)
-        return build_observation(self.world, self.guide, self.c), done, done
+        success = self.outcome(self.c)[2]
+        return build_observation(self.world, self.guide, self.c), success, success
 
     def step(self, u: np.ndarray, rng: np.random.Generator):
         """One step under displacement command u; returns (obs, reward, done,
@@ -275,8 +274,7 @@ class EpisodeEnv:
         a = action_from_displacement(self.world, self.c, u, displacement_scale(self.world))
         self.c = step(self.world, self.c, a, rng)
         self.t += 1
-        success = self.reached(self.c)
-        r, done = self.payoff(self.c, success)
+        r, done, success = self.outcome(self.c)
         truncated = not done and self.t >= self.episode_limit
         obs = build_observation(self.world, self.guide, self.c)
         return obs, r, done, truncated, success
@@ -284,20 +282,18 @@ class EpisodeEnv:
 
 def option_env(world: OccupancyWorld, rbvd: RegionVoronoi, guide: OptionGuide,
                episode_limit: int) -> EpisodeEnv:
-    """The option task: a uniform start in the initiation region, the dense
-    pseudo-reward, success on entering the termination region and failure
-    on the penalty (leaving the allowed states)."""
+    """The option task: a uniform start in the initiation region and the
+    dense pseudo-reward, which pays TERMINAL_REWARD exactly in the
+    termination region (a success) and PENALTY_REWARD exactly outside the
+    allowed states (a failure); both end the episode."""
     cells = sorted(guide.initiation.cells)
 
-    def reached(c: Configuration) -> bool:
-        return world.cell_of(c.x, c.y) in guide.termination.cells
-
-    def payoff(c: Configuration, success: bool):
+    def outcome(c: Configuration):
         r = pseudo_reward(guide, rbvd, c)
-        return r, success or r == PENALTY_REWARD
+        return r, r in (TERMINAL_REWARD, PENALTY_REWARD), r == TERMINAL_REWARD
 
     return EpisodeEnv(world, guide, episode_limit,
-                      lambda rng: sample_in_cells(world, cells, rng), reached, payoff)
+                      lambda rng: sample_in_cells(world, cells, rng), outcome)
 
 
 def goal_env(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
@@ -310,13 +306,11 @@ def goal_env(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
         termination=goal_region(world, x_g, goal_tol),
         points=[x_g], allowed_states=frozenset())
 
-    def reached(c: Configuration) -> bool:
-        return c.distance_to(x_g) <= goal_tol
+    def outcome(c: Configuration):
+        success = c.distance_to(x_g) <= goal_tol
+        return (TERMINAL_REWARD if success else STEP_REWARD), success, success
 
-    def payoff(c: Configuration, success: bool):
-        return (TERMINAL_REWARD if success else STEP_REWARD), success
-
-    return EpisodeEnv(world, guide, episode_limit, lambda rng: x_i, reached, payoff)
+    return EpisodeEnv(world, guide, episode_limit, lambda rng: x_i, outcome)
 
 
 # -- replay buffer -----------------------------------------------------------------
@@ -465,16 +459,15 @@ def run_episodes(env, policy: Policy, episodes: int, rng: np.random.Generator):
     return returns, successes, steps
 
 
-def _record_eval(env, policy: Policy, cfg: TrainConfig, stats: TrainStats,
-                 step_count: int, rng: np.random.Generator) -> float:
-    """Greedy evaluation logged into stats; returns the mean return."""
+def _record_eval(env, policy: Policy, cfg: TrainConfig, evals: list,
+                 step_count: int, rng: np.random.Generator) -> tuple:
+    """A greedy evaluation gate, appended to evals; returns its figures:
+    (mean return, success fraction, the step counts of the successes)."""
     returns, successes, steps = run_episodes(env, policy, cfg.eval_episodes, rng)
     mean_ret = float(np.mean(returns))
     success = sum(successes) / cfg.eval_episodes
-    stats.evals.append((step_count, mean_ret, success))
-    stats.success_fraction = success
-    stats.final_success_steps = [n for n, ok in zip(steps, successes) if ok]
-    return mean_ret
+    evals.append((step_count, mean_ret, success))
+    return mean_ret, success, [n for n, ok in zip(steps, successes) if ok]
 
 
 def _train_sac(env, cfg: TrainConfig, rng: np.random.Generator):
@@ -483,52 +476,52 @@ def _train_sac(env, cfg: TrainConfig, rng: np.random.Generator):
 
     Returns the actor of the gate with the best mean return, the earliest
     on a tie, with that gate's success_fraction and final_success_steps;
-    steps and evals cover the whole training."""
+    steps and evals cover the whole training. Training ends early at a gate
+    whose mean return reaches stop_avg_reward or TERMINAL_REWARD, the most
+    an episode earns, so no later gate could replace it; a task whose every
+    start is a success thus ends at its first gate."""
     obs_dim = observation_dim(env.world)
     learner = SacLearner(obs_dim, 2, cfg, spawn(rng))
     # one add per step, so a buffer of max_steps rows never wraps
     buffer = ReplayBuffer(min(REPLAY_CAPACITY, cfg.max_steps), obs_dim, 2)
     policy = Policy(actor=learner.actor, guide=env.guide)
     stats = TrainStats()
-    best: tuple = ()   # (mean return, actor params, success, success steps)
+    stop = min(cfg.stop_avg_reward, TERMINAL_REWARD)
+    best: tuple = ()   # (the best gate's figures, its actor params)
 
     def gate(step_count: int) -> bool:
         nonlocal best
-        mean_ret = _record_eval(env, policy, cfg, stats, step_count, spawn(rng))
-        if not best or mean_ret > best[0]:
-            best = (mean_ret, learner.actor.flat(), stats.success_fraction,
-                    stats.final_success_steps)
-        return mean_ret >= cfg.stop_avg_reward
+        figures = _record_eval(env, policy, cfg, stats.evals, step_count, spawn(rng))
+        if not best or figures[0] > best[0][0]:
+            best = figures, learner.actor.flat()
+        return figures[0] >= stop
 
-    if gate(0):
-        return policy, stats
-
-    obs, done, _ = env.reset(rng)
-    while done:  # skip starts that are already terminal
+    def live_start() -> np.ndarray:   # a start that is not terminal
         obs, done, _ = env.reset(rng)
-    steps = 0
-    while steps < cfg.max_steps:
-        if steps < cfg.start_steps:
-            u = rng.uniform(-1.0, 1.0, size=2)
-        else:
-            u = policy.sample_displacement(obs, rng)
-        obs2, r, done, truncated, _ = env.step(u, rng)
-        buffer.add(obs, u, r, obs2, done)
-        steps += 1
-        obs = obs2
-        if done or truncated:
+        while done:
             obs, done, _ = env.reset(rng)
-            while done:
-                obs, done, _ = env.reset(rng)
-        if steps >= cfg.start_steps and steps % UPDATE_EVERY == 0:
-            learner.update(buffer, rng)
-        if steps % cfg.eval_every == 0:
-            if gate(steps):
+        return obs
+
+    steps = 0
+    if not gate(0):
+        obs = live_start()
+        while steps < cfg.max_steps:
+            if steps < cfg.start_steps:
+                u = rng.uniform(-1.0, 1.0, size=2)
+            else:
+                u = policy.sample_displacement(obs, rng)
+            obs2, r, done, truncated, _ = env.step(u, rng)
+            buffer.add(obs, u, r, obs2, done)
+            steps += 1
+            obs = live_start() if done or truncated else obs2
+            if steps >= cfg.start_steps and steps % UPDATE_EVERY == 0:
+                learner.update(buffer, rng)
+            if steps % cfg.eval_every == 0 and gate(steps):
                 break
+        if stats.evals[-1][0] != steps:
+            gate(steps)
     stats.steps = steps
-    if not stats.evals or stats.evals[-1][0] != steps:
-        gate(steps)
-    _, params, stats.success_fraction, stats.final_success_steps = best
+    (_, stats.success_fraction, stats.final_success_steps), params = best
     learner.actor.set_flat(params)
     return policy, stats
 
@@ -566,7 +559,8 @@ def _train_cem(env, cfg: TrainConfig, rng: np.random.Generator):
 
     template.set_flat(mean)
     stats.steps = steps
-    _record_eval(env, policy, cfg, stats, steps, spawn(rng))
+    _, stats.success_fraction, stats.final_success_steps = _record_eval(
+        env, policy, cfg, stats.evals, steps, spawn(rng))
     return policy, stats
 
 

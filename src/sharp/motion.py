@@ -112,16 +112,17 @@ def rrt_plan(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
         # the tree as it stood at the block's start in one numpy pass, then
         # extend in order, checking the nodes the block added as scalars.
         # (k, has, half) is the stream at the end of the last counted
-        # extension; each sample's own end is recorded, and no refill runs
-        # between a block's first decoded sample and its last.
+        # extension; each sample's own end is recorded, and only the refill
+        # at a block's start drops words, so the recorded ends stay valid.
         while left:
             size = min(RRT_BLOCK, left, max(1, RRT_BLOCK_ENTRIES // n))
-            if k + 5 * size > len(words):   # a sample reads at most 5 words
+            left -= size
+            # a sample reads at most 5 words unless its cell draw is rejected
+            if k + 5 * size > len(words):
                 k = draws.refill(k)
             xs, ys, ends = [], [], []
-            counted = False
             j, jhas, jhalf = k, has, half
-            while len(xs) < size:
+            for s in range(size, 0, -1):   # s samples left, this one included
                 # rng.random() < RRT_GOAL_BIAS, read from the block in place
                 j += 1
                 if doubles[j - 1] < RRT_GOAL_BIAS:
@@ -130,18 +131,13 @@ def rrt_plan(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
                     # rng.integers(n_cells), then the jitters of rng.random(2)
                     m = jhalf * n_cells if jhas else (words[j] & 0xFFFFFFFF) * n_cells
                     if m & 0xFFFFFFFF < threshold:
-                        if xs:   # the block ends before this sample
-                            break
-                        # decoded alone and after its count, since integers
-                        # may refill and so move every recorded position
-                        if work_counter is not None:
-                            work_counter[0] += 1
-                        counted = True
+                        # a rejected draw: the decoder's integers draws the
+                        # cell again, growing the words as it needs them
                         draws.pos, draws.has, draws.half = j, jhas, jhalf
                         m = draws.integers(n_cells) << 32
                         j, jhas, jhalf = draws.pos, draws.has, draws.half
-                        if j + tail > len(words):
-                            j = draws.refill(j)
+                        if j + 5 * s > len(words):
+                            draws.grow()
                     elif jhas:
                         jhas = False
                     else:
@@ -153,14 +149,10 @@ def rrt_plan(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
                 xs.append(sx)
                 ys.append(sy)
                 ends.append((j, jhas, jhalf))
-                if counted:
-                    k, has, half = j, jhas, jhalf
-                    break
-            left -= len(xs)
             nears, bests = _nearest_nodes(nodes_x[:n], nodes_y[:n], xs, ys)
             n0, added = n, []
             for b, (sx, sy) in enumerate(zip(xs, ys)):
-                if work_counter is not None and not counted:
+                if work_counter is not None:
                     work_counter[0] += 1
                 k, has, half = ends[b]
                 near, best = nears[b], bests[b]

@@ -39,12 +39,12 @@ class RawDraws:
     draw, as numpy's ``has_uint32``/``uinteger`` buffer (here ``has`` and
     ``half``) keeps it. A hot loop may read the lists in place with its own
     position and buffer, handing them back through ``pos``, ``has`` and
-    ``half`` before a method call; ``refill`` changes the lists in place.
-    A loop may also decode ahead, recording each draw's ``(pos, has,
-    half)`` to hand back later, as long as no ``refill`` runs between the
-    first recorded position and the last: a refill drops the words before
-    its position and so moves every position recorded before it. An
-    ``integers`` call refills when it runs out of words.
+    ``half`` before a method call; both fetches change the lists in place.
+    The one refill rule: only ``refill(pos)`` drops words, those before
+    pos; ``grow``, which an ``integers`` call that runs out of words uses,
+    only appends. So a loop may decode ahead, recording each draw's
+    ``(pos, has, half)`` to hand back later, and every recorded position
+    indexes the same word until the loop's next ``refill``.
     ``close`` leaves the generator where the stock calls would.
     """
 
@@ -56,14 +56,18 @@ class RawDraws:
         self.has, self.half = bool(self._saved["has_uint32"]), self._saved["uinteger"]
         self.words, self.doubles, self.pos = [], [], 0
 
+    def grow(self) -> None:
+        """Fetch a block after the words held."""
+        raw = self._bg.random_raw(RAW_BLOCK)
+        self.words += raw.tolist()
+        self.doubles += ((raw >> 11) * 2.0**-53).tolist()
+
     def refill(self, pos: int) -> int:
         """Drop the words before pos and fetch a block after the rest;
         returns the new position of the word at pos, 0."""
         self._used += pos
         del self.words[:pos], self.doubles[:pos]
-        raw = self._bg.random_raw(RAW_BLOCK)
-        self.words += raw.tolist()
-        self.doubles += ((raw >> 11) * 2.0**-53).tolist()
+        self.grow()
         return 0
 
     def integers(self, n: int) -> int:
@@ -74,7 +78,7 @@ class RawDraws:
                 m, self.has = self.half * n, False
             else:
                 if self.pos == len(self.words):
-                    self.pos = self.refill(self.pos)
+                    self.grow()
                 w, self.pos = self.words[self.pos], self.pos + 1
                 m, self.has, self.half = (w & 0xFFFFFFFF) * n, True, w >> 32
             if m & 0xFFFFFFFF >= threshold:

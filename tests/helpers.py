@@ -1,7 +1,9 @@
 """Test doubles and oracles shared by the test modules."""
 
 import math
+import signal
 import typing
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +20,22 @@ from sharp.planner import astar
 from sharp.regions import swept_cells
 from sharp.world import (SWEEP_FRACTION, Configuration, Kinematics, OccupancyWorld,
                          _steer_lanes, sample_free, sample_in_cells, step, steer_toward)
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the block once it has run for seconds, so that
+    a call that never returns fails its test instead of hanging it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class ScriptedPolicy:

@@ -8,7 +8,7 @@ import pytest
 
 from sharp import artifacts, experiment
 from sharp.abstraction import build_region_voronoi
-from sharp.errors import ParseError, VersionMismatch
+from sharp.errors import ParseError, SharpError, VersionMismatch
 from sharp.learn import Policy, observation_dim
 from sharp.mlp import init_mlp
 from sharp.options import OptionGuide, synth_options
@@ -184,6 +184,19 @@ class TestEnvelope:
         artifacts.save_artifact(path, "density-grid", world_hash(w), {"grid": []})
         with pytest.raises(VersionMismatch):
             artifacts.load_artifact(path, "rbvd", world_hash(w))
+
+
+@pytest.mark.parametrize("path, payload, error", [
+    ("d", {"grid": []}, SharpError),       # a directory at the path
+    ("", {"grid": []}, SharpError),        # no path
+    ("x.json", {"grid": object()}, TypeError),   # a payload JSON cannot hold
+], ids=["directory", "empty-path", "unencodable"])
+def test_failed_save_leaves_no_temp_file(tmp_path, monkeypatch, path, payload, error):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    with pytest.raises(error):
+        artifacts.save_artifact(path, "density-grid", "h", payload)
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]
 
 
 def make_policy(w, rng):

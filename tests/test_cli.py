@@ -347,6 +347,50 @@ def test_user_input_fault_is_an_error_line(tmp_path, capsys, monkeypatch, argv,
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--config", "", "--world", "env_a"],
+    ["experiment", "--world", "env_a", "--out", ""],
+    ["regions", "--world", "env_a", "--out", ""],
+    ["abstract", "--world", "env_a", "--out", ""],
+    ["options", "--world", "env_a", "--out", ""],
+    ["worlds", "--export", ""],
+    ["abstract", "--world", "env_a", "--cache-dir", ""],
+    ["options", "--world", "env_a", "--cache-dir", ""],
+    ["solve", "--world", "env_a", "--start", "1.25,1.25", "--goal", "13.75,13.75",
+     "--cache-dir", ""],
+    ["experiment", "--world", "env_a", "--cache-dir", ""],
+    ["plotdata", "--rows", "", "--out", "plots"],
+    ["plotdata", "--rows", "rows.csv", "--out", ""],
+], ids=["experiment-config", "experiment-out", "regions-out", "abstract-out",
+        "options-out", "worlds-export", "abstract-cache-dir", "options-cache-dir",
+        "solve-cache-dir", "experiment-cache-dir", "plotdata-rows", "plotdata-out"])
+def test_empty_path_is_an_error_line(tmp_path, capsys, monkeypatch, argv):
+    """An empty path is an error before the command runs, not an absent
+    option."""
+    def run(args):
+        pytest.fail("a command ran with an empty path")
+
+    for name in ("worlds", "regions", "abstract", "options", "solve", "experiment",
+                 "plotdata"):
+        monkeypatch.setattr(cli, f"cmd_{name}", run)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    flag = argv[argv.index("") - 1]
+    assert err.startswith("error: ") and flag in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_empty_cache_env_var_is_unset(tiny_world_file, tmp_path, monkeypatch,
+                                      capsys):
+    monkeypatch.setenv("SHARP_CACHE_DIR", "")
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["options", "--world", tiny_world_file]) == 0
+    assert list(cwd.iterdir()) == []
+
+
 @pytest.mark.parametrize("method", ["rrt_replan", "monolithic"])
 def test_baselines_reject_an_endpoint_in_collision_alike(capsys, method):
     argv = ["baseline", "--world", "env_a", "--method", method, "--start", "0.2,0.2",

@@ -496,9 +496,9 @@ def _left_cells(script, rng, count, rejected_at=()):
 
 
 # (samples before the goal sample, which of them have rejected cell draws):
-# the first block's first sample; a sample mid-block, which ends that block
-# and is then decoded alone; none, so the goal is reached on the last
-# sample of the second block
+# the first block's first sample; samples mid-block, each decoded where it
+# falls; none, so the goal is reached on the last sample of the second
+# block
 BLOCK_EDGES = {"rejected-first": (31, {0}), "rejected-mid": (31, {5, 20}),
                "goal-last": (31, set())}
 
@@ -522,6 +522,28 @@ def test_rrt_block_edges_match_reference(kinematics, edge):
     for limit in range(1, count + 1):
         out, work, state = _scripted(world, a, b, script, 100, lambda: StopAt(limit))
         assert (out, work, state) == ("stopped", limit, script.state(limit))
+
+
+@pytest.mark.parametrize("kinematics", list(Kinematics))
+def test_rrt_draws_rejected_past_the_block_words_match_reference(kinematics):
+    # the fourth sample's cell draw is rejected so often (half a word each
+    # time) that its redraws, or the samples after it in its block, read
+    # past the words that the block's refill fetched
+    unicycle = kinematics is Kinematics.UNICYCLE
+    world = open_world(10, 10, kinematics=kinematics)
+    a = Configuration(5.5, 5.5, 0.0 if unicycle else None)
+    b = Configuration(7.0, 5.5)
+    for rejected in range(400, 1100, 11):
+        script = WordScript(100, unicycle)
+        rng = np.random.default_rng(rejected)
+        _left_cells(script, rng, 3)
+        script.cell(int(rng.integers(10)) * 10 + int(rng.integers(4)), rng,
+                    rejected=rejected)
+        _left_cells(script, rng, 3)
+        script.goal()
+        out, work, state = _scripted(world, a, b, script, 100, lambda: [0])
+        assert [w[:2] for w in out] == [(a.x.hex(), a.y.hex()), (b.x.hex(), b.y.hex())]
+        assert work == 8 and state == script.state(work)
 
 
 @pytest.mark.parametrize("kinematics", list(Kinematics))

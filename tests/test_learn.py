@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from sharp import learn
-from sharp.abstraction import Region, build_region_voronoi
+from sharp import learn, planner
+from sharp.abstraction import Region, build_region_voronoi, goal_tolerance
 from sharp.errors import DivergedTraining, InCollision
+from sharp.experiment import (AbstractionParams, evaluate_runs, load_or_build_library,
+                              load_world, monolithic_run)
 from sharp.learn import (REPLAY_CAPACITY, Policy, ReplayBuffer, SacLearner,
                          TrainConfig, build_observation, goal_env, observation_dim,
                          option_env, run_episodes, train_monolithic_policy,
@@ -13,12 +15,14 @@ from sharp.learn import (REPLAY_CAPACITY, Policy, ReplayBuffer, SacLearner,
 from sharp.mlp import init_mlp
 from sharp.motion import rrt_plan, shortcut
 from sharp.options import TERMINAL_REWARD, OptionGuide, synth_options
+from sharp.planner import sharp_solve
+from sharp.seeding import derive_rng
 from sharp.world import (Configuration, HolonomicAction, Kinematics, UnicycleAction,
                          collision)
 
 from conftest import grid_from_rows, open_world
 from helpers import (ReferenceSac, ScriptedPolicy, act, compute_guide_path,
-                     evaluate_policy, layer_arrays)
+                     deadline, evaluate_policy, layer_arrays)
 from test_abstraction import point_region
 
 
@@ -322,6 +326,42 @@ class TestTraining:
             train_monolithic_policy(w, Configuration(0.5, 0.5),
                                     Configuration(1.5, 0.5), smoke_cfg(),
                                     np.random.default_rng(0), w.cell_size)
+
+
+class TestEveryStartTerminal:
+    """SAC on a task whose every start is a success ends at its first gate,
+    whose mean return is TERMINAL_REWARD, even when stop_avg_reward lies
+    above it: there is no live start to collect from."""
+
+    CFG = TrainConfig(max_steps=200, eval_every=100, eval_episodes=2, hidden=(8, 8),
+                      batch_size=16, start_steps=50, episode_limit=50,
+                      stop_avg_reward=math.inf)
+
+    def test_solve_from_inside_the_entry_region(self, monkeypatch):
+        # the anchor centroid of env_a's state 0 lies in the entry region of
+        # every option out of state 0, so bridge_in starts terminal
+        monkeypatch.setattr(planner, "usable_cpus", lambda: 1)
+        world, _, recipe = load_world("env_a")
+        library = load_or_build_library(
+            world, "centroid", AbstractionParams(seed=0, **recipe.abstraction), None)
+        states = library.rbvd.states
+        x_i, x_g = states[0].anchor.centroid, states[2].anchor.centroid
+        with deadline(60):
+            _, stats = sharp_solve(world, x_i, x_g, library, {}, {}, self.CFG,
+                                   derive_rng("solve", 0), goal_tolerance(world, None))
+        assert stats.plan_option_ids == ["c0-2"]
+        assert stats.stage_success[0] == ("bridge_in", 1.0)
+        # bridge_in trained no step; the option and bridge_out all of theirs
+        assert stats.training_steps == 2 * self.CFG.max_steps
+
+    def test_monolithic_run_from_the_goal(self):
+        world = open_world(10, 10)
+        x = Configuration(5.5, 5.5)
+        with deadline(60):
+            run, steps = monolithic_run(world, x, x, self.CFG, world.cell_size,
+                                        self.CFG.eval_every, 3, 20, ("open", 0, 1))
+        assert steps == 0
+        assert evaluate_runs(world, [run]) == [(1.0, 0.0)]
 
 
 class TestEvaluatePolicy:

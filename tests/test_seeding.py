@@ -66,6 +66,24 @@ def test_rejections_run_often_and_match():
     assert draws._used + draws.pos > 0.75 * len(got)
 
 
+def test_integers_past_the_words_keeps_recorded_positions():
+    # only refill drops words: an integers call that runs out of them
+    # appends, so a position recorded before it still indexes the same word
+    rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+    draws = RawDraws(rng)
+    draws.refill(0)
+    recorded = {p: (draws.words[p], draws.doubles[p]) for p in (0, 17, RAW_BLOCK - 1)}
+    draws.pos = RAW_BLOCK - 1
+    got = [draws.integers(2**31 + 1) for _ in range(3)]
+    assert draws.pos > RAW_BLOCK and len(draws.words) == 2 * RAW_BLOCK
+    assert {p: (draws.words[p], draws.doubles[p]) for p in recorded} == recorded
+    draws.close()
+    for _ in range(RAW_BLOCK - 1):
+        twin.random()
+    assert got == [int(twin.integers(2**31 + 1)) for _ in got]
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def test_close_after_a_raise_leaves_the_stock_state():
     rng, twin = np.random.default_rng(5), np.random.default_rng(5)
     ops = _pattern(np.random.default_rng(1), 2 * RAW_BLOCK)
