@@ -23,7 +23,7 @@ import numpy as np
 
 from .abstraction import Region
 from .errors import ParseError, SharpError, TooFewRegions, VersionMismatch
-from .mlp import Mlp
+from .mlp import Mlp, from_params, param_count
 from .planner import CacheEntry, OptionLibrary, library_from_regions
 from .regions import CriticalRegion
 from .world import Configuration, OccupancyWorld
@@ -196,13 +196,14 @@ def _actor_from_payload(p: dict, where: str) -> Mlp:
             and all(type(n) is int and n > 0 for n in layers)):
         raise ParseError(f"{where}: layers must be in, h1, h2, out; got {layers!r}")
     raw = base64.b64decode(p["params"], validate=True)
-    actor = Mlp(layers)
-    n = actor.params.size
+    n = param_count(layers)
     if len(raw) != 8 * n:
         raise ParseError(f"{where}: {len(raw)} parameter bytes, layers {layers} "
                          f"need {8 * n}")
-    actor.set_flat(np.frombuffer(raw, dtype="<f8"))
-    return actor
+    params = np.frombuffer(raw, dtype="<f8")
+    if not np.isfinite(params).all():
+        raise ParseError(f"{where}: actor parameters must be finite")
+    return from_params(layers, params)
 
 
 def save_cache(root: str, world_hash: str, cache: dict[str, CacheEntry]) -> None:
@@ -217,8 +218,8 @@ def save_cache(root: str, world_hash: str, cache: dict[str, CacheEntry]) -> None
 
 def load_cache(root: str, world_hash: str) -> dict[str, CacheEntry]:
     """Rehydrate one world's policy cache; a missing file gives an empty one.
-    Each entry's cost must be a finite positive number, and its training
-    steps a non-negative int."""
+    Each entry's cost must be a finite positive number, its training steps
+    a non-negative int, and its actor's parameters finite."""
     path = os.path.join(cache_dir_for(root, world_hash), POLICY_CACHE_FILE)
     if not os.path.exists(path):
         return {}

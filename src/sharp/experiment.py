@@ -91,7 +91,7 @@ def smoke_train_config() -> TrainConfig:
     """Cross-entropy smoke settings: exercises the full pipeline cheaply."""
     return TrainConfig(learner="cem", max_steps=2_000, eval_every=1_000,
                        eval_episodes=5, episode_limit=60, cem_population=6,
-                       cem_iters=2, cem_hidden=(8, 8))
+                       cem_iters=2, hidden=(8, 8))
 
 
 # training profile name -> TrainConfig factory, for config files and the CLI
@@ -256,6 +256,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.problems:
             raise ValueError("an experiment needs at least one problem")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must differ, got {self.seeds}")
         if self.kind not in ("centroid", "interface"):
             raise ValueError(f"kind must be centroid or interface, got {self.kind!r}")
         if self.eval_episodes < 1:

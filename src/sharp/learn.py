@@ -22,8 +22,8 @@ import numpy as np
 
 from .abstraction import RegionVoronoi, cell_region, goal_region
 from .errors import DivergedTraining
-from .mlp import (Adam, Mlp, MlpStack, init_mlp, mlp_backward, mlp_forward,
-                  mlp_forward_cached, mlp_input_grad)
+from .mlp import (Adam, Mlp, MlpStack, from_params, init_mlp, mlp_backward,
+                  mlp_forward, mlp_forward_cached, mlp_input_grad)
 from .options import PENALTY_REWARD, TERMINAL_REWARD, OptionGuide, pseudo_reward
 from .seeding import spawn
 from .world import (Configuration, Kinematics, OccupancyWorld, require_free_endpoints,
@@ -48,7 +48,8 @@ CEM_EPISODES = 1          # greedy episodes that score one candidate
 @dataclass(frozen=True)
 class TrainConfig:
     """The training settings a profile varies; defaults mirror the reference
-    protocol. What no profile varies is a protocol constant of this module."""
+    protocol, and hidden sizes the actor of either learner. What no profile
+    varies is a protocol constant of this module."""
 
     max_steps: int = 150_000
     eval_every: int = 10_000
@@ -64,7 +65,6 @@ class TrainConfig:
     learner: str = "sac"
     cem_population: int = 8
     cem_iters: int = 4
-    cem_hidden: tuple = (8, 8)
 
     def __post_init__(self):
         for name in ("max_steps", "eval_every", "eval_episodes", "batch_size",
@@ -82,10 +82,8 @@ class TrainConfig:
             raise ValueError("stop_avg_reward must be a number")
         if self.learner not in ("sac", "cem"):
             raise ValueError(f"unknown learner {self.learner!r}")
-        if len(self.hidden) != 2 or len(self.cem_hidden) != 2:
-            raise ValueError("hidden and cem_hidden must give two layer sizes")
-        if min(*self.hidden, *self.cem_hidden) <= 0:
-            raise ValueError("layer sizes must be positive")
+        if len(self.hidden) != 2 or min(self.hidden) <= 0:
+            raise ValueError("hidden must give two positive layer sizes")
 
 
 @dataclass
@@ -152,10 +150,9 @@ def observation_dim(world: OccupancyWorld) -> int:
 
 
 def actor_layers(world: OccupancyWorld, cfg: TrainConfig) -> tuple:
-    """The layer sizes of every actor cfg trains on world: the observation,
-    the learner's two hidden layers, and two heads of two outputs."""
-    hidden = cfg.hidden if cfg.learner == "sac" else cfg.cem_hidden
-    return (observation_dim(world), *hidden, 4)
+    """The layer sizes of every actor either learner trains on world under
+    cfg: the observation, cfg.hidden, and two heads of two outputs."""
+    return (observation_dim(world), *cfg.hidden, 4)
 
 
 def displacement_scale(world: OccupancyWorld) -> float:
@@ -259,11 +256,10 @@ class EpisodeEnv:
     t: int = 0
 
     def reset(self, rng: np.random.Generator):
-        """Returns (obs, done, success); done=True means the start is a success."""
+        """Returns (obs, success); a start that is a success ends its episode."""
         self.c = self.start(rng)
         self.t = 0
-        success = self.outcome(self.c)[2]
-        return build_observation(self.world, self.guide, self.c), success, success
+        return build_observation(self.world, self.guide, self.c), self.outcome(self.c)[2]
 
     def step(self, u: np.ndarray, rng: np.random.Generator):
         """One step under displacement command u; returns (obs, reward, done,
@@ -444,10 +440,10 @@ def run_episodes(env, policy: Policy, episodes: int, rng: np.random.Generator):
     takes 0 steps and returns TERMINAL_REWARD if it succeeded."""
     returns, successes, steps = [], [], []
     for _ in range(episodes):
-        obs, done, success = env.reset(rng)
+        obs, success = env.reset(rng)
         total = TERMINAL_REWARD if success else 0.0
         n = 0
-        truncated = False
+        done, truncated = success, False
         while not (done or truncated):
             u = policy.greedy_displacement(obs)
             obs, r, done, truncated, success = env.step(u, rng)
@@ -496,10 +492,10 @@ def _train_sac(env, cfg: TrainConfig, rng: np.random.Generator):
             best = figures, learner.actor.flat()
         return figures[0] >= stop
 
-    def live_start() -> np.ndarray:   # a start that is not terminal
-        obs, done, _ = env.reset(rng)
-        while done:
-            obs, done, _ = env.reset(rng)
+    def live_start() -> np.ndarray:   # a start that is not a success
+        obs, success = env.reset(rng)
+        while success:
+            obs, success = env.reset(rng)
         return obs
 
     steps = 0
@@ -528,8 +524,7 @@ def _train_sac(env, cfg: TrainConfig, rng: np.random.Generator):
 
 def _train_cem(env, cfg: TrainConfig, rng: np.random.Generator):
     """Cross-entropy search over actor parameters; smoke-test fallback."""
-    n_in, h1, h2, n_out = actor_layers(env.world, cfg)
-    template = init_mlp(n_in, (h1, h2), n_out, spawn(rng))
+    template = init_mlp(observation_dim(env.world), cfg.hidden, 4, spawn(rng))
     mean = template.flat()
     sigma = np.full(mean.shape, CEM_SIGMA)
     stats = TrainStats()
@@ -538,8 +533,7 @@ def _train_cem(env, cfg: TrainConfig, rng: np.random.Generator):
     n_elite = max(1, int(cfg.cem_population * CEM_ELITE_FRAC))
 
     def run_candidate(vec) -> tuple[float, int]:
-        net = template.copy()
-        net.set_flat(vec)
+        net = from_params(template.layer_sizes, vec)
         returns, _, steps = run_episodes(env, Policy(actor=net, guide=env.guide),
                                          CEM_EPISODES, rng)
         return sum(returns) / CEM_EPISODES, sum(steps)

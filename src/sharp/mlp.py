@@ -18,13 +18,17 @@ import numpy as np
 from .errors import ShapeMismatch
 
 
+def param_count(layer_sizes) -> int:
+    return sum(a * b + b for a, b in zip(layer_sizes, layer_sizes[1:]))
+
+
 class Mlp:
     """Parameters W1, b1, W2, b2, W3, b3 for in -> h1 -> h2 -> out, held as
     views into one flat buffer; a new net is all zeros."""
 
     def __init__(self, layer_sizes):
         sizes = tuple(int(n) for n in layer_sizes)
-        params = np.zeros(sum(a * b + b for a, b in zip(sizes, sizes[1:])))
+        params = np.zeros(param_count(sizes))
         self.layer_sizes = sizes
         self.params = params
         self.weights: list = []  # [W1, W2, W3], each (n_prev, n_next)
@@ -46,10 +50,10 @@ class Mlp:
     def __reduce__(self):
         # pickle and the copy module as (layer_sizes, params), so that the
         # copy's weights and biases are views of its own params again
-        return _from_params, (self.layer_sizes, self.params)
+        return from_params, (self.layer_sizes, self.params)
 
     def copy(self) -> "Mlp":
-        return _from_params(self.layer_sizes, self.params)
+        return from_params(self.layer_sizes, self.params)
 
     def flat(self) -> np.ndarray:
         return self.params.copy()
@@ -61,7 +65,7 @@ class Mlp:
         self.params[...] = vec
 
 
-def _from_params(layer_sizes, params: np.ndarray) -> Mlp:
+def from_params(layer_sizes, params: np.ndarray) -> Mlp:
     """A net of layer_sizes holding a copy of params."""
     net = Mlp(layer_sizes)
     net.set_flat(params)

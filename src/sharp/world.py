@@ -527,18 +527,16 @@ def world_from_text(text: str, **overrides) -> OccupancyWorld:
     for lineno, raw in enumerate(lines[1 + height:], start=2 + height):
         if raw.strip():
             raise ParseError(f"more than {height} grid rows", line=lineno)
-    occ = np.zeros((height, width), dtype=bool)
-    for row in range(height):
-        raw = lines[1 + row]
+    rows = lines[1:1 + height]
+    for lineno, raw in enumerate(rows, start=2):
         if len(raw) != width:
             raise ParseError(f"row has {len(raw)} cells, expected {width}",
-                             line=2 + row, offset=len(raw))
+                             line=lineno, offset=len(raw))
         for ix, ch in enumerate(raw):
-            if ch == "#":
-                occ[height - 1 - row, ix] = True
-            elif ch != ".":
-                raise ParseError(f"unknown cell character {ch!r}", line=2 + row,
+            if ch not in ".#":
+                raise ParseError(f"unknown cell character {ch!r}", line=lineno,
                                  offset=ix)
+    occ = np.array([[ch == "#" for ch in raw] for raw in reversed(rows)], dtype=bool)
     return OccupancyWorld(width=width, height=height, cell_size=cell_size,
                           occupancy=occ, **overrides)
 

@@ -339,6 +339,12 @@ MALFORMED_ENTRIES = {
     "one-parameter-short": _set_actor("params", _params_bytes(lambda b: b[:-8])),
     "one-parameter-over": _set_actor("params", _params_bytes(lambda b: b + b[:8])),
     "partial-parameter": _set_actor("params", _params_bytes(lambda b: b[:-3])),
+    "nan-parameters": _set_actor("params", _params_bytes(
+        lambda b: np.full(len(b) // 8, math.nan, "<f8").tobytes())),
+    "inf-parameter": _set_actor("params", _params_bytes(
+        lambda b: b[:-8] + np.array([math.inf], "<f8").tobytes())),
+    # 7.28 TiB of parameters: rejected by its byte count, not by allocating it
+    "oversized-layers": _set_actor("layers", [6, 1_000_000, 1_000_000, 4]),
 }
 
 

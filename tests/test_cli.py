@@ -299,6 +299,7 @@ CONFIG = ("world = {tmp}/w.txt\nproblem.1 = 1.5,1.5 -> 8.5,1.5\n"
       "--start", "1.25,1.25", "--goal", "13.75"], {}),
     (["experiment", "--world", "env_a", "--seeds", "a"], {}),
     (["experiment", "--world", "env_a", "--seeds", ""], {}),
+    (["experiment", "--world", "env_a", "--seeds", "0,0"], {}),
     (["baseline", "--world", "env_a", "--method", "monolithic", "--profile",
       "smoke", "--start", "0.25,0.25", "--goal", "13.75,13.75"], {}),
     (["regions", "--world", "env_a", "--n-goals", "abc"], {}),
@@ -326,9 +327,10 @@ CONFIG = ("world = {tmp}/w.txt\nproblem.1 = 1.5,1.5 -> 8.5,1.5\n"
     (["baseline", "--world", "env_a", "--method", "rrt_replan",
       "--start", "0.2,0.2", "--goal", "3.25,1.25", "--episodes", "2"], {}),
 ], ids=["missing-world", "missing-config", "start-4-values", "goal-1-value",
-        "bad-seeds", "empty-seeds", "start-in-wall", "bad-flag-value", "negative-noise",
-        "negative-step", "nan-step", "zero-speed", "negative-turn", "nan-cell",
-        "inf-cell", "extra-row", "sidecar-key-twice", "config-key-twice",
+        "bad-seeds", "empty-seeds", "repeated-seeds", "start-in-wall",
+        "bad-flag-value", "negative-noise", "negative-step", "nan-step",
+        "zero-speed", "negative-turn", "nan-cell", "inf-cell", "extra-row",
+        "sidecar-key-twice", "config-key-twice",
         "problem-twice", "nan-problem", "nan-start", "config-and-world",
         "config-and-profile", "percentile-over-100", "zero-goals",
         "negative-inits", "rrt-start-in-wall"])

@@ -153,7 +153,7 @@ def golden_spec(kinematics: Kinematics, learner: str) -> ExperimentSpec:
     if learner == "cem":
         train = TrainConfig(learner="cem", max_steps=1500, eval_every=1500,
                             eval_episodes=3, episode_limit=30, cem_population=6,
-                            cem_iters=3, cem_hidden=(6, 6))
+                            cem_iters=3, hidden=(6, 6))
     else:
         train = TrainConfig(max_steps=1200, eval_every=600, eval_episodes=3,
                             episode_limit=40, hidden=(8, 8), batch_size=16,
@@ -546,7 +546,7 @@ class TestSettingsSchema:
         "train.hidden = -1,5", "train.cem_hidden = 8,0", "train.cem_population = 0",
         "train.max_steps = 0", "abstraction.max_regions = 2.5",
         "monolithic_all_seeds = yes", "kind = hexagonal", "seeds = 0,a",
-        "eval_episodes = 0", "stage_limit = 0", "world = env_b",
+        "seeds = 0,0", "eval_episodes = 0", "stage_limit = 0", "world = env_b",
         "goal_tol = -1", "goal_tol = 0", "goal_tol = inf",
         "abstraction.percentile = 200", "abstraction.n_goals = 0",
         "abstraction.inits_per_goal = -1", "abstraction.min_cells = 0",

@@ -39,7 +39,7 @@ def two_state_setup(width=20, height=20, noise=0.0, **kwargs):
 
 def smoke_cfg(**kwargs):
     base = dict(learner="cem", max_steps=1500, eval_every=1000, eval_episodes=5,
-                episode_limit=50, cem_population=5, cem_iters=2, cem_hidden=(6, 6))
+                episode_limit=50, cem_population=5, cem_iters=2, hidden=(6, 6))
     base.update(kwargs)
     return TrainConfig(**base)
 
@@ -98,7 +98,7 @@ class TestEnvs:
     def test_option_env_episode_flow(self, rng):
         w, rbvd, option, guide = two_state_setup()
         env = option_env(w, rbvd, guide, episode_limit=10)
-        obs, done, succ = env.reset(rng)
+        obs, succ = env.reset(rng)
         assert obs.shape == (6,)
         cell = w.cell_of(env.c.x, env.c.y)
         assert cell in guide.initiation.cells
@@ -121,8 +121,8 @@ class TestEnvs:
         goal = Configuration(8.5, 8.5)
         env = goal_env(w, Configuration(1.5, 1.5), goal, episode_limit=100,
                        goal_tol=w.cell_size)
-        obs, done, _ = env.reset(rng)
-        assert not done
+        obs, succ = env.reset(rng)
+        assert not succ
         obs, r, done, truncated, succ = env.step(np.array([1.0, 1.0]), rng)
         assert r == -1.0 and not done
         env.c = Configuration(8.0, 8.4)
@@ -308,9 +308,8 @@ class TestTraining:
                         eval_every=200, eval_episodes=1, batch_size=16,
                         start_steps=100, cem_iters=1)
         policy, _ = train_option_policy(w, guide, rbvd, cfg, np.random.default_rng(0))
-        hidden = cfg.hidden if learner == "sac" else cfg.cem_hidden
         assert policy.actor.layer_sizes == learn.actor_layers(w, cfg) == \
-            (observation_dim(w), *hidden, 4)
+            (observation_dim(w), *cfg.hidden, 4)
 
     def test_monolithic_degenerate_immediate(self):
         w = open_world(10, 10)

@@ -224,7 +224,7 @@ def solve_setup(kind="centroid", smoke=True):
                             options=synth_options(rbvd, kind, t=2.0), rbvd=rbvd)
     cfg = TrainConfig(
         learner="cem", max_steps=1200, eval_every=600, eval_episodes=4,
-        episode_limit=40, cem_population=4, cem_iters=1, cem_hidden=(4, 4))
+        episode_limit=40, cem_population=4, cem_iters=1, hidden=(4, 4))
     return w, library, cfg
 
 
@@ -282,7 +282,7 @@ class TestSharpSolve:
             cfg = TrainConfig(
                 learner="cem", max_steps=200, eval_every=200, eval_episodes=2,
                 episode_limit=20, cem_population=2, cem_iters=1,
-                cem_hidden=hidden)
+                hidden=hidden)
             return sharp_solve(TWO_ROOMS, Configuration(1.5, 1.5),
                                Configuration(8.5, 1.5), library, cache, {}, cfg,
                                np.random.default_rng(0), GOAL_TOL)
@@ -300,7 +300,7 @@ class TestSharpSolve:
         _, library = build_library(TWO_ROOMS, "centroid", AbstractionParams())
         cfg = TrainConfig(learner="cem", max_steps=200, eval_every=200,
                           eval_episodes=2, episode_limit=20, cem_population=2,
-                          cem_iters=1, cem_hidden=(4, 4))
+                          cem_iters=1, hidden=(4, 4))
         trained = []
 
         def train_guide(*args):
@@ -501,7 +501,7 @@ class TestSharpSolve:
                                 options=options, rbvd=rbvd)
         cfg = TrainConfig(learner="cem", max_steps=400, eval_every=400,
                           eval_episodes=2, episode_limit=20, cem_population=3,
-                          cem_iters=1, cem_hidden=(4, 4))
+                          cem_iters=1, hidden=(4, 4))
         with pytest.raises(NoAbstractPath):
             sharp_solve(w, Configuration(0.5, 0.5), Configuration(8.5, 0.5),
                         library, {}, {}, cfg, np.random.default_rng(4), GOAL_TOL)

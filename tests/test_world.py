@@ -213,6 +213,12 @@ class TestTextFormat:
             world_from_text("P1-ASCII 2 2 1\n.x\n..\n")
         assert ei.value.line == 2 and ei.value.offset == 1
 
+    def test_rows_are_checked_before_the_grid_is_allocated(self):
+        # a grid of 10^12 cells would need 931 GiB
+        with pytest.raises(ParseError, match="row has 4 cells") as ei:
+            world_from_text("P1-ASCII 1000000000000 1 0.5\n....\n")
+        assert ei.value.line == 2
+
     def test_sidecar_round_trip(self, unicycle10):
         w = with_params(unicycle10, noise_sigma=0.07, v_max=0.8)
         params = parse_sidecar(sidecar_to_text(w))
