@@ -381,8 +381,8 @@ def evaluate_rrt_replan(world, x_i, x_g, goal_tol: float, budget: int,
     results = [execute_with_replan(world, x_i, x_g, derive_rng("rrt", *seed_key, ep),
                                    goal_tol, budget)
                for ep in range(episodes)]
-    return (sum(r.success for r in results) / episodes,
-            float(np.mean([r.steps for r in results])))
+    return (sum(success for success, _ in results) / episodes,
+            float(np.mean([steps for _, steps in results])))
 
 
 def monolithic_run(world, x_i, x_g, train: TrainConfig, goal_tol: float,

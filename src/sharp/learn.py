@@ -171,6 +171,12 @@ def action_from_displacement(world: OccupancyWorld, c: Configuration,
 # -- policy ----------------------------------------------------------------------
 
 
+def squash_log_std(tanh_raw: np.ndarray) -> np.ndarray:
+    """The actor's log-std from tanh of its raw head, mapped onto
+    [LOG_STD_MIN, LOG_STD_MAX]."""
+    return LOG_STD_MIN + 0.5 * (LOG_STD_MAX - LOG_STD_MIN) * (tanh_raw + 1.0)
+
+
 @dataclass
 class Policy:
     """Squashed-Gaussian actor bound to the guide that defines its inputs."""
@@ -189,7 +195,7 @@ class Policy:
 
     def sample_displacement(self, obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         mu, raw = self._heads(obs)
-        log_std = LOG_STD_MIN + 0.5 * (LOG_STD_MAX - LOG_STD_MIN) * (np.tanh(raw) + 1.0)
+        log_std = squash_log_std(np.tanh(raw))
         return np.tanh(mu + np.exp(log_std) * rng.standard_normal(mu.shape))
 
     @staticmethod
@@ -364,7 +370,7 @@ class SacLearner:
         a = self.act_dim
         mu, raw = out[:, :a], out[:, a:]
         tanh_raw = np.tanh(raw)
-        log_std = LOG_STD_MIN + 0.5 * (LOG_STD_MAX - LOG_STD_MIN) * (tanh_raw + 1.0)
+        log_std = squash_log_std(tanh_raw)
         std = np.exp(log_std)
         u = mu + std * eps
         t = np.tanh(u)

@@ -1,14 +1,15 @@
 """Sampling-based motion planning: RRT, shortcutting, and a replanning executor.
 
-Plans are geometric (x, y); the unicycle's heading is handled by the tracking
-law when a plan is executed. ``mask``, where accepted, is a set of (ix, iy)
-cells; sampling, steering, and shortcutting then never leave those cells.
+A plan is a list of configurations, its waypoints, whose consecutive
+segments are collision free. Plans are geometric (x, y); the unicycle's
+heading is handled by the tracking law when a plan is executed. ``mask``,
+where accepted, is a set of (ix, iy) cells; sampling, steering, and
+shortcutting then never leave those cells.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,13 +24,6 @@ RRT_GOAL_BIAS = 0.1        # share of samples drawn at the goal
 RRT_MAX_ITERS = 4000       # tree extensions before a plan gives up
 RRT_BLOCK = 16             # samples whose nearest nodes one numpy pass finds
 RRT_BLOCK_ENTRIES = 8192   # most (sample, node) distances in that pass
-
-
-@dataclass
-class MotionPlan:
-    """Ordered collision-free waypoints; consecutive segments are free."""
-
-    waypoints: list[Configuration]
 
 
 def _nearest_nodes(nodes_x: np.ndarray, nodes_y: np.ndarray, xs: list,
@@ -49,7 +43,7 @@ def _nearest_nodes(nodes_x: np.ndarray, nodes_y: np.ndarray, xs: list,
 def rrt_plan(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
              rng: np.random.Generator, goal_tol: float,
              max_iters: int = RRT_MAX_ITERS, mask: set | None = None,
-             work_counter: list | None = None) -> MotionPlan:
+             work_counter: list | None = None) -> list[Configuration]:
     """Plan a collision-free path from x_i to within goal_tol of x_g.
 
     With a mask, samples and swept segments are confined to the masked cells.
@@ -63,7 +57,7 @@ def rrt_plan(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
     if collision(world, x_i) or collision(world, x_g):
         raise Unreachable("endpoint in collision")
     if x_i.distance_to(x_g) <= goal_tol:
-        return MotionPlan([x_i])
+        return [x_i]
 
     # the draws of sample_free, or of sample_in_cells over the mask's free
     # cells: a cell index, two jitters and, for sample_free on a unicycle
@@ -199,19 +193,19 @@ def rrt_plan(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
                     waypoints.reverse()
                     # keep the exact start configuration object (heading included)
                     waypoints[0] = x_i
-                    return MotionPlan(waypoints)
+                    return waypoints
     finally:
         draws.pos, draws.has, draws.half = k, has, half
         draws.close()
     raise Unreachable(f"no path after {max_iters} iterations")
 
 
-def shortcut(world: OccupancyWorld, plan: MotionPlan,
-             mask: set | None = None) -> MotionPlan:
-    """Greedy deterministic shortcutting; never lengthens, keeps endpoints."""
-    pts = plan.waypoints
+def shortcut(world: OccupancyWorld, pts: list[Configuration],
+             mask: set | None = None) -> list[Configuration]:
+    """Greedy deterministic shortcutting of a plan into a new list; never
+    lengthens, keeps endpoints."""
     if len(pts) <= 2:
-        return MotionPlan(list(pts))
+        return list(pts)
     table = None if mask is None else cell_table(world, world.free_set & mask)
     out = [pts[0]]
     i = 0
@@ -221,7 +215,7 @@ def shortcut(world: OccupancyWorld, plan: MotionPlan,
             j -= 1
         out.append(pts[j])
         i = j
-    return MotionPlan(out)
+    return out
 
 
 def resample_polyline(points: list[Configuration], spacing: float) -> list[Configuration]:
@@ -238,77 +232,43 @@ def resample_polyline(points: list[Configuration], spacing: float) -> list[Confi
     return out
 
 
-@dataclass
-class ExecutionResult:
-    """Outcome of a (re)planning execution.
-
-    ``steps`` counts simulator steps; ``work`` additionally charges one unit
-    per planner tree extension, the desk-scale stand-in for the planning time
-    a wall-clock timeout would consume. The budget limits ``work``.
-    """
-
-    success: bool
-    steps: int
-    replans: int = 0
-    work: int = 0
-
-
-def track_waypoint(world: OccupancyWorld, c: Configuration, target: tuple[float, float],
-                   tol: float, rng: np.random.Generator, max_attempts: int,
-                   budget_left: int) -> tuple[Configuration, int]:
-    """Step toward target until within tol, attempts or budget run out."""
-    used = 0
-    attempts = 0
-    while (c.distance_to(target) > tol and attempts < max_attempts
-           and used < budget_left):
-        c = step(world, c, steer_toward(world, c, target), rng)
-        used += 1
-        attempts += 1
-    return c, used
-
-
 def execute_with_replan(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
                         rng: np.random.Generator, goal_tol: float,
-                        budget: int) -> ExecutionResult:
-    """Plan with RRT and track waypoints under noise, replanning on a miss.
+                        budget: int) -> tuple[bool, int]:
+    """Plan with RRT and track waypoints under noise, replanning on a miss;
+    returns (success, simulator steps).
 
     Each simulator step and each planner tree extension consumes one unit of
-    budget, and a plan makes at most the extensions the budget has left.
-    Terminates with success once within goal_tol of x_g, or failure when the
-    budget is exhausted or planning fails.
+    budget, the desk-scale stand-in for the planning time a wall-clock
+    timeout would consume, and a plan makes at most the extensions the
+    budget has left. Terminates with success once within goal_tol of x_g,
+    or failure when the budget is exhausted or planning fails.
     """
-    c = x_i
-    steps = 0
-    work = 0
-    replans = 0
-    first = True
+    wp_tol = 0.5 * world.cell_size
+    step_scale = max(world.max_step if world.kinematics is Kinematics.HOLONOMIC
+                     else world.v_max, 1e-9)
+    c, steps, work = x_i, 0, 0
     while work < budget:
         if c.distance_to(x_g) <= goal_tol:
-            return ExecutionResult(True, steps, replans, work)
+            return True, steps
         counter = [0]
         try:
             plan = shortcut(world, rrt_plan(
                 world, c, x_g, rng, goal_tol, min(RRT_MAX_ITERS, budget - work),
                 work_counter=counter))
         except Unreachable:
-            work += counter[0]
-            return ExecutionResult(False, steps, replans, work)
+            return False, steps
         work += counter[0]
-        if not first:
-            replans += 1
-        first = False
-        wp_tol = 0.5 * world.cell_size
-        step_scale = (world.max_step if world.kinematics is Kinematics.HOLONOMIC
-                      else world.v_max)
-        for k, wp in enumerate(plan.waypoints[1:], start=1):
-            tol = goal_tol if k == len(plan.waypoints) - 1 else wp_tol
-            est = int(math.ceil(wp.distance_to(c) / max(step_scale, 1e-9)))
-            attempts = 2 * est + 10  # slack for heading alignment and noise
-            c, used = track_waypoint(world, c, wp.xy, tol, rng, attempts,
-                                     budget - work)
-            steps += used
-            work += used
+        for k, wp in enumerate(plan[1:], start=1):
+            tol = goal_tol if k == len(plan) - 1 else wp_tol
+            # slack for heading alignment and noise
+            attempts = 2 * math.ceil(wp.distance_to(c) / step_scale) + 10
+            target = wp.xy
+            while c.distance_to(target) > tol and attempts and work < budget:
+                c = step(world, c, steer_toward(world, c, target), rng)
+                steps += 1
+                work += 1
+                attempts -= 1
             if work >= budget:
                 break
-    success = c.distance_to(x_g) <= goal_tol
-    return ExecutionResult(success, steps, replans, work)
+    return c.distance_to(x_g) <= goal_tol, steps

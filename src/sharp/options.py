@@ -205,8 +205,7 @@ def build_guide(world: OccupancyWorld, rbvd: RegionVoronoi, option_id: str,
         except Unreachable as e:
             last_error = e
             continue
-        plan = shortcut(world, plan, mask=mask)
-        pts = list(plan.waypoints)
+        pts = shortcut(world, plan, mask=mask)
         if pts[-1].distance_to(goal) > 1e-12:
             pts.append(goal)
         pts = resample_polyline(pts, world.cell_size)

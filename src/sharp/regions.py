@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientData, NoFreeSpace, NoRegions, Unreachable
-from .motion import MotionPlan, rrt_plan, shortcut
+from .motion import rrt_plan, shortcut
 from .world import Configuration, OccupancyWorld, sample_free, sweep
 
 log = logging.getLogger(__name__)
@@ -32,9 +32,8 @@ class CriticalRegion:
     score: float
 
 
-def swept_cells(world: OccupancyWorld, plan: MotionPlan) -> set:
-    """Cells of the points that sweep yields along the plan's segments."""
-    pts = plan.waypoints
+def swept_cells(world: OccupancyWorld, pts: list[Configuration]) -> set:
+    """Cells of the points that sweep yields along a plan's segments."""
     cs, floor = world.cell_size, math.floor
     if len(pts) == 1:
         x, y = pts[0].xy

@@ -13,8 +13,7 @@ from sharp.errors import Unreachable
 from sharp.learn import (DISCOUNT, LOG_2PI, LOG_STD_MAX, LOG_STD_MIN, REWARD_SCALE,
                          TAU, action_from_displacement, build_observation,
                          displacement_scale)
-from sharp.motion import (RRT_GOAL_BIAS, RRT_MAX_ITERS, RRT_STEP_CELLS, MotionPlan,
-                          rrt_plan, shortcut)
+from sharp.motion import RRT_GOAL_BIAS, RRT_MAX_ITERS, RRT_STEP_CELLS, rrt_plan, shortcut
 from sharp.options import OptionGuide, OptionSpec, build_guide
 from sharp.planner import astar
 from sharp.regions import swept_cells
@@ -182,8 +181,7 @@ def layer_arrays(net) -> list:
     return [a for pair in zip(net.weights, net.biases) for a in pair]
 
 
-def plan_length(plan: MotionPlan) -> float:
-    pts = plan.waypoints
+def plan_length(pts: list[Configuration]) -> float:
     return sum(a.distance_to(b) for a, b in zip(pts, pts[1:]))
 
 
@@ -307,7 +305,7 @@ def ref_rrt_plan(world, x_i, x_g, rng, goal_tol, max_iters=RRT_MAX_ITERS, mask=N
     if ref_collision_xy(world, x_i.x, x_i.y) or ref_collision_xy(world, x_g.x, x_g.y):
         raise Unreachable("endpoint in collision")
     if x_i.distance_to(x_g) <= goal_tol:
-        return MotionPlan([x_i])
+        return [x_i]
     mask_cells = None
     if mask is not None:
         allowed = {c for c in mask if ref_cell_free(world, c)}
@@ -348,7 +346,7 @@ def ref_rrt_plan(world, x_i, x_g, rng, goal_tol, max_iters=RRT_MAX_ITERS, mask=N
                 i = int(parents[i])
             waypoints.reverse()
             waypoints[0] = x_i
-            return MotionPlan(waypoints)
+            return waypoints
     raise Unreachable(f"no path after {max_iters} iterations")
 
 
@@ -367,7 +365,7 @@ def ref_solution_density(world, n_goals, inits_per_goal, rng) -> np.ndarray:
             except Unreachable:
                 continue
             solved += 1
-            for ix, iy in ref_swept_cells(world, plan.waypoints):
+            for ix, iy in ref_swept_cells(world, plan):
                 counts[iy, ix] += 1
     return counts.astype(np.float64) / solved
 

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from sharp.errors import Unreachable
-from sharp.motion import (RRT_BLOCK, RRT_BLOCK_ENTRIES, MotionPlan, rrt_plan,
-                          shortcut)
+from sharp.motion import RRT_BLOCK, RRT_BLOCK_ENTRIES, rrt_plan, shortcut
 from sharp.regions import collect_solution_density, swept_cells
 from sharp.world import (Configuration, Kinematics, OccupancyWorld, _truncate_to_free,
                          cell_table, sweep)
@@ -213,7 +212,7 @@ def test_shortcut_masked_checks_match_oracle(rng, checked):
     for world in _worlds(rng, 80):
         checked.mask = _mask(rng, world)
         pts = [Configuration(*_point(rng, world)) for _ in range(rng.integers(3, 8))]
-        out = shortcut(world, MotionPlan(pts), mask=checked.mask).waypoints
+        out = shortcut(world, pts, mask=checked.mask)
         assert out[0] == pts[0] and out[-1] == pts[-1]
     assert set(checked.answers) == {True, False}
 
@@ -238,7 +237,7 @@ def test_swept_cells_matches_oracle(rng):
             pts = [Configuration(*_point(rng, world))]
             for _ in range(rng.integers(0, 4)):
                 pts.append(Configuration(*_segment(rng, world, pts[-1].xy)[1]))
-            assert swept_cells(world, MotionPlan(pts)) == ref_swept_cells(world, pts)
+            assert swept_cells(world, pts) == ref_swept_cells(world, pts)
 
 
 def _plan_or_unreachable(plan_fn, world, a, b, seed, goal_tol, max_iters, mask):
@@ -247,7 +246,7 @@ def _plan_or_unreachable(plan_fn, world, a, b, seed, goal_tol, max_iters, mask):
     try:
         plan = plan_fn(world, a, b, rng, goal_tol, max_iters, mask=mask,
                        work_counter=counter)
-        out = [(float(c.x).hex(), float(c.y).hex(), c.theta) for c in plan.waypoints]
+        out = [(float(c.x).hex(), float(c.y).hex(), c.theta) for c in plan]
     except Unreachable:
         out = "unreachable"
     return out, counter[0], rng.bit_generator.state
@@ -359,7 +358,7 @@ def test_rrt_nearest_ties_go_to_the_lowest_index():
         for plan_fn, draws in ((rrt_plan, np.random.Generator(words)),
                                (ref_rrt_plan, ScriptedDraws(script))):
             plan = plan_fn(world, a, b, draws, world.cell_size)
-            assert len(plan.waypoints) == 2 and plan.waypoints[0] is a
+            assert len(plan) == 2 and plan[0] is a
         assert (words.at, words.buffer) == (5, buffer)
 
 
@@ -477,7 +476,7 @@ def _scripted(world, a, b, script, max_iters, counter):
         try:
             plan = plan_fn(world, a, b, draws, world.cell_size, max_iters,
                            work_counter=count)
-            out = [(float(c.x).hex(), float(c.y).hex(), c.theta) for c in plan.waypoints]
+            out = [(float(c.x).hex(), float(c.y).hex(), c.theta) for c in plan]
         except Unreachable:
             out = "unreachable"
         except RuntimeError:

@@ -380,8 +380,8 @@ class TestEvaluatePolicy:
         plan = shortcut(w, rrt_plan(w, Configuration(1.5, 1.5),
                                     Configuration(13.5, 13.5),
                                     np.random.default_rng(2), w.cell_size))
-        policy = ScriptedPolicy(plan.waypoints, tol=0.5)
-        goal = plan.waypoints[-1]
+        policy = ScriptedPolicy(plan, tol=0.5)
+        goal = plan[-1]
         out = evaluate_policy(w, policy, Configuration(1.5, 1.5),
                               lambda c: c.distance_to(goal) <= 1.0,
                               episodes=3, step_limit=300,
