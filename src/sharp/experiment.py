@@ -21,15 +21,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import artifacts, planner, settings
+from . import artifacts, pool, settings
 from .abstraction import goal_tolerance
 from .errors import InCollision, NoRegions, ParseError, SharpError, in_file
 from .learn import TrainConfig, train_monolithic_policy
 from .motion import execute_with_replan
 from .planner import (ComposedPolicy, OptionLibrary, Stage, execute_composed,
                       library_from_regions, sharp_solve)
-from .regions import (CriticalRegion, collect_solution_density, connected_components,
-                      extract_critical_regions, grid_bfs, percentile_threshold)
+from .regions import (DENSITY_STREAM_RULE, CriticalRegion, collect_solution_density,
+                      connected_components, extract_critical_regions, grid_bfs,
+                      percentile_threshold)
 from .seeding import derive_rng
 from .world import (Configuration, OccupancyWorld, parse_sidecar,
                     require_free_endpoints, start_heading, world_from_text, world_hash)
@@ -209,9 +210,12 @@ def build_library(world: OccupancyWorld, kind: str,
 def library_cache_path(cache_dir: str, whash: str, kind: str,
                        params: AbstractionParams) -> str:
     """`library_<kind>_<digest>.json` in the world's cache directory; the
-    digest covers every AbstractionParams field, so changed settings miss."""
+    digest covers every AbstractionParams field and the density's stream
+    rule (regions.DENSITY_STREAM_RULE), so changed settings or a file built
+    under another rule miss."""
+    key = settings.digest((DENSITY_STREAM_RULE, params))
     return os.path.join(artifacts.cache_dir_for(cache_dir, whash),
-                        f"library_{kind}_{settings.digest(params)}.json")
+                        f"library_{kind}_{key}.json")
 
 
 def load_or_build_library(world: OccupancyWorld, kind: str,
@@ -475,8 +479,8 @@ def run_experiment(spec: ExperimentSpec, cache_dir: str | None = None) -> list:
                 rows.append(ResultRow(spec.name, pi, "monolithic", seed, 0.0, 0.0,
                                       0, 0, 0))
                 trainings.append((rows[-1], x_i, x_g, sharp_training_steps))
-        workers = 1 if rrt_jobs and planner.usable_cpus() > 1 else 0
-        with planner.fork_starmap(evaluate_rrt_replan, rrt_jobs, workers) as rrt:
+        workers = 1 if rrt_jobs and pool.usable_cpus() > 1 else 0
+        with pool.fork_starmap(evaluate_rrt_replan, rrt_jobs, workers) as rrt:
             for row, x_i, x_g, budget_steps in trainings:
                 run = _monolithic_row(spec, row, x_i, x_g, goal_tol, budget_steps)
                 if run is not None:

@@ -11,18 +11,15 @@ the robot enters the termination region of the stage's guide.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import heapq
 import logging
 import math
-import multiprocessing
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import settings
+from . import pool, settings
 from .abstraction import (RegionVoronoi, build_region_voronoi, cell_region,
                           endpoint_region, goal_region)
 from .errors import (DivergedTraining, EmptyLibrary, NoAbstractPath,
@@ -365,69 +362,18 @@ def _train_guide(world, rbvd, guide, cfg: TrainConfig, rng):
     return policy.actor, stats
 
 
-# fork_starmap's function and jobs, set only in a pool worker, by the pool's
-# initializer
-_worker_args: tuple = ()
-
-
-def _adopt(*args) -> None:
-    global _worker_args
-    _worker_args = args
-
-
-def _run_adopted(i: int):
-    fn, jobs = _worker_args
-    return fn(*jobs[i])
-
-
-def usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    return len(os.sched_getaffinity(0))
-
-
-@contextlib.contextmanager
-def fork_starmap(fn, jobs: list, processes: int):
-    """Run fn(*job) for every job on `processes` forked worker processes,
-    or inline when processes is 0; yields a function that returns the
-    results in job order, waiting for them.
-
-    The pool starts on entry, so the caller's own work in the block runs
-    beside it. Workers inherit fn and the jobs through the fork, so nothing
-    is pickled to them and every set keeps its iteration order; only the
-    results are pickled back. The pool forks its workers before it starts
-    its threads, and is closed and joined when the block ends; an exception
-    of a job is raised from the yielded function, and leaves the block after
-    the pool is terminated and joined.
-    """
-    if processes == 0:
-        yield lambda: [fn(*job) for job in jobs]
-        return
-    pool = multiprocessing.get_context("fork").Pool(processes, _adopt, (fn, jobs))
-    try:
-        yield pool.map_async(_run_adopted, range(len(jobs)), chunksize=1).get
-    except BaseException:
-        pool.terminate()
-        raise
-    else:
-        pool.close()
-    finally:
-        pool.join()
-
-
 def train_stages(world, rbvd, cfg: TrainConfig, jobs: list) -> list:
     """Train one policy per (guide, rng) pair; returns, in pair order, each
     training's (actor, TrainStats) or the SharpError it raised.
 
     The trainings are independent and each draws from its own generator,
-    so they run on min(len(jobs), usable_cpus()) forked worker processes
-    (fork_starmap), or inline when that is one, with the same results. The
-    workers send back the actor, which pickles as its layer sizes and
-    parameters, and the stats.
+    so they run on pool.workers_for(len(jobs)) forked worker processes, or
+    inline on one CPU, with the same results. The workers send back the
+    actor, which pickles as its layer sizes and parameters, and the stats.
     """
-    workers = min(len(jobs), usable_cpus())
-    with fork_starmap(_train_guide, [(world, rbvd, guide, cfg, rng)
-                                     for guide, rng in jobs],
-                      workers if workers > 1 else 0) as results:
+    with pool.fork_starmap(_train_guide, [(world, rbvd, guide, cfg, rng)
+                                          for guide, rng in jobs],
+                           pool.workers_for(len(jobs))) as results:
         return results()
 
 

@@ -16,11 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pool
 from .errors import InsufficientData, NoFreeSpace, NoRegions, Unreachable
 from .motion import rrt_plan, shortcut
+from .seeding import spawn
 from .world import Configuration, OccupancyWorld, sample_free, sweep
 
 log = logging.getLogger(__name__)
+
+# Names collect_solution_density's stream rule. Library cache files are keyed
+# by it with their settings, so a file built under another rule is missed.
+DENSITY_STREAM_RULE = "spawn-per-problem"
 
 
 @dataclass(frozen=True)
@@ -44,6 +50,25 @@ def swept_cells(world: OccupancyWorld, pts: list[Configuration]) -> set:
             for x, y in sweep(a.xy, b.xy, cs)}
 
 
+def _goal_density(world: OccupancyWorld, goal: Configuration,
+                  streams: list) -> tuple[int, np.ndarray]:
+    """(solved, counts) of one goal's problems, one per stream: the start is
+    drawn from the problem's stream and its rrt_plan reads that stream on;
+    counts[iy, ix] is the number of solved plans that sweep the cell."""
+    counts = np.zeros((world.height, world.width), dtype=np.int64)
+    solved = 0
+    for rng in streams:
+        start = sample_free(world, rng)
+        try:
+            plan = shortcut(world, rrt_plan(world, start, goal, rng, world.cell_size))
+        except Unreachable:
+            continue
+        solved += 1
+        for ix, iy in swept_cells(world, plan):
+            counts[iy, ix] += 1
+    return solved, counts
+
+
 def collect_solution_density(world: OccupancyWorld, n_goals: int, inits_per_goal: int,
                              rng: np.random.Generator) -> np.ndarray:
     """Estimate per-cell solution density from random planning problems.
@@ -53,27 +78,31 @@ def collect_solution_density(world: OccupancyWorld, n_goals: int, inits_per_goal
     traces visiting the cell) / (#solved).
     Unsolved problems are skipped. Raises InsufficientData when fewer than
     10% of the problems solve.
+
+    Stream rule (DENSITY_STREAM_RULE): in goal order, rng draws goal g as
+    sample_free(world, spawn(rng)), then one spawn(rng) per problem of that
+    goal; a problem's start and its rrt_plan read only its own stream. So
+    the goals are independent jobs, solved on pool.workers_for(goals)
+    forked workers or inline on one CPU, and their counts are summed in
+    goal order: the density is the same bytes on any CPU count.
     """
     if n_goals < 1 or inits_per_goal < 1:
         raise ValueError("n_goals and inits_per_goal must be >= 1")
     total = n_goals * inits_per_goal
-    counts = np.zeros((world.height, world.width), dtype=np.int64)
-    solved = 0
+    jobs = []
     for _ in range(n_goals):
         try:
-            goal = sample_free(world, rng)
+            goal = sample_free(world, spawn(rng))
         except NoFreeSpace:
             break
-        for _ in range(inits_per_goal):
-            start = sample_free(world, rng)
-            try:
-                plan = shortcut(world, rrt_plan(world, start, goal, rng,
-                                                world.cell_size))
-            except Unreachable:
-                continue
-            solved += 1
-            for ix, iy in swept_cells(world, plan):
-                counts[iy, ix] += 1
+        jobs.append((world, goal, [spawn(rng) for _ in range(inits_per_goal)]))
+    counts = np.zeros((world.height, world.width), dtype=np.int64)
+    solved = 0
+    with pool.fork_starmap(_goal_density, jobs,
+                           pool.workers_for(len(jobs))) as results:
+        for goal_solved, goal_counts in results():
+            solved += goal_solved
+            counts += goal_counts
     if solved < 0.1 * total:
         raise InsufficientData(f"solved {solved}/{total} problems")
     return counts.astype(np.float64) / solved

@@ -17,6 +17,7 @@ from sharp.motion import RRT_GOAL_BIAS, RRT_MAX_ITERS, RRT_STEP_CELLS, rrt_plan,
 from sharp.options import OptionGuide, OptionSpec, build_guide
 from sharp.planner import astar
 from sharp.regions import swept_cells
+from sharp.seeding import spawn
 from sharp.world import (SWEEP_FRACTION, Configuration, Kinematics, OccupancyWorld,
                          _steer_lanes, sample_free, sample_in_cells, step, steer_toward)
 
@@ -160,14 +161,15 @@ def with_params(world: OccupancyWorld, **overrides) -> OccupancyWorld:
 
 def solution_traces(world, n_goals, inits_per_goal, rng) -> list:
     """(start, goal, swept cells) of each problem that collect_solution_density,
-    given the same generator, solves."""
+    given the same generator, solves: goal and problems in order, each on
+    its own spawned stream, in one process."""
     traces = []
     for _ in range(n_goals):
-        goal = sample_free(world, rng)
-        for _ in range(inits_per_goal):
-            start = sample_free(world, rng)
+        goal = sample_free(world, spawn(rng))
+        for problem_rng in [spawn(rng) for _ in range(inits_per_goal)]:
+            start = sample_free(world, problem_rng)
             try:
-                plan = shortcut(world, rrt_plan(world, start, goal, rng,
+                plan = shortcut(world, rrt_plan(world, start, goal, problem_rng,
                                                 world.cell_size))
             except Unreachable:
                 continue
@@ -352,15 +354,15 @@ def ref_rrt_plan(world, x_i, x_g, rng, goal_tol, max_iters=RRT_MAX_ITERS, mask=N
 
 def ref_solution_density(world, n_goals, inits_per_goal, rng) -> np.ndarray:
     """collect_solution_density on ref_sample_free, ref_rrt_plan and
-    ref_swept_cells."""
+    ref_swept_cells, with its stream rule."""
     counts = np.zeros((world.height, world.width), dtype=np.int64)
     solved = 0
     for _ in range(n_goals):
-        goal = ref_sample_free(world, rng)
-        for _ in range(inits_per_goal):
-            start = ref_sample_free(world, rng)
+        goal = ref_sample_free(world, spawn(rng))
+        for problem_rng in [spawn(rng) for _ in range(inits_per_goal)]:
+            start = ref_sample_free(world, problem_rng)
             try:
-                plan = shortcut(world, ref_rrt_plan(world, start, goal, rng,
+                plan = shortcut(world, ref_rrt_plan(world, start, goal, problem_rng,
                                                     world.cell_size))
             except Unreachable:
                 continue

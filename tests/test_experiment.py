@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sharp.errors import DivergedTraining, ParseError, SharpError
-from sharp import experiment, learn, planner
+from sharp import artifacts, experiment, learn, planner, pool, settings
 from sharp.artifacts import library_payload, load_cache
 from sharp.experiment import (AbstractionParams, CSV_HEADER, ExperimentSpec,
                               ResultRow, build_library, emit_plot_data,
@@ -36,7 +36,7 @@ TWO_ROOMS = grid_from_rows(["##########",
                             "##########"], noise_sigma=0.02, max_step=1.0)
 
 # four rooms joined by four doors one cell wide; at FOUR_ROOMS_PARAMS the
-# density yields four regions, so no anchor is added
+# density yields three regions, at three of the doors, so no anchor is added
 FOUR_ROOMS = grid_from_rows(["#############",
                              "#.....#.....#",
                              "#.....#.....#",
@@ -118,6 +118,25 @@ class TestRunExperiment:
                                   "centroid", spec.abstraction)
         assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
 
+    def test_library_file_named_by_params_alone_is_not_read(self, tmp_path):
+        # a file named by the settings digest alone was built under an older
+        # density stream rule: it is missed and rebuilt under the new name
+        spec = tiny_spec()
+        whash = world_hash(spec.world)
+        _, stale = build_library(spec.world, "centroid",
+                                 replace(spec.abstraction, seed=1))
+        _, fresh = build_library(spec.world, "centroid", spec.abstraction)
+        assert library_payload(stale) != library_payload(fresh)
+        old = os.path.join(artifacts.cache_dir_for(str(tmp_path), whash),
+                           f"library_centroid_{settings.digest(spec.abstraction)}.json")
+        artifacts.save_artifact(old, "option-library", whash,
+                                library_payload(stale), make_dirs=True)
+        library = load_or_build_library(spec.world, "centroid", spec.abstraction,
+                                        str(tmp_path))
+        assert library_payload(library) == library_payload(fresh)
+        path = library_cache_path(str(tmp_path), whash, "centroid", spec.abstraction)
+        assert path != old and os.path.exists(path)
+
     def test_policy_cache_file_keeps_every_seed(self, tmp_path, monkeypatch):
         # each seed's solve caches a key of its own; the file written after
         # the second seed still holds the first seed's
@@ -173,15 +192,15 @@ GOLDEN_HEADER = ("env,problem,method,seed,success_rate,mean_steps,training_steps
 
 @pytest.mark.parametrize("kinematics, learner, rows", [
     (Kinematics.HOLONOMIC, "cem",
-     "two_rooms,1,sharp,0,0.0000,100.50,571,2,0,\r\n"
+     "two_rooms,1,sharp,0,0.0000,101.00,601,2,0,\r\n"
      "two_rooms,1,rrt_replan,0,1.0000,11.33,0,0,0,\r\n"
      "two_rooms,1,monolithic,0,0.0000,320.00,540,0,0,\r\n"),
     (Kinematics.UNICYCLE, "cem",
-     "two_rooms,1,sharp,0,0.0000,84.00,785,2,0,\r\n"
+     "two_rooms,1,sharp,0,0.0000,83.33,680,2,0,\r\n"
      "two_rooms,1,rrt_replan,0,1.0000,23.83,0,0,0,\r\n"
      "two_rooms,1,monolithic,0,0.0000,320.00,540,0,0,\r\n"),
     (Kinematics.HOLONOMIC, "sac",
-     "two_rooms,1,sharp,0,0.0000,82.00,1800,2,0,\r\n"
+     "two_rooms,1,sharp,0,0.0000,83.00,1800,2,0,\r\n"
      "two_rooms,1,rrt_replan,0,1.0000,11.33,0,0,0,\r\n"
      "two_rooms,1,monolithic,0,0.0000,320.00,1800,0,0,\r\n"),
 ], ids=["holonomic-cem", "unicycle-cem", "holonomic-sac"])
@@ -259,7 +278,7 @@ def test_non_finite_actor_output_is_a_diverged_training(monkeypatch, learner, po
     # collection or from a CEM candidate; each ends its training as a
     # divergence, not as a traceback
     poison(monkeypatch)
-    monkeypatch.setattr(planner, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
     spec = golden_spec(Kinematics.HOLONOMIC, learner)
     spec.run_rrt_replan = False
     rows = run_experiment(spec)
@@ -289,7 +308,7 @@ class TestEvaluationWorker:
         monkeypatch.setattr(multiprocessing.pool, "Pool", CountingPool)
         runs = []
         for cpus in (1, 2):
-            monkeypatch.setattr(planner, "usable_cpus", lambda: cpus)
+            monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
             pools.clear()
             spec = two_problem_spec()
             rows = run_experiment(spec, str(tmp_path / str(cpus)))
@@ -299,9 +318,10 @@ class TestEvaluationWorker:
         (inline, inline_cache, inline_pools), (pooled, pooled_cache, pooled_pools) = runs
         assert inline == pooled and inline_cache == pooled_cache
         assert [r.method for r in pooled] == ["sharp", "rrt_replan", "monolithic"] * 2
-        # inline forks nothing; pooled trains on two workers and ends with
-        # the one rrt_replan worker
-        assert inline_pools == [] and pooled_pools[-1] == 1 and 2 in pooled_pools
+        # inline forks nothing; pooled solves the library's density goals on
+        # two workers, trains on two and ends with the one rrt_replan worker
+        assert inline_pools == [] and pooled_pools[0] == 2 and pooled_pools[-1] == 1
+        assert 2 in pooled_pools[1:-1]
 
     @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "pooled"])
     def test_rrt_replan_error_surfaces_after_join(self, monkeypatch, cpus):
@@ -309,7 +329,7 @@ class TestEvaluationWorker:
             raise RuntimeError(f"replanning failed in {os.getpid()}")
 
         monkeypatch.setattr(experiment, "execute_with_replan", replan)
-        monkeypatch.setattr(planner, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
         with pytest.raises(RuntimeError, match="replanning failed") as err:
             run_experiment(two_problem_spec())
         assert multiprocessing.active_children() == []
@@ -331,7 +351,7 @@ class TestMonolithicTrainingInPhaseTwo:
         monkeypatch.setattr(experiment, "train_monolithic_policy", train)
         runs = []
         for cpus in (1, 2):
-            monkeypatch.setattr(planner, "usable_cpus", lambda: cpus)
+            monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
             runs.append(run_experiment(two_problem_spec()))
             assert multiprocessing.active_children() == []
         inline, pooled = runs
@@ -351,7 +371,7 @@ class TestMonolithicTrainingInPhaseTwo:
             raise RuntimeError("training failed")
 
         monkeypatch.setattr(experiment, "train_monolithic_policy", train)
-        monkeypatch.setattr(planner, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
         with pytest.raises(RuntimeError, match="training failed"):
             run_experiment(two_problem_spec())
         assert multiprocessing.active_children() == []
@@ -373,14 +393,18 @@ def test_endpoints_in_collision_fail_every_method(monkeypatch):
 
 
 @pytest.mark.parametrize("kind, digest", [
-    ("centroid", "019226f5822e18c97dc9ef788271a77bef5d59e2e56f0487b761adb8823c8d3e"),
-    ("interface", "b698f392f9a5308bcd2e9dbbd4120d32462efa299fa65889fea4eab477bc9803"),
+    pytest.param("centroid",
+                 "b0c89c2c8b6e16c553b7b7571f492cff723621910d563e2c77bf721fd3e00efb",
+                 id="centroid"),
+    pytest.param("interface",
+                 "f52bd0d3e5abc2de72c3f8074229f7fcc21ea202205fc9c0dba052405684c80e",
+                 id="interface"),
 ])
 def test_four_rooms_library_matches_recorded(kind, digest):
     # recorded library bytes: region cells, scores and centroids, the
     # partition, its adjacency and the option endpoints all show here
     _, library = build_library(FOUR_ROOMS, kind, FOUR_ROOMS_PARAMS)
-    assert len(library.rbvd.states) == 4
+    assert len(library.rbvd.states) == 3
     text = json.dumps(library_payload(library), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -600,6 +624,17 @@ def test_build_library_deterministic():
     assert [o.id for o in lib1.options] == [o.id for o in lib2.options]
 
 
+def test_pooled_and_inline_library_agree(monkeypatch):
+    # the density's goals run inline on one CPU and on two forked workers
+    builds = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+        density, library = build_library(TWO_ROOMS, "centroid", AbstractionParams())
+        assert multiprocessing.active_children() == []
+        builds.append((density.tobytes(), library_payload(library)))
+    assert builds[0] == builds[1]
+
+
 class TestSelectRegions:
     def test_single_door_world_partitions(self):
         params = AbstractionParams()
@@ -649,11 +684,17 @@ class TestSelectRegions:
 
     def test_rooms_fall_in_different_states(self):
         # the door region's own state reaches into both rooms; the states of
-        # the rooms' far ends lie on either side of it
+        # the two anchors added beside it lie on either side of the door
         _, library = build_library(TWO_ROOMS, "centroid", AbstractionParams())
         rbvd = library.rbvd
-        left = rbvd.state_of(Configuration(1.5, 1.5))
-        right = rbvd.state_of(Configuration(8.5, 1.5))
+        door = rbvd.state_of(Configuration(5.5, 3.5))
+        assert (5, 3) in door.anchor.cells
+        added = sorted((s for s in rbvd.states if s.id != door.id),
+                       key=lambda s: s.anchor.centroid.x)
+        assert len(added) == 2
+        left, right = (rbvd.state_of(s.anchor.centroid) for s in added)
         assert left.id != right.id
         assert all(ix < 5 for ix, _ in left.cells)
         assert all(ix > 5 for ix, _ in right.cells)
+        assert any(ix < 5 for ix, _ in door.cells)
+        assert any(ix > 5 for ix, _ in door.cells)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sharp import learn, planner
+from sharp import learn, pool
 from sharp.abstraction import Region, build_region_voronoi, goal_tolerance
 from sharp.errors import DivergedTraining, InCollision
 from sharp.experiment import (AbstractionParams, evaluate_runs, load_or_build_library,
@@ -338,13 +338,17 @@ class TestEveryStartTerminal:
 
     def test_solve_from_inside_the_entry_region(self, monkeypatch):
         # the anchor centroid of env_a's state 0 lies in the entry region of
-        # every option out of state 0, so bridge_in starts terminal
-        monkeypatch.setattr(planner, "usable_cpus", lambda: 1)
+        # every option out of state 0, so bridge_in starts terminal; the goal
+        # is state 2's cell farthest from its anchor centroid, outside the
+        # option's termination region, so bridge_out does not
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 1)
         world, _, recipe = load_world("env_a")
         library = load_or_build_library(
             world, "centroid", AbstractionParams(seed=0, **recipe.abstraction), None)
         states = library.rbvd.states
-        x_i, x_g = states[0].anchor.centroid, states[2].anchor.centroid
+        x_i, anchor = states[0].anchor.centroid, states[2].anchor.centroid
+        x_g = max((Configuration(*world.cell_center(c)) for c in sorted(states[2].cells)),
+                  key=anchor.distance_to)
         with deadline(60):
             _, stats = sharp_solve(world, x_i, x_g, library, {}, {}, self.CFG,
                                    derive_rng("solve", 0), goal_tolerance(world, None))

@@ -6,7 +6,7 @@ import multiprocessing.pool
 import numpy as np
 import pytest
 
-from sharp import planner
+from sharp import planner, pool
 from sharp.abstraction import Region, build_region_voronoi, goal_region
 from sharp.artifacts import library_payload
 from sharp.errors import (DivergedTraining, EmptyLibrary, GuideUnreachable,
@@ -311,7 +311,7 @@ class TestSharpSolve:
         real_train_guide = planner._train_guide
         monkeypatch.setattr(planner, "_train_guide", train_guide)
         # inline, so that train_guide appends in this process
-        monkeypatch.setattr(planner, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 1)
         cache = {}
         for reused in (False, True):
             trained.clear()
@@ -340,7 +340,7 @@ class TestSharpSolve:
         w, library, cfg = solve_setup()
         runs = []
         for cpus in (1, 2):
-            monkeypatch.setattr(planner, "usable_cpus", lambda: cpus)
+            monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
             cache, costs = {}, {}
             solves = [sharp_solve(w, Configuration(*xy_i), Configuration(*xy_g),
                                   library, cache, costs, cfg,
@@ -383,7 +383,7 @@ class TestSharpSolve:
 
         monkeypatch.setattr(planner, "train_option_policy", train)
         monkeypatch.setattr(planner, "build_guide", build)
-        monkeypatch.setattr(planner, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
         w, library, cfg = solve_setup()
         with pytest.raises(DivergedTraining, match="bridge-in"):
             sharp_solve(w, Configuration(1.5, 1.5), Configuration(18.5, 18.5),
@@ -406,7 +406,7 @@ class TestSharpSolve:
             return real_build(world, rbvd, option_id, *args)
 
         monkeypatch.setattr(planner, "build_guide", build)
-        monkeypatch.setattr(planner, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
         w, library, cfg = solve_setup()
         x_i, x_g = Configuration(1.5, 1.5), Configuration(18.5, 18.5)
         rbvd = library.rbvd
@@ -443,7 +443,7 @@ class TestSharpSolve:
         monkeypatch.setattr(multiprocessing.pool, "Pool", CountingPool)
         monkeypatch.setattr(planner, "build_guide", build)
         monkeypatch.setattr(planner, "train_option_policy", train)
-        monkeypatch.setattr(planner, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
         w, library, cfg = solve_setup()
         cache, costs = {}, {}
         with pytest.raises(GuideUnreachable, match="no entry guide"):

@@ -1,11 +1,18 @@
+import multiprocessing
+import multiprocessing.pool
+import os
+
 import numpy as np
 import pytest
 
-from sharp.errors import InsufficientData, NoRegions
+from sharp import pool
+from sharp.errors import InsufficientData, NoRegions, SharpError
+from sharp.motion import rrt_plan
 from sharp.regions import (NEIGHBORS4, collect_solution_density,
                            connected_components, extract_critical_regions, grid_bfs,
                            percentile_threshold)
-from sharp.world import Configuration
+from sharp.seeding import spawn
+from sharp.world import Configuration, sample_free
 
 from conftest import grid_from_rows, open_world, random_world
 from helpers import free_cells, solution_traces
@@ -70,6 +77,69 @@ class TestCollect:
         w = grid_from_rows(["##", "##"])
         with pytest.raises(InsufficientData):
             collect_solution_density(w, 3, 3, np.random.default_rng(0))
+
+
+def density_goals(world, n_goals, inits_per_goal, rng) -> list:
+    """The goals that collect_solution_density draws from rng, in order."""
+    goals = []
+    for _ in range(n_goals):
+        goals.append(sample_free(world, spawn(rng)))
+        for _ in range(inits_per_goal):
+            spawn(rng)
+    return goals
+
+
+class TestPooledDensity:
+    """Each goal's problems are one job; the pooled density is the inline
+    density, byte for byte."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The process count of every pool started, in order."""
+        counts = []
+
+        class CountingPool(multiprocessing.pool.Pool):
+            def __init__(self, processes, *args, **kwargs):
+                counts.append(processes)
+                super().__init__(processes, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.pool, "Pool", CountingPool)
+        return counts
+
+    def test_pooled_and_inline_density_agree(self, monkeypatch, pools):
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+            rng = np.random.default_rng(5)
+            density = collect_solution_density(DUMBBELL, 8, 4, rng)
+            assert multiprocessing.active_children() == []
+            runs.append((density.tobytes(), rng.bit_generator.state))
+        assert runs[0] == runs[1]
+        # inline forks nothing; pooled, the 8 goals share two workers
+        assert pools == [2]
+
+    def test_one_goal_runs_inline(self, monkeypatch, pools):
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        collect_solution_density(DUMBBELL, 1, 4, np.random.default_rng(5))
+        assert pools == []
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "pooled"])
+    def test_goal_error_surfaces_after_join(self, monkeypatch, cpus):
+        # the last goal's job raises; the other goals' jobs solve
+        last = density_goals(DUMBBELL, 8, 4, np.random.default_rng(5))[-1]
+
+        def plan(world, x_i, x_g, *args):
+            if x_g == last:
+                raise SharpError(f"planning failed in {os.getpid()}")
+            return rrt_plan(world, x_i, x_g, *args)
+
+        monkeypatch.setattr("sharp.regions.rrt_plan", plan)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+        with pytest.raises(SharpError, match="planning failed") as err:
+            collect_solution_density(DUMBBELL, 8, 4, np.random.default_rng(5))
+        assert multiprocessing.active_children() == []
+        ran_here = str(err.value).endswith(str(os.getpid()))
+        assert ran_here == (cpus == 1)
 
 
 class TestExtract:

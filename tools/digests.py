@@ -24,8 +24,9 @@ Prints one line each, as `<name> <sha256>`:
   and the interface kind.
 
 BLAS is pinned to one thread first, as in bench/run.py. The whole run took
-59 s on two cores of an Intel Xeon host, where a solve trains its policies
-on both; the desk run takes most of it, and the interface run 2.8 s.
+17-29 s on two cores of a shared Intel Xeon host, where each library's
+density goals and a solve's trainings run on both, and 38 s on one core
+(`taskset -c 0`), which prints the same digests.
 
 Exits 1, naming each digest that differs from tools/digests.expected (the
 same `<name> <sha256>` lines), when any does. A change that moves a digest
