@@ -362,19 +362,31 @@ def _train_guide(world, rbvd, guide, cfg: TrainConfig, rng):
     return policy.actor, stats
 
 
+def _arc_length(guide: OptionGuide) -> float:
+    """Length of the polyline through the guide's points."""
+    return float(np.hypot(*np.diff(guide.xy, axis=0).T).sum())
+
+
 def train_stages(world, rbvd, cfg: TrainConfig, jobs: list) -> list:
     """Train one policy per (guide, rng) pair; returns, in pair order, each
     training's (actor, TrainStats) or the SharpError it raised.
 
     The trainings are independent and each draws from its own generator,
     so they run on pool.workers_for(len(jobs)) forked worker processes, or
-    inline on one CPU, with the same results. The workers send back the
-    actor, which pickles as its layer sizes and parameters, and the stats.
+    inline on one CPU, with the same results. They are dispatched longest
+    guide first (by arc length, ties in pair order), so that the longest
+    training, which a later stage often holds, does not start last on a
+    worker that has already trained another (Graham's longest-processing-
+    time rule); each result is put back at its pair's index. The workers
+    send back the actor, which pickles as its layer sizes and parameters,
+    and the stats.
     """
-    with pool.fork_starmap(_train_guide, [(world, rbvd, guide, cfg, rng)
-                                          for guide, rng in jobs],
+    order = sorted(range(len(jobs)), key=lambda i: -_arc_length(jobs[i][0]))
+    with pool.fork_starmap(_train_guide, [(world, rbvd, jobs[i][0], cfg, jobs[i][1])
+                                          for i in order],
                            pool.workers_for(len(jobs))) as results:
-        return results()
+        trained = dict(zip(order, results()))
+    return [trained[i] for i in range(len(jobs))]
 
 
 @dataclass
@@ -418,7 +430,8 @@ def sharp_solve(world: OccupancyWorld, x_i: Configuration, x_g: Configuration,
 
     The solve runs in two steps. First every leg's guide is built and its
     training generator drawn from rng, in stage order. Then every policy
-    that needs training trains at once (train_stages), and the stages are
+    that needs training trains at once (train_stages, which dispatches them
+    longest guide first and returns them in stage order), and the stages are
     assembled in stage order: stats, cache entries and option costs are
     applied stage by stage, and the first stage that failed (its guide, its
     chaining, its cache hit or its training) raises, after the stages before

@@ -14,7 +14,7 @@ from sharp.errors import (DivergedTraining, EmptyLibrary, GuideUnreachable,
 from sharp.experiment import AbstractionParams, build_library
 from sharp.learn import TrainConfig, TrainStats, actor_layers
 from sharp.mlp import Mlp
-from sharp.options import OptionSpec, synth_options
+from sharp.options import OptionGuide, OptionSpec, synth_options
 from sharp.planner import (CacheEntry, ComposedPolicy, OptionLibrary, Stage, astar,
                            execute_composed, guide_fingerprint, library_from_regions,
                            plan_abstract, sharp_solve)
@@ -301,11 +301,11 @@ class TestSharpSolve:
         cfg = TrainConfig(learner="cem", max_steps=200, eval_every=200,
                           eval_episodes=2, episode_limit=20, cem_population=2,
                           cem_iters=1, hidden=(4, 4))
-        trained = []
+        trained = {}   # guide id -> success fraction, whatever the dispatch order
 
-        def train_guide(*args):
-            actor, tstats = real_train_guide(*args)
-            trained.append(tstats.success_fraction)
+        def train_guide(world, rbvd, guide, cfg, rng):
+            actor, tstats = real_train_guide(world, rbvd, guide, cfg, rng)
+            trained[guide.option_id] = tstats.success_fraction
             return actor, tstats
 
         real_train_guide = planner._train_guide
@@ -321,10 +321,9 @@ class TestSharpSolve:
             labels = [label for label, _ in stats.stage_success]
             assert labels == [s.label for s in composed.stages]
             assert len(labels) == 2 + len(stats.plan_option_ids) >= 3
-            values = [v for _, v in stats.stage_success]
-            options = values[1:-1]
-            assert options == ([None] * len(options) if reused else trained[1:-1])
-            assert [values[0], values[-1]] == [trained[0], trained[-1]]
+            assert len(trained) == (2 if reused else len(labels))
+            assert [v for _, v in stats.stage_success] == [
+                trained.get(s.policy.guide.option_id) for s in composed.stages]
 
     def test_pooled_and_inline_training_agree(self, monkeypatch):
         """The same two solves, trained inline and on a pool of workers:
@@ -394,6 +393,37 @@ class TestSharpSolve:
         with pytest.raises(GuideUnreachable, match="no guide"):
             sharp_solve(w, Configuration(1.5, 1.5), Configuration(18.5, 18.5),
                         library, {}, {}, cfg, np.random.default_rng(0), GOAL_TOL)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "pooled"])
+    def test_diverged_earlier_stage_wins_over_longer_later_one(self, monkeypatch,
+                                                                cpus):
+        # bridge-in and the stage with the longest guide both diverge; the
+        # longest is dispatched first, yet bridge-in's error wins
+        diverging = {"bridge-in"}
+        real_train_stages = planner.train_stages
+        real_train = planner.train_option_policy
+
+        def train_stages(world, rbvd, cfg, jobs):
+            longest, _ = max(jobs, key=lambda job: planner._arc_length(job[0]))
+            assert jobs[0][0].option_id == "bridge-in"
+            assert longest.option_id != "bridge-in"
+            diverging.add(longest.option_id)
+            return real_train_stages(world, rbvd, cfg, jobs)
+
+        def train(world, guide, rbvd, cfg, rng):
+            if guide.option_id in diverging:
+                raise DivergedTraining("critic loss is not finite")
+            return real_train(world, guide, rbvd, cfg, rng)
+
+        monkeypatch.setattr(planner, "train_stages", train_stages)
+        monkeypatch.setattr(planner, "train_option_policy", train)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+        w, library, cfg = solve_setup()
+        with pytest.raises(DivergedTraining, match="^training bridge-in: "):
+            sharp_solve(w, Configuration(1.5, 1.5), Configuration(18.5, 18.5),
+                        library, {}, {}, cfg, np.random.default_rng(0), GOAL_TOL)
+        assert len(diverging) == 2
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "pooled"])
@@ -532,6 +562,60 @@ class TestSharpSolve:
         assert small.points == large.points
         assert small.termination.cells < large.termination.cells
         assert small_key != large_key
+
+
+class TestTrainStages:
+    @staticmethod
+    def guide(oid, xs):
+        """A guide along y = 0.5 through the given x coordinates."""
+        points = [Configuration(x, 0.5) for x in xs]
+        return OptionGuide(option_id=oid, initiation=region_at(xs[0], 0.5),
+                           termination=region_at(xs[-1], 0.5), points=points,
+                           allowed_states=frozenset({0}))
+
+    def test_longest_guide_is_dispatched_first(self, monkeypatch):
+        dispatched = []
+
+        def train_guide(world, rbvd, guide, cfg, rng):
+            dispatched.append(guide.option_id)
+            return guide.option_id
+
+        monkeypatch.setattr(planner, "_train_guide", train_guide)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 1)
+        # arc lengths 2, 5, 2, 3.5 and 0 (a one-point guide)
+        guides = [self.guide("a", [0.5, 1.5, 2.5]), self.guide("b", [0.5, 3.0, 5.5]),
+                  self.guide("c", [4.5, 5.5, 6.5]), self.guide("d", [0.5, 4.0]),
+                  self.guide("e", [2.5])]
+        jobs = [(g, np.random.default_rng(i)) for i, g in enumerate(guides)]
+        assert planner.train_stages(None, None, None, jobs) == ["a", "b", "c", "d", "e"]
+        assert dispatched == ["b", "d", "a", "c", "e"]
+
+    def test_dispatch_order_moves_no_byte(self, monkeypatch):
+        """Each training reads only its own generator: a job list and the
+        same list reversed give the same results in reverse, inline and
+        pooled, actors bit for bit."""
+        w, library, cfg = solve_setup()
+        guides = [compute_guide_path(w, library.rbvd, o,
+                                     derive_rng("guide", "k", 0, o.id))
+                  for o in library.options[:3]]
+        # every guide ties, so each list is dispatched in its own order
+        monkeypatch.setattr(planner, "_arc_length", lambda guide: 0.0)
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+            for reverse in (False, True):
+                jobs = [(g, np.random.default_rng(seed))
+                        for seed, g in zip((11, 12, 13), guides)]
+                results = planner.train_stages(w, library.rbvd, cfg,
+                                               jobs[::-1] if reverse else jobs)
+                runs.append(results[::-1] if reverse else results)
+                assert multiprocessing.active_children() == []
+        reference = runs[0]
+        for results in runs[1:]:
+            for (actor, tstats), (twin, twin_stats) in zip(results, reference):
+                assert actor.layer_sizes == twin.layer_sizes
+                assert actor.params.tobytes() == twin.params.tobytes()
+                assert tstats == twin_stats
 
 
 class TestExecuteComposed:
