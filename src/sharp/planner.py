@@ -30,7 +30,8 @@ from .options import (PENALTY_REWARD, TERMINAL_REWARD, OptionGuide, OptionKind,
                       OptionSpec, build_guide, synth_options)
 from .regions import CriticalRegion
 from .seeding import derive_rng, spawn
-from .world import Configuration, OccupancyWorld, padded_cells, tick_lanes, world_hash
+from .world import (Configuration, OccupancyWorld, padded_cells, steer_lanes, step_lanes,
+                    world_hash)
 
 log = logging.getLogger(__name__)
 
@@ -223,6 +224,7 @@ class ExecutionTrace:
 
 
 NOISE_BLOCK = 32   # steps of noise a lane draws at a time
+STALL_ROWS = 512   # (lane, tick) rows one step of stalled lanes takes at most
 
 
 def execute_composed(world: OccupancyWorld, runs: list) -> list[list[ExecutionTrace]]:
@@ -251,6 +253,24 @@ def execute_composed(world: OccupancyWorld, runs: list) -> list[list[ExecutionTr
     only a hand-over or a lane's end rebuilds it. Once no live lane is short
     of its run's last stage, the hand-over test is skipped for good, as
     stages only advance.
+
+    Stalled ticks are skipped. When a tick leaves every live lane's
+    (x, y, theta) as it was, the ticks after it repeat that tick exactly
+    but for their noise: a stage policy is memoryless and a lane's waypoint
+    does not depend on its co-lanes (Stage), so each lane heads for the same
+    waypoint under the same command, and at an unchanged configuration the
+    goal and hand-over tests give the answers they gave before it. So the
+    engine skips the controller, the goal test and the hand-over test, and
+    steps every lane over the next span ticks in one step_lanes call on
+    (lane, tick) rows, each row with its own tick's noise. The span ends at
+    the end of the noise block, at the first tick on which a lane's stage
+    times out, and after max(1, STALL_ROWS // lanes) ticks, which bounds the
+    rows, and so the memory, of one call. The lanes then stand where they
+    stood for every leading tick in which no lane moved; the first tick
+    that moves a lane is taken from the same call, and the next tick
+    decides again. A lane's rows are stepped as its ticks one at a time
+    would be, so every trace is byte for byte the one of stepping each
+    tick.
     """
     # one row per (run, stage): its advance cells as a padded grid mask,
     # left empty for a run's last stage, and its policy, the controller's
@@ -297,23 +317,27 @@ def execute_composed(world: OccupancyWorld, runs: list) -> list[list[ExecutionTr
 
     tick = 0
     handing = True   # until no live lane is short of its run's last stage
+    held = None      # the last tick's commands, while that tick moved no lane
     while len(ids):
-        # finish, hand over (as often as needed) or time out before stepping
-        d = np.fromiter(map(math.hypot, (x - gx).tolist(), (y - gy).tolist()),
-                        np.float64, count=len(ids))
-        ended = d <= tol
-        finish(ended.nonzero()[0], "reached_goal")
-        if handing:
-            moving = (~ended & (stage < last)).nonzero()[0]
-            handing = len(moving) > 0
-            while len(moving):
-                iy, ix = padded_cells(world, x[moving], y[moving])
-                moving = moving[advance[stage[moving], iy, ix]]
-                for r in moving:
-                    stage_steps[ids[r]].append(int(used[r]))
-                stage[moving] += 1
-                used[moving] = 0
-                moving = moving[stage[moving] < last[moving]]
+        if held is None:
+            # finish, hand over (as often as needed) or time out before stepping
+            d = np.fromiter(map(math.hypot, (x - gx).tolist(), (y - gy).tolist()),
+                            np.float64, count=len(ids))
+            ended = d <= tol
+            finish(ended.nonzero()[0], "reached_goal")
+            if handing:
+                moving = (~ended & (stage < last)).nonzero()[0]
+                handing = len(moving) > 0
+                while len(moving):
+                    iy, ix = padded_cells(world, x[moving], y[moving])
+                    moving = moving[advance[stage[moving], iy, ix]]
+                    for r in moving:
+                        stage_steps[ids[r]].append(int(used[r]))
+                    stage[moving] += 1
+                    used[moving] = 0
+                    moving = moving[stage[moving] < last[moving]]
+        else:
+            ended = np.zeros(len(ids), dtype=bool)
         timed_out = ~ended & (used >= limit)
         finish(timed_out.nonzero()[0], "stage_timeout")
         ended |= timed_out
@@ -322,16 +346,40 @@ def execute_composed(world: OccupancyWorld, runs: list) -> list[list[ExecutionTr
             ids, x, y, theta, stage, used, first, last, gx, gy, tol, limit = (
                 a[keep] for a in (ids, x, y, theta, stage, used, first, last, gx, gy,
                                   tol, limit))
+            if held is not None:
+                held = [a if a is None else a[keep] for a in held]
             if len(ids) == 0:
                 break
-        if tick % NOISE_BLOCK == 0:
+        k = tick % NOISE_BLOCK
+        if k == 0:
             for lane in ids:
                 noise[lane] = rngs[lane].standard_normal(2 * NOISE_BLOCK).reshape(-1, 2)
-        tx, ty = steer(stage, x, y, theta)
-        x, y, theta = tick_lanes(world, x, y, theta, tx, ty,
-                                 noise[ids, tick % NOISE_BLOCK])
-        used += 1
-        tick += 1
+        if held is None:
+            held = steer_lanes(world, x, y, theta, *steer(stage, x, y, theta))
+            span = 1
+        else:
+            span = min(NOISE_BLOCK - k, int((limit - used).min()),
+                       max(1, STALL_ROWS // len(ids)))
+        # row r * span + j is lane r's tick k + j
+        rows = [a if a is None or span == 1 else np.repeat(a, span)
+                for a in (x, y, theta, *held)]
+        after = step_lanes(world, *rows[:5], noise[ids, k:k + span].reshape(-1, 2),
+                           rows[5])
+        if span == 1:
+            if any((a != b).any() for a, b in zip(rows, after)):
+                x, y, theta = after
+                held = None
+        else:
+            # the lanes take the span's first tick that moves one of them
+            moved = (rows[0] != after[0]) | (rows[1] != after[1]) | (rows[2] != after[2])
+            moved = moved.reshape(-1, span).any(axis=0)
+            if moved.any():
+                j = int(moved.argmax())
+                x, y, theta = (a.reshape(-1, span)[:, j] for a in after)
+                held = None
+                span = j + 1
+        used += span
+        tick += span
     return [traces[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 

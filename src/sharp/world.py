@@ -446,10 +446,11 @@ def _truncate_lanes(world: OccupancyWorld, sx, sy, tx, ty):
     return np.where(stay, sx, px[rows, last]), np.where(stay, sy, py[rows, last])
 
 
-def _steer_lanes(world: OccupancyWorld, x, y, theta, tx, ty):
+def steer_lanes(world: OccupancyWorld, x, y, theta, tx, ty):
     """steer_toward for lanes at (x, y, theta) heading for (tx, ty): the
     commands as two arrays, (dx, dy) or (v, omega), and the norms of
-    holonomic commands (else None)."""
+    holonomic commands (else None). step_lanes takes the three as they are,
+    and measures again only the norms that its clip scales."""
     dx = tx - x
     dy = ty - y
     if world.kinematics is Kinematics.HOLONOMIC:
@@ -467,7 +468,8 @@ def step_lanes(world: OccupancyWorld, x, y, theta, a0, a1, noise, norm=None):
     """step for lanes at (x, y, theta) under commands (a0, a1), with this
     step's (N, 2) standard normals; returns the new (x, y, theta). theta is
     carried unchanged under holonomic kinematics. norm, when given, holds
-    the norms of holonomic commands."""
+    the norms of holonomic commands. Each row's result depends on that row
+    alone, so a row may stand for one tick of a lane as well as a lane."""
     a0, a1, norm = _clip_lanes(world, a0, a1, norm)
     if world.kinematics is Kinematics.HOLONOMIC:
         sigma = world.noise_sigma * norm
@@ -481,14 +483,6 @@ def step_lanes(world: OccupancyWorld, x, y, theta, a0, a1, noise, norm=None):
     # step's Configuration wraps the angle once more, which leaves any
     # wrapped angle unchanged: its sum with pi is exact
     return nx, ny, _wrap_lanes(theta + omega)
-
-
-def tick_lanes(world: OccupancyWorld, x, y, theta, tx, ty, noise):
-    """step_lanes under the commands of _steer_lanes toward (tx, ty),
-    each holonomic command's norm measured once and again only where a clip
-    scaled it."""
-    a0, a1, norm = _steer_lanes(world, x, y, theta, tx, ty)
-    return step_lanes(world, x, y, theta, a0, a1, noise, norm)
 
 
 # -- text format ---------------------------------------------------------------

@@ -19,7 +19,7 @@ from sharp.planner import astar
 from sharp.regions import swept_cells
 from sharp.seeding import spawn
 from sharp.world import (SWEEP_FRACTION, Configuration, Kinematics, OccupancyWorld,
-                         _steer_lanes, sample_free, sample_in_cells, step, steer_toward)
+                         sample_free, sample_in_cells, step, steer_lanes, steer_toward)
 
 
 @contextmanager
@@ -79,9 +79,9 @@ def free_cells(world: OccupancyWorld) -> np.ndarray:
 
 def steer_toward_lanes(world: OccupancyWorld, x, y, theta, tx, ty):
     """steer_toward for lanes at (x, y, theta) heading for (tx, ty): the
-    commands that world.tick_lanes steps under, as two arrays, (dx, dy) or
+    commands that the lane engine steps under, as two arrays, (dx, dy) or
     (v, omega)."""
-    return _steer_lanes(world, x, y, theta, tx, ty)[:2]
+    return steer_lanes(world, x, y, theta, tx, ty)[:2]
 
 
 def _segment_distance(c, a, b) -> float:

@@ -29,3 +29,17 @@ def test_gain_needs_nine_tenths_of_the_pairs_and_the_parent_spread():
     # nor are large wins in 8 pairs of 10
     assert "lower in 8 of 10  gain not shown" in bench_pairs.summarise(
         runs_of(parent, faster[:8] + [20.0, 20.0]))[0]
+
+
+def test_a_run_reports_its_children_peak_beside_its_own():
+    report = {"correct": True, "metrics": {"run_s": {"value": 1.2, "unit": "s"},
+                                           "peak_rss_mb": {"value": 41.0, "unit": "MB"}}}
+    figures = bench_pairs.figures_of(report, {"run_wall_s": [0.7, 0.5, 0.6],
+                                              "children_peak_rss_mb": 39.5})
+    assert figures == {"run_s": 1.2, "peak_rss_mb": 41.0, "run_wall_s": 0.6,
+                       "children_peak_rss_mb": 39.5}
+    runs = {side: [dict(figures, children_peak_rss_mb=v) for v in values]
+            for side, values in (("parent", [39.5, 40.0, 39.0]),
+                                 ("change", [41.0, 40.5, 42.0]))}
+    assert "children_peak_rss_mb: parent 39.500  change 41.000" in \
+        bench_pairs.summarise(runs)

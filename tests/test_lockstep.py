@@ -17,7 +17,7 @@ from sharp.world import (Configuration, HolonomicAction, Kinematics, UnicycleAct
                          steer_toward, step, step_lanes)
 
 from conftest import grid_from_rows
-from helpers import act, free_cells, steer_toward_lanes
+from helpers import ScriptedPolicy, act, free_cells, steer_toward_lanes
 
 ROWS = ["############",
         "#..........#",
@@ -280,11 +280,11 @@ def mixed_runs(world) -> list:
             (home, 5, range(40, 43)), (two_stage(world), 11, [50])]
 
 
-def recorded_slots(monkeypatch) -> list:
-    """The slot array of every call of every Policy lane controller built
-    from now on, in call order."""
+def recorded_slots(monkeypatch, cls=Policy) -> list:
+    """The slot array of every call of every lane controller of class cls
+    built from now on, in call order."""
     calls = []
-    real = Policy.lane_controller
+    real = cls.lane_controller
 
     def recording(world, policies):
         steer = real(world, policies)
@@ -294,7 +294,7 @@ def recorded_slots(monkeypatch) -> list:
             return steer(slot, x, y, theta)
         return record
 
-    monkeypatch.setattr(Policy, "lane_controller", staticmethod(recording))
+    monkeypatch.setattr(cls, "lane_controller", staticmethod(recording))
     return calls
 
 
@@ -330,3 +330,151 @@ def test_no_runs_and_no_lanes():
     w = walled_world()
     assert execute_composed(w, []) == []
     assert execute_composed(w, [(two_stage(w), 5, [])]) == [[]]
+
+
+# -- stalled ticks --------------------------------------------------------------------
+# Once a tick leaves every live lane where it was, the engine steps the next
+# ticks of all lanes in one call, in spans cut by the noise block, the first
+# timeout and STALL_ROWS. Each case runs under small and large values of both.
+
+
+def stalled_ticks(monkeypatch, block, rows) -> list:
+    """Patch NOISE_BLOCK and STALL_ROWS; the slot arrays of every call of a
+    ScriptedPolicy controller from now on."""
+    monkeypatch.setattr(planner, "NOISE_BLOCK", block)
+    monkeypatch.setattr(planner, "STALL_ROWS", rows)
+    return recorded_slots(monkeypatch, ScriptedPolicy)
+
+
+def aimed(world, x, y, theta, target, limit, seeds, advance=frozenset(), then=None):
+    """(composed, per_stage_limit, lane seeds) of a run from (x, y) heading
+    for the fixed point target, under one stage, or two with then, the
+    second stage's target, after its lanes enter advance. theta is the start
+    heading of unicycle lanes; a heading along the line to target steers
+    with no turn at all."""
+    theta = theta if world.kinematics is Kinematics.UNICYCLE else None
+    start = Configuration(x, y, theta)
+    stages = [Stage("s0", ScriptedPolicy([Configuration(*target)]), advance)]
+    if then is not None:
+        stages.append(Stage("s1", ScriptedPolicy([Configuration(*then)]), frozenset()))
+    return ComposedPolicy(stages, start, Configuration(5.5, 6.5), 0.5), limit, seeds
+
+
+def pushing_runs(world, limits=(30, 45, 64)) -> list:
+    """Lanes that start against the east, north and west walls and push
+    straight into them: no noise draw frees them."""
+    east, north, west = limits
+    return [aimed(world, 10.97, 1.5, 0.0, (20.0, 1.5), east, range(4)),
+            aimed(world, 2.5, 7.96, math.pi / 2, (2.5, 20.0), north, range(10, 13)),
+            aimed(world, 1.03, 4.5, math.pi, (-10.0, 4.5), west, range(20, 25))]
+
+
+def run_and_check(world, runs, calls):
+    """Every run's traces in one batch, after checking each against the run
+    alone and against scalar_execute; and the number of controller calls
+    the batch made."""
+    batch = execute_composed(world, [(c, limit, lane_rngs(seeds))
+                                     for c, limit, seeds in runs])
+    made = len(calls)
+    for (composed, limit, seeds), traces in zip(runs, batch):
+        (alone,) = execute_composed(world, [(composed, limit, lane_rngs(seeds))])
+        assert traces == alone == [scalar_execute(world, composed, limit, rng)
+                                   for rng in lane_rngs(seeds)]
+    return batch, made
+
+
+def ticks_of(batch) -> int:
+    return max(t.total_steps for traces in batch for t in traces)
+
+
+STALL_CASES = [(block, rows) for block in (3, 32) for rows in (1, 7, 512)]
+
+
+@pytest.mark.parametrize("block, rows", STALL_CASES)
+@pytest.mark.parametrize("kinematics", KINEMATICS)
+def test_lanes_pushing_into_walls_skip_their_ticks(kinematics, block, rows, monkeypatch):
+    calls = stalled_ticks(monkeypatch, block, rows)
+    stepped = []   # rows of each step_lanes call
+    real_step = planner.step_lanes
+
+    def step_lanes(world, x, *args):
+        stepped.append(len(x))
+        return real_step(world, x, *args)
+
+    monkeypatch.setattr(planner, "step_lanes", step_lanes)
+    w = walled_world(kinematics, noise_sigma=0.2)
+    runs = pushing_runs(w)
+    batch, made = run_and_check(w, runs, calls)
+    for (composed, limit, _), traces in zip(runs, batch):
+        assert {(t.outcome, t.total_steps, t.end) for t in traces} == {
+            ("stage_timeout", limit, composed.x_start.xy)}
+    assert made < ticks_of(batch) / 2
+    # a call steps at most STALL_ROWS rows, or one tick of every lane
+    lanes = sum(len(seeds) for _, _, seeds in runs)
+    assert max(stepped) <= max(rows, lanes)
+    assert (max(stepped) > lanes) == (rows // lanes > 1)
+
+
+@pytest.mark.parametrize("block, rows", STALL_CASES)
+@pytest.mark.parametrize("kinematics", KINEMATICS)
+def test_noise_frees_a_stalled_lane(kinematics, block, rows, monkeypatch):
+    # 0.2 short of the north wall, a push of about one unit takes its first
+    # sweep sub-sample past the wall for most draws but not for all; the
+    # freed lanes creep up to the wall and stall again
+    calls = stalled_ticks(monkeypatch, block, rows)
+    w = walled_world(kinematics, noise_sigma=0.2)
+    runs = [aimed(w, 8.5, 7.8, math.pi / 2, (8.5, 20.0), 40, range(6))]
+    runs += pushing_runs(w, limits=(40, 40, 40))[:1]
+    batch, made = run_and_check(w, runs, calls)
+    creeping = batch[0]
+    assert any(t.end != (8.5, 7.8) for t in creeping)
+    # the first tick moved no lane, and lanes were freed after it
+    assert 1 < made < ticks_of(batch) / 2
+
+
+@pytest.mark.parametrize("block, rows", STALL_CASES)
+@pytest.mark.parametrize("kinematics", KINEMATICS)
+def test_stage_timeouts_inside_a_skip(kinematics, block, rows, monkeypatch):
+    # four stage limits, and a run whose lanes hand over after a few moving
+    # ticks to a stage that runs them down into the south wall, so that its
+    # lanes stall and time out at ticks of their own
+    calls = stalled_ticks(monkeypatch, block, rows)
+    w = walled_world(kinematics, noise_sigma=0.2)
+    runs = pushing_runs(w, limits=(5, 13, 29))
+    runs.append(aimed(w, 7.5, 1.5, 0.0, (20.0, 1.5), 17, range(30, 38),
+                      advance=frozenset((10, iy) for iy in range(1, 8)),
+                      then=(10.5, -10.0)))
+    batch, _ = run_and_check(w, runs, calls)
+    handing = batch[-1]
+    assert {t.outcome for t in handing} == {"stage_timeout"}
+    assert {t.timeout_stage for t in handing} == {1}
+    assert len({t.total_steps for t in handing}) > 1
+
+
+@pytest.mark.parametrize("block, rows", STALL_CASES)
+@pytest.mark.parametrize("kinematics", KINEMATICS)
+def test_a_moving_lane_keeps_every_tick(kinematics, block, rows, monkeypatch):
+    calls = stalled_ticks(monkeypatch, block, rows)
+    w = walled_world(kinematics, noise_sigma=0.2)
+    loop = [Configuration(7.5, 2.5), Configuration(9.5, 2.5), Configuration(9.5, 6.5),
+            Configuration(7.5, 6.5), Configuration(7.5, 2.5)]
+    start = Configuration(7.5, 2.5, 0.0 if kinematics is Kinematics.UNICYCLE else None)
+    circling = ComposedPolicy([Stage("loop", ScriptedPolicy(loop), frozenset())], start,
+                              Configuration(1.5, 1.5), 0.5)
+    runs = pushing_runs(w) + [(circling, 70, [50])]
+    batch, made = run_and_check(w, runs, calls)
+    assert batch[-1][0].total_steps == ticks_of(batch) == 70
+    assert made == 70
+
+
+@pytest.mark.parametrize("block, rows", STALL_CASES)
+def test_unicycle_lanes_turning_against_a_wall(block, rows, monkeypatch):
+    # facing away from the east wall, these lanes turn in place toward a
+    # point beyond it, then push into it while their heading error decays:
+    # a heading that changes is a move, so no tick is skipped while they live
+    calls = stalled_ticks(monkeypatch, block, rows)
+    w = walled_world(Kinematics.UNICYCLE, noise_sigma=0.2)
+    turning = aimed(w, 10.9, 3.5, math.pi, (20.0, 3.5), 15, range(40, 46))
+    batch, made = run_and_check(w, [turning] + pushing_runs(w), calls)
+    assert {t.outcome for t in batch[0]} == {"stage_timeout"}
+    assert 15 < made < ticks_of(batch) / 2

@@ -7,7 +7,7 @@ from sharp.errors import NoFreeSpace, ParseError
 from sharp.experiment import load_world
 from sharp.world import (Configuration, HolonomicAction, Kinematics, UnicycleAction,
                          collision, sample_free, sidecar_to_text, parse_sidecar, step,
-                         step_lanes, tick_lanes, world_from_text, world_hash,
+                         steer_lanes, step_lanes, world_from_text, world_hash,
                          world_to_text)
 from sharp.worlds import RECIPES
 
@@ -247,8 +247,9 @@ class TestTextFormat:
 
 @pytest.mark.parametrize("kinematics", list(Kinematics))
 def test_tick_lanes_is_steer_then_step(kinematics, rng):
-    """tick_lanes reuses the commands' norms; its lanes match the two steps
-    bit for bit, near targets (no clip) and far ones (clipped) alike."""
+    """A lane tick steps under steer_lanes' commands and reuses their norms;
+    its lanes match a step that measures the norms again bit for bit, near
+    targets (no clip) and far ones (clipped) alike."""
     w = grid_from_rows(["#.....", "..#...", "......", "...#.."], kinematics=kinematics,
                        noise_sigma=0.3, max_step=0.7, v_max=0.7)
     n = 500
@@ -257,7 +258,8 @@ def test_tick_lanes_is_steer_then_step(kinematics, rng):
     reach = rng.choice([0.0, 0.3, 0.7, 5.0], size=(n, 1)) * rng.normal(size=(n, 2))
     tx, ty = x + reach[:, 0], y + reach[:, 1]
     noise = rng.standard_normal((n, 2))
-    got = tick_lanes(w, x, y, theta, tx, ty, noise)
+    a0, a1, norm = steer_lanes(w, x, y, theta, tx, ty)
+    got = step_lanes(w, x, y, theta, a0, a1, noise, norm)
     want = step_lanes(w, x, y, theta, *steer_toward_lanes(w, x, y, theta, tx, ty), noise)
     for g, e in zip(got, want):
         assert g.tobytes() == e.tobytes()

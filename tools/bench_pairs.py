@@ -8,8 +8,10 @@ Each run is `tools/bench_rusage.py` of its own checkout, started in that
 checkout's root with the same arguments, so both sides run their own copy
 of the same benchmark code. Pair k runs the parent first when k is even and
 the change first when it is odd. One line per pair gives both sides'
-end-to-end metrics and `run_wall_s` (the median wall time of the run's timed
-iterations; the gated `run_s` is rescaled by bench/probe.py).
+end-to-end metrics, `run_wall_s` (the median wall time of the run's timed
+iterations; the gated `run_s` is rescaled by bench/probe.py) and
+`children_peak_rss_mb` (the largest peak RSS of the run's child processes;
+the gated `peak_rss_mb` is the measuring process's alone).
 
 The summary gives, for `run_s` and `run_wall_s`, each side's median and
 quartiles and the number of pairs in which the change read lower (ties
@@ -41,11 +43,19 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{checkout}: exit {proc.returncode}\n{proc.stderr}")
-    report, rusage = json.loads(lines[-2]), json.loads(lines[-1])
+    report = json.loads(lines[-2])
     if not report["correct"]:
         raise RuntimeError(f"{checkout}: failed check\n{proc.stdout}")
+    return figures_of(report, json.loads(lines[-1]))
+
+
+def figures_of(report: dict, rusage: dict) -> dict:
+    """{metric: value} of one run: the end-to-end metrics of its result
+    line, and from bench_rusage.py's last line the median of `run_wall_s`
+    and `children_peak_rss_mb`."""
     figures = {name: m["value"] for name, m in report["metrics"].items()}
     figures["run_wall_s"] = statistics.median(rusage["run_wall_s"])
+    figures["children_peak_rss_mb"] = rusage["children_peak_rss_mb"]
     return figures
 
 
