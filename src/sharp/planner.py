@@ -361,23 +361,17 @@ def execute_composed(world: OccupancyWorld, runs: list) -> list[list[ExecutionTr
             span = min(NOISE_BLOCK - k, int((limit - used).min()),
                        max(1, STALL_ROWS // len(ids)))
         # row r * span + j is lane r's tick k + j
-        rows = [a if a is None or span == 1 else np.repeat(a, span)
-                for a in (x, y, theta, *held)]
+        rows = [a if a is None else np.repeat(a, span) for a in (x, y, theta, *held)]
         after = step_lanes(world, *rows[:5], noise[ids, k:k + span].reshape(-1, 2),
                            rows[5])
-        if span == 1:
-            if any((a != b).any() for a, b in zip(rows, after)):
-                x, y, theta = after
-                held = None
-        else:
-            # the lanes take the span's first tick that moves one of them
-            moved = (rows[0] != after[0]) | (rows[1] != after[1]) | (rows[2] != after[2])
-            moved = moved.reshape(-1, span).any(axis=0)
-            if moved.any():
-                j = int(moved.argmax())
-                x, y, theta = (a.reshape(-1, span)[:, j] for a in after)
-                held = None
-                span = j + 1
+        # the lanes take the span's first tick that moves one of them
+        moved = (rows[0] != after[0]) | (rows[1] != after[1]) | (rows[2] != after[2])
+        moved = moved.reshape(-1, span).any(axis=0)
+        if moved.any():
+            j = int(moved.argmax())
+            x, y, theta = (a.reshape(-1, span)[:, j] for a in after)
+            held = None
+            span = j + 1
         used += span
         tick += span
     return [traces[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
